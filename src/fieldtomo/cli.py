@@ -84,7 +84,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "omega": "1.0",
         "g_over_omega": "0.5",
         "tau": "auto",             # auto = pi / (2 g)
-        "tau_list": "",
+        "tau_list": "",            # extra quench durations, tabulated before tau
         "cutoff": "31",
         "dt_int": "auto",
     },
@@ -211,15 +211,21 @@ def _get_int(cp, section: str, option: str) -> int:
         ) from None
 
 
-def _get_int_list(cp, section: str, option: str) -> list[int]:
+def _get_list(cp, section: str, option: str, cast=float) -> list:
+    """Space- or comma-separated values; an empty value is an empty list."""
     raw = cp.get(section, option).replace(",", " ")
     try:
-        values = [int(tok) for tok in raw.split()]
+        return [cast(tok) for tok in raw.split()]
     except ValueError:
+        what = "integers" if cast is int else "numbers"
         raise ConfigError(
-            f"{section}.{option} must be a list of integers, got {raw!r}",
+            f"{section}.{option} must be a list of {what}, got {raw!r}",
             key=f"{section}.{option}",
         ) from None
+
+
+def _get_int_list(cp, section: str, option: str) -> list[int]:
+    values = _get_list(cp, section, option, int)
     if not values:
         raise ConfigError(f"{section}.{option} is empty", key=f"{section}.{option}")
     return values
@@ -410,8 +416,8 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
 def _sweep_points(cp) -> tuple[list[int], list[int], Optional[float]]:
     n_m_list = _get_int_list(cp, "plan", "n_m_list")
     n_t_list = _get_int_list(cp, "plan", "n_t_list")
-    raw_t = cp.get("plan", "t_total").strip()
-    t_total = float(raw_t) if raw_t else None
+    has_t = bool(cp.get("plan", "t_total").strip())
+    t_total = _get_float(cp, "plan", "t_total") if has_t else None
     return n_m_list, n_t_list, t_total
 
 
@@ -517,19 +523,18 @@ def cmd_dce(cp, out_dir: Path) -> int:
     g_quench = _get_float(cp, "dce", "g_over_omega") * omega
     raw_tau = cp.get("dce", "tau").strip().lower()
     tau_main = math.pi / (2.0 * g_quench) if raw_tau == "auto" else _get_float(cp, "dce", "tau")
-    raw_list = cp.get("dce", "tau_list").strip()
-    taus = [float(tok) for tok in raw_list.split()] if raw_list else []
-    if tau_main not in taus:
-        taus.append(tau_main)
+    # the tomography point always comes last, after the tau_list entries
+    taus = _get_list(cp, "dce", "tau_list") + [tau_main]
+    main_index = len(taus) - 1
 
     points = []
     pair_pm = None
-    for tau in taus:
+    for index, tau in enumerate(taus):
         cfg = _dce_config(cp, tau)
         joint = dce_mod.evolve_rabi(cfg)
         pair = dce_mod.condition_on_qubit(joint, basis="ge")
         points.append(dce_mod.dce_record(cfg, joint, pair))
-        if tau == tau_main:
+        if index == main_index:
             pair_pm = dce_mod.condition_on_qubit(joint, basis="pm")
 
     tomo: dict = {"tau": tau_main, "warnings": []}

@@ -2,17 +2,21 @@
 
 Each grid point (axis, t_k) is an independent preparation: the empirical
 mean of ``n_m`` projective +-1 outcomes with ``P(+1) = (1 + m)/2``,
-where ``m`` is the (optionally damped) ideal Bloch component.  Shots are
-drawn from per-point RNG streams seeded as ``(seed, axis_index, k)``
-with the fixed axis map x -> 0, y -> 1, z -> 2 and 1-based time index
-``k``, so results for a given axis never depend on which other axes were
-requested.
+where ``m`` is the (optionally damped) ideal Bloch component.  Each axis
+draws its shot counts from one RNG stream seeded as ``(seed, axis_index)``
+with the fixed axis map x -> 0, y -> 1, z -> 2, so:
+
+* results for a given axis never depend on which other axes were
+  requested (axis independence);
+* the stream is consumed in time order, so the first ``k`` points of an
+  axis do not depend on ``n_t`` (prefix stability).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -61,6 +65,8 @@ class MeasurementPlan:
         object.__setattr__(self, "axes", axes)
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def times(self) -> np.ndarray:
         return time_grid(self.delta_t, int(self.n_t))
@@ -82,12 +88,8 @@ def _sample_axis(mean: np.ndarray, n_m: int, seed: int, axis: str) -> np.ndarray
     if np.min(p) < -1e-12 or np.max(p) > 1 + 1e-12:
         raise ValidationError("Bloch component outside [-1, 1] during sampling")
     p = np.clip(p, 0.0, 1.0)
-    out = np.empty_like(mean)
-    ax = AXIS_INDEX[axis]
-    for k in range(mean.size):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, ax, k + 1)))
-        out[k] = 2.0 * rng.binomial(n_m, p[k]) / n_m - 1.0
-    return out
+    counts = np.random.default_rng((seed, AXIS_INDEX[axis])).binomial(n_m, p)
+    return 2.0 * counts / n_m - 1.0
 
 
 def sample_trajectory(

@@ -177,6 +177,39 @@ def test_noise_sweep_single_point(capsys, tmp_path):
     assert float(xi) > 0 and float(snr) > 0
 
 
+def test_negative_seed_exits_3(capsys, tmp_path):
+    cfg = write_config(tmp_path, "[plan]\nn_m = 1000\n")
+    code, _, err = run(
+        capsys, "reconstruct", "--config", cfg, "--seed", "-5",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert stderr_error(err)["type"] == "ValidationError"
+
+
+def test_non_numeric_t_total(capsys, tmp_path):
+    cfg = write_config(tmp_path, "[plan]\nt_total = abc\n")
+    code, _, err = run(
+        capsys, "noise-sweep", "--config", cfg, "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    body = stderr_error(err)
+    assert body["type"] == "ConfigError"
+    assert body["key"] == "plan.t_total"
+
+
+def test_non_numeric_tau_list(capsys, tmp_path):
+    cfg = write_config(tmp_path, "[dce]\ntau_list = 0.5 x\n")
+    code, _, err = run(
+        capsys, "dce", "--preset", "paper-dce", "--config", cfg,
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    body = stderr_error(err)
+    assert body["type"] == "ConfigError"
+    assert body["key"] == "dce.tau_list"
+
+
 def test_estimate_g(capsys, tmp_path):
     code, _, _ = run(capsys, "estimate-g", "--out-dir", str(tmp_path))
     assert code == 0
@@ -201,6 +234,18 @@ def test_dce_preset(capsys, tmp_path):
     assert tomo["fidelity_phi_minus"] >= 0.999
     assert tomo["recombined"]["fidelity_phi_g"] >= 0.999
     assert tomo["recombined"]["fidelity_phi_e"] >= 0.999
+
+
+def test_dce_tau_list_precedes_tomography_point(capsys, tmp_path):
+    cfg = write_config(tmp_path, "[dce]\ntau = 1.5\ntau_list = 1.5 0.5\n")
+    code, _, _ = run(
+        capsys, "dce", "--preset", "paper-dce", "--config", cfg,
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "dce.json").read_text())
+    assert [p["tau"] for p in payload["points"]] == [1.5, 0.5, 1.5]
+    assert payload["tomography"]["tau"] == 1.5
 
 
 def test_outputs_end_with_newline(capsys, tmp_path):

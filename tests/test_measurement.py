@@ -77,6 +77,37 @@ def test_axis_streams_independent_of_subset(rho_one, probe):
     assert z_only.x is None and z_only.y is None
 
 
+def test_plan_rejects_bad_seed():
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ValidationError):
+            MeasurementPlan(delta_t=0.1, n_t=10, n_m=5, seed=seed)
+    assert MeasurementPlan(delta_t=0.1, n_t=10, seed=np.int64(4)).seed == 4
+
+
+def test_samples_are_prefix_stable(rho_one, probe):
+    """The first k points of every axis do not depend on n_t."""
+    short, long = (
+        sample_trajectory(
+            rho_one, probe, MeasurementPlan(delta_t=0.075, n_t=n_t, n_m=30, seed=17)
+        )
+        for n_t in (64, 256)
+    )
+    for axis in ("x", "y", "z"):
+        assert np.array_equal(getattr(short, axis), getattr(long, axis)[:64]), axis
+
+
+def test_axis_stream_is_pinned(rho_one, probe):
+    """Each axis is one binomial draw over the stream (seed, axis_index)."""
+    seed, n_m = 23, 40
+    plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=n_m, seed=seed)
+    ideal = ideal_bloch_trajectory(rho_one, probe, plan.times())
+    traj = sample_trajectory(rho_one, probe, plan)
+    for axis, index in (("x", 0), ("y", 1), ("z", 2)):
+        p = np.clip(0.5 * (1.0 + getattr(ideal, axis)), 0.0, 1.0)
+        counts = np.random.default_rng((seed, index)).binomial(n_m, p)
+        assert np.array_equal(getattr(traj, axis), 2 * counts / n_m - 1), axis
+
+
 def test_sampling_is_unbiased(rho_one, probe):
     """Grand mean over 200 seeds stays within 4 sigma of the ideal value."""
     n_m, reps = 100, 200
