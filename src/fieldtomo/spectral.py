@@ -10,12 +10,14 @@ unit tone ``exp(i omega_0 t)`` then carries area exactly 1 at omega_0.
 Because the record starts at t = dt rather than spanning the tone
 symmetrically, a tone sitting between bins leaks with a large odd-phase
 component: the plain window sum recovers only ``cos(pi delta)`` of the
-amplitude (delta = sub-bin offset).  `integrate_peak` therefore
-re-references every bin to the record midpoint, where the partial sums
-are real, and divides by the exact rectangular-window response.  An
-isolated tone is recovered to machine precision at any sub-bin offset;
-what remains is cross-peak leakage, which the reconstruction layer
-removes iteratively.
+amplitude (delta = sub-bin offset).  `read_windows`, the single window
+reader, therefore re-references every bin to the record midpoint, where
+the partial sums are real, and divides by the exact rectangular-window
+response.  It reads any number of windows in one array pass; an
+isolated tone is recovered to machine precision at any sub-bin offset,
+and what remains is cross-peak leakage, which the reconstruction layer
+removes iteratively.  `integrate_peak`, `cosine_pair` and `sine_pair`
+are thin views of it.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ __all__ = [
     "PeakEstimate",
     "CombTone",
     "dft",
+    "read_windows",
     "integrate_peak",
     "cosine_pair",
     "sine_pair",
     "noise_floor",
+    "comb_frequencies",
     "rabi_comb",
     "validate_windows",
     "max_half_width",
@@ -78,12 +82,6 @@ class Spectrum:
     @property
     def d_omega(self) -> float:
         return 2.0 * math.pi / (self.n_t * self.delta_t)
-
-    def _index(self, m_signed: int) -> int:
-        idx = m_signed + self.n_t // 2
-        if not 0 <= idx < self.n_t:
-            raise GridError(f"bin {m_signed} outside the frequency grid")
-        return idx
 
     def hermitian_defect(self) -> float:
         """max |F(omega) - conj(F(-omega))| over paired bins."""
@@ -144,15 +142,43 @@ def dft(signal: np.ndarray, times: np.ndarray, axis: str = "z") -> Spectrum:
     )
 
 
-def _window_response(delta: float, half_width: int, n: int) -> float:
-    """Exact response of the (2 hw + 1)-bin sum to a tone at offset delta."""
+def read_windows(
+    spec: Spectrum, centers, half_width: int = DEFAULT_HALF_WIDTH
+) -> np.ndarray:
+    """Complex amplitudes of the tones nearest each of ``centers`` (signed omega).
+
+    For every center, sums ``2 half_width + 1`` bins around the rounded
+    center after rotating each bin to the record midpoint
+    ``t = (N+1) dt / 2`` (which cancels the edge-referenced leakage
+    phases), then normalizes by the exact window (Dirichlet) response at
+    the actual sub-bin offset.  ``centers`` may have any shape; the
+    result has the same shape.  Raises `GridError` if any window runs off
+    the grid.
+    """
+    if half_width < 0:
+        raise ValidationError("half_width must be >= 0")
+    n = spec.n_t
+    x = np.asarray(centers, dtype=float) / spec.d_omega
+    m_c = np.rint(x)
+    off_grid = ~((m_c - half_width >= -(n // 2)) & (m_c + half_width < n - n // 2))
+    if np.any(off_grid):
+        raise GridError(
+            f"window at bin {np.asarray(m_c)[off_grid].flat[0]:.0f} +- {half_width} "
+            "outside the frequency grid"
+        )
+    delta = (x - m_c)[..., None]
     j = np.arange(-half_width, half_width + 1)
-    x = delta - j
+    idx = m_c[..., None].astype(np.intp) + (j + n // 2)
+    phase = np.exp(1j * np.pi * (j - delta) * (n + 1) / n)
+    off = delta - j
     with np.errstate(divide="ignore", invalid="ignore"):
         term = np.where(
-            x == 0.0, 1.0, np.sin(np.pi * x) / (n * np.sin(np.pi * x / n))
+            off == 0.0, 1.0, np.sin(np.pi * off) / (n * np.sin(np.pi * off / n))
         )
-    return float(np.sum(term))
+    resp = np.sum(term, axis=-1)
+    if np.any(np.abs(resp) < 0.1):  # cannot happen for |delta| <= 1/2; guards misuse
+        raise ValidationError("degenerate window response")
+    return np.sum(spec.values[idx] * phase, axis=-1) / resp
 
 
 def integrate_peak(
@@ -163,57 +189,44 @@ def integrate_peak(
     label: Optional[str] = None,
     family: Optional[str] = None,
 ) -> PeakEstimate:
-    """Complex amplitude of the tone nearest ``center`` (signed omega).
-
-    Sums ``2 half_width + 1`` bins around the rounded center, after
-    rotating each bin to the record midpoint ``t = (N+1) dt / 2`` (which
-    cancels the edge-referenced leakage phases), then normalizes by the
-    exact window response at the actual sub-bin offset.
-    """
-    if half_width < 0:
-        raise ValidationError("half_width must be >= 0")
-    n = spec.n_t
-    dw = spec.d_omega
-    m_c = int(round(center / dw))
-    delta = center / dw - m_c
-    base = spec._index(m_c - half_width)  # also validates the far edge below
-    spec._index(m_c + half_width)
-    j = np.arange(-half_width, half_width + 1)
-    vals = spec.values[base : base + 2 * half_width + 1]
-    phase = np.exp(1j * np.pi * (j - delta) * (n + 1) / n)
-    resp = _window_response(delta, half_width, n)
-    if abs(resp) < 0.1:  # cannot happen for |delta| <= 1/2; guards misuse
-        raise ValidationError("degenerate window response")
-    area = complex(np.sum(vals * phase) / resp)
+    """`read_windows` at one center, wrapped in a `PeakEstimate`."""
     return PeakEstimate(
         center=center,
         half_width=half_width,
-        area=area,
+        area=complex(read_windows(spec, center, half_width)),
         snr=snr,
         label=label,
         family=family,
     )
 
 
-def cosine_pair(spec: Spectrum, center: float, half_width: int = DEFAULT_HALF_WIDTH) -> float:
+def cosine_pair(
+    spec: Spectrum, center, half_width: int = DEFAULT_HALF_WIDTH
+) -> float | np.ndarray:
     """Amplitude of ``A cos(omega t)``: Re(area(+omega) + area(-omega)).
 
-    ``center = 0`` reads the DC window once.
+    ``center`` is a scalar or an array, read in one `read_windows` call;
+    a zero center reads the DC window once.
     """
-    if center == 0.0:
-        return integrate_peak(spec, 0.0, half_width).area.real
-    a_pos = integrate_peak(spec, center, half_width).area
-    a_neg = integrate_peak(spec, -center, half_width).area
-    return float((a_pos + a_neg).real)
+    c = np.asarray(center, dtype=float)
+    a_pos, a_neg = read_windows(spec, np.stack([c, -c]), half_width)
+    out = np.where(c == 0.0, a_pos.real, (a_pos + a_neg).real)
+    return out if out.ndim else float(out)
 
 
-def sine_pair(spec: Spectrum, center: float, half_width: int = DEFAULT_HALF_WIDTH) -> float:
-    """Amplitude A of ``-A sin(omega t)``: Im(area(+omega) - area(-omega))."""
-    if center <= 0.0:
+def sine_pair(
+    spec: Spectrum, center, half_width: int = DEFAULT_HALF_WIDTH
+) -> float | np.ndarray:
+    """Amplitude A of ``-A sin(omega t)``: Im(area(+omega) - area(-omega)).
+
+    ``center`` is a scalar or an array of positive frequencies.
+    """
+    c = np.asarray(center, dtype=float)
+    if np.any(c <= 0.0):
         raise ValidationError("sine_pair needs a positive center frequency")
-    a_pos = integrate_peak(spec, center, half_width).area
-    a_neg = integrate_peak(spec, -center, half_width).area
-    return float((a_pos - a_neg).imag)
+    a_pos, a_neg = read_windows(spec, np.stack([c, -c]), half_width)
+    out = (a_pos - a_neg).imag
+    return out if out.ndim else float(out)
 
 
 def noise_floor(
@@ -241,6 +254,22 @@ def noise_floor(
     return float(np.sqrt(np.mean(np.abs(spec.values[free]) ** 2)))
 
 
+def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
+    """Rabi comb tone positions by family: ``z[n-1] = 2 Omega_n``,
+    ``sum[n] = Omega_{n+1} + Omega_n`` and ``diff[n] = Omega_{n+1} - Omega_n``
+    (``diff[0] = sum[0] = Omega_1``: the n = 0 sidebands coincide)."""
+    if not g > 0:
+        raise ValidationError("coupling g must be positive")
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
+    root = np.sqrt(np.arange(n_max + 1, dtype=float))
+    return {
+        "z": 2.0 * g * root[1:],
+        "sum": g * (root[1:] + root[:-1]),
+        "diff": g * (root[1:] - root[:-1]),
+    }
+
+
 def rabi_comb(g: float, n_max: int) -> list[CombTone]:
     """Expected tone positions for occupation up to ``n_max``.
 
@@ -250,22 +279,17 @@ def rabi_comb(g: float, n_max: int) -> list[CombTone]:
     Omega_1, in the sum family (its two sidebands coincide there).  The
     DC bin is not listed: it belongs exclusively to rho_00.
     """
-    if not g > 0:
-        raise ValidationError("coupling g must be positive")
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    root = np.sqrt(np.arange(n_max + 1, dtype=float))
-    tones: list[CombTone] = []
-    for n in range(1, n_max + 1):
-        tones.append(CombTone(f"rho[{n},{n}]", "z", n, 2.0 * g * root[n]))
-    for n in range(n_max):
-        tones.append(
-            CombTone(f"rho[{n},{n + 1}]", "xy_sum", n, g * (root[n + 1] + root[n]))
-        )
-    for n in range(1, n_max):
-        tones.append(
-            CombTone(f"rho[{n},{n + 1}]", "xy_diff", n, g * (root[n + 1] - root[n]))
-        )
+    freqs = comb_frequencies(g, n_max)
+    tones = [
+        CombTone(f"rho[{n},{n}]", "z", n, freqs["z"][n - 1]) for n in range(1, n_max + 1)
+    ]
+    tones += [
+        CombTone(f"rho[{n},{n + 1}]", "xy_sum", n, freqs["sum"][n]) for n in range(n_max)
+    ]
+    tones += [
+        CombTone(f"rho[{n},{n + 1}]", "xy_diff", n, freqs["diff"][n])
+        for n in range(1, n_max)
+    ]
     return tones
 
 

@@ -1,6 +1,7 @@
 import configparser
 import json
 
+import numpy as np
 import pytest
 
 from fieldtomo.cli import main
@@ -253,3 +254,31 @@ def test_outputs_end_with_newline(capsys, tmp_path):
     assert code == 0
     raw = (tmp_path / "g_estimate.json").read_bytes()
     assert raw.endswith(b"\n")
+
+
+@pytest.mark.parametrize("preset", ["paper-state1", "paper-state2", "paper-coherent"])
+def test_ideal_presets_raise_no_cauchy_schwarz_warning(capsys, tmp_path, preset):
+    code, _, _ = run(capsys, "reconstruct", "--preset", preset, "--out-dir", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "reconstruction.json").read_text())
+    assert not [w for w in payload["diagnostics"]["warnings"] if "exceeds sqrt" in w]
+
+
+def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_path):
+    cfg = write_config(tmp_path, "[plan]\nn_m = 1000\n")
+    code, _, _ = run(
+        capsys, "reconstruct", "--preset", "paper-coherent", "--config", cfg,
+        "--seed", "7", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "reconstruction.json").read_text())
+    diag = payload["diagnostics"]
+    xi = np.hypot(diag["noise_floor_x"], diag["noise_floor_y"])
+    pops = payload["populations"]
+    above = {
+        f"rho[{n},{n + 1}]"
+        for n, c in enumerate(payload["coherences"])
+        if abs(complex(c["re"], c["im"])) - np.sqrt(pops[n] * pops[n + 1]) > 5.0 * xi
+    }
+    warned = {w.split("|")[1] for w in diag["warnings"] if "exceeds sqrt" in w}
+    assert warned == above == {"rho[0,1]"}

@@ -16,6 +16,7 @@ from fieldtomo.spectral import (
     noise_floor,
     rabi_comb,
     read_spectrum_csv,
+    read_windows,
     sine_pair,
     validate_windows,
     write_spectrum_csv,
@@ -177,6 +178,91 @@ def test_empty_window_bounded_by_noise_floor():
         # windows sums are normalized by the window response (~1), so
         # compare the raw-sum magnitude scale against the white bound
         assert abs(est.area) < bound
+
+
+def tone_spectrum(omega0: float, amp: complex, n_t: int = 256, delta_t: float = 0.1):
+    """Spectrum of the complex tone amp exp(i omega0 t) in the `dft` convention."""
+    t = time_grid(delta_t, n_t)
+    om = 2.0 * np.pi * np.fft.fftfreq(n_t, d=delta_t)
+    vals = np.fft.fft(amp * np.exp(1j * omega0 * t)) / n_t * np.exp(-1j * om * delta_t)
+    return Spectrum(np.fft.fftshift(om), np.fft.fftshift(vals), "z", delta_t)
+
+
+KERNEL_SPEC = dft(
+    np.random.default_rng(3).normal(size=512) + np.cos(1.7 * time_grid(0.1, 512)),
+    time_grid(0.1, 512),
+)
+ON_GRID_BINS = KERNEL_SPEC.n_t // 2 - 7  # |bin| + half_width stays on the grid
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    bins=st.lists(
+        st.one_of(
+            st.just(0.0), st.floats(min_value=-ON_GRID_BINS, max_value=ON_GRID_BINS)
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    half_width=st.integers(min_value=0, max_value=6),
+)
+def test_read_windows_matches_integrate_peak_exactly(bins, half_width):
+    centers = np.array(bins) * KERNEL_SPEC.d_omega
+    areas = read_windows(KERNEL_SPEC, centers, half_width)
+    assert areas.shape == centers.shape
+    for c, a in zip(centers, areas):
+        assert a == integrate_peak(KERNEL_SPEC, c, half_width).area  # bit for bit
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    m0=st.integers(min_value=-100, max_value=100),
+    offset=st.floats(min_value=-0.5, max_value=0.5),
+    phase=st.floats(min_value=-3.0, max_value=3.0),
+    position=st.integers(min_value=0, max_value=4),
+    half_width=st.integers(min_value=0, max_value=6),
+)
+def test_read_windows_recovers_isolated_tone_in_a_batch(m0, offset, phase, position, half_width):
+    spec = tone_spectrum((m0 + offset) * 2.0 * np.pi / (256 * 0.1), 0.7 * np.exp(1j * phase))
+    centers = np.linspace(-110.0, 110.0, 5) * spec.d_omega
+    centers[position] = (m0 + offset) * spec.d_omega
+    areas = read_windows(spec, centers, half_width)
+    assert abs(areas[position] - 0.7 * np.exp(1j * phase)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n_good=st.integers(min_value=0, max_value=8),
+    position=st.integers(min_value=0, max_value=8),
+    far_bin=st.integers(min_value=KERNEL_SPEC.n_t // 2 - 3, max_value=4 * KERNEL_SPEC.n_t),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_read_windows_rejects_any_off_grid_window(n_good, position, far_bin, sign):
+    centers = list(np.linspace(-ON_GRID_BINS, ON_GRID_BINS, n_good) * KERNEL_SPEC.d_omega)
+    centers.insert(min(position, n_good), sign * far_bin * KERNEL_SPEC.d_omega)
+    with pytest.raises(GridError):
+        read_windows(KERNEL_SPEC, np.array(centers), 4)
+
+
+def test_read_windows_empty_batch():
+    areas = read_windows(KERNEL_SPEC, np.array([]), 4)
+    assert areas.shape == (0,) and areas.dtype == complex
+
+
+def test_read_windows_checks_half_width():
+    with pytest.raises(ValidationError):
+        read_windows(KERNEL_SPEC, [1.0], -1)
+
+
+def test_pair_helpers_accept_arrays():
+    omegas = np.array([0.0, 1.3, 2.9])
+    got = cosine_pair(KERNEL_SPEC, omegas, 4)
+    assert list(got) == [cosine_pair(KERNEL_SPEC, float(w), 4) for w in omegas]
+    assert list(sine_pair(KERNEL_SPEC, omegas[1:], 4)) == [
+        sine_pair(KERNEL_SPEC, float(w), 4) for w in omegas[1:]
+    ]
+    with pytest.raises(ValidationError):
+        sine_pair(KERNEL_SPEC, omegas, 4)  # zero center
 
 
 def test_rabi_comb_families():
