@@ -76,7 +76,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "half_width": "4",
         "n_max": "8",
         "population_floor": "1e-3",
-        "refine_passes": "3",
         "g_min": "0.5",
         "g_max": "2.0",
     },
@@ -405,7 +404,6 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         n_max=n_max,
         half_width=half_width,
         population_floor=_get_float(cp, "spectral", "population_floor"),
-        refine_passes=_get_int(cp, "spectral", "refine_passes"),
         reference=state,
     )
     _dump_json(_result_payload(result), out_dir / "reconstruction.json")
@@ -425,8 +423,8 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     """Scaling of the spectral noise floor with shots and record length.
 
     Benchmarks on the first Rabi harmonic: the signal size S is the
-    refined rho_11 estimate and the floor excludes only the DC and
-    +-2 Omega_1 windows.
+    leakage-corrected rho_11 estimate and the floor excludes only the DC
+    and +-2 Omega_1 windows.
     """
     state = _build_state(cp)
     g = _get_float(cp, "probe", "g")
@@ -437,7 +435,6 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     if n_seeds < 1:
         raise ConfigError("plan.n_seeds must be >= 1", key="plan.n_seeds")
     half_width = _get_int(cp, "spectral", "half_width")
-    refine = _get_int(cp, "spectral", "refine_passes")
     n_m_list, n_t_list, t_total = _sweep_points(cp)
     comb = rabi_comb(g, 1)
 
@@ -459,7 +456,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                 traj = sample_trajectory(rho, cfg, plan)
                 spec = dft(traj.z, traj.times, axis="z")
                 hw = min(half_width, max_half_width([0.0, 2.0 * g, -2.0 * g], spec))
-                ests = rec_mod.populations_from_z(spec, comb, hw, refine)
+                ests = rec_mod.populations_from_z(spec, comb, hw)
                 model = ests[0] + ests[1] * np.cos(2.0 * g * traj.times)
                 xi = rec_mod.residual_floor(
                     spec, model, [(0.0, hw), (2.0 * g, hw), (-2.0 * g, hw)]
@@ -547,7 +544,6 @@ def cmd_dce(cp, out_dir: Path) -> int:
     n_max = _get_int(cp, "spectral", "n_max")
     half_width = _get_int(cp, "spectral", "half_width")
     floor = _get_float(cp, "spectral", "population_floor")
-    refine = _get_int(cp, "spectral", "refine_passes")
 
     rec_states = {}
     for label, phi in (("plus", phi_plus), ("minus", phi_minus)):
@@ -558,7 +554,6 @@ def cmd_dce(cp, out_dir: Path) -> int:
             n_max=n_max,
             half_width=half_width,
             population_floor=floor,
-            refine_passes=refine,
             reference=phi,
         )
         rec_states[label] = result.state

@@ -42,13 +42,10 @@ _ELEMENT_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe coupling.  ``omega`` is informational only: the dynamics are
-    evaluated on resonance in the interaction picture, so only ``g``
-    enters."""
+    """Probe coupling ``g``: the dynamics are evaluated on resonance in
+    the interaction picture, so it is the only parameter."""
 
     g: float
-    omega: Optional[float] = None
-    cutoff: Optional[int] = None
 
     def __post_init__(self):
         if not (self.g > 0 and math.isfinite(self.g)):

@@ -15,11 +15,12 @@ Estimator conventions (all verified against closed-form trajectories):
   ``rho_{n+1, n} = conj(S_n)``; phases chain through the upper one:
   ``phi_{n+1} = phi_n - arg S_n``.
 
-Every window is read by `spectral.read_windows`, one call per spectrum
-per read, and isolated tones are captured exactly; the residual
-cross-tone leakage is removed by a few rounds of synthesize-and-subtract
-refinement against a model comb that always contains every tone,
-including unread difference-band ones.
+Every window is read by `spectral.read_windows`, one call per spectrum,
+and isolated tones are captured exactly.  The cross-tone leakage is a
+small linear map from the unknowns (rho_nn, S_n) to the reads, built in
+closed form by `spectral.window_gains` from a model comb that contains
+every tone, unread difference-band ones included; one linear solve per
+spectrum family removes it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .spectral import (
     read_windows,
     sine_pair,
     validate_windows,
+    window_gains,
 )
 
 __all__ = [
@@ -63,7 +65,6 @@ __all__ = [
 
 DEFAULT_N_MAX = 8
 DEFAULT_POPULATION_FLOOR = 1e-3
-DEFAULT_REFINE_PASSES = 3
 TRACE_TOLERANCE = 0.01
 
 
@@ -153,36 +154,28 @@ def populations_from_z(
     spec: Spectrum,
     comb: Sequence[CombTone],
     half_width: int = DEFAULT_HALF_WIDTH,
-    refine_passes: int = DEFAULT_REFINE_PASSES,
 ) -> np.ndarray:
     """Raw diagonal estimates from the z spectrum (not clamped).
 
-    Reads the DC window plus the +-2 Omega_n pairs, then runs
-    ``refine_passes`` rounds of leakage subtraction: re-read a model
-    spectrum synthesized from the current estimates and correct by the
-    difference.
+    Reads the DC window plus the +-2 Omega_n pairs and solves the leakage
+    matrix of those reads: ``L[k, n]`` is read ``k`` of the model
+    ``p_0 + sum p_n cos(2 Omega_n t)`` at unit ``p_n``, with
+    ``p cos(ct) = (p/2)(e^{ict} + e^{-ict})`` and the DC window read once.
     """
     z_tones = sorted((t for t in comb if t.family == "z"), key=lambda t: t.n)
     if not z_tones:
         raise ValidationError("comb contains no z-family tones")
     windows = [("rho[0,0]", 0.0)]
-    for tone in z_tones:
-        windows.append((tone.label, tone.center))
-        windows.append((tone.label, -tone.center))
+    windows += [(t.label, sign * t.center) for t in z_tones for sign in (1.0, -1.0)]
     validate_windows(windows, half_width, spec)
 
     centers = np.array([t.center for t in z_tones])
     with_dc = np.concatenate(([0.0], centers))
-
-    def read(sp: Spectrum) -> np.ndarray:
-        return cosine_pair(sp, with_dc, half_width)
-
-    est = read(spec)
-    times = _grid_times(spec)
-    for _ in range(refine_passes):
-        model = _synth_z(est, centers, times)
-        est = est + (read(spec) - read(dft(model, times, axis=spec.axis)))
-    return est
+    tones = np.concatenate((with_dc, -centers))  # DC, +c_n, -c_n
+    fold = np.concatenate((np.eye(with_dc.size), np.eye(with_dc.size)[1:]))
+    weight = np.r_[1.0, np.full(centers.size, 0.5)]
+    leak = (fold.T @ window_gains(spec, tones, tones, half_width) @ fold).real * weight
+    return np.linalg.solve(leak, cosine_pair(spec, with_dc, half_width))
 
 
 def _diff_band_readable(
@@ -210,7 +203,6 @@ def coherences_from_xy(
     spec_y: Spectrum,
     comb: Sequence[CombTone],
     half_width: int = DEFAULT_HALF_WIDTH,
-    refine_passes: int = DEFAULT_REFINE_PASSES,
 ) -> tuple[np.ndarray, dict]:
     """Superdiagonal (upper convention S_n = rho_{n,n+1}) plus diagnostics."""
     sum_tones = sorted((t for t in comb if t.family == "xy_sum"), key=lambda t: t.n)
@@ -237,34 +229,26 @@ def coherences_from_xy(
             windows.append((tone.label + "d-", -freqs["diff"][n]))
     validate_windows(windows, half_width, spec_x)
 
-    scale = np.ones(n_max)
-    scale[0] = 0.5  # both sidebands of S_0 coincide at Omega_1
+    # A unit S_n drives -sin(sum_n t) - sin(diff_n t) on the axis it feeds,
+    # every tone included (the n = 0 pair doubles at Omega_1, and unread
+    # difference tones still leak into the read windows);
+    # -sin(wt) = (i/2)(e^{iwt} - e^{-iwt}) and a read is Im(a(+c) - a(-c)).
+    band = np.concatenate((freqs["sum"], freqs["diff"]))
+    read_at = np.concatenate((centers, -centers))
+    gains = window_gains(spec_x, read_at, np.concatenate((band, -band)), half_width)
+    areas = gains @ (0.5j * np.concatenate((np.eye(n_max),) * 2 + (-np.eye(n_max),) * 2))
+    leak = (areas[: centers.size] - areas[centers.size :]).imag
+    reads = _complex(*(sine_pair(sp, centers, half_width) for sp in (spec_y, spec_x)))
+    # Each readable difference row is averaged with its sum row.
+    avg = np.concatenate((np.eye(n_max), np.eye(n_max)[:, readable]), axis=1)
+    avg /= avg.sum(axis=1, keepdims=True)
+    est = np.linalg.solve(avg @ leak, avg @ reads)
 
-    def read(sx: Spectrum, sy: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-        s = _complex(sine_pair(sy, centers, half_width), sine_pair(sx, centers, half_width))
-        s_diff = np.full(n_max, np.nan + 0j)
-        s_diff[readable] = s[n_max:]
-        return scale * s[:n_max], s_diff
-
-    def combine(s_sum: np.ndarray, s_diff: np.ndarray) -> np.ndarray:
-        return np.where(readable, 0.5 * (s_sum + s_diff), s_sum)
-
-    data_sum, data_diff = read(spec_x, spec_y)
-    est = combine(data_sum, data_diff)
-    times = _grid_times(spec_x)
-    for _ in range(refine_passes):
-        # Model carries every tone, including unread difference ones:
-        # their leakage into the read windows must be subtracted too.
-        x_model, y_model = _synth_xy(est, freqs, times)
-        m_sum, m_diff = read(
-            dft(x_model, times, axis=spec_x.axis), dft(y_model, times, axis=spec_y.axis)
-        )
-        est = est + combine(data_sum - m_sum, data_diff - m_diff)
-
-    disagreement = [
-        float(abs(data_sum[n] - data_diff[n])) if readable[n] else None
-        for n in range(n_max)
-    ]
+    # Band residuals once the modelled leakage of every tone is taken out.
+    resid = reads - leak @ est
+    disagreement = [None] * n_max
+    for k, n in enumerate(np.flatnonzero(readable)):
+        disagreement[n] = float(abs(resid[n] - resid[n_max + k]))
     diagnostics = {
         "diff_band_read": readable.tolist(),
         "band_disagreement": disagreement,
@@ -279,11 +263,13 @@ def chain_phases(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Chain amplitude phases from the superdiagonal (upper convention).
 
-    Returns ``(phases, defined, breaks)``.  The first populated level is
-    anchored at phase 0; each link requires both endpoints populated.
-    Levels that cannot be reached stay at 0 with ``defined = False``.
-    A break is any unpopulated level with population on both sides —
-    a diagnostic, not an error.
+    Returns ``(phases, defined, breaks)``.  Every level is chained,
+    ``phi_{n+1} = phi_n - arg S_n``, and the first populated level is
+    anchored at phase 0.  A zero link makes a zero phase step;
+    `reconstruct_from_spectra` passes every link within its noise
+    tolerance as 0.  A phase is ``defined`` only if every link from the
+    anchor has both endpoints populated.  A break is any unpopulated
+    level with population on both sides — a diagnostic, not an error.
     """
     pops = np.asarray(populations, dtype=float)
     populated = pops >= population_floor
@@ -314,24 +300,21 @@ def assemble_pure_state(populations: np.ndarray, phases: np.ndarray) -> FieldSta
     return FieldState(amps).normalize()
 
 
+def _pm_windows(centers: np.ndarray, half_width: int) -> list[tuple[float, int]]:
+    """``(+c, half_width), (-c, half_width)`` for each of ``centers``, in order."""
+    return [(sign * c, half_width) for c in centers for sign in (1.0, -1.0)]
+
+
 def _xy_exclusions(
     freqs: dict[str, np.ndarray], half_width: int
 ) -> list[tuple[float, int]]:
-    excl = []
-    for c in freqs["sum"]:
-        excl += [(c, half_width), (-c, half_width)]
-    for c in freqs["diff"][1:]:
-        excl += [(c, half_width), (-c, half_width)]
-    return excl
+    return _pm_windows(np.concatenate((freqs["sum"], freqs["diff"][1:])), half_width)
 
 
 def _z_exclusions(
     freqs: dict[str, np.ndarray], half_width: int
 ) -> list[tuple[float, int]]:
-    excl = [(0.0, half_width)]
-    for c in freqs["z"]:
-        excl += [(c, half_width), (-c, half_width)]
-    return excl
+    return [(0.0, half_width)] + _pm_windows(freqs["z"], half_width)
 
 
 def _safe_floor(spec: Spectrum, model_signal, exclude) -> Optional[float]:
@@ -355,7 +338,6 @@ def reconstruct_from_spectra(
     n_max: int = DEFAULT_N_MAX,
     half_width: int = DEFAULT_HALF_WIDTH,
     population_floor: float = DEFAULT_POPULATION_FLOOR,
-    refine_passes: int = DEFAULT_REFINE_PASSES,
     reference: Optional[FieldState] = None,
 ) -> ReconstructionResult:
     """Full estimate from precomputed spectra.  ``spec_z`` is mandatory;
@@ -367,7 +349,7 @@ def reconstruct_from_spectra(
     warnings_out: list[str] = []
     diagnostics: dict = {}
 
-    raw = populations_from_z(spec_z, comb, half_width, refine_passes)
+    raw = populations_from_z(spec_z, comb, half_width)
     pops = np.clip(raw, 0.0, None)
     diagnostics["raw_populations"] = raw.tolist()
     if np.any(raw < -1e-6):
@@ -390,10 +372,9 @@ def reconstruct_from_spectra(
 
     coherences = None
     s_upper = None
+    links = np.zeros(max(pops.size - 1, 0), dtype=complex)
     if spec_x is not None and spec_y is not None:
-        s_upper, coh_diag = coherences_from_xy(
-            spec_x, spec_y, comb, half_width, refine_passes
-        )
+        s_upper, coh_diag = coherences_from_xy(spec_x, spec_y, comb, half_width)
         diagnostics.update(coh_diag)
         x_model, y_model = _synth_xy(s_upper, freqs, times)
         xi_x = _safe_floor(spec_x, x_model, _xy_exclusions(freqs, half_width))
@@ -401,15 +382,15 @@ def reconstruct_from_spectra(
         diagnostics["noise_floor_x"] = xi_x
         diagnostics["noise_floor_y"] = xi_y
         xi_xy = None if xi_x is None or xi_y is None else math.hypot(xi_x, xi_y)
+        # One tolerance for every check on S.  Its 1e-6 floor matters on
+        # ideal records, where xi_xy (~1e-16) is no larger than rounding.
+        tol = max(5.0 * (xi_xy or 0.0), 1e-6)
         for n, d in enumerate(coh_diag["band_disagreement"]):
-            if d is not None and xi_xy is not None and d > 5.0 * xi_xy:
+            if d is not None and d > tol:
                 warnings_out.append(
                     f"sum/difference bands disagree for rho[{n},{n + 1}]: "
-                    f"|delta| = {d:.3e} > 5 noise"
+                    f"|delta| = {d:.3e} > {tol:.3e}"
                 )
-        # Absolute floor: on ideal records xi_xy is ~1e-16 while the
-        # refinement residue still lifts saturated |S_n| by ~1e-8.
-        tol = max(5.0 * (xi_xy or 0.0), 1e-6)
         for n in range(s_upper.size):
             bound = math.sqrt(max(pops[n] * pops[n + 1], 0.0))
             if abs(s_upper[n]) > bound + tol:
@@ -418,13 +399,12 @@ def reconstruct_from_spectra(
                     f"sqrt(rho_nn rho_mm) = {bound:.4f}"
                 )
         coherences = np.conj(s_upper)  # reported as rho_{n+1, n}
+        # A link within the tolerance is empty: its angle is noise, so it
+        # makes a zero phase step.
+        links = np.where(np.abs(s_upper) <= tol, 0.0, s_upper)
 
-    if s_upper is not None:
-        phases, defined, breaks = chain_phases(pops, s_upper, population_floor)
-    else:
-        phases, defined, breaks = chain_phases(
-            pops, np.zeros(max(pops.size - 1, 0), dtype=complex), population_floor
-        )
+    phases, defined, breaks = chain_phases(pops, links, population_floor)
+    if s_upper is None:
         defined = defined & (np.arange(pops.size) == np.argmax(pops >= population_floor))
 
     state = None
@@ -460,7 +440,6 @@ def reconstruct_state(
     n_max: int = DEFAULT_N_MAX,
     half_width: int = DEFAULT_HALF_WIDTH,
     population_floor: float = DEFAULT_POPULATION_FLOOR,
-    refine_passes: int = DEFAULT_REFINE_PASSES,
     reference: Optional[FieldState] = None,
 ) -> ReconstructionResult:
     """Convenience wrapper: trajectory -> spectra -> estimates."""
@@ -477,7 +456,6 @@ def reconstruct_state(
         n_max=n_max,
         half_width=half_width,
         population_floor=population_floor,
-        refine_passes=refine_passes,
         reference=reference,
     )
 
@@ -490,7 +468,7 @@ def peak_report(
     spec_y: Optional[Spectrum] = None,
     half_width: int = DEFAULT_HALF_WIDTH,
 ) -> list[PeakEstimate]:
-    """Raw per-window areas (no leakage refinement) with SNR proxies.
+    """Raw per-window areas (no leakage removal) with SNR proxies.
 
     Each spectrum's windows are read in one `read_windows` call.
     """
@@ -540,9 +518,7 @@ def peak_report(
             a = a[is_sum]
             return (a[0::2] - a[1::2]).imag
 
-        scale = np.ones(n_max)
-        scale[0] = 0.5
-        s_raw = scale * _complex(sines(area_y), sines(area_x))
+        s_raw = np.r_[0.5, np.ones(n_max - 1)] * _complex(sines(area_y), sines(area_x))
         x_model, y_model = _synth_xy(s_raw, freqs, times)
         for sp, model, areas in ((spec_x, x_model, area_x), (spec_y, y_model, area_y)):
             out += report(xy_windows, areas, _safe_floor(sp, model, excl))

@@ -15,9 +15,10 @@ reader, therefore re-references every bin to the record midpoint, where
 the partial sums are real, and divides by the exact rectangular-window
 response.  It reads any number of windows in one array pass; an
 isolated tone is recovered to machine precision at any sub-bin offset,
-and what remains is cross-peak leakage, which the reconstruction layer
-removes iteratively.  `integrate_peak`, `cosine_pair` and `sine_pair`
-are thin views of it.
+and what remains is cross-peak leakage.  `window_gains` gives that
+leakage in closed form, so the reconstruction layer removes it with one
+linear solve.  `integrate_peak`, `cosine_pair` and `sine_pair` are thin
+views of `read_windows`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "CombTone",
     "dft",
     "read_windows",
+    "window_gains",
     "integrate_peak",
     "cosine_pair",
     "sine_pair",
@@ -142,6 +144,38 @@ def dft(signal: np.ndarray, times: np.ndarray, axis: str = "z") -> Spectrum:
     )
 
 
+def _dirichlet_sum(u, half_width: int, n: int) -> np.ndarray:
+    """Window response ``sum_{|j| <= half_width} D(u - j)`` at bin offsets ``u``, with
+    the Dirichlet kernel ``D(v) = sin(pi v) / (n sin(pi v / n))``, ``D(0) = 1``.
+    The only copy of the window response."""
+    off = np.asarray(u, dtype=float)[..., None] - np.arange(-half_width, half_width + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(
+            off == 0.0, 1.0, np.sin(np.pi * off) / (n * np.sin(np.pi * off / n))
+        )
+    return np.sum(term, axis=-1)
+
+
+def _window_bins(spec: Spectrum, centers, half_width: int):
+    """Bin positions ``x``, rounded bins ``m_c`` and window responses of
+    ``centers``; raises if a window runs off the grid or degenerates."""
+    if half_width < 0:
+        raise ValidationError("half_width must be >= 0")
+    n = spec.n_t
+    x = np.asarray(centers, dtype=float) / spec.d_omega
+    m_c = np.rint(x)
+    off_grid = ~((m_c - half_width >= -(n // 2)) & (m_c + half_width < n - n // 2))
+    if np.any(off_grid):
+        raise GridError(
+            f"window at bin {np.asarray(m_c)[off_grid].flat[0]:.0f} +- {half_width} "
+            "outside the frequency grid"
+        )
+    resp = _dirichlet_sum(x - m_c, half_width, n)
+    if np.any(np.abs(resp) < 0.1):  # cannot happen for |delta| <= 1/2; guards misuse
+        raise ValidationError("degenerate window response")
+    return x, m_c, resp
+
+
 def read_windows(
     spec: Spectrum, centers, half_width: int = DEFAULT_HALF_WIDTH
 ) -> np.ndarray:
@@ -155,30 +189,32 @@ def read_windows(
     result has the same shape.  Raises `GridError` if any window runs off
     the grid.
     """
-    if half_width < 0:
-        raise ValidationError("half_width must be >= 0")
     n = spec.n_t
-    x = np.asarray(centers, dtype=float) / spec.d_omega
-    m_c = np.rint(x)
-    off_grid = ~((m_c - half_width >= -(n // 2)) & (m_c + half_width < n - n // 2))
-    if np.any(off_grid):
-        raise GridError(
-            f"window at bin {np.asarray(m_c)[off_grid].flat[0]:.0f} +- {half_width} "
-            "outside the frequency grid"
-        )
+    x, m_c, resp = _window_bins(spec, centers, half_width)
     delta = (x - m_c)[..., None]
     j = np.arange(-half_width, half_width + 1)
     idx = m_c[..., None].astype(np.intp) + (j + n // 2)
     phase = np.exp(1j * np.pi * (j - delta) * (n + 1) / n)
-    off = delta - j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(
-            off == 0.0, 1.0, np.sin(np.pi * off) / (n * np.sin(np.pi * off / n))
-        )
-    resp = np.sum(term, axis=-1)
-    if np.any(np.abs(resp) < 0.1):  # cannot happen for |delta| <= 1/2; guards misuse
-        raise ValidationError("degenerate window response")
     return np.sum(spec.values[idx] * phase, axis=-1) / resp
+
+
+def window_gains(
+    spec: Spectrum, centers, tones, half_width: int = DEFAULT_HALF_WIDTH
+) -> np.ndarray:
+    """What `read_windows` returns at ``centers[k]`` for a unit tone
+    ``exp(i tones[m] t)``, as a complex ``(len(centers), len(tones))`` matrix.
+
+    Closed form, no DFT: with ``x = center / d_omega``, ``x' = tone /
+    d_omega`` and ``m_c = rint(x)``, the gain is
+    ``exp(i pi (x' - x) (N+1) / N) sum_j D(x' - m_c - j) / sum_j D(x - m_c - j)``.
+    It is 1 for a tone on its own center and the cross-tone leakage
+    otherwise, so reads of a comb are a linear map of its amplitudes.
+    """
+    n = spec.n_t
+    x, m_c, resp = _window_bins(spec, np.ravel(centers), half_width)
+    x_tone = np.ravel(np.asarray(tones, dtype=float)) / spec.d_omega
+    phase = np.exp(1j * np.pi * (x_tone - x[:, None]) * (n + 1) / n)
+    return phase * _dirichlet_sum(x_tone - m_c[:, None], half_width, n) / resp[:, None]
 
 
 def integrate_peak(
@@ -319,29 +355,23 @@ def validate_windows(
                 f"window for {label} (bin {m} +- {half_width}) exceeds the "
                 f"frequency grid; raise n_t or shrink delta_t"
             )
-    clashes = []
-    for i in range(len(bins)):
-        for k in range(i + 1, len(bins)):
-            if abs(bins[i] - bins[k]) <= 2 * half_width:
-                clashes.append(f"{centers[i][0]} / {centers[k][0]}")
+    close = np.abs(np.subtract.outer(bins, bins)) <= 2 * half_width
+    pairs = zip(*np.nonzero(np.triu(close, 1)))
+    clashes = {f"{centers[i][0]} / {centers[k][0]}" for i, k in pairs}
     if clashes:
         raise ResolvabilityError(
             "integration windows collide (need spacing > "
-            f"{2 * half_width} bins): " + "; ".join(sorted(set(clashes)))
+            f"{2 * half_width} bins): " + "; ".join(sorted(clashes))
         )
 
 
 def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
     """Largest half-width for which all listed windows stay disjoint."""
     bins = _rounded_bins(centers, spec.d_omega)
-    best = None
-    for i in range(len(bins)):
-        for k in range(i + 1, len(bins)):
-            d = abs(bins[i] - bins[k])
-            best = d if best is None else min(best, d)
-    if best is None:
+    if len(bins) < 2:
         return DEFAULT_HALF_WIDTH
-    return max(0, (best - 1) // 2)
+    gaps = np.abs(np.subtract.outer(bins, bins))[np.triu_indices(len(bins), 1)]
+    return max(0, (int(gaps.min()) - 1) // 2)
 
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:

@@ -49,14 +49,19 @@ def test_unknown_preset(capsys, tmp_path):
 
 
 def test_unknown_config_key(capsys, tmp_path):
-    cfg = write_config(tmp_path, "[plan]\nbogus = 1\n")
-    code, _, err = run(
-        capsys, "reconstruct", "--config", cfg, "--out-dir", str(tmp_path)
-    )
-    assert code == 2
-    body = stderr_error(err)
-    assert body["type"] == "ConfigError"
-    assert body["key"] == "plan.bogus"
+    # A retired key is rejected like any other unknown key.
+    for text, key in (
+        ("[plan]\nbogus = 1\n", "plan.bogus"),
+        ("[spectral]\nrefine_passes = 3\n", "spectral.refine_passes"),
+    ):
+        cfg = write_config(tmp_path, text)
+        code, _, err = run(
+            capsys, "reconstruct", "--config", cfg, "--out-dir", str(tmp_path)
+        )
+        assert code == 2
+        body = stderr_error(err)
+        assert body["type"] == "ConfigError"
+        assert body["key"] == key
 
 
 def test_unknown_config_section(capsys, tmp_path):

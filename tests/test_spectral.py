@@ -19,8 +19,10 @@ from fieldtomo.spectral import (
     read_windows,
     sine_pair,
     validate_windows,
+    window_gains,
     write_spectrum_csv,
 )
+from fieldtomo.reconstruct import populations_from_z
 
 # Grid that parks 2 Omega_1 = 2 exactly on a bin: total duration 20 pi.
 ONBIN_NT = 512
@@ -252,6 +254,52 @@ def test_read_windows_empty_batch():
 def test_read_windows_checks_half_width():
     with pytest.raises(ValidationError):
         read_windows(KERNEL_SPEC, [1.0], -1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_t=st.sampled_from([128, 1023, 4096]),
+    half_width=st.integers(min_value=0, max_value=6),
+    center_fracs=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=5),
+    tone_frac=st.floats(min_value=-1.0, max_value=1.0),
+    kind=st.sampled_from(["cos", "sin"]),
+)
+def test_window_gains_match_read_windows_of_a_real_tone(
+    n_t, half_width, center_fracs, tone_frac, kind
+):
+    times = time_grid(0.075, n_t)
+    d_omega = 2.0 * np.pi / (n_t * 0.075)
+    edge = (n_t // 2 - half_width - 1) * d_omega  # every window stays on the grid
+    centers = np.array(center_fracs) * edge
+    w = tone_frac * edge
+    spec = dft(np.cos(w * times) if kind == "cos" else np.sin(w * times), times)
+    # cos wt = (e^{iwt} + e^{-iwt}) / 2,  sin wt = (e^{iwt} - e^{-iwt}) / 2i
+    weights = np.array([0.5, 0.5]) if kind == "cos" else np.array([-0.5j, 0.5j])
+    predicted = window_gains(spec, centers, [w, -w], half_width) @ weights
+    assert np.max(np.abs(read_windows(spec, centers, half_width) - predicted)) <= 1e-12
+
+
+def test_window_gains_shape_and_unit_diagonal():
+    centers = np.array([-1.3, 0.0, 0.4, 2.9])
+    gains = window_gains(KERNEL_SPEC, centers, centers, 3)
+    assert gains.shape == (4, 4) and gains.dtype == complex
+    assert np.allclose(np.diag(gains), 1.0, atol=1e-13)
+    with pytest.raises(GridError):
+        window_gains(KERNEL_SPEC, [KERNEL_SPEC.n_t * KERNEL_SPEC.d_omega], [1.0], 3)
+
+
+@pytest.mark.parametrize("g", [1.0, 1.2, 1.5])
+def test_populations_from_z_recovers_an_overlapping_comb(g):
+    # Short record, narrow windows: the top z tones sit ~5 bins apart, so
+    # every read carries large leakage from its neighbours.
+    times = time_grid(0.075, 1024)
+    comb = rabi_comb(g, 6)
+    pops = np.random.default_rng(11).uniform(0.0, 1.0, 7)
+    signal = pops[0] + sum(
+        pops[t.n] * np.cos(t.center * times) for t in comb if t.family == "z"
+    )
+    got = populations_from_z(dft(signal, times), comb, 2)
+    assert np.max(np.abs(got - pops)) <= 1e-12
 
 
 def test_pair_helpers_accept_arrays():
