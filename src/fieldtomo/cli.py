@@ -34,6 +34,7 @@ from . import reconstruct as rec_mod
 from .exceptions import (
     ConfigError,
     DegenerateBranchError,
+    EstimationError,
     FieldTomoError,
     exit_code_for,
 )
@@ -208,6 +209,15 @@ def _get_int(cp, section: str, option: str) -> int:
             f"{section}.{option} must be an integer, got {raw!r}",
             key=f"{section}.{option}",
         ) from None
+
+
+def _get_half_width(cp) -> int:
+    half_width = _get_int(cp, "spectral", "half_width")
+    if half_width < 0:
+        raise ConfigError(
+            f"spectral.half_width must be >= 0, got {half_width}", key="spectral.half_width"
+        )
+    return half_width
 
 
 def _get_list(cp, section: str, option: str, cast=float) -> list:
@@ -390,7 +400,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         raise ConfigError("plan.axes must include z for reconstruction", key="plan.axes")
 
     n_max = _get_int(cp, "spectral", "n_max")
-    half_width = _get_int(cp, "spectral", "half_width")
+    half_width = _get_half_width(cp)
     peaks = rec_mod.peak_report(
         g, n_max, spectra["z"], spectra.get("x"), spectra.get("y"), half_width
     )
@@ -434,7 +444,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     n_seeds = _get_int(cp, "plan", "n_seeds")
     if n_seeds < 1:
         raise ConfigError("plan.n_seeds must be >= 1", key="plan.n_seeds")
-    half_width = _get_int(cp, "spectral", "half_width")
+    half_width = _get_half_width(cp)
     n_m_list, n_t_list, t_total = _sweep_points(cp)
     comb = rabi_comb(g, 1)
 
@@ -461,6 +471,11 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                 xi = rec_mod.residual_floor(
                     spec, model, [(0.0, hw), (2.0 * g, hw), (-2.0 * g, hw)]
                 )
+                if xi == 0.0:
+                    raise EstimationError(
+                        f"noise floor is 0 at n_m = {n_m}, n_t = {n_t}: "
+                        "the records carry no shot noise to scale"
+                    )
                 xis.append(xi)
                 snrs.append(ests[1] / xi)
             rows.append(
@@ -519,7 +534,15 @@ def cmd_dce(cp, out_dir: Path) -> int:
     omega = _get_float(cp, "dce", "omega")
     g_quench = _get_float(cp, "dce", "g_over_omega") * omega
     raw_tau = cp.get("dce", "tau").strip().lower()
-    tau_main = math.pi / (2.0 * g_quench) if raw_tau == "auto" else _get_float(cp, "dce", "tau")
+    if raw_tau == "auto":
+        if g_quench == 0.0:
+            raise ConfigError(
+                "dce.tau = auto needs a nonzero coupling dce.g_over_omega * dce.omega",
+                key="dce.omega" if omega == 0.0 else "dce.g_over_omega",
+            )
+        tau_main = math.pi / (2.0 * g_quench)
+    else:
+        tau_main = _get_float(cp, "dce", "tau")
     # the tomography point always comes last, after the tau_list entries
     taus = _get_list(cp, "dce", "tau_list") + [tau_main]
     main_index = len(taus) - 1
@@ -542,7 +565,7 @@ def cmd_dce(cp, out_dir: Path) -> int:
     probe_cfg = ProbeConfig(g=g_probe)
     plan = _get_plan(cp, g_probe)
     n_max = _get_int(cp, "spectral", "n_max")
-    half_width = _get_int(cp, "spectral", "half_width")
+    half_width = _get_half_width(cp)
     floor = _get_float(cp, "spectral", "population_floor")
 
     rec_states = {}
@@ -561,6 +584,10 @@ def cmd_dce(cp, out_dir: Path) -> int:
         tomo["warnings"].extend(result.warnings)
 
     try:
+        if None in rec_states.values():
+            raise DegenerateBranchError(
+                "a reconstructed |+-> branch has no level above spectral.population_floor"
+            )
         rec_g, rec_e = dce_mod.recombine_branches(
             rec_states["plus"], rec_states["minus"], pair_pm.c_g, pair_pm.c_e
         )

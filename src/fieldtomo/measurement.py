@@ -121,22 +121,17 @@ def sample_trajectory(
 
 
 def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
-    """Header ``t,x,y,z``; unmeasured axes are left as empty fields."""
+    """Header ``t,x,y,z``; unmeasured axes are left as empty fields.
 
-    def fmt(v: Optional[float]) -> str:
-        return "" if v is None else format(v, ".17g")
-
+    Floats are written ``%.17g`` and lines end ``\\r\\n``, the dialect
+    `read_trajectory_csv` (a `csv.reader`) expects.
+    """
+    comps = [getattr(traj, a) for a in ("x", "y", "z")]
+    row = ",".join(["%.17g"] + ["" if c is None else "%.17g" for c in comps]) + "\r\n"
+    cols = [traj.times.tolist()] + [c.tolist() for c in comps if c is not None]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z"])
-        for k, t in enumerate(traj.times):
-            writer.writerow(
-                [format(t, ".17g")]
-                + [
-                    fmt(getattr(traj, a)[k] if getattr(traj, a) is not None else None)
-                    for a in ("x", "y", "z")
-                ]
-            )
+        fh.write("t,x,y,z\r\n")
+        fh.writelines(map(row.__mod__, zip(*cols)))
 
 
 def read_trajectory_csv(path: str | Path, kind: str = "sampled") -> BlochTrajectory:

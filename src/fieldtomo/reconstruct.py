@@ -78,6 +78,8 @@ class ReconstructionResult:
     data was supplied.  ``phases`` are amplitude phases chained from the
     first populated level (anchored at 0); entries with
     ``phase_defined[n] = False`` are unconstrained by the data.
+    ``partial`` is set when a populated level's phase is undefined, the
+    phase chain breaks, or ``|trace_deficit|`` exceeds `TRACE_TOLERANCE`.
     """
 
     populations: np.ndarray
@@ -382,14 +384,20 @@ def reconstruct_from_spectra(
         diagnostics["noise_floor_x"] = xi_x
         diagnostics["noise_floor_y"] = xi_y
         xi_xy = None if xi_x is None or xi_y is None else math.hypot(xi_x, xi_y)
-        # One tolerance for every check on S.  Its 1e-6 floor matters on
-        # ideal records, where xi_xy (~1e-16) is no larger than rounding.
+        # One tolerance for the checks on S itself.  Its 1e-6 floor matters
+        # on ideal records, where xi_xy (~1e-16) is no larger than rounding.
         tol = max(5.0 * (xi_xy or 0.0), 1e-6)
+        # A band difference is the difference of two independent complex
+        # reads, each combining the x and y sine pairs over 2 hw + 1 bins,
+        # so its RMS is sigma_d = 2 sqrt(2 hw + 1) xi_xy; |d| > 3 sigma_d
+        # is a false alarm with probability e^-9 per band.
+        sigma_d = 2.0 * math.sqrt(2 * half_width + 1) * (xi_xy or 0.0)
+        band_tol = max(3.0 * sigma_d, 1e-6)
         for n, d in enumerate(coh_diag["band_disagreement"]):
-            if d is not None and d > tol:
+            if d is not None and d > band_tol:
                 warnings_out.append(
                     f"sum/difference bands disagree for rho[{n},{n + 1}]: "
-                    f"|delta| = {d:.3e} > {tol:.3e}"
+                    f"|delta| = {d:.3e} > {band_tol:.3e}"
                 )
         for n in range(s_upper.size):
             bound = math.sqrt(max(pops[n] * pops[n + 1], 0.0))
@@ -408,7 +416,9 @@ def reconstruct_from_spectra(
         defined = defined & (np.arange(pops.size) == np.argmax(pops >= population_floor))
 
     state = None
-    partial = bool(breaks)
+    # Weight beyond n_max (or lost to window trouble) leaves the estimate
+    # incomplete even when every modelled phase is defined.
+    partial = bool(breaks) or abs(trace_deficit) > TRACE_TOLERANCE
     populated = pops >= population_floor
     if np.any(populated & ~defined):
         partial = True

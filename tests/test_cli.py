@@ -1,10 +1,16 @@
 import configparser
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fieldtomo.cli import main
+from fieldtomo.cli import DEFAULTS, main
 from fieldtomo.states import save_amplitudes, superposition
 
 
@@ -287,3 +293,83 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
     }
     warned = {w.split("|")[1] for w in diag["warnings"] if "exceeds sqrt" in w}
     assert warned == above == {"rho[0,1]"}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("reconstruct", "spectral.half_width", "-1"),
+        ("dce", "dce.omega", "0"),
+        ("dce", "dce.g_over_omega", "0"),
+    ],
+)
+def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
+    section, option = key.split(".")
+    cfg = write_config(tmp_path, f"[{section}]\n{option} = {value}\n")
+    code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(tmp_path))
+    assert code == 2
+    body = stderr_error(err)
+    assert body["type"] == "ConfigError"
+    assert body["key"] == key
+
+
+def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
+    # The vacuum never leaves z = -1, so every shot agrees; here the floor is 0.
+    cfg = write_config(
+        tmp_path, "[state]\nn = 0\n[plan]\nn_m_list = 10\nn_t_list = 64\nn_seeds = 1\n"
+    )
+    code, _, err = run(capsys, "noise-sweep", "--config", cfg, "--out-dir", str(tmp_path))
+    assert code == 3
+    assert stderr_error(err)["type"] == "EstimationError"
+
+
+def test_dce_skips_recombination_of_an_empty_branch(capsys, tmp_path):
+    cfg = write_config(tmp_path, "[spectral]\npopulation_floor = 2\n")
+    code, _, _ = run(
+        capsys, "dce", "--preset", "paper-dce", "--config", cfg,
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    tomo = json.loads((tmp_path / "dce.json").read_text())["tomography"]
+    assert tomo["recombined"] is None
+    assert any(w.startswith("recombination skipped") for w in tomo["warnings"])
+
+
+# A grid on which every command runs to completion, so each fuzzed value
+# reaches the code that uses it.
+FUZZ_BASE = {
+    "plan": {"n_t": "256", "n_m_list": "10", "n_t_list": "64", "n_seeds": "1"},
+    "spectral": {"n_max": "2", "half_width": "1"},
+    "dce": {"cutoff": "15"},
+}
+FUZZ_TOKENS = ("0", "-1", "nan", "inf", "-inf", "", "abc")
+COMMANDS = ("reconstruct", "noise-sweep", "dce", "estimate-g")
+# Only `dce` reads [dce], and it builds no [state].
+SECTION_COMMANDS = {"state": ("reconstruct", "noise-sweep", "estimate-g"), "dce": ("dce",)}
+
+
+def run_overlay(overlay: dict, command: str) -> int:
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(overlay)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "run.ini")
+        with open(cfg, "w") as fh:
+            cp.write(fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main([command, "--config", str(cfg), "--out-dir", tmp])
+
+
+def test_fuzz_base_runs_every_command():
+    assert [run_overlay(FUZZ_BASE, command) for command in COMMANDS] == [0] * 4
+
+
+@pytest.mark.parametrize("key", [f"{s}.{o}" for s, opts in DEFAULTS.items() for o in opts])
+@settings(max_examples=60, deadline=None)
+@given(token=st.sampled_from(FUZZ_TOKENS), data=st.data())
+def test_ini_value_fuzz_never_exits_1(key, token, data):
+    """A bad value is a typed error (exit 2, 3 or 4), never a traceback."""
+    section, option = key.split(".")
+    command = data.draw(st.sampled_from(SECTION_COMMANDS.get(section, COMMANDS)))
+    overlay = {name: dict(values) for name, values in FUZZ_BASE.items()}
+    overlay.setdefault(section, {})[option] = token
+    assert run_overlay(overlay, command) in (0, 2, 3, 4)

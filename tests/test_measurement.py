@@ -1,6 +1,12 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fieldtomo.exceptions import ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import (
@@ -166,3 +172,35 @@ def test_trajectory_csv_round_trip(tmp_path, rho_one, probe):
     assert np.array_equal(back.x, traj.x)
     assert back.y is None
     assert np.array_equal(back.z, traj.z)
+
+
+AXIS_SUBSETS = [s for r in (1, 2, 3) for s in itertools.combinations("xyz", r)]
+
+
+@st.composite
+def trajectory_columns(draw):
+    """Duck-typed trajectory: any floats in every column, any axis subset."""
+    n_t = draw(st.integers(2, 64))
+    axes = draw(st.sampled_from(AXIS_SUBSETS))
+    column = st.lists(oracles.EDGE_FLOATS, min_size=n_t, max_size=n_t).map(np.array)
+    comps = {a: draw(column) if a in axes else None for a in "xyz"}
+    return SimpleNamespace(times=draw(column), **comps)
+
+
+def assert_trajectory_csv_bytes(traj) -> None:
+    oracles.assert_csv_like_oracle(
+        write_trajectory_csv, oracles.write_trajectory_csv, traj, b"t,x,y,z", traj.times.size
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(traj=trajectory_columns())
+def test_trajectory_csv_bytes_match_the_csv_writer_oracle(traj):
+    assert_trajectory_csv_bytes(traj)
+
+
+def test_sampled_trajectory_csv_bytes_match_the_oracle(rho_one, probe):
+    axis_sets = (("x", "y", "z"), ("z",), ("x", "z"))
+    for axes, n_m in itertools.product(axis_sets, (None, 1000)):
+        plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=n_m, axes=axes, seed=4)
+        assert_trajectory_csv_bytes(sample_trajectory(rho_one, probe, plan))

@@ -8,6 +8,7 @@ from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
 from fieldtomo.reconstruct import (
+    TRACE_TOLERANCE,
     estimate_coupling,
     peak_report,
     reconstruct_from_spectra,
@@ -140,6 +141,16 @@ def test_trace_deficit_reported_for_truncated_read(probe):
     assert any("trace" in w for w in res.warnings)
 
 
+def test_truncation_above_n_max_is_partial(probe):
+    # |alpha| = 2.5 puts 18 % of the weight above n_max = 8.
+    state = coherent_state(2.5, 30)
+    traj = ideal_bloch_trajectory(density_from_pure(state), probe, TIMES)
+    res = reconstruct_state(traj, g=probe.g, n_max=8, reference=state)
+    assert res.trace_deficit > TRACE_TOLERANCE
+    assert res.partial
+    assert res.chain_breaks == [] and res.phase_defined.all()
+
+
 def test_chain_break_detection(probe):
     state = superposition([(0, 1.0), (2, 1.0)], 8)
     traj = ideal_bloch_trajectory(density_from_pure(state), probe, TIMES)
@@ -189,6 +200,33 @@ def test_tone_in_a_difference_window_still_warns(probe, state_two):
         probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
     )
     assert any("bands disagree for rho[1,2]" in msg for msg in res.warnings)
+
+
+def finite_shot_bands(rho, probe, seed, tone=0.0):
+    """Whether the rho[1,2] band check warns on a n_m = 1000 record, with
+    ``tone sin(w t)`` added to x at the n = 1 difference-band frequency w."""
+    plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=1000, seed=seed)
+    traj = sample_trajectory(rho, probe, plan)
+    spec_z, spec_x, spec_y = (dft(getattr(traj, a), TIMES, a) for a in "zxy")
+    w = comb_frequencies(probe.g, 2)["diff"][1]
+    extra = dft(tone * np.sin(w * TIMES), TIMES, "x")
+    spec_x = Spectrum(spec_x.freqs, spec_x.values + extra.values, "x", spec_x.delta_t)
+    res = reconstruct_from_spectra(probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2)
+    assert res.diagnostics["diff_band_read"] == [False, True]
+    return any("bands disagree for rho[1,2]" in msg for msg in res.warnings)
+
+
+def test_band_check_is_calibrated_to_finite_shot_noise(probe, state_two):
+    """Shot noise alone: the 3 sigma_d threshold flags a band with
+    probability e^-9, so at most one of 40 seeds may warn."""
+    rho = density_from_pure(state_two)
+    assert sum(finite_shot_bands(rho, probe, seed) for seed in range(40)) <= 1
+
+
+def test_band_check_flags_a_tone_above_shot_noise(probe, state_two):
+    # A 0.03 tone is 5.6-9.5 sigma_d here (xi_xy = 6.6e-4, sigma_d = 6 xi_xy).
+    rho = density_from_pure(state_two)
+    assert all(finite_shot_bands(rho, probe, seed, tone=0.03) for seed in range(10))
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fieldtomo.exceptions import GridError, ResolvabilityError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
@@ -224,6 +227,7 @@ def test_read_windows_matches_integrate_peak_exactly(bins, half_width):
     position=st.integers(min_value=0, max_value=4),
     half_width=st.integers(min_value=0, max_value=6),
 )
+@example(m0=0, offset=2.2250738585e-313, phase=0.0, position=0, half_width=0)
 def test_read_windows_recovers_isolated_tone_in_a_batch(m0, offset, phase, position, half_width):
     spec = tone_spectrum((m0 + offset) * 2.0 * np.pi / (256 * 0.1), 0.7 * np.exp(1j * phase))
     centers = np.linspace(-110.0, 110.0, 5) * spec.d_omega
@@ -365,6 +369,33 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert np.allclose(back.freqs, spec.freqs)
     assert np.allclose(back.values, spec.values)
     assert back.delta_t == pytest.approx(spec.delta_t)
+
+
+@st.composite
+def spectrum_columns(draw):
+    """Duck-typed spectrum: any floats in the frequencies and both value parts."""
+    n_t = draw(st.integers(2, 64))
+    column = st.lists(oracles.EDGE_FLOATS, min_size=n_t, max_size=n_t).map(np.array)
+    values = np.empty(n_t, dtype=complex)
+    values.real, values.imag = draw(column), draw(column)  # no arithmetic on inf/nan
+    return SimpleNamespace(freqs=draw(column), values=values)
+
+
+def assert_spectrum_csv_bytes(spec) -> None:
+    oracles.assert_csv_like_oracle(
+        write_spectrum_csv, oracles.write_spectrum_csv, spec, b"omega,re,im", spec.freqs.size
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=spectrum_columns())
+def test_spectrum_csv_bytes_match_the_csv_writer_oracle(spec):
+    assert_spectrum_csv_bytes(spec)
+
+
+def test_sampled_spectrum_csv_bytes_match_the_oracle():
+    for n_m in (None, 1000):
+        assert_spectrum_csv_bytes(onbin_fock_spectrum(n_m=n_m, seed=3))
 
 
 def test_spectrum_validation():
