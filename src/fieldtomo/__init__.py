@@ -35,7 +35,6 @@ from .probe import (
     BlochTrajectory,
     ProbeConfig,
     bloch_from_qubit,
-    evolve_joint,
     ideal_bloch_trajectory,
     rabi_frequency,
     time_grid,

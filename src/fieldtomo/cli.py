@@ -46,6 +46,10 @@ from .states import coherent_state, load_amplitudes
 
 __all__ = ["main"]
 
+#: A noise floor at or below this is rounding, not shot noise: a record
+#: without sampling noise leaves ~1e-18.
+NOISELESS_FLOOR = 1e-12
+
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "state": {
@@ -86,7 +90,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "tau": "auto",             # auto = pi / (2 g)
         "tau_list": "",            # extra quench durations, tabulated before tau
         "cutoff": "31",
-        "dt_int": "auto",
     },
 }
 
@@ -220,6 +223,16 @@ def _get_half_width(cp) -> int:
     return half_width
 
 
+def _get_population_floor(cp) -> float:
+    floor = _get_float(cp, "spectral", "population_floor")
+    if not (floor >= 0.0 and math.isfinite(floor)):
+        raise ConfigError(
+            f"spectral.population_floor must be finite and >= 0, got {floor!r}",
+            key="spectral.population_floor",
+        )
+    return floor
+
+
 def _get_list(cp, section: str, option: str, cast=float) -> list:
     """Space- or comma-separated values; an empty value is an empty list."""
     raw = cp.get(section, option).replace(",", " ")
@@ -331,7 +344,13 @@ def _get_plan(cp, g: float, axes=None, n_t=None, delta_t=None, n_m="use-config",
 
 
 def _dump_json(payload, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise EstimationError(
+            f"{path.name} would hold a non-finite number: {exc}"
+        ) from None
+    path.write_text(text + "\n")
 
 
 def _complex_pairs(values) -> Optional[list[dict]]:
@@ -413,7 +432,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         spectra.get("y"),
         n_max=n_max,
         half_width=half_width,
-        population_floor=_get_float(cp, "spectral", "population_floor"),
+        population_floor=_get_population_floor(cp),
         reference=state,
     )
     _dump_json(_result_payload(result), out_dir / "reconstruction.json")
@@ -471,10 +490,10 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                 xi = rec_mod.residual_floor(
                     spec, model, [(0.0, hw), (2.0 * g, hw), (-2.0 * g, hw)]
                 )
-                if xi == 0.0:
+                if xi <= NOISELESS_FLOOR:
                     raise EstimationError(
-                        f"noise floor is 0 at n_m = {n_m}, n_t = {n_t}: "
-                        "the records carry no shot noise to scale"
+                        f"noise floor {xi:.3e} at n_m = {n_m}, n_t = {n_t} is "
+                        "rounding: the records carry no shot noise to scale"
                     )
                 xis.append(xi)
                 snrs.append(ests[1] / xi)
@@ -520,13 +539,11 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
 
 
 def _dce_config(cp, tau: float) -> dce_mod.DceConfig:
-    raw_dt = cp.get("dce", "dt_int").strip().lower()
     return dce_mod.DceConfig(
         g_over_omega=_get_float(cp, "dce", "g_over_omega"),
         tau=tau,
         omega=_get_float(cp, "dce", "omega"),
         cutoff=_get_int(cp, "dce", "cutoff"),
-        dt_int=None if raw_dt in ("auto", "") else _get_float(cp, "dce", "dt_int"),
     )
 
 
@@ -566,7 +583,7 @@ def cmd_dce(cp, out_dir: Path) -> int:
     plan = _get_plan(cp, g_probe)
     n_max = _get_int(cp, "spectral", "n_max")
     half_width = _get_half_width(cp)
-    floor = _get_float(cp, "spectral", "population_floor")
+    floor = _get_population_floor(cp)
 
     rec_states = {}
     for label, phi in (("plus", phi_plus), ("minus", phi_minus)):

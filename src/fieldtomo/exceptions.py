@@ -48,7 +48,7 @@ class EstimationError(ValidationError):
 
 
 class IntegrationError(ValidationError):
-    """Numerical integration failed its accuracy guard (norm drift)."""
+    """Time evolution failed its accuracy guard (norm drift)."""
 
 
 class ResolvabilityError(FieldTomoError):

@@ -38,7 +38,6 @@ __all__ = [
     "SIGMA_PLUS",
     "SIGMA_MINUS",
     "joint_op",
-    "qubit_reduced",
     "field_branches",
 ]
 
@@ -255,12 +254,6 @@ def number_op(cutoff: int) -> np.ndarray:
 def joint_op(field_op: np.ndarray, qubit_op: np.ndarray) -> np.ndarray:
     """Operator on the joint space in the ``2 n + q`` index convention."""
     return np.kron(field_op, qubit_op)
-
-
-def qubit_reduced(joint: JointState) -> np.ndarray:
-    """2 x 2 qubit density matrix, field traced out."""
-    psi = joint.amplitudes.reshape(-1, 2)  # [n, q]
-    return np.einsum("nq,np->qp", psi, psi.conj())
 
 
 def field_branches(joint: JointState) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ __all__ = [
     "BlochTrajectory",
     "rabi_frequency",
     "time_grid",
-    "evolve_joint",
     "bloch_from_qubit",
     "ideal_bloch_trajectory",
 ]
@@ -136,20 +135,6 @@ class BlochTrajectory:
 
     def axes(self) -> tuple[str, ...]:
         return tuple(a for a in ("x", "y", "z") if getattr(self, a) is not None)
-
-
-def evolve_joint(rho: DensityMatrix, cfg: ProbeConfig, t: float) -> np.ndarray:
-    """Reduced 2x2 qubit state after coupling |g><g| x rho for time t."""
-    if t < 0:
-        raise ValidationError("evolution time must be >= 0")
-    diag = rho.diagonal()
-    sup = rho.superdiagonal()
-    omega = cfg.g * np.sqrt(np.arange(diag.size, dtype=float))
-    gg = diag[0] + float(
-        np.sum(diag[1:] * np.cos(omega[1:] * t) ** 2)
-    ) if diag.size > 1 else diag[0]
-    ge = 1j * complex(np.sum(sup * np.cos(omega[:-1] * t) * np.sin(omega[1:] * t)))
-    return np.array([[gg, ge], [np.conj(ge), 1.0 - gg]], dtype=complex)
 
 
 def bloch_from_qubit(rho_q: np.ndarray) -> tuple[float, float, float]:

@@ -78,8 +78,9 @@ class ReconstructionResult:
     data was supplied.  ``phases`` are amplitude phases chained from the
     first populated level (anchored at 0); entries with
     ``phase_defined[n] = False`` are unconstrained by the data.
-    ``partial`` is set when a populated level's phase is undefined, the
-    phase chain breaks, or ``|trace_deficit|`` exceeds `TRACE_TOLERANCE`.
+    ``partial`` is set when no level reaches the population floor, a
+    populated level's phase is undefined, the phase chain breaks, or
+    ``|trace_deficit|`` exceeds `TRACE_TOLERANCE`.
     """
 
     populations: np.ndarray
@@ -418,10 +419,13 @@ def reconstruct_from_spectra(
     state = None
     # Weight beyond n_max (or lost to window trouble) leaves the estimate
     # incomplete even when every modelled phase is defined.
-    partial = bool(breaks) or abs(trace_deficit) > TRACE_TOLERANCE
     populated = pops >= population_floor
-    if np.any(populated & ~defined):
-        partial = True
+    partial = (
+        bool(breaks)
+        or abs(trace_deficit) > TRACE_TOLERANCE
+        or not populated.any()
+        or bool(np.any(populated & ~defined))
+    )
     if s_upper is not None and populated.any():
         state = assemble_pure_state(pops, phases)
 

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the library against,
-with the inputs and checks the comparisons share.
+with the inputs, checks and observables the comparisons share.
 
 The references are written the plain way, for clarity rather than
-speed; the library versions must agree with them exactly.
+speed.  The CSV writers must agree with the library byte for byte; the
+propagators (matrix exponential, RK4) to the tolerance a test states.
 """
 
 import csv
@@ -10,7 +11,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import scipy.linalg
 from hypothesis import strategies as st
+
+from fieldtomo.dce import rabi_hamiltonian
+from fieldtomo.fock import SIGMA_Z, joint_op
 
 #: Any float, with those whose text form is easy to get wrong drawn often.
 EDGE_FLOATS = st.one_of(
@@ -66,3 +72,59 @@ def write_spectrum_csv(spec, path) -> None:
             writer.writerow(
                 [format(w, ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")]
             )
+
+
+def rabi_psi0(cfg) -> np.ndarray:
+    """|g, 0> on the joint space of a `dce.DceConfig`."""
+    psi0 = np.zeros(2 * (cfg.cutoff + 1), dtype=complex)
+    psi0[0] = 1.0
+    return psi0
+
+
+def expm_rabi(cfg) -> np.ndarray:
+    """`dce.evolve_rabi` by a dense matrix exponential of the Rabi Hamiltonian."""
+    return scipy.linalg.expm(-1j * rabi_hamiltonian(cfg) * cfg.tau) @ rabi_psi0(cfg)
+
+
+def rk4_rabi(cfg, dt: float) -> np.ndarray:
+    """`dce.evolve_rabi` by fixed-step RK4 with steps of at most ``dt``; the
+    state is returned as integrated, norm drift included."""
+    h = rabi_hamiltonian(cfg)
+    steps = max(1, math.ceil(cfg.tau / dt))
+    dt = cfg.tau / steps
+    psi = rabi_psi0(cfg)
+
+    def deriv(v):
+        return -1j * (h @ v)
+
+    for _ in range(steps):
+        k1 = deriv(psi)
+        k2 = deriv(psi + 0.5 * dt * k1)
+        k3 = deriv(psi + 0.5 * dt * k2)
+        k4 = deriv(psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
+def parity_expectation(joint) -> float:
+    """<(-1)^n sigma_z>, the joint parity the Rabi Hamiltonian conserves."""
+    signs = np.diag((-1.0) ** np.arange(joint.cutoff + 1)).astype(complex)
+    psi = joint.amplitudes
+    return float(np.real(np.vdot(psi, joint_op(signs, SIGMA_Z) @ psi)))
+
+
+def qubit_reduced(joint) -> np.ndarray:
+    """2 x 2 qubit density matrix of a joint state, field traced out."""
+    psi = joint.amplitudes.reshape(-1, 2)  # [n, q]
+    return np.einsum("nq,np->qp", psi, psi.conj())
+
+
+def evolve_joint(rho, cfg, t: float) -> np.ndarray:
+    """Reduced 2 x 2 qubit state after coupling |g><g| x rho for time t,
+    from the closed forms of the resonant sectors, one time at a time."""
+    diag = rho.diagonal()
+    sup = rho.superdiagonal()
+    omega = cfg.g * np.sqrt(np.arange(diag.size, dtype=float))
+    gg = diag[0] + float(np.sum(diag[1:] * np.cos(omega[1:] * t) ** 2))
+    ge = 1j * complex(np.sum(sup * np.cos(omega[:-1] * t) * np.sin(omega[1:] * t)))
+    return np.array([[gg, ge], [np.conj(ge), 1.0 - gg]], dtype=complex)

@@ -11,12 +11,12 @@ import time
 import numpy as np
 import scipy.linalg
 
+from oracles import parity_expectation
 from fieldtomo.cli import main
 from fieldtomo.dce import (
     DceConfig,
     condition_on_qubit,
     evolve_rabi,
-    parity_expectation,
     recombine_branches,
 )
 from fieldtomo.fock import (

@@ -2,6 +2,9 @@ import configparser
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldtomo
+from fieldtomo import cli
 from fieldtomo.cli import DEFAULTS, main
+from fieldtomo.exceptions import EstimationError
 from fieldtomo.states import save_amplitudes, superposition
 
 
@@ -59,6 +65,7 @@ def test_unknown_config_key(capsys, tmp_path):
     for text, key in (
         ("[plan]\nbogus = 1\n", "plan.bogus"),
         ("[spectral]\nrefine_passes = 3\n", "spectral.refine_passes"),
+        ("[dce]\ndt_int = 0.1\n", "dce.dt_int"),
     ):
         cfg = write_config(tmp_path, text)
         code, _, err = run(
@@ -299,6 +306,10 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
     "command, key, value",
     [
         ("reconstruct", "spectral.half_width", "-1"),
+        ("reconstruct", "spectral.population_floor", "nan"),
+        ("reconstruct", "spectral.population_floor", "inf"),
+        ("reconstruct", "spectral.population_floor", "-1"),
+        ("dce", "spectral.population_floor", "nan"),
         ("dce", "dce.omega", "0"),
         ("dce", "dce.g_over_omega", "0"),
     ],
@@ -314,13 +325,17 @@ def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
 
 
 def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
-    # The vacuum never leaves z = -1, so every shot agrees; here the floor is 0.
-    cfg = write_config(
-        tmp_path, "[state]\nn = 0\n[plan]\nn_m_list = 10\nn_t_list = 64\nn_seeds = 1\n"
-    )
-    code, _, err = run(capsys, "noise-sweep", "--config", cfg, "--out-dir", str(tmp_path))
-    assert code == 3
-    assert stderr_error(err)["type"] == "EstimationError"
+    # The vacuum never leaves z = -1, so every shot agrees.  The floor is
+    # exactly 0 at n_t = 64 and rounding (~1e-18) at n_t = 128 and 256.
+    for n_t_list in ("64", "128 256"):
+        cfg = write_config(
+            tmp_path,
+            f"[state]\nn = 0\n[plan]\nn_m_list = 10\nn_t_list = {n_t_list}\nn_seeds = 1\n",
+        )
+        code, _, err = run(capsys, "noise-sweep", "--config", cfg, "--out-dir", str(tmp_path))
+        assert code == 3
+        assert stderr_error(err)["type"] == "EstimationError"
+        assert not (tmp_path / "noise_sweep_slopes.json").exists()
 
 
 def test_dce_skips_recombination_of_an_empty_branch(capsys, tmp_path):
@@ -361,6 +376,48 @@ def run_overlay(overlay: dict, command: str) -> int:
 
 def test_fuzz_base_runs_every_command():
     assert [run_overlay(FUZZ_BASE, command) for command in COMMANDS] == [0] * 4
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_artifacts_are_strict_json(capsys, tmp_path, command):
+    """No artifact carries NaN or Infinity, which strict JSON parsers refuse."""
+
+    def refuse(token):
+        raise AssertionError(f"non-finite {token} in a JSON artifact")
+
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(FUZZ_BASE)
+    with open(tmp_path / "run.ini", "w") as fh:
+        cp.write(fh)
+    code, _, _ = run(
+        capsys, command, "--config", str(tmp_path / "run.ini"), "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    artifacts = sorted(tmp_path.glob("*.json"))
+    assert artifacts
+    for path in artifacts:
+        json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_json_is_an_estimation_error(tmp_path, value):
+    with pytest.raises(EstimationError):
+        cli._dump_json({"slope": value}, tmp_path / "out.json")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_import_pulls_in_no_scipy():
+    """The runtime needs numpy alone; scipy is a test dependency."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fieldtomo.__file__).parents[1]))
+    code = (
+        "import sys, fieldtomo, fieldtomo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("key", [f"{s}.{o}" for s, opts in DEFAULTS.items() for o in opts])

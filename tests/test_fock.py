@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import qubit_reduced
 from fieldtomo.exceptions import CutoffError, TruncationWarning, ValidationError
 from fieldtomo.fock import (
     DensityMatrix,
@@ -14,7 +15,6 @@ from fieldtomo.fock import (
     joint_op,
     lowering_op,
     number_op,
-    qubit_reduced,
 )
 
 

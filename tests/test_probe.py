@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-
 from scipy.linalg import expm
 
+from oracles import evolve_joint
 from fieldtomo.exceptions import GridError, ValidationError
 from fieldtomo.fock import (
     SIGMA_MINUS,
@@ -16,7 +16,6 @@ from fieldtomo.probe import (
     BlochTrajectory,
     ProbeConfig,
     bloch_from_qubit,
-    evolve_joint,
     ideal_bloch_trajectory,
     rabi_frequency,
     time_grid,

@@ -151,6 +151,14 @@ def test_truncation_above_n_max_is_partial(probe):
     assert res.chain_breaks == [] and res.phase_defined.all()
 
 
+def test_nothing_above_the_population_floor_is_partial(probe, state_two):
+    traj = ideal_bloch_trajectory(density_from_pure(state_two), probe, TIMES)
+    res = reconstruct_state(traj, g=probe.g, population_floor=2.0)
+    assert res.state is None
+    assert not res.phase_defined.any() and res.chain_breaks == []
+    assert res.partial
+
+
 def test_chain_break_detection(probe):
     state = superposition([(0, 1.0), (2, 1.0)], 8)
     traj = ideal_bloch_trajectory(density_from_pure(state), probe, TIMES)
