@@ -43,10 +43,10 @@ from .measurement import MeasurementPlan, decohered_expectation, sample_trajecto
 from .spectral import (
     PeakEstimate,
     Spectrum,
+    comb_frequencies,
     dft,
     integrate_peak,
     noise_floor,
-    rabi_comb,
     validate_windows,
 )
 from .reconstruct import (

@@ -41,7 +41,7 @@ from .exceptions import (
 from .fock import FieldState, density_from_pure, embed, fidelity
 from .measurement import MeasurementPlan, sample_trajectory, write_trajectory_csv
 from .probe import ProbeConfig
-from .spectral import dft, max_half_width, rabi_comb, write_spectrum_csv
+from .spectral import comb_frequencies, dft, max_half_width, write_spectrum_csv
 from .states import coherent_state, load_amplitudes
 
 __all__ = ["main"]
@@ -273,6 +273,13 @@ def _get_axes(cp) -> tuple[str, ...]:
     return axes
 
 
+def _get_tomography_axes(cp) -> tuple[str, ...]:
+    axes = _get_axes(cp)
+    if "z" not in axes:
+        raise ConfigError("plan.axes must include z for reconstruction", key="plan.axes")
+    return axes
+
+
 def _get_delta_t(cp, g: float) -> float:
     raw = cp.get("plan", "delta_t").strip().lower()
     if raw == "auto":
@@ -406,7 +413,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g = _get_float(cp, "probe", "g")
     cfg = ProbeConfig(g=g)
-    plan = _get_plan(cp, g)
+    plan = _get_plan(cp, g, axes=_get_tomography_axes(cp))
     rho = density_from_pure(state)
     traj = sample_trajectory(rho, cfg, plan)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
@@ -415,8 +422,6 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     for axis in traj.axes():
         spectra[axis] = dft(getattr(traj, axis), traj.times, axis=axis)
         write_spectrum_csv(spectra[axis], out_dir / f"spectrum_{axis}.csv")
-    if "z" not in spectra:
-        raise ConfigError("plan.axes must include z for reconstruction", key="plan.axes")
 
     n_max = _get_int(cp, "spectral", "n_max")
     half_width = _get_half_width(cp)
@@ -465,7 +470,8 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
         raise ConfigError("plan.n_seeds must be >= 1", key="plan.n_seeds")
     half_width = _get_half_width(cp)
     n_m_list, n_t_list, t_total = _sweep_points(cp)
-    comb = rabi_comb(g, 1)
+    freqs = comb_frequencies(g, 1)
+    centers = [w.center for w in rec_mod._z_windows(freqs)]
 
     rows = []
     for n_t in sorted(set(n_t_list)):
@@ -484,12 +490,9 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                 )
                 traj = sample_trajectory(rho, cfg, plan)
                 spec = dft(traj.z, traj.times, axis="z")
-                hw = min(half_width, max_half_width([0.0, 2.0 * g, -2.0 * g], spec))
-                ests = rec_mod.populations_from_z(spec, comb, hw)
-                model = ests[0] + ests[1] * np.cos(2.0 * g * traj.times)
-                xi = rec_mod.residual_floor(
-                    spec, model, [(0.0, hw), (2.0 * g, hw), (-2.0 * g, hw)]
-                )
+                hw = min(half_width, max_half_width(centers, spec))
+                ests = rec_mod.populations_from_z(spec, freqs, hw)
+                xi = rec_mod._z_floor(spec, ests, freqs, hw)
                 if xi <= NOISELESS_FLOOR:
                     raise EstimationError(
                         f"noise floor {xi:.3e} at n_m = {n_m}, n_t = {n_t} is "
@@ -548,6 +551,13 @@ def _dce_config(cp, tau: float) -> dce_mod.DceConfig:
 
 
 def cmd_dce(cp, out_dir: Path) -> int:
+    g_probe = _get_float(cp, "probe", "g")
+    probe_cfg = ProbeConfig(g=g_probe)
+    plan = _get_plan(cp, g_probe, axes=_get_tomography_axes(cp))
+    n_max = _get_int(cp, "spectral", "n_max")
+    half_width = _get_half_width(cp)
+    floor = _get_population_floor(cp)
+
     omega = _get_float(cp, "dce", "omega")
     g_quench = _get_float(cp, "dce", "g_over_omega") * omega
     raw_tau = cp.get("dce", "tau").strip().lower()
@@ -578,12 +588,6 @@ def cmd_dce(cp, out_dir: Path) -> int:
     phi_plus, phi_minus = pair_pm.states
     if phi_plus is None or phi_minus is None:
         raise DegenerateBranchError("a |+-> conditional branch has zero weight")
-    g_probe = _get_float(cp, "probe", "g")
-    probe_cfg = ProbeConfig(g=g_probe)
-    plan = _get_plan(cp, g_probe)
-    n_max = _get_int(cp, "spectral", "n_max")
-    half_width = _get_half_width(cp)
-    floor = _get_population_floor(cp)
 
     rec_states = {}
     for label, phi in (("plus", phi_plus), ("minus", phi_minus)):

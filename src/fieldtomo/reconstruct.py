@@ -15,6 +15,11 @@ Estimator conventions (all verified against closed-form trajectories):
   ``rho_{n+1, n} = conj(S_n)``; phases chain through the upper one:
   ``phi_{n+1} = phi_n - arg S_n``.
 
+The comb is `spectral.comb_frequencies`: both estimators take its
+``{"z", "sum", "diff"}`` arrays.  `_z_windows` and `_xy_windows` list the
+windows read on it, with the labels of `validate_windows` messages and
+``peaks.json``; the noise-floor exclusions are the same windows.
+
 Every window is read by `spectral.read_windows`, one call per spectrum,
 and isolated tones are captured exactly.  The cross-tone leakage is a
 small linear map from the unknowns (rho_nn, S_n) to the reads, built in
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,14 +41,13 @@ from .fock import FieldState, embed, fidelity
 from .probe import BlochTrajectory
 from .spectral import (
     DEFAULT_HALF_WIDTH,
-    CombTone,
     PeakEstimate,
     Spectrum,
+    _grid_windows,
     comb_frequencies,
     cosine_pair,
     dft,
     noise_floor,
-    rabi_comb,
     read_windows,
     sine_pair,
     validate_windows,
@@ -153,26 +157,59 @@ def residual_floor(
     return noise_floor(resid, exclude)
 
 
+class _Window(NamedTuple):
+    """One read window of the comb.  ``label`` names the density-matrix
+    element it measures, ``family`` its tone family (``z``, ``xy_sum`` or
+    ``xy_diff``) and ``name`` the window in `validate_windows` messages."""
+
+    label: str
+    family: str
+    name: str
+    center: float
+
+
+def _z_windows(freqs: dict[str, np.ndarray]) -> list[_Window]:
+    """The z spectrum's windows: DC, then +-2 Omega_n for each n."""
+    out = [_Window("rho[0,0]", "z", "rho[0,0]", 0.0)]
+    for n, c in enumerate(freqs["z"], start=1):
+        label = f"rho[{n},{n}]"
+        out += [_Window(label, "z", label, c), _Window(label, "z", label, -c)]
+    return out
+
+
+def _xy_windows(freqs: dict[str, np.ndarray], diff_read: np.ndarray) -> list[_Window]:
+    """The x and y spectra's windows: for each n, +-sum[n] and, where
+    ``diff_read[n]``, +-diff[n]."""
+    out = []
+    for n, with_diff in enumerate(diff_read):
+        label = f"rho[{n},{n + 1}]"
+        bands = [("xy_sum", "", freqs["sum"][n])]
+        if with_diff:
+            bands.append(("xy_diff", "d", freqs["diff"][n]))
+        for family, tag, c in bands:
+            out += [
+                _Window(label, family, f"{label}{tag}+", c),
+                _Window(label, family, f"{label}{tag}-", -c),
+            ]
+    return out
+
+
 def populations_from_z(
     spec: Spectrum,
-    comb: Sequence[CombTone],
+    freqs: dict[str, np.ndarray],
     half_width: int = DEFAULT_HALF_WIDTH,
 ) -> np.ndarray:
     """Raw diagonal estimates from the z spectrum (not clamped).
 
+    ``freqs`` is the `comb_frequencies` comb; its ``z`` tones are read.
     Reads the DC window plus the +-2 Omega_n pairs and solves the leakage
     matrix of those reads: ``L[k, n]`` is read ``k`` of the model
     ``p_0 + sum p_n cos(2 Omega_n t)`` at unit ``p_n``, with
     ``p cos(ct) = (p/2)(e^{ict} + e^{-ict})`` and the DC window read once.
     """
-    z_tones = sorted((t for t in comb if t.family == "z"), key=lambda t: t.n)
-    if not z_tones:
-        raise ValidationError("comb contains no z-family tones")
-    windows = [("rho[0,0]", 0.0)]
-    windows += [(t.label, sign * t.center) for t in z_tones for sign in (1.0, -1.0)]
-    validate_windows(windows, half_width, spec)
+    validate_windows([(w.name, w.center) for w in _z_windows(freqs)], half_width, spec)
 
-    centers = np.array([t.center for t in z_tones])
+    centers = freqs["z"]
     with_dc = np.concatenate(([0.0], centers))
     tones = np.concatenate((with_dc, -centers))  # DC, +c_n, -c_n
     fold = np.concatenate((np.eye(with_dc.size), np.eye(with_dc.size)[1:]))
@@ -191,46 +228,29 @@ def _diff_band_readable(
     and all other difference-band windows, whether or not those end up
     readable.  Entry n = 0 is False: it has no separate difference tone.
     """
-    sums = np.rint(freqs["sum"] / spec.d_omega)
-    diffs = np.rint(freqs["diff"][1:] / spec.d_omega)
+    _, sums, _, _ = _grid_windows(spec, freqs["sum"], half_width)
+    _, diffs, _, fits = _grid_windows(spec, freqs["diff"][1:], half_width)
     gaps = np.abs(diffs[:, None] - np.concatenate((sums, -sums, diffs, -diffs)))
     own = np.arange(diffs.size)
     gaps[own, 2 * sums.size + own] = np.inf  # a window does not clash with itself
-    half_n = spec.n_t // 2
-    ok = (diffs + half_width <= half_n - 1) & (diffs - half_width >= -half_n)
-    return np.concatenate(([False], ok & np.all(gaps > 2 * half_width, axis=1)))
+    return np.concatenate(([False], fits & np.all(gaps > 2 * half_width, axis=1)))
 
 
 def coherences_from_xy(
     spec_x: Spectrum,
     spec_y: Spectrum,
-    comb: Sequence[CombTone],
+    freqs: dict[str, np.ndarray],
     half_width: int = DEFAULT_HALF_WIDTH,
 ) -> tuple[np.ndarray, dict]:
-    """Superdiagonal (upper convention S_n = rho_{n,n+1}) plus diagnostics."""
-    sum_tones = sorted((t for t in comb if t.family == "xy_sum"), key=lambda t: t.n)
-    diff_tones = sorted((t for t in comb if t.family == "xy_diff"), key=lambda t: t.n)
-    if not sum_tones:
-        raise ValidationError("comb contains no xy_sum tones")
-    n_max = sum_tones[-1].n + 1
-    if len(diff_tones) != n_max - 1:
-        raise ValidationError("comb must list xy_diff tones for n = 1..n_max-1")
-    # The n = 0 sidebands coincide, so its difference centre is its sum centre.
-    freqs = {
-        "sum": np.array([t.center for t in sum_tones]),
-        "diff": np.array([sum_tones[0].center] + [t.center for t in diff_tones]),
-    }
+    """Superdiagonal (upper convention S_n = rho_{n,n+1}) plus diagnostics.
+
+    ``freqs`` is the `comb_frequencies` comb; its ``sum`` and ``diff``
+    tones are read."""
+    n_max = freqs["sum"].size
     readable = _diff_band_readable(freqs, spec_x, half_width)
     centers = np.concatenate((freqs["sum"], freqs["diff"][readable]))
-
-    windows = []
-    for n, tone in enumerate(sum_tones):
-        windows.append((tone.label + "+", tone.center))
-        windows.append((tone.label + "-", -tone.center))
-        if readable[n]:
-            windows.append((tone.label + "d+", freqs["diff"][n]))
-            windows.append((tone.label + "d-", -freqs["diff"][n]))
-    validate_windows(windows, half_width, spec_x)
+    windows = _xy_windows(freqs, readable)
+    validate_windows([(w.name, w.center) for w in windows], half_width, spec_x)
 
     # A unit S_n drives -sin(sum_n t) - sin(diff_n t) on the axis it feeds,
     # every tone included (the n = 0 pair doubles at Omega_1, and unread
@@ -303,26 +323,26 @@ def assemble_pure_state(populations: np.ndarray, phases: np.ndarray) -> FieldSta
     return FieldState(amps).normalize()
 
 
-def _pm_windows(centers: np.ndarray, half_width: int) -> list[tuple[float, int]]:
-    """``(+c, half_width), (-c, half_width)`` for each of ``centers``, in order."""
-    return [(sign * c, half_width) for c in centers for sign in (1.0, -1.0)]
-
-
 def _xy_exclusions(
     freqs: dict[str, np.ndarray], half_width: int
 ) -> list[tuple[float, int]]:
-    return _pm_windows(np.concatenate((freqs["sum"], freqs["diff"][1:])), half_width)
+    """Every xy tone, read or not (the n = 0 difference tone is its sum tone)."""
+    every_diff = np.arange(freqs["sum"].size) > 0
+    return [(w.center, half_width) for w in _xy_windows(freqs, every_diff)]
 
 
-def _z_exclusions(
-    freqs: dict[str, np.ndarray], half_width: int
-) -> list[tuple[float, int]]:
-    return [(0.0, half_width)] + _pm_windows(freqs["z"], half_width)
+def _z_floor(
+    spec: Spectrum, populations: np.ndarray, freqs: dict[str, np.ndarray], half_width: int
+) -> float:
+    """`residual_floor` of a z spectrum against the comb of ``populations``."""
+    model = _synth_z(populations, freqs["z"], _grid_times(spec))
+    return residual_floor(spec, model, [(w.center, half_width) for w in _z_windows(freqs)])
 
 
-def _safe_floor(spec: Spectrum, model_signal, exclude) -> Optional[float]:
+def _safe_floor(floor, *args) -> Optional[float]:
+    """``floor(*args)``, or None when too few bins are free to measure it."""
     try:
-        return residual_floor(spec, model_signal, exclude)
+        return floor(*args)
     except ValidationError:
         return None
 
@@ -347,12 +367,11 @@ def reconstruct_from_spectra(
     coherences and phases require both ``spec_x`` and ``spec_y``."""
     if (spec_x is None) != (spec_y is None):
         raise ValidationError("x and y spectra must be supplied together")
-    comb = rabi_comb(g, n_max)
     freqs = comb_frequencies(g, n_max)
     warnings_out: list[str] = []
     diagnostics: dict = {}
 
-    raw = populations_from_z(spec_z, comb, half_width)
+    raw = populations_from_z(spec_z, freqs, half_width)
     pops = np.clip(raw, 0.0, None)
     diagnostics["raw_populations"] = raw.tolist()
     if np.any(raw < -1e-6):
@@ -366,22 +385,18 @@ def reconstruct_from_spectra(
             "suspect cutoff or window trouble"
         )
 
-    times = _grid_times(spec_z)
-    z_centers = freqs["z"]
-    xi_z = _safe_floor(
-        spec_z, _synth_z(raw, z_centers, times), _z_exclusions(freqs, half_width)
-    )
-    diagnostics["noise_floor_z"] = xi_z
+    diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, freqs, half_width)
 
     coherences = None
     s_upper = None
     links = np.zeros(max(pops.size - 1, 0), dtype=complex)
     if spec_x is not None and spec_y is not None:
-        s_upper, coh_diag = coherences_from_xy(spec_x, spec_y, comb, half_width)
+        s_upper, coh_diag = coherences_from_xy(spec_x, spec_y, freqs, half_width)
         diagnostics.update(coh_diag)
-        x_model, y_model = _synth_xy(s_upper, freqs, times)
-        xi_x = _safe_floor(spec_x, x_model, _xy_exclusions(freqs, half_width))
-        xi_y = _safe_floor(spec_y, y_model, _xy_exclusions(freqs, half_width))
+        x_model, y_model = _synth_xy(s_upper, freqs, _grid_times(spec_z))
+        excl = _xy_exclusions(freqs, half_width)
+        xi_x = _safe_floor(residual_floor, spec_x, x_model, excl)
+        xi_y = _safe_floor(residual_floor, spec_y, y_model, excl)
         diagnostics["noise_floor_x"] = xi_x
         diagnostics["noise_floor_y"] = xi_y
         xi_xy = None if xi_x is None or xi_y is None else math.hypot(xi_x, xi_y)
@@ -487,7 +502,6 @@ def peak_report(
     Each spectrum's windows are read in one `read_windows` call.
     """
     freqs = comb_frequencies(g, n_max)
-    times = _grid_times(spec_z)
     width = math.sqrt(2 * half_width + 1)
 
     def snr_of(area: complex, floor: Optional[float]) -> Optional[float]:
@@ -496,36 +510,23 @@ def peak_report(
         val = abs(area) / (floor * width)
         return val if math.isfinite(val) else None
 
-    def report(windows, areas: np.ndarray, floor) -> list[PeakEstimate]:
+    def report(windows: list[_Window], areas: np.ndarray, floor) -> list[PeakEstimate]:
         return [
-            PeakEstimate(c, half_width, a, snr_of(a, floor), label, fam)
-            for (c, label, fam), a in zip(windows, areas.tolist())
+            PeakEstimate(w.center, half_width, a, snr_of(a, floor), w.label, w.family)
+            for w, a in zip(windows, areas.tolist())
         ]
 
-    # Window order: DC, then +-2 Omega_n for each n.
-    z_windows = [(0.0, "rho[0,0]", "z")]
-    for n in range(1, n_max + 1):
-        c = freqs["z"][n - 1]
-        z_windows += [(c, f"rho[{n},{n}]", "z"), (-c, f"rho[{n},{n}]", "z")]
-    area_z = read_windows(spec_z, [c for c, _, _ in z_windows], half_width)
+    z_windows = _z_windows(freqs)
+    area_z = read_windows(spec_z, [w.center for w in z_windows], half_width)
     # One-pass raw estimates feed the comb model used for SNR floors.
     raw_p = np.concatenate((area_z[:1].real, (area_z[1::2] + area_z[2::2]).real))
-    xi = _safe_floor(
-        spec_z, _synth_z(raw_p, freqs["z"], times), _z_exclusions(freqs, half_width)
-    )
-    out = report(z_windows, area_z, xi)
+    out = report(z_windows, area_z, _safe_floor(_z_floor, spec_z, raw_p, freqs, half_width))
 
     if spec_x is not None and spec_y is not None:
-        readable = _diff_band_readable(freqs, spec_x, half_width)
         excl = _xy_exclusions(freqs, half_width)
-        xy_windows = []
-        for n in range(n_max):
-            label = f"rho[{n},{n + 1}]"
-            for fam, c in (("xy_sum", freqs["sum"][n]), ("xy_diff", freqs["diff"][n])):
-                if fam == "xy_sum" or readable[n]:
-                    xy_windows += [(c, label, fam), (-c, label, fam)]
-        xy_centers = [c for c, _, _ in xy_windows]
-        is_sum = np.array([fam == "xy_sum" for _, _, fam in xy_windows])
+        xy_windows = _xy_windows(freqs, _diff_band_readable(freqs, spec_x, half_width))
+        xy_centers = [w.center for w in xy_windows]
+        is_sum = np.array([w.family == "xy_sum" for w in xy_windows])
         area_x, area_y = (read_windows(sp, xy_centers, half_width) for sp in (spec_x, spec_y))
 
         def sines(a: np.ndarray) -> np.ndarray:
@@ -533,9 +534,9 @@ def peak_report(
             return (a[0::2] - a[1::2]).imag
 
         s_raw = np.r_[0.5, np.ones(n_max - 1)] * _complex(sines(area_y), sines(area_x))
-        x_model, y_model = _synth_xy(s_raw, freqs, times)
+        x_model, y_model = _synth_xy(s_raw, freqs, _grid_times(spec_z))
         for sp, model, areas in ((spec_x, x_model, area_x), (spec_y, y_model, area_y)):
-            out += report(xy_windows, areas, _safe_floor(sp, model, excl))
+            out += report(xy_windows, areas, _safe_floor(residual_floor, sp, model, excl))
     return out
 
 

@@ -19,6 +19,13 @@ and what remains is cross-peak leakage.  `window_gains` gives that
 leakage in closed form, so the reconstruction layer removes it with one
 linear solve.  `integrate_peak`, `cosine_pair` and `sine_pair` are thin
 views of `read_windows`.
+
+`comb_frequencies` is the one Rabi comb: every tone position, by family,
+as arrays.  Window geometry has one rule, applied everywhere a window is
+placed, read, audited or masked: a centre ``omega`` sits at rounded bin
+``m = rint(omega / d_omega)``, stored at index ``m + N // 2``, and the
+window ``m +- half_width`` fits the grid when
+``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``.
 """
 
 from __future__ import annotations
@@ -32,11 +39,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import GridError, ResolvabilityError, ValidationError
+from .probe import _check_uniform
 
 __all__ = [
     "Spectrum",
     "PeakEstimate",
-    "CombTone",
     "dft",
     "read_windows",
     "window_gains",
@@ -45,7 +52,6 @@ __all__ = [
     "sine_pair",
     "noise_floor",
     "comb_frequencies",
-    "rabi_comb",
     "validate_windows",
     "max_half_width",
     "write_spectrum_csv",
@@ -110,14 +116,6 @@ class PeakEstimate:
     family: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CombTone:
-    label: str
-    family: str  # "z" | "xy_sum" | "xy_diff"
-    n: int
-    center: float
-
-
 def dft(signal: np.ndarray, times: np.ndarray, axis: str = "z") -> Spectrum:
     """Spectrum of a trajectory component on the canonical t_k = k dt grid."""
     s = np.asarray(signal, dtype=float)
@@ -127,10 +125,7 @@ def dft(signal: np.ndarray, times: np.ndarray, axis: str = "z") -> Spectrum:
     n = s.size
     if n < 2:
         raise GridError("need at least 2 samples")
-    dt_steps = np.diff(t)
-    dt = float(dt_steps[0])
-    if dt <= 0 or np.max(np.abs(dt_steps - dt)) > 1e-9 * max(dt, 1.0):
-        raise GridError("times must be uniform and increasing")
+    dt = _check_uniform(t)
     if abs(t[0] - dt) > 1e-9 * dt:
         raise GridError("grid must start at t = delta_t (no t = 0 sample)")
     om = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
@@ -158,24 +153,35 @@ def _dirichlet_sum(u, half_width: int, n: int) -> np.ndarray:
     return np.sum(term, axis=-1)
 
 
-def _window_bins(spec: Spectrum, centers, half_width: int):
-    """Bin positions ``x``, rounded bins ``m_c`` and window responses of
-    ``centers``; raises if a window runs off the grid or degenerates."""
-    if half_width < 0:
-        raise ValidationError("half_width must be >= 0")
+def _grid_windows(spec: Spectrum, centers, half_width):
+    """Window geometry of ``centers`` (any shape): bin positions
+    ``x = omega / d_omega``, rounded bins ``m = rint(x)``, their indices
+    ``m + N // 2`` into ``spec.values`` (as floats), and whether each window
+    ``m +- half_width`` fits the grid.  The only copy of the fit rule."""
     n = spec.n_t
     x = np.asarray(centers, dtype=float) / spec.d_omega
-    m_c = np.rint(x)
-    off_grid = ~((m_c - half_width >= -(n // 2)) & (m_c + half_width < n - n // 2))
-    if np.any(off_grid):
+    m = np.rint(x)
+    idx = m + n // 2
+    # -(N // 2) <= m - half_width and m + half_width <= N - N // 2 - 1
+    return x, m, idx, (idx >= half_width) & (idx <= n - 1 - half_width)
+
+
+def _window_bins(spec: Spectrum, centers, half_width: int):
+    """Bin positions ``x``, rounded bins ``m_c``, their indices and the window
+    responses of ``centers``; raises if a window runs off the grid or
+    degenerates."""
+    if half_width < 0:
+        raise ValidationError("half_width must be >= 0")
+    x, m_c, idx, fits = _grid_windows(spec, centers, half_width)
+    if not np.all(fits):
         raise GridError(
-            f"window at bin {np.asarray(m_c)[off_grid].flat[0]:.0f} +- {half_width} "
+            f"window at bin {m_c[~fits].flat[0]:.0f} +- {half_width} "
             "outside the frequency grid"
         )
-    resp = _dirichlet_sum(x - m_c, half_width, n)
+    resp = _dirichlet_sum(x - m_c, half_width, spec.n_t)
     if np.any(np.abs(resp) < 0.1):  # cannot happen for |delta| <= 1/2; guards misuse
         raise ValidationError("degenerate window response")
-    return x, m_c, resp
+    return x, m_c, idx, resp
 
 
 def read_windows(
@@ -192,12 +198,12 @@ def read_windows(
     the grid.
     """
     n = spec.n_t
-    x, m_c, resp = _window_bins(spec, centers, half_width)
+    x, m_c, idx, resp = _window_bins(spec, centers, half_width)
     delta = (x - m_c)[..., None]
     j = np.arange(-half_width, half_width + 1)
-    idx = m_c[..., None].astype(np.intp) + (j + n // 2)
+    bins = idx[..., None].astype(np.intp) + j
     phase = np.exp(1j * np.pi * (j - delta) * (n + 1) / n)
-    return np.sum(spec.values[idx] * phase, axis=-1) / resp
+    return np.sum(spec.values[bins] * phase, axis=-1) / resp
 
 
 def window_gains(
@@ -213,7 +219,7 @@ def window_gains(
     otherwise, so reads of a comb are a linear map of its amplitudes.
     """
     n = spec.n_t
-    x, m_c, resp = _window_bins(spec, np.ravel(centers), half_width)
+    x, m_c, _, resp = _window_bins(spec, np.ravel(centers), half_width)
     x_tone = np.ravel(np.asarray(tones, dtype=float)) / spec.d_omega
     phase = np.exp(1j * np.pi * (x_tone - x[:, None]) * (n + 1) / n)
     return phase * _dirichlet_sum(x_tone - m_c[:, None], half_width, n) / resp[:, None]
@@ -277,13 +283,10 @@ def noise_floor(
     the bins must survive, otherwise the floor is meaningless.
     """
     n = spec.n_t
-    dw = spec.d_omega
     free = np.ones(n, dtype=bool)
-    for center, hw in exclude:
-        m_c = int(round(center / dw))
-        lo = max(0, m_c - hw + n // 2)
-        hi = min(n, m_c + hw + 1 + n // 2)
-        free[lo:hi] = False
+    _, _, idx, _ = _grid_windows(spec, [c for c, _ in exclude], 0)
+    for i, (_, hw) in zip(idx.astype(int).tolist(), exclude):
+        free[max(i - hw, 0) : max(i + hw + 1, 0)] = False
     if np.count_nonzero(free) < 0.25 * n:
         raise ValidationError(
             "exclusion windows cover more than 75% of the spectrum; "
@@ -308,33 +311,6 @@ def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
     }
 
 
-def rabi_comb(g: float, n_max: int) -> list[CombTone]:
-    """Expected tone positions for occupation up to ``n_max``.
-
-    Three families: ``z`` at 2 Omega_n (populations), ``xy_sum`` at
-    Omega_{n+1} + Omega_n and ``xy_diff`` at Omega_{n+1} - Omega_n
-    (coherences rho_{n,n+1}).  The n = 0 coherence appears only once, at
-    Omega_1, in the sum family (its two sidebands coincide there).  The
-    DC bin is not listed: it belongs exclusively to rho_00.
-    """
-    freqs = comb_frequencies(g, n_max)
-    tones = [
-        CombTone(f"rho[{n},{n}]", "z", n, freqs["z"][n - 1]) for n in range(1, n_max + 1)
-    ]
-    tones += [
-        CombTone(f"rho[{n},{n + 1}]", "xy_sum", n, freqs["sum"][n]) for n in range(n_max)
-    ]
-    tones += [
-        CombTone(f"rho[{n},{n + 1}]", "xy_diff", n, freqs["diff"][n])
-        for n in range(1, n_max)
-    ]
-    return tones
-
-
-def _rounded_bins(centers: Sequence[float], dw: float) -> list[int]:
-    return [int(round(c / dw)) for c in centers]
-
-
 def validate_windows(
     centers: Sequence[tuple[str, float]],
     half_width: int,
@@ -348,13 +324,11 @@ def validate_windows(
     naming every colliding pair, or `GridError` if a window runs off the
     grid (Nyquist).
     """
-    dw = spec.d_omega
-    bins = _rounded_bins([c for _, c in centers], dw)
-    half_n = spec.n_t // 2
-    for (label, _), m in zip(centers, bins):
-        if m - half_width < -half_n or m + half_width > half_n - 1:
+    _, bins, _, fits = _grid_windows(spec, [c for _, c in centers], half_width)
+    for (label, _), m, ok in zip(centers, bins, fits):
+        if not ok:
             raise GridError(
-                f"window for {label} (bin {m} +- {half_width}) exceeds the "
+                f"window for {label} (bin {int(m)} +- {half_width}) exceeds the "
                 f"frequency grid; raise n_t or shrink delta_t"
             )
     close = np.abs(np.subtract.outer(bins, bins)) <= 2 * half_width
@@ -369,10 +343,10 @@ def validate_windows(
 
 def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
     """Largest half-width for which all listed windows stay disjoint."""
-    bins = _rounded_bins(centers, spec.d_omega)
-    if len(bins) < 2:
+    _, bins, _, _ = _grid_windows(spec, centers, 0)
+    if bins.size < 2:
         return DEFAULT_HALF_WIDTH
-    gaps = np.abs(np.subtract.outer(bins, bins))[np.triu_indices(len(bins), 1)]
+    gaps = np.abs(np.subtract.outer(bins, bins))[np.triu_indices(bins.size, 1)]
     return max(0, (int(gaps.min()) - 1) // 2)
 
 

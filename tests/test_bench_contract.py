@@ -1,14 +1,19 @@
 """The benchmark tracer wraps fieldtomo functions by name from outside the
 package; a rename or a dropped parameter would break every traced run."""
 
+import configparser
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+from fieldtomo import cli
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
 
 # Parameters the tracer's work counters bind by name.
 BOUND_PARAMETERS = {
@@ -44,3 +49,29 @@ def test_counter_parameters_still_exist(tracer):
         assert param in inspect.signature(_target(name)).parameters, name
     for name in tracer.TARGETS:
         tracer._counters(name, _target(name))  # binds its parameters eagerly
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The workload module, executed from its source (no bytecode cache written)."""
+    module = types.ModuleType("bench_workloads")
+    sys.modules[module.__name__] = module  # dataclasses look their module up by name
+    try:
+        exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def test_workload_ops_name_known_presets_and_keys(workloads):
+    for name in workloads.WORKLOADS:
+        for op in next(workloads.cycles(name, 0)):
+            argv = list(op.argv)
+            if "--preset" in argv:
+                assert argv[argv.index("--preset") + 1] in cli.PRESETS, (name, argv)
+            overlay = configparser.ConfigParser(interpolation=None)
+            overlay.read_string(op.overlay)
+            for section in overlay.sections():
+                assert section in cli.DEFAULTS, (name, section)
+                unknown = set(overlay.options(section)) - set(cli.DEFAULTS[section])
+                assert not unknown, (name, section, unknown)

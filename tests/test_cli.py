@@ -120,11 +120,13 @@ def test_reconstruct_writes_artifacts(capsys, tmp_path):
 
 def test_reconstruct_requires_z(capsys, tmp_path):
     cfg = write_config(tmp_path, "[plan]\naxes = xy\n")
-    code, _, err = run(
-        capsys, "reconstruct", "--config", cfg, "--out-dir", str(tmp_path)
-    )
-    assert code == 2
-    assert stderr_error(err)["type"] == "ConfigError"
+    for command in ("reconstruct", "dce"):
+        out_dir = tmp_path / command
+        code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(out_dir))
+        assert code == 2
+        assert stderr_error(err)["type"] == "ConfigError"
+        assert stderr_error(err)["key"] == "plan.axes"
+        assert list(out_dir.iterdir()) == []  # refused before any artifact
 
 
 def test_sampled_runs_are_byte_deterministic(capsys, tmp_path):

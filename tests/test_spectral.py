@@ -12,12 +12,12 @@ from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.probe import time_grid
 from fieldtomo.spectral import (
     Spectrum,
+    comb_frequencies,
     cosine_pair,
     dft,
     integrate_peak,
     max_half_width,
     noise_floor,
-    rabi_comb,
     read_spectrum_csv,
     read_windows,
     sine_pair,
@@ -297,12 +297,12 @@ def test_populations_from_z_recovers_an_overlapping_comb(g):
     # Short record, narrow windows: the top z tones sit ~5 bins apart, so
     # every read carries large leakage from its neighbours.
     times = time_grid(0.075, 1024)
-    comb = rabi_comb(g, 6)
+    freqs = comb_frequencies(g, 6)
     pops = np.random.default_rng(11).uniform(0.0, 1.0, 7)
     signal = pops[0] + sum(
-        pops[t.n] * np.cos(t.center * times) for t in comb if t.family == "z"
+        pops[n] * np.cos(c * times) for n, c in enumerate(freqs["z"], start=1)
     )
-    got = populations_from_z(dft(signal, times), comb, 2)
+    got = populations_from_z(dft(signal, times), freqs, 2)
     assert np.max(np.abs(got - pops)) <= 1e-12
 
 
@@ -317,25 +317,20 @@ def test_pair_helpers_accept_arrays():
         sine_pair(KERNEL_SPEC, omegas, 4)  # zero center
 
 
-def test_rabi_comb_families():
-    comb = rabi_comb(1.0, 3)
-    z = {t.n: t.center for t in comb if t.family == "z"}
-    assert z == pytest.approx({1: 2.0, 2: 2.0 * np.sqrt(2), 3: 2.0 * np.sqrt(3)})
-    sums = {t.n: t for t in comb if t.family == "xy_sum"}
-    assert sums[0].center == pytest.approx(1.0)
-    assert sums[0].label == "rho[0,1]"
-    diffs = {t.n: t.center for t in comb if t.family == "xy_diff"}
-    assert 0 not in diffs  # the n = 0 sidebands coincide at Omega_1
-    assert diffs[1] == pytest.approx(np.sqrt(2) - 1.0)
+def test_comb_frequencies_families():
+    freqs = comb_frequencies(1.0, 3)
+    assert freqs["z"] == pytest.approx([2.0, 2.0 * np.sqrt(2), 2.0 * np.sqrt(3)])
+    assert freqs["sum"][0] == pytest.approx(1.0)
+    assert freqs["diff"][0] == freqs["sum"][0]  # the n = 0 sidebands coincide at Omega_1
+    assert freqs["diff"][1] == pytest.approx(np.sqrt(2) - 1.0)
 
 
 def test_validate_windows_passes_on_default_grid():
     t = time_grid(0.075, 4096)
     spec = dft(np.cos(2.0 * t), t)
     windows = [("dc", 0.0)]
-    for tone in rabi_comb(1.0, 8):
-        if tone.family == "z":
-            windows += [(tone.label, tone.center), (tone.label, -tone.center)]
+    for n, c in enumerate(comb_frequencies(1.0, 8)["z"], start=1):
+        windows += [(f"rho[{n},{n}]", c), (f"rho[{n},{n}]", -c)]
     validate_windows(windows, 4, spec)  # must not raise
 
 
@@ -351,6 +346,42 @@ def test_validate_windows_flags_nyquist_overflow():
     spec = dft(np.cos(2.0 * t), t)
     with pytest.raises(GridError):
         validate_windows([("fast", 40.0)], 4, spec)
+
+
+@st.composite
+def placed_windows(draw):
+    """A grid of odd or even length and one window placed near or across its edges."""
+    n_t = draw(st.integers(3, 40))
+    half_width = draw(st.integers(0, 6))
+    m = draw(st.integers(-(n_t // 2) - 7, n_t - n_t // 2 + 6))
+    return n_t, half_width, m + draw(st.floats(-0.45, 0.45))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed=placed_windows())
+@example(placed=(129, 0, 64.0))  # the top bin of an odd grid
+def test_validate_windows_accepts_exactly_what_read_windows_reads(placed):
+    n_t, half_width, position = placed
+    t = time_grid(0.1, n_t)
+    spec = dft(np.cos(t), t)
+    center = position * spec.d_omega
+    try:
+        read_windows(spec, center, half_width)
+        readable = True
+    except GridError:
+        readable = False
+    try:
+        validate_windows([("w", center)], half_width, spec)
+        accepted = True
+    except GridError:
+        accepted = False
+    assert accepted == readable
+
+
+def test_noise_floor_ignores_windows_off_the_grid():
+    spec = onbin_fock_spectrum(n_m=100, seed=4)
+    far = spec.n_t * spec.d_omega
+    assert noise_floor(spec, [(-far, 4), (far, 4)]) == noise_floor(spec)
 
 
 def test_max_half_width():
