@@ -39,7 +39,12 @@ from .probe import (
     rabi_frequency,
     time_grid,
 )
-from .measurement import MeasurementPlan, decohered_expectation, sample_trajectory
+from .measurement import (
+    MeasurementPlan,
+    decohered_expectation,
+    sample_records,
+    sample_trajectory,
+)
 from .spectral import (
     PeakEstimate,
     Spectrum,

@@ -39,7 +39,12 @@ from .exceptions import (
     exit_code_for,
 )
 from .fock import FieldState, density_from_pure, embed, fidelity
-from .measurement import MeasurementPlan, sample_trajectory, write_trajectory_csv
+from .measurement import (
+    MeasurementPlan,
+    sample_records,
+    sample_trajectory,
+    write_trajectory_csv,
+)
 from .probe import ProbeConfig
 from .spectral import comb_frequencies, dft, max_half_width, write_spectrum_csv
 from .states import coherent_state, load_amplitudes
@@ -446,10 +451,22 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
 
 
 def _sweep_points(cp) -> tuple[list[int], list[int], Optional[float]]:
+    """The sweep grid, checked before any sampling: every ``n_m >= 1``,
+    every ``n_t >= 2`` (a spectrum needs two bins) and, when set, a finite
+    ``t_total > 0``."""
     n_m_list = _get_int_list(cp, "plan", "n_m_list")
     n_t_list = _get_int_list(cp, "plan", "n_t_list")
     has_t = bool(cp.get("plan", "t_total").strip())
     t_total = _get_float(cp, "plan", "t_total") if has_t else None
+    for key, values, low in (("n_m_list", n_m_list, 1), ("n_t_list", n_t_list, 2)):
+        if min(values) < low:
+            raise ConfigError(
+                f"plan.{key} entries must be >= {low}, got {min(values)}", key=f"plan.{key}"
+            )
+    if t_total is not None and not (t_total > 0 and math.isfinite(t_total)):
+        raise ConfigError(
+            f"plan.t_total must be finite and > 0, got {t_total!r}", key="plan.t_total"
+        )
     return n_m_list, n_t_list, t_total
 
 
@@ -458,7 +475,11 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
 
     Benchmarks on the first Rabi harmonic: the signal size S is the
     leakage-corrected rho_11 estimate and the floor excludes only the DC
-    and +-2 Omega_1 windows.
+    and +-2 Omega_1 windows.  Each ``(n_t, n_m)`` cell is one batch of
+    ``n_seeds`` z records, seeds ``plan.seed + k``, on a leading record
+    axis: one ideal mean, one DFT, one leakage solve and one residual
+    floor per cell, each record's numbers bit for bit those of the record
+    run alone.  The cell's xi and S/xi are the means over its records.
     """
     state = _build_state(cp)
     g = _get_float(cp, "probe", "g")
@@ -477,35 +498,25 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     for n_t in sorted(set(n_t_list)):
         delta_t = (t_total / n_t) if t_total is not None else _get_delta_t(cp, g)
         for n_m in sorted(set(n_m_list)):
-            xis, snrs = [], []
-            for rep in range(n_seeds):
-                plan = _get_plan(
-                    cp,
-                    g,
-                    axes=("z",),
-                    n_t=n_t,
-                    delta_t=delta_t,
-                    n_m=n_m,
-                    seed=base_seed + rep,
+            plan = _get_plan(
+                cp, g, axes=("z",), n_t=n_t, delta_t=delta_t, n_m=n_m, seed=base_seed
+            )
+            spec = dft(sample_records(rho, cfg, plan, n_seeds)["z"], plan.times(), axis="z")
+            hw = min(half_width, max_half_width(centers, spec))
+            ests = rec_mod.populations_from_z(spec, freqs, hw)
+            xi = rec_mod._z_floor(spec, ests, freqs, hw)
+            noiseless = xi <= NOISELESS_FLOOR
+            if noiseless.any():
+                raise EstimationError(
+                    f"noise floor {xi[noiseless][0]:.3e} at n_m = {n_m}, n_t = {n_t} "
+                    "is rounding: the records carry no shot noise to scale"
                 )
-                traj = sample_trajectory(rho, cfg, plan)
-                spec = dft(traj.z, traj.times, axis="z")
-                hw = min(half_width, max_half_width(centers, spec))
-                ests = rec_mod.populations_from_z(spec, freqs, hw)
-                xi = rec_mod._z_floor(spec, ests, freqs, hw)
-                if xi <= NOISELESS_FLOOR:
-                    raise EstimationError(
-                        f"noise floor {xi:.3e} at n_m = {n_m}, n_t = {n_t} is "
-                        "rounding: the records carry no shot noise to scale"
-                    )
-                xis.append(xi)
-                snrs.append(ests[1] / xi)
             rows.append(
                 {
                     "n_m": n_m,
                     "n_t": n_t,
-                    "xi": float(np.mean(xis)),
-                    "snr": float(np.mean(snrs)),
+                    "xi": float(np.mean(xi)),
+                    "snr": float(np.mean(ests[:, 1] / xi)),
                 }
             )
 

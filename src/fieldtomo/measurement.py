@@ -10,6 +10,11 @@ with the fixed axis map x -> 0, y -> 1, z -> 2, so:
   requested (axis independence);
 * the stream is consumed in time order, so the first ``k`` points of an
   axis do not depend on ``n_t`` (prefix stability).
+
+`sample_records` draws many runs of one plan at once, as a leading
+record axis: record ``k`` uses seed ``plan.seed + k`` and is exactly the
+run `sample_trajectory` gives at that seed, while the ideal mean is
+computed once for all of them.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_gr
 __all__ = [
     "MeasurementPlan",
     "decohered_expectation",
+    "sample_records",
     "sample_trajectory",
     "write_trajectory_csv",
     "read_trajectory_csv",
@@ -81,35 +87,60 @@ def decohered_expectation(ideal: np.ndarray, gamma: float, times: np.ndarray) ->
     return np.asarray(ideal, dtype=float) * np.exp(-gamma * np.asarray(times, dtype=float))
 
 
-def _sample_axis(mean: np.ndarray, n_m: int, seed: int, axis: str) -> np.ndarray:
-    """Empirical means of n_m two-outcome shots at every grid point."""
+def _sample_axis(mean: np.ndarray, n_m: int, seeds: range, axis: str) -> np.ndarray:
+    """Empirical means of n_m two-outcome shots at every grid point, one
+    row per seed, each drawn from its own ``(seed, axis_index)`` stream."""
     p = 0.5 * (1.0 + mean)
     # Clip pure float fuzz only; anything materially outside is a real bug.
     if np.min(p) < -1e-12 or np.max(p) > 1 + 1e-12:
         raise ValidationError("Bloch component outside [-1, 1] during sampling")
     p = np.clip(p, 0.0, 1.0)
-    counts = np.random.default_rng((seed, AXIS_INDEX[axis])).binomial(n_m, p)
-    return 2.0 * counts / n_m - 1.0
+    # Counts are filled in as exact floats and scaled in place, which keeps
+    # one (seeds, n_t) array alive instead of four.
+    out = np.empty((len(seeds), p.size))
+    for row, seed in zip(out, seeds):
+        row[:] = np.random.default_rng((seed, AXIS_INDEX[axis])).binomial(n_m, p)
+    out *= 2.0
+    out /= n_m
+    out -= 1.0
+    return out
+
+
+def sample_records(
+    rho: DensityMatrix, cfg: ProbeConfig, plan: MeasurementPlan, n_records: int = 1
+) -> dict[str, np.ndarray]:
+    """``n_records`` protocol runs for one target state, as ``{axis: (n_records,
+    n_t) array}`` for each axis of ``plan``.
+
+    Record ``k`` is the run `sample_trajectory` gives at seed
+    ``plan.seed + k``: the ideal mean is computed once, for the plan's axes
+    only, and each record draws on it from its own streams.  At
+    ``n_m = None`` every record is the damped ideal mean.
+    """
+    if int(n_records) != n_records or n_records < 1:
+        raise ValidationError(f"n_records must be a positive integer, got {n_records!r}")
+    times = plan.times()
+    ideal = ideal_bloch_trajectory(rho, cfg, times, axes=plan.axes)
+    seeds = range(plan.seed, plan.seed + int(n_records))
+    comps: dict[str, np.ndarray] = {}
+    for axis in plan.axes:
+        damped = decohered_expectation(getattr(ideal, axis), plan.gamma, times)
+        if plan.n_m is None:
+            comps[axis] = np.broadcast_to(damped, (len(seeds), times.size))
+        else:
+            comps[axis] = _sample_axis(damped, int(plan.n_m), seeds, axis)
+    return comps
 
 
 def sample_trajectory(
     rho: DensityMatrix, cfg: ProbeConfig, plan: MeasurementPlan
 ) -> BlochTrajectory:
-    """Simulate the full protocol run for one target state."""
-    times = plan.times()
-    ideal = ideal_bloch_trajectory(rho, cfg, times)
-    comps: dict[str, np.ndarray] = {}
-    for axis in plan.axes:
-        damped = decohered_expectation(getattr(ideal, axis), plan.gamma, times)
-        if plan.n_m is None:
-            comps[axis] = damped
-        else:
-            comps[axis] = _sample_axis(damped, int(plan.n_m), plan.seed, axis)
+    """Simulate the full protocol run for one target state: the one-record
+    view of `sample_records`."""
+    comps = sample_records(rho, cfg, plan)
     return BlochTrajectory(
-        times=times,
-        x=comps.get("x"),
-        y=comps.get("y"),
-        z=comps.get("z"),
+        times=plan.times(),
+        **{axis: rows[0] for axis, rows in comps.items()},
         kind="ideal" if plan.n_m is None else "sampled",
         metadata={
             "g": cfg.g,

@@ -74,6 +74,8 @@ def _check_uniform(times: np.ndarray) -> float:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise GridError("times must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise GridError("times must be finite")
     if t.size == 1:
         return float(t[0]) if t[0] > 0 else 1.0
     dt = np.diff(t)
@@ -146,37 +148,46 @@ def bloch_from_qubit(rho_q: np.ndarray) -> tuple[float, float, float]:
 
 
 def ideal_bloch_trajectory(
-    rho: DensityMatrix, cfg: ProbeConfig, times: np.ndarray
+    rho: DensityMatrix,
+    cfg: ProbeConfig,
+    times: np.ndarray,
+    axes: tuple[str, ...] = ("x", "y", "z"),
 ) -> BlochTrajectory:
     """Exact Bloch components of the probe at each interrogation time.
 
-    Vectorized over times; density-matrix elements below 1e-14 in
+    Vectorized over times; only the components in ``axes`` are computed
+    (the others stay ``None``).  Density-matrix elements below 1e-14 in
     magnitude contribute nothing and are skipped.
     """
     t = np.asarray(times, dtype=float)
     _check_uniform(t)
+    if not set(axes) <= {"x", "y", "z"}:
+        raise ValidationError(f"axes must be a subset of x, y, z; got {axes!r}")
     diag = rho.diagonal()
     sup = rho.superdiagonal()
     omega = cfg.g * np.sqrt(np.arange(diag.size, dtype=float))
+    comps: dict[str, np.ndarray] = {}
 
-    z = np.full(t.shape, diag[0])
-    for n in range(1, diag.size):
-        if abs(diag[n]) < _ELEMENT_FLOOR:
-            continue
-        z = z + diag[n] * np.cos(2.0 * omega[n] * t)
-    # z here is 2 rho_gg - 1 after using cos^2 = (1 + cos 2x)/2 and trace 1.
+    if "z" in axes:
+        z = np.full(t.shape, diag[0])
+        for n in range(1, diag.size):
+            if abs(diag[n]) < _ELEMENT_FLOOR:
+                continue
+            z = z + diag[n] * np.cos(2.0 * omega[n] * t)
+        # z here is 2 rho_gg - 1 after using cos^2 = (1 + cos 2x)/2 and trace 1.
+        comps["z"] = z
 
-    ge = np.zeros(t.shape, dtype=complex)
-    for n in range(sup.size):
-        if abs(sup[n]) < _ELEMENT_FLOOR:
-            continue
-        ge = ge + sup[n] * np.cos(omega[n] * t) * np.sin(omega[n + 1] * t)
-    ge = 1j * ge
+    if "x" in axes or "y" in axes:
+        ge = np.zeros(t.shape, dtype=complex)
+        for n in range(sup.size):
+            if abs(sup[n]) < _ELEMENT_FLOOR:
+                continue
+            ge = ge + sup[n] * np.cos(omega[n] * t) * np.sin(omega[n + 1] * t)
+        ge = 1j * ge
+        comps.update(x=2.0 * ge.real, y=-2.0 * ge.imag)
     return BlochTrajectory(
         times=t,
-        x=2.0 * ge.real,
-        y=-2.0 * ge.imag,
-        z=z,
+        **{a: comps[a] for a in axes},
         kind="ideal",
         metadata={"g": cfg.g},
     )

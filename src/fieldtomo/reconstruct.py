@@ -26,6 +26,14 @@ small linear map from the unknowns (rho_nn, S_n) to the reads, built in
 closed form by `spectral.window_gains` from a model comb that contains
 every tone, unread difference-band ones included; one linear solve per
 spectrum family removes it.
+
+The z side takes a stack of records: for a `Spectrum` whose values are
+``(..., N)``, `populations_from_z` builds the gains matrix once and
+returns ``(..., n_max + 1)`` estimates from one stacked solve, and
+`residual_floor` and `_z_floor` return one floor per record.  Each
+record's numbers are bit for bit its one-record result, so
+`reconstruct_from_spectra`, `reconstruct_state` and `peak_report` (one
+record each) and the batched noise sweep share one estimator.
 """
 
 from __future__ import annotations
@@ -113,10 +121,12 @@ def _grid_times(spec: Spectrum) -> np.ndarray:
 
 
 def _synth_z(estimates: np.ndarray, centers: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Model z(t) = p_0 + sum p_n cos(2 Omega_n t) from current estimates."""
-    model = np.full(times.size, float(np.real(estimates[0])))
-    for p, c in zip(estimates[1:], centers):
-        model = model + float(np.real(p)) * np.cos(c * times)
+    """Model z(t) = p_0 + sum p_n cos(2 Omega_n t) from current estimates:
+    ``(..., n_max + 1)`` estimates give ``(..., n_t)`` models."""
+    p = np.real(estimates)[..., None]
+    model = np.broadcast_to(p[..., 0, :], p.shape[:-2] + times.shape)
+    for n, c in enumerate(centers, start=1):
+        model = model + p[..., n, :] * np.cos(c * times)
     return model
 
 
@@ -137,24 +147,19 @@ def residual_floor(
     spec: Spectrum,
     model_signal: np.ndarray,
     exclude: Sequence[tuple[float, int]],
-) -> float:
+) -> float | np.ndarray:
     """Sampling noise floor: RMS of the spectrum after subtracting the
-    deterministic comb model.
+    deterministic comb model; one floor per record, as `noise_floor`.
 
     An off-bin tone leaks a slowly decaying tail across the whole
     spectrum; on a raw spectrum that tail, not the finite-shot noise,
     can dominate the free-bin RMS.  The floor is therefore measured on
     the residual, which for an ideal record is numerically zero.
     """
-    times = _grid_times(spec)
-    model = dft(model_signal, times, axis=spec.axis)
-    resid = Spectrum(
-        freqs=spec.freqs,
-        values=spec.values - model.values,
-        axis=spec.axis,
-        delta_t=spec.delta_t,
-    )
-    return noise_floor(resid, exclude)
+    model = dft(model_signal, _grid_times(spec), axis=spec.axis)
+    resid = spec.values - model.values
+    del model  # a stack of records holds one spectrum-sized temporary less
+    return noise_floor(Spectrum(spec.freqs, resid, spec.axis, spec.delta_t), exclude)
 
 
 class _Window(NamedTuple):
@@ -206,6 +211,8 @@ def populations_from_z(
     matrix of those reads: ``L[k, n]`` is read ``k`` of the model
     ``p_0 + sum p_n cos(2 Omega_n t)`` at unit ``p_n``, with
     ``p cos(ct) = (p/2)(e^{ict} + e^{-ict})`` and the DC window read once.
+    For ``(..., N)`` spectrum values the result is ``(..., n_max + 1)``: one
+    matrix, solved against every record's reads.
     """
     validate_windows([(w.name, w.center) for w in _z_windows(freqs)], half_width, spec)
 
@@ -215,7 +222,9 @@ def populations_from_z(
     fold = np.concatenate((np.eye(with_dc.size), np.eye(with_dc.size)[1:]))
     weight = np.r_[1.0, np.full(centers.size, 0.5)]
     leak = (fold.T @ window_gains(spec, tones, tones, half_width) @ fold).real * weight
-    return np.linalg.solve(leak, cosine_pair(spec, with_dc, half_width))
+    reads = cosine_pair(spec, with_dc, half_width)
+    # One right-hand side per solve: LAPACK with many would round differently.
+    return np.linalg.solve(leak, reads[..., None])[..., 0]
 
 
 def _diff_band_readable(
@@ -333,8 +342,9 @@ def _xy_exclusions(
 
 def _z_floor(
     spec: Spectrum, populations: np.ndarray, freqs: dict[str, np.ndarray], half_width: int
-) -> float:
-    """`residual_floor` of a z spectrum against the comb of ``populations``."""
+) -> float | np.ndarray:
+    """`residual_floor` of a z spectrum against the comb of ``populations``
+    (``(..., n_max + 1)`` for ``(..., N)`` spectrum values)."""
     model = _synth_z(populations, freqs["z"], _grid_times(spec))
     return residual_floor(spec, model, [(w.center, half_width) for w in _z_windows(freqs)])
 

@@ -26,6 +26,16 @@ placed, read, audited or masked: a centre ``omega`` sits at rounded bin
 ``m = rint(omega / d_omega)``, stored at index ``m + N // 2``, and the
 window ``m +- half_width`` fits the grid when
 ``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``.
+
+Records of one grid can be stacked on leading axes: `dft` transforms
+``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
+``(..., N)`` over the one 1-D ``freqs``, `read_windows` returns
+``(..., *centers.shape)`` and `noise_floor` one floor per record.  Each
+record's result is bit for bit what the record gives alone: the two
+reductions whose summation order numpy would change on a stack (the
+window sum and the free-bin mean) run one record at a time.  The grid
+checks, window geometry and `window_gains` depend on the grid alone and
+run once for the stack.
 """
 
 from __future__ import annotations
@@ -63,7 +73,10 @@ DEFAULT_HALF_WIDTH = 4
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-axis spectrum on the signed, ascending frequency grid."""
+    """One-axis spectrum on the signed, ascending frequency grid.
+
+    ``values`` has shape ``(..., N)``: one record, or a stack of records
+    that share ``freqs`` and ``delta_t``."""
 
     freqs: np.ndarray
     values: np.ndarray
@@ -73,8 +86,10 @@ class Spectrum:
     def __post_init__(self):
         f = np.asarray(self.freqs, dtype=float)
         v = np.asarray(self.values, dtype=complex)
-        if f.ndim != 1 or f.shape != v.shape or f.size < 2:
-            raise ValidationError("freqs/values must be matching 1-D arrays")
+        if f.ndim != 1 or v.shape[-1:] != f.shape or f.size < 2 or v.size == 0:
+            raise ValidationError("values must be (..., N) over 1-D freqs of N >= 2 bins")
+        if not np.all(np.isfinite(f)):
+            raise ValidationError("freqs must be finite")
         if np.any(np.diff(f) <= 0):
             raise ValidationError("freqs must be strictly ascending")
         f, v = f.copy(), v.copy()
@@ -92,18 +107,19 @@ class Spectrum:
         return 2.0 * math.pi / (self.n_t * self.delta_t)
 
     def hermitian_defect(self) -> float:
-        """max |F(omega) - conj(F(-omega))| over paired bins."""
-        n = self.n_t
-        pos = self.values[n // 2 + 1 :]
-        neg = self.values[1 : n // 2][::-1] if n % 2 == 0 else self.values[: n // 2][::-1]
-        defect = float(np.max(np.abs(pos - neg.conj()))) if pos.size else 0.0
-        return max(defect, abs(self.values[n // 2].imag))
+        """max |F(omega) - conj(F(-omega))| over paired bins and records."""
+        n, v = self.n_t, self.values
+        pos = v[..., n // 2 + 1 :]
+        neg = v[..., 1 : n // 2] if n % 2 == 0 else v[..., : n // 2]
+        defect = float(np.max(np.abs(pos - neg[..., ::-1].conj()))) if pos.size else 0.0
+        return max(defect, float(np.max(np.abs(v[..., n // 2].imag))))
 
     def parseval_defect(self, signal: np.ndarray) -> float:
-        """|sum |F|^2 - (1/N) sum |s|^2| for the generating signal."""
-        lhs = float(np.sum(np.abs(self.values) ** 2))
-        rhs = float(np.mean(np.abs(np.asarray(signal)) ** 2))
-        return abs(lhs - rhs)
+        """|sum |F|^2 - (1/N) sum |s|^2| for the generating signal, the
+        largest over records."""
+        lhs = np.sum(np.abs(self.values) ** 2, axis=-1)
+        rhs = np.mean(np.abs(np.asarray(signal)) ** 2, axis=-1)
+        return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass(frozen=True)
@@ -117,26 +133,27 @@ class PeakEstimate:
 
 
 def dft(signal: np.ndarray, times: np.ndarray, axis: str = "z") -> Spectrum:
-    """Spectrum of a trajectory component on the canonical t_k = k dt grid."""
+    """Spectrum of a trajectory component on the canonical t_k = k dt grid.
+
+    ``signal`` is one record, shape ``(N,)``, or a stack ``(..., N)`` of
+    records on the same ``times``, transformed in one FFT."""
     s = np.asarray(signal, dtype=float)
     t = np.asarray(times, dtype=float)
-    if s.ndim != 1 or s.shape != t.shape:
-        raise ValidationError("signal and times must be matching 1-D arrays")
-    n = s.size
+    if t.ndim != 1 or s.shape[-1:] != t.shape:
+        raise ValidationError("signal must be (..., N) over 1-D times of N samples")
+    n = t.size
     if n < 2:
         raise GridError("need at least 2 samples")
     dt = _check_uniform(t)
     if abs(t[0] - dt) > 1e-9 * dt:
         raise GridError("grid must start at t = delta_t (no t = 0 sample)")
-    om = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
+    om = np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(n, d=dt))
     # fft sums from the first stored sample; shift phases to t_k = k dt.
-    vals = np.fft.fft(s) / n * np.exp(-1j * om * dt)
-    return Spectrum(
-        freqs=np.fft.fftshift(om),
-        values=np.fft.fftshift(vals),
-        axis=axis,
-        delta_t=dt,
-    )
+    # In place, so a stack of records holds one spectrum-sized temporary.
+    vals = np.fft.fftshift(np.fft.fft(s, axis=-1), axes=-1)
+    vals /= n
+    vals *= np.exp(-1j * om * dt)
+    return Spectrum(freqs=om, values=vals, axis=axis, delta_t=dt)
 
 
 def _dirichlet_sum(u, half_width: int, n: int) -> np.ndarray:
@@ -194,8 +211,8 @@ def read_windows(
     ``t = (N+1) dt / 2`` (which cancels the edge-referenced leakage
     phases), then normalizes by the exact window (Dirichlet) response at
     the actual sub-bin offset.  ``centers`` may have any shape; the
-    result has the same shape.  Raises `GridError` if any window runs off
-    the grid.
+    result has shape ``(..., *centers.shape)`` for ``(..., N)`` spectrum
+    values.  Raises `GridError` if any window runs off the grid.
     """
     n = spec.n_t
     x, m_c, idx, resp = _window_bins(spec, centers, half_width)
@@ -203,7 +220,10 @@ def read_windows(
     j = np.arange(-half_width, half_width + 1)
     bins = idx[..., None].astype(np.intp) + j
     phase = np.exp(1j * np.pi * (j - delta) * (n + 1) / n)
-    return np.sum(spec.values[bins] * phase, axis=-1) / resp
+    # One record at a time: gathered from a stack, the bins would not lie
+    # record by record in memory and numpy would sum them in another order.
+    sums = np.stack([np.sum(v[bins] * phase, axis=-1) for v in spec.values.reshape(-1, n)])
+    return sums.reshape(spec.values.shape[:-1] + bins.shape[:-1]) / resp
 
 
 def window_gains(
@@ -253,7 +273,8 @@ def cosine_pair(
     a zero center reads the DC window once.
     """
     c = np.asarray(center, dtype=float)
-    a_pos, a_neg = read_windows(spec, np.stack([c, -c]), half_width)
+    areas = read_windows(spec, np.stack([c, -c]), half_width)
+    a_pos, a_neg = np.moveaxis(areas, -1 - c.ndim, 0)
     out = np.where(c == 0.0, a_pos.real, (a_pos + a_neg).real)
     return out if out.ndim else float(out)
 
@@ -268,19 +289,22 @@ def sine_pair(
     c = np.asarray(center, dtype=float)
     if np.any(c <= 0.0):
         raise ValidationError("sine_pair needs a positive center frequency")
-    a_pos, a_neg = read_windows(spec, np.stack([c, -c]), half_width)
+    areas = read_windows(spec, np.stack([c, -c]), half_width)
+    a_pos, a_neg = np.moveaxis(areas, -1 - c.ndim, 0)
     out = (a_pos - a_neg).imag
     return out if out.ndim else float(out)
 
 
 def noise_floor(
     spec: Spectrum, exclude: Sequence[tuple[float, int]] = ()
-) -> float:
+) -> float | np.ndarray:
     """RMS |value| over bins outside every exclusion window.
 
     ``exclude`` holds ``(center, half_width)`` pairs; windows around
     +center and -center must be listed individually.  At least 25% of
-    the bins must survive, otherwise the floor is meaningless.
+    the bins must survive, otherwise the floor is meaningless.  Returns a
+    float for one record and one floor per record, shape ``(...)``, for
+    ``(..., N)`` values.
     """
     n = spec.n_t
     free = np.ones(n, dtype=bool)
@@ -292,7 +316,11 @@ def noise_floor(
             "exclusion windows cover more than 75% of the spectrum; "
             "noise floor would be dominated by signal"
         )
-    return float(np.sqrt(np.mean(np.abs(spec.values[free]) ** 2)))
+    # One record at a time, for the reason given in `read_windows`.
+    floors = [np.sqrt(np.mean(np.abs(v[free]) ** 2)) for v in spec.values.reshape(-1, n)]
+    if spec.values.ndim == 1:
+        return float(floors[0])
+    return np.reshape(floors, spec.values.shape[:-1])
 
 
 def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
@@ -352,7 +380,10 @@ def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     """Header ``omega,re,im``, then ``%.17g`` floats with ``\\r\\n`` line
-    ends, the dialect `read_spectrum_csv` (a `csv.reader`) expects."""
+    ends, the dialect `read_spectrum_csv` (a `csv.reader`) expects.  One
+    record per file."""
+    if spec.values.ndim != 1:
+        raise ValidationError("write_spectrum_csv writes one record, not a stack")
     cols = (spec.freqs.tolist(), spec.values.real.tolist(), spec.values.imag.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("omega,re,im\r\n")

@@ -2,8 +2,9 @@
 with the inputs, checks and observables the comparisons share.
 
 The references are written the plain way, for clarity rather than
-speed.  The CSV writers must agree with the library byte for byte; the
-propagators (matrix exponential, RK4) to the tolerance a test states.
+speed.  The CSV writers and the one-record-at-a-time noise sweep must
+agree with the library bit for bit; the propagators (matrix exponential,
+RK4) to the tolerance a test states.
 """
 
 import csv
@@ -15,8 +16,13 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
+from fieldtomo.cli import NOISELESS_FLOOR
 from fieldtomo.dce import rabi_hamiltonian
+from fieldtomo.exceptions import EstimationError
 from fieldtomo.fock import SIGMA_Z, joint_op
+from fieldtomo.measurement import MeasurementPlan, sample_trajectory
+from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
+from fieldtomo.spectral import comb_frequencies, dft, max_half_width
 
 #: Any float, with those whose text form is easy to get wrong drawn often.
 EDGE_FLOATS = st.one_of(
@@ -128,3 +134,35 @@ def evolve_joint(rho, cfg, t: float) -> np.ndarray:
     gg = diag[0] + float(np.sum(diag[1:] * np.cos(omega[1:] * t) ** 2))
     ge = 1j * complex(np.sum(sup * np.cos(omega[:-1] * t) * np.sin(omega[1:] * t)))
     return np.array([[gg, ge], [np.conj(ge), 1.0 - gg]], dtype=complex)
+
+
+def noise_sweep_rows(
+    rho, cfg, n_t_list, n_m_list, n_seeds, seed, delta_t, t_total, half_width, gamma=0.0
+) -> list[dict]:
+    """`cli.cmd_noise_sweep`'s rows, one record at a time: a fresh plan,
+    trajectory, DFT, leakage solve and residual floor for every seed, and
+    the cell's xi and S/xi averaged over the per-seed values."""
+    freqs = comb_frequencies(cfg.g, 1)
+    centers = [w.center for w in _z_windows(freqs)]
+    rows = []
+    for n_t in sorted(set(n_t_list)):
+        dt = (t_total / n_t) if t_total is not None else delta_t
+        for n_m in sorted(set(n_m_list)):
+            xis, snrs = [], []
+            for rep in range(n_seeds):
+                plan = MeasurementPlan(
+                    delta_t=dt, n_t=n_t, n_m=n_m, axes=("z",), gamma=gamma, seed=seed + rep
+                )
+                traj = sample_trajectory(rho, cfg, plan)
+                spec = dft(traj.z, traj.times, axis="z")
+                hw = min(half_width, max_half_width(centers, spec))
+                ests = populations_from_z(spec, freqs, hw)
+                xi = _z_floor(spec, ests, freqs, hw)
+                if xi <= NOISELESS_FLOOR:
+                    raise EstimationError(f"noise floor {xi:.3e} is rounding")
+                xis.append(xi)
+                snrs.append(ests[1] / xi)
+            rows.append(
+                {"n_m": n_m, "n_t": n_t, "xi": float(np.mean(xis)), "snr": float(np.mean(snrs))}
+            )
+    return rows

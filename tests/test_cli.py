@@ -7,16 +7,20 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fieldtomo
+import oracles
 from fieldtomo import cli
 from fieldtomo.cli import DEFAULTS, main
-from fieldtomo.exceptions import EstimationError
+from fieldtomo.exceptions import EstimationError, FieldTomoError, exit_code_for
+from fieldtomo.fock import density_from_pure, fock_state
+from fieldtomo.probe import ProbeConfig
 from fieldtomo.states import save_amplitudes, superposition
 
 
@@ -314,6 +318,13 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("dce", "spectral.population_floor", "nan"),
         ("dce", "dce.omega", "0"),
         ("dce", "dce.g_over_omega", "0"),
+        ("noise-sweep", "plan.n_t_list", "0 128"),
+        ("noise-sweep", "plan.n_t_list", "1 128"),
+        ("noise-sweep", "plan.n_m_list", "0 10"),
+        ("noise-sweep", "plan.t_total", "-5"),
+        ("noise-sweep", "plan.t_total", "0"),
+        ("noise-sweep", "plan.t_total", "nan"),
+        ("noise-sweep", "plan.t_total", "inf"),
     ],
 )
 def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
@@ -338,6 +349,56 @@ def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
         assert code == 3
         assert stderr_error(err)["type"] == "EstimationError"
         assert not (tmp_path / "noise_sweep_slopes.json").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_t_list=st.lists(st.integers(16, 300), min_size=1, max_size=2),
+    n_m_list=st.lists(st.integers(1, 1000), min_size=1, max_size=2),
+    n_seeds=st.integers(1, 5),
+    t_total=st.one_of(st.none(), st.floats(10.0, 80.0)),
+    half_width=st.integers(0, 6),
+    gamma=st.sampled_from([0.0, 0.02]),
+    seed=st.integers(0, 2**32),
+)
+@example(
+    n_t_list=[128, 129], n_m_list=[1000], n_seeds=5, t_total=None, half_width=4,
+    gamma=0.0, seed=12345,
+)
+def test_noise_sweep_rows_match_the_per_record_oracle(
+    n_t_list, n_m_list, n_seeds, t_total, half_width, gamma, seed
+):
+    """Each batched cell gives exactly the rows of the seeds run one by one."""
+    overlay = {
+        "plan": {
+            "n_t_list": " ".join(map(str, n_t_list)),
+            "n_m_list": " ".join(map(str, n_m_list)),
+            "n_seeds": str(n_seeds),
+            "t_total": "" if t_total is None else repr(t_total),
+            "gamma": repr(gamma),
+            "seed": str(seed),
+        },
+        "spectral": {"half_width": str(half_width)},
+    }
+    rho = density_from_pure(fock_state(1, 12))
+    try:
+        want = oracles.noise_sweep_rows(
+            rho, ProbeConfig(g=1.0), n_t_list, n_m_list, n_seeds, seed, 0.075, t_total,
+            half_width, gamma,
+        )
+    except FieldTomoError as exc:
+        want = exit_code_for(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_overlay(overlay, "noise-sweep", tmp)
+        if isinstance(want, int):
+            assert code == want
+            return
+        assert code == 0
+        lines = Path(tmp, "noise_sweep.csv").read_text().splitlines()
+    got = [line.split(",") for line in lines[1:]]
+    assert [(int(n_m), int(n_t), float(xi), float(snr)) for n_m, n_t, xi, snr in got] == [
+        (r["n_m"], r["n_t"], r["xi"], r["snr"]) for r in want
+    ]
 
 
 def test_dce_skips_recombination_of_an_empty_branch(capsys, tmp_path):
@@ -365,7 +426,9 @@ COMMANDS = ("reconstruct", "noise-sweep", "dce", "estimate-g")
 SECTION_COMMANDS = {"state": ("reconstruct", "noise-sweep", "estimate-g"), "dce": ("dce",)}
 
 
-def run_overlay(overlay: dict, command: str) -> int:
+def run_overlay(overlay: dict, command: str, out_dir: Optional[str] = None) -> int:
+    """Exit code of ``command`` under the INI ``overlay``, its artifacts
+    written to ``out_dir`` (a scratch directory when None)."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(overlay)
     with tempfile.TemporaryDirectory() as tmp:
@@ -373,7 +436,7 @@ def run_overlay(overlay: dict, command: str) -> int:
         with open(cfg, "w") as fh:
             cp.write(fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main([command, "--config", str(cfg), "--out-dir", tmp])
+            return main([command, "--config", str(cfg), "--out-dir", out_dir or tmp])
 
 
 def test_fuzz_base_runs_every_command():

@@ -129,6 +129,11 @@ def test_trajectory_validation():
         BlochTrajectory(times=np.array([0.1, 0.2, 0.5]), z=np.zeros(3))
     with pytest.raises(ValidationError):
         BlochTrajectory(times=times, z=np.zeros(4))  # length mismatch
+    for bad in ([np.nan] * 3, [0.1, np.nan, 0.3], [0.1, 0.2, np.inf], [np.nan]):
+        with pytest.raises(GridError):
+            BlochTrajectory(times=np.array(bad), z=np.zeros(len(bad)))
+    one = BlochTrajectory(times=np.array([0.5]), z=np.zeros(1))  # one-sample grid
+    assert one.delta_t == 0.5
 
 
 def test_trajectory_metadata_and_axes(probe, state_one):

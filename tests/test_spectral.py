@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fieldtomo.exceptions import GridError, ResolvabilityError, ValidationError
+from fieldtomo.exceptions import FieldTomoError, GridError, ResolvabilityError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
-from fieldtomo.measurement import MeasurementPlan, sample_trajectory
-from fieldtomo.probe import time_grid
+from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
+from fieldtomo.probe import ProbeConfig, time_grid
+from fieldtomo.states import coherent_state
 from fieldtomo.spectral import (
     Spectrum,
     comb_frequencies,
@@ -25,7 +26,7 @@ from fieldtomo.spectral import (
     window_gains,
     write_spectrum_csv,
 )
-from fieldtomo.reconstruct import populations_from_z
+from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
 
 # Grid that parks 2 Omega_1 = 2 exactly on a bin: total duration 20 pi.
 ONBIN_NT = 512
@@ -65,10 +66,18 @@ def test_dft_onbin_cosine_two_half_bins():
 
 
 def test_dft_rejects_bad_grids():
-    with pytest.raises(GridError):
-        dft(np.zeros(4), np.array([0.1, 0.2, 0.4, 0.5]))
-    with pytest.raises(GridError):
-        dft(np.zeros(4), np.array([0.0, 0.1, 0.2, 0.3]))  # contains t = 0
+    for times in (
+        [0.1, 0.2, 0.4, 0.5],
+        [0.0, 0.1, 0.2, 0.3],  # contains t = 0
+        [np.nan] * 4,
+        [0.1, 0.2, np.nan, 0.4],
+        [0.1, 0.2, 0.3, np.inf],
+        [np.inf] * 4,
+        [0.1],  # one sample: no spectrum
+        [np.nan],
+    ):
+        with pytest.raises(GridError):
+            dft(np.zeros(len(times)), np.array(times))
 
 
 def test_parseval_and_hermitian_symmetry():
@@ -400,6 +409,9 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert np.allclose(back.freqs, spec.freqs)
     assert np.allclose(back.values, spec.values)
     assert back.delta_t == pytest.approx(spec.delta_t)
+    stack = Spectrum(spec.freqs, np.stack([spec.values] * 2), "z", spec.delta_t)
+    with pytest.raises(ValidationError):
+        write_spectrum_csv(stack, path)  # one record per file
 
 
 @st.composite
@@ -430,10 +442,74 @@ def test_sampled_spectrum_csv_bytes_match_the_oracle():
 
 
 def test_spectrum_validation():
+    for freqs in (
+        [0.0, 1.0, 0.5],
+        [np.nan] * 3,
+        [-1.0, np.nan, 1.0],
+        [-1.0, 0.0, np.inf],
+        [-np.inf, 0.0, 1.0],
+    ):
+        with pytest.raises(ValidationError):
+            Spectrum(
+                freqs=np.array(freqs),
+                values=np.zeros(3, dtype=complex),
+                axis="z",
+                delta_t=0.1,
+            )
+    for values in (np.zeros((2, 4)), np.zeros((0, 3)), np.zeros(())):  # not (..., 3)
+        with pytest.raises(ValidationError):
+            Spectrum(freqs=np.arange(3.0), values=values, axis="z", delta_t=0.1)
+
+
+def test_read_spectrum_csv_rejects_non_finite_freqs(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("omega,re,im\r\n-1,0,0\r\nnan,0,0\r\n1,0,0\r\n")
     with pytest.raises(ValidationError):
-        Spectrum(
-            freqs=np.array([0.0, 1.0, 0.5]),
-            values=np.zeros(3, dtype=complex),
-            axis="z",
-            delta_t=0.1,
-        )
+        read_spectrum_csv(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_t=st.integers(16, 300),
+    shape=st.sampled_from([(1,), (1, 1), (2,), (5,), (1, 3), (3, 1), (2, 3)]),
+    n_m=st.integers(1, 1000),
+    delta_t=st.floats(0.1, 0.4),
+    half_width=st.integers(0, 6),
+    n_max=st.integers(1, 3),
+    coherent=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(n_t=1024, shape=(20,), n_m=1000, delta_t=0.075, half_width=4, n_max=1,
+         coherent=False, seed=12345)
+def test_batched_records_equal_one_record_results(
+    n_t, shape, n_m, delta_t, half_width, n_max, coherent, seed
+):
+    """A stack of records gives, bit for bit, each record's own DFT, window
+    reads, populations and z residual floor."""
+    state = coherent_state(0.7, 12) if coherent else fock_state(1, 8)
+    plan = MeasurementPlan(delta_t=delta_t, n_t=n_t, n_m=n_m, axes=("z",), seed=seed)
+    records = sample_records(density_from_pure(state), ProbeConfig(g=1.0), plan, np.prod(shape))
+    batch = dft(records["z"].reshape(shape + (n_t,)), plan.times())
+    freqs = comb_frequencies(1.0, n_max)
+    centers = [w.center for w in _z_windows(freqs)]
+    hw = min(half_width, max_half_width(centers, batch))
+
+    def layers(spec):
+        """Each layer's output, or the type of the error it raises."""
+        out = [spec.values, read_windows(spec, centers, hw)]
+        try:
+            pops = populations_from_z(spec, freqs, hw)
+            return out + [pops, _z_floor(spec, pops, freqs, hw)]
+        except FieldTomoError as exc:
+            return out + [type(exc)]
+
+    got = layers(batch)
+    assert got[0].shape == shape + (n_t,) and got[1].shape == shape + (len(centers),)
+    for k, index in enumerate(np.ndindex(shape)):
+        one = layers(dft(records["z"][k], plan.times()))
+        assert len(got) == len(one)
+        for batched, alone in zip(got, one):
+            if isinstance(alone, type):
+                assert batched is alone
+            else:
+                assert np.array_equal(batched[index], alone)
