@@ -219,23 +219,30 @@ def _get_int(cp, section: str, option: str) -> int:
         ) from None
 
 
+def _checked(key: str, value, ok: bool, rule: str):
+    """``value`` if ``ok``, else a `ConfigError` keyed ``key`` saying that
+    it must be ``rule``."""
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}, got {value!r}", key=key)
+    return value
+
+
+def _get_positive(cp, section: str, option: str) -> float:
+    value = _get_float(cp, section, option)
+    return _checked(
+        f"{section}.{option}", value, value > 0 and math.isfinite(value), "finite and > 0"
+    )
+
+
 def _get_half_width(cp) -> int:
     half_width = _get_int(cp, "spectral", "half_width")
-    if half_width < 0:
-        raise ConfigError(
-            f"spectral.half_width must be >= 0, got {half_width}", key="spectral.half_width"
-        )
-    return half_width
+    return _checked("spectral.half_width", half_width, half_width >= 0, ">= 0")
 
 
 def _get_population_floor(cp) -> float:
     floor = _get_float(cp, "spectral", "population_floor")
-    if not (floor >= 0.0 and math.isfinite(floor)):
-        raise ConfigError(
-            f"spectral.population_floor must be finite and >= 0, got {floor!r}",
-            key="spectral.population_floor",
-        )
-    return floor
+    ok = floor >= 0.0 and math.isfinite(floor)
+    return _checked("spectral.population_floor", floor, ok, "finite and >= 0")
 
 
 def _get_list(cp, section: str, option: str, cast=float) -> list:
@@ -263,11 +270,17 @@ def _get_n_m(cp) -> Optional[int]:
     if raw in ("inf", "infinite", "none", ""):
         return None
     try:
-        return int(raw)
+        n_m = int(raw)
     except ValueError:
         raise ConfigError(
             f"plan.n_m must be an integer or 'inf', got {raw!r}", key="plan.n_m"
         ) from None
+    return _checked("plan.n_m", n_m, n_m >= 1, ">= 1 or 'inf'")
+
+
+def _get_seed(cp) -> int:
+    seed = _get_int(cp, "plan", "seed")
+    return _checked("plan.seed", seed, seed >= 0, ">= 0")
 
 
 def _get_axes(cp) -> tuple[str, ...]:
@@ -289,7 +302,7 @@ def _get_delta_t(cp, g: float) -> float:
     raw = cp.get("plan", "delta_t").strip().lower()
     if raw == "auto":
         return 0.075 / g
-    return _get_float(cp, "plan", "delta_t")
+    return _get_positive(cp, "plan", "delta_t")
 
 
 def _parse_terms(raw: str) -> list[tuple[int, complex]]:
@@ -342,13 +355,21 @@ def _build_state(cp) -> FieldState:
 
 
 def _get_plan(cp, g: float, axes=None, n_t=None, delta_t=None, n_m="use-config", seed=None):
+    """The `MeasurementPlan` of ``cp``, or of the given values.  Every value
+    read from ``cp`` is checked here, so a bad one is a `ConfigError` keyed
+    by its INI key; ``n_t >= 2``, since a spectrum needs two bins."""
+    if n_t is None:
+        n_t = _get_int(cp, "plan", "n_t")
+        _checked("plan.n_t", n_t, n_t >= 2, ">= 2")
+    gamma = _get_float(cp, "plan", "gamma")
+    _checked("plan.gamma", gamma, gamma >= 0 and math.isfinite(gamma), "finite and >= 0")
     return MeasurementPlan(
         delta_t=_get_delta_t(cp, g) if delta_t is None else delta_t,
-        n_t=_get_int(cp, "plan", "n_t") if n_t is None else n_t,
+        n_t=n_t,
         n_m=_get_n_m(cp) if n_m == "use-config" else n_m,
         axes=_get_axes(cp) if axes is None else axes,
-        gamma=_get_float(cp, "plan", "gamma"),
-        seed=_get_int(cp, "plan", "seed") if seed is None else seed,
+        gamma=gamma,
+        seed=_get_seed(cp) if seed is None else seed,
     )
 
 
@@ -416,7 +437,7 @@ def _peaks_payload(peaks) -> list[dict]:
 
 def cmd_reconstruct(cp, out_dir: Path) -> int:
     state = _build_state(cp)
-    g = _get_float(cp, "probe", "g")
+    g = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g)
     plan = _get_plan(cp, g, axes=_get_tomography_axes(cp))
     rho = density_from_pure(state)
@@ -457,16 +478,9 @@ def _sweep_points(cp) -> tuple[list[int], list[int], Optional[float]]:
     n_m_list = _get_int_list(cp, "plan", "n_m_list")
     n_t_list = _get_int_list(cp, "plan", "n_t_list")
     has_t = bool(cp.get("plan", "t_total").strip())
-    t_total = _get_float(cp, "plan", "t_total") if has_t else None
+    t_total = _get_positive(cp, "plan", "t_total") if has_t else None
     for key, values, low in (("n_m_list", n_m_list, 1), ("n_t_list", n_t_list, 2)):
-        if min(values) < low:
-            raise ConfigError(
-                f"plan.{key} entries must be >= {low}, got {min(values)}", key=f"plan.{key}"
-            )
-    if t_total is not None and not (t_total > 0 and math.isfinite(t_total)):
-        raise ConfigError(
-            f"plan.t_total must be finite and > 0, got {t_total!r}", key="plan.t_total"
-        )
+        _checked(f"plan.{key}", min(values), min(values) >= low, f">= {low} in every entry")
     return n_m_list, n_t_list, t_total
 
 
@@ -482,13 +496,12 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     run alone.  The cell's xi and S/xi are the means over its records.
     """
     state = _build_state(cp)
-    g = _get_float(cp, "probe", "g")
+    g = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g)
     rho = density_from_pure(state)
-    base_seed = _get_int(cp, "plan", "seed")
+    base_seed = _get_seed(cp)
     n_seeds = _get_int(cp, "plan", "n_seeds")
-    if n_seeds < 1:
-        raise ConfigError("plan.n_seeds must be >= 1", key="plan.n_seeds")
+    _checked("plan.n_seeds", n_seeds, n_seeds >= 1, ">= 1")
     half_width = _get_half_width(cp)
     n_m_list, n_t_list, t_total = _sweep_points(cp)
     freqs = comb_frequencies(g, 1)
@@ -562,7 +575,7 @@ def _dce_config(cp, tau: float) -> dce_mod.DceConfig:
 
 
 def cmd_dce(cp, out_dir: Path) -> int:
-    g_probe = _get_float(cp, "probe", "g")
+    g_probe = _get_positive(cp, "probe", "g")
     probe_cfg = ProbeConfig(g=g_probe)
     plan = _get_plan(cp, g_probe, axes=_get_tomography_axes(cp))
     n_max = _get_int(cp, "spectral", "n_max")
@@ -644,7 +657,7 @@ def cmd_dce(cp, out_dir: Path) -> int:
 
 def cmd_estimate_g(cp, out_dir: Path) -> int:
     state = _build_state(cp)
-    g_true = _get_float(cp, "probe", "g")
+    g_true = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g_true)
     plan = _get_plan(cp, g_true, axes=("z",))
     traj = sample_trajectory(density_from_pure(state), cfg, plan)

@@ -36,6 +36,15 @@ reductions whose summation order numpy would change on a stack (the
 window sum and the free-bin mean) run one record at a time.  The grid
 checks, window geometry and `window_gains` depend on the grid alone and
 run once for the stack.
+
+Every record is real, so ``F(-omega) = conj F(omega)`` and half of each
+spectrum repeats the other half.  `write_spectrum_csv` therefore writes a
+file one-sided: the ``N // 2 + 1`` rows of ``omega >= 0``, led by the
+unpaired Nyquist row of an even ``N``.  `read_spectrum_csv` rebuilds the
+negative bins by conjugation and still reads two-sided files.  In memory
+a `Spectrum` stays two-sided, as `dft` computes it: ``np.fft.fft`` of a
+real record is not conjugate-symmetric bit for bit, so the stored
+negative bins are what the window reads use.
 """
 
 from __future__ import annotations
@@ -378,19 +387,70 @@ def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
     return max(0, (int(gaps.min()) - 1) // 2)
 
 
+def _one_sided_rows(n: int) -> np.ndarray:
+    """Indices of the rows a spectrum file keeps of an ``n``-bin grid:
+    ``omega >= 0`` (index ``n // 2`` on), led by the unpaired Nyquist bin
+    (index 0) when ``n`` is even; ``n // 2 + 1`` rows in ascending order.
+    The only copy of the row rule."""
+    return np.r_[: 1 - n % 2, n // 2 : n]
+
+
+def _grid_step(freqs: np.ndarray) -> float:
+    """``d_omega`` of a signed ``N``-bin grid, from its outermost bin
+    ``-(N // 2) d_omega``: a difference of two neighbouring bins would lose
+    up to ``N`` ulps."""
+    return -freqs[0] / (freqs.size // 2)
+
+
+def _is_dft_grid(freqs: np.ndarray) -> bool:
+    """Whether ``freqs`` is the signed grid of `dft`: omega exactly 0 at
+    index ``N // 2`` and every bin ``m d_omega`` (``d_omega > 0``) to 1e-9
+    of ``|m| d_omega``."""
+    m = np.arange(freqs.size) - freqs.size // 2
+    dw = _grid_step(freqs)
+    return bool(dw > 0 and np.all(np.abs(freqs - m * dw) <= 1e-9 * np.abs(m) * dw))
+
+
+def _unfold(freqs: np.ndarray, values: np.ndarray, n: int):
+    """The ``n``-bin two-sided grid and values of a file's rows: the rows as
+    they stand if there are ``n``, else the `_one_sided_rows` of ``n`` with
+    each negative bin the conjugate of its positive partner."""
+    if freqs.size == n:
+        return freqs, values
+    rows, neg = _one_sided_rows(n), np.arange(1 - n % 2, n // 2)
+    pos = 2 * (n // 2) - neg
+    f, v = np.empty(n), np.empty(n, dtype=complex)
+    f[rows], v[rows] = freqs, values
+    f[neg], v[neg] = -f[pos], v[pos].conj()
+    return f, v
+
+
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
-    """Header ``omega,re,im``, then ``%.17g`` floats with ``\\r\\n`` line
-    ends, the dialect `read_spectrum_csv` (a `csv.reader`) expects.  One
-    record per file."""
+    """The one-sided spectrum: header ``omega,re,im``, then the ``n_t // 2
+    + 1`` rows of ``omega >= 0``, led by the unpaired Nyquist row
+    ``omega = -pi / delta_t`` when ``n_t`` is even, as ``%.17g`` floats with
+    ``\\r\\n`` line ends, the dialect `read_spectrum_csv` (a `csv.reader`)
+    expects.  The negative bins are left out: a real record has
+    ``F(-omega) = conj F(omega)``.  One record per file."""
     if spec.values.ndim != 1:
         raise ValidationError("write_spectrum_csv writes one record, not a stack")
-    cols = (spec.freqs.tolist(), spec.values.real.tolist(), spec.values.imag.tolist())
+    rows = _one_sided_rows(spec.freqs.size)
+    values = spec.values[rows]
+    cols = (spec.freqs[rows].tolist(), values.real.tolist(), values.imag.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("omega,re,im\r\n")
         fh.writelines(map("%.17g,%.17g,%.17g\r\n".__mod__, zip(*cols)))
 
 
 def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:
+    """The two-sided `Spectrum` of a spectrum file.
+
+    A one-sided file, as `write_spectrum_csv` writes it, gets its negative
+    bins by conjugation of their positive partners; its ``n_t`` is
+    ``2 rows - 1`` when the first row is omega = 0 and ``2 rows - 2``
+    when it is the Nyquist row.  A two-sided file (every bin, as older
+    versions wrote) is read as it stands.  Raises `GridError` if the
+    omega rows are exactly neither kind of `dft` grid."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -401,6 +461,14 @@ def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:
     vals = np.array([complex(float(r[1]), float(r[2])) for r in rows])
     if freqs.size < 2:
         raise ValidationError(f"{path}: too few rows")
-    dw = freqs[1] - freqs[0]
-    dt = 2.0 * math.pi / (dw * freqs.size)
-    return Spectrum(freqs=freqs, values=vals, axis=axis, delta_t=dt)
+    if not np.all(np.isfinite(freqs)):
+        raise ValidationError(f"{path}: omega must be finite")
+    # Two-sided, then one-sided of odd and of even n_t.  At most one of the
+    # three is a dft grid; two rows (-d_omega, 0) are the same n_t = 2
+    # spectrum either way.
+    for n in (freqs.size, 2 * freqs.size - 1, 2 * freqs.size - 2):
+        f, v = _unfold(freqs, vals, n)
+        if _is_dft_grid(f):
+            dt = 2.0 * math.pi / (_grid_step(f) * n)
+            return Spectrum(freqs=f, values=v, axis=axis, delta_t=dt)
+    raise GridError(f"{path}: omega rows are not a dft grid, two-sided or one-sided")

@@ -70,14 +70,18 @@ def write_trajectory_csv(traj, path) -> None:
 
 
 def write_spectrum_csv(spec, path) -> None:
-    """`spectral.write_spectrum_csv` cell by cell through `csv.writer`."""
+    """`spectral.write_spectrum_csv` cell by cell through `csv.writer`: the
+    rows from the DC bin (index n // 2) on, and before them the Nyquist bin
+    (index 0) when n is even."""
+    n = len(spec.freqs)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega", "re", "im"])
-        for w, v in zip(spec.freqs, spec.values):
-            writer.writerow(
-                [format(w, ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")]
-            )
+        for k, (w, v) in enumerate(zip(spec.freqs, spec.values)):
+            if k >= n // 2 or (k == 0 and n % 2 == 0):
+                writer.writerow(
+                    [format(w, ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")]
+                )
 
 
 def rabi_psi0(cfg) -> np.ndarray:

@@ -21,6 +21,8 @@ from fieldtomo.cli import DEFAULTS, main
 from fieldtomo.exceptions import EstimationError, FieldTomoError, exit_code_for
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.probe import ProbeConfig
+from fieldtomo.reconstruct import reconstruct_from_spectra
+from fieldtomo.spectral import read_spectrum_csv
 from fieldtomo.states import save_amplitudes, superposition
 
 
@@ -122,6 +124,39 @@ def test_reconstruct_writes_artifacts(capsys, tmp_path):
     assert all(wanted <= set(p) for p in peaks)
 
 
+@pytest.mark.parametrize(
+    "preset, overlay",
+    [("paper-state2", ""), ("paper-coherent", "[plan]\nn_m = 1000\n")],
+)
+def test_one_sided_spectrum_files_reconstruct_the_state(capsys, tmp_path, preset, overlay):
+    """The one-sided spectrum CSVs hold all a reconstruction needs."""
+    cfg = write_config(tmp_path, overlay)
+    code, _, _ = run(
+        capsys, "reconstruct", "--preset", preset, "--config", cfg, "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    n_t = int(cli.PRESETS[preset]["plan"]["n_t"])
+    spectra = {}
+    for axis in "xyz":
+        path = tmp_path / f"spectrum_{axis}.csv"
+        assert len(path.read_text().splitlines()) == 1 + n_t // 2 + 1
+        spectra[axis] = read_spectrum_csv(path, axis=axis)
+    spectral = DEFAULTS["spectral"]
+    result = reconstruct_from_spectra(
+        float(DEFAULTS["probe"]["g"]),
+        spectra["z"],
+        spectra["x"],
+        spectra["y"],
+        n_max=int(spectral["n_max"]),
+        half_width=int(spectral["half_width"]),
+        population_floor=float(spectral["population_floor"]),
+    )
+    payload = json.loads((tmp_path / "reconstruction.json").read_text())
+    assert np.allclose(result.populations, payload["populations"], rtol=0, atol=1e-12)
+    written = [complex(c["re"], c["im"]) for c in payload["coherences"]]
+    assert np.allclose(result.coherences, written, rtol=0, atol=1e-12)
+
+
 def test_reconstruct_requires_z(capsys, tmp_path):
     cfg = write_config(tmp_path, "[plan]\naxes = xy\n")
     for command in ("reconstruct", "dce"):
@@ -202,14 +237,15 @@ def test_noise_sweep_single_point(capsys, tmp_path):
     assert float(xi) > 0 and float(snr) > 0
 
 
-def test_negative_seed_exits_3(capsys, tmp_path):
+def test_negative_seed_flag_exits_2_with_key(capsys, tmp_path):
     cfg = write_config(tmp_path, "[plan]\nn_m = 1000\n")
     code, _, err = run(
         capsys, "reconstruct", "--config", cfg, "--seed", "-5",
         "--out-dir", str(tmp_path),
     )
-    assert code == 3
-    assert stderr_error(err)["type"] == "ValidationError"
+    assert code == 2
+    assert stderr_error(err)["type"] == "ConfigError"
+    assert stderr_error(err)["key"] == "plan.seed"
 
 
 def test_non_numeric_t_total(capsys, tmp_path):
@@ -325,6 +361,23 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("noise-sweep", "plan.t_total", "0"),
         ("noise-sweep", "plan.t_total", "nan"),
         ("noise-sweep", "plan.t_total", "inf"),
+        ("reconstruct", "plan.delta_t", "-1"),
+        ("reconstruct", "plan.delta_t", "nan"),
+        ("noise-sweep", "plan.delta_t", "-1"),
+        ("dce", "plan.delta_t", "0"),
+        ("estimate-g", "plan.delta_t", "inf"),
+        ("reconstruct", "plan.n_t", "0"),
+        ("reconstruct", "plan.n_t", "1"),
+        ("reconstruct", "plan.n_m", "0"),
+        ("reconstruct", "plan.gamma", "-1"),
+        ("reconstruct", "plan.gamma", "nan"),
+        ("reconstruct", "plan.seed", "-1"),
+        ("noise-sweep", "plan.seed", "-1"),
+        ("noise-sweep", "plan.n_seeds", "0"),
+        ("reconstruct", "probe.g", "0"),
+        ("noise-sweep", "probe.g", "nan"),
+        ("dce", "probe.g", "-1"),
+        ("estimate-g", "probe.g", "inf"),
     ],
 )
 def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):

@@ -414,6 +414,95 @@ def test_spectrum_csv_round_trip(tmp_path):
         write_spectrum_csv(stack, path)  # one record per file
 
 
+def write_two_sided_csv(spec, path) -> None:
+    """Every bin of ``spec``, in the file dialect of `write_spectrum_csv`:
+    the layout spectrum files had before they were written one-sided."""
+    rows = zip(spec.freqs.tolist(), spec.values.real.tolist(), spec.values.imag.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("omega,re,im\r\n" + "".join("%.17g,%.17g,%.17g\r\n" % row for row in rows))
+
+
+def random_spectrum(n_t: int, seed: int):
+    t = time_grid(0.075, n_t)
+    return dft(np.random.default_rng(seed).normal(size=n_t), t, axis="x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(2, 64), seed=st.integers(0, 2**32))
+@example(n_t=4096, seed=0)
+@example(n_t=4095, seed=1)
+def test_spectrum_csv_is_one_sided_and_reads_back(tmp_path_factory, n_t, seed):
+    spec = random_spectrum(n_t, seed)
+    path = tmp_path_factory.mktemp("csv") / "spec.csv"
+    write_spectrum_csv(spec, path)
+    assert len(path.read_bytes().split(b"\r\n")) == n_t // 2 + 1 + 2  # header, rows, ""
+    back = read_spectrum_csv(path, axis="x")
+    assert back.axis == "x" and back.delta_t == pytest.approx(spec.delta_t, rel=1e-15)
+    assert np.array_equal(back.freqs, spec.freqs)
+    # Bit for bit: every omega >= 0 and, on an even grid, the Nyquist row.
+    written = spec.freqs >= 0
+    written[0] |= n_t % 2 == 0
+    assert np.array_equal(back.values[written], spec.values[written])
+    for k in np.flatnonzero(~written):
+        partner = np.searchsorted(back.freqs, -back.freqs[k])
+        assert back.freqs[partner] == -back.freqs[k]
+        assert back.values[k] == back.values[partner].conjugate()
+    assert np.max(np.abs(back.values - spec.values)) <= spec.hermitian_defect()
+
+
+@pytest.mark.parametrize(
+    "omegas, n_t",
+    [
+        ([-1, 0], 2),     # one- and two-sided are the same rows
+        ([0, 1], 3),      # one-sided, odd
+        ([-1, 0, 1], 3),  # two-sided
+        ([-2, 0, 1], 4),  # one-sided, even: Nyquist row first
+        ([0, 1, 2], 5),   # one-sided, odd
+    ],
+)
+def test_read_spectrum_csv_two_and_three_rows(tmp_path, omegas, n_t):
+    values = [complex(k + 1, -k) for k in range(len(omegas))]
+    body = "".join(f"{w},{v.real},{v.imag}\r\n" for w, v in zip(omegas, values))
+    path = tmp_path / "spec.csv"
+    path.write_text("omega,re,im\r\n" + body, newline="")
+    back = read_spectrum_csv(path)
+    assert back.freqs.tolist() == list(range(-(n_t // 2), n_t - n_t // 2))
+    assert back.delta_t == pytest.approx(2 * np.pi / n_t)
+    for w, v in zip(omegas, values):
+        assert back.values[back.freqs.tolist().index(w)] == v
+    for k, w in enumerate(back.freqs.tolist()):
+        if w not in omegas:
+            assert back.values[k] == values[omegas.index(-w)].conjugate()
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 4, 5, 64, 65, 4096])
+def test_read_spectrum_csv_reads_two_sided_files_exactly(tmp_path, n_t):
+    spec = random_spectrum(n_t, seed=n_t)
+    write_two_sided_csv(spec, tmp_path / "old.csv")
+    back = read_spectrum_csv(tmp_path / "old.csv", axis="x")
+    assert np.array_equal(back.freqs, spec.freqs)
+    assert np.array_equal(back.values, spec.values)
+    assert back.delta_t == pytest.approx(spec.delta_t, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "omegas",
+    [
+        [-2, -1, 0, 5],          # uniform but for its last bin
+        [-1.5, -0.5, 0.5, 1.5],  # no omega = 0
+        [0.5, 1.5, 2.5],         # one-sided, no omega = 0
+        [0, 1, 3],               # one-sided, not uniform
+        [-4, 0, 1, 2],           # Nyquist row of another grid
+        [-2, -1, 0, 1, 2, 3],    # two-sided, but 0 is not at index N // 2
+    ],
+)
+def test_read_spectrum_csv_rejects_grids_dft_never_makes(tmp_path, omegas):
+    path = tmp_path / "spec.csv"
+    path.write_text("omega,re,im\r\n" + "".join(f"{w},1,0\r\n" for w in omegas))
+    with pytest.raises(GridError):
+        read_spectrum_csv(path)
+
+
 @st.composite
 def spectrum_columns(draw):
     """Duck-typed spectrum: any floats in the frequencies and both value parts."""
@@ -426,7 +515,11 @@ def spectrum_columns(draw):
 
 def assert_spectrum_csv_bytes(spec) -> None:
     oracles.assert_csv_like_oracle(
-        write_spectrum_csv, oracles.write_spectrum_csv, spec, b"omega,re,im", spec.freqs.size
+        write_spectrum_csv,
+        oracles.write_spectrum_csv,
+        spec,
+        b"omega,re,im",
+        spec.freqs.size // 2 + 1,
     )
 
 
