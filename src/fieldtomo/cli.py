@@ -234,9 +234,9 @@ def _get_positive(cp, section: str, option: str) -> float:
     )
 
 
-def _get_half_width(cp) -> int:
-    half_width = _get_int(cp, "spectral", "half_width")
-    return _checked("spectral.half_width", half_width, half_width >= 0, ">= 0")
+def _get_int_at_least(cp, section: str, option: str, low: int) -> int:
+    value = _get_int(cp, section, option)
+    return _checked(f"{section}.{option}", value, value >= low, f">= {low}")
 
 
 def _get_population_floor(cp) -> float:
@@ -276,11 +276,6 @@ def _get_n_m(cp) -> Optional[int]:
             f"plan.n_m must be an integer or 'inf', got {raw!r}", key="plan.n_m"
         ) from None
     return _checked("plan.n_m", n_m, n_m >= 1, ">= 1 or 'inf'")
-
-
-def _get_seed(cp) -> int:
-    seed = _get_int(cp, "plan", "seed")
-    return _checked("plan.seed", seed, seed >= 0, ">= 0")
 
 
 def _get_axes(cp) -> tuple[str, ...]:
@@ -329,7 +324,7 @@ def _build_state(cp) -> FieldState:
     from .states import superposition
 
     kind = cp.get("state", "kind").strip().lower()
-    cutoff = _get_int(cp, "state", "cutoff")
+    cutoff = _get_int_at_least(cp, "state", "cutoff", 1)
     if kind == "fock":
         from .fock import fock_state
 
@@ -359,8 +354,7 @@ def _get_plan(cp, g: float, axes=None, n_t=None, delta_t=None, n_m="use-config",
     read from ``cp`` is checked here, so a bad one is a `ConfigError` keyed
     by its INI key; ``n_t >= 2``, since a spectrum needs two bins."""
     if n_t is None:
-        n_t = _get_int(cp, "plan", "n_t")
-        _checked("plan.n_t", n_t, n_t >= 2, ">= 2")
+        n_t = _get_int_at_least(cp, "plan", "n_t", 2)
     gamma = _get_float(cp, "plan", "gamma")
     _checked("plan.gamma", gamma, gamma >= 0 and math.isfinite(gamma), "finite and >= 0")
     return MeasurementPlan(
@@ -369,7 +363,7 @@ def _get_plan(cp, g: float, axes=None, n_t=None, delta_t=None, n_m="use-config",
         n_m=_get_n_m(cp) if n_m == "use-config" else n_m,
         axes=_get_axes(cp) if axes is None else axes,
         gamma=gamma,
-        seed=_get_seed(cp) if seed is None else seed,
+        seed=_get_int_at_least(cp, "plan", "seed", 0) if seed is None else seed,
     )
 
 
@@ -440,6 +434,9 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     g = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g)
     plan = _get_plan(cp, g, axes=_get_tomography_axes(cp))
+    n_max = _get_int_at_least(cp, "spectral", "n_max", 1)
+    half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
+    floor = _get_population_floor(cp)
     rho = density_from_pure(state)
     traj = sample_trajectory(rho, cfg, plan)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
@@ -449,8 +446,6 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         spectra[axis] = dft(getattr(traj, axis), traj.times, axis=axis)
         write_spectrum_csv(spectra[axis], out_dir / f"spectrum_{axis}.csv")
 
-    n_max = _get_int(cp, "spectral", "n_max")
-    half_width = _get_half_width(cp)
     peaks = rec_mod.peak_report(
         g, n_max, spectra["z"], spectra.get("x"), spectra.get("y"), half_width
     )
@@ -463,7 +458,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         spectra.get("y"),
         n_max=n_max,
         half_width=half_width,
-        population_floor=_get_population_floor(cp),
+        population_floor=floor,
         reference=state,
     )
     _dump_json(_result_payload(result), out_dir / "reconstruction.json")
@@ -491,30 +486,46 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     leakage-corrected rho_11 estimate and the floor excludes only the DC
     and +-2 Omega_1 windows.  Each ``(n_t, n_m)`` cell is one batch of
     ``n_seeds`` z records, seeds ``plan.seed + k``, on a leading record
-    axis: one ideal mean, one DFT, one leakage solve and one residual
-    floor per cell, each record's numbers bit for bit those of the record
-    run alone.  The cell's xi and S/xi are the means over its records.
+    axis: one DFT, one leakage solve and one residual floor per cell, each
+    record's numbers bit for bit those of the record run alone.  The ideal
+    mean and the shots are drawn once per ``(delta_t, n_m)``, at the
+    longest ``n_t`` of that ``delta_t``; a shorter cell reads the first
+    ``n_t`` points of that stack, which are its records by the sampler's
+    prefix stability.  Without ``t_total`` every ``n_t`` shares one
+    ``delta_t``; with it, each ``n_t`` is its own stack.  Rows run ``n_t``
+    then ``n_m``, both ascending.  The cell's xi and S/xi are the means
+    over its records.
     """
     state = _build_state(cp)
     g = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g)
     rho = density_from_pure(state)
-    base_seed = _get_seed(cp)
-    n_seeds = _get_int(cp, "plan", "n_seeds")
-    _checked("plan.n_seeds", n_seeds, n_seeds >= 1, ">= 1")
-    half_width = _get_half_width(cp)
+    base_seed = _get_int_at_least(cp, "plan", "seed", 0)
+    n_seeds = _get_int_at_least(cp, "plan", "n_seeds", 1)
+    half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
     n_m_list, n_t_list, t_total = _sweep_points(cp)
     freqs = comb_frequencies(g, 1)
     centers = [w.center for w in rec_mod._z_windows(freqs)]
 
+    # The longest cell of a step pops its stack, so the stack is freed there.
+    delta_ts = {
+        n_t: (t_total / n_t) if t_total is not None else _get_delta_t(cp, g)
+        for n_t in sorted(set(n_t_list))
+    }
+    longest = {delta_t: n_t for n_t, delta_t in delta_ts.items()}
+    stacks: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
     rows = []
-    for n_t in sorted(set(n_t_list)):
-        delta_t = (t_total / n_t) if t_total is not None else _get_delta_t(cp, g)
+    for n_t, delta_t in delta_ts.items():
         for n_m in sorted(set(n_m_list)):
-            plan = _get_plan(
-                cp, g, axes=("z",), n_t=n_t, delta_t=delta_t, n_m=n_m, seed=base_seed
-            )
-            spec = dft(sample_records(rho, cfg, plan, n_seeds)["z"], plan.times(), axis="z")
+            key = (delta_t, n_m)
+            if key not in stacks:
+                plan = _get_plan(
+                    cp, g, axes=("z",), n_t=longest[delta_t], delta_t=delta_t, n_m=n_m,
+                    seed=base_seed,
+                )
+                stacks[key] = (plan.times(), sample_records(rho, cfg, plan, n_seeds)["z"])
+            times, records = stacks.pop(key) if n_t == longest[delta_t] else stacks[key]
+            spec = dft(records[:, :n_t], times[:n_t], axis="z")
             hw = min(half_width, max_half_width(centers, spec))
             ests = rec_mod.populations_from_z(spec, freqs, hw)
             xi = rec_mod._z_floor(spec, ests, freqs, hw)
@@ -565,43 +576,40 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     return 0
 
 
-def _dce_config(cp, tau: float) -> dce_mod.DceConfig:
-    return dce_mod.DceConfig(
-        g_over_omega=_get_float(cp, "dce", "g_over_omega"),
-        tau=tau,
-        omega=_get_float(cp, "dce", "omega"),
-        cutoff=_get_int(cp, "dce", "cutoff"),
-    )
-
-
 def cmd_dce(cp, out_dir: Path) -> int:
     g_probe = _get_positive(cp, "probe", "g")
     probe_cfg = ProbeConfig(g=g_probe)
     plan = _get_plan(cp, g_probe, axes=_get_tomography_axes(cp))
-    n_max = _get_int(cp, "spectral", "n_max")
-    half_width = _get_half_width(cp)
+    n_max = _get_int_at_least(cp, "spectral", "n_max", 1)
+    half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
     floor = _get_population_floor(cp)
 
-    omega = _get_float(cp, "dce", "omega")
-    g_quench = _get_float(cp, "dce", "g_over_omega") * omega
+    omega = _get_positive(cp, "dce", "omega")
+    g_over_omega = _get_positive(cp, "dce", "g_over_omega")
+    cutoff = _get_int_at_least(cp, "dce", "cutoff", 2)
     raw_tau = cp.get("dce", "tau").strip().lower()
     if raw_tau == "auto":
-        if g_quench == 0.0:
+        g_quench = g_over_omega * omega
+        if g_quench == 0.0:  # both factors are > 0: the product underflowed
             raise ConfigError(
                 "dce.tau = auto needs a nonzero coupling dce.g_over_omega * dce.omega",
-                key="dce.omega" if omega == 0.0 else "dce.g_over_omega",
+                key="dce.g_over_omega",
             )
         tau_main = math.pi / (2.0 * g_quench)
     else:
-        tau_main = _get_float(cp, "dce", "tau")
+        tau_main = _get_positive(cp, "dce", "tau")
+    tau_list = _get_list(cp, "dce", "tau_list")
+    for tau in tau_list:
+        ok = tau > 0 and math.isfinite(tau)
+        _checked("dce.tau_list", tau, ok, "finite and > 0 in every entry")
     # the tomography point always comes last, after the tau_list entries
-    taus = _get_list(cp, "dce", "tau_list") + [tau_main]
+    taus = tau_list + [tau_main]
     main_index = len(taus) - 1
 
     points = []
     pair_pm = None
     for index, tau in enumerate(taus):
-        cfg = _dce_config(cp, tau)
+        cfg = dce_mod.DceConfig(g_over_omega=g_over_omega, tau=tau, omega=omega, cutoff=cutoff)
         joint = dce_mod.evolve_rabi(cfg)
         pair = dce_mod.condition_on_qubit(joint, basis="ge")
         points.append(dce_mod.dce_record(cfg, joint, pair))
@@ -660,10 +668,12 @@ def cmd_estimate_g(cp, out_dir: Path) -> int:
     g_true = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g_true)
     plan = _get_plan(cp, g_true, axes=("z",))
+    lo = _get_positive(cp, "spectral", "g_min")
+    hi = _get_float(cp, "spectral", "g_max")
+    ok = hi > lo and math.isfinite(hi)
+    _checked("spectral.g_max", hi, ok, "finite and > spectral.g_min")
     traj = sample_trajectory(density_from_pure(state), cfg, plan)
     spec = dft(traj.z, traj.times, axis="z")
-    lo = _get_float(cp, "spectral", "g_min")
-    hi = _get_float(cp, "spectral", "g_max")
     g_hat, score = rec_mod.estimate_coupling(spec, (lo, hi))
     payload = {
         "g_estimate": g_hat,

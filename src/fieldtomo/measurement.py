@@ -11,6 +11,12 @@ with the fixed axis map x -> 0, y -> 1, z -> 2, so:
 * the stream is consumed in time order, so the first ``k`` points of an
   axis do not depend on ``n_t`` (prefix stability).
 
+Prefix stability is load-bearing, not incidental: ``noise-sweep`` samples
+each ``(delta_t, n_m)`` stack once, at its longest ``n_t``, and reads every
+shorter record as the first ``n_t`` columns of that stack.  A sampler
+that broke the property would make those cells differ from a run at their
+own ``n_t``; ``test_sample_records_are_prefix_stable`` pins it bit for bit.
+
 `sample_records` draws many runs of one plan at once, as a leading
 record axis: record ``k`` uses seed ``plan.seed + k`` and is exactly the
 run `sample_trajectory` gives at that seed, while the ideal mean is
@@ -166,22 +172,37 @@ def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
 
 
 def read_trajectory_csv(path: str | Path, kind: str = "sampled") -> BlochTrajectory:
+    """The trajectory of a ``t,x,y,z`` file; an axis left empty on every
+    row stays ``None``.  A row that is not four fields, with ``t`` and each
+    measured axis a number, is a `ValidationError` naming file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "x", "y", "z"]:
             raise ValidationError(f"{path}: expected header t,x,y,z, got {header!r}")
-        rows = [row for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != 4:
+                    raise ValueError
+                rows.append([float(row[0])] + [None if c == "" else float(c) for c in row[1:]])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: expected t,x,y,z with t and every "
+                    f"measured axis a number, got {row!r}"
+                ) from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    times = np.array([float(r[0]) for r in rows])
+    times = np.array([r[0] for r in rows])
     comps: dict[str, Optional[np.ndarray]] = {}
     for i, axis in enumerate(("x", "y", "z"), start=1):
         cells = [r[i] for r in rows]
-        if all(c == "" for c in cells):
+        if all(c is None for c in cells):
             comps[axis] = None
-        elif any(c == "" for c in cells):
+        elif any(c is None for c in cells):
             raise ValidationError(f"{path}: axis {axis} is only partially present")
         else:
-            comps[axis] = np.array([float(c) for c in cells])
+            comps[axis] = np.array(cells)
     return BlochTrajectory(times=times, kind=kind, **comps)

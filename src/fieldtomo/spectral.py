@@ -450,15 +450,29 @@ def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:
     ``2 rows - 1`` when the first row is omega = 0 and ``2 rows - 2``
     when it is the Nyquist row.  A two-sided file (every bin, as older
     versions wrote) is read as it stands.  Raises `GridError` if the
-    omega rows are exactly neither kind of `dft` grid."""
+    omega rows are exactly neither kind of `dft` grid, and
+    `ValidationError` naming the file and line of a row that is not three
+    numbers."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["omega", "re", "im"]:
             raise ValidationError(f"{path}: expected header omega,re,im")
-        rows = [row for row in reader if row]
-    freqs = np.array([float(r[0]) for r in rows])
-    vals = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != 3:
+                    raise ValueError
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: expected three numbers "
+                    f"omega,re,im, got {row!r}"
+                ) from None
+    freqs = np.array([r[0] for r in rows])
+    vals = np.array([complex(r[1], r[2]) for r in rows])
     if freqs.size < 2:
         raise ValidationError(f"{path}: too few rows")
     if not np.all(np.isfinite(freqs)):

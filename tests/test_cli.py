@@ -20,6 +20,7 @@ from fieldtomo import cli
 from fieldtomo.cli import DEFAULTS, main
 from fieldtomo.exceptions import EstimationError, FieldTomoError, exit_code_for
 from fieldtomo.fock import density_from_pure, fock_state
+from fieldtomo.measurement import sample_records
 from fieldtomo.probe import ProbeConfig
 from fieldtomo.reconstruct import reconstruct_from_spectra
 from fieldtomo.spectral import read_spectrum_csv
@@ -378,6 +379,23 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("noise-sweep", "probe.g", "nan"),
         ("dce", "probe.g", "-1"),
         ("estimate-g", "probe.g", "inf"),
+        ("reconstruct", "spectral.n_max", "0"),
+        ("dce", "spectral.n_max", "-1"),
+        ("estimate-g", "spectral.g_min", "-1"),
+        ("estimate-g", "spectral.g_min", "nan"),
+        ("estimate-g", "spectral.g_max", "nan"),
+        ("estimate-g", "spectral.g_max", "inf"),
+        ("estimate-g", "spectral.g_max", "0.4"),
+        ("reconstruct", "state.cutoff", "-1"),
+        ("noise-sweep", "state.cutoff", "0"),
+        ("dce", "dce.cutoff", "-1"),
+        ("dce", "dce.cutoff", "1"),
+        ("dce", "dce.tau", "-1"),
+        ("dce", "dce.tau", "nan"),
+        ("dce", "dce.tau_list", "1 -1"),
+        ("dce", "dce.tau_list", "1 nan"),
+        ("dce", "dce.omega", "nan"),
+        ("dce", "dce.g_over_omega", "inf"),
     ],
 )
 def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
@@ -388,6 +406,7 @@ def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
     body = stderr_error(err)
     assert body["type"] == "ConfigError"
     assert body["key"] == key
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
 
 
 def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
@@ -406,7 +425,7 @@ def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n_t_list=st.lists(st.integers(16, 300), min_size=1, max_size=2),
+    n_t_list=st.lists(st.integers(16, 300), min_size=1, max_size=4),
     n_m_list=st.lists(st.integers(1, 1000), min_size=1, max_size=2),
     n_seeds=st.integers(1, 5),
     t_total=st.one_of(st.none(), st.floats(10.0, 80.0)),
@@ -417,6 +436,10 @@ def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
 @example(
     n_t_list=[128, 129], n_m_list=[1000], n_seeds=5, t_total=None, half_width=4,
     gamma=0.0, seed=12345,
+)
+@example(
+    n_t_list=[1024, 128, 512, 256, 128], n_m_list=[1000], n_seeds=3, t_total=None,
+    half_width=4, gamma=0.02, seed=12345,
 )
 def test_noise_sweep_rows_match_the_per_record_oracle(
     n_t_list, n_m_list, n_seeds, t_total, half_width, gamma, seed
@@ -452,6 +475,31 @@ def test_noise_sweep_rows_match_the_per_record_oracle(
     assert [(int(n_m), int(n_t), float(xi), float(snr)) for n_m, n_t, xi, snr in got] == [
         (r["n_m"], r["n_t"], r["xi"], r["snr"]) for r in want
     ]
+
+
+@pytest.mark.parametrize(
+    "preset, calls, cells", [("paper-fig6-right", 1, 4), ("paper-fig6-left", 10, 10)]
+)
+def test_noise_sweep_samples_once_per_delta_t_and_n_m(
+    capsys, tmp_path, monkeypatch, preset, calls, cells
+):
+    """At a shared delta_t (fig6-right) one stack serves every n_t; with
+    t_total set (fig6-left) each n_t has its own delta_t and draws its own."""
+    seen = []
+
+    def counting(rho, cfg, plan, n_records=1):
+        seen.append((plan.delta_t, plan.n_m, plan.n_t))
+        return sample_records(rho, cfg, plan, n_records)
+
+    monkeypatch.setattr(cli, "sample_records", counting)
+    cfg = write_config(tmp_path, "[plan]\nn_seeds = 2\n")
+    code, _, _ = run(
+        capsys, "noise-sweep", "--preset", preset, "--config", cfg, "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert len(seen) == calls == len(set(seen))
+    lines = (tmp_path / "noise_sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + cells
 
 
 def test_dce_skips_recombination_of_an_empty_branch(capsys, tmp_path):

@@ -13,6 +13,7 @@ from fieldtomo.measurement import (
     MeasurementPlan,
     decohered_expectation,
     read_trajectory_csv,
+    sample_records,
     sample_trajectory,
     write_trajectory_csv,
 )
@@ -22,6 +23,9 @@ from fieldtomo.probe import ProbeConfig, ideal_bloch_trajectory
 @pytest.fixture(scope="module")
 def rho_one():
     return density_from_pure(fock_state(1, 8))
+
+
+AXIS_SUBSETS = [s for r in (1, 2, 3) for s in itertools.combinations("xyz", r)]
 
 
 def test_plan_validation():
@@ -102,6 +106,37 @@ def test_samples_are_prefix_stable(rho_one, probe):
         assert np.array_equal(getattr(short, axis), getattr(long, axis)[:64]), axis
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_records=st.integers(1, 5),
+    n_m=st.integers(1, 1000),
+    gamma=st.sampled_from([0.0, 0.02]),
+    axes=st.sampled_from(AXIS_SUBSETS),
+    sizes=st.lists(st.integers(1, 300), min_size=2, max_size=2, unique=True).map(sorted),
+    seed=st.integers(0, 2**32),
+)
+def test_sample_records_are_prefix_stable(
+    alpha_state, probe, n_records, n_m, gamma, axes, sizes, seed
+):
+    """A stack at n_t = k is, bit for bit, the first k columns of the stack
+    at any n_t = K > k: `noise-sweep` reads its shorter cells that way."""
+    k, big_k = sizes
+    rho = density_from_pure(alpha_state)
+    short, long = (
+        sample_records(
+            rho,
+            probe,
+            MeasurementPlan(delta_t=0.075, n_t=n_t, n_m=n_m, axes=axes, gamma=gamma, seed=seed),
+            n_records,
+        )
+        for n_t in (k, big_k)
+    )
+    assert set(short) == set(long) == set(axes)
+    for axis in axes:
+        assert short[axis].shape == (n_records, k)
+        assert short[axis].tobytes() == np.ascontiguousarray(long[axis][:, :k]).tobytes(), axis
+
+
 def test_axis_stream_is_pinned(rho_one, probe):
     """Each axis is one binomial draw over the stream (seed, axis_index)."""
     seed, n_m = 23, 40
@@ -174,7 +209,6 @@ def test_trajectory_csv_round_trip(tmp_path, rho_one, probe):
     assert np.array_equal(back.z, traj.z)
 
 
-AXIS_SUBSETS = [s for r in (1, 2, 3) for s in itertools.combinations("xyz", r)]
 
 
 @st.composite
@@ -204,3 +238,15 @@ def test_sampled_trajectory_csv_bytes_match_the_oracle(rho_one, probe):
     for axes, n_m in itertools.product(axis_sets, (None, 1000)):
         plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=n_m, axes=axes, seed=4)
         assert_trajectory_csv_bytes(sample_trajectory(rho_one, probe, plan))
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0.1,0", "0.1,a,,", "abc,,,1", "0.1,,,0.5,7"],
+)
+def test_read_trajectory_csv_names_file_and_line_of_a_bad_row(tmp_path, row):
+    path = tmp_path / "traj.csv"
+    path.write_text(f"t,x,y,z\r\n0.05,,,0.25\r\n{row}\r\n")
+    with pytest.raises(ValidationError, match=r"traj\.csv: line 3: ") as info:
+        read_trajectory_csv(path)
+    assert type(info.value) is ValidationError

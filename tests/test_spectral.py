@@ -554,6 +554,15 @@ def test_spectrum_validation():
             Spectrum(freqs=np.arange(3.0), values=values, axis="z", delta_t=0.1)
 
 
+@pytest.mark.parametrize("row", ["-1,0", "-1,abc,0", "-1,0,0,0", ",0,0"])
+def test_read_spectrum_csv_names_file_and_line_of_a_bad_row(tmp_path, row):
+    path = tmp_path / "spec.csv"
+    path.write_text(f"omega,re,im\r\n-2,0,0\r\n{row}\r\n0,1,0\r\n")
+    with pytest.raises(ValidationError, match=r"spec\.csv: line 3: ") as info:
+        read_spectrum_csv(path)
+    assert type(info.value) is ValidationError
+
+
 def test_read_spectrum_csv_rejects_non_finite_freqs(tmp_path):
     path = tmp_path / "spec.csv"
     path.write_text("omega,re,im\r\n-1,0,0\r\nnan,0,0\r\n1,0,0\r\n")
