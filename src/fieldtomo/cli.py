@@ -590,12 +590,15 @@ def cmd_dce(cp, out_dir: Path) -> int:
     raw_tau = cp.get("dce", "tau").strip().lower()
     if raw_tau == "auto":
         g_quench = g_over_omega * omega
-        if g_quench == 0.0:  # both factors are > 0: the product underflowed
+        # Both factors are finite and > 0, but their product can underflow
+        # to 0 or overflow to inf, and a tiny one gives an infinite tau.
+        tau_main = math.pi / (2.0 * g_quench) if g_quench > 0.0 else math.inf
+        if not 0.0 < tau_main < math.inf:
             raise ConfigError(
-                "dce.tau = auto needs a nonzero coupling dce.g_over_omega * dce.omega",
+                f"dce.tau = auto gives tau = pi / (2 dce.g_over_omega dce.omega) = "
+                f"{tau_main!r}, not finite and > 0",
                 key="dce.g_over_omega",
             )
-        tau_main = math.pi / (2.0 * g_quench)
     else:
         tau_main = _get_positive(cp, "dce", "tau")
     tau_list = _get_list(cp, "dce", "tau_list")

@@ -78,6 +78,9 @@ __all__ = [
 DEFAULT_N_MAX = 8
 DEFAULT_POPULATION_FLOOR = 1e-3
 TRACE_TOLERANCE = 0.01
+# estimate_coupling: candidates per refinement batch, and the bracket width it stops at.
+_REFINE_POINTS = 64
+_G_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -550,25 +553,6 @@ def peak_report(
     return out
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-7) -> float:
-    """Golden-section maximizer on [lo, hi] for a unimodal score."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def estimate_coupling(
     spec_z: Spectrum,
     search_range: tuple[float, float] = (0.5, 2.0),
@@ -577,16 +561,21 @@ def estimate_coupling(
 ) -> tuple[float, float]:
     """Locate g by aligning a candidate population comb with the z spectrum.
 
-    Score at candidate g: sum over n of ``max(0, Re pair(2 g sqrt(n)))``
+    Score at candidate g: sum over n of ``max(0, 2 Re area(2 g sqrt(n)))``
     weighted by ``1 / sqrt(n)``, read with narrow half-width-1 windows
     (wide windows plateau over a +-half_width band and can even peak a
-    few bins off, which would bias the argmax).  The scorer is vectorised
-    over candidates: the coarse 1000-point scan is one batched
-    `read_windows` call over the ``(n_coarse, n_use)`` grid of +c
-    windows and one over -c, and it brackets the winner for a
-    golden-section polish that reuses the same scorer.  If the winning
-    comb holds no bin above 5x a robust noise floor, there is no comb to
-    align and an `EstimationError` is raised.
+    few bins off, which would bias the argmax).  The z record is real, so
+    ``F(-omega) = conj F(omega)`` and ``2 Re area(+c)`` is the cosine-pair
+    amplitude ``Re(area(+c) + area(-c))`` to rounding: only the +c windows
+    are read.  The search scores a whole grid of candidates in one
+    `read_windows` call: first ``n_coarse`` points over ``search_range``,
+    then `_REFINE_POINTS` points across the best point's two neighbours,
+    again until that bracket is at most `_G_TOLERANCE` wide (four calls
+    over the default range) or stops shrinking (where the float spacing
+    of g exceeds `_G_TOLERANCE`).  Returns the best candidate and its
+    score from the batch that found it.  If the winning comb holds no bin
+    above 5x a robust noise floor, there is no comb to align and an
+    `EstimationError` is raised.
     """
     lo, hi = search_range
     if not (0 < lo < hi):
@@ -602,21 +591,18 @@ def estimate_coupling(
         )
     roots = np.sqrt(np.arange(1, n_use + 1, dtype=float))
 
-    def score(g):
-        c = (2.0 * np.asarray(g))[..., None] * roots
-        pairs = (read_windows(spec_z, c, 1) + read_windows(spec_z, -c, 1)).real
-        terms = np.where(pairs > 0.0, pairs, 0.0) / roots
-        total = 0.0
-        for k in range(n_use):  # left to right; np.sum would pair terms differently
-            total = total + terms[..., k]
-        return total
-
     grid = np.linspace(lo, hi, n_coarse)
-    scores = score(grid)
-    best = int(np.argmax(scores))
-    g_hat = _golden_section_max(
-        score, grid[max(best - 2, 0)], grid[min(best + 2, n_coarse - 1)]
-    )
+    width = math.inf
+    while True:
+        c = (2.0 * grid)[:, None] * roots
+        pairs = 2.0 * read_windows(spec_z, c, 1).real
+        scores = np.sum(np.where(pairs > 0.0, pairs, 0.0) / roots, axis=1)
+        best = int(np.argmax(scores))
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        if b - a <= _G_TOLERANCE or b - a >= width:
+            break
+        grid, width = np.linspace(a, b, _REFINE_POINTS), b - a
+    g_hat = float(grid[best])
 
     abs_vals = np.abs(spec_z.values)
     robust = float(np.median(abs_vals)) / math.sqrt(math.log(2.0))
@@ -628,4 +614,4 @@ def estimate_coupling(
             f"no spectral peak above 5x the noise floor near the best comb "
             f"(g = {g_hat:.4f}); cannot estimate the coupling"
         )
-    return float(g_hat), float(score(g_hat))
+    return g_hat, float(scores[best])

@@ -4,7 +4,8 @@ with the inputs, checks and observables the comparisons share.
 The references are written the plain way, for clarity rather than
 speed.  The CSV writers and the one-record-at-a-time noise sweep must
 agree with the library bit for bit; the propagators (matrix exponential,
-RK4) to the tolerance a test states.
+RK4) and the golden-section coupling search to the tolerance a test
+states.
 """
 
 import csv
@@ -22,7 +23,7 @@ from fieldtomo.exceptions import EstimationError
 from fieldtomo.fock import SIGMA_Z, joint_op
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
-from fieldtomo.spectral import comb_frequencies, dft, max_half_width
+from fieldtomo.spectral import comb_frequencies, cosine_pair, dft, max_half_width
 
 #: Any float, with those whose text form is easy to get wrong drawn often.
 EDGE_FLOATS = st.one_of(
@@ -170,3 +171,52 @@ def noise_sweep_rows(
                 {"n_m": n_m, "n_t": n_t, "xi": float(np.mean(xis)), "snr": float(np.mean(snrs))}
             )
     return rows
+
+
+def coupling_scores(spec_z, g, n_use: int):
+    """`reconstruct.estimate_coupling`'s score at each candidate ``g`` (any
+    shape), read two-sided: ``sum_n max(0, cosine_pair(2 g sqrt(n))) / sqrt(n)``
+    over the first ``n_use`` harmonics, with half-width-1 windows."""
+    roots = np.sqrt(np.arange(1, n_use + 1, dtype=float))
+    pairs = cosine_pair(spec_z, (2.0 * np.asarray(g, dtype=float))[..., None] * roots, 1)
+    terms = np.where(pairs > 0.0, pairs, 0.0) / roots
+    total = 0.0
+    for k in range(n_use):
+        total = total + terms[..., k]
+    return total
+
+
+def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-7) -> float:
+    """Golden-section maximizer on [lo, hi] for a unimodal score."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def golden_section_coupling(spec_z, search_range=(0.5, 2.0), n_probe=5, n_coarse=1000):
+    """`reconstruct.estimate_coupling`'s g by a sequential search on the
+    two-sided score: a coarse scan of ``n_coarse`` points, then a
+    golden-section polish over the best point +- 2 grid steps.  No
+    noise-floor check."""
+    lo, hi = search_range
+    omega_edge = (spec_z.n_t // 2 - 2) * spec_z.d_omega
+    n_use = min(n_probe, int((omega_edge / (2.0 * hi)) ** 2))
+
+    def score(g):
+        return coupling_scores(spec_z, g, n_use)
+
+    grid = np.linspace(lo, hi, n_coarse)
+    best = int(np.argmax(score(grid)))
+    return golden_section_max(score, grid[max(best - 2, 0)], grid[min(best + 2, n_coarse - 1)])

@@ -355,6 +355,8 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("dce", "spectral.population_floor", "nan"),
         ("dce", "dce.omega", "0"),
         ("dce", "dce.g_over_omega", "0"),
+        ("dce", "dce.g_over_omega", "1e-310"),
+        ("dce", "dce.g_over_omega", "1e308"),
         ("noise-sweep", "plan.n_t_list", "0 128"),
         ("noise-sweep", "plan.n_t_list", "1 128"),
         ("noise-sweep", "plan.n_m_list", "0 10"),

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldtomo.reconstruct
+from oracles import coupling_scores, golden_section_coupling
 from fieldtomo.exceptions import EstimationError, ValidationError
 from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
@@ -14,7 +16,15 @@ from fieldtomo.reconstruct import (
     reconstruct_from_spectra,
     reconstruct_state,
 )
-from fieldtomo.spectral import Spectrum, comb_frequencies, cosine_pair, dft
+from fieldtomo.spectral import (
+    Spectrum,
+    comb_frequencies,
+    cosine_pair,
+    dft,
+    read_spectrum_csv,
+    read_windows,
+    write_spectrum_csv,
+)
 from fieldtomo.states import coherent_state, superposition
 
 TIMES = time_grid(0.075, 4096)
@@ -321,3 +331,59 @@ def test_estimate_coupling_refuses_pure_noise():
     spec = dft(rng.normal(0.0, 0.02, TIMES.size), TIMES, "z")
     with pytest.raises(EstimationError):
         estimate_coupling(spec)
+
+
+@pytest.mark.parametrize("g", [0.8, 1.0, 1.3])
+@pytest.mark.parametrize("kind", ["fock", "coherent"])
+def test_estimate_coupling_matches_the_golden_section_oracle(kind, g):
+    if kind == "fock":
+        state = fock_state(1, 8)
+    else:
+        state = coherent_state(0.7 * np.exp(1j * np.pi / 3), 12)
+    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), TIMES)
+    spec = dft(traj.z, TIMES, "z")
+    assert abs(estimate_coupling(spec)[0] - golden_section_coupling(spec)) <= 1e-7
+
+
+def test_estimate_coupling_on_sampled_records(tmp_path):
+    tol = np.pi / TIMES[-1]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.7, 1.4)
+        if seed % 2 == 0:
+            state = fock_state(1, 8)
+        else:
+            alpha = rng.uniform(0.3, 0.9) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            state = coherent_state(alpha, 12)
+        plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=1000, axes=("z",), seed=seed)
+        traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
+        spec = dft(traj.z, traj.times, "z")
+        g_hat, score = estimate_coupling(spec)
+        assert abs(g_hat - g) < tol, seed
+        # the one-sided batch score is the two-sided score at g_hat
+        assert score == pytest.approx(coupling_scores(spec, g_hat, 5), rel=1e-12, abs=0.0)
+        path = tmp_path / "spectrum_z.csv"
+        write_spectrum_csv(spec, path)
+        assert estimate_coupling(read_spectrum_csv(path))[0] == g_hat, seed
+
+
+@pytest.mark.parametrize(
+    "delta_t, g, search_range, max_reads",
+    [
+        (0.075, 1.0, (0.5, 2.0), 4),  # the default range on the paper's grid
+        (1e-12, 1.5e11, (1e11, 2e11), 16),  # 1e-7 is below the float spacing of g
+    ],
+)
+def test_estimate_coupling_window_reads(monkeypatch, delta_t, g, search_range, max_reads):
+    times = time_grid(delta_t, 4096)
+    spec = dft(np.cos(2.0 * g * times), times, "z")  # a Fock |1> z record
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        assert len(calls) <= max_reads  # fails a search that never stops, not hangs
+        return read_windows(*args, **kwargs)
+
+    monkeypatch.setattr(fieldtomo.reconstruct, "read_windows", counting)
+    g_hat, _ = estimate_coupling(spec, search_range)
+    assert abs(g_hat - g) < np.pi / times[-1]
