@@ -446,11 +446,6 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         spectra[axis] = dft(getattr(traj, axis), traj.times, axis=axis)
         write_spectrum_csv(spectra[axis], out_dir / f"spectrum_{axis}.csv")
 
-    peaks = rec_mod.peak_report(
-        g, n_max, spectra["z"], spectra.get("x"), spectra.get("y"), half_width
-    )
-    _dump_json(_peaks_payload(peaks), out_dir / "peaks.json")
-
     result = rec_mod.reconstruct_from_spectra(
         g,
         spectra["z"],
@@ -461,6 +456,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         population_floor=floor,
         reference=state,
     )
+    _dump_json(_peaks_payload(result.peaks), out_dir / "peaks.json")
     _dump_json(_result_payload(result), out_dir / "reconstruction.json")
     print(f"wrote {out_dir / 'reconstruction.json'}")
     return 0

@@ -90,7 +90,10 @@ def decohered_expectation(ideal: np.ndarray, gamma: float, times: np.ndarray) ->
         raise ValidationError("gamma must be >= 0")
     if gamma == 0.0:
         return np.asarray(ideal, dtype=float)
-    return np.asarray(ideal, dtype=float) * np.exp(-gamma * np.asarray(times, dtype=float))
+    # A huge gamma t overflows to -inf, whose exp is the exact limit 0.
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-gamma * np.asarray(times, dtype=float))
+    return np.asarray(ideal, dtype=float) * envelope
 
 
 def _sample_axis(mean: np.ndarray, n_m: int, seeds: range, axis: str) -> np.ndarray:

@@ -32,8 +32,10 @@ The z side takes a stack of records: for a `Spectrum` whose values are
 returns ``(..., n_max + 1)`` estimates from one stacked solve, and
 `residual_floor` and `_z_floor` return one floor per record.  Each
 record's numbers are bit for bit its one-record result, so
-`reconstruct_from_spectra`, `reconstruct_state` and `peak_report` (one
-record each) and the batched noise sweep share one estimator.
+`reconstruct_from_spectra` (one record) and the batched noise sweep
+share one estimator.  `reconstruct_from_spectra` reads every window once:
+the raw areas of its solves, with the residual floors it measures against
+the solved model, are also its ``peaks``.
 """
 
 from __future__ import annotations
@@ -53,11 +55,9 @@ from .spectral import (
     Spectrum,
     _grid_windows,
     comb_frequencies,
-    cosine_pair,
     dft,
     noise_floor,
     read_windows,
-    sine_pair,
     validate_windows,
     window_gains,
 )
@@ -95,7 +95,9 @@ class ReconstructionResult:
     ``phase_defined[n] = False`` are unconstrained by the data.
     ``partial`` is set when no level reaches the population floor, a
     populated level's phase is undefined, the phase chain breaks, or
-    ``|trace_deficit|`` exceeds `TRACE_TOLERANCE`.
+    ``|trace_deficit|`` exceeds `TRACE_TOLERANCE`.  ``peaks`` holds the raw
+    area of every window read (no leakage removal), z windows first, then
+    x and y, each with its SNR against that axis's residual floor.
     """
 
     populations: np.ndarray
@@ -110,13 +112,7 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
     fidelity_vs_reference: Optional[float] = None
     g_estimate: Optional[float] = None
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """``re + i im`` built exactly (no arithmetic on the parts)."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    peaks: list[PeakEstimate] = field(default_factory=list)
 
 
 def _grid_times(spec: Spectrum) -> np.ndarray:
@@ -217,7 +213,16 @@ def populations_from_z(
     For ``(..., N)`` spectrum values the result is ``(..., n_max + 1)``: one
     matrix, solved against every record's reads.
     """
-    validate_windows([(w.name, w.center) for w in _z_windows(freqs)], half_width, spec)
+    return _solve_z(spec, freqs, half_width)[0]
+
+
+def _solve_z(
+    spec: Spectrum, freqs: dict[str, np.ndarray], half_width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`populations_from_z` and the complex areas it reads, ``(..., 2 n_max
+    + 1)`` in `_z_windows` order: DC, then ``+c_n, -c_n`` for each n."""
+    windows = _z_windows(freqs)
+    validate_windows([(w.name, w.center) for w in windows], half_width, spec)
 
     centers = freqs["z"]
     with_dc = np.concatenate(([0.0], centers))
@@ -225,9 +230,11 @@ def populations_from_z(
     fold = np.concatenate((np.eye(with_dc.size), np.eye(with_dc.size)[1:]))
     weight = np.r_[1.0, np.full(centers.size, 0.5)]
     leak = (fold.T @ window_gains(spec, tones, tones, half_width) @ fold).real * weight
-    reads = cosine_pair(spec, with_dc, half_width)
+    a = read_windows(spec, [w.center for w in windows], half_width)
+    # Cosine-pair amplitudes Re(a(+c) + a(-c)); the DC window counts once.
+    reads = np.concatenate((a[..., :1].real, (a[..., 1::2] + a[..., 2::2]).real), axis=-1)
     # One right-hand side per solve: LAPACK with many would round differently.
-    return np.linalg.solve(leak, reads[..., None])[..., 0]
+    return np.linalg.solve(leak, reads[..., None])[..., 0], a
 
 
 def _diff_band_readable(
@@ -258,6 +265,14 @@ def coherences_from_xy(
 
     ``freqs`` is the `comb_frequencies` comb; its ``sum`` and ``diff``
     tones are read."""
+    return _solve_xy(spec_x, spec_y, freqs, half_width)[:2]
+
+
+def _solve_xy(
+    spec_x: Spectrum, spec_y: Spectrum, freqs: dict[str, np.ndarray], half_width: int
+) -> tuple[np.ndarray, dict, list[_Window], np.ndarray, np.ndarray]:
+    """`coherences_from_xy`, then the windows it reads and their complex
+    areas on x and on y, in `_xy_windows` order."""
     n_max = freqs["sum"].size
     readable = _diff_band_readable(freqs, spec_x, half_width)
     centers = np.concatenate((freqs["sum"], freqs["diff"][readable]))
@@ -273,7 +288,12 @@ def coherences_from_xy(
     gains = window_gains(spec_x, read_at, np.concatenate((band, -band)), half_width)
     areas = gains @ (0.5j * np.concatenate((np.eye(n_max),) * 2 + (-np.eye(n_max),) * 2))
     leak = (areas[: centers.size] - areas[centers.size :]).imag
-    reads = _complex(*(sine_pair(sp, centers, half_width) for sp in (spec_y, spec_x)))
+    pm = np.stack([centers, -centers])
+    ay, ax = (read_windows(sp, pm, half_width) for sp in (spec_y, spec_x))
+    # Sine-pair amplitudes Im(a(+c) - a(-c)): Re S_n from y, Im S_n from x,
+    # set part by part (no arithmetic on them).
+    reads = np.empty(centers.size, dtype=complex)
+    reads.real, reads.imag = (ay[0] - ay[1]).imag, (ax[0] - ax[1]).imag
     # Each readable difference row is averaged with its sum row.
     avg = np.concatenate((np.eye(n_max), np.eye(n_max)[:, readable]), axis=1)
     avg /= avg.sum(axis=1, keepdims=True)
@@ -288,7 +308,10 @@ def coherences_from_xy(
         "diff_band_read": readable.tolist(),
         "band_disagreement": disagreement,
     }
-    return est, diagnostics
+    # Read columns in `_xy_windows` order: each n's sum pair, then its
+    # difference pair where read.
+    order = np.argsort(np.r_[np.arange(n_max), np.flatnonzero(readable)], kind="stable")
+    return est, diagnostics, windows, ax[:, order].T.ravel(), ay[:, order].T.ravel()
 
 
 def chain_phases(
@@ -335,14 +358,6 @@ def assemble_pure_state(populations: np.ndarray, phases: np.ndarray) -> FieldSta
     return FieldState(amps).normalize()
 
 
-def _xy_exclusions(
-    freqs: dict[str, np.ndarray], half_width: int
-) -> list[tuple[float, int]]:
-    """Every xy tone, read or not (the n = 0 difference tone is its sum tone)."""
-    every_diff = np.arange(freqs["sum"].size) > 0
-    return [(w.center, half_width) for w in _xy_windows(freqs, every_diff)]
-
-
 def _z_floor(
     spec: Spectrum, populations: np.ndarray, freqs: dict[str, np.ndarray], half_width: int
 ) -> float | np.ndarray:
@@ -350,6 +365,21 @@ def _z_floor(
     (``(..., n_max + 1)`` for ``(..., N)`` spectrum values)."""
     model = _synth_z(populations, freqs["z"], _grid_times(spec))
     return residual_floor(spec, model, [(w.center, half_width) for w in _z_windows(freqs)])
+
+
+def _peaks(
+    windows: list[_Window], areas: np.ndarray, floor: Optional[float], half_width: int
+) -> list[PeakEstimate]:
+    """One `PeakEstimate` per window, with SNR ``|area| / (floor sqrt(2 hw + 1))``,
+    None without a positive floor or where it is not finite."""
+    width = math.sqrt(2 * half_width + 1)
+
+    def snr(area: complex) -> Optional[float]:
+        val = abs(area) / (floor * width) if floor else math.inf
+        return val if math.isfinite(val) else None
+
+    return [PeakEstimate(w.center, half_width, a, snr(a), w.label, w.family)
+            for w, a in zip(windows, areas.tolist())]
 
 
 def _safe_floor(floor, *args) -> Optional[float]:
@@ -384,7 +414,7 @@ def reconstruct_from_spectra(
     warnings_out: list[str] = []
     diagnostics: dict = {}
 
-    raw = populations_from_z(spec_z, freqs, half_width)
+    raw, z_areas = _solve_z(spec_z, freqs, half_width)
     pops = np.clip(raw, 0.0, None)
     diagnostics["raw_populations"] = raw.tolist()
     if np.any(raw < -1e-6):
@@ -398,20 +428,24 @@ def reconstruct_from_spectra(
             "suspect cutoff or window trouble"
         )
 
-    diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, freqs, half_width)
+    xi_z = diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, freqs, half_width)
+    peaks = _peaks(_z_windows(freqs), z_areas, xi_z, half_width)
 
     coherences = None
     s_upper = None
     links = np.zeros(max(pops.size - 1, 0), dtype=complex)
     if spec_x is not None and spec_y is not None:
-        s_upper, coh_diag = coherences_from_xy(spec_x, spec_y, freqs, half_width)
+        s_upper, coh_diag, xy_windows, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
         diagnostics.update(coh_diag)
         x_model, y_model = _synth_xy(s_upper, freqs, _grid_times(spec_z))
-        excl = _xy_exclusions(freqs, half_width)
+        # Every xy tone, read or not (the n = 0 difference tone is its sum tone).
+        excl = [(w.center, half_width) for w in _xy_windows(freqs, np.arange(n_max) > 0)]
         xi_x = _safe_floor(residual_floor, spec_x, x_model, excl)
         xi_y = _safe_floor(residual_floor, spec_y, y_model, excl)
         diagnostics["noise_floor_x"] = xi_x
         diagnostics["noise_floor_y"] = xi_y
+        for areas, xi in zip(xy_areas, (xi_x, xi_y)):
+            peaks += _peaks(xy_windows, areas, xi, half_width)
         xi_xy = None if xi_x is None or xi_y is None else math.hypot(xi_x, xi_y)
         # One tolerance for the checks on S itself.  Its 1e-6 floor matters
         # on ideal records, where xi_xy (~1e-16) is no larger than rounding.
@@ -473,6 +507,7 @@ def reconstruct_from_spectra(
         warnings=warnings_out,
         diagnostics=diagnostics,
         fidelity_vs_reference=fid,
+        peaks=peaks,
     )
 
 
@@ -510,47 +545,9 @@ def peak_report(
     spec_y: Optional[Spectrum] = None,
     half_width: int = DEFAULT_HALF_WIDTH,
 ) -> list[PeakEstimate]:
-    """Raw per-window areas (no leakage removal) with SNR proxies.
-
-    Each spectrum's windows are read in one `read_windows` call.
-    """
-    freqs = comb_frequencies(g, n_max)
-    width = math.sqrt(2 * half_width + 1)
-
-    def snr_of(area: complex, floor: Optional[float]) -> Optional[float]:
-        if floor is None or floor == 0.0:
-            return None
-        val = abs(area) / (floor * width)
-        return val if math.isfinite(val) else None
-
-    def report(windows: list[_Window], areas: np.ndarray, floor) -> list[PeakEstimate]:
-        return [
-            PeakEstimate(w.center, half_width, a, snr_of(a, floor), w.label, w.family)
-            for w, a in zip(windows, areas.tolist())
-        ]
-
-    z_windows = _z_windows(freqs)
-    area_z = read_windows(spec_z, [w.center for w in z_windows], half_width)
-    # One-pass raw estimates feed the comb model used for SNR floors.
-    raw_p = np.concatenate((area_z[:1].real, (area_z[1::2] + area_z[2::2]).real))
-    out = report(z_windows, area_z, _safe_floor(_z_floor, spec_z, raw_p, freqs, half_width))
-
-    if spec_x is not None and spec_y is not None:
-        excl = _xy_exclusions(freqs, half_width)
-        xy_windows = _xy_windows(freqs, _diff_band_readable(freqs, spec_x, half_width))
-        xy_centers = [w.center for w in xy_windows]
-        is_sum = np.array([w.family == "xy_sum" for w in xy_windows])
-        area_x, area_y = (read_windows(sp, xy_centers, half_width) for sp in (spec_x, spec_y))
-
-        def sines(a: np.ndarray) -> np.ndarray:
-            a = a[is_sum]
-            return (a[0::2] - a[1::2]).imag
-
-        s_raw = np.r_[0.5, np.ones(n_max - 1)] * _complex(sines(area_y), sines(area_x))
-        x_model, y_model = _synth_xy(s_raw, freqs, _grid_times(spec_z))
-        for sp, model, areas in ((spec_x, x_model, area_x), (spec_y, y_model, area_y)):
-            out += report(xy_windows, areas, _safe_floor(residual_floor, sp, model, excl))
-    return out
+    """The ``peaks`` of `reconstruct_from_spectra`: raw per-window areas (no
+    leakage removal) with SNRs against the solved residual floors."""
+    return reconstruct_from_spectra(g, spec_z, spec_x, spec_y, n_max, half_width).peaks
 
 
 def estimate_coupling(

@@ -50,6 +50,7 @@ negative bins are what the window reads use.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -425,6 +426,15 @@ def _unfold(freqs: np.ndarray, values: np.ndarray, n: int):
     return f, v
 
 
+@functools.lru_cache(maxsize=1)
+def _omega_cells(grid: bytes) -> tuple[str, ...]:
+    """The ``%.17g,`` omega cells of a spectrum file on the grid whose
+    ``tobytes()`` is ``grid``.  One entry, keyed by the grid's exact bytes:
+    the spectra of one run share a grid, so it is formatted once per run."""
+    freqs = np.frombuffer(grid)
+    return tuple(map("%.17g,".__mod__, freqs[_one_sided_rows(freqs.size)].tolist()))
+
+
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     """The one-sided spectrum: header ``omega,re,im``, then the ``n_t // 2
     + 1`` rows of ``omega >= 0``, led by the unpaired Nyquist row
@@ -434,12 +444,11 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     ``F(-omega) = conj F(omega)``.  One record per file."""
     if spec.values.ndim != 1:
         raise ValidationError("write_spectrum_csv writes one record, not a stack")
-    rows = _one_sided_rows(spec.freqs.size)
-    values = spec.values[rows]
-    cols = (spec.freqs[rows].tolist(), values.real.tolist(), values.imag.tolist())
+    values = spec.values[_one_sided_rows(spec.freqs.size)]
+    cols = (_omega_cells(spec.freqs.tobytes()), values.real.tolist(), values.imag.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("omega,re,im\r\n")
-        fh.writelines(map("%.17g,%.17g,%.17g\r\n".__mod__, zip(*cols)))
+        fh.writelines(map("%s%.17g,%.17g\r\n".__mod__, zip(*cols)))
 
 
 def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:

@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 
 import fieldtomo
 import oracles
-from fieldtomo import cli
+from fieldtomo import cli, spectral
+from fieldtomo import reconstruct as rec_mod
 from fieldtomo.cli import DEFAULTS, main
 from fieldtomo.exceptions import EstimationError, FieldTomoError, exit_code_for
 from fieldtomo.fock import density_from_pure, fock_state
-from fieldtomo.measurement import sample_records
+from fieldtomo.measurement import read_trajectory_csv, sample_records
 from fieldtomo.probe import ProbeConfig
-from fieldtomo.reconstruct import reconstruct_from_spectra
-from fieldtomo.spectral import read_spectrum_csv
+from fieldtomo.reconstruct import reconstruct_from_spectra, reconstruct_state
+from fieldtomo.spectral import dft, read_spectrum_csv, read_windows
 from fieldtomo.states import save_amplitudes, superposition
 
 
@@ -178,9 +179,97 @@ def test_sampled_runs_are_byte_deterministic(capsys, tmp_path):
             "--out-dir", str(d),
         )
         assert code == 0
-    for name in ("trajectory.csv", "spectrum_z.csv", "peaks.json",
-                 "reconstruction.json"):
+    for name in ("trajectory.csv", "spectrum_x.csv", "spectrum_y.csv", "spectrum_z.csv",
+                 "peaks.json", "reconstruction.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_reconstruct_makes_six_dfts_and_reads_each_window_once(capsys, tmp_path, monkeypatch):
+    """Three record spectra and three residual-floor models; the peaks are
+    the estimator's own reads, one `read_windows` call per spectrum."""
+    calls = {"dft": 0, "read_windows": 0}
+    windows = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "read_windows":
+                windows.append(np.size(args[1]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, rec_mod):
+        monkeypatch.setattr(module, "dft", counting("dft", module.dft))
+    for module in (spectral, rec_mod):
+        monkeypatch.setattr(module, "read_windows", counting("read_windows", read_windows))
+    code, _, _ = run(capsys, "reconstruct", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert calls == {"dft": 6, "read_windows": 3}
+    assert sum(windows) == len(json.loads((tmp_path / "peaks.json").read_text()))
+
+
+@pytest.mark.parametrize("preset", ["paper-state1", "paper-state2", "paper-coherent"])
+def test_peak_areas_are_the_raw_window_reads_of_the_trajectory(capsys, tmp_path, preset):
+    """Every ``peaks.json`` area is, bit for bit, its window read on its own
+    from the spectrum of the written trajectory: z windows, then x, then y."""
+    code, _, _ = run(capsys, "reconstruct", "--preset", preset, "--out-dir", str(tmp_path))
+    assert code == 0
+    traj = read_trajectory_csv(tmp_path / "trajectory.csv")
+    spectra = {a: dft(getattr(traj, a), traj.times, axis=a) for a in "xyz"}
+    peaks = json.loads((tmp_path / "peaks.json").read_text())
+    n_xy = sum(p["family"] != "z" for p in peaks) // 2
+    axes = ["z"] * (len(peaks) - 2 * n_xy) + ["x"] * n_xy + ["y"] * n_xy
+    assert [p["family"] == "z" for p in peaks] == [a == "z" for a in axes]
+    half_width = int(DEFAULTS["spectral"]["half_width"])
+    for axis, p in zip(axes, peaks):
+        area = complex(read_windows(spectra[axis], p["center"], half_width))
+        assert (p["area_re"], p["area_im"]) == (area.real, area.imag), (axis, p["label"])
+
+
+def test_trajectory_file_reconstructs_the_written_result(capsys, tmp_path):
+    """write -> read -> reconstruct: a ``trajectory.csv`` read back gives
+    the populations and trace deficit of ``reconstruction.json`` bit for bit."""
+    code, _, _ = run(
+        capsys, "reconstruct", "--preset", "paper-coherent", "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    spectral = DEFAULTS["spectral"]
+    result = reconstruct_state(
+        read_trajectory_csv(tmp_path / "trajectory.csv"),
+        float(DEFAULTS["probe"]["g"]),
+        n_max=int(spectral["n_max"]),
+        half_width=int(spectral["half_width"]),
+        population_floor=float(spectral["population_floor"]),
+    )
+    payload = json.loads((tmp_path / "reconstruction.json").read_text())
+    assert result.populations.tolist() == payload["populations"]
+    assert result.trace_deficit == payload["trace_deficit"]
+
+
+@pytest.mark.parametrize(
+    "overlay, message",
+    [
+        ("[plan]\nn_t = 8\n", "window for rho[0,0] (bin 0 +- 4) exceeds the frequency grid"),
+        ("[spectral]\nhalf_width = 2000\n",
+         "window for rho[1,1] (bin 98 +- 2000) exceeds the frequency grid"),
+    ],
+)
+@pytest.mark.parametrize("command", ["reconstruct", "dce"])
+def test_off_grid_window_error_names_its_element(capsys, tmp_path, command, overlay, message):
+    cfg = write_config(tmp_path, overlay)
+    code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert stderr_error(err)["type"] == "GridError"
+    assert stderr_error(err)["message"].startswith(message)
+
+
+def test_huge_gamma_reconstructs_without_a_warning(capsys, tmp_path):
+    """gamma t past the float range damps every sample to exactly 0; the
+    suite turns any numpy warning on the way into an error."""
+    cfg = write_config(tmp_path, "[plan]\ngamma = 1e308\n")
+    code, _, _ = run(capsys, "reconstruct", "--config", cfg, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:].max() == 0
 
 
 def test_state_file_flag(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fieldtomo import spectral
 from fieldtomo.exceptions import FieldTomoError, GridError, ResolvabilityError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
@@ -448,6 +449,23 @@ def test_spectrum_csv_is_one_sided_and_reads_back(tmp_path_factory, n_t, seed):
         assert back.freqs[partner] == -back.freqs[k]
         assert back.values[k] == back.values[partner].conjugate()
     assert np.max(np.abs(back.values - spec.values)) <= spec.hermitian_defect()
+
+
+def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
+    """The omega column is memoised per grid: writes on two grids in turn,
+    one a single ulp of delta_t from the other, give each file the bytes of
+    a write with the memo cleared and read back their own grid bit for bit."""
+    dts = [0.075, np.nextafter(0.075, 1.0)]
+    specs = [dft(np.random.default_rng(k).normal(size=64), time_grid(dt, 64), "x")
+             for k, dt in enumerate(dts * 2)]
+    assert specs[0].freqs.tobytes() != specs[1].freqs.tobytes()
+    for k, spec in enumerate(specs):
+        warm, cold = tmp_path / f"warm{k}.csv", tmp_path / f"cold{k}.csv"
+        write_spectrum_csv(spec, warm)
+        spectral._omega_cells.cache_clear()
+        write_spectrum_csv(spec, cold)
+        assert warm.read_bytes() == cold.read_bytes(), k
+        assert read_spectrum_csv(warm).freqs.tobytes() == spec.freqs.tobytes(), k
 
 
 @pytest.mark.parametrize(
