@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+One parser takes the command and the shared options, in any order:
 
 * ``reconstruct``  -- simulate one protocol run and reconstruct the state
 * ``noise-sweep``  -- finite-shot scaling study on a grid of (n_m, n_t)
@@ -161,15 +161,15 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
 # ---------------------------------------------------------------- config
 
 
-def _merged_config(args) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict(DEFAULTS)
+def _merged_config(args) -> dict[str, dict[str, str]]:
+    cp = {section: dict(options) for section, options in DEFAULTS.items()}
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; have: {', '.join(sorted(PRESETS))}"
             )
-        cp.read_dict(PRESETS[args.preset])
+        for section, options in PRESETS[args.preset].items():
+            cp[section].update(options)
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -188,17 +188,16 @@ def _merged_config(args) -> configparser.ConfigParser:
                         f"unknown option {option!r} in section [{section}]",
                         key=f"{section}.{option}",
                     )
-                cp.set(section, option, value)
+                cp[section][option] = value
     if args.seed is not None:
-        cp.set("plan", "seed", str(args.seed))
+        cp["plan"]["seed"] = str(args.seed)
     if args.state_file:
-        cp.set("state", "kind", "file")
-        cp.set("state", "file", args.state_file)
+        cp["state"].update(kind="file", file=args.state_file)
     return cp
 
 
 def _get_float(cp, section: str, option: str) -> float:
-    raw = cp.get(section, option)
+    raw = cp[section][option]
     try:
         return float(raw)
     except ValueError:
@@ -209,7 +208,7 @@ def _get_float(cp, section: str, option: str) -> float:
 
 
 def _get_int(cp, section: str, option: str) -> int:
-    raw = cp.get(section, option)
+    raw = cp[section][option]
     try:
         return int(raw)
     except ValueError:
@@ -225,6 +224,11 @@ def _checked(key: str, value, ok: bool, rule: str):
     if not ok:
         raise ConfigError(f"{key} must be {rule}, got {value!r}", key=key)
     return value
+
+
+def _get_finite(cp, section: str, option: str) -> float:
+    value = _get_float(cp, section, option)
+    return _checked(f"{section}.{option}", value, math.isfinite(value), "finite")
 
 
 def _get_positive(cp, section: str, option: str) -> float:
@@ -247,7 +251,7 @@ def _get_population_floor(cp) -> float:
 
 def _get_list(cp, section: str, option: str, cast=float) -> list:
     """Space- or comma-separated values; an empty value is an empty list."""
-    raw = cp.get(section, option).replace(",", " ")
+    raw = cp[section][option].replace(",", " ")
     try:
         return [cast(tok) for tok in raw.split()]
     except ValueError:
@@ -266,7 +270,7 @@ def _get_int_list(cp, section: str, option: str) -> list[int]:
 
 
 def _get_n_m(cp) -> Optional[int]:
-    raw = cp.get("plan", "n_m").strip().lower()
+    raw = cp["plan"]["n_m"].strip().lower()
     if raw in ("inf", "infinite", "none", ""):
         return None
     try:
@@ -279,7 +283,7 @@ def _get_n_m(cp) -> Optional[int]:
 
 
 def _get_axes(cp) -> tuple[str, ...]:
-    raw = cp.get("plan", "axes").replace(",", " ").replace(" ", "")
+    raw = cp["plan"]["axes"].replace(",", " ").replace(" ", "")
     axes = tuple(dict.fromkeys(raw))  # dedupe, keep order
     if not axes or any(a not in "xyz" for a in axes):
         raise ConfigError(f"plan.axes must combine x, y, z; got {raw!r}", key="plan.axes")
@@ -294,7 +298,7 @@ def _get_tomography_axes(cp) -> tuple[str, ...]:
 
 
 def _get_delta_t(cp, g: float) -> float:
-    raw = cp.get("plan", "delta_t").strip().lower()
+    raw = cp["plan"]["delta_t"].strip().lower()
     if raw == "auto":
         return 0.075 / g
     return _get_positive(cp, "plan", "delta_t")
@@ -323,24 +327,24 @@ def _parse_terms(raw: str) -> list[tuple[int, complex]]:
 def _build_state(cp) -> FieldState:
     from .states import superposition
 
-    kind = cp.get("state", "kind").strip().lower()
+    kind = cp["state"]["kind"].strip().lower()
     cutoff = _get_int_at_least(cp, "state", "cutoff", 1)
     if kind == "fock":
         from .fock import fock_state
 
         return fock_state(_get_int(cp, "state", "n"), cutoff)
     if kind == "superposition":
-        terms = _parse_terms(cp.get("state", "terms"))
+        terms = _parse_terms(cp["state"]["terms"])
         if not terms:
             raise ConfigError("state.terms is empty", key="state.terms")
         return superposition(terms, cutoff)
     if kind == "coherent":
         alpha = complex(
-            _get_float(cp, "state", "alpha_re"), _get_float(cp, "state", "alpha_im")
+            _get_finite(cp, "state", "alpha_re"), _get_finite(cp, "state", "alpha_im")
         )
         return coherent_state(alpha, cutoff)
     if kind == "file":
-        path = cp.get("state", "file").strip()
+        path = cp["state"]["file"].strip()
         if not path:
             raise ConfigError("state.kind = file but state.file is empty", key="state.file")
         if not Path(path).is_file():
@@ -407,8 +411,6 @@ def _result_payload(result: rec_mod.ReconstructionResult) -> dict:
     }
     if result.fidelity_vs_reference is not None:
         payload["fidelity_vs_reference"] = result.fidelity_vs_reference
-    if result.g_estimate is not None:
-        payload["g_estimate"] = result.g_estimate
     return payload
 
 
@@ -468,7 +470,7 @@ def _sweep_points(cp) -> tuple[list[int], list[int], Optional[float]]:
     ``t_total > 0``."""
     n_m_list = _get_int_list(cp, "plan", "n_m_list")
     n_t_list = _get_int_list(cp, "plan", "n_t_list")
-    has_t = bool(cp.get("plan", "t_total").strip())
+    has_t = bool(cp["plan"]["t_total"].strip())
     t_total = _get_positive(cp, "plan", "t_total") if has_t else None
     for key, values, low in (("n_m_list", n_m_list, 1), ("n_t_list", n_t_list, 2)):
         _checked(f"plan.{key}", min(values), min(values) >= low, f">= {low} in every entry")
@@ -583,7 +585,7 @@ def cmd_dce(cp, out_dir: Path) -> int:
     omega = _get_positive(cp, "dce", "omega")
     g_over_omega = _get_positive(cp, "dce", "g_over_omega")
     cutoff = _get_int_at_least(cp, "dce", "cutoff", 2)
-    raw_tau = cp.get("dce", "tau").strip().lower()
+    raw_tau = cp["dce"]["tau"].strip().lower()
     if raw_tau == "auto":
         g_quench = g_over_omega * omega
         # Both factors are finite and > 0, but their product can underflow
@@ -689,12 +691,6 @@ def cmd_estimate_g(cp, out_dir: Path) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _print_defaults() -> None:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict(DEFAULTS)
-    cp.write(sys.stdout)
-
-
 def _error_payload(exc: FieldTomoError) -> dict:
     body = {
         "type": type(exc).__name__,
@@ -707,34 +703,34 @@ def _error_payload(exc: FieldTomoError) -> dict:
     return {"error": body}
 
 
+COMMANDS = {
+    "reconstruct": cmd_reconstruct,
+    "noise-sweep": cmd_noise_sweep,
+    "dce": cmd_dce,
+    "estimate-g": cmd_estimate_g,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fieldtomo",
         description="Stroboscopic probe-qubit tomography of a single field mode",
     )
+    parser.add_argument("command", nargs="?", choices=COMMANDS)
     parser.add_argument(
-        "--print-defaults",
-        action="store_true",
-        help="print the default configuration as INI and exit",
+        "--print-defaults", action="store_true", help="print the default INI and exit"
     )
-    sub = parser.add_subparsers(dest="command")
-    for name, fn in (
-        ("reconstruct", cmd_reconstruct),
-        ("noise-sweep", cmd_noise_sweep),
-        ("dce", cmd_dce),
-        ("estimate-g", cmd_estimate_g),
-    ):
-        p = sub.add_parser(name)
-        p.set_defaults(func=fn)
-        p.add_argument("--config", help="INI configuration file")
-        p.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
-        p.add_argument("--seed", type=int, help="override plan.seed")
-        p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--state-file", help="amplitude file (n re im per line)")
+    parser.add_argument("--config", help="INI configuration file")
+    parser.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
+    parser.add_argument("--seed", type=int, help="override plan.seed")
+    parser.add_argument("--out-dir", default=".", help="artifact directory")
+    parser.add_argument("--state-file", help="amplitude file (n re im per line)")
 
     args = parser.parse_args(argv)
     if args.print_defaults:
-        _print_defaults()
+        defaults = configparser.ConfigParser(interpolation=None)
+        defaults.read_dict(DEFAULTS)
+        defaults.write(sys.stdout)
         return 0
     if args.command is None:
         parser.print_usage(sys.stderr)
@@ -744,7 +740,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cp = _merged_config(args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(cp, out_dir)
+        return COMMANDS[args.command](cp, out_dir)
     except FieldTomoError as exc:
         json.dump(_error_payload(exc), sys.stderr, indent=2, sort_keys=True)
         sys.stderr.write("\n")

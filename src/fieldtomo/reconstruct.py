@@ -111,7 +111,6 @@ class ReconstructionResult:
     warnings: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     fidelity_vs_reference: Optional[float] = None
-    g_estimate: Optional[float] = None
     peaks: list[PeakEstimate] = field(default_factory=list)
 
 

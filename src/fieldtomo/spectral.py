@@ -17,8 +17,7 @@ response.  It reads any number of windows in one array pass; an
 isolated tone is recovered to machine precision at any sub-bin offset,
 and what remains is cross-peak leakage.  `window_gains` gives that
 leakage in closed form, so the reconstruction layer removes it with one
-linear solve.  `integrate_peak`, `cosine_pair` and `sine_pair` are thin
-views of `read_windows`.
+linear solve.  `integrate_peak` is a thin view of `read_windows`.
 
 `comb_frequencies` is the one Rabi comb: every tone position, by family,
 as arrays.  Window geometry has one rule, applied everywhere a window is
@@ -68,8 +67,6 @@ __all__ = [
     "read_windows",
     "window_gains",
     "integrate_peak",
-    "cosine_pair",
-    "sine_pair",
     "noise_floor",
     "comb_frequencies",
     "validate_windows",
@@ -272,37 +269,6 @@ def integrate_peak(
         label=label,
         family=family,
     )
-
-
-def cosine_pair(
-    spec: Spectrum, center, half_width: int = DEFAULT_HALF_WIDTH
-) -> float | np.ndarray:
-    """Amplitude of ``A cos(omega t)``: Re(area(+omega) + area(-omega)).
-
-    ``center`` is a scalar or an array, read in one `read_windows` call;
-    a zero center reads the DC window once.
-    """
-    c = np.asarray(center, dtype=float)
-    areas = read_windows(spec, np.stack([c, -c]), half_width)
-    a_pos, a_neg = np.moveaxis(areas, -1 - c.ndim, 0)
-    out = np.where(c == 0.0, a_pos.real, (a_pos + a_neg).real)
-    return out if out.ndim else float(out)
-
-
-def sine_pair(
-    spec: Spectrum, center, half_width: int = DEFAULT_HALF_WIDTH
-) -> float | np.ndarray:
-    """Amplitude A of ``-A sin(omega t)``: Im(area(+omega) - area(-omega)).
-
-    ``center`` is a scalar or an array of positive frequencies.
-    """
-    c = np.asarray(center, dtype=float)
-    if np.any(c <= 0.0):
-        raise ValidationError("sine_pair needs a positive center frequency")
-    areas = read_windows(spec, np.stack([c, -c]), half_width)
-    a_pos, a_neg = np.moveaxis(areas, -1 - c.ndim, 0)
-    out = (a_pos - a_neg).imag
-    return out if out.ndim else float(out)
 
 
 def noise_floor(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -43,11 +45,20 @@ def superposition(terms: Sequence[tuple[int, complex]], cutoff: int) -> FieldSta
 
 
 def _coherent_required_cutoff(abs_alpha: float, tail: float = 1e-8) -> int:
-    """Smallest n_max with truncated-weight deficit below ``tail``."""
+    """Smallest n_max with truncated-weight deficit below ``tail``.
+
+    The Poisson sum runs up from n = 0 while ``exp(-nbar)`` is a normal
+    float.  Past that it starts ten standard deviations below the mean,
+    from the pmf there taken in log space: the terms it skips weigh less
+    than ``exp(-50)``.
+    """
     nbar = abs_alpha**2
     term = math.exp(-nbar)  # Poisson pmf at n = 0
-    acc = term
     n = 0
+    if term < sys.float_info.min:
+        n = math.floor(nbar - 10.0 * math.sqrt(nbar))
+        term = math.exp(n * math.log(nbar) - nbar - math.lgamma(n + 1))
+    acc = term
     while 1.0 - acc > tail:
         n += 1
         term *= nbar / n
@@ -62,11 +73,23 @@ def coherent_state(alpha: complex, cutoff: int, tail: float = 1e-8) -> FieldStat
 
     The cutoff must capture all but ``tail`` of the Poisson weight;
     otherwise a `CutoffError` names the required cutoff instead of
-    returning a bad state.
+    returning a bad state.  A non-finite ``alpha``, or one so large that
+    the vacuum amplitude ``exp(-|alpha|^2 / 2)`` underflows to 0
+    (``|alpha|`` above about 38.6), is a `ValidationError`.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValidationError(f"coherent state needs a finite alpha, got {alpha!r}")
+    # From 40 on the vacuum amplitude is 0 anyway, and from about 1.3e154
+    # on ``abs(alpha) ** 2`` raises OverflowError.
+    vacuum = math.exp(-0.5 * abs(alpha) ** 2) if abs(alpha) < 40.0 else 0.0
+    if vacuum == 0.0:
+        raise ValidationError(
+            f"coherent state |alpha| = {abs(alpha):.4g} is too large: "
+            "its vacuum amplitude exp(-|alpha|^2 / 2) underflows to 0"
+        )
     required = _coherent_required_cutoff(abs(alpha), tail)
     if cutoff < required:
         raise CutoffError(
@@ -74,7 +97,7 @@ def coherent_state(alpha: complex, cutoff: int, tail: float = 1e-8) -> FieldStat
             f"got {cutoff}"
         )
     amps = np.empty(cutoff + 1, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = vacuum
     for n in range(cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
     return FieldState(amps).normalize()

@@ -2,12 +2,13 @@
 with the inputs, checks and observables the comparisons share.
 
 The references are written the plain way, for clarity rather than
-speed.  The CSV writers and the one-record-at-a-time noise sweep must
-agree with the library bit for bit; the propagators (matrix exponential,
-RK4) and the golden-section coupling search to the tolerance a test
-states.
+speed.  The CSV writers, the one-record-at-a-time noise sweep, the
+`ConfigParser` config merge and the coherent-tail loop must agree with
+the library exactly; the propagators (matrix exponential, RK4) and the
+golden-section coupling search to the tolerance a test states.
 """
 
+import configparser
 import csv
 import math
 import tempfile
@@ -17,13 +18,19 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from fieldtomo.cli import NOISELESS_FLOOR
+from fieldtomo.cli import DEFAULTS, NOISELESS_FLOOR, PRESETS
 from fieldtomo.dce import rabi_hamiltonian
-from fieldtomo.exceptions import EstimationError
+from fieldtomo.exceptions import ConfigError, EstimationError, ValidationError
 from fieldtomo.fock import SIGMA_Z, joint_op
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
-from fieldtomo.spectral import comb_frequencies, cosine_pair, dft, max_half_width
+from fieldtomo.spectral import (
+    DEFAULT_HALF_WIDTH,
+    comb_frequencies,
+    dft,
+    max_half_width,
+    read_windows,
+)
 
 #: Any float, with those whose text form is easy to get wrong drawn often.
 EDGE_FLOATS = st.one_of(
@@ -83,6 +90,79 @@ def write_spectrum_csv(spec, path) -> None:
                 writer.writerow(
                     [format(w, ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")]
                 )
+
+
+def merged_config(
+    preset=None, config=None, seed=None, state_file=None
+) -> configparser.ConfigParser:
+    """`cli._merged_config` through `ConfigParser`: `cli.DEFAULTS`, then the
+    ``preset``, then the INI file ``config``, then ``seed`` and ``state_file``.
+    An unknown preset, section or option is a `ConfigError`."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(DEFAULTS)
+    if preset:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}")
+        cp.read_dict(PRESETS[preset])
+    if config:
+        user = configparser.ConfigParser(interpolation=None)
+        user.read(config)
+        for section in user.sections():
+            if section not in DEFAULTS:
+                raise ConfigError(f"unknown config section [{section}]", key=section)
+            for option, value in user.items(section):
+                if option not in DEFAULTS[section]:
+                    raise ConfigError(f"unknown option {option!r}", key=f"{section}.{option}")
+                cp.set(section, option, value)
+    if seed is not None:
+        cp.set("plan", "seed", str(seed))
+    if state_file:
+        cp.set("state", "kind", "file")
+        cp.set("state", "file", state_file)
+    return cp
+
+
+def coherent_required_cutoff(abs_alpha: float, tail: float = 1e-8) -> int:
+    """`states._coherent_required_cutoff` as a Poisson sum from n = 0 in
+    plain floats.  Exact while ``exp(-|alpha|^2)`` is a normal float
+    (``|alpha|`` up to about 26.6); past that its first terms lose their
+    precision, and from about 27.3 they are 0."""
+    nbar = abs_alpha**2
+    term = math.exp(-nbar)
+    acc = term
+    n = 0
+    while 1.0 - acc > tail:
+        n += 1
+        term *= nbar / n
+        acc += term
+    return max(n, 1)
+
+
+def cosine_pair(spec, center, half_width: int = DEFAULT_HALF_WIDTH):
+    """Amplitude of ``A cos(omega t)``: Re(area(+omega) + area(-omega)).
+
+    ``center`` is a scalar or an array, read in one `read_windows` call;
+    a zero center reads the DC window once.
+    """
+    c = np.asarray(center, dtype=float)
+    areas = read_windows(spec, np.stack([c, -c]), half_width)
+    a_pos, a_neg = np.moveaxis(areas, -1 - c.ndim, 0)
+    out = np.where(c == 0.0, a_pos.real, (a_pos + a_neg).real)
+    return out if out.ndim else float(out)
+
+
+def sine_pair(spec, center, half_width: int = DEFAULT_HALF_WIDTH):
+    """Amplitude A of ``-A sin(omega t)``: Im(area(+omega) - area(-omega)).
+
+    ``center`` is a scalar or an array of positive frequencies.
+    """
+    c = np.asarray(center, dtype=float)
+    if np.any(c <= 0.0):
+        raise ValidationError("sine_pair needs a positive center frequency")
+    areas = read_windows(spec, np.stack([c, -c]), half_width)
+    a_pos, a_neg = np.moveaxis(areas, -1 - c.ndim, 0)
+    out = (a_pos - a_neg).imag
+    return out if out.ndim else float(out)
 
 
 def rabi_psi0(cfg) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from oracles import parity_expectation
+from oracles import cosine_pair, parity_expectation, sine_pair
 from fieldtomo.cli import main
 from fieldtomo.dce import (
     DceConfig,
@@ -38,7 +38,7 @@ from fieldtomo.probe import (
     time_grid,
 )
 from fieldtomo.reconstruct import estimate_coupling, reconstruct_state
-from fieldtomo.spectral import comb_frequencies, cosine_pair, dft, sine_pair
+from fieldtomo.spectral import comb_frequencies, dft
 from fieldtomo.states import coherent_state, superposition
 
 PROBE = ProbeConfig(g=1.0)

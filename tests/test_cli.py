@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -18,8 +19,8 @@ import fieldtomo
 import oracles
 from fieldtomo import cli, spectral
 from fieldtomo import reconstruct as rec_mod
-from fieldtomo.cli import DEFAULTS, main
-from fieldtomo.exceptions import EstimationError, FieldTomoError, exit_code_for
+from fieldtomo.cli import DEFAULTS, PRESETS, main
+from fieldtomo.exceptions import ConfigError, EstimationError, FieldTomoError, exit_code_for
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import read_trajectory_csv, sample_records
 from fieldtomo.probe import ProbeConfig
@@ -52,12 +53,70 @@ def test_print_defaults_round_trips(capsys):
     assert set(cp.sections()) == {"state", "probe", "plan", "spectral", "dce"}
     assert cp.get("plan", "delta_t") == "auto"
     assert cp.get("spectral", "half_width") == "4"
+    oracle = io.StringIO()
+    oracles.merged_config().write(oracle)
+    assert out == oracle.getvalue()
 
 
 def test_no_command_prints_usage(capsys):
     code, _, err = run(capsys)
     assert code == 2
     assert "usage" in err
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--out-dir", "."])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_options_before_the_command_run_the_op(capsys, tmp_path):
+    cfg = write_config(tmp_path, "[plan]\nn_m = 100\n")
+    options = ["--seed", "7", "--config", cfg, "--out-dir"]
+    assert run(capsys, *options, str(tmp_path / "before"), "estimate-g")[0] == 0
+    assert run(capsys, "estimate-g", *options, str(tmp_path / "after"))[0] == 0
+    written = [(tmp_path / d / "g_estimate.json").read_bytes() for d in ("before", "after")]
+    assert written[0] == written[1]
+
+
+KEYS = [(section, option) for section, options in DEFAULTS.items() for option in options]
+INI_VALUES = st.text(alphabet="az09.-:; ", max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    preset=st.sampled_from([None, *sorted(PRESETS)]),
+    overlay=st.one_of(st.none(), st.dictionaries(st.sampled_from(KEYS), INI_VALUES)),
+    unknown=st.sampled_from([None, ("wat", "x"), ("plan", "bogus")]),
+    seed=st.one_of(st.none(), st.integers(-5, 2**40)),
+    state_file=st.one_of(st.none(), st.sampled_from(["", "amps.txt"])),
+)
+def test_merged_config_matches_the_configparser_oracle(preset, overlay, unknown, seed, state_file):
+    """Defaults <- preset <- --config <- --seed/--state-file: every value is
+    the `ConfigParser` merge's, and an unknown key fails with its key."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = None
+        if overlay is not None:
+            entries = {**overlay, unknown: "1"} if unknown else overlay
+            sections = {}
+            for (section, option), value in entries.items():
+                sections.setdefault(section, {})[option] = value
+            config = str(Path(tmp, "run.ini"))
+            ini = configparser.ConfigParser(interpolation=None)
+            ini.read_dict(sections)
+            with open(config, "w") as fh:
+                ini.write(fh)
+        args = SimpleNamespace(preset=preset, config=config, seed=seed, state_file=state_file)
+        try:
+            want = oracles.merged_config(preset, config, seed, state_file)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                cli._merged_config(args)
+            assert got.value.key == exc.key
+            return
+        got = cli._merged_config(args)
+    assert got == {section: dict(want.items(section)) for section in want.sections()}
 
 
 def test_unknown_preset(capsys, tmp_path):
@@ -296,6 +355,21 @@ def test_insufficient_cutoff_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert stderr_error(err)["type"] == "CutoffError"
+
+
+@pytest.mark.parametrize(
+    "option, value, code, key",
+    [
+        ("alpha_re", "inf", 2, "state.alpha_re"),
+        ("alpha_im", "nan", 2, "state.alpha_im"),
+        ("alpha_re", "1e200", 3, None),  # exp(-|alpha|^2 / 2) underflows
+    ],
+)
+def test_coherent_amplitude_out_of_range(capsys, tmp_path, option, value, code, key):
+    cfg = write_config(tmp_path, f"[state]\nkind = coherent\n{option} = {value}\n")
+    got, _, err = run(capsys, "reconstruct", "--config", cfg, "--out-dir", str(tmp_path))
+    assert got == code
+    assert stderr_error(err).get("key") == key
 
 
 def test_unresolvable_grid_exits_4(capsys, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldtomo.reconstruct
-from oracles import coupling_scores, golden_section_coupling
+from oracles import cosine_pair, coupling_scores, golden_section_coupling
 from fieldtomo.exceptions import EstimationError, ValidationError
 from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
@@ -19,7 +19,6 @@ from fieldtomo.reconstruct import (
 from fieldtomo.spectral import (
     Spectrum,
     comb_frequencies,
-    cosine_pair,
     dft,
     read_spectrum_csv,
     read_windows,

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import cosine_pair, sine_pair
 from fieldtomo import spectral
 from fieldtomo.exceptions import FieldTomoError, GridError, ResolvabilityError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
@@ -15,14 +16,12 @@ from fieldtomo.states import coherent_state
 from fieldtomo.spectral import (
     Spectrum,
     comb_frequencies,
-    cosine_pair,
     dft,
     integrate_peak,
     max_half_width,
     noise_floor,
     read_spectrum_csv,
     read_windows,
-    sine_pair,
     validate_windows,
     window_gains,
     write_spectrum_csv,

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fieldtomo.exceptions import CutoffError, ValidationError
 from fieldtomo.states import (
+    _coherent_required_cutoff,
     coherent_state,
     load_amplitudes,
     save_amplitudes,
@@ -72,6 +74,55 @@ def test_coherent_state_insufficient_cutoff_names_requirement():
 def test_coherent_state_mean_photon_number(mod, arg):
     s = coherent_state(mod * np.exp(1j * arg), 25)
     assert s.mean_photon_number() == pytest.approx(mod**2, abs=1e-6)
+
+
+def test_coherent_cutoff_matches_the_plain_poisson_sum():
+    """Wherever the plain sum from n = 0 is exact (exp(-|alpha|^2) a normal
+    float), the bound is the one it gives."""
+    for abs_alpha in np.linspace(0.0, 26.6, 2661):
+        assert _coherent_required_cutoff(abs_alpha) == oracles.coherent_required_cutoff(
+            abs_alpha
+        ), abs_alpha
+
+
+@pytest.mark.parametrize(
+    # Checked by the same Poisson sum in 50-digit arithmetic.  The plain
+    # float sum gives 762 at 27.29 (its first terms are subnormal or 0).
+    "abs_alpha, required",
+    [(27.29, 903), (28.0, 946), (30.0, 1073), (38.5, 1703)],
+)
+def test_coherent_cutoff_past_the_normal_float_range(abs_alpha, required):
+    assert _coherent_required_cutoff(abs_alpha) == required
+    with pytest.raises(CutoffError, match=f"cutoff >= {required}, got {required - 1}"):
+        coherent_state(abs_alpha, required - 1)
+    s = coherent_state(abs_alpha * np.exp(0.3j), required)
+    # The tail cut off holds less than 1e-8 of the weight.
+    assert s.mean_photon_number() == pytest.approx(abs_alpha**2, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "alpha", [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0), 1e200, 38.7]
+)
+def test_coherent_state_rejects_non_finite_or_underflowing_alpha(alpha):
+    """A typed error before any arithmetic: no OverflowError, no warning."""
+    with pytest.raises(ValidationError):
+        coherent_state(alpha, 5000)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    mod=st.floats(min_value=0.0, max_value=1.0),
+    arg=st.floats(min_value=-math.pi, max_value=math.pi),
+    cutoff=st.integers(11, 30),
+)
+def test_coherent_amplitudes_are_the_plain_recursion(mod, arg, cutoff):
+    alpha = mod * np.exp(1j * arg)
+    amps = np.empty(cutoff + 1, dtype=complex)
+    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(cutoff):
+        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
+    want = amps / np.linalg.norm(amps)
+    assert coherent_state(alpha, cutoff).amplitudes.tobytes() == want.tobytes()
 
 
 def test_amplitude_file_round_trip(tmp_path):
