@@ -17,26 +17,22 @@ from .exceptions import (
     GridError,
     IntegrationError,
     ResolvabilityError,
-    TruncationWarning,
     ValidationError,
 )
 from .fock import (
     DensityMatrix,
     FieldState,
     JointState,
-    apply_ladder,
     density_from_pure,
     embed,
     fidelity,
     fock_state,
 )
-from .states import coherent_state, load_amplitudes, save_amplitudes, superposition
+from .states import coherent_state, load_amplitudes, superposition
 from .probe import (
     BlochTrajectory,
     ProbeConfig,
-    bloch_from_qubit,
     ideal_bloch_trajectory,
-    rabi_frequency,
     time_grid,
 )
 from .measurement import (

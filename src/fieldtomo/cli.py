@@ -174,7 +174,9 @@ def _merged_config(args) -> dict[str, dict[str, str]]:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        user = configparser.ConfigParser(interpolation=None)
+        # No section header holds a newline, so [DEFAULT] is an ordinary
+        # section here, refused as unknown, and nothing folds into the others.
+        user = configparser.ConfigParser(interpolation=None, default_section="\n")
         try:
             user.read(path)
         except configparser.Error as exc:
@@ -294,6 +296,8 @@ def _get_tomography_axes(cp) -> tuple[str, ...]:
     axes = _get_axes(cp)
     if "z" not in axes:
         raise ConfigError("plan.axes must include z for reconstruction", key="plan.axes")
+    if ("x" in axes) != ("y" in axes):
+        raise ConfigError("plan.axes must hold x and y together or neither", key="plan.axes")
     return axes
 
 
@@ -332,7 +336,9 @@ def _build_state(cp) -> FieldState:
     if kind == "fock":
         from .fock import fock_state
 
-        return fock_state(_get_int(cp, "state", "n"), cutoff)
+        n = _get_int(cp, "state", "n")
+        _checked("state.n", n, 0 <= n <= cutoff, f"in 0..state.cutoff = {cutoff}")
+        return fock_state(n, cutoff)
     if kind == "superposition":
         terms = _parse_terms(cp["state"]["terms"])
         if not terms:
@@ -401,12 +407,7 @@ def _result_payload(result: rec_mod.ReconstructionResult) -> dict:
             "partial": result.partial,
             "phase_defined": [bool(b) for b in result.phase_defined],
             "warnings": list(result.warnings),
-            **{
-                k: v
-                for k, v in result.diagnostics.items()
-                if k != "raw_populations"
-            },
-            "raw_populations": result.diagnostics.get("raw_populations"),
+            **result.diagnostics,
         },
     }
     if result.fidelity_vs_reference is not None:

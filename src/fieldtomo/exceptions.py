@@ -55,10 +55,6 @@ class ResolvabilityError(FieldTomoError):
     """Two spectral integration windows collide on the frequency grid."""
 
 
-class TruncationWarning(UserWarning):
-    """Weight was silently pushed past the Fock cutoff by an operation."""
-
-
 #: CLI exit codes, keyed by exception family.  Checked in order.
 EXIT_CODES: tuple[tuple[type[FieldTomoError], int], ...] = (
     (ConfigError, 2),

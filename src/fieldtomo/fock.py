@@ -14,26 +14,22 @@ reconstruction sign conventions, so they are pinned here once):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CutoffError, TruncationWarning, ValidationError
+from .exceptions import CutoffError, ValidationError
 
 __all__ = [
     "FieldState",
     "DensityMatrix",
     "JointState",
     "fock_state",
-    "apply_ladder",
     "density_from_pure",
     "fidelity",
     "embed",
     "lowering_op",
     "number_op",
-    "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "SIGMA_PLUS",
     "SIGMA_MINUS",
@@ -42,11 +38,12 @@ __all__ = [
 ]
 
 # Pauli algebra in the (|g>, |e>) basis fixed above.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
+
+#: `embed` refuses a truncation that drops more weight than this
+_EMBED_LEAK = 1e-12
 
 
 def _as_complex_vector(values, what: str) -> np.ndarray:
@@ -62,9 +59,8 @@ def _as_complex_vector(values, what: str) -> np.ndarray:
 class FieldState:
     """Pure field state as amplitudes over ``n = 0 .. cutoff``.
 
-    Not necessarily normalized: ladder operators return unnormalized
-    results by design.  Generators (`fock_state`, `states.coherent_state`,
-    ...) always hand back unit-norm states.
+    Not necessarily normalized.  Generators (`fock_state`,
+    `states.coherent_state`, ...) always hand back unit-norm states.
     """
 
     amplitudes: np.ndarray
@@ -183,36 +179,6 @@ def fock_state(n: int, cutoff: int) -> FieldState:
     return FieldState(amps)
 
 
-def apply_ladder(
-    state: FieldState, which: str, leak_threshold: float = 1e-8
-) -> FieldState:
-    """Apply a (raising | lowering) ladder operator.  Not renormalized.
-
-    Raising pushes the top amplitude past the cutoff; that weight is
-    dropped, and a `TruncationWarning` is issued when it exceeds
-    ``leak_threshold``.
-    """
-    c = state.amplitudes
-    n = np.arange(c.size, dtype=float)
-    out = np.zeros_like(c)
-    if which == "raise":
-        # a^dag |n> = sqrt(n+1) |n+1>
-        out[1:] = np.sqrt(n[:-1] + 1.0) * c[:-1]
-        leaked = (c.size) * abs(c[-1]) ** 2  # sqrt(cutoff+1)|c_top| lost
-        if leaked > leak_threshold:
-            warnings.warn(
-                f"raising leaked weight {leaked:.3e} past cutoff {state.cutoff}",
-                TruncationWarning,
-                stacklevel=2,
-            )
-    elif which == "lower":
-        # a |n> = sqrt(n) |n-1>
-        out[:-1] = np.sqrt(n[1:]) * c[1:]
-    else:
-        raise ValidationError(f"which must be 'raise' or 'lower', got {which!r}")
-    return FieldState(out)
-
-
 def density_from_pure(state: FieldState) -> DensityMatrix:
     if abs(state.norm() - 1.0) > 1e-8:
         raise ValidationError(
@@ -227,7 +193,7 @@ def fidelity(a: FieldState, b: FieldState) -> float:
     return abs(a.overlap(b)) ** 2
 
 
-def embed(state: FieldState, cutoff: int, leak_threshold: float = 1e-12) -> FieldState:
+def embed(state: FieldState, cutoff: int) -> FieldState:
     """Same state on a different cutoff (zero-padded or checked-truncated)."""
     c = state.amplitudes
     if cutoff + 1 >= c.size:
@@ -235,7 +201,7 @@ def embed(state: FieldState, cutoff: int, leak_threshold: float = 1e-12) -> Fiel
         out[: c.size] = c
         return FieldState(out)
     dropped = float(np.sum(np.abs(c[cutoff + 1 :]) ** 2))
-    if dropped > leak_threshold:
+    if dropped > _EMBED_LEAK:
         raise CutoffError(
             f"embedding to cutoff {cutoff} would drop weight {dropped:.3e}"
         )

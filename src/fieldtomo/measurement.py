@@ -174,10 +174,11 @@ def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
         fh.writelines(map(row.__mod__, zip(*cols)))
 
 
-def read_trajectory_csv(path: str | Path, kind: str = "sampled") -> BlochTrajectory:
-    """The trajectory of a ``t,x,y,z`` file; an axis left empty on every
-    row stays ``None``.  A row that is not four fields, with ``t`` and each
-    measured axis a number, is a `ValidationError` naming file and line."""
+def read_trajectory_csv(path: str | Path) -> BlochTrajectory:
+    """The ``"sampled"`` trajectory of a ``t,x,y,z`` file; an axis left empty
+    on every row stays ``None``.  A row that is not four fields, with ``t``
+    and each measured axis a number, is a `ValidationError` naming file and
+    line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -208,4 +209,4 @@ def read_trajectory_csv(path: str | Path, kind: str = "sampled") -> BlochTraject
             raise ValidationError(f"{path}: axis {axis} is only partially present")
         else:
             comps[axis] = np.array(cells)
-    return BlochTrajectory(times=times, kind=kind, **comps)
+    return BlochTrajectory(times=times, kind="sampled", **comps)

@@ -29,9 +29,7 @@ from .fock import DensityMatrix
 __all__ = [
     "ProbeConfig",
     "BlochTrajectory",
-    "rabi_frequency",
     "time_grid",
-    "bloch_from_qubit",
     "ideal_bloch_trajectory",
 ]
 
@@ -49,15 +47,6 @@ class ProbeConfig:
     def __post_init__(self):
         if not (self.g > 0 and math.isfinite(self.g)):
             raise ValidationError(f"coupling g must be positive, got {self.g!r}")
-
-
-def rabi_frequency(n: int, g: float) -> float:
-    """Omega_n = g sqrt(n) for the n-excitation sector."""
-    if n < 0:
-        raise ValidationError(f"sector index must be >= 0, got {n}")
-    if not g > 0:
-        raise ValidationError("coupling g must be positive")
-    return g * math.sqrt(n)
 
 
 def time_grid(delta_t: float, n_t: int) -> np.ndarray:
@@ -137,14 +126,6 @@ class BlochTrajectory:
 
     def axes(self) -> tuple[str, ...]:
         return tuple(a for a in ("x", "y", "z") if getattr(self, a) is not None)
-
-
-def bloch_from_qubit(rho_q: np.ndarray) -> tuple[float, float, float]:
-    """(x, y, z) of a 2x2 qubit density matrix in the |g>, |e> basis."""
-    x = 2.0 * rho_q[0, 1].real
-    y = -2.0 * rho_q[0, 1].imag
-    z = (rho_q[0, 0] - rho_q[1, 1]).real
-    return float(x), float(y), float(z)
 
 
 def ideal_bloch_trajectory(

@@ -78,7 +78,10 @@ __all__ = [
 DEFAULT_N_MAX = 8
 DEFAULT_POPULATION_FLOOR = 1e-3
 TRACE_TOLERANCE = 0.01
-# estimate_coupling: candidates per refinement batch, and the bracket width it stops at.
+# estimate_coupling: harmonics scored at most, coarse-scan points, candidates
+# per refinement batch, and the bracket width it stops at.
+_PROBE_HARMONICS = 5
+_COARSE_POINTS = 1000
 _REFINE_POINTS = 64
 _G_TOLERANCE = 1e-7
 
@@ -274,43 +277,41 @@ def _solve_xy(
     areas on x and on y, in `_xy_windows` order."""
     n_max = freqs["sum"].size
     readable = _diff_band_readable(freqs, spec_x, half_width)
-    centers = np.concatenate((freqs["sum"], freqs["diff"][readable]))
     windows = _xy_windows(freqs, readable)
     validate_windows([(w.name, w.center) for w in windows], half_width, spec_x)
+    centers = [w.center for w in windows]
+    # Solve row r is the window pair (2r, 2r + 1), +c and -c, of level owner[r]:
+    # each n's sum band, then its difference band where read.
+    owner = np.repeat(np.arange(n_max), 1 + readable)
 
     # A unit S_n drives -sin(sum_n t) - sin(diff_n t) on the axis it feeds,
     # every tone included (the n = 0 pair doubles at Omega_1, and unread
     # difference tones still leak into the read windows);
     # -sin(wt) = (i/2)(e^{iwt} - e^{-iwt}) and a read is Im(a(+c) - a(-c)).
     band = np.concatenate((freqs["sum"], freqs["diff"]))
-    read_at = np.concatenate((centers, -centers))
-    gains = window_gains(spec_x, read_at, np.concatenate((band, -band)), half_width)
+    gains = window_gains(spec_x, centers, np.concatenate((band, -band)), half_width)
     areas = gains @ (0.5j * np.concatenate((np.eye(n_max),) * 2 + (-np.eye(n_max),) * 2))
-    leak = (areas[: centers.size] - areas[centers.size :]).imag
-    pm = np.stack([centers, -centers])
-    ay, ax = (read_windows(sp, pm, half_width) for sp in (spec_y, spec_x))
+    leak = (areas[0::2] - areas[1::2]).imag
+    ax, ay = (read_windows(sp, centers, half_width) for sp in (spec_x, spec_y))
     # Sine-pair amplitudes Im(a(+c) - a(-c)): Re S_n from y, Im S_n from x,
     # set part by part (no arithmetic on them).
-    reads = np.empty(centers.size, dtype=complex)
-    reads.real, reads.imag = (ay[0] - ay[1]).imag, (ax[0] - ax[1]).imag
+    reads = np.empty(owner.size, dtype=complex)
+    reads.real, reads.imag = (ay[0::2] - ay[1::2]).imag, (ax[0::2] - ax[1::2]).imag
     # Each readable difference row is averaged with its sum row.
-    avg = np.concatenate((np.eye(n_max), np.eye(n_max)[:, readable]), axis=1)
+    avg = (owner == np.arange(n_max)[:, None]).astype(float)
     avg /= avg.sum(axis=1, keepdims=True)
     est = np.linalg.solve(avg @ leak, avg @ reads)
 
     # Band residuals once the modelled leakage of every tone is taken out.
     resid = reads - leak @ est
     disagreement = [None] * n_max
-    for k, n in enumerate(np.flatnonzero(readable)):
-        disagreement[n] = float(abs(resid[n] - resid[n_max + k]))
+    for r in np.flatnonzero(owner[1:] == owner[:-1]):
+        disagreement[owner[r]] = float(abs(resid[r] - resid[r + 1]))
     diagnostics = {
         "diff_band_read": readable.tolist(),
         "band_disagreement": disagreement,
     }
-    # Read columns in `_xy_windows` order: each n's sum pair, then its
-    # difference pair where read.
-    order = np.argsort(np.r_[np.arange(n_max), np.flatnonzero(readable)], kind="stable")
-    return est, diagnostics, windows, ax[:, order].T.ravel(), ay[:, order].T.ravel()
+    return est, diagnostics, windows, ax, ay
 
 
 def chain_phases(
@@ -552,19 +553,18 @@ def peak_report(
 def estimate_coupling(
     spec_z: Spectrum,
     search_range: tuple[float, float] = (0.5, 2.0),
-    n_probe: int = 5,
-    n_coarse: int = 1000,
 ) -> tuple[float, float]:
     """Locate g by aligning a candidate population comb with the z spectrum.
 
-    Score at candidate g: sum over n of ``max(0, 2 Re area(2 g sqrt(n)))``
+    Score at candidate g: sum over the first `_PROBE_HARMONICS` n that stay
+    on the grid of ``max(0, 2 Re area(2 g sqrt(n)))``
     weighted by ``1 / sqrt(n)``, read with narrow half-width-1 windows
     (wide windows plateau over a +-half_width band and can even peak a
     few bins off, which would bias the argmax).  The z record is real, so
     ``F(-omega) = conj F(omega)`` and ``2 Re area(+c)`` is the cosine-pair
     amplitude ``Re(area(+c) + area(-c))`` to rounding: only the +c windows
     are read.  The search scores a whole grid of candidates in one
-    `read_windows` call: first ``n_coarse`` points over ``search_range``,
+    `read_windows` call: first `_COARSE_POINTS` points over ``search_range``,
     then `_REFINE_POINTS` points across the best point's two neighbours,
     again until that bracket is at most `_G_TOLERANCE` wide (four calls
     over the default range) or stops shrinking (where the float spacing
@@ -580,14 +580,14 @@ def estimate_coupling(
     dw = spec_z.d_omega
     omega_edge = (n // 2 - 2) * dw
     # Keep only harmonics that stay on-grid for every candidate g.
-    n_use = min(n_probe, int((omega_edge / (2.0 * hi)) ** 2))
+    n_use = min(_PROBE_HARMONICS, int((omega_edge / (2.0 * hi)) ** 2))
     if n_use < 1:
         raise ValidationError(
             "search range exceeds the frequency grid; lower the range or raise n_t"
         )
     roots = np.sqrt(np.arange(1, n_use + 1, dtype=float))
 
-    grid = np.linspace(lo, hi, n_coarse)
+    grid = np.linspace(lo, hi, _COARSE_POINTS)
     width = math.inf
     while True:
         c = (2.0 * grid)[:, None] * roots

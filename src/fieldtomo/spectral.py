@@ -40,10 +40,10 @@ Every record is real, so ``F(-omega) = conj F(omega)`` and half of each
 spectrum repeats the other half.  `write_spectrum_csv` therefore writes a
 file one-sided: the ``N // 2 + 1`` rows of ``omega >= 0``, led by the
 unpaired Nyquist row of an even ``N``.  `read_spectrum_csv` rebuilds the
-negative bins by conjugation and still reads two-sided files.  In memory
-a `Spectrum` stays two-sided, as `dft` computes it: ``np.fft.fft`` of a
-real record is not conjugate-symmetric bit for bit, so the stored
-negative bins are what the window reads use.
+negative bins by conjugation.  In memory a `Spectrum` stays two-sided, as
+`dft` computes it: ``np.fft.fft`` of a real record is not
+conjugate-symmetric bit for bit, so the stored negative bins are what the
+window reads use.
 """
 
 from __future__ import annotations
@@ -112,21 +112,6 @@ class Spectrum:
     @property
     def d_omega(self) -> float:
         return 2.0 * math.pi / (self.n_t * self.delta_t)
-
-    def hermitian_defect(self) -> float:
-        """max |F(omega) - conj(F(-omega))| over paired bins and records."""
-        n, v = self.n_t, self.values
-        pos = v[..., n // 2 + 1 :]
-        neg = v[..., 1 : n // 2] if n % 2 == 0 else v[..., : n // 2]
-        defect = float(np.max(np.abs(pos - neg[..., ::-1].conj()))) if pos.size else 0.0
-        return max(defect, float(np.max(np.abs(v[..., n // 2].imag))))
-
-    def parseval_defect(self, signal: np.ndarray) -> float:
-        """|sum |F|^2 - (1/N) sum |s|^2| for the generating signal, the
-        largest over records."""
-        lhs = np.sum(np.abs(self.values) ** 2, axis=-1)
-        rhs = np.mean(np.abs(np.asarray(signal)) ** 2, axis=-1)
-        return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass(frozen=True)
@@ -253,22 +238,11 @@ def window_gains(
 
 
 def integrate_peak(
-    spec: Spectrum,
-    center: float,
-    half_width: int = DEFAULT_HALF_WIDTH,
-    snr: Optional[float] = None,
-    label: Optional[str] = None,
-    family: Optional[str] = None,
+    spec: Spectrum, center: float, half_width: int = DEFAULT_HALF_WIDTH
 ) -> PeakEstimate:
-    """`read_windows` at one center, wrapped in a `PeakEstimate`."""
-    return PeakEstimate(
-        center=center,
-        half_width=half_width,
-        area=complex(read_windows(spec, center, half_width)),
-        snr=snr,
-        label=label,
-        family=family,
-    )
+    """`read_windows` at one center, wrapped in a `PeakEstimate` with no
+    SNR, label or family."""
+    return PeakEstimate(center, half_width, complex(read_windows(spec, center, half_width)))
 
 
 def noise_floor(
@@ -379,11 +353,9 @@ def _is_dft_grid(freqs: np.ndarray) -> bool:
 
 
 def _unfold(freqs: np.ndarray, values: np.ndarray, n: int):
-    """The ``n``-bin two-sided grid and values of a file's rows: the rows as
-    they stand if there are ``n``, else the `_one_sided_rows` of ``n`` with
-    each negative bin the conjugate of its positive partner."""
-    if freqs.size == n:
-        return freqs, values
+    """The ``n``-bin two-sided grid and values of a file's rows, the
+    `_one_sided_rows` of ``n``: each negative bin is the conjugate of its
+    positive partner."""
     rows, neg = _one_sided_rows(n), np.arange(1 - n % 2, n // 2)
     pos = 2 * (n // 2) - neg
     f, v = np.empty(n), np.empty(n, dtype=complex)
@@ -418,14 +390,13 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
 
 
 def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:
-    """The two-sided `Spectrum` of a spectrum file.
+    """The two-sided `Spectrum` of a one-sided spectrum file, as
+    `write_spectrum_csv` writes it.
 
-    A one-sided file, as `write_spectrum_csv` writes it, gets its negative
-    bins by conjugation of their positive partners; its ``n_t`` is
-    ``2 rows - 1`` when the first row is omega = 0 and ``2 rows - 2``
-    when it is the Nyquist row.  A two-sided file (every bin, as older
-    versions wrote) is read as it stands.  Raises `GridError` if the
-    omega rows are exactly neither kind of `dft` grid, and
+    The negative bins are the conjugates of their positive partners; the
+    ``n_t`` is ``2 rows - 1`` when the first row is omega = 0 and
+    ``2 rows - 2`` when it is the Nyquist row.  Raises `GridError` if the
+    omega rows are not the one-sided rows of a `dft` grid, and
     `ValidationError` naming the file and line of a row that is not three
     numbers."""
     with open(path, newline="") as fh:
@@ -452,12 +423,10 @@ def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:
         raise ValidationError(f"{path}: too few rows")
     if not np.all(np.isfinite(freqs)):
         raise ValidationError(f"{path}: omega must be finite")
-    # Two-sided, then one-sided of odd and of even n_t.  At most one of the
-    # three is a dft grid; two rows (-d_omega, 0) are the same n_t = 2
-    # spectrum either way.
-    for n in (freqs.size, 2 * freqs.size - 1, 2 * freqs.size - 2):
+    # One-sided of odd, then of even n_t; at most one of the two is a dft grid.
+    for n in (2 * freqs.size - 1, 2 * freqs.size - 2):
         f, v = _unfold(freqs, vals, n)
         if _is_dft_grid(f):
             dt = 2.0 * math.pi / (_grid_step(f) * n)
             return Spectrum(freqs=f, values=v, axis=axis, delta_t=dt)
-    raise GridError(f"{path}: omega rows are not a dft grid, two-sided or one-sided")
+    raise GridError(f"{path}: omega rows are not the one-sided rows of a dft grid")

@@ -17,8 +17,10 @@ __all__ = [
     "superposition",
     "coherent_state",
     "load_amplitudes",
-    "save_amplitudes",
 ]
+
+#: Poisson weight a coherent state may lose above its cutoff
+_COHERENT_TAIL = 1e-8
 
 
 def superposition(terms: Sequence[tuple[int, complex]], cutoff: int) -> FieldState:
@@ -44,8 +46,8 @@ def superposition(terms: Sequence[tuple[int, complex]], cutoff: int) -> FieldSta
     return FieldState(amps).normalize()
 
 
-def _coherent_required_cutoff(abs_alpha: float, tail: float = 1e-8) -> int:
-    """Smallest n_max with truncated-weight deficit below ``tail``.
+def _coherent_required_cutoff(abs_alpha: float) -> int:
+    """Smallest n_max with truncated-weight deficit below `_COHERENT_TAIL`.
 
     The Poisson sum runs up from n = 0 while ``exp(-nbar)`` is a normal
     float.  Past that it starts ten standard deviations below the mean,
@@ -59,7 +61,7 @@ def _coherent_required_cutoff(abs_alpha: float, tail: float = 1e-8) -> int:
         n = math.floor(nbar - 10.0 * math.sqrt(nbar))
         term = math.exp(n * math.log(nbar) - nbar - math.lgamma(n + 1))
     acc = term
-    while 1.0 - acc > tail:
+    while 1.0 - acc > _COHERENT_TAIL:
         n += 1
         term *= nbar / n
         acc += term
@@ -68,10 +70,10 @@ def _coherent_required_cutoff(abs_alpha: float, tail: float = 1e-8) -> int:
     return max(n, 1)
 
 
-def coherent_state(alpha: complex, cutoff: int, tail: float = 1e-8) -> FieldState:
+def coherent_state(alpha: complex, cutoff: int) -> FieldState:
     """Normalized truncated coherent state |alpha>.
 
-    The cutoff must capture all but ``tail`` of the Poisson weight;
+    The cutoff must capture all but `_COHERENT_TAIL` of the Poisson weight;
     otherwise a `CutoffError` names the required cutoff instead of
     returning a bad state.  A non-finite ``alpha``, or one so large that
     the vacuum amplitude ``exp(-|alpha|^2 / 2)`` underflows to 0
@@ -90,7 +92,7 @@ def coherent_state(alpha: complex, cutoff: int, tail: float = 1e-8) -> FieldStat
             f"coherent state |alpha| = {abs(alpha):.4g} is too large: "
             "its vacuum amplitude exp(-|alpha|^2 / 2) underflows to 0"
         )
-    required = _coherent_required_cutoff(abs(alpha), tail)
+    required = _coherent_required_cutoff(abs(alpha))
     if cutoff < required:
         raise CutoffError(
             f"coherent state |alpha| = {abs(alpha):.4g} needs cutoff >= {required}, "
@@ -133,11 +135,3 @@ def load_amplitudes(path: str | Path, cutoff: int | None = None) -> FieldState:
         cutoff = max(1, max(n for n, _ in entries))
     return superposition(entries, cutoff)
 
-
-def save_amplitudes(state: FieldState, path: str | Path) -> None:
-    lines = [
-        f"{n} {float(amp.real):.17g} {float(amp.imag):.17g}"
-        for n, amp in enumerate(state.amplitudes)
-        if amp != 0
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -105,7 +105,8 @@ def merged_config(
             raise ConfigError(f"unknown preset {preset!r}")
         cp.read_dict(PRESETS[preset])
     if config:
-        user = configparser.ConfigParser(interpolation=None)
+        # [DEFAULT] is an unknown section like any other, never folded in.
+        user = configparser.ConfigParser(interpolation=None, default_section="\n")
         user.read(config)
         for section in user.sections():
             if section not in DEFAULTS:
@@ -165,6 +166,24 @@ def sine_pair(spec, center, half_width: int = DEFAULT_HALF_WIDTH):
     return out if out.ndim else float(out)
 
 
+def hermitian_defect(spec) -> float:
+    """max |F(omega) - conj(F(-omega))| over the paired bins and records of
+    a `Spectrum`, and the largest |Im F| at omega = 0."""
+    n, v = spec.n_t, spec.values
+    pos = v[..., n // 2 + 1 :]
+    neg = v[..., 1 : n // 2] if n % 2 == 0 else v[..., : n // 2]
+    defect = float(np.max(np.abs(pos - neg[..., ::-1].conj()))) if pos.size else 0.0
+    return max(defect, float(np.max(np.abs(v[..., n // 2].imag))))
+
+
+def parseval_defect(spec, signal) -> float:
+    """|sum |F|^2 - (1/N) sum |s|^2| of a `Spectrum` and the signal it was
+    made from, the largest over records."""
+    lhs = np.sum(np.abs(spec.values) ** 2, axis=-1)
+    rhs = np.mean(np.abs(np.asarray(signal)) ** 2, axis=-1)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def rabi_psi0(cfg) -> np.ndarray:
     """|g, 0> on the joint space of a `dce.DceConfig`."""
     psi0 = np.zeros(2 * (cfg.cutoff + 1), dtype=complex)
@@ -202,6 +221,14 @@ def parity_expectation(joint) -> float:
     signs = np.diag((-1.0) ** np.arange(joint.cutoff + 1)).astype(complex)
     psi = joint.amplitudes
     return float(np.real(np.vdot(psi, joint_op(signs, SIGMA_Z) @ psi)))
+
+
+def bloch_from_qubit(rho_q: np.ndarray) -> tuple[float, float, float]:
+    """(x, y, z) of a 2x2 qubit density matrix in the |g>, |e> basis."""
+    x = 2.0 * rho_q[0, 1].real
+    y = -2.0 * rho_q[0, 1].imag
+    z = (rho_q[0, 0] - rho_q[1, 1]).real
+    return float(x), float(y), float(z)
 
 
 def qubit_reduced(joint) -> np.ndarray:

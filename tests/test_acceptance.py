@@ -11,7 +11,14 @@ import time
 import numpy as np
 import scipy.linalg
 
-from oracles import cosine_pair, parity_expectation, sine_pair
+from oracles import (
+    bloch_from_qubit,
+    cosine_pair,
+    hermitian_defect,
+    parity_expectation,
+    parseval_defect,
+    sine_pair,
+)
 from fieldtomo.cli import main
 from fieldtomo.dce import (
     DceConfig,
@@ -33,7 +40,6 @@ from fieldtomo.fock import (
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.probe import (
     ProbeConfig,
-    bloch_from_qubit,
     ideal_bloch_trajectory,
     time_grid,
 )
@@ -255,8 +261,8 @@ def test_criterion_6_property_suites(capsys):
         for axis in ("x", "y", "z"):
             sig = getattr(traj, axis)
             spec = dft(sig, traj.times, axis)
-            worst_parseval = max(worst_parseval, spec.parseval_defect(sig))
-            worst_hermitian = max(worst_hermitian, spec.hermitian_defect())
+            worst_parseval = max(worst_parseval, parseval_defect(spec, sig))
+            worst_hermitian = max(worst_hermitian, hermitian_defect(spec))
 
     # phase-chain break detection
     gap = superposition([(0, 1.0), (2, 1.0)], 8)

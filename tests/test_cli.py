@@ -26,7 +26,6 @@ from fieldtomo.measurement import read_trajectory_csv, sample_records
 from fieldtomo.probe import ProbeConfig
 from fieldtomo.reconstruct import reconstruct_from_spectra, reconstruct_state
 from fieldtomo.spectral import dft, read_spectrum_csv, read_windows
-from fieldtomo.states import save_amplitudes, superposition
 
 
 def run(capsys, *argv):
@@ -88,7 +87,7 @@ INI_VALUES = st.text(alphabet="az09.-:; ", max_size=6)
 @given(
     preset=st.sampled_from([None, *sorted(PRESETS)]),
     overlay=st.one_of(st.none(), st.dictionaries(st.sampled_from(KEYS), INI_VALUES)),
-    unknown=st.sampled_from([None, ("wat", "x"), ("plan", "bogus")]),
+    unknown=st.sampled_from([None, ("wat", "x"), ("plan", "bogus"), ("DEFAULT", "n_t")]),
     seed=st.one_of(st.none(), st.integers(-5, 2**40)),
     state_file=st.one_of(st.none(), st.sampled_from(["", "amps.txt"])),
 )
@@ -145,12 +144,19 @@ def test_unknown_config_key(capsys, tmp_path):
 
 
 def test_unknown_config_section(capsys, tmp_path):
-    cfg = write_config(tmp_path, "[wat]\nx = 1\n")
-    code, _, err = run(
-        capsys, "reconstruct", "--config", cfg, "--out-dir", str(tmp_path)
-    )
-    assert code == 2
-    assert stderr_error(err)["key"] == "wat"
+    # [DEFAULT] is refused too: never ignored, never folded into its neighbours.
+    for text, key in (
+        ("[wat]\nx = 1\n", "wat"),
+        ("[DEFAULT]\nn_t = 64\n", "DEFAULT"),
+        ("[DEFAULT]\nn_t = 64\n[plan]\nn_m = 100\n", "DEFAULT"),
+        ("[DEFAULT]\nn_t = 64\n[state]\nn = 2\n", "DEFAULT"),
+    ):
+        cfg = write_config(tmp_path, text)
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "estimate-g", "--config", cfg, "--out-dir", str(out_dir))
+        assert code == 2
+        assert stderr_error(err)["key"] == key
+        assert not out_dir.exists()  # refused while merging, before the directory is made
 
 
 def test_non_numeric_value(capsys, tmp_path):
@@ -219,14 +225,16 @@ def test_one_sided_spectrum_files_reconstruct_the_state(capsys, tmp_path, preset
 
 
 def test_reconstruct_requires_z(capsys, tmp_path):
-    cfg = write_config(tmp_path, "[plan]\naxes = xy\n")
-    for command in ("reconstruct", "dce"):
-        out_dir = tmp_path / command
-        code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(out_dir))
-        assert code == 2
-        assert stderr_error(err)["type"] == "ConfigError"
-        assert stderr_error(err)["key"] == "plan.axes"
-        assert list(out_dir.iterdir()) == []  # refused before any artifact
+    """Tomography axes hold z, and x and y together or neither."""
+    for axes in ("xy", "xz", "yz"):
+        cfg = write_config(tmp_path, f"[plan]\naxes = {axes}\n")
+        for command in ("reconstruct", "dce"):
+            out_dir = tmp_path / axes / command
+            code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(out_dir))
+            assert code == 2
+            assert stderr_error(err)["type"] == "ConfigError"
+            assert stderr_error(err)["key"] == "plan.axes"
+            assert list(out_dir.iterdir()) == []  # refused before any artifact
 
 
 def test_sampled_runs_are_byte_deterministic(capsys, tmp_path):
@@ -332,9 +340,8 @@ def test_huge_gamma_reconstructs_without_a_warning(capsys, tmp_path):
 
 
 def test_state_file_flag(capsys, tmp_path):
-    state = superposition([(0, 1.0), (2, 1.0)], 8)
     amp_path = tmp_path / "state.txt"
-    save_amplitudes(state, amp_path)
+    amp_path.write_text("0 1.0 0.0\n2 1.0 0.0\n")
     code, _, _ = run(
         capsys, "reconstruct", "--state-file", str(amp_path),
         "--out-dir", str(tmp_path),
@@ -551,6 +558,9 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("estimate-g", "spectral.g_max", "nan"),
         ("estimate-g", "spectral.g_max", "inf"),
         ("estimate-g", "spectral.g_max", "0.4"),
+        ("reconstruct", "state.n", "-1"),
+        ("noise-sweep", "state.n", "13"),
+        ("estimate-g", "state.n", "20"),
         ("reconstruct", "state.cutoff", "-1"),
         ("noise-sweep", "state.cutoff", "0"),
         ("dce", "dce.cutoff", "-1"),
@@ -566,12 +576,13 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
 def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
     section, option = key.split(".")
     cfg = write_config(tmp_path, f"[{section}]\n{option} = {value}\n")
-    code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(tmp_path))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(out_dir))
     assert code == 2
     body = stderr_error(err)
     assert body["type"] == "ConfigError"
     assert body["key"] == key
-    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+    assert list(out_dir.iterdir()) == []  # refused before any artifact
 
 
 def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):

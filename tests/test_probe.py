@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import evolve_joint
+from oracles import bloch_from_qubit, evolve_joint
 from fieldtomo.exceptions import GridError, ValidationError
 from fieldtomo.fock import (
     SIGMA_MINUS,
@@ -15,9 +15,7 @@ from fieldtomo.fock import (
 from fieldtomo.probe import (
     BlochTrajectory,
     ProbeConfig,
-    bloch_from_qubit,
     ideal_bloch_trajectory,
-    rabi_frequency,
     time_grid,
 )
 
@@ -50,11 +48,7 @@ def random_density(rng, cutoff: int) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def test_rabi_frequency():
-    assert rabi_frequency(0, 1.3) == 0.0
-    assert rabi_frequency(4, 0.5) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        rabi_frequency(-1, 1.0)
+def test_probe_config_needs_a_positive_coupling():
     with pytest.raises(ValidationError):
         ProbeConfig(g=0.0)
 
