@@ -105,11 +105,11 @@ def coherent_state(alpha: complex, cutoff: int) -> FieldState:
     return FieldState(amps).normalize()
 
 
-def load_amplitudes(path: str | Path, cutoff: int | None = None) -> FieldState:
+def load_amplitudes(path: str | Path) -> FieldState:
     """Read a state from a text file of ``n  re  im`` lines.
 
-    Blank lines and ``#`` comments are skipped.  The cutoff defaults to
-    the largest ``n`` present (at least 1).  The loaded state is
+    Blank lines and ``#`` comments are skipped.  The cutoff is the
+    largest ``n`` present (at least 1).  The loaded state is
     normalized like any other generator output.
     """
     path = Path(path)
@@ -131,7 +131,5 @@ def load_amplitudes(path: str | Path, cutoff: int | None = None) -> FieldState:
         entries.append((n, complex(re, im)))
     if not entries:
         raise ValidationError(f"{path}: no amplitude entries found")
-    if cutoff is None:
-        cutoff = max(1, max(n for n, _ in entries))
-    return superposition(entries, cutoff)
+    return superposition(entries, max(1, max(n for n, _ in entries)))
 
