@@ -38,7 +38,7 @@ from .exceptions import (
     FieldTomoError,
     exit_code_for,
 )
-from .fock import FieldState, density_from_pure, embed, fidelity
+from .fock import FieldState, density_from_pure, fidelity
 from .measurement import (
     MeasurementPlan,
     sample_records,
@@ -343,6 +343,9 @@ def _build_state(cp) -> FieldState:
         terms = _parse_terms(cp["state"]["terms"])
         if not terms:
             raise ConfigError("state.terms is empty", key="state.terms")
+        rule = f"Fock indices in 0..state.cutoff = {cutoff}"
+        for n, _ in terms:
+            _checked("state.terms", n, 0 <= n <= cutoff, rule)
         return superposition(terms, cutoff)
     if kind == "coherent":
         alpha = complex(
@@ -446,7 +449,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
 
     spectra = {}
     for axis in traj.axes():
-        spectra[axis] = dft(getattr(traj, axis), traj.times, axis=axis)
+        spectra[axis] = dft(getattr(traj, axis), traj.times)
         write_spectrum_csv(spectra[axis], out_dir / f"spectrum_{axis}.csv")
 
     result = rec_mod.reconstruct_from_spectra(
@@ -465,17 +468,25 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_points(cp) -> tuple[list[int], list[int], Optional[float]]:
-    """The sweep grid, checked before any sampling: every ``n_m >= 1``,
-    every ``n_t >= 2`` (a spectrum needs two bins) and, when set, a finite
-    ``t_total > 0``."""
+def _sweep_points(cp, g: float) -> tuple[list[int], dict[int, float]]:
+    """The sweep grid, checked before any sampling: the ``n_m`` values, each
+    ``>= 1``, and the step ``delta_t`` of each ``n_t``, ascending.  Every
+    ``n_t >= 2`` (a spectrum needs two bins).  When set, ``t_total`` is
+    finite and ``> 0``, and every step ``t_total / n_t`` is ``> 0`` (it can
+    underflow); otherwise every ``n_t`` takes ``plan.delta_t``."""
     n_m_list = _get_int_list(cp, "plan", "n_m_list")
     n_t_list = _get_int_list(cp, "plan", "n_t_list")
     has_t = bool(cp["plan"]["t_total"].strip())
     t_total = _get_positive(cp, "plan", "t_total") if has_t else None
     for key, values, low in (("n_m_list", n_m_list, 1), ("n_t_list", n_t_list, 2)):
         _checked(f"plan.{key}", min(values), min(values) >= low, f">= {low} in every entry")
-    return n_m_list, n_t_list, t_total
+    n_ts = sorted(set(n_t_list))
+    if t_total is None:
+        return n_m_list, dict.fromkeys(n_ts, _get_delta_t(cp, g))
+    # The longest record takes the smallest step, the first to underflow.
+    rule = f"large enough that t_total / {n_ts[-1]} > 0"
+    _checked("plan.t_total", t_total, t_total / n_ts[-1] > 0.0, rule)
+    return n_m_list, {n_t: t_total / n_t for n_t in n_ts}
 
 
 def cmd_noise_sweep(cp, out_dir: Path) -> int:
@@ -502,15 +513,11 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     base_seed = _get_int_at_least(cp, "plan", "seed", 0)
     n_seeds = _get_int_at_least(cp, "plan", "n_seeds", 1)
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
-    n_m_list, n_t_list, t_total = _sweep_points(cp)
+    n_m_list, delta_ts = _sweep_points(cp, g)
     freqs = comb_frequencies(g, 1)
     centers = [w.center for w in rec_mod._z_windows(freqs)]
 
     # The longest cell of a step pops its stack, so the stack is freed there.
-    delta_ts = {
-        n_t: (t_total / n_t) if t_total is not None else _get_delta_t(cp, g)
-        for n_t in sorted(set(n_t_list))
-    }
     longest = {delta_t: n_t for n_t, delta_t in delta_ts.items()}
     stacks: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
     rows = []
@@ -524,7 +531,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                 )
                 stacks[key] = (plan.times(), sample_records(rho, cfg, plan, n_seeds)["z"])
             times, records = stacks.pop(key) if n_t == longest[delta_t] else stacks[key]
-            spec = dft(records[:, :n_t], times[:n_t], axis="z")
+            spec = dft(records[:, :n_t], times[:n_t])
             hw = min(half_width, max_half_width(centers, spec))
             ests = rec_mod.populations_from_z(spec, freqs, hw)
             xi = rec_mod._z_floor(spec, ests, freqs, hw)
@@ -604,27 +611,21 @@ def cmd_dce(cp, out_dir: Path) -> int:
     for tau in tau_list:
         ok = tau > 0 and math.isfinite(tau)
         _checked("dce.tau_list", tau, ok, "finite and > 0 in every entry")
-    # the tomography point always comes last, after the tau_list entries
-    taus = tau_list + [tau_main]
-    main_index = len(taus) - 1
-
     points = []
-    pair_pm = None
-    for index, tau in enumerate(taus):
+    # The tomography point comes last, after the tau_list entries, so the
+    # loop leaves its conditional branches in `pair`.
+    for tau in tau_list + [tau_main]:
         cfg = dce_mod.DceConfig(g_over_omega=g_over_omega, tau=tau, omega=omega, cutoff=cutoff)
         joint = dce_mod.evolve_rabi(cfg)
-        pair = dce_mod.condition_on_qubit(joint, basis="ge")
+        pair = dce_mod.condition_on_qubit(joint)
         points.append(dce_mod.dce_record(cfg, joint, pair))
-        if index == main_index:
-            pair_pm = dce_mod.condition_on_qubit(joint, basis="pm")
 
     tomo: dict = {"tau": tau_main, "warnings": []}
-    phi_plus, phi_minus = pair_pm.states
-    if phi_plus is None or phi_minus is None:
+    if pair.phi_plus is None or pair.phi_minus is None:
         raise DegenerateBranchError("a |+-> conditional branch has zero weight")
 
     rec_states = {}
-    for label, phi in (("plus", phi_plus), ("minus", phi_minus)):
+    for label, phi in (("plus", pair.phi_plus), ("minus", pair.phi_minus)):
         traj = sample_trajectory(density_from_pure(phi), probe_cfg, plan)
         result = rec_mod.reconstruct_state(
             traj,
@@ -644,20 +645,15 @@ def cmd_dce(cp, out_dir: Path) -> int:
                 "a reconstructed |+-> branch has no level above spectral.population_floor"
             )
         rec_g, rec_e = dce_mod.recombine_branches(
-            rec_states["plus"], rec_states["minus"], pair_pm.c_g, pair_pm.c_e
+            rec_states["plus"], rec_states["minus"], pair.c_g, pair.c_e
         )
     except DegenerateBranchError as exc:
         tomo["recombined"] = None
         tomo["warnings"].append(f"recombination skipped: {exc}")
     else:
-        cut = max(rec_g.cutoff, pair_pm.phi_g.cutoff if pair_pm.phi_g else 0)
         tomo["recombined"] = {
-            "fidelity_phi_g": None
-            if pair_pm.phi_g is None
-            else fidelity(embed(rec_g, cut), embed(pair_pm.phi_g, cut)),
-            "fidelity_phi_e": None
-            if pair_pm.phi_e is None
-            else fidelity(embed(rec_e, cut), embed(pair_pm.phi_e, cut)),
+            "fidelity_phi_g": None if pair.phi_g is None else fidelity(rec_g, pair.phi_g),
+            "fidelity_phi_e": None if pair.phi_e is None else fidelity(rec_e, pair.phi_e),
         }
 
     _dump_json({"points": points, "tomography": tomo}, out_dir / "dce.json")
@@ -675,7 +671,7 @@ def cmd_estimate_g(cp, out_dir: Path) -> int:
     ok = hi > lo and math.isfinite(hi)
     _checked("spectral.g_max", hi, ok, "finite and > spectral.g_min")
     traj = sample_trajectory(density_from_pure(state), cfg, plan)
-    spec = dft(traj.z, traj.times, axis="z")
+    spec = dft(traj.z, traj.times)
     g_hat, score = rec_mod.estimate_coupling(spec, (lo, hi))
     payload = {
         "g_estimate": g_hat,

@@ -132,30 +132,28 @@ def evolve_rabi(cfg: DceConfig) -> JointState:
 
 @dataclass(frozen=True)
 class ConditionalPair:
-    """Field states conditioned on a qubit measurement.
+    """Field states conditioned on a qubit measurement, in both bases.
 
     ``c_g`` and ``c_e`` are the branch amplitudes in the qubit energy
     basis, gauged real and non-negative (branch phases live inside the
-    states).  ``states`` / ``probabilities`` refer to the requested
-    measurement basis: ``(phi_g, phi_e)`` for "ge", ``(phi_+, phi_-)``
-    for "pm".  A branch with zero weight is stored as ``None``.
+    states), and ``phi_g`` / ``phi_e`` the normalized branches.
+    ``phi_plus`` / ``phi_minus`` are the normalized branches of a
+    measurement in the |+-> basis, ``(c_g phi_g +- c_e phi_e) / sqrt(2)``
+    up to normalization; for a state of fixed joint parity, as a quench
+    from |g, 0> is, each is reached with probability 1/2.  A branch with
+    zero weight is stored as ``None``.
     """
 
-    basis: str
     c_g: float
     c_e: float
     phi_g: Optional[FieldState]
     phi_e: Optional[FieldState]
-    states: tuple[Optional[FieldState], Optional[FieldState]]
-    probabilities: tuple[float, float]
+    phi_plus: Optional[FieldState]
+    phi_minus: Optional[FieldState]
 
     def __post_init__(self):
-        if self.basis not in ("ge", "pm"):
-            raise ValidationError(f"basis must be 'ge' or 'pm', got {self.basis!r}")
         if abs(self.c_g**2 + self.c_e**2 - 1.0) > 1e-9:
             raise ValidationError("branch weights do not sum to 1")
-        if abs(sum(self.probabilities) - 1.0) > 1e-9:
-            raise ValidationError("conditional probabilities do not sum to 1")
 
     @property
     def p_g(self) -> float:
@@ -169,36 +167,24 @@ class ConditionalPair:
 _ZERO_BRANCH = 1e-15
 
 
-def condition_on_qubit(joint: JointState, basis: str = "ge") -> ConditionalPair:
-    """Decompose a joint pure state by a projective qubit measurement."""
+def condition_on_qubit(joint: JointState) -> ConditionalPair:
+    """Decompose a joint pure state by a projective qubit measurement, in
+    the energy basis and in the |+-> basis."""
     branch_g, branch_e = field_branches(joint)
     c_g = float(np.linalg.norm(branch_g))
     c_e = float(np.linalg.norm(branch_e))
-    phi_g = FieldState(branch_g / c_g) if c_g > _ZERO_BRANCH else None
-    phi_e = FieldState(branch_e / c_e) if c_e > _ZERO_BRANCH else None
-    if basis == "ge":
-        states = (phi_g, phi_e)
-        probs = (c_g**2, c_e**2)
-    elif basis == "pm":
-        b_plus = (branch_g + branch_e) / math.sqrt(2.0)
-        b_minus = (branch_g - branch_e) / math.sqrt(2.0)
-        p_plus = float(np.linalg.norm(b_plus) ** 2)
-        p_minus = float(np.linalg.norm(b_minus) ** 2)
-        states = (
-            FieldState(b_plus / math.sqrt(p_plus)) if p_plus > _ZERO_BRANCH**2 else None,
-            FieldState(b_minus / math.sqrt(p_minus)) if p_minus > _ZERO_BRANCH**2 else None,
-        )
-        probs = (p_plus, p_minus)
-    else:
-        raise ValidationError(f"basis must be 'ge' or 'pm', got {basis!r}")
+    pm = []
+    for ket in (branch_g + branch_e, branch_g - branch_e):
+        ket = ket / math.sqrt(2.0)
+        weight = float(np.linalg.norm(ket) ** 2)  # p_+ or p_-
+        pm.append(FieldState(ket / math.sqrt(weight)) if weight > _ZERO_BRANCH**2 else None)
     return ConditionalPair(
-        basis=basis,
         c_g=c_g,
         c_e=c_e,
-        phi_g=phi_g,
-        phi_e=phi_e,
-        states=states,
-        probabilities=probs,
+        phi_g=FieldState(branch_g / c_g) if c_g > _ZERO_BRANCH else None,
+        phi_e=FieldState(branch_e / c_e) if c_e > _ZERO_BRANCH else None,
+        phi_plus=pm[0],
+        phi_minus=pm[1],
     )
 
 

@@ -189,8 +189,10 @@ def density_from_pure(state: FieldState) -> DensityMatrix:
 
 
 def fidelity(a: FieldState, b: FieldState) -> float:
-    """|<a|b>|^2 between two pure states on the same cutoff."""
-    return abs(a.overlap(b)) ** 2
+    """|<a|b>|^2 between two pure states, the one on the lower cutoff
+    zero-padded (`embed`) to the other's; neither is renormalized."""
+    cutoff = max(a.cutoff, b.cutoff)
+    return abs(embed(a, cutoff).overlap(embed(b, cutoff))) ** 2
 
 
 def embed(state: FieldState, cutoff: int) -> FieldState:

@@ -147,17 +147,7 @@ def sample_trajectory(
     """Simulate the full protocol run for one target state: the one-record
     view of `sample_records`."""
     comps = sample_records(rho, cfg, plan)
-    return BlochTrajectory(
-        times=plan.times(),
-        **{axis: rows[0] for axis, rows in comps.items()},
-        kind="ideal" if plan.n_m is None else "sampled",
-        metadata={
-            "g": cfg.g,
-            "n_m": plan.n_m,
-            "gamma": plan.gamma,
-            "seed": plan.seed,
-        },
-    )
+    return BlochTrajectory(plan.times(), **{axis: rows[0] for axis, rows in comps.items()})
 
 
 def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
@@ -175,10 +165,9 @@ def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
 
 
 def read_trajectory_csv(path: str | Path) -> BlochTrajectory:
-    """The ``"sampled"`` trajectory of a ``t,x,y,z`` file; an axis left empty
-    on every row stays ``None``.  A row that is not four fields, with ``t``
-    and each measured axis a number, is a `ValidationError` naming file and
-    line."""
+    """The trajectory of a ``t,x,y,z`` file; an axis left empty on every row
+    stays ``None``.  A row that is not four fields, with ``t`` and each
+    measured axis a number, is a `ValidationError` naming file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -209,4 +198,4 @@ def read_trajectory_csv(path: str | Path) -> BlochTrajectory:
             raise ValidationError(f"{path}: axis {axis} is only partially present")
         else:
             comps[axis] = np.array(cells)
-    return BlochTrajectory(times=times, kind="sampled", **comps)
+    return BlochTrajectory(times=times, **comps)

@@ -18,7 +18,7 @@ expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,29 +77,26 @@ def _check_uniform(times: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BlochTrajectory:
-    """Sampled (or ideal) Bloch components on a uniform time grid.
+    """Bloch components, exact or finite-shot averages, on a uniform time grid.
 
-    Axes that were never measured stay ``None``.  ``kind`` is "ideal"
-    for exact expectation values and "sampled" for finite-shot averages;
-    both are bounded by 1 in magnitude (an empirical mean of +-1 values
-    cannot leave the interval).
+    Axes that were never measured stay ``None``.  Every component is
+    bounded by 1 in magnitude (an empirical mean of +-1 values cannot
+    leave the interval).  The record holds only the data: grid spacing
+    and length follow from ``times``, and the probe, shot budget and
+    seed that made it stay with the caller.
     """
 
     times: np.ndarray
     x: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
-    kind: str = "ideal"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        dt = _check_uniform(t)
+        _check_uniform(t)
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        if self.kind not in ("ideal", "sampled"):
-            raise ValidationError(f"kind must be 'ideal' or 'sampled', got {self.kind!r}")
         if self.x is None and self.y is None and self.z is None:
             raise ValidationError("trajectory must carry at least one axis")
         for name in ("x", "y", "z"):
@@ -114,15 +111,6 @@ class BlochTrajectory:
             comp = comp.copy()
             comp.setflags(write=False)
             object.__setattr__(self, name, comp)
-        object.__setattr__(self, "metadata", dict(self.metadata, delta_t=dt))
-
-    @property
-    def delta_t(self) -> float:
-        return self.metadata["delta_t"]
-
-    @property
-    def n_t(self) -> int:
-        return self.times.size
 
     def axes(self) -> tuple[str, ...]:
         return tuple(a for a in ("x", "y", "z") if getattr(self, a) is not None)
@@ -166,9 +154,4 @@ def ideal_bloch_trajectory(
             ge = ge + sup[n] * np.cos(omega[n] * t) * np.sin(omega[n + 1] * t)
         ge = 1j * ge
         comps.update(x=2.0 * ge.real, y=-2.0 * ge.imag)
-    return BlochTrajectory(
-        times=t,
-        **{a: comps[a] for a in axes},
-        kind="ideal",
-        metadata={"g": cfg.g},
-    )
+    return BlochTrajectory(times=t, **{a: comps[a] for a in axes})

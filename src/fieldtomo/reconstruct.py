@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exceptions import EstimationError, ValidationError
-from .fock import FieldState, embed, fidelity
+from .fock import FieldState, fidelity
 from .probe import BlochTrajectory
 from .spectral import (
     DEFAULT_HALF_WIDTH,
@@ -157,10 +157,10 @@ def residual_floor(
     can dominate the free-bin RMS.  The floor is therefore measured on
     the residual, which for an ideal record is numerically zero.
     """
-    model = dft(model_signal, _grid_times(spec), axis=spec.axis)
+    model = dft(model_signal, _grid_times(spec))
     resid = spec.values - model.values
     del model  # a stack of records holds one spectrum-sized temporary less
-    return noise_floor(Spectrum(spec.freqs, resid, spec.axis, spec.delta_t), exclude)
+    return noise_floor(Spectrum(spec.freqs, resid, spec.delta_t), exclude)
 
 
 class _Window(NamedTuple):
@@ -378,7 +378,7 @@ def _peaks(
         val = abs(area) / (floor * width) if floor else math.inf
         return val if math.isfinite(val) else None
 
-    return [PeakEstimate(w.center, half_width, a, snr(a), w.label, w.family)
+    return [PeakEstimate(w.center, a, snr(a), w.label, w.family)
             for w, a in zip(windows, areas.tolist())]
 
 
@@ -388,12 +388,6 @@ def _safe_floor(floor, *args) -> Optional[float]:
         return floor(*args)
     except ValidationError:
         return None
-
-
-def _padded_overlap(a: FieldState, b: FieldState) -> float:
-    """|<a|b>|^2 with the shorter amplitude vector zero-padded (no renorm)."""
-    cut = max(a.cutoff, b.cutoff)
-    return fidelity(embed(a, cut), embed(b, cut))
 
 
 def reconstruct_from_spectra(
@@ -493,7 +487,7 @@ def reconstruct_from_spectra(
 
     fid = None
     if state is not None and reference is not None:
-        fid = _padded_overlap(state, reference)
+        fid = fidelity(state, reference)
 
     return ReconstructionResult(
         populations=pops,
@@ -522,9 +516,9 @@ def reconstruct_state(
     """Convenience wrapper: trajectory -> spectra -> estimates."""
     if traj.z is None:
         raise ValidationError("reconstruction requires the z axis")
-    spec_z = dft(traj.z, traj.times, axis="z")
-    spec_x = dft(traj.x, traj.times, axis="x") if traj.x is not None else None
-    spec_y = dft(traj.y, traj.times, axis="y") if traj.y is not None else None
+    spec_z = dft(traj.z, traj.times)
+    spec_x = dft(traj.x, traj.times) if traj.x is not None else None
+    spec_y = dft(traj.y, traj.times) if traj.y is not None else None
     return reconstruct_from_spectra(
         g,
         spec_z,
@@ -603,8 +597,9 @@ def estimate_coupling(
     abs_vals = np.abs(spec_z.values)
     robust = float(np.median(abs_vals)) / math.sqrt(math.log(2.0))
     c = 2.0 * g_hat * roots
-    bins = np.rint(np.concatenate((c, -c)) / dw).astype(np.intp) + n // 2
-    peak_amp = float(np.max(abs_vals[np.clip(bins[:, None] + [-1, 0, 1], 0, n - 1)]))
+    # The +-1 bins around each +-c; n_use keeps every such window on the grid.
+    _, _, idx, _ = _grid_windows(spec_z, np.concatenate((c, -c)), 1)
+    peak_amp = float(np.max(abs_vals[idx.astype(np.intp)[:, None] + [-1, 0, 1]]))
     if robust > 0.0 and peak_amp <= 5.0 * robust:
         raise EstimationError(
             f"no spectral peak above 5x the noise floor near the best comb "

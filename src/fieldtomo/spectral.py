@@ -80,14 +80,13 @@ DEFAULT_HALF_WIDTH = 4
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-axis spectrum on the signed, ascending frequency grid.
+    """Spectrum of one Bloch component on the signed, ascending frequency grid.
 
     ``values`` has shape ``(..., N)``: one record, or a stack of records
     that share ``freqs`` and ``delta_t``."""
 
     freqs: np.ndarray
     values: np.ndarray
-    axis: str
     delta_t: float
 
     def __post_init__(self):
@@ -117,18 +116,19 @@ class Spectrum:
 @dataclass(frozen=True)
 class PeakEstimate:
     center: float
-    half_width: int
     area: complex
     snr: Optional[float] = None
     label: Optional[str] = None
     family: Optional[str] = None
 
 
-def dft(signal: np.ndarray, times: np.ndarray, axis: str = "z") -> Spectrum:
+def dft(signal: np.ndarray, times: np.ndarray) -> Spectrum:
     """Spectrum of a trajectory component on the canonical t_k = k dt grid.
 
     ``signal`` is one record, shape ``(N,)``, or a stack ``(..., N)`` of
-    records on the same ``times``, transformed in one FFT."""
+    records on the same ``times``, transformed in one FFT.  The spectrum
+    does not record which Bloch axis it came from; callers key spectra by
+    axis themselves."""
     s = np.asarray(signal, dtype=float)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or s.shape[-1:] != t.shape:
@@ -145,7 +145,7 @@ def dft(signal: np.ndarray, times: np.ndarray, axis: str = "z") -> Spectrum:
     vals = np.fft.fftshift(np.fft.fft(s, axis=-1), axes=-1)
     vals /= n
     vals *= np.exp(-1j * om * dt)
-    return Spectrum(freqs=om, values=vals, axis=axis, delta_t=dt)
+    return Spectrum(freqs=om, values=vals, delta_t=dt)
 
 
 def _dirichlet_sum(u, half_width: int, n: int) -> np.ndarray:
@@ -242,7 +242,7 @@ def integrate_peak(
 ) -> PeakEstimate:
     """`read_windows` at one center, wrapped in a `PeakEstimate` with no
     SNR, label or family."""
-    return PeakEstimate(center, half_width, complex(read_windows(spec, center, half_width)))
+    return PeakEstimate(center, complex(read_windows(spec, center, half_width)))
 
 
 def noise_floor(
@@ -389,7 +389,7 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
         fh.writelines(map("%s%.17g,%.17g\r\n".__mod__, zip(*cols)))
 
 
-def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:
+def read_spectrum_csv(path: str | Path) -> Spectrum:
     """The two-sided `Spectrum` of a one-sided spectrum file, as
     `write_spectrum_csv` writes it.
 
@@ -428,5 +428,5 @@ def read_spectrum_csv(path: str | Path, axis: str = "z") -> Spectrum:
         f, v = _unfold(freqs, vals, n)
         if _is_dft_grid(f):
             dt = 2.0 * math.pi / (_grid_step(f) * n)
-            return Spectrum(freqs=f, values=v, axis=axis, delta_t=dt)
+            return Spectrum(freqs=f, values=v, delta_t=dt)
     raise GridError(f"{path}: omega rows are not the one-sided rows of a dft grid")

@@ -266,7 +266,7 @@ def noise_sweep_rows(
                     delta_t=dt, n_t=n_t, n_m=n_m, axes=("z",), gamma=gamma, seed=seed + rep
                 )
                 traj = sample_trajectory(rho, cfg, plan)
-                spec = dft(traj.z, traj.times, axis="z")
+                spec = dft(traj.z, traj.times)
                 hw = min(half_width, max_half_width(centers, spec))
                 ests = populations_from_z(spec, freqs, hw)
                 xi = _z_floor(spec, ests, freqs, hw)

@@ -111,9 +111,9 @@ def test_criterion_3_fock_spectra(capsys):
     for n in range(3):
         rho = density_from_pure(fock_state(n, 8))
         traj = ideal_bloch_trajectory(rho, PROBE, TIMES)
-        spec_z = dft(traj.z, TIMES, "z")
-        spec_x = dft(traj.x, TIMES, "x")
-        spec_y = dft(traj.y, TIMES, "y")
+        spec_z = dft(traj.z, TIMES)
+        spec_x = dft(traj.x, TIMES)
+        spec_y = dft(traj.y, TIMES)
         area = cosine_pair(spec_z, 2.0 * PROBE.g * np.sqrt(n), 4)
         worst_area = max(worst_area, abs(area - 1.0))
         for center in xy_centers:
@@ -167,15 +167,14 @@ def test_criterion_5_dce_pipeline(capsys):
         j = evolve_rabi(DceConfig(g_over_omega=0.5, tau=float(tau)))
         worst_parity = max(worst_parity, abs(parity_expectation(j) - 1.0))
     joint = evolve_rabi(DceConfig(g_over_omega=0.5, tau=np.pi))
-    ge = condition_on_qubit(joint, "ge")
-    pm = condition_on_qubit(joint, "pm")
+    pair = condition_on_qubit(joint)
     support_leak = max(
-        float(np.sum(ge.states[0].populations()[1::2])),
-        float(np.sum(ge.states[1].populations()[0::2])),
+        float(np.sum(pair.phi_g.populations()[1::2])),
+        float(np.sum(pair.phi_e.populations()[0::2])),
     )
     # tomography of the +/- branches at infinite shots, then recombine
     recon = []
-    for phi in pm.states:
+    for phi in (pair.phi_plus, pair.phi_minus):
         res = reconstruct_state(
             ideal_bloch_trajectory(density_from_pure(phi), PROBE, TIMES),
             g=PROBE.g,
@@ -183,15 +182,15 @@ def test_criterion_5_dce_pipeline(capsys):
             reference=phi,
         )
         recon.append(res)
-    target_cutoff = ge.states[0].cutoff
+    target_cutoff = pair.phi_g.cutoff
     phi_g, phi_e = recombine_branches(
         embed(recon[0].state, target_cutoff),
         embed(recon[1].state, target_cutoff),
-        ge.c_g,
-        ge.c_e,
+        pair.c_g,
+        pair.c_e,
     )
-    fid_g = fidelity(phi_g, ge.states[0])
-    fid_e = fidelity(phi_e, ge.states[1])
+    fid_g = fidelity(phi_g, pair.phi_g)
+    fid_e = fidelity(phi_e, pair.phi_e)
     elapsed = time.monotonic() - t0
     ok = (
         worst_parity <= 1e-8
@@ -260,7 +259,7 @@ def test_criterion_6_property_suites(capsys):
     ):
         for axis in ("x", "y", "z"):
             sig = getattr(traj, axis)
-            spec = dft(sig, traj.times, axis)
+            spec = dft(sig, traj.times)
             worst_parseval = max(worst_parseval, parseval_defect(spec, sig))
             worst_hermitian = max(worst_hermitian, hermitian_defect(spec))
 
@@ -296,7 +295,7 @@ def test_criterion_7_coupling_estimation(capsys):
             coherent_state(0.7 * np.exp(1j * np.pi / 3), 12),
         ):
             traj = ideal_bloch_trajectory(density_from_pure(state), cfg, TIMES)
-            g_hat, _ = estimate_coupling(dft(traj.z, TIMES, "z"))
+            g_hat, _ = estimate_coupling(dft(traj.z, TIMES))
             worst = max(worst, abs(g_hat - g))
     ok = worst < tol
     assert report(

@@ -75,3 +75,25 @@ def test_workload_ops_name_known_presets_and_keys(workloads):
                 assert section in cli.DEFAULTS, (name, section)
                 unknown = set(overlay.options(section)) - set(cli.DEFAULTS[section])
                 assert not unknown, (name, section, unknown)
+
+
+def test_traced_ops_count_work_and_raise_nothing(tracer, tmp_path):
+    """One reconstruct op and one dce op through `cli.main` under the tracer:
+    every counter reads the real return values of its target."""
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        for op_id, (command, preset) in enumerate(
+            [("reconstruct", "paper-state1"), ("dce", "paper-dce")]
+        ):
+            with trace.op(op_id):
+                argv = [command, "--preset", preset, "--out-dir", str(tmp_path / command)]
+                assert cli.main(argv) == 0
+    finally:
+        trace.uninstall()
+    assert not [span for span in trace.spans if span[-1]]  # no span raised
+    assert trace.counts["probe.ideal_bloch_trajectory.points"] > 0
+    assert trace.counts["spectral.dft.points"] > 0
+    assert {"reconstruct.reconstruct_from_spectra", "dce.condition_on_qubit"} <= {
+        span[3] for span in trace.spans
+    }

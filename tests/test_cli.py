@@ -207,7 +207,7 @@ def test_one_sided_spectrum_files_reconstruct_the_state(capsys, tmp_path, preset
     for axis in "xyz":
         path = tmp_path / f"spectrum_{axis}.csv"
         assert len(path.read_text().splitlines()) == 1 + n_t // 2 + 1
-        spectra[axis] = read_spectrum_csv(path, axis=axis)
+        spectra[axis] = read_spectrum_csv(path)
     spectral = DEFAULTS["spectral"]
     result = reconstruct_from_spectra(
         float(DEFAULTS["probe"]["g"]),
@@ -282,7 +282,7 @@ def test_peak_areas_are_the_raw_window_reads_of_the_trajectory(capsys, tmp_path,
     code, _, _ = run(capsys, "reconstruct", "--preset", preset, "--out-dir", str(tmp_path))
     assert code == 0
     traj = read_trajectory_csv(tmp_path / "trajectory.csv")
-    spectra = {a: dft(getattr(traj, a), traj.times, axis=a) for a in "xyz"}
+    spectra = {a: dft(getattr(traj, a), traj.times) for a in "xyz"}
     peaks = json.loads((tmp_path / "peaks.json").read_text())
     n_xy = sum(p["family"] != "z" for p in peaks) // 2
     axes = ["z"] * (len(peaks) - 2 * n_xy) + ["x"] * n_xy + ["y"] * n_xy
@@ -534,6 +534,7 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("noise-sweep", "plan.t_total", "0"),
         ("noise-sweep", "plan.t_total", "nan"),
         ("noise-sweep", "plan.t_total", "inf"),
+        ("noise-sweep", "plan.t_total", "1e-323"),  # t_total / n_t underflows to 0
         ("reconstruct", "plan.delta_t", "-1"),
         ("reconstruct", "plan.delta_t", "nan"),
         ("noise-sweep", "plan.delta_t", "-1"),
@@ -582,6 +583,19 @@ def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
     body = stderr_error(err)
     assert body["type"] == "ConfigError"
     assert body["key"] == key
+    assert list(out_dir.iterdir()) == []  # refused before any artifact
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "noise-sweep", "estimate-g"])
+@pytest.mark.parametrize("terms", ["20:1:0", "-1:1:0", "1:1:0; 13:1:0"])
+def test_superposition_index_outside_cutoff_exits_2(capsys, tmp_path, command, terms):
+    cfg = write_config(tmp_path, f"[state]\nkind = superposition\nterms = {terms}\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(out_dir))
+    assert code == 2
+    body = stderr_error(err)
+    assert body["type"] == "ConfigError"
+    assert body["key"] == "state.terms"
     assert list(out_dir.iterdir()) == []  # refused before any artifact
 
 

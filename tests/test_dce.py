@@ -29,7 +29,7 @@ def evolved():
 
 @pytest.fixture(scope="module")
 def pair(evolved):
-    return condition_on_qubit(evolved, "ge")
+    return condition_on_qubit(evolved)
 
 
 def test_config_validation():
@@ -51,8 +51,8 @@ def test_parity_is_conserved(evolved):
 
 
 def test_branches_live_on_opposite_photon_parities(pair):
-    pops_g = pair.states[0].populations()
-    pops_e = pair.states[1].populations()
+    pops_g = pair.phi_g.populations()
+    pops_e = pair.phi_e.populations()
     assert np.sum(pops_g[1::2]) < 1e-9  # phi_g is even-photon only
     assert np.sum(pops_e[0::2]) < 1e-9  # phi_e is odd-photon only
 
@@ -78,9 +78,8 @@ def test_mixture_superdiagonal_vanishes_by_parity(pair):
 
 
 def test_plus_minus_split_is_balanced(evolved):
-    pm = condition_on_qubit(evolved, "pm")
-    assert pm.probabilities[0] == pytest.approx(0.5, abs=1e-9)
-    assert pm.probabilities[1] == pytest.approx(0.5, abs=1e-9)
+    # p_+- = 1/2 +- Re rho_ge of the reduced qubit state
+    assert abs(oracles.qubit_reduced(evolved)[0, 1].real) <= 1e-9
 
 
 def test_expm_and_rk4_agree(evolved):
@@ -107,25 +106,23 @@ def test_small_cutoff_is_detected():
         evolve_rabi(DceConfig(g_over_omega=0.5, tau=np.pi, cutoff=3))
 
 
-def test_recombination_round_trip(evolved, pair):
-    pm = condition_on_qubit(evolved, "pm")
+def test_recombination_round_trip(pair):
     phi_g, phi_e = recombine_branches(
-        pm.states[0], pm.states[1], pair.c_g, pair.c_e
+        pair.phi_plus, pair.phi_minus, pair.c_g, pair.c_e
     )
-    assert np.max(np.abs(phi_g.amplitudes - pair.states[0].amplitudes)) < 1e-9
-    assert np.max(np.abs(phi_e.amplitudes - pair.states[1].amplitudes)) < 1e-9
+    assert np.max(np.abs(phi_g.amplitudes - pair.phi_g.amplitudes)) < 1e-9
+    assert np.max(np.abs(phi_e.amplitudes - pair.phi_e.amplitudes)) < 1e-9
 
 
-def test_recombination_degenerate_weight(evolved):
-    pm = condition_on_qubit(evolved, "pm")
+def test_recombination_degenerate_weight(pair):
     with pytest.raises(DegenerateBranchError):
-        recombine_branches(pm.states[0], pm.states[1], 1e-12, 1.0)
+        recombine_branches(pair.phi_plus, pair.phi_minus, 1e-12, 1.0)
 
 
 def test_recombination_cutoff_mismatch(pair):
-    short = FieldState(pair.states[0].amplitudes[:4] + 0.5)
+    short = FieldState(pair.phi_g.amplitudes[:4] + 0.5)
     with pytest.raises(ValidationError):
-        recombine_branches(pair.states[0], short, pair.c_g, pair.c_e)
+        recombine_branches(pair.phi_g, short, pair.c_g, pair.c_e)
 
 
 def test_record_is_json_ready(evolved, pair):

@@ -93,8 +93,11 @@ def test_fidelity_and_cutoff_mismatch():
     b = fock_state(1, 4)
     assert fidelity(a, b) == pytest.approx(1.0)
     assert fidelity(a, fock_state(2, 4)) == pytest.approx(0.0)
+    # fidelity zero-pads the lower cutoff; the overlap itself refuses a mismatch
+    assert fidelity(a, fock_state(1, 5)) == 1.0
+    assert fidelity(fock_state(5, 5), a) == 0.0
     with pytest.raises(ValidationError):
-        fidelity(a, fock_state(1, 5))
+        a.overlap(fock_state(1, 5))
 
 
 def test_fidelity_global_phase_invariant():

@@ -47,7 +47,6 @@ def test_infinite_shots_reproduces_ideal(rho_one, probe):
     plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=None)
     traj = sample_trajectory(rho_one, probe, plan)
     ideal = ideal_bloch_trajectory(rho_one, probe, plan.times())
-    assert traj.kind == "ideal"
     assert np.allclose(traj.z, ideal.z)
     assert np.allclose(traj.x, ideal.x)
 
@@ -55,7 +54,6 @@ def test_infinite_shots_reproduces_ideal(rho_one, probe):
 def test_finite_shots_are_empirical_means(rho_one, probe):
     plan = MeasurementPlan(delta_t=0.075, n_t=64, n_m=1, axes=("z",), seed=5)
     traj = sample_trajectory(rho_one, probe, plan)
-    assert traj.kind == "sampled"
     assert set(np.unique(traj.z)).issubset({-1.0, 1.0})
     plan7 = MeasurementPlan(delta_t=0.075, n_t=64, n_m=7, axes=("z",), seed=5)
     z7 = sample_trajectory(rho_one, probe, plan7).z

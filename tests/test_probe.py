@@ -127,13 +127,12 @@ def test_trajectory_validation():
         with pytest.raises(GridError):
             BlochTrajectory(times=np.array(bad), z=np.zeros(len(bad)))
     one = BlochTrajectory(times=np.array([0.5]), z=np.zeros(1))  # one-sample grid
-    assert one.delta_t == 0.5
+    assert one.times.tolist() == [0.5]
 
 
 def test_trajectory_metadata_and_axes(probe, state_one):
     times = time_grid(0.2, 16)
     traj = ideal_bloch_trajectory(density_from_pure(state_one), probe, times)
-    assert traj.kind == "ideal"
     assert traj.axes() == ("x", "y", "z")
-    assert traj.delta_t == pytest.approx(0.2)
-    assert traj.n_t == 16
+    assert traj.times[0] == pytest.approx(0.2)
+    assert traj.times.size == 16

@@ -32,9 +32,9 @@ TIMES = time_grid(0.075, 4096)
 def spectra_for(rho, probe):
     traj = ideal_bloch_trajectory(rho, probe, TIMES)
     return (
-        dft(traj.z, TIMES, "z"),
-        dft(traj.x, TIMES, "x"),
-        dft(traj.y, TIMES, "y"),
+        dft(traj.z, TIMES),
+        dft(traj.x, TIMES),
+        dft(traj.y, TIMES),
     )
 
 
@@ -88,7 +88,7 @@ def test_fock_state_flat_xy_and_unit_z_area(probe, n):
     traj = ideal_bloch_trajectory(rho, probe, TIMES)
     assert np.max(np.abs(traj.x)) < 1e-6
     assert np.max(np.abs(traj.y)) < 1e-6
-    spec_z = dft(traj.z, TIMES, "z")
+    spec_z = dft(traj.z, TIMES)
     omega = 2.0 * probe.g * np.sqrt(n)
     # raw combined window area recovers the full population weight
     assert cosine_pair(spec_z, omega, 4) == pytest.approx(1.0, abs=2e-3)
@@ -211,8 +211,8 @@ def test_ideal_difference_band_agrees_without_warning(probe, state_two):
 def test_tone_in_a_difference_window_still_warns(probe, state_two):
     spec_z, spec_x, spec_y = spectra_for(density_from_pure(state_two), probe)
     w = comb_frequencies(probe.g, 2)["diff"][1]
-    extra = dft(1e-3 * np.sin(w * TIMES), TIMES, "x")
-    spec_x = Spectrum(spec_x.freqs, spec_x.values + extra.values, "x", spec_x.delta_t)
+    extra = dft(1e-3 * np.sin(w * TIMES), TIMES)
+    spec_x = Spectrum(spec_x.freqs, spec_x.values + extra.values, spec_x.delta_t)
     res = reconstruct_from_spectra(
         probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
     )
@@ -224,10 +224,10 @@ def finite_shot_bands(rho, probe, seed, tone=0.0):
     ``tone sin(w t)`` added to x at the n = 1 difference-band frequency w."""
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=1000, seed=seed)
     traj = sample_trajectory(rho, probe, plan)
-    spec_z, spec_x, spec_y = (dft(getattr(traj, a), TIMES, a) for a in "zxy")
+    spec_z, spec_x, spec_y = (dft(getattr(traj, a), TIMES) for a in "zxy")
     w = comb_frequencies(probe.g, 2)["diff"][1]
-    extra = dft(tone * np.sin(w * TIMES), TIMES, "x")
-    spec_x = Spectrum(spec_x.freqs, spec_x.values + extra.values, "x", spec_x.delta_t)
+    extra = dft(tone * np.sin(w * TIMES), TIMES)
+    spec_x = Spectrum(spec_x.freqs, spec_x.values + extra.values, spec_x.delta_t)
     res = reconstruct_from_spectra(probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2)
     assert res.diagnostics["diff_band_read"] == [False, True]
     return any("bands disagree for rho[1,2]" in msg for msg in res.warnings)
@@ -281,10 +281,7 @@ def test_z_only_reconstruction_is_partial(probe, state_two):
 def test_z_axis_required(probe):
     rho = density_from_pure(fock_state(1, 8))
     traj = ideal_bloch_trajectory(rho, probe, TIMES)
-    x_only = BlochTrajectory(
-        times=TIMES, x=traj.x, y=None, z=None, kind="ideal",
-        metadata={"delta_t": 0.075},
-    )
+    x_only = BlochTrajectory(times=TIMES, x=traj.x, y=None, z=None)
     with pytest.raises(ValidationError, match="z axis"):
         reconstruct_state(x_only, g=probe.g)
 
@@ -316,18 +313,18 @@ def test_estimate_coupling_across_states_and_couplings(probe):
     rho_f = density_from_pure(fock_state(1, 8))
     for g in (0.8, 1.0, 1.3):
         traj = ideal_bloch_trajectory(rho_f, ProbeConfig(g=g), TIMES)
-        g_hat, score = estimate_coupling(dft(traj.z, TIMES, "z"))
+        g_hat, score = estimate_coupling(dft(traj.z, TIMES))
         assert abs(g_hat - g) < tol
         assert score > 0
     rho_c = density_from_pure(coherent_state(0.7 * np.exp(1j * np.pi / 3), 12))
     traj = ideal_bloch_trajectory(rho_c, probe, TIMES)
-    g_hat, _ = estimate_coupling(dft(traj.z, TIMES, "z"))
+    g_hat, _ = estimate_coupling(dft(traj.z, TIMES))
     assert abs(g_hat - 1.0) < tol
 
 
 def test_estimate_coupling_refuses_pure_noise():
     rng = np.random.default_rng(7)
-    spec = dft(rng.normal(0.0, 0.02, TIMES.size), TIMES, "z")
+    spec = dft(rng.normal(0.0, 0.02, TIMES.size), TIMES)
     with pytest.raises(EstimationError):
         estimate_coupling(spec)
 
@@ -340,7 +337,7 @@ def test_estimate_coupling_matches_the_golden_section_oracle(kind, g):
     else:
         state = coherent_state(0.7 * np.exp(1j * np.pi / 3), 12)
     traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), TIMES)
-    spec = dft(traj.z, TIMES, "z")
+    spec = dft(traj.z, TIMES)
     assert abs(estimate_coupling(spec)[0] - golden_section_coupling(spec)) <= 1e-7
 
 
@@ -356,7 +353,7 @@ def test_estimate_coupling_on_sampled_records(tmp_path):
             state = coherent_state(alpha, 12)
         plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=1000, axes=("z",), seed=seed)
         traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
-        spec = dft(traj.z, traj.times, "z")
+        spec = dft(traj.z, traj.times)
         g_hat, score = estimate_coupling(spec)
         assert abs(g_hat - g) < tol, seed
         # the one-sided batch score is the two-sided score at g_hat
@@ -375,7 +372,7 @@ def test_estimate_coupling_on_sampled_records(tmp_path):
 )
 def test_estimate_coupling_window_reads(monkeypatch, delta_t, g, search_range, max_reads):
     times = time_grid(delta_t, 4096)
-    spec = dft(np.cos(2.0 * g * times), times, "z")  # a Fock |1> z record
+    spec = dft(np.cos(2.0 * g * times), times)  # a Fock |1> z record
     calls = []
 
     def counting(*args, **kwargs):

@@ -41,7 +41,7 @@ def onbin_fock_spectrum(n_m=None, seed=0, probe=None):
         delta_t=ONBIN_DT, n_t=ONBIN_NT, n_m=n_m, axes=("z",), seed=seed
     )
     traj = sample_trajectory(density_from_pure(fock_state(1, 8)), probe, plan)
-    return dft(traj.z, traj.times, axis="z")
+    return dft(traj.z, traj.times)
 
 
 def test_dft_constant_is_pure_dc():
@@ -199,7 +199,7 @@ def tone_spectrum(omega0: float, amp: complex, n_t: int = 256, delta_t: float = 
     t = time_grid(delta_t, n_t)
     om = 2.0 * np.pi * np.fft.fftfreq(n_t, d=delta_t)
     vals = np.fft.fft(amp * np.exp(1j * omega0 * t)) / n_t * np.exp(-1j * om * delta_t)
-    return Spectrum(np.fft.fftshift(om), np.fft.fftshift(vals), "z", delta_t)
+    return Spectrum(np.fft.fftshift(om), np.fft.fftshift(vals), delta_t)
 
 
 KERNEL_SPEC = dft(
@@ -405,18 +405,18 @@ def test_spectrum_csv_round_trip(tmp_path):
     path = tmp_path / "spec.csv"
     write_spectrum_csv(spec, path)
     assert path.read_text().splitlines()[0] == "omega,re,im"
-    back = read_spectrum_csv(path, axis="z")
+    back = read_spectrum_csv(path)
     assert np.allclose(back.freqs, spec.freqs)
     assert np.allclose(back.values, spec.values)
     assert back.delta_t == pytest.approx(spec.delta_t)
-    stack = Spectrum(spec.freqs, np.stack([spec.values] * 2), "z", spec.delta_t)
+    stack = Spectrum(spec.freqs, np.stack([spec.values] * 2), spec.delta_t)
     with pytest.raises(ValidationError):
         write_spectrum_csv(stack, path)  # one record per file
 
 
 def random_spectrum(n_t: int, seed: int):
     t = time_grid(0.075, n_t)
-    return dft(np.random.default_rng(seed).normal(size=n_t), t, axis="x")
+    return dft(np.random.default_rng(seed).normal(size=n_t), t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,8 +428,8 @@ def test_spectrum_csv_is_one_sided_and_reads_back(tmp_path_factory, n_t, seed):
     path = tmp_path_factory.mktemp("csv") / "spec.csv"
     write_spectrum_csv(spec, path)
     assert len(path.read_bytes().split(b"\r\n")) == n_t // 2 + 1 + 2  # header, rows, ""
-    back = read_spectrum_csv(path, axis="x")
-    assert back.axis == "x" and back.delta_t == pytest.approx(spec.delta_t, rel=1e-15)
+    back = read_spectrum_csv(path)
+    assert back.delta_t == pytest.approx(spec.delta_t, rel=1e-15)
     assert np.array_equal(back.freqs, spec.freqs)
     # Bit for bit: every omega >= 0 and, on an even grid, the Nyquist row.
     written = spec.freqs >= 0
@@ -447,7 +447,7 @@ def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
     one a single ulp of delta_t from the other, give each file the bytes of
     a write with the memo cleared and read back their own grid bit for bit."""
     dts = [0.075, np.nextafter(0.075, 1.0)]
-    specs = [dft(np.random.default_rng(k).normal(size=64), time_grid(dt, 64), "x")
+    specs = [dft(np.random.default_rng(k).normal(size=64), time_grid(dt, 64))
              for k, dt in enumerate(dts * 2)]
     assert specs[0].freqs.tobytes() != specs[1].freqs.tobytes()
     for k, spec in enumerate(specs):
@@ -545,12 +545,11 @@ def test_spectrum_validation():
             Spectrum(
                 freqs=np.array(freqs),
                 values=np.zeros(3, dtype=complex),
-                axis="z",
                 delta_t=0.1,
             )
     for values in (np.zeros((2, 4)), np.zeros((0, 3)), np.zeros(())):  # not (..., 3)
         with pytest.raises(ValidationError):
-            Spectrum(freqs=np.arange(3.0), values=values, axis="z", delta_t=0.1)
+            Spectrum(freqs=np.arange(3.0), values=values, delta_t=0.1)
 
 
 @pytest.mark.parametrize("row", ["-1,0", "-1,abc,0", "-1,0,0,0", ",0,0"])
