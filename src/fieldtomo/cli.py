@@ -36,7 +36,6 @@ from .exceptions import (
     DegenerateBranchError,
     EstimationError,
     FieldTomoError,
-    exit_code_for,
 )
 from .fock import FieldState, density_from_pure, fidelity
 from .measurement import (
@@ -198,24 +197,14 @@ def _merged_config(args) -> dict[str, dict[str, str]]:
     return cp
 
 
-def _get_float(cp, section: str, option: str) -> float:
+def _get_float(cp, section: str, option: str, cast=float):
     raw = cp[section][option]
     try:
-        return float(raw)
+        return cast(raw)
     except ValueError:
+        what = "an integer" if cast is int else "a number"
         raise ConfigError(
-            f"{section}.{option} must be a number, got {raw!r}",
-            key=f"{section}.{option}",
-        ) from None
-
-
-def _get_int(cp, section: str, option: str) -> int:
-    raw = cp[section][option]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{section}.{option} must be an integer, got {raw!r}",
+            f"{section}.{option} must be {what}, got {raw!r}",
             key=f"{section}.{option}",
         ) from None
 
@@ -240,15 +229,16 @@ def _get_positive(cp, section: str, option: str) -> float:
     )
 
 
+def _get_non_negative(cp, section: str, option: str) -> float:
+    value = _get_float(cp, section, option)
+    return _checked(
+        f"{section}.{option}", value, value >= 0 and math.isfinite(value), "finite and >= 0"
+    )
+
+
 def _get_int_at_least(cp, section: str, option: str, low: int) -> int:
-    value = _get_int(cp, section, option)
+    value = _get_float(cp, section, option, int)
     return _checked(f"{section}.{option}", value, value >= low, f">= {low}")
-
-
-def _get_population_floor(cp) -> float:
-    floor = _get_float(cp, "spectral", "population_floor")
-    ok = floor >= 0.0 and math.isfinite(floor)
-    return _checked("spectral.population_floor", floor, ok, "finite and >= 0")
 
 
 def _get_list(cp, section: str, option: str, cast=float) -> list:
@@ -275,25 +265,14 @@ def _get_n_m(cp) -> Optional[int]:
     raw = cp["plan"]["n_m"].strip().lower()
     if raw in ("inf", "infinite", "none", ""):
         return None
-    try:
-        n_m = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"plan.n_m must be an integer or 'inf', got {raw!r}", key="plan.n_m"
-        ) from None
-    return _checked("plan.n_m", n_m, n_m >= 1, ">= 1 or 'inf'")
+    return _get_int_at_least(cp, "plan", "n_m", 1)
 
 
-def _get_axes(cp) -> tuple[str, ...]:
+def _get_tomography_axes(cp) -> tuple[str, ...]:
     raw = cp["plan"]["axes"].replace(",", " ").replace(" ", "")
     axes = tuple(dict.fromkeys(raw))  # dedupe, keep order
     if not axes or any(a not in "xyz" for a in axes):
         raise ConfigError(f"plan.axes must combine x, y, z; got {raw!r}", key="plan.axes")
-    return axes
-
-
-def _get_tomography_axes(cp) -> tuple[str, ...]:
-    axes = _get_axes(cp)
     if "z" not in axes:
         raise ConfigError("plan.axes must include z for reconstruction", key="plan.axes")
     if ("x" in axes) != ("y" in axes):
@@ -301,11 +280,29 @@ def _get_tomography_axes(cp) -> tuple[str, ...]:
     return axes
 
 
-def _get_delta_t(cp, g: float) -> float:
+def _get_delta_t(cp, g: float) -> tuple[float, str]:
+    """``plan.delta_t`` and the key that set it: ``probe.g`` when it is
+    ``auto`` (``0.075 / g``), else ``plan.delta_t``."""
     raw = cp["plan"]["delta_t"].strip().lower()
     if raw == "auto":
-        return 0.075 / g
-    return _get_positive(cp, "plan", "delta_t")
+        return 0.075 / g, "probe.g"
+    return _get_positive(cp, "plan", "delta_t"), "plan.delta_t"
+
+
+def _check_step(g: float, delta_t: float, n_t: int, key: str) -> None:
+    """Refuse, keyed by ``key`` (the key that set it), a step of ``n_t``
+    points that is not ``> 0`` (``t_total / n_t`` can underflow) or whose
+    Nyquist frequency ``pi / delta_t`` or last time ``t = n_t delta_t`` is
+    not finite.  A grid whose phase ``2 g t`` overflows at that time is
+    refused too, keyed by the larger factor: ``probe.g`` if ``g >= t``."""
+    t_last = n_t * delta_t
+    grid_ok = delta_t > 0.0 and math.isfinite(math.pi / delta_t) and math.isfinite(t_last)
+    if not (grid_ok and math.isfinite(2.0 * g * t_last)):
+        raise ConfigError(
+            f"{key} gives delta_t = {delta_t!r} at n_t = {n_t} and probe.g = {g!r}; "
+            "delta_t must be > 0 with pi / delta_t, t = n_t delta_t and 2 probe.g t finite",
+            key="probe.g" if grid_ok and g >= t_last else key,
+        )
 
 
 def _parse_terms(raw: str) -> list[tuple[int, complex]]:
@@ -336,7 +333,7 @@ def _build_state(cp) -> FieldState:
     if kind == "fock":
         from .fock import fock_state
 
-        n = _get_int(cp, "state", "n")
+        n = _get_float(cp, "state", "n", int)
         _checked("state.n", n, 0 <= n <= cutoff, f"in 0..state.cutoff = {cutoff}")
         return fock_state(n, cutoff)
     if kind == "superposition":
@@ -362,22 +359,36 @@ def _build_state(cp) -> FieldState:
     raise ConfigError(f"unknown state.kind {kind!r}", key="state.kind")
 
 
-def _get_plan(cp, g: float, axes=None, n_t=None, delta_t=None, n_m="use-config", seed=None):
-    """The `MeasurementPlan` of ``cp``, or of the given values.  Every value
-    read from ``cp`` is checked here, so a bad one is a `ConfigError` keyed
-    by its INI key; ``n_t >= 2``, since a spectrum needs two bins."""
-    if n_t is None:
-        n_t = _get_int_at_least(cp, "plan", "n_t", 2)
-    gamma = _get_float(cp, "plan", "gamma")
-    _checked("plan.gamma", gamma, gamma >= 0 and math.isfinite(gamma), "finite and >= 0")
-    return MeasurementPlan(
-        delta_t=_get_delta_t(cp, g) if delta_t is None else delta_t,
+def _get_plan(cp, g: float, axes: tuple[str, ...]) -> MeasurementPlan:
+    """The `MeasurementPlan` of ``cp`` on ``axes``.  Every value is checked
+    here, so a bad one is a `ConfigError` keyed by its INI key; ``n_t >= 2``,
+    since a spectrum needs two bins, and the grid passes `_check_step`."""
+    n_t = _get_int_at_least(cp, "plan", "n_t", 2)
+    gamma = _get_non_negative(cp, "plan", "gamma")
+    delta_t, key = _get_delta_t(cp, g)
+    plan = MeasurementPlan(
+        delta_t=delta_t,
         n_t=n_t,
-        n_m=_get_n_m(cp) if n_m == "use-config" else n_m,
-        axes=_get_axes(cp) if axes is None else axes,
+        n_m=_get_n_m(cp),
+        axes=axes,
         gamma=gamma,
-        seed=_get_int_at_least(cp, "plan", "seed", 0) if seed is None else seed,
+        seed=_get_int_at_least(cp, "plan", "seed", 0),
     )
+    _check_step(g, delta_t, n_t, key)
+    return plan
+
+
+def _tomography(cp) -> tuple[float, MeasurementPlan, dict]:
+    """The settings `reconstruct` and `dce` share: ``probe.g``, the plan on
+    the tomography axes, and the estimator keywords of
+    `reconstruct_from_spectra`."""
+    g = _get_positive(cp, "probe", "g")
+    plan = _get_plan(cp, g, _get_tomography_axes(cp))
+    return g, plan, {
+        "n_max": _get_int_at_least(cp, "spectral", "n_max", 1),
+        "half_width": _get_int_at_least(cp, "spectral", "half_width", 0),
+        "population_floor": _get_non_negative(cp, "spectral", "population_floor"),
+    }
 
 
 # ---------------------------------------------------------------- output
@@ -437,14 +448,8 @@ def _peaks_payload(peaks) -> list[dict]:
 
 def cmd_reconstruct(cp, out_dir: Path) -> int:
     state = _build_state(cp)
-    g = _get_positive(cp, "probe", "g")
-    cfg = ProbeConfig(g=g)
-    plan = _get_plan(cp, g, axes=_get_tomography_axes(cp))
-    n_max = _get_int_at_least(cp, "spectral", "n_max", 1)
-    half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
-    floor = _get_population_floor(cp)
-    rho = density_from_pure(state)
-    traj = sample_trajectory(rho, cfg, plan)
+    g, plan, estimator = _tomography(cp)
+    traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
 
     spectra = {}
@@ -457,10 +462,8 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         spectra["z"],
         spectra.get("x"),
         spectra.get("y"),
-        n_max=n_max,
-        half_width=half_width,
-        population_floor=floor,
         reference=state,
+        **estimator,
     )
     _dump_json(_peaks_payload(result.peaks), out_dir / "peaks.json")
     _dump_json(_result_payload(result), out_dir / "reconstruction.json")
@@ -468,25 +471,28 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_points(cp, g: float) -> tuple[list[int], dict[int, float]]:
+def _sweep_points(cp, g: float) -> tuple[list[int], dict[float, list[int]]]:
     """The sweep grid, checked before any sampling: the ``n_m`` values, each
-    ``>= 1``, and the step ``delta_t`` of each ``n_t``, ascending.  Every
-    ``n_t >= 2`` (a spectrum needs two bins).  When set, ``t_total`` is
-    finite and ``> 0``, and every step ``t_total / n_t`` is ``> 0`` (it can
-    underflow); otherwise every ``n_t`` takes ``plan.delta_t``."""
+    ``>= 1``, and each step ``delta_t`` with the ``n_t`` values it serves,
+    both ascending.  Every ``n_t >= 2`` (a spectrum needs two bins).  When
+    set, ``t_total`` is finite and ``> 0``, and each ``n_t`` takes the step
+    ``t_total / n_t``; otherwise every ``n_t`` takes ``plan.delta_t``.  Each
+    step passes `_check_step` at its longest ``n_t``."""
     n_m_list = _get_int_list(cp, "plan", "n_m_list")
     n_t_list = _get_int_list(cp, "plan", "n_t_list")
     has_t = bool(cp["plan"]["t_total"].strip())
     t_total = _get_positive(cp, "plan", "t_total") if has_t else None
     for key, values, low in (("n_m_list", n_m_list, 1), ("n_t_list", n_t_list, 2)):
         _checked(f"plan.{key}", min(values), min(values) >= low, f">= {low} in every entry")
-    n_ts = sorted(set(n_t_list))
+    key = "plan.t_total"
     if t_total is None:
-        return n_m_list, dict.fromkeys(n_ts, _get_delta_t(cp, g))
-    # The longest record takes the smallest step, the first to underflow.
-    rule = f"large enough that t_total / {n_ts[-1]} > 0"
-    _checked("plan.t_total", t_total, t_total / n_ts[-1] > 0.0, rule)
-    return n_m_list, {n_t: t_total / n_t for n_t in n_ts}
+        delta_t, key = _get_delta_t(cp, g)
+    steps: dict[float, list[int]] = {}
+    for n_t in sorted(set(n_t_list)):
+        steps.setdefault(delta_t if t_total is None else t_total / n_t, []).append(n_t)
+    for step, n_ts in steps.items():
+        _check_step(g, step, n_ts[-1], key)
+    return n_m_list, steps
 
 
 def cmd_noise_sweep(cp, out_dir: Path) -> int:
@@ -498,13 +504,13 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     ``n_seeds`` z records, seeds ``plan.seed + k``, on a leading record
     axis: one DFT, one leakage solve and one residual floor per cell, each
     record's numbers bit for bit those of the record run alone.  The ideal
-    mean and the shots are drawn once per ``(delta_t, n_m)``, at the
-    longest ``n_t`` of that ``delta_t``; a shorter cell reads the first
-    ``n_t`` points of that stack, which are its records by the sampler's
-    prefix stability.  Without ``t_total`` every ``n_t`` shares one
-    ``delta_t``; with it, each ``n_t`` is its own stack.  Rows run ``n_t``
-    then ``n_m``, both ascending.  The cell's xi and S/xi are the means
-    over its records.
+    mean and the shots are drawn once per ``(delta_t, n_m)``, as one stack
+    at the longest ``n_t`` of that ``delta_t``, and that stack's cells run
+    before the next is drawn; a shorter cell reads the first ``n_t`` points
+    of the stack, which are its records by the sampler's prefix stability.
+    Without ``t_total`` every ``n_t`` shares one ``delta_t``; with it, each
+    ``n_t`` is its own stack.  The rows are sorted by ``n_t``, then ``n_m``.
+    The cell's xi and S/xi are the means over its records.
     """
     state = _build_state(cp)
     g = _get_positive(cp, "probe", "g")
@@ -513,42 +519,39 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     base_seed = _get_int_at_least(cp, "plan", "seed", 0)
     n_seeds = _get_int_at_least(cp, "plan", "n_seeds", 1)
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
-    n_m_list, delta_ts = _sweep_points(cp, g)
+    n_m_list, steps = _sweep_points(cp, g)
+    gamma = _get_non_negative(cp, "plan", "gamma")
     freqs = comb_frequencies(g, 1)
     centers = [w.center for w in rec_mod._z_windows(freqs)]
 
-    # The longest cell of a step pops its stack, so the stack is freed there.
-    longest = {delta_t: n_t for n_t, delta_t in delta_ts.items()}
-    stacks: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
     rows = []
-    for n_t, delta_t in delta_ts.items():
+    for delta_t, n_ts in steps.items():
         for n_m in sorted(set(n_m_list)):
-            key = (delta_t, n_m)
-            if key not in stacks:
-                plan = _get_plan(
-                    cp, g, axes=("z",), n_t=longest[delta_t], delta_t=delta_t, n_m=n_m,
-                    seed=base_seed,
-                )
-                stacks[key] = (plan.times(), sample_records(rho, cfg, plan, n_seeds)["z"])
-            times, records = stacks.pop(key) if n_t == longest[delta_t] else stacks[key]
-            spec = dft(records[:, :n_t], times[:n_t])
-            hw = min(half_width, max_half_width(centers, spec))
-            ests = rec_mod.populations_from_z(spec, freqs, hw)
-            xi = rec_mod._z_floor(spec, ests, freqs, hw)
-            noiseless = xi <= NOISELESS_FLOOR
-            if noiseless.any():
-                raise EstimationError(
-                    f"noise floor {xi[noiseless][0]:.3e} at n_m = {n_m}, n_t = {n_t} "
-                    "is rounding: the records carry no shot noise to scale"
-                )
-            rows.append(
-                {
-                    "n_m": n_m,
-                    "n_t": n_t,
-                    "xi": float(np.mean(xi)),
-                    "snr": float(np.mean(ests[:, 1] / xi)),
-                }
+            plan = MeasurementPlan(
+                delta_t=delta_t, n_t=n_ts[-1], n_m=n_m, axes=("z",), gamma=gamma,
+                seed=base_seed,
             )
+            times, records = plan.times(), sample_records(rho, cfg, plan, n_seeds)["z"]
+            for n_t in n_ts:
+                spec = dft(records[:, :n_t], times[:n_t])
+                hw = min(half_width, max_half_width(centers, spec))
+                ests = rec_mod.populations_from_z(spec, freqs, hw)
+                xi = rec_mod._z_floor(spec, ests, freqs, hw)
+                noiseless = xi <= NOISELESS_FLOOR
+                if noiseless.any():
+                    raise EstimationError(
+                        f"noise floor {xi[noiseless][0]:.3e} at n_m = {n_m}, n_t = {n_t} "
+                        "is rounding: the records carry no shot noise to scale"
+                    )
+                rows.append(
+                    {
+                        "n_m": n_m,
+                        "n_t": n_t,
+                        "xi": float(np.mean(xi)),
+                        "snr": float(np.mean(ests[:, 1] / xi)),
+                    }
+                )
+    rows.sort(key=lambda row: (row["n_t"], row["n_m"]))
 
     csv_path = out_dir / "noise_sweep.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -583,12 +586,8 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
 
 
 def cmd_dce(cp, out_dir: Path) -> int:
-    g_probe = _get_positive(cp, "probe", "g")
+    g_probe, plan, estimator = _tomography(cp)
     probe_cfg = ProbeConfig(g=g_probe)
-    plan = _get_plan(cp, g_probe, axes=_get_tomography_axes(cp))
-    n_max = _get_int_at_least(cp, "spectral", "n_max", 1)
-    half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
-    floor = _get_population_floor(cp)
 
     omega = _get_positive(cp, "dce", "omega")
     g_over_omega = _get_positive(cp, "dce", "g_over_omega")
@@ -627,14 +626,7 @@ def cmd_dce(cp, out_dir: Path) -> int:
     rec_states = {}
     for label, phi in (("plus", pair.phi_plus), ("minus", pair.phi_minus)):
         traj = sample_trajectory(density_from_pure(phi), probe_cfg, plan)
-        result = rec_mod.reconstruct_state(
-            traj,
-            g_probe,
-            n_max=n_max,
-            half_width=half_width,
-            population_floor=floor,
-            reference=phi,
-        )
+        result = rec_mod.reconstruct_state(traj, g_probe, reference=phi, **estimator)
         rec_states[label] = result.state
         tomo[f"fidelity_phi_{label}"] = result.fidelity_vs_reference
         tomo["warnings"].extend(result.warnings)
@@ -665,7 +657,7 @@ def cmd_estimate_g(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g_true = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g_true)
-    plan = _get_plan(cp, g_true, axes=("z",))
+    plan = _get_plan(cp, g_true, ("z",))
     lo = _get_positive(cp, "spectral", "g_min")
     hi = _get_float(cp, "spectral", "g_max")
     ok = hi > lo and math.isfinite(hi)
@@ -741,7 +733,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FieldTomoError as exc:
         json.dump(_error_payload(exc), sys.stderr, indent=2, sort_keys=True)
         sys.stderr.write("\n")
-        return exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -90,6 +90,14 @@ class DceConfig:
             raise ValidationError(f"tau must be positive, got {self.tau!r}")
         if self.cutoff < 2:
             raise ValidationError("cutoff must be >= 2")
+        # Gershgorin bound on the Hamiltonian's entries and energies |E|: with
+        # it times tau finite, neither H nor the phases E tau overflow.
+        bound = self.omega * (self.cutoff + 1) + 2.0 * self.g * math.sqrt(self.cutoff + 1)
+        if not math.isfinite(bound * self.tau):
+            raise ValidationError(
+                f"quench phases overflow: omega = {self.omega!r}, g = {self.g!r}, "
+                f"tau = {self.tau!r} at cutoff {self.cutoff}"
+            )
 
     @property
     def g(self) -> float:

@@ -1,12 +1,14 @@
 """Error taxonomy shared by every module.
 
-Three top-level families, mapped to process exit codes by the CLI:
+Three top-level families, each carrying the process exit code the CLI
+returns for it as ``exit_code``:
 
 * ``ConfigError``        -- bad user input (config file, flags)        -> exit 2
 * ``ValidationError``    -- violated physics/data contract             -> exit 3
 * ``ResolvabilityError`` -- spectral windows overlap on the grid       -> exit 4
 
-Everything else (genuine bugs) propagates as a normal traceback.
+Every error the package raises belongs to one of them.  Everything else
+(genuine bugs) propagates as a normal traceback.
 """
 
 from __future__ import annotations
@@ -15,12 +17,16 @@ from __future__ import annotations
 class FieldTomoError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code: int
+
 
 class ConfigError(FieldTomoError):
     """Unusable configuration: unknown key, unparsable value, missing file.
 
     ``key`` names the offending ``section.option`` when known.
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
@@ -29,6 +35,8 @@ class ConfigError(FieldTomoError):
 
 class ValidationError(FieldTomoError):
     """A physical or structural contract was violated."""
+
+    exit_code = 3
 
 
 class CutoffError(ValidationError):
@@ -54,17 +62,5 @@ class IntegrationError(ValidationError):
 class ResolvabilityError(FieldTomoError):
     """Two spectral integration windows collide on the frequency grid."""
 
+    exit_code = 4
 
-#: CLI exit codes, keyed by exception family.  Checked in order.
-EXIT_CODES: tuple[tuple[type[FieldTomoError], int], ...] = (
-    (ConfigError, 2),
-    (ResolvabilityError, 4),
-    (ValidationError, 3),
-)
-
-
-def exit_code_for(exc: BaseException) -> int:
-    for cls, code in EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return 1

@@ -100,8 +100,8 @@ def _sample_axis(mean: np.ndarray, n_m: int, seeds: range, axis: str) -> np.ndar
     """Empirical means of n_m two-outcome shots at every grid point, one
     row per seed, each drawn from its own ``(seed, axis_index)`` stream."""
     p = 0.5 * (1.0 + mean)
-    # Clip pure float fuzz only; anything materially outside is a real bug.
-    if np.min(p) < -1e-12 or np.max(p) > 1 + 1e-12:
+    # Clip pure float fuzz only; anything materially outside, or NaN, is a real bug.
+    if not (np.min(p) >= -1e-12 and np.max(p) <= 1 + 1e-12):
         raise ValidationError("Bloch component outside [-1, 1] during sampling")
     p = np.clip(p, 0.0, 1.0)
     # Counts are filled in as exact floats and scaled in place, which keeps

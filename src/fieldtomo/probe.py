@@ -106,7 +106,7 @@ class BlochTrajectory:
             comp = np.asarray(comp, dtype=float)
             if comp.shape != t.shape:
                 raise ValidationError(f"axis {name} has shape {comp.shape}, times {t.shape}")
-            if np.max(np.abs(comp)) > 1.0 + 1e-9:
+            if not np.max(np.abs(comp)) <= 1.0 + 1e-9:  # NaN fails too
                 raise ValidationError(f"axis {name} leaves the Bloch ball")
             comp = comp.copy()
             comp.setflags(write=False)
@@ -134,6 +134,12 @@ def ideal_bloch_trajectory(
         raise ValidationError(f"axes must be a subset of x, y, z; got {axes!r}")
     diag = rho.diagonal()
     sup = rho.superdiagonal()
+    # The top level's phase at the last time bounds every phase below, and
+    # cos of an overflowed phase is NaN.
+    if not math.isfinite(2.0 * cfg.g * math.sqrt(diag.size - 1) * float(t[-1])):
+        raise ValidationError(
+            f"the phase 2 g sqrt({diag.size - 1}) t overflows at g = {cfg.g!r}, t = {t[-1]!r}"
+        )
     omega = cfg.g * np.sqrt(np.arange(diag.size, dtype=float))
     comps: dict[str, np.ndarray] = {}
 

@@ -573,8 +573,9 @@ def estimate_coupling(
     n = spec_z.n_t
     dw = spec_z.d_omega
     omega_edge = (n // 2 - 2) * dw
-    # Keep only harmonics that stay on-grid for every candidate g.
-    n_use = min(_PROBE_HARMONICS, int((omega_edge / (2.0 * hi)) ** 2))
+    # Keep only harmonics that stay on-grid for every candidate g.  The ratio
+    # is bounded before squaring: on a fine grid its square overflows.
+    n_use = min(_PROBE_HARMONICS, int(min(omega_edge / (2.0 * hi), _PROBE_HARMONICS) ** 2))
     if n_use < 1:
         raise ValidationError(
             "search range exceeds the frequency grid; lower the range or raise n_t"

@@ -20,7 +20,7 @@ import oracles
 from fieldtomo import cli, spectral
 from fieldtomo import reconstruct as rec_mod
 from fieldtomo.cli import DEFAULTS, PRESETS, main
-from fieldtomo.exceptions import ConfigError, EstimationError, FieldTomoError, exit_code_for
+from fieldtomo.exceptions import ConfigError, EstimationError, FieldTomoError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import read_trajectory_csv, sample_records
 from fieldtomo.probe import ProbeConfig
@@ -535,6 +535,14 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("noise-sweep", "plan.t_total", "nan"),
         ("noise-sweep", "plan.t_total", "inf"),
         ("noise-sweep", "plan.t_total", "1e-323"),  # t_total / n_t underflows to 0
+        ("noise-sweep", "plan.t_total", "1e-310"),  # pi / delta_t overflows
+        ("noise-sweep", "plan.t_total", "1e308"),  # the phase 2 g t overflows
+        ("reconstruct", "plan.delta_t", "1e-312"),  # pi / delta_t overflows
+        ("estimate-g", "plan.delta_t", "1e-310"),
+        ("reconstruct", "plan.delta_t", "1e308"),  # n_t delta_t overflows
+        ("dce", "plan.delta_t", "1e308"),
+        ("reconstruct", "probe.g", "1e308"),  # delta_t = auto = 0.075 / g
+        ("noise-sweep", "probe.g", "1e308"),
         ("reconstruct", "plan.delta_t", "-1"),
         ("reconstruct", "plan.delta_t", "nan"),
         ("noise-sweep", "plan.delta_t", "-1"),
@@ -599,6 +607,21 @@ def test_superposition_index_outside_cutoff_exits_2(capsys, tmp_path, command, t
     assert list(out_dir.iterdir()) == []  # refused before any artifact
 
 
+@pytest.mark.parametrize("preset", ["paper-state1", "paper-fig6-left"])
+def test_phase_overflow_at_a_set_step_is_keyed_probe_g(capsys, tmp_path, preset):
+    """With the step set by the preset, a huge coupling overflows the phase
+    2 g t, and ``probe.g``, the larger factor, takes the blame."""
+    command = "noise-sweep" if "fig6" in preset else "reconstruct"
+    cfg = write_config(tmp_path, "[probe]\ng = 1e308\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, command, "--preset", preset, "--config", cfg, "--out-dir", str(out_dir)
+    )
+    assert code == 2
+    assert stderr_error(err)["key"] == "probe.g"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
     # The vacuum never leaves z = -1, so every shot agrees.  The floor is
     # exactly 0 at n_t = 64 and rounding (~1e-18) at n_t = 128 and 256.
@@ -653,7 +676,7 @@ def test_noise_sweep_rows_match_the_per_record_oracle(
             half_width, gamma,
         )
     except FieldTomoError as exc:
-        want = exit_code_for(exc)
+        want = exc.exit_code
     with tempfile.TemporaryDirectory() as tmp:
         code = run_overlay(overlay, "noise-sweep", tmp)
         if isinstance(want, int):
@@ -711,7 +734,7 @@ FUZZ_BASE = {
     "spectral": {"n_max": "2", "half_width": "1"},
     "dce": {"cutoff": "15"},
 }
-FUZZ_TOKENS = ("0", "-1", "nan", "inf", "-inf", "", "abc")
+FUZZ_TOKENS = ("0", "-1", "nan", "inf", "-inf", "", "abc", "1e308", "1e-310")
 COMMANDS = ("reconstruct", "noise-sweep", "dce", "estimate-g")
 # Only `dce` reads [dce], and it builds no [state].
 SECTION_COMMANDS = {"state": ("reconstruct", "noise-sweep", "estimate-g"), "dce": ("dce",)}

@@ -42,6 +42,16 @@ def test_config_validation():
     assert QUENCH.g == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"omega": 1e308}, {"tau": 1e308}, {"omega": 1e200, "tau": 1e200}]
+)
+def test_config_refuses_overflowing_quench_phases(kwargs):
+    """Refused before any Hamiltonian is built: the suite turns the numpy
+    overflow warnings of a quench past the float range into errors."""
+    with pytest.raises(ValidationError, match="overflow"):
+        DceConfig(**{"g_over_omega": 0.5, "tau": 1.0, **kwargs})
+
+
 def test_parity_is_conserved(evolved):
     # |g, 0> starts in the +1 parity sector and the quench keeps it there
     assert abs(oracles.parity_expectation(evolved) - 1.0) < 1e-8

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fieldtomo import measurement
 from fieldtomo.exceptions import ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import (
@@ -83,6 +84,11 @@ def test_axis_streams_independent_of_subset(rho_one, probe):
     )
     assert np.array_equal(full.z, z_only.z)
     assert z_only.x is None and z_only.y is None
+
+
+def test_sampler_refuses_a_nan_mean():
+    with pytest.raises(ValidationError, match="outside"):
+        measurement._sample_axis(np.array([0.0, np.nan, 0.5]), 10, range(2), "z")
 
 
 def test_plan_rejects_bad_seed():

@@ -9,6 +9,7 @@ from fieldtomo.fock import (
     SIGMA_PLUS,
     DensityMatrix,
     density_from_pure,
+    fock_state,
     joint_op,
     lowering_op,
 )
@@ -128,6 +129,22 @@ def test_trajectory_validation():
             BlochTrajectory(times=np.array(bad), z=np.zeros(len(bad)))
     one = BlochTrajectory(times=np.array([0.5]), z=np.zeros(1))  # one-sample grid
     assert one.times.tolist() == [0.5]
+
+
+def test_trajectory_refuses_a_nan_component():
+    times = time_grid(0.1, 3)
+    for axis in "xyz":
+        with pytest.raises(ValidationError, match="Bloch ball"):
+            BlochTrajectory(times=times, **{axis: np.array([0.0, np.nan, 0.5])})
+
+
+def test_ideal_trajectory_refuses_an_overflowing_phase():
+    """The top level's phase 2 g sqrt(n) t is checked before any cos: the
+    first level's phase is finite here, level 15's is not."""
+    rho = density_from_pure(fock_state(1, 15))
+    times = time_grid(1e305, 256)
+    with pytest.raises(ValidationError, match="overflows"):
+        ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), times)
 
 
 def test_trajectory_metadata_and_axes(probe, state_one):

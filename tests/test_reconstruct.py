@@ -329,6 +329,15 @@ def test_estimate_coupling_refuses_pure_noise():
         estimate_coupling(spec)
 
 
+def test_estimate_coupling_on_a_fine_grid_does_not_overflow():
+    """At a 1e-300 step every harmonic is on the grid; the harmonic count is
+    bounded before it is squared, so noise is refused as on any grid."""
+    times = 1e-300 * np.arange(1, 65)
+    spec = dft(np.random.default_rng(7).normal(0.0, 0.02, times.size), times)
+    with pytest.raises(EstimationError):
+        estimate_coupling(spec)
+
+
 @pytest.mark.parametrize("g", [0.8, 1.0, 1.3])
 @pytest.mark.parametrize("kind", ["fock", "coherent"])
 def test_estimate_coupling_matches_the_golden_section_oracle(kind, g):
