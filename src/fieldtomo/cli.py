@@ -536,7 +536,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                 spec = dft(records[:, :n_t], times[:n_t])
                 hw = min(half_width, max_half_width(centers, spec))
                 ests = rec_mod.populations_from_z(spec, freqs, hw)
-                xi = rec_mod._z_floor(spec, ests, freqs, hw)
+                xi = rec_mod._z_floor(spec, ests, g, hw)
                 noiseless = xi <= NOISELESS_FLOOR
                 if noiseless.any():
                     raise EstimationError(

@@ -78,13 +78,18 @@ class FieldState:
         return self.amplitudes.size - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The 2-norm; inf, without a warning, where its square overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.amplitudes))
 
     def normalize(self) -> "FieldState":
-        n = self.norm()
+        amps, n = self.amplitudes, self.norm()
+        if np.isinf(n):  # |a|^2 overflowed: scale by the largest part first
+            amps = amps / np.max(np.abs(amps.view(float)))
+            n = float(np.linalg.norm(amps))
         if n < 1e-300:
             raise ValidationError("cannot normalize a zero state")
-        return FieldState(self.amplitudes / n)
+        return FieldState(amps / n)
 
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

@@ -12,7 +12,9 @@ reduced qubit state when the probe starts in ``|g>``:
 Bloch components follow the usual map ``x = 2 Re rho_ge``,
 ``y = -2 Im rho_ge``, ``z = 2 rho_gg - 1``.  Everything downstream
 (spectral comb layout, coherence pairing signs) assumes exactly these
-expressions.
+expressions.  `bloch_components` is their one copy: `ideal_bloch_trajectory`
+simulates with it, and the estimators' residual floors subtract what it
+gives for their solved estimates.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "BlochTrajectory",
     "time_grid",
     "ideal_bloch_trajectory",
+    "bloch_components",
 ]
 
 #: terms with |rho element| below this are skipped when summing the comb
@@ -55,6 +58,8 @@ def time_grid(delta_t: float, n_t: int) -> np.ndarray:
         raise GridError(f"delta_t must be positive, got {delta_t!r}")
     if n_t < 1:
         raise GridError(f"n_t must be >= 1, got {n_t!r}")
+    if not math.isfinite(delta_t * n_t):
+        raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}")
     return delta_t * np.arange(1, n_t + 1, dtype=float)
 
 
@@ -122,12 +127,8 @@ def ideal_bloch_trajectory(
     times: np.ndarray,
     axes: tuple[str, ...] = ("x", "y", "z"),
 ) -> BlochTrajectory:
-    """Exact Bloch components of the probe at each interrogation time.
-
-    Vectorized over times; only the components in ``axes`` are computed
-    (the others stay ``None``).  Density-matrix elements below 1e-14 in
-    magnitude contribute nothing and are skipped.
-    """
+    """Exact Bloch components in ``axes`` at ``times``, by `bloch_components`;
+    the others stay ``None``."""
     t = np.asarray(times, dtype=float)
     _check_uniform(t)
     if not set(axes) <= {"x", "y", "z"}:
@@ -140,24 +141,34 @@ def ideal_bloch_trajectory(
         raise ValidationError(
             f"the phase 2 g sqrt({diag.size - 1}) t overflows at g = {cfg.g!r}, t = {t[-1]!r}"
         )
-    omega = cfg.g * np.sqrt(np.arange(diag.size, dtype=float))
-    comps: dict[str, np.ndarray] = {}
+    comps = bloch_components(
+        diag if "z" in axes else None, sup if {"x", "y"} & set(axes) else None, cfg.g, t
+    )
+    return BlochTrajectory(times=t, **{a: c for a, c in zip("xyz", comps) if a in axes})
 
-    if "z" in axes:
-        z = np.full(t.shape, diag[0])
-        for n in range(1, diag.size):
-            if abs(diag[n]) < _ELEMENT_FLOOR:
-                continue
-            z = z + diag[n] * np.cos(2.0 * omega[n] * t)
-        # z here is 2 rho_gg - 1 after using cos^2 = (1 + cos 2x)/2 and trace 1.
-        comps["z"] = z
 
-    if "x" in axes or "y" in axes:
+def bloch_components(
+    populations: Optional[np.ndarray], superdiagonal: Optional[np.ndarray], g: float, times
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+    """The forward model: the module's closed forms at ``times`` as ``(x, y,
+    z)``, z in its unit-trace form ``p_0 + sum_n p_n cos(2 Omega_n t)``; a
+    component whose input is None comes back None.  A ``(..., L)`` population
+    stack gives ``(..., N)`` z records and skips a level only where every
+    record's element is below `_ELEMENT_FLOOR`: each row is bit for bit its
+    one-record result unless its own element alone is below it."""
+    t = np.asarray(times, dtype=float)
+    x = y = z = None
+    if populations is not None:
+        p = np.asarray(populations)
+        z = np.repeat(p[..., :1], t.size, axis=-1)
+        for n in range(1, p.shape[-1]):
+            if not np.all(np.abs(p[..., n]) < _ELEMENT_FLOOR):
+                z = z + p[..., n, None] * np.cos(2.0 * (g * math.sqrt(n)) * t)
+    if superdiagonal is not None:
         ge = np.zeros(t.shape, dtype=complex)
-        for n in range(sup.size):
-            if abs(sup[n]) < _ELEMENT_FLOOR:
-                continue
-            ge = ge + sup[n] * np.cos(omega[n] * t) * np.sin(omega[n + 1] * t)
+        for n, s in enumerate(np.asarray(superdiagonal)):
+            if not abs(s) < _ELEMENT_FLOOR:
+                ge = ge + s * np.cos(g * math.sqrt(n) * t) * np.sin(g * math.sqrt(n + 1) * t)
         ge = 1j * ge
-        comps.update(x=2.0 * ge.real, y=-2.0 * ge.imag)
-    return BlochTrajectory(times=t, **{a: comps[a] for a in axes})
+        x, y = 2.0 * ge.real, -2.0 * ge.imag
+    return x, y, z

@@ -36,6 +36,11 @@ record's numbers are bit for bit its one-record result, so
 share one estimator.  `reconstruct_from_spectra` reads every window once:
 the raw areas of its solves, with the residual floors it measures against
 the solved model, are also its ``peaks``.
+
+The floors subtract the simulator's own forward model,
+`probe.bloch_components` at the solved raw estimates, so on ideal records
+they are rounding, or exactly 0 where the model reproduces the record bit
+for bit; a floor of exactly 0 gives a ``None`` SNR.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from .exceptions import EstimationError, ValidationError
 from .fock import FieldState, fidelity
-from .probe import BlochTrajectory
+from .probe import BlochTrajectory, bloch_components, time_grid
 from .spectral import (
     DEFAULT_HALF_WIDTH,
     PeakEstimate,
@@ -117,33 +122,6 @@ class ReconstructionResult:
     peaks: list[PeakEstimate] = field(default_factory=list)
 
 
-def _grid_times(spec: Spectrum) -> np.ndarray:
-    return spec.delta_t * np.arange(1, spec.n_t + 1, dtype=float)
-
-
-def _synth_z(estimates: np.ndarray, centers: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Model z(t) = p_0 + sum p_n cos(2 Omega_n t) from current estimates:
-    ``(..., n_max + 1)`` estimates give ``(..., n_t)`` models."""
-    p = np.real(estimates)[..., None]
-    model = np.broadcast_to(p[..., 0, :], p.shape[:-2] + times.shape)
-    for n, c in enumerate(centers, start=1):
-        model = model + p[..., n, :] * np.cos(c * times)
-    return model
-
-
-def _synth_xy(
-    s_est: np.ndarray, freqs: dict[str, np.ndarray], times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Model x(t), y(t) carrying every sideband of the current S_n."""
-    x = np.zeros(times.size)
-    y = np.zeros(times.size)
-    for n in range(len(s_est)):
-        envelope = np.sin(freqs["sum"][n] * times) + np.sin(freqs["diff"][n] * times)
-        x = x - s_est[n].imag * envelope
-        y = y - s_est[n].real * envelope
-    return x, y
-
-
 def residual_floor(
     spec: Spectrum,
     model_signal: np.ndarray,
@@ -157,7 +135,7 @@ def residual_floor(
     can dominate the free-bin RMS.  The floor is therefore measured on
     the residual, which for an ideal record is numerically zero.
     """
-    model = dft(model_signal, _grid_times(spec))
+    model = dft(model_signal, time_grid(spec.delta_t, spec.n_t))
     resid = spec.values - model.values
     del model  # a stack of records holds one spectrum-sized temporary less
     return noise_floor(Spectrum(spec.freqs, resid, spec.delta_t), exclude)
@@ -359,11 +337,13 @@ def assemble_pure_state(populations: np.ndarray, phases: np.ndarray) -> FieldSta
 
 
 def _z_floor(
-    spec: Spectrum, populations: np.ndarray, freqs: dict[str, np.ndarray], half_width: int
+    spec: Spectrum, populations: np.ndarray, g: float, half_width: int
 ) -> float | np.ndarray:
-    """`residual_floor` of a z spectrum against the comb of ``populations``
+    """`residual_floor` of a z spectrum against the z record that
+    `bloch_components` gives ``populations`` at coupling ``g``
     (``(..., n_max + 1)`` for ``(..., N)`` spectrum values)."""
-    model = _synth_z(populations, freqs["z"], _grid_times(spec))
+    _, _, model = bloch_components(populations, None, g, time_grid(spec.delta_t, spec.n_t))
+    freqs = comb_frequencies(g, populations.shape[-1] - 1)
     return residual_floor(spec, model, [(w.center, half_width) for w in _z_windows(freqs)])
 
 
@@ -422,22 +402,20 @@ def reconstruct_from_spectra(
             "suspect cutoff or window trouble"
         )
 
-    xi_z = diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, freqs, half_width)
+    xi_z = diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, g, half_width)
     peaks = _peaks(_z_windows(freqs), z_areas, xi_z, half_width)
 
-    coherences = None
-    s_upper = None
+    coherences = s_upper = None
     links = np.zeros(max(pops.size - 1, 0), dtype=complex)
     if spec_x is not None and spec_y is not None:
         s_upper, coh_diag, xy_windows, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
         diagnostics.update(coh_diag)
-        x_model, y_model = _synth_xy(s_upper, freqs, _grid_times(spec_z))
+        models = bloch_components(None, s_upper, g, time_grid(spec_x.delta_t, spec_x.n_t))
         # Every xy tone, read or not (the n = 0 difference tone is its sum tone).
         excl = [(w.center, half_width) for w in _xy_windows(freqs, np.arange(n_max) > 0)]
-        xi_x = _safe_floor(residual_floor, spec_x, x_model, excl)
-        xi_y = _safe_floor(residual_floor, spec_y, y_model, excl)
-        diagnostics["noise_floor_x"] = xi_x
-        diagnostics["noise_floor_y"] = xi_y
+        xi_x, xi_y = (_safe_floor(residual_floor, sp, model, excl)
+                      for sp, model in zip((spec_x, spec_y), models))
+        diagnostics.update(noise_floor_x=xi_x, noise_floor_y=xi_y)
         for areas, xi in zip(xy_areas, (xi_x, xi_y)):
             peaks += _peaks(xy_windows, areas, xi, half_width)
         xi_xy = None if xi_x is None or xi_y is None else math.hypot(xi_x, xi_y)
@@ -564,8 +542,9 @@ def estimate_coupling(
     over the default range) or stops shrinking (where the float spacing
     of g exceeds `_G_TOLERANCE`).  Returns the best candidate and its
     score from the batch that found it.  If the winning comb holds no bin
-    above 5x a robust noise floor, there is no comb to align and an
-    `EstimationError` is raised.
+    above 5x a robust noise floor (a floor of 0 included), there is no comb
+    to align and an `EstimationError` is raised, as it is when the lowest
+    candidate tone ``2 lo`` falls in the half-width-1 DC window.
     """
     lo, hi = search_range
     if not (0 < lo < hi):
@@ -579,6 +558,11 @@ def estimate_coupling(
     if n_use < 1:
         raise ValidationError(
             "search range exceeds the frequency grid; lower the range or raise n_t"
+        )
+    if _grid_windows(spec_z, 2.0 * lo, 1)[1] <= 1:
+        raise EstimationError(
+            f"the lowest candidate tone 2 g = {2.0 * lo:.4g} falls in the DC window "
+            f"(bin width {dw:.4g}); raise the search range or n_t delta_t"
         )
     roots = np.sqrt(np.arange(1, n_use + 1, dtype=float))
 
@@ -601,7 +585,7 @@ def estimate_coupling(
     # The +-1 bins around each +-c; n_use keeps every such window on the grid.
     _, _, idx, _ = _grid_windows(spec_z, np.concatenate((c, -c)), 1)
     peak_amp = float(np.max(abs_vals[idx.astype(np.intp)[:, None] + [-1, 0, 1]]))
-    if robust > 0.0 and peak_amp <= 5.0 * robust:
+    if peak_amp <= 5.0 * robust:
         raise EstimationError(
             f"no spectral peak above 5x the noise floor near the best comb "
             f"(g = {g_hat:.4f}); cannot estimate the coupling"

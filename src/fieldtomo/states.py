@@ -31,8 +31,8 @@ def superposition(terms: Sequence[tuple[int, complex]], cutoff: int) -> FieldSta
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    count = 0
+    # Python complex sums: an overflow is inf, refused as non-finite, not warned.
+    amps = [0j] * (cutoff + 1)
     for n, amp in terms:
         n = int(n)
         if n < 0:
@@ -40,10 +40,10 @@ def superposition(terms: Sequence[tuple[int, complex]], cutoff: int) -> FieldSta
         if n > cutoff:
             raise CutoffError(f"term |{n}> exceeds cutoff {cutoff}")
         amps[n] += complex(amp)
-        count += 1
-    if count == 0 or np.linalg.norm(amps) < 1e-300:
+    state = FieldState(amps)
+    if state.norm() < 1e-300:
         raise ValidationError("superposition needs at least one nonzero term")
-    return FieldState(amps).normalize()
+    return state.normalize()
 
 
 def _coherent_required_cutoff(abs_alpha: float) -> int:

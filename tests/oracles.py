@@ -269,7 +269,7 @@ def noise_sweep_rows(
                 spec = dft(traj.z, traj.times)
                 hw = min(half_width, max_half_width(centers, spec))
                 ests = populations_from_z(spec, freqs, hw)
-                xi = _z_floor(spec, ests, freqs, hw)
+                xi = _z_floor(spec, ests, cfg.g, hw)
                 if xi <= NOISELESS_FLOOR:
                     raise EstimationError(f"noise floor {xi:.3e} is rounding")
                 xis.append(xi)

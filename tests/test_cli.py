@@ -738,6 +738,14 @@ FUZZ_TOKENS = ("0", "-1", "nan", "inf", "-inf", "", "abc", "1e308", "1e-310")
 COMMANDS = ("reconstruct", "noise-sweep", "dce", "estimate-g")
 # Only `dce` reads [dce], and it builds no [state].
 SECTION_COMMANDS = {"state": ("reconstruct", "noise-sweep", "estimate-g"), "dce": ("dce",)}
+# The state.kind that reads each of these keys; under the default kind
+# (fock) a fuzzed value of theirs would never be read.
+READING_KIND = {
+    "alpha_re": "coherent",
+    "alpha_im": "coherent",
+    "terms": "superposition",
+    "file": "file",
+}
 
 
 def run_overlay(overlay: dict, command: str, out_dir: Optional[str] = None) -> int:
@@ -808,4 +816,28 @@ def test_ini_value_fuzz_never_exits_1(key, token, data):
     command = data.draw(st.sampled_from(SECTION_COMMANDS.get(section, COMMANDS)))
     overlay = {name: dict(values) for name, values in FUZZ_BASE.items()}
     overlay.setdefault(section, {})[option] = token
+    if section == "state" and option in READING_KIND:
+        overlay["state"]["kind"] = READING_KIND[option]
     assert run_overlay(overlay, command) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("command", SECTION_COMMANDS["state"])
+@pytest.mark.parametrize("token", FUZZ_TOKENS)
+@pytest.mark.parametrize("terms", ["1:{0}:0; 2:{0}:0", "{0}:1:0"])
+def test_state_terms_fuzz_never_exits_1(terms, token, command):
+    """Each fuzz token as a state.terms amplitude and as a state.terms index."""
+    overlay = {name: dict(values) for name, values in FUZZ_BASE.items()}
+    overlay["state"] = {"kind": "superposition", "terms": terms.format(token)}
+    assert run_overlay(overlay, command) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("text", ["[state]\nn = 0\n", "[probe]\ng = 1e200\n"])
+def test_estimate_g_without_a_comb_off_dc_exits_3(capsys, tmp_path, text):
+    """Fock |0> has no tone at all; at g = 1e200 one bin is wider than every
+    candidate comb of the search range, which all fall in the DC window."""
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, text)
+    code, _, err = run(capsys, "estimate-g", "--config", cfg, "--out-dir", str(out_dir))
+    assert code == 3
+    assert stderr_error(err)["type"] == "EstimationError"
+    assert not (out_dir / "g_estimate.json").exists()

@@ -13,9 +13,11 @@ from fieldtomo.fock import (
     joint_op,
     lowering_op,
 )
+from fieldtomo.measurement import MeasurementPlan
 from fieldtomo.probe import (
     BlochTrajectory,
     ProbeConfig,
+    bloch_components,
     ideal_bloch_trajectory,
     time_grid,
 )
@@ -62,6 +64,30 @@ def test_time_grid_excludes_zero():
     with pytest.raises(GridError):
         time_grid(0.1, 0)
 
+
+def test_time_grid_refuses_an_overflowing_last_time():
+    """n_t delta_t is checked before the grid is multiplied out, so no numpy
+    overflow warning (an error in this suite) is raised."""
+    with pytest.raises(GridError, match="overflows"):
+        time_grid(1e308, 4)
+    with pytest.raises(GridError, match="overflows"):
+        MeasurementPlan(delta_t=1e308, n_t=4).times()
+    assert time_grid(1e308, 1)[-1] == 1e308
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_population_stack_rows_are_their_one_record_models(seed):
+    """Each row of a ``(k, L)`` population stack is bit for bit the z model
+    of that row alone, an all-empty level included."""
+    rng = np.random.default_rng(seed)
+    k, levels = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+    pops = rng.uniform(-0.1, 1.0, size=(k, levels))
+    pops[:, rng.integers(levels)] = 0.0
+    times, g = time_grid(0.075, 300), rng.uniform(0.6, 1.5)
+    x, y, z = bloch_components(pops, None, g, times)
+    assert x is None and y is None and z.shape == (k, times.size)
+    for row, p in zip(z, pops):
+        assert np.array_equal(row, bloch_components(p, None, g, times)[2])
 
 def test_initial_condition_points_north(state_one, probe):
     # Before any interaction the probe is untouched: (x, y, z) = (0, 0, 1).

@@ -268,6 +268,29 @@ def test_ideal_pure_states_reconstruct_without_warnings(g, lowest, data):
     assert res.fidelity_vs_reference >= 1.0 - 1e-9
 
 
+@settings(deadline=None, max_examples=40)
+@given(g=st.floats(min_value=0.6, max_value=1.5), data=st.data())
+def test_ideal_records_leave_no_residual_floor(g, data):
+    """The floors subtract the simulator's own forward model, so on the ideal
+    records of a pure state within n_max every axis's floor is rounding."""
+    n_max = 8
+    levels = data.draw(
+        st.lists(st.integers(0, n_max), min_size=1, max_size=n_max + 1, unique=True),
+        label="levels",
+    )
+    mags = data.draw(st.lists(st.floats(0.2, 1.0), min_size=len(levels), max_size=len(levels)))
+    args = data.draw(
+        st.lists(st.floats(-np.pi, np.pi), min_size=len(levels), max_size=len(levels))
+    )
+    state = superposition(
+        [(n, m * np.exp(1j * a)) for n, m, a in zip(levels, mags, args)], n_max
+    )
+    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), TIMES)
+    res = reconstruct_state(traj, g=g, n_max=n_max)
+    for axis in "xyz":
+        assert res.diagnostics[f"noise_floor_{axis}"] <= 1e-12, axis
+
+
 def test_z_only_reconstruction_is_partial(probe, state_two):
     rho = density_from_pure(state_two)
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, axes=("z",))

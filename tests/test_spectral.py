@@ -599,7 +599,7 @@ def test_batched_records_equal_one_record_results(
         out = [spec.values, read_windows(spec, centers, hw)]
         try:
             pops = populations_from_z(spec, freqs, hw)
-            return out + [pops, _z_floor(spec, pops, freqs, hw)]
+            return out + [pops, _z_floor(spec, pops, 1.0, hw)]
         except FieldTomoError as exc:
             return out + [type(exc)]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fieldtomo.exceptions import CutoffError, ValidationError
+from fieldtomo.fock import FieldState
 from fieldtomo.states import (
     _coherent_required_cutoff,
     coherent_state,
@@ -38,6 +39,30 @@ def test_superposition_rejects_empty():
     with pytest.raises(ValidationError):
         superposition([(1, 0.0)], 4)
 
+
+@pytest.mark.parametrize("amp", [1e200, 1e308, 1e308 + 1e308j])
+def test_superposition_of_huge_amplitudes_normalizes(amp):
+    """|amplitude|^2 overflows, yet the state is normalized, without a warning."""
+    s = superposition([(1, amp), (2, amp)], 8)
+    phase = np.exp(1j * np.angle(amp))
+    assert np.allclose(s.amplitudes, np.r_[0.0, phase, phase, np.zeros(6)] / math.sqrt(2.0))
+
+
+def test_amplitude_file_of_huge_amplitudes_normalizes(tmp_path):
+    path = tmp_path / "state.txt"
+    path.write_text("1 1e308 0\n2 0 1e308\n")
+    assert np.allclose(load_amplitudes(path).amplitudes, np.r_[0.0, 1.0, 1j] / math.sqrt(2.0))
+
+
+def test_normalize_keeps_the_bits_of_a_finite_norm():
+    amps = np.array([0.3, 1e150, -2e153j, 0.0])
+    want = amps / np.linalg.norm(amps)
+    assert FieldState(amps).normalize().amplitudes.tobytes() == want.tobytes()
+
+
+def test_superposition_refuses_an_overflowing_repeated_term():
+    with pytest.raises(ValidationError, match="non-finite"):
+        superposition([(1, 1e308), (1, 1e308)], 4)
 
 def test_coherent_state_poisson_populations():
     alpha = 0.7 * np.exp(1j * np.pi / 3)
