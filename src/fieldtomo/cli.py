@@ -178,7 +178,7 @@ def _merged_config(args) -> dict[str, dict[str, str]]:
         user = configparser.ConfigParser(interpolation=None, default_section="\n")
         try:
             user.read(path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         for section in user.sections():
             if section not in DEFAULTS:
@@ -728,7 +728,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cp = _merged_config(args)
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make --out-dir: {exc}", key="--out-dir") from exc
         return COMMANDS[args.command](cp, out_dir)
     except FieldTomoError as exc:
         json.dump(_error_payload(exc), sys.stderr, indent=2, sort_keys=True)

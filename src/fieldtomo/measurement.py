@@ -167,25 +167,30 @@ def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
 def read_trajectory_csv(path: str | Path) -> BlochTrajectory:
     """The trajectory of a ``t,x,y,z`` file; an axis left empty on every row
     stays ``None``.  A row that is not four fields, with ``t`` and each
-    measured axis a number, is a `ValidationError` naming file and line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "x", "y", "z"]:
-            raise ValidationError(f"{path}: expected header t,x,y,z, got {header!r}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError
-                rows.append([float(row[0])] + [None if c == "" else float(c) for c in row[1:]])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected t,x,y,z with t and every "
-                    f"measured axis a number, got {row!r}"
-                ) from None
+    measured axis a number, is a `ValidationError` naming file and line;
+    a file that does not decode as text is one naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != ["t", "x", "y", "z"]:
+        raise ValidationError(f"{path}: expected header t,x,y,z, got {header!r}")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != 4:
+                raise ValueError
+            rows.append([float(row[0])] + [None if c == "" else float(c) for c in row[1:]])
+        except ValueError:
+            raise ValidationError(
+                f"{path}: line {reader.line_num}: expected t,x,y,z with t and every "
+                f"measured axis a number, got {row!r}"
+            ) from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     times = np.array([r[0] for r in rows])

@@ -39,8 +39,8 @@ run once for the stack.
 Every record is real, so ``F(-omega) = conj F(omega)`` and half of each
 spectrum repeats the other half.  `write_spectrum_csv` therefore writes a
 file one-sided: the ``N // 2 + 1`` rows of ``omega >= 0``, led by the
-unpaired Nyquist row of an even ``N``.  `read_spectrum_csv` rebuilds the
-negative bins by conjugation.  In memory a `Spectrum` stays two-sided, as
+unpaired Nyquist row of an even ``N``; the negative bins are their
+conjugates.  In memory a `Spectrum` stays two-sided, as
 `dft` computes it: ``np.fft.fft`` of a real record is not
 conjugate-symmetric bit for bit, so the stored negative bins are what the
 window reads use.
@@ -48,7 +48,6 @@ window reads use.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -72,7 +71,6 @@ __all__ = [
     "validate_windows",
     "max_half_width",
     "write_spectrum_csv",
-    "read_spectrum_csv",
 ]
 
 DEFAULT_HALF_WIDTH = 4
@@ -336,34 +334,6 @@ def _one_sided_rows(n: int) -> np.ndarray:
     return np.r_[: 1 - n % 2, n // 2 : n]
 
 
-def _grid_step(freqs: np.ndarray) -> float:
-    """``d_omega`` of a signed ``N``-bin grid, from its outermost bin
-    ``-(N // 2) d_omega``: a difference of two neighbouring bins would lose
-    up to ``N`` ulps."""
-    return -freqs[0] / (freqs.size // 2)
-
-
-def _is_dft_grid(freqs: np.ndarray) -> bool:
-    """Whether ``freqs`` is the signed grid of `dft`: omega exactly 0 at
-    index ``N // 2`` and every bin ``m d_omega`` (``d_omega > 0``) to 1e-9
-    of ``|m| d_omega``."""
-    m = np.arange(freqs.size) - freqs.size // 2
-    dw = _grid_step(freqs)
-    return bool(dw > 0 and np.all(np.abs(freqs - m * dw) <= 1e-9 * np.abs(m) * dw))
-
-
-def _unfold(freqs: np.ndarray, values: np.ndarray, n: int):
-    """The ``n``-bin two-sided grid and values of a file's rows, the
-    `_one_sided_rows` of ``n``: each negative bin is the conjugate of its
-    positive partner."""
-    rows, neg = _one_sided_rows(n), np.arange(1 - n % 2, n // 2)
-    pos = 2 * (n // 2) - neg
-    f, v = np.empty(n), np.empty(n, dtype=complex)
-    f[rows], v[rows] = freqs, values
-    f[neg], v[neg] = -f[pos], v[pos].conj()
-    return f, v
-
-
 @functools.lru_cache(maxsize=1)
 def _omega_cells(grid: bytes) -> tuple[str, ...]:
     """The ``%.17g,`` omega cells of a spectrum file on the grid whose
@@ -377,9 +347,9 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     """The one-sided spectrum: header ``omega,re,im``, then the ``n_t // 2
     + 1`` rows of ``omega >= 0``, led by the unpaired Nyquist row
     ``omega = -pi / delta_t`` when ``n_t`` is even, as ``%.17g`` floats with
-    ``\\r\\n`` line ends, the dialect `read_spectrum_csv` (a `csv.reader`)
-    expects.  The negative bins are left out: a real record has
-    ``F(-omega) = conj F(omega)``.  One record per file."""
+    ``\\r\\n`` line ends (the `csv` module's default dialect).  The negative
+    bins are left out: a real record has ``F(-omega) = conj F(omega)``.  One
+    record per file."""
     if spec.values.ndim != 1:
         raise ValidationError("write_spectrum_csv writes one record, not a stack")
     values = spec.values[_one_sided_rows(spec.freqs.size)]
@@ -387,46 +357,3 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("omega,re,im\r\n")
         fh.writelines(map("%s%.17g,%.17g\r\n".__mod__, zip(*cols)))
-
-
-def read_spectrum_csv(path: str | Path) -> Spectrum:
-    """The two-sided `Spectrum` of a one-sided spectrum file, as
-    `write_spectrum_csv` writes it.
-
-    The negative bins are the conjugates of their positive partners; the
-    ``n_t`` is ``2 rows - 1`` when the first row is omega = 0 and
-    ``2 rows - 2`` when it is the Nyquist row.  Raises `GridError` if the
-    omega rows are not the one-sided rows of a `dft` grid, and
-    `ValidationError` naming the file and line of a row that is not three
-    numbers."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["omega", "re", "im"]:
-            raise ValidationError(f"{path}: expected header omega,re,im")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != 3:
-                    raise ValueError
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected three numbers "
-                    f"omega,re,im, got {row!r}"
-                ) from None
-    freqs = np.array([r[0] for r in rows])
-    vals = np.array([complex(r[1], r[2]) for r in rows])
-    if freqs.size < 2:
-        raise ValidationError(f"{path}: too few rows")
-    if not np.all(np.isfinite(freqs)):
-        raise ValidationError(f"{path}: omega must be finite")
-    # One-sided of odd, then of even n_t; at most one of the two is a dft grid.
-    for n in (2 * freqs.size - 1, 2 * freqs.size - 2):
-        f, v = _unfold(freqs, vals, n)
-        if _is_dft_grid(f):
-            dt = 2.0 * math.pi / (_grid_step(f) * n)
-            return Spectrum(freqs=f, values=v, delta_t=dt)
-    raise GridError(f"{path}: omega rows are not the one-sided rows of a dft grid")

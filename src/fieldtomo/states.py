@@ -110,11 +110,16 @@ def load_amplitudes(path: str | Path) -> FieldState:
 
     Blank lines and ``#`` comments are skipped.  The cutoff is the
     largest ``n`` present (at least 1).  The loaded state is
-    normalized like any other generator output.
+    normalized like any other generator output.  A file that does not
+    decode as text, or a malformed line, is a `ValidationError`.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     entries: list[tuple[int, complex]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

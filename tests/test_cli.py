@@ -25,7 +25,7 @@ from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import read_trajectory_csv, sample_records
 from fieldtomo.probe import ProbeConfig
 from fieldtomo.reconstruct import reconstruct_from_spectra, reconstruct_state
-from fieldtomo.spectral import dft, read_spectrum_csv, read_windows
+from fieldtomo.spectral import Spectrum, dft, read_windows
 
 
 def run(capsys, *argv):
@@ -197,17 +197,28 @@ def test_reconstruct_writes_artifacts(capsys, tmp_path):
 )
 def test_one_sided_spectrum_files_reconstruct_the_state(capsys, tmp_path, preset, overlay):
     """The one-sided spectrum CSVs hold all a reconstruction needs."""
+
+    def two_sided(path, n_t, delta_t):
+        # File rows: the Nyquist row of an even n_t, then omega = 0, 1, ...
+        # Each negative bin is the conjugate of its positive partner.
+        omega, re, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        values, lead = re + 1j * im, 1 - n_t % 2
+        freqs = np.r_[omega[:lead], -omega[:lead:-1], omega[lead:]]
+        values = np.r_[values[:lead], values[:lead:-1].conj(), values[lead:]]
+        return Spectrum(freqs=freqs, values=values, delta_t=delta_t)
+
     cfg = write_config(tmp_path, overlay)
     code, _, _ = run(
         capsys, "reconstruct", "--preset", preset, "--config", cfg, "--out-dir", str(tmp_path)
     )
     assert code == 0
     n_t = int(cli.PRESETS[preset]["plan"]["n_t"])
+    delta_t = float(cli.PRESETS[preset]["plan"]["delta_t"])
     spectra = {}
     for axis in "xyz":
         path = tmp_path / f"spectrum_{axis}.csv"
         assert len(path.read_text().splitlines()) == 1 + n_t // 2 + 1
-        spectra[axis] = read_spectrum_csv(path)
+        spectra[axis] = two_sided(path, n_t, delta_t)
     spectral = DEFAULTS["spectral"]
     result = reconstruct_from_spectra(
         float(DEFAULTS["probe"]["g"]),
@@ -351,6 +362,47 @@ def test_state_file_flag(capsys, tmp_path):
     assert payload["chain_breaks"] == [1]
     assert payload["populations"][0] == pytest.approx(0.5, abs=1e-3)
     assert payload["populations"][2] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_state_file_that_does_not_decode_exits_3(capsys, tmp_path):
+    amp_path = tmp_path / "state.txt"
+    amp_path.write_bytes(b"0 1.0 0.0\n\xff 1.0 0.0\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, "reconstruct", "--state-file", str(amp_path), "--out-dir", str(out_dir)
+    )
+    assert code == 3
+    body = stderr_error(err)
+    assert body["type"] == "ValidationError"
+    assert body["message"].startswith(f"{amp_path}: ")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_config_that_does_not_decode_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(b"\xff\xfe[plan]\nn_t = 64\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "estimate-g", "--config", str(cfg), "--out-dir", str(out_dir))
+    assert code == 2
+    body = stderr_error(err)
+    assert body["type"] == "ConfigError"
+    assert body["message"].startswith(f"cannot parse {cfg}: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_dir_naming_a_file_exits_2(capsys, tmp_path, under):
+    """An --out-dir that is a file, or lies under one, is refused before
+    any artifact is written."""
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    code, _, err = run(capsys, "estimate-g", "--out-dir", str(afile / under))
+    assert code == 2
+    body = stderr_error(err)
+    assert body["type"] == "ConfigError"
+    assert body["key"] == "--out-dir"
+    assert list(tmp_path.iterdir()) == [afile]
+    assert afile.read_text() == "keep\n"
 
 
 def test_insufficient_cutoff_exits_3(capsys, tmp_path):

@@ -254,3 +254,11 @@ def test_read_trajectory_csv_names_file_and_line_of_a_bad_row(tmp_path, row):
     with pytest.raises(ValidationError, match=r"traj\.csv: line 3: ") as info:
         read_trajectory_csv(path)
     assert type(info.value) is ValidationError
+
+
+def test_read_trajectory_csv_names_a_file_that_does_not_decode(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"t,x,y,z\r\n0.05,,,0.25\r\n0.1,,,\xff\r\n")
+    with pytest.raises(ValidationError, match=r"traj\.csv: ") as info:
+        read_trajectory_csv(path)
+    assert type(info.value) is ValidationError

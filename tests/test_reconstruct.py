@@ -16,14 +16,7 @@ from fieldtomo.reconstruct import (
     reconstruct_from_spectra,
     reconstruct_state,
 )
-from fieldtomo.spectral import (
-    Spectrum,
-    comb_frequencies,
-    dft,
-    read_spectrum_csv,
-    read_windows,
-    write_spectrum_csv,
-)
+from fieldtomo.spectral import Spectrum, comb_frequencies, dft, read_windows
 from fieldtomo.states import coherent_state, superposition
 
 TIMES = time_grid(0.075, 4096)
@@ -373,7 +366,7 @@ def test_estimate_coupling_matches_the_golden_section_oracle(kind, g):
     assert abs(estimate_coupling(spec)[0] - golden_section_coupling(spec)) <= 1e-7
 
 
-def test_estimate_coupling_on_sampled_records(tmp_path):
+def test_estimate_coupling_on_sampled_records():
     tol = np.pi / TIMES[-1]
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -390,9 +383,6 @@ def test_estimate_coupling_on_sampled_records(tmp_path):
         assert abs(g_hat - g) < tol, seed
         # the one-sided batch score is the two-sided score at g_hat
         assert score == pytest.approx(coupling_scores(spec, g_hat, 5), rel=1e-12, abs=0.0)
-        path = tmp_path / "spectrum_z.csv"
-        write_spectrum_csv(spec, path)
-        assert estimate_coupling(read_spectrum_csv(path))[0] == g_hat, seed
 
 
 @pytest.mark.parametrize(

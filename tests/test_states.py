@@ -174,6 +174,14 @@ def test_amplitude_file_malformed_line_reports_position(tmp_path):
         load_amplitudes(path)
 
 
+def test_amplitude_file_that_does_not_decode_names_the_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 1.0 0.0\n\xff 1.0 0.0\n")
+    with pytest.raises(ValidationError, match=r"bad\.txt: ") as info:
+        load_amplitudes(path)
+    assert type(info.value) is ValidationError
+
+
 def test_amplitude_file_empty(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n")
