@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import sys
@@ -725,15 +726,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
+    made: list[Path] = []  # directories this call creates, deepest first
     try:
         cp = _merged_config(args)
         out_dir = Path(args.out_dir)
         try:
+            made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make --out-dir: {exc}", key="--out-dir") from exc
         return COMMANDS[args.command](cp, out_dir)
     except FieldTomoError as exc:
+        for d in made:  # a refusal leaves no empty directory behind
+            with contextlib.suppress(OSError):
+                d.rmdir()
         json.dump(_error_payload(exc), sys.stderr, indent=2, sort_keys=True)
         sys.stderr.write("\n")
         return exc.exit_code

@@ -30,11 +30,11 @@ Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
 ``(..., N)`` over the one 1-D ``freqs``, `read_windows` returns
 ``(..., *centers.shape)`` and `noise_floor` one floor per record.  Each
-record's result is bit for bit what the record gives alone: the two
-reductions whose summation order numpy would change on a stack (the
-window sum and the free-bin mean) run one record at a time.  The grid
-checks, window geometry and `window_gains` depend on the grid alone and
-run once for the stack.
+record's result is bit for bit what the record gives alone: `read_windows`
+adds every record's bins one offset at a time, in one order, and only the
+free-bin mean, whose summation order numpy may change on a stack, runs
+one record at a time.  The grid checks, window geometry and
+`window_gains` depend on the grid alone and run once for the stack.
 
 Every record is real, so ``F(-omega) = conj F(omega)`` and half of each
 spectrum repeats the other half.  `write_spectrum_csv` therefore writes a
@@ -200,20 +200,29 @@ def read_windows(
     center after rotating each bin to the record midpoint
     ``t = (N+1) dt / 2`` (which cancels the edge-referenced leakage
     phases), then normalizes by the exact window (Dirichlet) response at
-    the actual sub-bin offset.  ``centers`` may have any shape; the
+    the actual sub-bin offset.  The rotation splits into one tap
+    ``exp(i pi j (N+1)/N)`` per bin offset ``j`` and one factor per center;
+    every record of a stack adds its tapped bins in offset order, so it
+    reads bit for bit as it does alone.  ``centers`` may have any shape; the
     result has shape ``(..., *centers.shape)`` for ``(..., N)`` spectrum
     values.  Raises `GridError` if any window runs off the grid.
     """
     n = spec.n_t
-    x, m_c, idx, resp = _window_bins(spec, centers, half_width)
-    delta = (x - m_c)[..., None]
+    x, m_c, idx, resp = _window_bins(spec, np.ravel(centers), half_width)
     j = np.arange(-half_width, half_width + 1)
-    bins = idx[..., None].astype(np.intp) + j
-    phase = np.exp(1j * np.pi * (j - delta) * (n + 1) / n)
-    # One record at a time: gathered from a stack, the bins would not lie
-    # record by record in memory and numpy would sum them in another order.
-    sums = np.stack([np.sum(v[bins] * phase, axis=-1) for v in spec.values.reshape(-1, n)])
-    return sums.reshape(spec.values.shape[:-1] + bins.shape[:-1]) / resp
+    taps = np.exp(1j * np.pi * j * (n + 1) / n)
+    records = spec.values.reshape(-1, n)
+    # (records, taps, centers) block, added over taps in order.  numpy picks a
+    # fused or a plain complex multiply by operand layout, so every shape must
+    # take the same loop: the tap product loops over centers or taps (a lone
+    # tap is exactly 1), and the rotation multiplies flat arrays.
+    block = records[:, j[:, None] + idx.astype(np.intp)] * taps[:, None]
+    total = block[:, 0]
+    for k in range(1, j.size):
+        total = total + block[:, k]
+    rotation = np.exp(-1j * np.pi * (x - m_c) * (n + 1) / n) / resp
+    total = total.ravel() * np.tile(rotation, len(records))
+    return total.reshape(spec.values.shape[:-1] + np.shape(centers))
 
 
 def window_gains(
@@ -264,7 +273,8 @@ def noise_floor(
             "exclusion windows cover more than 75% of the spectrum; "
             "noise floor would be dominated by signal"
         )
-    # One record at a time, for the reason given in `read_windows`.
+    # One record at a time: numpy may order the mean's sum differently on a
+    # stack, and each floor must be the bits its record gives alone.
     floors = [np.sqrt(np.mean(np.abs(v[free]) ** 2)) for v in spec.values.reshape(-1, n)]
     if spec.values.ndim == 1:
         return float(floors[0])

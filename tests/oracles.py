@@ -4,8 +4,9 @@ with the inputs, checks and observables the comparisons share.
 The references are written the plain way, for clarity rather than
 speed.  The CSV writers, the one-record-at-a-time noise sweep, the
 `ConfigParser` config merge and the coherent-tail loop must agree with
-the library exactly; the propagators (matrix exponential, RK4) and the
-golden-section coupling search to the tolerance a test states.
+the library exactly; the propagators (matrix exponential, RK4), the
+golden-section coupling search and the per-bin-phase window read to the
+tolerance a test states.
 """
 
 import configparser
@@ -26,6 +27,7 @@ from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
 from fieldtomo.spectral import (
     DEFAULT_HALF_WIDTH,
+    _window_bins,
     comb_frequencies,
     dft,
     max_half_width,
@@ -137,6 +139,21 @@ def coherent_required_cutoff(abs_alpha: float, tail: float = 1e-8) -> int:
         term *= nbar / n
         acc += term
     return max(n, 1)
+
+
+def read_windows_per_bin(spec, centers, half_width: int = DEFAULT_HALF_WIDTH):
+    """`spectral.read_windows` as a plain sum over each window: every bin
+    ``m_c + j`` rotated to the record midpoint by its own phase
+    ``exp(i pi (j - delta) (N+1)/N)``, summed with `np.sum`, one record at
+    a time, and divided by the window response."""
+    n = spec.n_t
+    x, m_c, idx, resp = _window_bins(spec, centers, half_width)
+    delta = (x - m_c)[..., None]
+    j = np.arange(-half_width, half_width + 1)
+    bins = idx[..., None].astype(np.intp) + j
+    phase = np.exp(1j * np.pi * (j - delta) * (n + 1) / n)
+    sums = np.stack([np.sum(v[bins] * phase, axis=-1) for v in spec.values.reshape(-1, n)])
+    return sums.reshape(spec.values.shape[:-1] + bins.shape[:-1]) / resp
 
 
 def cosine_pair(spec, center, half_width: int = DEFAULT_HALF_WIDTH):

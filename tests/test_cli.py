@@ -245,7 +245,7 @@ def test_reconstruct_requires_z(capsys, tmp_path):
             assert code == 2
             assert stderr_error(err)["type"] == "ConfigError"
             assert stderr_error(err)["key"] == "plan.axes"
-            assert list(out_dir.iterdir()) == []  # refused before any artifact
+            assert not out_dir.exists()  # refused before any artifact
 
 
 def test_sampled_runs_are_byte_deterministic(capsys, tmp_path):
@@ -375,7 +375,27 @@ def test_state_file_that_does_not_decode_exits_3(capsys, tmp_path):
     body = stderr_error(err)
     assert body["type"] == "ValidationError"
     assert body["message"].startswith(f"{amp_path}: ")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("state_file", ["missing.txt", "a_dir"])
+def test_refused_state_file_leaves_no_new_out_dir(capsys, tmp_path, state_file):
+    """A refusal raised by the command removes the --out-dir levels this
+    call made, parents included, and keeps the ones that were there."""
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "kept").mkdir()
+    for out_dir, survivor in (
+        (tmp_path / "o" / "sub", tmp_path),
+        (tmp_path / "kept" / "new" / "sub", tmp_path / "kept"),
+    ):
+        before = sorted(survivor.iterdir())
+        code, _, err = run(
+            capsys, "reconstruct", "--state-file", str(tmp_path / state_file),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert stderr_error(err)["key"] == "state.file"
+        assert sorted(survivor.iterdir()) == before
 
 
 def test_config_that_does_not_decode_exits_2(capsys, tmp_path):
@@ -643,7 +663,7 @@ def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
     body = stderr_error(err)
     assert body["type"] == "ConfigError"
     assert body["key"] == key
-    assert list(out_dir.iterdir()) == []  # refused before any artifact
+    assert not out_dir.exists()  # refused before any artifact
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "noise-sweep", "estimate-g"])
@@ -656,7 +676,7 @@ def test_superposition_index_outside_cutoff_exits_2(capsys, tmp_path, command, t
     body = stderr_error(err)
     assert body["type"] == "ConfigError"
     assert body["key"] == "state.terms"
-    assert list(out_dir.iterdir()) == []  # refused before any artifact
+    assert not out_dir.exists()  # refused before any artifact
 
 
 @pytest.mark.parametrize("preset", ["paper-state1", "paper-fig6-left"])
@@ -671,7 +691,7 @@ def test_phase_overflow_at_a_set_step_is_keyed_probe_g(capsys, tmp_path, preset)
     )
     assert code == 2
     assert stderr_error(err)["key"] == "probe.g"
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):

@@ -268,6 +268,62 @@ def test_read_windows_checks_half_width():
         read_windows(KERNEL_SPEC, [1.0], -1)
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    n_t=st.integers(min_value=16, max_value=301),
+    records=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    centers_shape=st.sampled_from([(), (0,), (1,), (5,), (1, 1), (4, 3)]),
+    half_width=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_read_windows_matches_the_per_bin_phase_reference(
+    n_t, records, centers_shape, half_width, seed
+):
+    """One tap per bin offset and one rotation per center read what a
+    per-bin phase and a plain sum per record read, to rounding."""
+    rng = np.random.default_rng(seed)
+    times = time_grid(0.1, n_t)
+    spec = dft(rng.normal(size=records + (n_t,)), times)
+    edge = n_t // 2 - half_width - 1  # every window stays on the grid
+    centers = rng.uniform(-edge, edge, size=centers_shape) * spec.d_omega
+    got = read_windows(spec, centers, half_width)
+    want = oracles.read_windows_per_bin(spec, centers, half_width)
+    assert got.shape == want.shape == records + centers_shape
+    scale = (2 * half_width + 1) * np.max(np.abs(spec.values))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n_t=st.integers(min_value=64, max_value=1024),
+    n_records=st.integers(min_value=1, max_value=4),
+    n_candidates=st.integers(min_value=1, max_value=40),
+    n_harmonics=st.integers(min_value=1, max_value=5),
+    half_width=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n_t=4096, n_records=2, n_candidates=1000, n_harmonics=5, half_width=1, seed=19)
+def test_candidate_grid_reads_of_a_stack_are_each_read_alone(
+    n_t, n_records, n_candidates, n_harmonics, half_width, seed
+):
+    """The coupling search's read shape, a ``(C, H)`` grid of centers,
+    on an ``(S,)`` stack: each element is, bit for bit, that center read
+    alone on that record."""
+    rng = np.random.default_rng(seed)
+    times = time_grid(0.075, n_t)
+    signals = rng.normal(size=(n_records, n_t))
+    d_omega = 2.0 * np.pi / (n_t * 0.075)
+    top = (n_t // 2 - half_width - 1) * d_omega / np.sqrt(n_harmonics)
+    g = rng.uniform(0.0, top, size=n_candidates)
+    centers = g[:, None] * np.sqrt(np.arange(1, n_harmonics + 1))
+    got = read_windows(dft(signals, times), centers, half_width)
+    assert got.shape == (n_records, n_candidates, n_harmonics)
+    for s in range(n_records):
+        alone = dft(signals[s], times)
+        for (c, h), center in np.ndenumerate(centers):
+            assert got[s, c, h] == read_windows(alone, center, half_width)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     n_t=st.sampled_from([128, 1023, 4096]),
