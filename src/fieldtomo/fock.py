@@ -42,9 +42,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
 
-#: `embed` refuses a truncation that drops more weight than this
-_EMBED_LEAK = 1e-12
-
 
 def _as_complex_vector(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
@@ -90,13 +87,6 @@ class FieldState:
         if n < 1e-300:
             raise ValidationError("cannot normalize a zero state")
         return FieldState(amps / n)
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def mean_photon_number(self) -> float:
-        p = self.populations()
-        return float(np.dot(np.arange(p.size), p))
 
     def overlap(self, other: "FieldState") -> complex:
         if other.cutoff != self.cutoff:
@@ -144,13 +134,6 @@ class DensityMatrix:
     def superdiagonal(self) -> np.ndarray:
         """rho_{n, n+1} for n = 0 .. cutoff - 1."""
         return np.diagonal(self.elements, offset=1).copy()
-
-    def purity(self) -> float:
-        return float(np.trace(self.elements @ self.elements).real)
-
-    def mean_photon_number(self) -> float:
-        d = self.diagonal()
-        return float(np.dot(np.arange(d.size), d))
 
 
 @dataclass(frozen=True)
@@ -201,18 +184,13 @@ def fidelity(a: FieldState, b: FieldState) -> float:
 
 
 def embed(state: FieldState, cutoff: int) -> FieldState:
-    """Same state on a different cutoff (zero-padded or checked-truncated)."""
+    """The state zero-padded to ``cutoff``; a lower cutoff raises `CutoffError`."""
     c = state.amplitudes
-    if cutoff + 1 >= c.size:
-        out = np.zeros(cutoff + 1, dtype=complex)
-        out[: c.size] = c
-        return FieldState(out)
-    dropped = float(np.sum(np.abs(c[cutoff + 1 :]) ** 2))
-    if dropped > _EMBED_LEAK:
-        raise CutoffError(
-            f"embedding to cutoff {cutoff} would drop weight {dropped:.3e}"
-        )
-    return FieldState(c[: cutoff + 1].copy())
+    if cutoff < state.cutoff:
+        raise CutoffError(f"cannot embed a cutoff-{state.cutoff} state at cutoff {cutoff}")
+    out = np.zeros(cutoff + 1, dtype=complex)
+    out[: c.size] = c
+    return FieldState(out)
 
 
 def lowering_op(cutoff: int) -> np.ndarray:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .spectral import (
     PeakEstimate,
     Spectrum,
     _grid_windows,
+    _one_record,
     comb_frequencies,
     dft,
     noise_floor,
@@ -123,12 +124,10 @@ class ReconstructionResult:
 
 
 def residual_floor(
-    spec: Spectrum,
-    model_signal: np.ndarray,
-    exclude: Sequence[tuple[float, int]],
+    spec: Spectrum, model_signal: np.ndarray, centers, half_width: int
 ) -> float | np.ndarray:
-    """Sampling noise floor: RMS of the spectrum after subtracting the
-    deterministic comb model; one floor per record, as `noise_floor`.
+    """Sampling noise floor: `noise_floor` of the spectrum after subtracting
+    the deterministic comb model; one floor per record.
 
     An off-bin tone leaks a slowly decaying tail across the whole
     spectrum; on a raw spectrum that tail, not the finite-shot noise,
@@ -138,7 +137,7 @@ def residual_floor(
     model = dft(model_signal, time_grid(spec.delta_t, spec.n_t))
     resid = spec.values - model.values
     del model  # a stack of records holds one spectrum-sized temporary less
-    return noise_floor(Spectrum(spec.freqs, resid, spec.delta_t), exclude)
+    return noise_floor(Spectrum(spec.freqs, resid, spec.delta_t), centers, half_width)
 
 
 class _Window(NamedTuple):
@@ -245,6 +244,7 @@ def coherences_from_xy(
 
     ``freqs`` is the `comb_frequencies` comb; its ``sum`` and ``diff``
     tones are read."""
+    _one_record("coherences_from_xy", spec_x, spec_y)
     return _solve_xy(spec_x, spec_y, freqs, half_width)[:2]
 
 
@@ -299,13 +299,13 @@ def chain_phases(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Chain amplitude phases from the superdiagonal (upper convention).
 
-    Returns ``(phases, defined, breaks)``.  Every level is chained,
-    ``phi_{n+1} = phi_n - arg S_n``, and the first populated level is
-    anchored at phase 0.  A zero link makes a zero phase step;
-    `reconstruct_from_spectra` passes every link within its noise
-    tolerance as 0.  A phase is ``defined`` only if every link from the
-    anchor has both endpoints populated.  A break is any unpopulated
-    level with population on both sides — a diagnostic, not an error.
+    Returns ``(phases, defined, breaks)``.  Link ``S_n`` chains
+    ``phi_{n+1} = phi_n - arg S_n``; the first populated level is anchored
+    at phase 0.  A zero link makes a zero phase step: `reconstruct_from_spectra`
+    passes links within its noise tolerance as 0, and none without x/y data.
+    A phase is ``defined`` only if links between populated levels chain it
+    to the anchor.  A break is any unpopulated level with population on
+    both sides — a diagnostic, not an error.
     """
     pops = np.asarray(populations, dtype=float)
     populated = pops >= population_floor
@@ -344,7 +344,7 @@ def _z_floor(
     (``(..., n_max + 1)`` for ``(..., N)`` spectrum values)."""
     _, _, model = bloch_components(populations, None, g, time_grid(spec.delta_t, spec.n_t))
     freqs = comb_frequencies(g, populations.shape[-1] - 1)
-    return residual_floor(spec, model, [(w.center, half_width) for w in _z_windows(freqs)])
+    return residual_floor(spec, model, [w.center for w in _z_windows(freqs)], half_width)
 
 
 def _peaks(
@@ -384,6 +384,7 @@ def reconstruct_from_spectra(
     coherences and phases require both ``spec_x`` and ``spec_y``."""
     if (spec_x is None) != (spec_y is None):
         raise ValidationError("x and y spectra must be supplied together")
+    _one_record("reconstruct_from_spectra", spec_z, spec_x, spec_y)
     freqs = comb_frequencies(g, n_max)
     warnings_out: list[str] = []
     diagnostics: dict = {}
@@ -406,14 +407,14 @@ def reconstruct_from_spectra(
     peaks = _peaks(_z_windows(freqs), z_areas, xi_z, half_width)
 
     coherences = s_upper = None
-    links = np.zeros(max(pops.size - 1, 0), dtype=complex)
+    links = np.zeros(0, dtype=complex)
     if spec_x is not None and spec_y is not None:
         s_upper, coh_diag, xy_windows, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
         diagnostics.update(coh_diag)
         models = bloch_components(None, s_upper, g, time_grid(spec_x.delta_t, spec_x.n_t))
         # Every xy tone, read or not (the n = 0 difference tone is its sum tone).
-        excl = [(w.center, half_width) for w in _xy_windows(freqs, np.arange(n_max) > 0)]
-        xi_x, xi_y = (_safe_floor(residual_floor, sp, model, excl)
+        excl = [w.center for w in _xy_windows(freqs, np.arange(n_max) > 0)]
+        xi_x, xi_y = (_safe_floor(residual_floor, sp, model, excl, half_width)
                       for sp, model in zip((spec_x, spec_y), models))
         diagnostics.update(noise_floor_x=xi_x, noise_floor_y=xi_y)
         for areas, xi in zip(xy_areas, (xi_x, xi_y)):
@@ -447,8 +448,6 @@ def reconstruct_from_spectra(
         links = np.where(np.abs(s_upper) <= tol, 0.0, s_upper)
 
     phases, defined, breaks = chain_phases(pops, links, population_floor)
-    if s_upper is None:
-        defined = defined & (np.arange(pops.size) == np.argmax(pops >= population_floor))
 
     state = None
     # Weight beyond n_max (or lost to window trouble) leaves the estimate
@@ -546,6 +545,7 @@ def estimate_coupling(
     to align and an `EstimationError` is raised, as it is when the lowest
     candidate tone ``2 lo`` falls in the half-width-1 DC window.
     """
+    _one_record("estimate_coupling", spec_z)
     lo, hi = search_range
     if not (0 < lo < hi):
         raise ValidationError(f"bad search range {search_range!r}")

@@ -101,6 +101,8 @@ class Spectrum:
         v.setflags(write=False)
         object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "values", v)
+        if not (self.delta_t > 0 and 0 < self.d_omega < math.inf):
+            raise ValidationError("delta_t must be > 0 with a finite, nonzero d_omega")
 
     @property
     def n_t(self) -> int:
@@ -146,6 +148,12 @@ def dft(signal: np.ndarray, times: np.ndarray) -> Spectrum:
     return Spectrum(freqs=om, values=vals, delta_t=dt)
 
 
+def _one_record(what: str, *specs: Optional[Spectrum]) -> None:
+    """Refuse a stack: ``what`` takes one record in each given spectrum."""
+    if any(sp is not None and sp.values.ndim != 1 for sp in specs):
+        raise ValidationError(f"{what} takes one record, not a stack")
+
+
 def _dirichlet_sum(u, half_width: int, n: int) -> np.ndarray:
     """Window response ``sum_{|j| <= half_width} D(u - j)`` at bin offsets ``u``, with
     the Dirichlet kernel ``D(v) = sin(pi v) / (n sin(pi v / n))``, ``D(0) = 1``.
@@ -175,8 +183,8 @@ def _grid_windows(spec: Spectrum, centers, half_width):
 
 def _window_bins(spec: Spectrum, centers, half_width: int):
     """Bin positions ``x``, rounded bins ``m_c``, their indices and the window
-    responses of ``centers``; raises if a window runs off the grid or
-    degenerates."""
+    responses of ``centers`` (at least ``2 / pi``: a window that fits has
+    ``|x - m_c| <= 1/2``); raises if a window runs off the grid."""
     if half_width < 0:
         raise ValidationError("half_width must be >= 0")
     x, m_c, idx, fits = _grid_windows(spec, centers, half_width)
@@ -185,10 +193,7 @@ def _window_bins(spec: Spectrum, centers, half_width: int):
             f"window at bin {m_c[~fits].flat[0]:.0f} +- {half_width} "
             "outside the frequency grid"
         )
-    resp = _dirichlet_sum(x - m_c, half_width, spec.n_t)
-    if np.any(np.abs(resp) < 0.1):  # cannot happen for |delta| <= 1/2; guards misuse
-        raise ValidationError("degenerate window response")
-    return x, m_c, idx, resp
+    return x, m_c, idx, _dirichlet_sum(x - m_c, half_width, spec.n_t)
 
 
 def read_windows(
@@ -252,22 +257,18 @@ def integrate_peak(
     return PeakEstimate(center, complex(read_windows(spec, center, half_width)))
 
 
-def noise_floor(
-    spec: Spectrum, exclude: Sequence[tuple[float, int]] = ()
-) -> float | np.ndarray:
-    """RMS |value| over bins outside every exclusion window.
-
-    ``exclude`` holds ``(center, half_width)`` pairs; windows around
-    +center and -center must be listed individually.  At least 25% of
-    the bins must survive, otherwise the floor is meaningless.  Returns a
-    float for one record and one floor per record, shape ``(...)``, for
-    ``(..., N)`` values.
+def noise_floor(spec: Spectrum, centers, half_width: int) -> float | np.ndarray:
+    """RMS |value| over bins outside the ``half_width`` windows around
+    ``centers`` (signed omega: list +center and -center; off-grid bins are
+    skipped).  At least 25% of the bins must survive, otherwise the floor is
+    meaningless.  Returns a float for one record and one floor per record,
+    shape ``(...)``, for ``(..., N)`` values.
     """
     n = spec.n_t
     free = np.ones(n, dtype=bool)
-    _, _, idx, _ = _grid_windows(spec, [c for c, _ in exclude], 0)
-    for i, (_, hw) in zip(idx.astype(int).tolist(), exclude):
-        free[max(i - hw, 0) : max(i + hw + 1, 0)] = False
+    _, _, idx, _ = _grid_windows(spec, np.ravel(centers), 0)
+    for i in idx.astype(int).tolist():
+        free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
     if np.count_nonzero(free) < 0.25 * n:
         raise ValidationError(
             "exclusion windows cover more than 75% of the spectrum; "
@@ -360,8 +361,7 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     ``\\r\\n`` line ends (the `csv` module's default dialect).  The negative
     bins are left out: a real record has ``F(-omega) = conj F(omega)``.  One
     record per file."""
-    if spec.values.ndim != 1:
-        raise ValidationError("write_spectrum_csv writes one record, not a stack")
+    _one_record("write_spectrum_csv", spec)
     values = spec.values[_one_sided_rows(spec.freqs.size)]
     cols = (_omega_cells(spec.freqs.tobytes()), values.real.tolist(), values.imag.tolist())
     with open(path, "w", newline="") as fh:

@@ -233,6 +233,17 @@ def rk4_rabi(cfg, dt: float) -> np.ndarray:
     return psi
 
 
+def populations(state) -> np.ndarray:
+    """``|c_n|^2`` of a `FieldState`."""
+    return np.abs(state.amplitudes) ** 2
+
+
+def mean_photon_number(state) -> float:
+    """``sum_n n |c_n|^2`` of a `FieldState`."""
+    p = populations(state)
+    return float(np.dot(np.arange(p.size), p))
+
+
 def parity_expectation(joint) -> float:
     """<(-1)^n sigma_z>, the joint parity the Rabi Hamiltonian conserves."""
     signs = np.diag((-1.0) ** np.arange(joint.cutoff + 1)).astype(complex)

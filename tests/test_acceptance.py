@@ -17,6 +17,7 @@ from oracles import (
     hermitian_defect,
     parity_expectation,
     parseval_defect,
+    populations,
     sine_pair,
 )
 from fieldtomo.cli import main
@@ -169,8 +170,8 @@ def test_criterion_5_dce_pipeline(capsys):
     joint = evolve_rabi(DceConfig(g_over_omega=0.5, tau=np.pi))
     pair = condition_on_qubit(joint)
     support_leak = max(
-        float(np.sum(pair.phi_g.populations()[1::2])),
-        float(np.sum(pair.phi_e.populations()[0::2])),
+        float(np.sum(populations(pair.phi_g)[1::2])),
+        float(np.sum(populations(pair.phi_e)[0::2])),
     )
     # tomography of the +/- branches at infinite shots, then recombine
     recon = []

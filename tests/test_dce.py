@@ -61,8 +61,8 @@ def test_parity_is_conserved(evolved):
 
 
 def test_branches_live_on_opposite_photon_parities(pair):
-    pops_g = pair.phi_g.populations()
-    pops_e = pair.phi_e.populations()
+    pops_g = oracles.populations(pair.phi_g)
+    pops_e = oracles.populations(pair.phi_e)
     assert np.sum(pops_g[1::2]) < 1e-9  # phi_g is even-photon only
     assert np.sum(pops_e[0::2]) < 1e-9  # phi_e is odd-photon only
 

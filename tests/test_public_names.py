@@ -1,10 +1,13 @@
-"""Every public library name has a caller in the library or the benchmark.
+"""Every public library name and class member has a caller in the library
+or the benchmark.
 
-A name in a module's ``__all__`` that nothing under ``src/fieldtomo`` or
-``bench`` uses is code kept alive by its tests alone.  The check is
-syntactic: a name counts as used when some module loads it as a bare
-name or as an attribute, or when a benchmark string names it (the
-tracer's ``TARGETS`` entries are ``"module.function"`` strings).
+A name in a module's ``__all__``, or a method, property or field of a
+library class, that nothing under ``src/fieldtomo`` or ``bench`` uses is
+code kept alive by its tests alone.  The check is syntactic: a name
+counts as used when some module loads it as a bare name or as an
+attribute, or when a benchmark string names it (the tracer's ``TARGETS``
+entries are ``"module.function"`` strings).  A member counts as used
+when some module loads an attribute of its name, on any object.
 """
 
 import ast
@@ -57,3 +60,29 @@ def test_every_public_name_has_a_caller():
     # Equality, not inclusion: a listed name leaves the list once it has a
     # caller or is gone.
     assert unused == AWAITING_A_CALLER.keys()
+
+
+# Class members that wait for a caller; none do.
+MEMBERS_AWAITING_A_CALLER: set[str] = set()
+
+
+def class_members() -> set[str]:
+    """``module.Class.member`` for every method, property and annotated field
+    defined in a library class body, dunder methods aside."""
+    members = set()
+    for path in LIBRARY:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    members.add(f"{path.stem}.{cls.name}.{node.name}")
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    members.add(f"{path.stem}.{cls.name}.{node.target.id}")
+    return members
+
+
+def test_every_class_member_is_loaded():
+    loads, _ = usage()
+    unused = {name for name in class_members() if name.rsplit(".", 1)[1] not in loads}
+    assert unused == MEMBERS_AWAITING_A_CALLER

@@ -7,10 +7,11 @@ import fieldtomo.reconstruct
 from oracles import cosine_pair, coupling_scores, golden_section_coupling
 from fieldtomo.exceptions import EstimationError, ValidationError
 from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
-from fieldtomo.measurement import MeasurementPlan, sample_trajectory
+from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
 from fieldtomo.probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
 from fieldtomo.reconstruct import (
     TRACE_TOLERANCE,
+    coherences_from_xy,
     estimate_coupling,
     peak_report,
     reconstruct_from_spectra,
@@ -405,3 +406,31 @@ def test_estimate_coupling_window_reads(monkeypatch, delta_t, g, search_range, m
     monkeypatch.setattr(fieldtomo.reconstruct, "read_windows", counting)
     g_hat, _ = estimate_coupling(spec, search_range)
     assert abs(g_hat - g) < np.pi / times[-1]
+
+
+def stacked_spectra(n_records=2):
+    """`dft` spectra, by axis, of an ``(n_records, N)`` stack of finite-shot
+    coherent-state records."""
+    plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=100, seed=3)
+    rho = density_from_pure(coherent_state(0.6, 12))
+    records = sample_records(rho, ProbeConfig(g=1.0), plan, n_records)
+    return {axis: dft(rec, TIMES) for axis, rec in records.items()}
+
+
+def test_estimate_coupling_refuses_a_stack():
+    with pytest.raises(ValidationError, match="one record, not a stack"):
+        estimate_coupling(stacked_spectra()["z"])
+
+
+@pytest.mark.parametrize("axes", ["z", "zxy"])
+def test_reconstruct_from_spectra_refuses_a_stack(axes):
+    stack = stacked_spectra()
+    specs = [stack[axis] for axis in axes]
+    with pytest.raises(ValidationError, match="one record, not a stack"):
+        reconstruct_from_spectra(1.0, *specs)
+
+
+def test_coherences_from_xy_refuses_a_stack():
+    stack = stacked_spectra()
+    with pytest.raises(ValidationError, match="one record, not a stack"):
+        coherences_from_xy(stack["x"], stack["y"], comb_frequencies(1.0, 8))

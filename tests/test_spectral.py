@@ -160,31 +160,29 @@ def test_raw_combined_area_at_default_grid():
 
 def test_noise_floor_vanishes_without_sampling_noise():
     spec = onbin_fock_spectrum(n_m=None)
-    excl = [(0.0, 4), (2.0, 4), (-2.0, 4)]
-    assert noise_floor(spec, excl) < 1e-10
+    assert noise_floor(spec, [0.0, 2.0, -2.0], 4) < 1e-10
 
 
 def test_noise_floor_requires_free_bins():
     spec = onbin_fock_spectrum()
     with pytest.raises(ValidationError):
-        noise_floor(spec, [(0.0, spec.n_t)])
+        noise_floor(spec, [0.0], spec.n_t)
 
 
 def test_noise_floor_scales_inverse_sqrt_shots():
-    excl = [(0.0, 4), (2.0, 4), (-2.0, 4)]
+    excl = [0.0, 2.0, -2.0]
     xi_10 = np.mean(
-        [noise_floor(onbin_fock_spectrum(n_m=10, seed=s), excl) for s in range(8)]
+        [noise_floor(onbin_fock_spectrum(n_m=10, seed=s), excl, 4) for s in range(8)]
     )
     xi_1000 = np.mean(
-        [noise_floor(onbin_fock_spectrum(n_m=1000, seed=s), excl) for s in range(8)]
+        [noise_floor(onbin_fock_spectrum(n_m=1000, seed=s), excl, 4) for s in range(8)]
     )
     assert xi_1000 / xi_10 == pytest.approx(0.1, rel=0.3)
 
 
 def test_empty_window_bounded_by_noise_floor():
     spec = onbin_fock_spectrum(n_m=100, seed=4)
-    excl = [(0.0, 4), (2.0, 4), (-2.0, 4)]
-    xi = noise_floor(spec, excl)
+    xi = noise_floor(spec, [0.0, 2.0, -2.0], 4)
     bound = 3.0 * xi * np.sqrt(9)
     for center in (0.7, 1.3, 2.9, -1.1, -3.3):
         est = integrate_peak(spec, center, 4)
@@ -445,7 +443,7 @@ def test_validate_windows_accepts_exactly_what_read_windows_reads(placed):
 def test_noise_floor_ignores_windows_off_the_grid():
     spec = onbin_fock_spectrum(n_m=100, seed=4)
     far = spec.n_t * spec.d_omega
-    assert noise_floor(spec, [(-far, 4), (far, 4)]) == noise_floor(spec)
+    assert noise_floor(spec, [-far, far], 4) == noise_floor(spec, [], 4)
 
 
 def test_max_half_width():
@@ -453,6 +451,32 @@ def test_max_half_width():
     spec = dft(np.cos(2.0 * t), t)
     # 2 Omega_1 sits at bin ~3.06: only half-width 1 fits between DC and mirror
     assert max_half_width([0.0, 2.0, -2.0], spec) == 1
+
+
+@pytest.mark.parametrize("delta_t", [0.0, -ONBIN_DT, np.nan, np.inf, 1e-320])
+def test_spectrum_refuses_a_bad_delta_t(delta_t):
+    """A negative delta_t flips d_omega, so a read at +omega would return the
+    conjugate area of the -omega window; NaN, inf and a delta_t so small
+    that d_omega overflows give no grid at all."""
+    spec = onbin_fock_spectrum()
+    with pytest.raises(ValidationError, match="delta_t"):
+        Spectrum(spec.freqs, spec.values, delta_t)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(min_value=2, max_value=4096),
+    hw_share=st.floats(min_value=0.0, max_value=1.0),
+    u=st.floats(min_value=-0.5, max_value=0.5),
+)
+@example(n=2, hw_share=0.0, u=0.5)
+@example(n=4096, hw_share=1.0, u=-0.5)
+def test_window_response_of_a_fitting_window_stays_above_two_over_pi(n, hw_share, u):
+    """A window that fits an n-point grid has ``2 hw + 1 <= n`` and a sub-bin
+    offset ``|u| <= 1/2``; its response is then at least ``2 / pi``, so no
+    window read divides by a degenerate response."""
+    hw = round(hw_share * ((n - 1) // 2))
+    assert spectral._dirichlet_sum(u, hw, n) > 0.6
 
 
 def test_spectrum_csv_round_trip(tmp_path):

@@ -25,7 +25,7 @@ def test_superposition_normalizes():
 
 def test_superposition_accumulates_repeated_terms():
     s = superposition([(1, 1.0), (1, 1.0)], 3)
-    assert s.populations()[1] == pytest.approx(1.0)
+    assert oracles.populations(s)[1] == pytest.approx(1.0)
 
 
 def test_superposition_rejects_term_above_cutoff():
@@ -72,8 +72,8 @@ def test_coherent_state_poisson_populations():
         [math.exp(-nbar) * nbar**n / math.factorial(n) for n in range(13)]
     )
     # truncated + renormalized, so compare up to the (tiny) tail weight
-    assert np.allclose(s.populations(), expected / expected.sum(), atol=1e-12)
-    assert s.mean_photon_number() == pytest.approx(nbar, abs=1e-6)
+    assert np.allclose(oracles.populations(s), expected / expected.sum(), atol=1e-12)
+    assert oracles.mean_photon_number(s) == pytest.approx(nbar, abs=1e-6)
 
 
 def test_coherent_state_phase_progression():
@@ -97,7 +97,7 @@ def test_coherent_state_insufficient_cutoff_names_requirement():
 )
 def test_coherent_state_mean_photon_number(mod, arg):
     s = coherent_state(mod * np.exp(1j * arg), 25)
-    assert s.mean_photon_number() == pytest.approx(mod**2, abs=1e-6)
+    assert oracles.mean_photon_number(s) == pytest.approx(mod**2, abs=1e-6)
 
 
 def test_coherent_cutoff_matches_the_plain_poisson_sum():
@@ -121,7 +121,7 @@ def test_coherent_cutoff_past_the_normal_float_range(abs_alpha, required):
         coherent_state(abs_alpha, required - 1)
     s = coherent_state(abs_alpha * np.exp(0.3j), required)
     # The tail cut off holds less than 1e-8 of the weight.
-    assert s.mean_photon_number() == pytest.approx(abs_alpha**2, rel=1e-7)
+    assert oracles.mean_photon_number(s) == pytest.approx(abs_alpha**2, rel=1e-7)
 
 
 @pytest.mark.parametrize(
