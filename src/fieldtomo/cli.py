@@ -637,9 +637,7 @@ def cmd_dce(cp, out_dir: Path) -> int:
             raise DegenerateBranchError(
                 "a reconstructed |+-> branch has no level above spectral.population_floor"
             )
-        rec_g, rec_e = dce_mod.recombine_branches(
-            rec_states["plus"], rec_states["minus"], pair.c_g, pair.c_e
-        )
+        rec_g, rec_e = dce_mod.recombine_branches(rec_states["plus"], rec_states["minus"])
     except DegenerateBranchError as exc:
         tomo["recombined"] = None
         tomo["warnings"].append(f"recombination skipped: {exc}")

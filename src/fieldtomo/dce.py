@@ -16,8 +16,8 @@ equal-probability superposition branches
     phi_+- = c_g phi_g +- c_e phi_e           (p_+- = 1/2 exactly),
 
 which the stroboscopic protocol can reconstruct individually; the
-parity branches are then recovered as phi_g ~ phi_+ + phi_- and
-phi_e ~ phi_+ - phi_-.
+parity branches are then recovered, up to normalization, as
+phi_g ~ phi_+ + phi_- and phi_e ~ phi_+ - phi_-.
 
 H is Hermitian, so one eigendecomposition H = V diag(E) V^H propagates
 the quench exactly: psi(tau) = V exp(-i E tau) V^H psi(0).  Two guards
@@ -197,29 +197,30 @@ def condition_on_qubit(joint: JointState) -> ConditionalPair:
 
 
 def recombine_branches(
-    phi_plus: FieldState,
-    phi_minus: FieldState,
-    c_g: float,
-    c_e: float,
+    phi_plus: FieldState, phi_minus: FieldState
 ) -> tuple[FieldState, FieldState]:
     """Parity branches back from the |+-> conditionals (p_+- = 1/2 case):
 
-        phi_g = (phi_+ + phi_-) / (2 c_g),  phi_e = (phi_+ - phi_-) / (2 c_e).
+        phi_g ~ phi_+ + phi_-,  phi_e ~ phi_+ - phi_-.
 
-    Outputs are re-normalized (reconstructed inputs carry estimation
-    noise).  Vanishing branch weight makes the division meaningless.
+    Outputs are normalized, so the branch amplitudes ``c_g`` and ``c_e``
+    that scale the two sums cancel and are not needed.  A sum or difference
+    whose norm is at most ``1e-8`` of the inputs' summed norms (a branch
+    amplitude below about ``1e-8``) leaves no branch to normalize:
+    `DegenerateBranchError`.
     """
-    if abs(c_g) < 1e-8 or abs(c_e) < 1e-8:
-        raise DegenerateBranchError(
-            f"cannot divide by branch amplitudes c_g = {c_g:.3e}, c_e = {c_e:.3e}"
-        )
     plus = phi_plus.amplitudes
     minus = phi_minus.amplitudes
     if plus.size != minus.size:
         raise ValidationError("phi_+ and phi_- cutoffs differ")
-    phi_g = FieldState((plus + minus) / (2.0 * c_g)).normalize()
-    phi_e = FieldState((plus - minus) / (2.0 * c_e)).normalize()
-    return phi_g, phi_e
+    floor = 1e-8 * (phi_plus.norm() + phi_minus.norm())
+    branches = []
+    for name, amps in (("phi_+ + phi_-", plus + minus), ("phi_+ - phi_-", plus - minus)):
+        branch = FieldState(amps)
+        if branch.norm() <= floor:
+            raise DegenerateBranchError(f"{name} vanishes (norm {branch.norm():.3e})")
+        branches.append(branch.normalize())
+    return tuple(branches)
 
 
 def unconditional_mixture(pair: ConditionalPair) -> DensityMatrix:

@@ -37,6 +37,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .fock import DensityMatrix
 from .probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
+from .spectral import _row_blocks
 
 __all__ = [
     "MeasurementPlan",
@@ -158,10 +159,12 @@ def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
     """
     comps = [getattr(traj, a) for a in ("x", "y", "z")]
     row = ",".join(["%.17g"] + ["" if c is None else "%.17g" for c in comps]) + "\r\n"
-    cols = [traj.times.tolist()] + [c.tolist() for c in comps if c is not None]
+    cols = np.column_stack([traj.times] + [c for c in comps if c is not None])
+    width = cols.shape[1]
     with open(path, "w", newline="") as fh:
         fh.write("t,x,y,z\r\n")
-        fh.writelines(map(row.__mod__, zip(*cols)))
+        for block in _row_blocks(cols.ravel().tolist(), width):
+            fh.write((row * (len(block) // width)) % block)
 
 
 def read_trajectory_csv(path: str | Path) -> BlochTrajectory:

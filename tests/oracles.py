@@ -26,6 +26,7 @@ from fieldtomo.fock import SIGMA_Z, joint_op
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
 from fieldtomo.spectral import (
+    _BLOCK_ROWS,
     DEFAULT_HALF_WIDTH,
     _window_bins,
     comb_frequencies,
@@ -39,6 +40,30 @@ EDGE_FLOATS = st.one_of(
     st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-320, 1e22, 1 / 3]),
     st.floats(),
 )
+
+#: Row counts either side of one and of two CSV row blocks: a writer that
+#: formats rows a block at a time must get the edges and a short last block
+#: right.
+BLOCK_EDGE_ROWS = [
+    _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1
+]
+
+
+@st.composite
+def float_columns(draw, n: int) -> np.ndarray:
+    """``n`` floats of any size.  Up to 64 rows every cell is drawn from
+    `EDGE_FLOATS`; a longer column holds distinct draws, so a shifted row
+    shows, with `EDGE_FLOATS` put at drawn rows, often the rows either side
+    of a block edge and the first and last rows."""
+    if n <= 64:
+        return np.array(draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    edges = [k for b in (_BLOCK_ROWS, 2 * _BLOCK_ROWS) for k in (b - 1, b) if k < n]
+    rows = st.one_of(st.sampled_from(edges + [0, n - 1]), st.integers(0, n - 1))
+    for row, value in draw(st.lists(st.tuples(rows, EDGE_FLOATS), max_size=12)):
+        column[row] = value
+    return column
 
 
 def written_bytes(write, obj) -> bytes:

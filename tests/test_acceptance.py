@@ -187,8 +187,6 @@ def test_criterion_5_dce_pipeline(capsys):
     phi_g, phi_e = recombine_branches(
         embed(recon[0].state, target_cutoff),
         embed(recon[1].state, target_cutoff),
-        pair.c_g,
-        pair.c_e,
     )
     fid_g = fidelity(phi_g, pair.phi_g)
     fid_e = fidelity(phi_e, pair.phi_e)

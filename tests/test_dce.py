@@ -117,22 +117,30 @@ def test_small_cutoff_is_detected():
 
 
 def test_recombination_round_trip(pair):
-    phi_g, phi_e = recombine_branches(
-        pair.phi_plus, pair.phi_minus, pair.c_g, pair.c_e
-    )
+    phi_g, phi_e = recombine_branches(pair.phi_plus, pair.phi_minus)
     assert np.max(np.abs(phi_g.amplitudes - pair.phi_g.amplitudes)) < 1e-9
     assert np.max(np.abs(phi_e.amplitudes - pair.phi_e.amplitudes)) < 1e-9
 
 
 def test_recombination_degenerate_weight(pair):
-    with pytest.raises(DegenerateBranchError):
-        recombine_branches(pair.phi_plus, pair.phi_minus, 1e-12, 1.0)
+    """A vanishing phi_+ + phi_- or phi_+ - phi_- is a `DegenerateBranchError`,
+    the error `cmd_dce` turns into "recombination skipped"."""
+    phi = pair.phi_plus
+    zero = FieldState(np.zeros_like(phi.amplitudes))
+    for plus, minus in (
+        (phi, phi),
+        (phi, FieldState(-phi.amplitudes)),
+        (phi, FieldState(phi.amplitudes * (1 + 1e-9))),
+        (zero, zero),
+    ):
+        with pytest.raises(DegenerateBranchError):
+            recombine_branches(plus, minus)
 
 
 def test_recombination_cutoff_mismatch(pair):
     short = FieldState(pair.phi_g.amplitudes[:4] + 0.5)
     with pytest.raises(ValidationError):
-        recombine_branches(pair.phi_g, short, pair.c_g, pair.c_e)
+        recombine_branches(pair.phi_g, short)
 
 
 def test_record_is_json_ready(evolved, pair):

@@ -216,13 +216,15 @@ def test_trajectory_csv_round_trip(tmp_path, rho_one, probe):
 
 
 @st.composite
-def trajectory_columns(draw):
-    """Duck-typed trajectory: any floats in every column, any axis subset."""
-    n_t = draw(st.integers(2, 64))
-    axes = draw(st.sampled_from(AXIS_SUBSETS))
-    column = st.lists(oracles.EDGE_FLOATS, min_size=n_t, max_size=n_t).map(np.array)
-    comps = {a: draw(column) if a in axes else None for a in "xyz"}
-    return SimpleNamespace(times=draw(column), **comps)
+def trajectory_columns(draw, n_t=None, axes=None):
+    """Duck-typed trajectory: any floats in every column of ``axes`` (any
+    subset if None), on ``n_t`` rows (1-64 or either side of a block edge if
+    None)."""
+    if n_t is None:
+        n_t = draw(st.one_of(st.integers(1, 64), st.sampled_from(oracles.BLOCK_EDGE_ROWS)))
+    axes = axes or draw(st.sampled_from(AXIS_SUBSETS))
+    comps = {a: draw(oracles.float_columns(n_t)) if a in axes else None for a in "xyz"}
+    return SimpleNamespace(times=draw(oracles.float_columns(n_t)), **comps)
 
 
 def assert_trajectory_csv_bytes(traj) -> None:
@@ -235,6 +237,16 @@ def assert_trajectory_csv_bytes(traj) -> None:
 @given(traj=trajectory_columns())
 def test_trajectory_csv_bytes_match_the_csv_writer_oracle(traj):
     assert_trajectory_csv_bytes(traj)
+
+
+@pytest.mark.parametrize("n_t", [1] + oracles.BLOCK_EDGE_ROWS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_trajectory_csv_bytes_match_the_oracle_across_block_edges(n_t, data):
+    """One row, and row counts either side of one and of two row blocks, for
+    a z-only and an x/y/z trajectory."""
+    for axes in ("z", "xyz"):
+        assert_trajectory_csv_bytes(data.draw(trajectory_columns(n_t, axes)))
 
 
 def test_sampled_trajectory_csv_bytes_match_the_oracle(rho_one, probe):

@@ -79,6 +79,46 @@ def test_dft_rejects_bad_grids():
             dft(np.zeros(len(times)), np.array(times))
 
 
+def test_dft_on_alternating_grids_matches_a_cold_call():
+    """The grid constants are memoised per ``(n, delta_t)``: transforms on
+    two grids in turn, one a single ulp of delta_t from the other, give each
+    spectrum the bits of a call with the memo cleared, on a miss and a hit."""
+    signal = np.random.default_rng(0).normal(size=64)
+    grids = [time_grid(dt, 64) for dt in (0.075, np.nextafter(0.075, 1.0))]
+    assert dft(signal, grids[0]).freqs.tobytes() != dft(signal, grids[1]).freqs.tobytes()
+    for k, t in enumerate(grids * 2):
+        warm = [dft(signal, t), dft(signal, t)]  # the other grid's entry, then this one's
+        spectral._dft_grid.cache_clear()
+        cold = dft(signal, t)
+        for spec in warm:
+            assert spec.freqs.tobytes() == cold.freqs.tobytes(), k
+            assert spec.values.tobytes() == cold.values.tobytes(), k
+            assert spec.delta_t == cold.delta_t
+
+
+def test_dft_grid_memo_cannot_be_written_through_a_spectrum():
+    """The memoised frequencies and phases are read-only, and a `Spectrum`
+    holds its own copy: writing to a returned spectrum, even once made
+    writable, leaves the next transform on the grid unchanged."""
+    t = time_grid(0.075, 64)
+    signal = np.cos(2.0 * t)
+    before = dft(signal, t)
+    om, phase = spectral._dft_grid(64, 0.075)
+    assert not om.flags.writeable and not phase.flags.writeable
+    for arr in (before.freqs, before.values):
+        assert not np.shares_memory(arr, om) and not np.shares_memory(arr, phase)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        arr.setflags(write=True)
+        arr[:] = 0.0
+    after = dft(signal, t)
+    assert after.freqs.tobytes() == om.tobytes()
+    spectral._dft_grid.cache_clear()
+    cold = dft(signal, t)
+    assert after.freqs.tobytes() == cold.freqs.tobytes()
+    assert after.values.tobytes() == cold.values.tobytes()
+
+
 def test_parseval_and_hermitian_symmetry():
     rng = np.random.default_rng(0)
     t = time_grid(0.075, 1024)
@@ -149,6 +189,15 @@ def test_integrate_peak_off_grid_window():
     nyquist = np.pi / 0.1
     with pytest.raises(GridError):
         integrate_peak(spec, nyquist * 0.99, 4)
+
+
+def test_integrate_peak_refuses_a_stack():
+    """Two stacked records are a `ValidationError`, as for every one-record
+    function, not a `TypeError` from the scalar area."""
+    t = time_grid(ONBIN_DT, ONBIN_NT)
+    spec = dft(np.stack([np.cos(2.0 * t)] * 2), t)
+    with pytest.raises(ValidationError, match="integrate_peak takes one record, not a stack"):
+        integrate_peak(spec, 2.0, 4)
 
 
 def test_raw_combined_area_at_default_grid():
@@ -490,9 +539,9 @@ def test_spectrum_csv_round_trip(tmp_path):
 
 
 def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
-    """The omega column is memoised per grid: writes on two grids in turn,
-    one a single ulp of delta_t from the other, give each file the bytes of
-    a write with the memo cleared."""
+    """The block templates are memoised per grid: writes on two grids in
+    turn, one a single ulp of delta_t from the other, give each file the
+    bytes of a write with the memo cleared."""
     dts = [0.075, np.nextafter(0.075, 1.0)]
     specs = [dft(np.random.default_rng(k).normal(size=64), time_grid(dt, 64))
              for k, dt in enumerate(dts * 2)]
@@ -500,16 +549,24 @@ def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
     for k, spec in enumerate(specs):
         warm, cold = tmp_path / f"warm{k}.csv", tmp_path / f"cold{k}.csv"
         write_spectrum_csv(spec, warm)
-        spectral._omega_cells.cache_clear()
+        spectral._spectrum_templates.cache_clear()
         write_spectrum_csv(spec, cold)
         assert warm.read_bytes() == cold.read_bytes(), k
 
 
+#: Grid sizes whose one-sided files hold `oracles.BLOCK_EDGE_ROWS` rows,
+#: ``n // 2 + 1`` rows from an even and from an odd ``n``.
+BLOCK_EDGE_GRIDS = [n for rows in oracles.BLOCK_EDGE_ROWS for n in (2 * rows - 2, 2 * rows - 1)]
+
+
 @st.composite
-def spectrum_columns(draw):
-    """Duck-typed spectrum: any floats in the frequencies and both value parts."""
-    n_t = draw(st.integers(2, 64))
-    column = st.lists(oracles.EDGE_FLOATS, min_size=n_t, max_size=n_t).map(np.array)
+def spectrum_columns(draw, n_t=None):
+    """Duck-typed spectrum: any floats in the frequencies and both value
+    parts, on ``n_t`` bins (2-64 or a file either side of a block edge if
+    None)."""
+    if n_t is None:
+        n_t = draw(st.one_of(st.integers(2, 64), st.sampled_from(BLOCK_EDGE_GRIDS)))
+    column = oracles.float_columns(n_t)
     values = np.empty(n_t, dtype=complex)
     values.real, values.imag = draw(column), draw(column)  # no arithmetic on inf/nan
     return SimpleNamespace(freqs=draw(column), values=values)
@@ -529,6 +586,15 @@ def assert_spectrum_csv_bytes(spec) -> None:
 @given(spec=spectrum_columns())
 def test_spectrum_csv_bytes_match_the_csv_writer_oracle(spec):
     assert_spectrum_csv_bytes(spec)
+
+
+@pytest.mark.parametrize("n_t", BLOCK_EDGE_GRIDS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_spectrum_csv_bytes_match_the_oracle_across_block_edges(n_t, data):
+    """Files of row counts either side of one and of two row blocks, from
+    even and odd grids."""
+    assert_spectrum_csv_bytes(data.draw(spectrum_columns(n_t)))
 
 
 def test_sampled_spectrum_csv_bytes_match_the_oracle():
