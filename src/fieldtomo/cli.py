@@ -38,7 +38,7 @@ from .exceptions import (
     EstimationError,
     FieldTomoError,
 )
-from .fock import FieldState, density_from_pure, fidelity
+from .fock import FieldState, density_from_pure, fidelity, fock_state
 from .measurement import (
     MeasurementPlan,
     sample_records,
@@ -47,7 +47,7 @@ from .measurement import (
 )
 from .probe import ProbeConfig
 from .spectral import comb_frequencies, dft, max_half_width, write_spectrum_csv
-from .states import coherent_state, load_amplitudes
+from .states import coherent_state, load_amplitudes, superposition
 
 __all__ = ["main"]
 
@@ -327,13 +327,9 @@ def _parse_terms(raw: str) -> list[tuple[int, complex]]:
 
 
 def _build_state(cp) -> FieldState:
-    from .states import superposition
-
     kind = cp["state"]["kind"].strip().lower()
     cutoff = _get_int_at_least(cp, "state", "cutoff", 1)
     if kind == "fock":
-        from .fock import fock_state
-
         n = _get_float(cp, "state", "n", int)
         _checked("state.n", n, 0 <= n <= cutoff, f"in 0..state.cutoff = {cutoff}")
         return fock_state(n, cutoff)

@@ -37,7 +37,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .fock import DensityMatrix
 from .probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
-from .spectral import _row_blocks
+from .spectral import _write_csv
 
 __all__ = [
     "MeasurementPlan",
@@ -155,16 +155,14 @@ def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
     """Header ``t,x,y,z``; unmeasured axes are left as empty fields.
 
     Floats are written ``%.17g`` and lines end ``\\r\\n``, the dialect
-    `read_trajectory_csv` (a `csv.reader`) expects.
+    `read_trajectory_csv` (a `csv.reader`) expects.  `spectral._write_csv`
+    writes the rows; their time cells depend on the grid alone and are
+    formatted once per grid.
     """
     comps = [getattr(traj, a) for a in ("x", "y", "z")]
-    row = ",".join(["%.17g"] + ["" if c is None else "%.17g" for c in comps]) + "\r\n"
-    cols = np.column_stack([traj.times] + [c for c in comps if c is not None])
-    width = cols.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,y,z\r\n")
-        for block in _row_blocks(cols.ravel().tolist(), width):
-            fh.write((row * (len(block) // width)) % block)
+    tail = "".join(",%.17g" if c is not None else "," for c in comps) + "\r\n"
+    cells = np.column_stack([c for c in comps if c is not None]).ravel().tolist()
+    _write_csv(path, "t,x,y,z\r\n", traj.times, tail, cells)
 
 
 def read_trajectory_csv(path: str | Path) -> BlochTrajectory:

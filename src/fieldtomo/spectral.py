@@ -48,13 +48,13 @@ conjugates.  In memory a `Spectrum` stays two-sided, as
 conjugate-symmetric bit for bit, so the stored negative bins are what the
 window reads use.
 
-A Python ``%`` call per row adds a call's overhead to every row's
-``%.17g`` text, so both CSV writers (this one and
-`measurement.write_trajectory_csv`) format a block of rows with one call:
-`_row_blocks` cuts the row-major cells into tuples of `_BLOCK_ROWS` rows,
-and each tuple fills a template of as many rows.  A spectrum file's block
-templates have the ``%.17g`` omega cells already filled in and are built
-once per grid.  The bytes are those of one ``%.17g`` cell at a time.
+Both CSV files, this one and `measurement.write_trajectory_csv`'s, go
+through one writer, `_write_csv`.  A Python ``%`` call per row adds a
+call's overhead to every row's ``%.17g`` text, so it formats a block of
+`_BLOCK_ROWS` rows with one call, on a template of as many rows.  A row's
+lead cell (``omega`` or ``t``) depends on the grid alone, so the block
+templates come with it already filled in and are built once per grid and
+row shape.  The bytes are those of one ``%.17g`` cell at a time.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ __all__ = [
 
 DEFAULT_HALF_WIDTH = 4
 
-#: Rows a CSV writer formats with one ``%`` call (see `_row_blocks`).
+#: Rows `_write_csv` formats with one ``%`` call.
 _BLOCK_ROWS = 256
 
 
@@ -373,26 +373,27 @@ def _one_sided_rows(n: int) -> np.ndarray:
     return np.r_[: 1 - n % 2, n // 2 : n]
 
 
-def _row_blocks(cells: list, width: int) -> list[tuple]:
-    """``cells``, row by row with ``width`` cells a row, cut into tuples of
-    `_BLOCK_ROWS` rows each; the last tuple takes the rows left over.  A
-    block tuple fills a template of as many rows with one ``%`` call."""
-    step = _BLOCK_ROWS * width
-    return [tuple(cells[i : i + step]) for i in range(0, len(cells), step)]
+@functools.lru_cache(maxsize=2)
+def _block_templates(lead: bytes, tail: str) -> tuple[str, ...]:
+    """The block templates of a CSV file whose lead column's ``tobytes()``
+    is ``lead``: one per block of `_BLOCK_ROWS` rows, each row its
+    ``%.17g`` lead cell followed by ``tail``.  Keyed by the column's exact
+    bytes and the row shape.  A ``reconstruct`` run writes one trajectory
+    file and three spectrum files on one grid; two entries keep both kinds,
+    where one would make them evict each other on every run."""
+    rows = ["%.17g" % cell + tail for cell in np.frombuffer(lead).tolist()]
+    return tuple("".join(rows[i : i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS))
 
 
-@functools.lru_cache(maxsize=1)
-def _spectrum_templates(grid: bytes) -> tuple[str, ...]:
-    """The block templates of a spectrum file on the grid whose ``tobytes()``
-    is ``grid``: one per `_row_blocks` block, each row its ``%.17g`` omega
-    cell followed by ``%.17g,%.17g`` for ``re,im``.  One entry, keyed by the
-    grid's exact bytes: the spectra of one run share a grid, so the omega
-    column is formatted once per run."""
-    freqs = np.frombuffer(grid)
-    cells = list(map("%.17g,".__mod__, freqs[_one_sided_rows(freqs.size)].tolist()))
-    return tuple(
-        "".join(cell + "%.17g,%.17g\r\n" for cell in block) for block in _row_blocks(cells, 1)
-    )
+def _write_csv(path: str | Path, header: str, lead: np.ndarray, tail: str, cells: list) -> None:
+    """Write ``header``, then a row per entry of the float column ``lead``:
+    its ``%.17g`` cell, then ``tail`` (line end included) filled from the
+    row-major ``cells``, as many a row as ``tail`` has ``%`` fields."""
+    step = _BLOCK_ROWS * tail.count("%")
+    blocks = (tuple(cells[i : i + step]) for i in range(0, len(cells), step))
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        fh.writelines(map(str.__mod__, _block_templates(lead.tobytes(), tail), blocks))
 
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
@@ -403,8 +404,6 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     bins are left out: a real record has ``F(-omega) = conj F(omega)``.  One
     record per file."""
     _one_record("write_spectrum_csv", spec)
-    values = spec.values[_one_sided_rows(spec.freqs.size)]
-    blocks = _row_blocks(values.view(float).tolist(), 2)
-    with open(path, "w", newline="") as fh:
-        fh.write("omega,re,im\r\n")
-        fh.writelines(map(str.__mod__, _spectrum_templates(spec.freqs.tobytes()), blocks))
+    rows = _one_sided_rows(spec.freqs.size)
+    cells = spec.values[rows].view(float).tolist()
+    _write_csv(path, "omega,re,im\r\n", spec.freqs[rows], ",%.17g,%.17g\r\n", cells)

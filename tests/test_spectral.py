@@ -10,8 +10,13 @@ from oracles import cosine_pair, sine_pair
 from fieldtomo import spectral
 from fieldtomo.exceptions import FieldTomoError, GridError, ResolvabilityError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
-from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
-from fieldtomo.probe import ProbeConfig, time_grid
+from fieldtomo.measurement import (
+    MeasurementPlan,
+    sample_records,
+    sample_trajectory,
+    write_trajectory_csv,
+)
+from fieldtomo.probe import BlochTrajectory, ProbeConfig, time_grid
 from fieldtomo.states import coherent_state
 from fieldtomo.spectral import (
     Spectrum,
@@ -549,9 +554,50 @@ def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
     for k, spec in enumerate(specs):
         warm, cold = tmp_path / f"warm{k}.csv", tmp_path / f"cold{k}.csv"
         write_spectrum_csv(spec, warm)
-        spectral._spectrum_templates.cache_clear()
+        spectral._block_templates.cache_clear()
         write_spectrum_csv(spec, cold)
         assert warm.read_bytes() == cold.read_bytes(), k
+
+
+def random_trajectory(dt, n, axes="xyz", seed=0):
+    rng = np.random.default_rng(seed)
+    return BlochTrajectory(time_grid(dt, n), **{a: rng.uniform(-1, 1, n) for a in axes})
+
+
+def test_trajectory_and_spectrum_csv_share_the_memo_and_match_a_cold_write(tmp_path):
+    """One template memo serves both writers, keyed by lead column and row
+    shape: an x/y/z trajectory, a z-only one on the same grid, one on a grid
+    a single ulp of delta_t away and a spectrum, written in turn, each give
+    the bytes of a write with the memo cleared."""
+    dt, n = 0.075, 300  # more rows than one block
+    xyz = random_trajectory(dt, n)
+    files = [
+        (write_trajectory_csv, xyz),
+        (write_trajectory_csv, random_trajectory(dt, n, "z", seed=1)),
+        (write_trajectory_csv, random_trajectory(np.nextafter(dt, 1.0), n, seed=2)),
+        (write_spectrum_csv, dft(xyz.x, xyz.times)),
+    ]
+    for k, (write, obj) in enumerate(files):
+        warm, cold = tmp_path / f"warm{k}.csv", tmp_path / f"cold{k}.csv"
+        write(obj, warm)
+        spectral._block_templates.cache_clear()
+        write(obj, cold)
+        assert warm.read_bytes() == cold.read_bytes(), k
+
+
+def test_reconstruct_shaped_writes_hit_the_memo_on_a_repeat(tmp_path):
+    """A ``reconstruct`` run writes one trajectory file, then three spectrum
+    files, on one grid: a second run formats no lead column again."""
+    traj = random_trajectory(0.075, 64)
+    specs = [dft(getattr(traj, a), traj.times) for a in "xyz"]
+    spectral._block_templates.cache_clear()
+    misses = []
+    for _ in range(2):
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        for a, spec in zip("xyz", specs):
+            write_spectrum_csv(spec, tmp_path / f"spectrum_{a}.csv")
+        misses.append(spectral._block_templates.cache_info().misses)
+    assert misses == [2, 2]
 
 
 #: Grid sizes whose one-sided files hold `oracles.BLOCK_EDGE_ROWS` rows,
