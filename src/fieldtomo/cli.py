@@ -391,14 +391,18 @@ def _tomography(cp) -> tuple[float, MeasurementPlan, dict]:
 # ---------------------------------------------------------------- output
 
 
-def _dump_json(payload, path: Path) -> None:
+def _json_text(payload, name: str) -> str:
+    """The text of the JSON artifact ``name``; a non-finite number in
+    ``payload`` is an `EstimationError`."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise EstimationError(
-            f"{path.name} would hold a non-finite number: {exc}"
-        ) from None
-    path.write_text(text + "\n")
+        raise EstimationError(f"{name} would hold a non-finite number: {exc}") from None
+    return text + "\n"
+
+
+def _dump_json(payload, path: Path) -> None:
+    path.write_text(_json_text(payload, path.name))
 
 
 def _complex_pairs(values) -> Optional[list[dict]]:
@@ -447,13 +451,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g, plan, estimator = _tomography(cp)
     traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
-
-    spectra = {}
-    for axis in traj.axes():
-        spectra[axis] = dft(getattr(traj, axis), traj.times)
-        write_spectrum_csv(spectra[axis], out_dir / f"spectrum_{axis}.csv")
-
+    spectra = {axis: dft(getattr(traj, axis), traj.times) for axis in traj.axes()}
     result = rec_mod.reconstruct_from_spectra(
         g,
         spectra["z"],
@@ -462,8 +460,16 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
         reference=state,
         **estimator,
     )
-    _dump_json(_peaks_payload(result.peaks), out_dir / "peaks.json")
-    _dump_json(_result_payload(result), out_dir / "reconstruction.json")
+    # Every refusal comes before the first file is opened.
+    texts = {
+        "peaks.json": _json_text(_peaks_payload(result.peaks), "peaks.json"),
+        "reconstruction.json": _json_text(_result_payload(result), "reconstruction.json"),
+    }
+    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    for axis, spec in spectra.items():
+        write_spectrum_csv(spec, out_dir / f"spectrum_{axis}.csv")
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
     print(f"wrote {out_dir / 'reconstruction.json'}")
     return 0
 
@@ -550,15 +556,6 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                 )
     rows.sort(key=lambda row: (row["n_t"], row["n_m"]))
 
-    csv_path = out_dir / "noise_sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("n_m,n_t,xi,snr\n")
-        for row in rows:
-            fh.write(
-                f"{row['n_m']},{row['n_t']},"
-                f"{row['xi']:.17g},{row['snr']:.17g}\n"
-            )
-
     def fit(pairs):
         if len(pairs) < 2:
             return None
@@ -574,10 +571,26 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
             slopes["xi_vs_n_m"][str(n_t)] = slope
     for n_m in sorted(set(r["n_m"] for r in rows)):
         pts = [(r["n_t"], r["snr"]) for r in rows if r["n_m"] == n_m]
+        for n_t, snr in pts:
+            if len(pts) > 1 and not snr > 0:
+                raise EstimationError(
+                    f"mean S/xi {snr:.3e} at n_m = {n_m}, n_t = {n_t} is not > 0: "
+                    "the snr_vs_n_t slope fits its logarithm"
+                )
         slope = fit(pts)
         if slope is not None:
             slopes["snr_vs_n_t"][str(n_m)] = slope
-    _dump_json(slopes, out_dir / "noise_sweep_slopes.json")
+    slopes_text = _json_text(slopes, "noise_sweep_slopes.json")
+
+    csv_path = out_dir / "noise_sweep.csv"
+    with open(csv_path, "w", newline="") as fh:
+        fh.write("n_m,n_t,xi,snr\n")
+        for row in rows:
+            fh.write(
+                f"{row['n_m']},{row['n_t']},"
+                f"{row['xi']:.17g},{row['snr']:.17g}\n"
+            )
+    (out_dir / "noise_sweep_slopes.json").write_text(slopes_text)
     print(f"wrote {csv_path}")
     return 0
 

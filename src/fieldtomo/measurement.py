@@ -159,10 +159,7 @@ def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
     writes the rows; their time cells depend on the grid alone and are
     formatted once per grid.
     """
-    comps = [getattr(traj, a) for a in ("x", "y", "z")]
-    tail = "".join(",%.17g" if c is not None else "," for c in comps) + "\r\n"
-    cells = np.column_stack([c for c in comps if c is not None]).ravel().tolist()
-    _write_csv(path, "t,x,y,z\r\n", traj.times, tail, cells)
+    _write_csv(path, "t,x,y,z\r\n", traj.times, [getattr(traj, a) for a in ("x", "y", "z")])
 
 
 def read_trajectory_csv(path: str | Path) -> BlochTrajectory:

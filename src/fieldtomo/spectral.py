@@ -49,12 +49,16 @@ conjugate-symmetric bit for bit, so the stored negative bins are what the
 window reads use.
 
 Both CSV files, this one and `measurement.write_trajectory_csv`'s, go
-through one writer, `_write_csv`.  A Python ``%`` call per row adds a
-call's overhead to every row's ``%.17g`` text, so it formats a block of
-`_BLOCK_ROWS` rows with one call, on a template of as many rows.  A row's
-lead cell (``omega`` or ``t``) depends on the grid alone, so the block
-templates come with it already filled in and are built once per grid and
-row shape.  The bytes are those of one ``%.17g`` cell at a time.
+through one writer, `_write_csv`.  CPython prints 17 digits in big-integer
+arithmetic, about a microsecond a float, so the writer builds the text of
+`_CHUNK_ROWS` rows at a time in numpy instead: `_fast_slots` scales each
+value to its 17 digits in double-double arithmetic and lays the bytes out
+in fixed slots, NUL where unused, and one compress drops the NULs.  The
+cells it cannot vouch for (non-finite, outside its decades, within 1e-6 of
+a rounding tie) take Python's ``%``, so the bytes are those of
+``"%.17g" % v`` for every cell.  A row's lead cell (``omega`` or ``t``)
+depends on the grid alone, so the lead column's slots are built once per
+grid.
 """
 
 from __future__ import annotations
@@ -86,8 +90,16 @@ __all__ = [
 
 DEFAULT_HALF_WIDTH = 4
 
-#: Rows `_write_csv` formats with one ``%`` call.
-_BLOCK_ROWS = 256
+#: Rows `_write_csv` formats at a time: enough to spread the kernel's
+#: per-call cost, few enough to keep its temporaries small.
+_CHUNK_ROWS = 1024
+#: Byte slots of one formatted CSV cell (see `_fast_slots`).
+_SLOTS = 29
+#: `_fast_slots` formats ``10**-_DECADES <= |v| < 10**_DECADES``: there its
+#: scale factors, Veltkamp splits and products stay normal and finite.
+_DECADES = 280
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
+_SLOT_ROWS = np.arange(18, dtype=np.uint8)[:, None]
 
 
 @dataclass(frozen=True)
@@ -373,27 +385,195 @@ def _one_sided_rows(n: int) -> np.ndarray:
     return np.r_[: 1 - n % 2, n // 2 : n]
 
 
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """The tables of `_fast_slots`, built on first use and indexed by
+    ``X + _DECADES + 2`` for the decimal exponents ``|X| <= _DECADES + 2``.
+
+    ``10**(16 - X)`` as the double-double ``hi + lo`` (``hi`` the nearest
+    float, ``lo`` the nearest float to the rest, both from exact integer
+    arithmetic), with ``hi`` split into halves ``hh + hl`` of at most 26
+    significant bits; the layout bytes of a cell at ``X``: its prefix slots,
+    exponent slots, digits before the point and point slot; and, indexed by
+    ``v < 10**4``, the four decimal digits of ``v`` packed in a uint32."""
+    his, los = [], []
+    layout = np.zeros((2 * _DECADES + 5, 16), np.uint8)
+    for i, x in enumerate(range(-_DECADES - 2, _DECADES + 3)):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den  # int / int rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * hi_den - hi_num * den) / (den * hi_den))
+        if x < -4 or x >= 17:
+            exponent = b"e%+03d" % x
+            layout[i, 5 : 5 + len(exponent)] = np.frombuffer(exponent, np.uint8)
+            layout[i, 10:12] = 1
+        elif x < 0:
+            layout[i, : 1 - x] = np.frombuffer(b"0.000"[: 1 - x], np.uint8)
+            layout[i, 10:12] = 0, 18
+        else:
+            layout[i, 10:12] = x + 1
+    hi, lo = np.array(his), np.array(los)
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    v = np.arange(10_000)
+    quads = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
+    return hi, hh, hi - hh, lo, layout, quads.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _scaled(a: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``s = a * 10**(16 - X)`` as its nearest integer ``D`` (int64) and the
+    rest ``f = s - D``, ``|f| <= 1/2``.  The two stand for ``s`` to within
+    1e-14 when ``s < 1e17`` and 1e-13 when ``s < 1e18``; below 2**52 the
+    truncated product may put ``D`` off by one, but it stays below 1e16."""
+    hi, hh, hl, lo = (t.take(X + (_DECADES + 2)) for t in _kernel_tables()[:4])
+    p = a * hi
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    # Dekker's TwoProduct: p + e is a * hi exactly, and p an integer once
+    # it is >= 2**52.
+    e = al * hl - (((p - ah * hh) - al * hh) - ah * hl)
+    rest = e + a * lo
+    r = np.rint(rest)
+    return p.astype(np.int64) + r.astype(np.int64), rest - r
+
+
+def _fast_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``"%.17g" % v`` for the cells ``v`` of the 1-D float
+    array ``x``, one column of `_SLOTS` byte slots per cell, and the mask of
+    the cells formatted; the other columns hold garbage.
+
+    It takes the zeros and the finite cells with ``10**-_DECADES <= |v| <
+    10**_DECADES`` that are not within 1e-6, in units of the 17th digit, of
+    a rounding tie.  It scales
+    ``|v|`` by ``10**(16 - X)`` in double-double arithmetic, with ``X`` the
+    decimal exponent that puts the scaled value in ``[1e16, 1e17)``, and
+    rounds it to the 17-digit integer ``D`` (``D = 1e17`` becomes ``1e16``
+    at ``X + 1``).  A cell then fills, NUL where unused:
+
+    * slot 0: ``-`` for a set sign bit;
+    * slots 1-5: ``0.`` and ``-X - 1`` zeros when ``-4 <= X < 0``;
+    * slots 6-23: the digits of ``D`` without trailing fraction zeros, with
+      the point after the first ``X + 1`` digits (``0 <= X < 17``) or after
+      the first digit (exponent form), and only when a digit follows it;
+    * slots 24-28: ``e``, the exponent's sign and its digits, the hundreds
+      only from 100 on (exponent form, ``X < -4`` or ``X >= 17``).
+    """
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0
+    fast = zero | ((a >= 10.0**-_DECADES) & (a < 10.0**_DECADES))
+    a[zero | ~fast] = 1.0  # formatted as 1, then patched or dropped
+    X = np.floor(np.log10(a)).astype(np.int64)
+    D, f = _scaled(a, X)
+    # log10 may put X one decade off near a power of ten: move it and redo
+    # those cells.  A scaled value just under 1e16 moves down, as its 17th
+    # digit can differ; one just under or over 1e17 rounds to 1e16 at X + 1
+    # either way.
+    low = (D < 10**16) | ((D == 10**16) & (f < 0))
+    high = D > 10**17
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        X[redo] += high[redo].astype(np.int64) - low[redo]
+        D[redo], f[redo] = _scaled(a[redo], X[redo])
+    fast &= (D >= 10**16) & (D <= 10**17) & (np.abs(np.abs(f) - 0.5) > 1e-6)
+    up = D == 10**17
+    D[up] = 10**16
+    X += up
+
+    # Digit i of D in row i + 1, between the zero rows 0 and 18.  Every part
+    # is below 1e9, where floor(v * 1e-4) is exact: 1e-4 rounds up.
+    dig = np.zeros((19, n), np.uint8)
+    top = D // 10**8
+    low8 = (D - top * 10**8).astype(float)
+    top = top.astype(float)
+    top5 = np.floor(top * 1e-4)
+    dig[1] = np.floor(top5 * 1e-4)
+    mid = np.floor(low8 * 1e-4)
+    *_, layout, quads = _kernel_tables()
+    for row, part in ((2, top5 - 1e4 * dig[1]), (6, top - 1e4 * top5), (10, mid),
+                      (14, low8 - 1e4 * mid)):
+        dig[row : row + 4] = quads.take(part.astype(np.intp)).view(np.uint8).reshape(n, 4).T
+    lay = layout.take(X + (_DECADES + 2), axis=0)
+    before, point = lay[:, 10].copy(), lay[:, 11].copy()  # digits before the point; its slot
+    # Keep a digit before the point, or one with a nonzero digit at or after it.
+    keep = dig[1:18] != 0
+    for i in range(15, -1, -1):
+        keep[i] |= keep[i + 1]
+    keep |= _SLOT_ROWS[:17] < before
+    dig[1, zero] = 0
+    digits = dig[1:18]
+    digits += ord("0")
+    digits *= keep
+
+    out = np.empty((_SLOTS, n), np.uint8)
+    out[0] = np.signbit(x)
+    out[0] *= ord("-")
+    out[1:6] = lay[:, :5].T
+    # Slot j of the digits holds digit j before the point, the point (when
+    # a digit follows it) at j = `point`, and digit j - 1 after it.
+    area = out[6:24]
+    np.multiply(dig[1:], _SLOT_ROWS < point, out=area)
+    area += dig[:18] * (_SLOT_ROWS > point)
+    area += ((_SLOT_ROWS == point) & (dig[1:] != 0)) * np.uint8(ord("."))
+    out[24:] = lay[:, 5:10].T
+    return out, fast
+
+
+def _cell_slots(x: np.ndarray) -> np.ndarray:
+    """``(x.size, _SLOTS)`` byte slots holding ``"%.17g" % v`` for each cell
+    ``v`` of the 1-D float array ``x`` once the NULs are dropped: the kernel's
+    for the cells `_fast_slots` takes, left-aligned ``%`` text for the rest
+    (non-finite values, ``|v|`` outside its decades, near-ties)."""
+    out, fast = _fast_slots(x)
+    out = out.T
+    for i in np.flatnonzero(~fast).tolist():
+        text = b"%.17g" % x[i]
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
 @functools.lru_cache(maxsize=2)
-def _block_templates(lead: bytes, tail: str) -> tuple[str, ...]:
-    """The block templates of a CSV file whose lead column's ``tobytes()``
-    is ``lead``: one per block of `_BLOCK_ROWS` rows, each row its
-    ``%.17g`` lead cell followed by ``tail``.  Keyed by the column's exact
-    bytes and the row shape.  A ``reconstruct`` run writes one trajectory
-    file and three spectrum files on one grid; two entries keep both kinds,
-    where one would make them evict each other on every run."""
-    rows = ["%.17g" % cell + tail for cell in np.frombuffer(lead).tolist()]
-    return tuple("".join(rows[i : i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS))
+def _lead_slots(lead: bytes) -> np.ndarray:
+    """`_cell_slots` of the CSV lead column (``t`` or ``omega``) whose
+    ``tobytes()`` is ``lead``, read-only.  A ``reconstruct`` run writes one
+    trajectory file and three spectrum files on one grid; two entries keep
+    both columns, where one would make them evict each other on every
+    run."""
+    column = np.frombuffer(lead)
+    chunks = range(0, column.size, _CHUNK_ROWS)
+    slots = np.concatenate([_cell_slots(column[i : i + _CHUNK_ROWS]) for i in chunks])
+    slots.setflags(write=False)
+    return slots
 
 
-def _write_csv(path: str | Path, header: str, lead: np.ndarray, tail: str, cells: list) -> None:
+def _write_csv(
+    path: str | Path, header: str, lead: np.ndarray, columns: Sequence[Optional[np.ndarray]]
+) -> None:
     """Write ``header``, then a row per entry of the float column ``lead``:
-    its ``%.17g`` cell, then ``tail`` (line end included) filled from the
-    row-major ``cells``, as many a row as ``tail`` has ``%`` fields."""
-    step = _BLOCK_ROWS * tail.count("%")
-    blocks = (tuple(cells[i : i + step]) for i in range(0, len(cells), step))
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.writelines(map(str.__mod__, _block_templates(lead.tobytes(), tail), blocks))
+    its cell, then a field per entry of ``columns``, a float column of the
+    same length or None for an empty field; ``,`` between fields, ``\\r\\n``
+    after each row and every cell ``%.17g``.  `_CHUNK_ROWS` rows at a time
+    fill a buffer of byte slots, each field's `_SLOTS` and two for its
+    separator, whose non-NUL bytes are the text."""
+    n = lead.size
+    measured = [k for k, column in enumerate(columns, 1) if column is not None]
+    values = np.column_stack([columns[k - 1] for k in measured])
+    lead_slots = _lead_slots(lead.tobytes())
+    buf = np.zeros((min(n, _CHUNK_ROWS), 1 + len(columns), _SLOTS + 2), np.uint8)
+    buf[:, :-1, _SLOTS] = ord(",")
+    buf[:, -1, _SLOTS:] = np.frombuffer(b"\r\n", np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = buf[: min(n - start, _CHUNK_ROWS)]
+            stop = start + len(rows)
+            rows[:, 0, :_SLOTS] = lead_slots[start:stop]
+            cells = _cell_slots(values[start:stop].ravel())
+            rows[:, measured, :_SLOTS] = cells.reshape(len(rows), len(measured), _SLOTS)
+            fh.write(rows[rows != 0].tobytes())
 
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
@@ -405,5 +585,5 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     record per file."""
     _one_record("write_spectrum_csv", spec)
     rows = _one_sided_rows(spec.freqs.size)
-    cells = spec.values[rows].view(float).tolist()
-    _write_csv(path, "omega,re,im\r\n", spec.freqs[rows], ",%.17g,%.17g\r\n", cells)
+    values = spec.values[rows]
+    _write_csv(path, "omega,re,im\r\n", spec.freqs[rows], [values.real, values.imag])

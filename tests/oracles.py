@@ -26,7 +26,7 @@ from fieldtomo.fock import SIGMA_Z, joint_op
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
 from fieldtomo.spectral import (
-    _BLOCK_ROWS,
+    _CHUNK_ROWS,
     DEFAULT_HALF_WIDTH,
     _window_bins,
     comb_frequencies,
@@ -41,11 +41,12 @@ EDGE_FLOATS = st.one_of(
     st.floats(),
 )
 
-#: Row counts either side of one and of two CSV row blocks: a writer that
-#: formats rows a block at a time must get the edges and a short last block
-#: right.
-BLOCK_EDGE_ROWS = [
-    _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1
+#: Row counts of files shorter than one CSV row chunk, whose row buffer is
+#: sized to the file, and either side of one and of two chunks: a writer
+#: that formats rows a chunk at a time must get the edges and a short last
+#: chunk right.
+BLOCK_EDGE_ROWS = [255, 256, 257, 512, 513] + [
+    _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1
 ]
 
 
@@ -59,7 +60,7 @@ def float_columns(draw, n: int) -> np.ndarray:
         return np.array(draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n)), dtype=float)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     column = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    edges = [k for b in (_BLOCK_ROWS, 2 * _BLOCK_ROWS) for k in (b - 1, b) if k < n]
+    edges = [k for b in (_CHUNK_ROWS, 2 * _CHUNK_ROWS) for k in (b - 1, b) if k < n]
     rows = st.one_of(st.sampled_from(edges + [0, n - 1]), st.integers(0, n - 1))
     for row, value in draw(st.lists(st.tuples(rows, EDGE_FLOATS), max_size=12)):
         column[row] = value

@@ -452,12 +452,37 @@ def test_coherent_amplitude_out_of_range(capsys, tmp_path, option, value, code, 
 
 
 def test_unresolvable_grid_exits_4(capsys, tmp_path):
+    """The estimator refuses the grid before any artifact is written, so
+    the refused call removes the ``--out-dir`` it made."""
     cfg = write_config(tmp_path, "[plan]\nn_t = 128\n")
+    out_dir = tmp_path / "out"
     code, _, err = run(
-        capsys, "reconstruct", "--config", cfg, "--out-dir", str(tmp_path)
+        capsys, "reconstruct", "--config", cfg, "--out-dir", str(out_dir)
     )
     assert code == 4
     assert stderr_error(err)["type"] == "ResolvabilityError"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("preset", ["paper-coherent", "paper-state2"])
+@pytest.mark.parametrize("n_m", ["inf", "1000"])
+def test_paper_csv_artifacts_take_the_csv_kernel_alone(capsys, tmp_path, preset, n_m):
+    """Every cell of the paper presets' trajectory and spectrum files is
+    formatted by `spectral._fast_slots`, with no ``%`` fallback: the writer's
+    speed rests on it."""
+    cfg = write_config(tmp_path, f"[plan]\nn_m = {n_m}\n")
+    out_dir = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "reconstruct", "--preset", preset, "--config", cfg, "--out-dir", str(out_dir)
+    )
+    assert code == 0
+    paths = sorted(out_dir.glob("*.csv"))
+    assert [p.name for p in paths] == [f"spectrum_{a}.csv" for a in "xyz"] + ["trajectory.csv"]
+    for path in paths:
+        rows = path.read_bytes().split(b"\r\n")[1:-1]
+        cells = np.array([float(cell) for row in rows for cell in row.split(b",") if cell])
+        _, fast = spectral._fast_slots(cells)
+        assert fast.all(), (path.name, cells[~fast][:5])
 
 
 def test_noise_sweep_single_point(capsys, tmp_path):
@@ -706,6 +731,25 @@ def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
         assert code == 3
         assert stderr_error(err)["type"] == "EstimationError"
         assert not (tmp_path / "noise_sweep_slopes.json").exists()
+
+
+def test_noise_sweep_with_a_non_positive_snr_exits_3(capsys, tmp_path):
+    """A Fock state n = 2 benchmarked on the first Rabi harmonic gives a
+    negative mean S/xi in every cell, and the snr_vs_n_t slope fits its
+    logarithm: the sweep is refused, naming the cell, with no warning and
+    before any write."""
+    cfg = write_config(
+        tmp_path,
+        "[state]\nkind = fock\nn = 2\n"
+        "[plan]\nn_m_list = 100 1000\nn_t_list = 128 256\nn_seeds = 3\n",
+    )
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "noise-sweep", "--config", cfg, "--out-dir", str(out_dir))
+    assert code == 3
+    body = stderr_error(err)
+    assert body["type"] == "EstimationError"
+    assert "at n_m = 100, n_t = 128 is not > 0" in body["message"]
+    assert not out_dir.exists()
 
 
 @settings(max_examples=40, deadline=None)

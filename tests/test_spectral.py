@@ -1,3 +1,5 @@
+import decimal
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -544,9 +546,9 @@ def test_spectrum_csv_round_trip(tmp_path):
 
 
 def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
-    """The block templates are memoised per grid: writes on two grids in
-    turn, one a single ulp of delta_t from the other, give each file the
-    bytes of a write with the memo cleared."""
+    """The lead column's byte slots are memoised per grid: writes on two
+    grids in turn, one a single ulp of delta_t from the other, give each
+    file the bytes of a write with the memo cleared."""
     dts = [0.075, np.nextafter(0.075, 1.0)]
     specs = [dft(np.random.default_rng(k).normal(size=64), time_grid(dt, 64))
              for k, dt in enumerate(dts * 2)]
@@ -554,7 +556,7 @@ def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
     for k, spec in enumerate(specs):
         warm, cold = tmp_path / f"warm{k}.csv", tmp_path / f"cold{k}.csv"
         write_spectrum_csv(spec, warm)
-        spectral._block_templates.cache_clear()
+        spectral._lead_slots.cache_clear()
         write_spectrum_csv(spec, cold)
         assert warm.read_bytes() == cold.read_bytes(), k
 
@@ -565,11 +567,11 @@ def random_trajectory(dt, n, axes="xyz", seed=0):
 
 
 def test_trajectory_and_spectrum_csv_share_the_memo_and_match_a_cold_write(tmp_path):
-    """One template memo serves both writers, keyed by lead column and row
-    shape: an x/y/z trajectory, a z-only one on the same grid, one on a grid
-    a single ulp of delta_t away and a spectrum, written in turn, each give
-    the bytes of a write with the memo cleared."""
-    dt, n = 0.075, 300  # more rows than one block
+    """One lead-slot memo serves both writers, keyed by the lead column: an
+    x/y/z trajectory, a z-only one on the same grid, one on a grid a single
+    ulp of delta_t away and a spectrum, written in turn, each give the bytes
+    of a write with the memo cleared."""
+    dt, n = 0.075, spectral._CHUNK_ROWS + 76  # more rows than one chunk
     xyz = random_trajectory(dt, n)
     files = [
         (write_trajectory_csv, xyz),
@@ -580,7 +582,7 @@ def test_trajectory_and_spectrum_csv_share_the_memo_and_match_a_cold_write(tmp_p
     for k, (write, obj) in enumerate(files):
         warm, cold = tmp_path / f"warm{k}.csv", tmp_path / f"cold{k}.csv"
         write(obj, warm)
-        spectral._block_templates.cache_clear()
+        spectral._lead_slots.cache_clear()
         write(obj, cold)
         assert warm.read_bytes() == cold.read_bytes(), k
 
@@ -590,14 +592,78 @@ def test_reconstruct_shaped_writes_hit_the_memo_on_a_repeat(tmp_path):
     files, on one grid: a second run formats no lead column again."""
     traj = random_trajectory(0.075, 64)
     specs = [dft(getattr(traj, a), traj.times) for a in "xyz"]
-    spectral._block_templates.cache_clear()
+    spectral._lead_slots.cache_clear()
     misses = []
     for _ in range(2):
         write_trajectory_csv(traj, tmp_path / "trajectory.csv")
         for a, spec in zip("xyz", specs):
             write_spectrum_csv(spec, tmp_path / f"spectrum_{a}.csv")
-        misses.append(spectral._block_templates.cache_info().misses)
+        misses.append(spectral._lead_slots.cache_info().misses)
     assert misses == [2, 2]
+
+
+def _powers_of_ten(k: int) -> list[float]:
+    """``10**k`` as the nearest float, and one ulp either side of it."""
+    p = float(f"1e{k}")
+    return [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+
+
+#: Cells whose ``%.17g`` text is easy to get wrong, by the kernel's steps:
+#: a near and an exact rounding tie, scaled values next to 1e16 or 1e17,
+#: powers of ten and their neighbours, dyadic fractions, integers up to
+#: 2**53, zeros, subnormals, non-finite cells and the edges of the
+#: kernel's decades.
+KERNEL_EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [float("0.123456789012345675"), 123456789012345.625, 0.0, -0.0, 5e-324,
+         -2.2250738585072014e-308, math.inf, -math.inf, math.nan, 2.0**53, 9999999999999998.0,
+         99999999999999984.0, 0.00099999999999999991, 0.0001, 1e-5]
+        + _powers_of_ten(-spectral._DECADES) + _powers_of_ten(spectral._DECADES)
+    ),
+    st.integers(-330, 310).map(_powers_of_ten).flatmap(st.sampled_from),
+    st.builds(lambda k, j: k * 2.0**-j, st.integers(-(2**53), 2**53), st.integers(0, 1074)),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(10.0**-spectral._DECADES, 10.0**spectral._DECADES).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    ),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(KERNEL_EDGE_FLOATS, min_size=1, max_size=40))
+@example(cells=[123456789012345.625, 1e16, 1e-4, 1e17, -0.0])
+def test_cell_slots_hold_each_cells_percent_17g_text(cells):
+    """Drop the NULs of a cell's byte slots and what is left is the text of
+    ``"%.17g" % v``, whichever path formatted it."""
+    slots = spectral._cell_slots(np.array(cells))
+    assert slots.shape == (len(cells), spectral._SLOTS)
+    for row, v in zip(slots, cells):
+        assert row[row != 0].tobytes() == b"%.17g" % v, v
+
+
+def test_fast_slots_leave_only_near_ties_to_percent():
+    """Cells inside the kernel's decades take the kernel, with the text of
+    ``%.17g``, unless their exact value is within 1e-6 of a unit of a
+    rounding tie at 17 digits, as the binary fractions of ~1e15 often are;
+    an exact tie, non-finite cells and cells outside the decades take
+    ``%``."""
+    rng = np.random.default_rng(23)
+    size = 20_000
+    x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-279.9, 279.9, size)
+    x[::7] = rng.uniform(-1.0, 1.0, x[::7].size)
+    x[::11] = 0.0
+    slots, fast = spectral._fast_slots(x)
+    texts = [row[row != 0].tobytes() for row in slots.T[fast]]
+    assert texts == [b"%.17g" % v for v in x[fast].tolist()]
+    assert np.count_nonzero(~fast) < 1e-3 * size
+    with decimal.localcontext(decimal.Context(prec=1000)):
+        for v in x[~fast].tolist():
+            exact = decimal.Decimal(abs(v))
+            digits = exact.scaleb(16 - exact.adjusted())
+            assert abs(digits % 1 - decimal.Decimal("0.5")) < decimal.Decimal("1e-6"), v
+    edges = [123456789012345.625, math.inf, math.nan, 1e300, 1e-300, 5e-324]
+    assert not spectral._fast_slots(np.array(edges))[1].any()
 
 
 #: Grid sizes whose one-sided files hold `oracles.BLOCK_EDGE_ROWS` rows,
