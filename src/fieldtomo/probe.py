@@ -14,7 +14,10 @@ Bloch components follow the usual map ``x = 2 Re rho_ge``,
 (spectral comb layout, coherence pairing signs) assumes exactly these
 expressions.  `bloch_components` is their one copy: `ideal_bloch_trajectory`
 simulates with it, and the estimators' residual floors subtract what it
-gives for their solved estimates.
+gives for their solved estimates.  Its trig rows, ``cos(2 Omega_n t)``,
+``cos(Omega_n t)`` and ``sin(Omega_{n+1} t)``, live in a memo of one
+``(g, times)`` grid, so a run that simulates and then fits on that grid
+computes each row once; a new ``g`` or grid replaces the memo.
 """
 
 from __future__ import annotations
@@ -155,20 +158,61 @@ def bloch_components(
     component whose input is None comes back None.  A ``(..., L)`` population
     stack gives ``(..., N)`` z records and skips a level only where every
     record's element is below `_ELEMENT_FLOOR`: each row is bit for bit its
-    one-record result unless its own element alone is below it."""
+    one-record result unless its own element alone is below it.
+
+    The trig rows come from the one-grid memo `_trig_rows`, read-only and
+    each computed on first use; the outputs are new arrays, bit for bit
+    those of computing every row afresh."""
     t = np.asarray(times, dtype=float)
+    rows = _trig_rows(g, t)
     x = y = z = None
     if populations is not None:
         p = np.asarray(populations)
-        z = np.repeat(p[..., :1], t.size, axis=-1)
+        # Summed in place, so integer populations start out as floats.
+        z = np.repeat(p[..., :1], t.size, axis=-1).astype(np.result_type(p, t), copy=False)
         for n in range(1, p.shape[-1]):
             if not np.all(np.abs(p[..., n]) < _ELEMENT_FLOOR):
-                z = z + p[..., n, None] * np.cos(2.0 * (g * math.sqrt(n)) * t)
+                z += p[..., n, None] * _trig_row(rows, "z", n, g, t)
     if superdiagonal is not None:
         ge = np.zeros(t.shape, dtype=complex)
         for n, s in enumerate(np.asarray(superdiagonal)):
             if not abs(s) < _ELEMENT_FLOOR:
-                ge = ge + s * np.cos(g * math.sqrt(n) * t) * np.sin(g * math.sqrt(n + 1) * t)
+                term = s * _trig_row(rows, "c", n, g, t)
+                term *= _trig_row(rows, "s", n, g, t)
+                ge += term
         ge = 1j * ge
         x, y = 2.0 * ge.real, -2.0 * ge.imag
     return x, y, z
+
+
+#: `bloch_components`' trig rows on one grid: ``[key, {(kind, n): row}]``, the
+#: key being the exact bits of ``g`` and of the times.  One entry: a new key
+#: replaces it, so the memo holds the rows of one ``(g, times)`` grid.
+_ROWS: list = [None, {}]
+
+
+def _trig_rows(g: float, t: np.ndarray) -> dict:
+    """The memo's rows for ``(g, t)``, emptied first if it holds another grid.
+    Bits, not values, are compared: ``g = -0.0`` gives ``sin`` rows of the
+    other sign than ``g = 0.0``."""
+    key = (np.float64(g).tobytes(), t.shape, t.tobytes())
+    if _ROWS[0] != key:
+        _ROWS[:] = [key, {}]
+    return _ROWS[1]
+
+
+def _trig_row(rows: dict, kind: str, n: int, g: float, t: np.ndarray) -> np.ndarray:
+    """Row ``kind`` of level ``n``, read-only, computed on first use by the
+    closed forms' own expression: ``z`` is ``cos(2 Omega_n t)``, ``c``
+    ``cos(Omega_n t)`` and ``s`` ``sin(Omega_{n+1} t)``."""
+    row = rows.get((kind, n))
+    if row is None:
+        if kind == "z":
+            row = np.cos(2.0 * (g * math.sqrt(n)) * t)
+        elif kind == "c":
+            row = np.cos(g * math.sqrt(n) * t)
+        else:
+            row = np.sin(g * math.sqrt(n + 1) * t)
+        row.setflags(write=False)
+        rows[kind, n] = row
+    return row

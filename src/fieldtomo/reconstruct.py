@@ -152,11 +152,12 @@ class _Window(NamedTuple):
 
 
 def _z_windows(freqs: dict[str, np.ndarray]) -> list[_Window]:
-    """The z spectrum's windows: DC, then +-2 Omega_n for each n."""
+    """The z spectrum's windows: DC, then +-2 Omega_n for each n, named
+    with a ``+`` or ``-`` tag like the x/y windows."""
     out = [_Window("rho[0,0]", "z", "rho[0,0]", 0.0)]
     for n, c in enumerate(freqs["z"], start=1):
         label = f"rho[{n},{n}]"
-        out += [_Window(label, "z", label, c), _Window(label, "z", label, -c)]
+        out += [_Window(label, "z", f"{label}+", c), _Window(label, "z", f"{label}-", -c)]
     return out
 
 

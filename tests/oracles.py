@@ -3,10 +3,10 @@ with the inputs, checks and observables the comparisons share.
 
 The references are written the plain way, for clarity rather than
 speed.  The CSV writers, the one-record-at-a-time noise sweep, the
-`ConfigParser` config merge and the coherent-tail loop must agree with
-the library exactly; the propagators (matrix exponential, RK4), the
-golden-section coupling search and the per-bin-phase window read to the
-tolerance a test states.
+`ConfigParser` config merge, the coherent-tail loop and the unmemoised
+Bloch components must agree with the library exactly; the propagators
+(matrix exponential, RK4), the golden-section coupling search and the
+per-bin-phase window read to the tolerance a test states.
 """
 
 import configparser
@@ -24,6 +24,7 @@ from fieldtomo.dce import rabi_hamiltonian
 from fieldtomo.exceptions import ConfigError, EstimationError, ValidationError
 from fieldtomo.fock import SIGMA_Z, joint_op
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
+from fieldtomo.probe import _ELEMENT_FLOOR
 from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
 from fieldtomo.spectral import (
     _CHUNK_ROWS,
@@ -300,6 +301,39 @@ def evolve_joint(rho, cfg, t: float) -> np.ndarray:
     gg = diag[0] + float(np.sum(diag[1:] * np.cos(omega[1:] * t) ** 2))
     ge = 1j * complex(np.sum(sup * np.cos(omega[:-1] * t) * np.sin(omega[1:] * t)))
     return np.array([[gg, ge], [np.conj(ge), 1.0 - gg]], dtype=complex)
+
+
+def bloch_components(populations, superdiagonal, g: float, times):
+    """`probe.bloch_components` with every trig row computed afresh on every
+    call and new arrays for every sum: the library's memo must give these
+    bits."""
+    t = np.asarray(times, dtype=float)
+    x = y = z = None
+    if populations is not None:
+        p = np.asarray(populations)
+        z = np.repeat(p[..., :1], t.size, axis=-1)
+        for n in range(1, p.shape[-1]):
+            if not np.all(np.abs(p[..., n]) < _ELEMENT_FLOOR):
+                z = z + p[..., n, None] * np.cos(2.0 * (g * math.sqrt(n)) * t)
+    if superdiagonal is not None:
+        ge = np.zeros(t.shape, dtype=complex)
+        for n, s in enumerate(np.asarray(superdiagonal)):
+            if not abs(s) < _ELEMENT_FLOOR:
+                ge = ge + s * np.cos(g * math.sqrt(n) * t) * np.sin(g * math.sqrt(n + 1) * t)
+        ge = 1j * ge
+        x, y = 2.0 * ge.real, -2.0 * ge.imag
+    return x, y, z
+
+
+def trig_row(kind: str, n: int, g: float, t: np.ndarray) -> np.ndarray:
+    """The trig row ``kind`` of level ``n`` that `probe.bloch_components`
+    memoises, by the expression of the loop above: ``z`` the cos of the z
+    sum, ``c`` and ``s`` the cos and sin of the x/y sum."""
+    if kind == "z":
+        return np.cos(2.0 * (g * math.sqrt(n)) * t)
+    if kind == "c":
+        return np.cos(g * math.sqrt(n) * t)
+    return np.sin(g * math.sqrt(n + 1) * t)
 
 
 def noise_sweep_rows(

@@ -329,7 +329,7 @@ def test_trajectory_file_reconstructs_the_written_result(capsys, tmp_path):
     [
         ("[plan]\nn_t = 8\n", "window for rho[0,0] (bin 0 +- 4) exceeds the frequency grid"),
         ("[spectral]\nhalf_width = 2000\n",
-         "window for rho[1,1] (bin 98 +- 2000) exceeds the frequency grid"),
+         "window for rho[1,1]+ (bin 98 +- 2000) exceeds the frequency grid"),
     ],
 )
 @pytest.mark.parametrize("command", ["reconstruct", "dce"])
@@ -462,6 +462,22 @@ def test_unresolvable_grid_exits_4(capsys, tmp_path):
     assert code == 4
     assert stderr_error(err)["type"] == "ResolvabilityError"
     assert not out_dir.exists()
+
+
+def test_window_collisions_name_each_side_of_a_z_tone(capsys, tmp_path):
+    """The +2 Omega_n and -2 Omega_n windows carry ``+``/``-`` tags, so a
+    refused grid names which side collides and pairs no name with itself."""
+    cfg = write_config(tmp_path, "[spectral]\nhalf_width = 300\n")
+    code, _, err = run(
+        capsys, "reconstruct", "--preset", "paper-coherent", "--config", cfg,
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 4
+    error = stderr_error(err)
+    assert error["type"] == "ResolvabilityError"
+    pairs = [p.split(" / ") for p in error["message"].split(": ", 1)[1].split("; ")]
+    assert ["rho[1,1]+", "rho[1,1]-"] in pairs and ["rho[0,0]", "rho[1,1]-"] in pairs
+    assert all(a != b for a, b in pairs)
 
 
 @pytest.mark.parametrize("preset", ["paper-coherent", "paper-state2"])

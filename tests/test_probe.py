@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import oracles
 from oracles import bloch_from_qubit, evolve_joint
+from fieldtomo import probe as probe_mod
 from fieldtomo.exceptions import GridError, ValidationError
 from fieldtomo.fock import (
     SIGMA_MINUS,
@@ -15,12 +21,14 @@ from fieldtomo.fock import (
 )
 from fieldtomo.measurement import MeasurementPlan
 from fieldtomo.probe import (
+    _ELEMENT_FLOOR,
     BlochTrajectory,
     ProbeConfig,
     bloch_components,
     ideal_bloch_trajectory,
     time_grid,
 )
+from fieldtomo.reconstruct import reconstruct_state
 
 
 def propagator_oracle(rho: DensityMatrix, g: float, t: float) -> np.ndarray:
@@ -88,6 +96,123 @@ def test_population_stack_rows_are_their_one_record_models(seed):
     assert x is None and y is None and z.shape == (k, times.size)
     for row, p in zip(z, pops):
         assert np.array_equal(row, bloch_components(p, None, g, times)[2])
+
+def assert_same_bits(got, want) -> None:
+    """Each of two component tuples is None in the same places and otherwise
+    the same dtype, shape and bytes."""
+    for a, b in zip(got, want, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_memo_holds_cold_rows(g: float, t: np.ndarray) -> None:
+    """Every row the memo holds is the row computed afresh at ``(g, t)``."""
+    for (kind, n), row in probe_mod._ROWS[1].items():
+        assert row.tobytes() == oracles.trig_row(kind, n, g, t).tobytes(), (kind, n)
+
+
+#: Density-matrix elements, with levels at and below `_ELEMENT_FLOOR` drawn often.
+ELEMENTS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1e-15, -5e-15, _ELEMENT_FLOOR, -_ELEMENT_FLOOR,
+                     float(np.nextafter(_ELEMENT_FLOOR, 0.0))]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    levels=st.integers(1, 9),
+    stack=st.sampled_from([(), (1,), (3,)]),
+    g=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.05, 3.0)),
+    delta_t=st.floats(1e-3, 0.3),
+    n_t=st.integers(1, 64),
+)
+def test_bloch_components_match_the_unmemoised_loop(data, levels, stack, g, delta_t, n_t):
+    """The memoised forward model gives the cold loop's bits on random
+    populations, stacks, superdiagonals and grids, levels below the element
+    floor included, on calls that alternate between ``g`` or ``delta_t`` and
+    its neighbour one ulp away, and between ``g`` and ``-g`` (``+-0.0`` when
+    ``g`` is a zero, whose ``sin`` rows differ in sign only)."""
+    pops = np.array(data.draw(st.lists(
+        ELEMENTS, min_size=math.prod(stack) * levels, max_size=math.prod(stack) * levels
+    ))).reshape(stack + (levels,))
+    parts = data.draw(st.lists(ELEMENTS, min_size=2 * levels - 2, max_size=2 * levels - 2))
+    sup = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    pops, sup = data.draw(st.sampled_from([(pops, sup), (pops, None), (None, sup)]))
+    g_next, dt_next = float(np.nextafter(g, np.inf)), float(np.nextafter(delta_t, 1.0))
+    for g_k, dt_k in [(g, delta_t), (g_next, delta_t), (g, delta_t), (g, dt_next),
+                      (g, delta_t), (-g, delta_t), (g, delta_t), (g, delta_t)]:
+        t = time_grid(dt_k, n_t)
+        assert_same_bits(bloch_components(pops, sup, g_k, t),
+                         oracles.bloch_components(pops, sup, g_k, t))
+        assert_memo_holds_cold_rows(g_k, t)
+
+
+class _TrigLog:
+    """`numpy` as `fieldtomo.probe` sees it, logging every cos and sin call
+    by its argument's bytes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x):
+        self.calls.append(("cos", x.tobytes()))
+        return np.cos(x)
+
+    def sin(self, x):
+        self.calls.append(("sin", x.tobytes()))
+        return np.sin(x)
+
+
+def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, probe):
+    """A reconstruction simulates its record, then subtracts the z and x/y
+    models of its estimates, all on one ``(g, times)`` grid: each trig call
+    fills one memo row, so no row is computed twice; the floors compute none
+    the simulator did not (every level of this state is above the element
+    floor), and a second run computes none at all."""
+    log = _TrigLog()
+    monkeypatch.setattr(probe_mod, "np", log)
+    monkeypatch.setattr(probe_mod, "_ROWS", [None, {}])
+    rho, times = density_from_pure(alpha_state), time_grid(0.075, 4096)
+    traj = ideal_bloch_trajectory(rho, probe, times)
+    simulated = len(log.calls)
+    first = reconstruct_state(traj, probe.g, reference=alpha_state)
+    assert len(log.calls) == simulated == len(probe_mod._ROWS[1]) == 12 + 2 * 12
+    again = reconstruct_state(ideal_bloch_trajectory(rho, probe, times), probe.g)
+    assert len(log.calls) == simulated
+    assert again.diagnostics == first.diagnostics
+
+
+def test_memo_rows_are_read_only_and_no_component_shares_them(monkeypatch):
+    """The memoised rows are read-only, every returned component is a new
+    array, and writing to one leaves the next call's bits unchanged."""
+    monkeypatch.setattr(probe_mod, "_ROWS", [None, {}])
+    t = time_grid(0.075, 64)
+    args = ([[0.5, 0.3, 0.2], [0.0, 1.0, 0.0]], [0.1 + 0.2j, 0.05], 1.0, t)
+    comps = bloch_components(*args)
+    rows = list(probe_mod._ROWS[1].values())
+    assert len(rows) == 6 and not any(row.flags.writeable for row in rows)
+    for comp in comps:
+        assert not any(np.shares_memory(comp, row) for row in rows)
+        comp[...] = 7.0
+    assert_same_bits(bloch_components(*args), oracles.bloch_components(*args))
+
+
+def test_memo_holds_one_grid(monkeypatch):
+    """A new grid or a new ``g`` replaces the memo's entry: it then holds the
+    rows of that call alone."""
+    monkeypatch.setattr(probe_mod, "_ROWS", [None, {}])
+    t64, t65 = time_grid(0.075, 64), time_grid(0.075, 65)
+    for g, t in [(1.0, t64), (1.0, t65), (1.5, t65), (1.0, t65), (1.0, t64)]:
+        bloch_components([0.5, 0.5], [0.3], g, t)
+        assert set(probe_mod._ROWS[1]) == {("z", 1), ("c", 0), ("s", 0)}
+        assert_memo_holds_cold_rows(g, t)
+
 
 def test_initial_condition_points_north(state_one, probe):
     # Before any interaction the probe is untouched: (x, y, z) = (0, 0, 1).
