@@ -172,21 +172,21 @@ def bloch_components(
         z = np.repeat(p[..., :1], t.size, axis=-1).astype(np.result_type(p, t), copy=False)
         for n in range(1, p.shape[-1]):
             if not np.all(np.abs(p[..., n]) < _ELEMENT_FLOOR):
-                z += p[..., n, None] * _trig_row(rows, "z", n, g, t)
+                z += p[..., n, None] * _trig_row(rows, "cos", 2.0 * (g * math.sqrt(n)), t)
     if superdiagonal is not None:
         ge = np.zeros(t.shape, dtype=complex)
         for n, s in enumerate(np.asarray(superdiagonal)):
             if not abs(s) < _ELEMENT_FLOOR:
-                term = s * _trig_row(rows, "c", n, g, t)
-                term *= _trig_row(rows, "s", n, g, t)
+                term = s * _trig_row(rows, "cos", g * math.sqrt(n), t)
+                term *= _trig_row(rows, "sin", g * math.sqrt(n + 1), t)
                 ge += term
         ge = 1j * ge
         x, y = 2.0 * ge.real, -2.0 * ge.imag
     return x, y, z
 
 
-#: `bloch_components`' trig rows on one grid: ``[key, {(kind, n): row}]``, the
-#: key being the exact bits of ``g`` and of the times.  One entry: a new key
+#: `bloch_components`' trig rows on one grid: ``[key, {(fn, factor bits): row}]``,
+#: the key being the exact bits of ``g`` and of the times.  One entry: a new key
 #: replaces it, so the memo holds the rows of one ``(g, times)`` grid.
 _ROWS: list = [None, {}]
 
@@ -201,18 +201,15 @@ def _trig_rows(g: float, t: np.ndarray) -> dict:
     return _ROWS[1]
 
 
-def _trig_row(rows: dict, kind: str, n: int, g: float, t: np.ndarray) -> np.ndarray:
-    """Row ``kind`` of level ``n``, read-only, computed on first use by the
-    closed forms' own expression: ``z`` is ``cos(2 Omega_n t)``, ``c``
-    ``cos(Omega_n t)`` and ``s`` ``sin(Omega_{n+1} t)``."""
-    row = rows.get((kind, n))
+def _trig_row(rows: dict, fn: str, factor: float, t: np.ndarray) -> np.ndarray:
+    """``np.<fn>(factor * t)``, read-only, computed on first use.  Rows are keyed
+    by ``fn`` and the exact bits of ``factor``, so equal evaluations share one:
+    the z row ``cos(2 Omega_n t)`` of level n is the x/y row ``cos(Omega_{4n} t)``,
+    ``2 (g sqrt(n))`` and ``g sqrt(4 n)`` being the same float."""
+    key = (fn, np.float64(factor).tobytes())
+    row = rows.get(key)
     if row is None:
-        if kind == "z":
-            row = np.cos(2.0 * (g * math.sqrt(n)) * t)
-        elif kind == "c":
-            row = np.cos(g * math.sqrt(n) * t)
-        else:
-            row = np.sin(g * math.sqrt(n + 1) * t)
+        row = getattr(np, fn)(factor * t)
         row.setflags(write=False)
-        rows[kind, n] = row
+        rows[key] = row
     return row

@@ -84,10 +84,12 @@ __all__ = [
 DEFAULT_N_MAX = 8
 DEFAULT_POPULATION_FLOOR = 1e-3
 TRACE_TOLERANCE = 0.01
-# estimate_coupling: harmonics scored at most, coarse-scan points, candidates
-# per refinement batch, and the bracket width it stops at.
+# estimate_coupling: harmonics scored at most, coarse-scan points, coarse
+# candidates scored first, candidates per refinement batch, and the bracket
+# width it stops at.
 _PROBE_HARMONICS = 5
 _COARSE_POINTS = 1000
+_COARSE_SCORED = 128
 _REFINE_POINTS = 64
 _G_TOLERANCE = 1e-7
 
@@ -535,16 +537,30 @@ def estimate_coupling(
     few bins off, which would bias the argmax).  The z record is real, so
     ``F(-omega) = conj F(omega)`` and ``2 Re area(+c)`` is the cosine-pair
     amplitude ``Re(area(+c) + area(-c))`` to rounding: only the +c windows
-    are read.  The search scores a whole grid of candidates in one
-    `read_windows` call: first `_COARSE_POINTS` points over ``search_range``,
-    then `_REFINE_POINTS` points across the best point's two neighbours,
-    again until that bracket is at most `_G_TOLERANCE` wide (four calls
-    over the default range) or stops shrinking (where the float spacing
-    of g exceeds `_G_TOLERANCE`).  Returns the best candidate and its
-    score from the batch that found it.  If the winning comb holds no bin
-    above 5x a robust noise floor (a floor of 0 included), there is no comb
-    to align and an `EstimationError` is raised, as it is when the lowest
-    candidate tone ``2 lo`` falls in the half-width-1 DC window.
+    are read.
+
+    The coarse stage takes the argmax of the scores of `_COARSE_POINTS`
+    candidates over ``search_range`` by branch and bound.  A half-width-1
+    area is ``rot sum_j tap_j X[m + j] / resp`` with ``|rot| = |tap_j| = 1``
+    and a response ``resp >= 2 / pi``, so each pair ``2 Re area`` is at most
+    ``pi S[m]``, ``S[m] = sum_{|j| <= 1} |X[m + j]|``, and a candidate's
+    score at most ``pi sum_n S[m_n] / sqrt(n)`` (times ``1 + 1e-9`` for
+    rounding; a NaN bound counts as infinite, so a NaN or infinite bin is
+    always scored).  One `read_windows` call scores the `_COARSE_SCORED`
+    candidates of highest bound; if any other candidate's bound reaches
+    the best of their scores, one more call scores all such candidates.
+    Every candidate left unscored then scores below the best, so the
+    argmax (first index on ties) is the exhaustive search's, and since
+    `read_windows` reads each window bit for bit as in any batch, so is
+    its score.  The refine rounds score `_REFINE_POINTS` points across
+    the best point's two neighbours in one call each, until that bracket
+    is at most `_G_TOLERANCE` wide (three rounds over the default range)
+    or stops shrinking (where the float spacing of g exceeds
+    `_G_TOLERANCE`).  Returns the best candidate and its score from the
+    batch that found it.  If the winning comb holds no bin above 5x a
+    robust noise floor (a floor of 0 included), there is no comb to align
+    and an `EstimationError` is raised, as it is when the lowest candidate
+    tone ``2 lo`` falls in the half-width-1 DC window.
     """
     _one_record("estimate_coupling", spec_z)
     lo, hi = search_range
@@ -567,20 +583,33 @@ def estimate_coupling(
         )
     roots = np.sqrt(np.arange(1, n_use + 1, dtype=float))
 
+    def score(g: np.ndarray) -> np.ndarray:
+        pairs = 2.0 * read_windows(spec_z, (2.0 * g)[:, None] * roots, 1).real
+        return np.sum(np.where(pairs > 0.0, pairs, 0.0) / roots, axis=1)
+
+    abs_vals = np.abs(spec_z.values)
     grid = np.linspace(lo, hi, _COARSE_POINTS)
+    _, _, idx, _ = _grid_windows(spec_z, (2.0 * grid)[:, None] * roots, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = abs_vals[:-2] + abs_vals[1:-1] + abs_vals[2:]  # S at bin i + 1
+        bound = np.sum(spread[idx.astype(np.intp) - 1] / roots, axis=1) * (math.pi * (1 + 1e-9))
+    bound[np.isnan(bound)] = np.inf
+    scores = np.full(grid.size, -np.inf)
+    todo = np.argpartition(bound, -_COARSE_SCORED)[-_COARSE_SCORED:]
+    while todo.size:
+        scores[todo] = score(grid[todo])
+        todo = np.flatnonzero((bound >= scores.max()) & (scores == -np.inf))
+    best = int(np.argmax(scores))
     width = math.inf
     while True:
-        c = (2.0 * grid)[:, None] * roots
-        pairs = 2.0 * read_windows(spec_z, c, 1).real
-        scores = np.sum(np.where(pairs > 0.0, pairs, 0.0) / roots, axis=1)
-        best = int(np.argmax(scores))
         a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
         if b - a <= _G_TOLERANCE or b - a >= width:
             break
         grid, width = np.linspace(a, b, _REFINE_POINTS), b - a
+        scores = score(grid)
+        best = int(np.argmax(scores))
     g_hat = float(grid[best])
 
-    abs_vals = np.abs(spec_z.values)
     robust = float(np.median(abs_vals)) / math.sqrt(math.log(2.0))
     c = 2.0 * g_hat * roots
     # The +-1 bins around each +-c; n_use keeps every such window on the grid.

@@ -3,8 +3,9 @@ with the inputs, checks and observables the comparisons share.
 
 The references are written the plain way, for clarity rather than
 speed.  The CSV writers, the one-record-at-a-time noise sweep, the
-`ConfigParser` config merge, the coherent-tail loop and the unmemoised
-Bloch components must agree with the library exactly; the propagators
+`ConfigParser` config merge, the coherent-tail loop, the unmemoised
+Bloch components and the exhaustive coupling search must agree with the
+library exactly; the propagators
 (matrix exponential, RK4), the golden-section coupling search and the
 per-bin-phase window read to the tolerance a test states.
 """
@@ -25,10 +26,20 @@ from fieldtomo.exceptions import ConfigError, EstimationError, ValidationError
 from fieldtomo.fock import SIGMA_Z, joint_op
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.probe import _ELEMENT_FLOOR
-from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
+from fieldtomo.reconstruct import (
+    _COARSE_POINTS,
+    _G_TOLERANCE,
+    _PROBE_HARMONICS,
+    _REFINE_POINTS,
+    _z_floor,
+    _z_windows,
+    populations_from_z,
+)
 from fieldtomo.spectral import (
     _CHUNK_ROWS,
     DEFAULT_HALF_WIDTH,
+    _grid_windows,
+    _one_record,
     _window_bins,
     comb_frequencies,
     dft,
@@ -415,3 +426,56 @@ def golden_section_coupling(spec_z, search_range=(0.5, 2.0), n_probe=5, n_coarse
     grid = np.linspace(lo, hi, n_coarse)
     best = int(np.argmax(score(grid)))
     return golden_section_max(score, grid[max(best - 2, 0)], grid[min(best + 2, n_coarse - 1)])
+
+
+def estimate_coupling(spec_z, search_range=(0.5, 2.0)) -> tuple[float, float]:
+    """`reconstruct.estimate_coupling` by exhaustive search: the coarse stage
+    scores every one of its `_COARSE_POINTS` candidates, with no bound to
+    prune any.  The library's pruned search must return these bits, or raise
+    what this raises."""
+    _one_record("estimate_coupling", spec_z)
+    lo, hi = search_range
+    if not (0 < lo < hi):
+        raise ValidationError(f"bad search range {search_range!r}")
+    n = spec_z.n_t
+    dw = spec_z.d_omega
+    omega_edge = (n // 2 - 2) * dw
+    # Keep only harmonics that stay on-grid for every candidate g.  The ratio
+    # is bounded before squaring: on a fine grid its square overflows.
+    n_use = min(_PROBE_HARMONICS, int(min(omega_edge / (2.0 * hi), _PROBE_HARMONICS) ** 2))
+    if n_use < 1:
+        raise ValidationError(
+            "search range exceeds the frequency grid; lower the range or raise n_t"
+        )
+    if _grid_windows(spec_z, 2.0 * lo, 1)[1] <= 1:
+        raise EstimationError(
+            f"the lowest candidate tone 2 g = {2.0 * lo:.4g} falls in the DC window "
+            f"(bin width {dw:.4g}); raise the search range or n_t delta_t"
+        )
+    roots = np.sqrt(np.arange(1, n_use + 1, dtype=float))
+
+    grid = np.linspace(lo, hi, _COARSE_POINTS)
+    width = math.inf
+    while True:
+        c = (2.0 * grid)[:, None] * roots
+        pairs = 2.0 * read_windows(spec_z, c, 1).real
+        scores = np.sum(np.where(pairs > 0.0, pairs, 0.0) / roots, axis=1)
+        best = int(np.argmax(scores))
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        if b - a <= _G_TOLERANCE or b - a >= width:
+            break
+        grid, width = np.linspace(a, b, _REFINE_POINTS), b - a
+    g_hat = float(grid[best])
+
+    abs_vals = np.abs(spec_z.values)
+    robust = float(np.median(abs_vals)) / math.sqrt(math.log(2.0))
+    c = 2.0 * g_hat * roots
+    # The +-1 bins around each +-c; n_use keeps every such window on the grid.
+    _, _, idx, _ = _grid_windows(spec_z, np.concatenate((c, -c)), 1)
+    peak_amp = float(np.max(abs_vals[idx.astype(np.intp)[:, None] + [-1, 0, 1]]))
+    if peak_amp <= 5.0 * robust:
+        raise EstimationError(
+            f"no spectral peak above 5x the noise floor near the best comb "
+            f"(g = {g_hat:.4f}); cannot estimate the coupling"
+        )
+    return g_hat, float(scores[best])

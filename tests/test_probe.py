@@ -107,9 +107,14 @@ def assert_same_bits(got, want) -> None:
 
 
 def assert_memo_holds_cold_rows(g: float, t: np.ndarray) -> None:
-    """Every row the memo holds is the row computed afresh at ``(g, t)``."""
-    for (kind, n), row in probe_mod._ROWS[1].items():
-        assert row.tobytes() == oracles.trig_row(kind, n, g, t).tobytes(), (kind, n)
+    """Every row the memo holds is a closed-form row computed afresh at
+    ``(g, t)``, and the evaluation its key names: ``(fn, bits of factor)``
+    for ``fn(factor * t)``."""
+    cold = {oracles.trig_row(kind, n, g, t).tobytes() for kind in "zcs" for n in range(10)}
+    for (fn, bits), row in probe_mod._ROWS[1].items():
+        factor = np.frombuffer(bits)[0]
+        assert row.tobytes() in cold, (fn, factor)
+        assert row.tobytes() == getattr(np, fn)(factor * t).tobytes(), (fn, factor)
 
 
 #: Density-matrix elements, with levels at and below `_ELEMENT_FLOOR` drawn often.
@@ -170,10 +175,13 @@ class _TrigLog:
 
 
 def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, probe):
-    """A reconstruction simulates its record, then subtracts the z and x/y
-    models of its estimates, all on one ``(g, times)`` grid: each trig call
-    fills one memo row, so no row is computed twice; the floors compute none
-    the simulator did not (every level of this state is above the element
+    """A reconstruction of the paper's coherent state simulates its record,
+    then subtracts the z and x/y models of its estimates, all on one
+    ``(g, times)`` grid: each trig call fills one memo row and evaluates a
+    new argument, so no row is computed twice, not even the z row of level n
+    and the x/y cos row of level 4n, which are one evaluation (12 z rows and
+    12 + 12 x/y rows, two of them shared); the floors compute none the
+    simulator did not (every level of this state is above the element
     floor), and a second run computes none at all."""
     log = _TrigLog()
     monkeypatch.setattr(probe_mod, "np", log)
@@ -182,7 +190,8 @@ def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, pr
     traj = ideal_bloch_trajectory(rho, probe, times)
     simulated = len(log.calls)
     first = reconstruct_state(traj, probe.g, reference=alpha_state)
-    assert len(log.calls) == simulated == len(probe_mod._ROWS[1]) == 12 + 2 * 12
+    assert len(log.calls) == simulated == len(probe_mod._ROWS[1]) == 12 + 2 * 12 - 2
+    assert len(set(log.calls)) == len(log.calls)
     again = reconstruct_state(ideal_bloch_trajectory(rho, probe, times), probe.g)
     assert len(log.calls) == simulated
     assert again.diagnostics == first.diagnostics
@@ -210,7 +219,12 @@ def test_memo_holds_one_grid(monkeypatch):
     t64, t65 = time_grid(0.075, 64), time_grid(0.075, 65)
     for g, t in [(1.0, t64), (1.0, t65), (1.5, t65), (1.0, t65), (1.0, t64)]:
         bloch_components([0.5, 0.5], [0.3], g, t)
-        assert set(probe_mod._ROWS[1]) == {("z", 1), ("c", 0), ("s", 0)}
+        # cos(2 Omega_1 t), cos(Omega_0 t) and sin(Omega_1 t)
+        assert set(probe_mod._ROWS[1]) == {
+            ("cos", np.float64(2.0 * g).tobytes()),
+            ("cos", np.float64(0.0).tobytes()),
+            ("sin", np.float64(g).tobytes()),
+        }
         assert_memo_holds_cold_rows(g, t)
 
 

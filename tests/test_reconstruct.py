@@ -1,11 +1,15 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldtomo.reconstruct
+import oracles
 from oracles import cosine_pair, coupling_scores, golden_section_coupling
-from fieldtomo.exceptions import EstimationError, ValidationError
+from fieldtomo.exceptions import EstimationError, FieldTomoError, ValidationError
 from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
 from fieldtomo.probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
@@ -407,6 +411,131 @@ def test_estimate_coupling_window_reads(monkeypatch, delta_t, g, search_range, m
     g_hat, _ = estimate_coupling(spec, search_range)
     assert abs(g_hat - g) < np.pi / times[-1]
 
+
+
+def coupling_outcome(search, spec, search_range):
+    """``search(spec, search_range)`` as the bits of ``(g_hat, score)`` with the
+    warnings it gave, or as the exception it raised."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g_hat, score = search(spec, search_range)
+    except FieldTomoError as err:
+        return type(err), str(err)
+    return g_hat.hex(), score.hex(), sorted({str(w.message) for w in caught})
+
+
+@st.composite
+def coupling_inputs(draw):
+    """A z spectrum and a search range: a finite-shot or ideal record of a
+    Fock, coherent or two-level state at a ``g`` often on or near the range's
+    edges, on a grid of 64-8192 points, or pure noise, a zero spectrum, or a
+    record with one NaN or infinite bin, often on a comb tone."""
+    search_range = draw(st.one_of(
+        st.just((0.5, 2.0)),
+        st.tuples(st.floats(0.2, 1.0), st.floats(1.5, 4.0)).map(lambda r: (r[0], r[0] * r[1])),
+    ), label="search_range")
+    lo, hi = search_range
+    edge = draw(st.one_of(st.sampled_from([0.0, 1e-3, 0.999, 1.0]), st.floats(0.0, 1.0)))
+    n_t = draw(st.one_of(st.sampled_from([64, 4096, 8192]), st.integers(64, 8192)), label="n_t")
+    # Records of at least 6 / lo keep the lowest candidate tone off the DC window.
+    plan = MeasurementPlan(
+        delta_t=max(draw(st.floats(0.02, 0.3), label="delta_t"), 6.0 / (lo * n_t)),
+        n_t=n_t,
+        n_m=draw(st.one_of(st.none(), st.integers(10, 1000)), label="n_m"),
+        axes=("z",),
+        seed=draw(st.integers(0, 2**16), label="seed"),
+    )
+    kind = draw(st.sampled_from(["fock", "coherent", "superposition"]), label="kind")
+    rng = np.random.default_rng(plan.seed)
+    if kind == "fock":
+        state = fock_state(int(rng.integers(1, 4)), 8)
+    elif kind == "coherent":
+        state = coherent_state(rng.uniform(0.3, 1.2) * np.exp(2j * np.pi * rng.uniform()), 16)
+    else:
+        levels = rng.choice(5, size=2, replace=False)
+        state = superposition([(int(k), rng.normal() + 1j * rng.normal()) for k in levels], 8)
+    g = lo + edge * (hi - lo)
+    record = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan).z
+    damage = draw(st.sampled_from(["none", "noise", "zero", "bin"]), label="damage")
+    if damage == "noise":
+        record = rng.normal(0.0, 0.02, n_t)
+    elif damage == "zero":
+        record = np.zeros(n_t)
+    spec = dft(record, plan.times())
+    if damage == "bin":
+        # Anywhere, or on a comb tone 2 g sqrt(k), where the best candidates read it.
+        tone = round(2.0 * g * np.sqrt(rng.integers(1, 4)) / spec.d_omega) + n_t // 2
+        where = draw(st.sampled_from([int(rng.integers(n_t)), min(tone, n_t - 1)]))
+        values = spec.values.copy()
+        values[where] = draw(st.sampled_from(
+            [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 1.0),
+             complex(0.0, np.nan), complex(np.inf, np.nan)]
+        ), label="bad bin")
+        spec = Spectrum(spec.freqs, values, spec.delta_t)
+    return spec, search_range
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    inputs=coupling_inputs(),
+    scored=st.one_of(st.just(fieldtomo.reconstruct._COARSE_SCORED), st.integers(1, 1000)),
+)
+def test_estimate_coupling_matches_the_exhaustive_search(inputs, scored):
+    """The coarse stage scores only candidates whose bound can reach the best
+    score; it returns the exhaustive search's ``(g_hat, score)`` bits and
+    warnings, or raises what that raises, with its own number of candidates
+    scored first and with any other."""
+    spec, search_range = inputs
+    with mock.patch.object(fieldtomo.reconstruct, "_COARSE_SCORED", scored):
+        got = coupling_outcome(estimate_coupling, spec, search_range)
+    assert got == coupling_outcome(oracles.estimate_coupling, spec, search_range)
+
+
+def paper_z_spectrum(kind: str, n_m) -> Spectrum:
+    """The z spectrum of a Fock |1> or coherent record at g = 1.1 on the
+    paper's grid."""
+    state = fock_state(1, 8) if kind == "fock" else coherent_state(0.7j, 12)
+    plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=n_m, axes=("z",), seed=5)
+    traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=1.1), plan)
+    return dft(traj.z, traj.times)
+
+
+@pytest.mark.parametrize("n_m", [None, 1000])
+@pytest.mark.parametrize("kind", ["fock", "coherent"])
+def test_a_coarse_certificate_that_fails_reads_again_and_stays_exact(monkeypatch, kind, n_m):
+    """With one candidate scored first, others' bounds reach its score, so the
+    coarse stage reads every such candidate in a second call (five reads on
+    the paper's grid, not four) and still returns the exhaustive bits."""
+    spec = paper_z_spectrum(kind, n_m)
+    shapes = []
+
+    def counting(spec, centers, half_width):
+        shapes.append(np.shape(centers))
+        return read_windows(spec, centers, half_width)
+
+    monkeypatch.setattr(fieldtomo.reconstruct, "_COARSE_SCORED", 1)
+    monkeypatch.setattr(fieldtomo.reconstruct, "read_windows", counting)
+    assert coupling_outcome(estimate_coupling, spec, (0.5, 2.0)) == coupling_outcome(
+        oracles.estimate_coupling, spec, (0.5, 2.0)
+    )
+    assert shapes[0] == (1, 5) and 1 < shapes[1][0] < 1000 and len(shapes) == 5
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+@pytest.mark.parametrize("scored", [1, fieldtomo.reconstruct._COARSE_SCORED])
+def test_a_nan_bin_on_the_comb_is_scored(monkeypatch, scored, bad):
+    """A NaN bin on the n = 2 tone makes the bounds of the candidates near g
+    NaN.  They count as infinite, so they are scored even when one candidate
+    is scored first, and the result keeps the exhaustive bits."""
+    spec = paper_z_spectrum("coherent", 1000)
+    values = spec.values.copy()
+    values[round(2.2 * np.sqrt(2.0) / spec.d_omega) + TIMES.size // 2] = bad
+    spec = Spectrum(spec.freqs, values, spec.delta_t)
+    monkeypatch.setattr(fieldtomo.reconstruct, "_COARSE_SCORED", scored)
+    assert coupling_outcome(estimate_coupling, spec, (0.5, 2.0)) == coupling_outcome(
+        oracles.estimate_coupling, spec, (0.5, 2.0)
+    )
 
 def stacked_spectra(n_records=2):
     """`dft` spectra, by axis, of an ``(n_records, N)`` stack of finite-shot

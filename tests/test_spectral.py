@@ -312,6 +312,42 @@ def test_read_windows_rejects_any_off_grid_window(n_good, position, far_bin, sig
         read_windows(KERNEL_SPEC, np.array(centers), 4)
 
 
+
+@settings(deadline=None, max_examples=300)
+@given(u=st.floats(-0.5, 0.5), n=st.one_of(st.integers(8, 64), st.integers(8, 2**40)))
+@example(u=0.5, n=8)
+@example(u=-0.5, n=2**40)
+def test_half_width_1_response_is_at_least_2_over_pi(u, n):
+    """`reconstruct.estimate_coupling` prunes with this floor: a window that
+    fits has ``|u| <= 1/2``, and every grid the search accepts has ``N >= 8``
+    (the ``2 hi`` tone lies above the ``2 lo`` one, at bin 2 or beyond, and at
+    most ``N // 2 - 2``)."""
+    assert spectral._dirichlet_sum(u, 1, n) >= 2.0 / math.pi
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n_t=st.integers(8, 600),
+    seed=st.integers(0, 2**16),
+    decades=st.floats(0.0, 12.0),
+    data=st.data(),
+)
+def test_half_width_1_area_is_bounded_by_its_bins(n_t, seed, decades, data):
+    """The premise of the coupling search's prune: the taps and the rotation
+    have modulus 1, so no half-width-1 area exceeds its window's summed
+    ``|bins|`` over the window response (to 1e-12 for rounding; the prune
+    allows 1e-9), on bins whose magnitudes span ``decades`` decades."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=(2, n_t))
+    spec = Spectrum(np.arange(n_t) - n_t // 2.0, rng.normal(size=n_t) * scale[0]
+                    + 1j * rng.normal(size=n_t) * scale[1], 2.0 * np.pi / n_t)
+    low, high = 1 - n_t // 2, n_t - 2 - n_t // 2  # rounded bins whose window fits
+    bins = np.array(data.draw(st.lists(st.floats(low, high), min_size=1, max_size=20)))
+    _, _, idx, resp = spectral._window_bins(spec, bins * spec.d_omega, 1)
+    summed = np.abs(spec.values)[idx.astype(np.intp)[:, None] + [-1, 0, 1]].sum(axis=1)
+    areas = read_windows(spec, bins * spec.d_omega, 1)
+    assert np.all(np.abs(areas) <= summed / resp * (1.0 + 1e-12))
+
 def test_read_windows_empty_batch():
     areas = read_windows(KERNEL_SPEC, np.array([]), 4)
     assert areas.shape == (0,) and areas.dtype == complex
