@@ -54,6 +54,9 @@ __all__ = ["main"]
 #: A noise floor at or below this is rounding, not shot noise: a record
 #: without sampling noise leaves ~1e-18.
 NOISELESS_FLOOR = 1e-12
+#: Bytes a noise sweep's stack of ``plan.n_seeds`` records of the longest
+#: ``n_t`` may take, counted at 128 a point (its measured peak is 64-80).
+SWEEP_BYTES = 2**31
 
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -501,19 +504,14 @@ def _sweep_points(cp, g: float) -> tuple[list[int], dict[float, list[int]]]:
 def cmd_noise_sweep(cp, out_dir: Path) -> int:
     """Scaling of the spectral noise floor with shots and record length.
 
-    Benchmarks on the first Rabi harmonic: the signal size S is the
-    leakage-corrected rho_11 estimate and the floor excludes only the DC
-    and +-2 Omega_1 windows.  Each ``(n_t, n_m)`` cell is one batch of
-    ``n_seeds`` z records, seeds ``plan.seed + k``, on a leading record
-    axis: one DFT, one leakage solve and one residual floor per cell, each
-    record's numbers bit for bit those of the record run alone.  The ideal
-    mean and the shots are drawn once per ``(delta_t, n_m)``, as one stack
-    at the longest ``n_t`` of that ``delta_t``, and that stack's cells run
-    before the next is drawn; a shorter cell reads the first ``n_t`` points
-    of the stack, which are its records by the sampler's prefix stability.
-    Without ``t_total`` every ``n_t`` shares one ``delta_t``; with it, each
-    ``n_t`` is its own stack.  The rows are sorted by ``n_t``, then ``n_m``.
-    The cell's xi and S/xi are the means over its records.
+    Benchmarks on the first Rabi harmonic: S is the leakage-corrected rho_11
+    estimate and the floor excludes only the DC and +-2 Omega_1 windows.
+    Each ``(n_t, n_m)`` cell is a stack of ``n_seeds`` z records, seeds
+    ``plan.seed + k``, each bit for bit its record alone.  One stack, refused
+    beyond `SWEEP_BYTES`, is drawn per ``(delta_t, n_m)`` at its longest
+    ``n_t`` (one ``delta_t`` without ``t_total``, one per ``n_t`` with it);
+    shorter cells read its prefix, the sampler being prefix stable.  Rows
+    are sorted by ``n_t``, then ``n_m``; xi and S/xi are means over records.
     """
     state = _build_state(cp)
     g = _get_positive(cp, "probe", "g")
@@ -523,6 +521,10 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     n_seeds = _get_int_at_least(cp, "plan", "n_seeds", 1)
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
     n_m_list, steps = _sweep_points(cp, g)
+    n_t = max(max(n_ts) for n_ts in steps.values())
+    if 128 * n_seeds * n_t > SWEEP_BYTES:
+        key = "plan.n_seeds" if n_seeds >= n_t else "plan.n_t_list"
+        raise ConfigError(f"{n_seeds} records of {n_t} points exceed {SWEEP_BYTES} bytes", key=key)
     gamma = _get_non_negative(cp, "plan", "gamma")
     freqs = comb_frequencies(g, 1)
     centers = [w.center for w in rec_mod._z_windows(freqs)]
@@ -530,10 +532,8 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     rows = []
     for delta_t, n_ts in steps.items():
         for n_m in sorted(set(n_m_list)):
-            plan = MeasurementPlan(
-                delta_t=delta_t, n_t=n_ts[-1], n_m=n_m, axes=("z",), gamma=gamma,
-                seed=base_seed,
-            )
+            plan = MeasurementPlan(delta_t=delta_t, n_t=n_ts[-1], n_m=n_m, axes=("z",),
+                                   gamma=gamma, seed=base_seed)
             times, records = plan.times(), sample_records(rho, cfg, plan, n_seeds)["z"]
             for n_t in n_ts:
                 spec = dft(records[:, :n_t], times[:n_t])
@@ -546,14 +546,8 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
                         f"noise floor {xi[noiseless][0]:.3e} at n_m = {n_m}, n_t = {n_t} "
                         "is rounding: the records carry no shot noise to scale"
                     )
-                rows.append(
-                    {
-                        "n_m": n_m,
-                        "n_t": n_t,
-                        "xi": float(np.mean(xi)),
-                        "snr": float(np.mean(ests[:, 1] / xi)),
-                    }
-                )
+                rows.append({"n_m": n_m, "n_t": n_t, "xi": float(np.mean(xi)),
+                             "snr": float(np.mean(ests[:, 1] / xi))})
     rows.sort(key=lambda row: (row["n_t"], row["n_m"]))
 
     def fit(pairs):
@@ -586,10 +580,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     with open(csv_path, "w", newline="") as fh:
         fh.write("n_m,n_t,xi,snr\n")
         for row in rows:
-            fh.write(
-                f"{row['n_m']},{row['n_t']},"
-                f"{row['xi']:.17g},{row['snr']:.17g}\n"
-            )
+            fh.write(f"{row['n_m']},{row['n_t']},{row['xi']:.17g},{row['snr']:.17g}\n")
     (out_dir / "noise_sweep_slopes.json").write_text(slopes_text)
     print(f"wrote {csv_path}")
     return 0

@@ -27,13 +27,12 @@ closed form by `spectral.window_gains` from a model comb that contains
 every tone, unread difference-band ones included; one linear solve per
 spectrum family removes it.
 
-The z side takes a stack of records: for a `Spectrum` whose values are
-``(..., N)``, `populations_from_z` builds the gains matrix once and
-returns ``(..., n_max + 1)`` estimates from one stacked solve, and
-`residual_floor` and `_z_floor` return one floor per record.  Each
-record's numbers are bit for bit its one-record result, so
-`reconstruct_from_spectra` (one record) and the batched noise sweep
-share one estimator.  `reconstruct_from_spectra` reads every window once:
+The z side takes a stack of records: for ``(..., N)`` spectrum values,
+`populations_from_z` returns ``(..., n_max + 1)`` estimates from one
+gains matrix and one stacked solve, and `residual_floor` and `_z_floor`
+one floor per record, each bit for bit its one-record result, so
+`reconstruct_from_spectra` and the batched noise sweep share one
+estimator.  `reconstruct_from_spectra` reads every window once:
 the raw areas of its solves, with the residual floors it measures against
 the solved model, are also its ``peaks``.
 
@@ -58,11 +57,12 @@ from .spectral import (
     DEFAULT_HALF_WIDTH,
     PeakEstimate,
     Spectrum,
+    _free_bins,
     _grid_windows,
     _one_record,
+    _rms,
     comb_frequencies,
     dft,
-    noise_floor,
     read_windows,
     validate_windows,
     window_gains,
@@ -134,12 +134,15 @@ def residual_floor(
     An off-bin tone leaks a slowly decaying tail across the whole
     spectrum; on a raw spectrum that tail, not the finite-shot noise,
     can dominate the free-bin RMS.  The floor is therefore measured on
-    the residual, which for an ideal record is numerically zero.
+    the residual at the free bins, numerically zero for an ideal record.
     """
-    model = dft(model_signal, time_grid(spec.delta_t, spec.n_t))
-    resid = spec.values - model.values
-    del model  # a stack of records holds one spectrum-sized temporary less
-    return noise_floor(Spectrum(spec.freqs, resid, spec.delta_t), centers, half_width)
+    free = _free_bins(spec, centers, half_width)
+    resid = dft(model_signal, time_grid(spec.delta_t, spec.n_t)).values.take(free, axis=-1)
+    # model - values has the moduli of values - model; it is made in place
+    # for one model per record, as the estimators give.
+    per_record = resid.shape == spec.values.shape[:-1] + free.shape
+    return _rms(np.subtract(resid, spec.values.take(free, axis=-1),
+                            out=resid if per_record else None))
 
 
 class _Window(NamedTuple):
@@ -206,12 +209,12 @@ def _solve_z(
     windows = _z_windows(freqs)
     validate_windows([(w.name, w.center) for w in windows], half_width, spec)
 
-    centers = freqs["z"]
-    with_dc = np.concatenate(([0.0], centers))
-    tones = np.concatenate((with_dc, -centers))  # DC, +c_n, -c_n
-    fold = np.concatenate((np.eye(with_dc.size), np.eye(with_dc.size)[1:]))
-    weight = np.r_[1.0, np.full(centers.size, 0.5)]
-    leak = (fold.T @ window_gains(spec, tones, tones, half_width) @ fold).real * weight
+    c = freqs["z"]
+    tones = np.concatenate(([0.0], c, -c))  # DC, +c_n, -c_n
+    fold = np.eye(c.size + 1)
+    fold = np.concatenate((fold, fold[1:]))
+    leak = (fold.T @ window_gains(spec, tones, tones, half_width) @ fold).real
+    leak[:, 1:] *= 0.5  # p cos(ct) = (p/2)(e^{ict} + e^{-ict}); the DC window reads once
     a = read_windows(spec, [w.center for w in windows], half_width)
     # Cosine-pair amplitudes Re(a(+c) + a(-c)); the DC window counts once.
     reads = np.concatenate((a[..., :1].real, (a[..., 1::2] + a[..., 2::2]).real), axis=-1)
@@ -545,8 +548,7 @@ def estimate_coupling(
     and a response ``resp >= 2 / pi``, so each pair ``2 Re area`` is at most
     ``pi S[m]``, ``S[m] = sum_{|j| <= 1} |X[m + j]|``, and a candidate's
     score at most ``pi sum_n S[m_n] / sqrt(n)`` (times ``1 + 1e-9`` for
-    rounding; a NaN bound counts as infinite, so a NaN or infinite bin is
-    always scored).  One `read_windows` call scores the `_COARSE_SCORED`
+    rounding).  One `read_windows` call scores the `_COARSE_SCORED`
     candidates of highest bound; if any other candidate's bound reaches
     the best of their scores, one more call scores all such candidates.
     Every candidate left unscored then scores below the best, so the
@@ -560,9 +562,13 @@ def estimate_coupling(
     batch that found it.  If the winning comb holds no bin above 5x a
     robust noise floor (a floor of 0 included), there is no comb to align
     and an `EstimationError` is raised, as it is when the lowest candidate
-    tone ``2 lo`` falls in the half-width-1 DC window.
+    tone ``2 lo`` falls in the half-width-1 DC window; a bin of NaN or
+    infinite modulus raises `ValidationError`.
     """
     _one_record("estimate_coupling", spec_z)
+    abs_vals = np.abs(spec_z.values)
+    if not math.isfinite(abs_vals.max()):
+        raise ValidationError("the z spectrum has a NaN or infinite bin; cannot score a comb")
     lo, hi = search_range
     if not (0 < lo < hi):
         raise ValidationError(f"bad search range {search_range!r}")
@@ -587,13 +593,11 @@ def estimate_coupling(
         pairs = 2.0 * read_windows(spec_z, (2.0 * g)[:, None] * roots, 1).real
         return np.sum(np.where(pairs > 0.0, pairs, 0.0) / roots, axis=1)
 
-    abs_vals = np.abs(spec_z.values)
     grid = np.linspace(lo, hi, _COARSE_POINTS)
     _, _, idx, _ = _grid_windows(spec_z, (2.0 * grid)[:, None] * roots, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         spread = abs_vals[:-2] + abs_vals[1:-1] + abs_vals[2:]  # S at bin i + 1
         bound = np.sum(spread[idx.astype(np.intp) - 1] / roots, axis=1) * (math.pi * (1 + 1e-9))
-    bound[np.isnan(bound)] = np.inf
     scores = np.full(grid.size, -np.inf)
     todo = np.argpartition(bound, -_COARSE_SCORED)[-_COARSE_SCORED:]
     while todo.size:

@@ -23,21 +23,19 @@ leakage in closed form, so the reconstruction layer removes it with one
 linear solve.  `integrate_peak` is a thin view of `read_windows`.
 
 `comb_frequencies` is the one Rabi comb: every tone position, by family,
-as arrays.  Window geometry has one rule, applied everywhere a window is
-placed, read, audited or masked: a centre ``omega`` sits at rounded bin
-``m = rint(omega / d_omega)``, stored at index ``m + N // 2``, and the
-window ``m +- half_width`` fits the grid when
+as arrays.  Window geometry has one rule, `_grid_windows`: a centre
+``omega`` sits at rounded bin ``m = rint(omega / d_omega)``, stored at
+index ``m + N // 2``, and the window ``m +- half_width`` fits the grid when
 ``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``.
+`_windows` keeps each window set placed on a spectrum, so it is placed once.
 
 Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
 ``(..., N)`` over the one 1-D ``freqs``, `read_windows` returns
-``(..., *centers.shape)`` and `noise_floor` one floor per record.  Each
-record's result is bit for bit what the record gives alone: `read_windows`
-adds every record's bins one offset at a time, in one order, and only the
-free-bin mean, whose summation order numpy may change on a stack, runs
-one record at a time.  The grid checks, window geometry and
-`window_gains` depend on the grid alone and run once for the stack.
+``(..., *centers.shape)`` and `noise_floor` one floor per record, each
+bit for bit the record's own: `read_windows` adds every record's bins one
+offset at a time, in one order, and `noise_floor` reduces one C-contiguous
+gather of the free bins, whose rows numpy sums as it sums one record.
 
 Every record is real, so ``F(-omega) = conj F(omega)`` and half of each
 spectrum repeats the other half.  `write_spectrum_csv` therefore writes a
@@ -65,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -107,11 +105,12 @@ class Spectrum:
     """Spectrum of one Bloch component on the signed, ascending frequency grid.
 
     ``values`` has shape ``(..., N)``: one record, or a stack of records
-    that share ``freqs`` and ``delta_t``."""
+    sharing ``freqs`` and ``delta_t``; read-only owned values are not copied."""
 
     freqs: np.ndarray
     values: np.ndarray
     delta_t: float
+    _geometry: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.freqs, dtype=float)
@@ -122,7 +121,7 @@ class Spectrum:
             raise ValidationError("freqs must be finite")
         if np.any(np.diff(f) <= 0):
             raise ValidationError("freqs must be strictly ascending")
-        f, v = f.copy(), v.copy()
+        f, v = f.copy(), v if v.flags.owndata and not v.flags.writeable else v.copy()
         f.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "freqs", f)
@@ -166,10 +165,13 @@ def dft(signal: np.ndarray, times: np.ndarray) -> Spectrum:
     if abs(t[0] - dt) > 1e-9 * dt:
         raise GridError("grid must start at t = delta_t (no t = 0 sample)")
     om, phase = _dft_grid(n, dt)
-    # In place, so a stack of records holds one spectrum-sized temporary.
-    vals = np.fft.fftshift(np.fft.fft(s, axis=-1), axes=-1)
+    # fftshift(f) / n * phase: np.roll's copies, into the array `Spectrum` keeps
+    f, k = np.fft.fft(s, axis=-1), n // 2
+    vals = np.empty_like(f)
+    vals[..., :k], vals[..., k:] = f[..., n - k :], f[..., : n - k]
     vals /= n
     vals *= phase
+    vals.setflags(write=False)  # owned and read-only: the `Spectrum` keeps it
     return Spectrum(freqs=om, values=vals, delta_t=dt)
 
 
@@ -220,19 +222,37 @@ def _grid_windows(spec: Spectrum, centers, half_width):
     return x, m, idx, (idx >= half_width) & (idx <= n - 1 - half_width)
 
 
+def _windows(spec: Spectrum, centers, half_width: int, keep: bool = True) -> list:
+    """`_grid_windows` of ``centers`` and a slot for the window responses, kept
+    on ``spec`` per centre set and half-width, so its audit, floor, gains and
+    reads share them.  Reads pass ``keep=False``: on a spectrum that holds no
+    geometry yet they keep none, as the coupling search reads thousands of
+    windows once each."""
+    if not (keep or spec._geometry):
+        return [*_grid_windows(spec, centers, half_width), None]
+    c = np.asarray(centers, dtype=float)
+    key = (c.shape, c.tobytes(), half_width)
+    if key not in spec._geometry:
+        spec._geometry[key] = [*_grid_windows(spec, c, half_width), None]
+    return spec._geometry[key]
+
+
 def _window_bins(spec: Spectrum, centers, half_width: int):
     """Bin positions ``x``, rounded bins ``m_c``, their indices and the window
     responses of ``centers`` (at least ``2 / pi``: a window that fits has
     ``|x - m_c| <= 1/2``); raises if a window runs off the grid."""
     if half_width < 0:
         raise ValidationError("half_width must be >= 0")
-    x, m_c, idx, fits = _grid_windows(spec, centers, half_width)
+    geometry = _windows(spec, centers, half_width, keep=False)
+    x, m_c, idx, fits, resp = geometry
     if not np.all(fits):
         raise GridError(
             f"window at bin {m_c[~fits].flat[0]:.0f} +- {half_width} "
             "outside the frequency grid"
         )
-    return x, m_c, idx, _dirichlet_sum(x - m_c, half_width, spec.n_t)
+    if resp is None:
+        resp = geometry[4] = _dirichlet_sum(x - m_c, half_width, spec.n_t)
+    return x, m_c, idx, resp
 
 
 def read_windows(
@@ -304,22 +324,28 @@ def noise_floor(spec: Spectrum, centers, half_width: int) -> float | np.ndarray:
     meaningless.  Returns a float for one record and one floor per record,
     shape ``(...)``, for ``(..., N)`` values.
     """
+    return _rms(spec.values.take(_free_bins(spec, centers, half_width), axis=-1))
+
+
+def _free_bins(spec: Spectrum, centers, half_width: int) -> np.ndarray:
+    """Ascending indices of the free bins, refused below 25% of the grid."""
     n = spec.n_t
     free = np.ones(n, dtype=bool)
-    _, _, idx, _ = _grid_windows(spec, np.ravel(centers), 0)
-    for i in idx.astype(int).tolist():
+    for i in _windows(spec, np.ravel(centers), half_width)[2].astype(int).tolist():
         free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
     if np.count_nonzero(free) < 0.25 * n:
         raise ValidationError(
             "exclusion windows cover more than 75% of the spectrum; "
             "noise floor would be dominated by signal"
         )
-    # One record at a time: numpy may order the mean's sum differently on a
-    # stack, and each floor must be the bits its record gives alone.
-    floors = [np.sqrt(np.mean(np.abs(v[free]) ** 2)) for v in spec.values.reshape(-1, n)]
-    if spec.values.ndim == 1:
-        return float(floors[0])
-    return np.reshape(floors, spec.values.shape[:-1])
+    return np.flatnonzero(free)
+
+
+def _rms(values: np.ndarray) -> float | np.ndarray:
+    """RMS |value| of each row of C-contiguous ``(..., F)`` values, summed as
+    each row alone (``v[:, mask]`` is Fortran-ordered: its sums differ)."""
+    floors = np.sqrt(np.mean(np.abs(values) ** 2, axis=-1))
+    return float(floors) if values.ndim == 1 else floors
 
 
 def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
@@ -351,7 +377,7 @@ def validate_windows(
     naming every colliding pair, or `GridError` if a window runs off the
     grid (Nyquist).
     """
-    _, bins, _, fits = _grid_windows(spec, [c for _, c in centers], half_width)
+    _, bins, _, fits, _ = _windows(spec, [c for _, c in centers], half_width)
     for (label, _), m, ok in zip(centers, bins, fits):
         if not ok:
             raise GridError(
@@ -359,7 +385,7 @@ def validate_windows(
                 f"frequency grid; raise n_t or shrink delta_t"
             )
     close = np.abs(np.subtract.outer(bins, bins)) <= 2 * half_width
-    pairs = zip(*np.nonzero(np.triu(close, 1)))
+    pairs = [(i, k) for i, k in zip(*np.nonzero(close)) if i < k]
     clashes = {f"{centers[i][0]} / {centers[k][0]}" for i, k in pairs}
     if clashes:
         raise ResolvabilityError(
@@ -373,8 +399,7 @@ def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
     _, bins, _, _ = _grid_windows(spec, centers, 0)
     if bins.size < 2:
         return DEFAULT_HALF_WIDTH
-    gaps = np.abs(np.subtract.outer(bins, bins))[np.triu_indices(bins.size, 1)]
-    return max(0, (int(gaps.min()) - 1) // 2)
+    return max(0, (int(np.diff(np.sort(bins, axis=None)).min()) - 1) // 2)
 
 
 def _one_sided_rows(n: int) -> np.ndarray:

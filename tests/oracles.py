@@ -2,10 +2,10 @@
 with the inputs, checks and observables the comparisons share.
 
 The references are written the plain way, for clarity rather than
-speed.  The CSV writers, the one-record-at-a-time noise sweep, the
-`ConfigParser` config merge, the coherent-tail loop, the unmemoised
-Bloch components and the exhaustive coupling search must agree with the
-library exactly; the propagators
+speed.  The CSV writers, the one-record-at-a-time noise sweep with its
+per-record DFT and residual floor, the `ConfigParser` config merge, the
+coherent-tail loop, the unmemoised Bloch components and the exhaustive
+coupling search must agree with the library exactly; the propagators
 (matrix exponential, RK4), the golden-section coupling search and the
 per-bin-phase window read to the tolerance a test states.
 """
@@ -25,24 +25,23 @@ from fieldtomo.dce import rabi_hamiltonian
 from fieldtomo.exceptions import ConfigError, EstimationError, ValidationError
 from fieldtomo.fock import SIGMA_Z, joint_op
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
-from fieldtomo.probe import _ELEMENT_FLOOR
+from fieldtomo.probe import _ELEMENT_FLOOR, time_grid
 from fieldtomo.reconstruct import (
     _COARSE_POINTS,
     _G_TOLERANCE,
     _PROBE_HARMONICS,
     _REFINE_POINTS,
-    _z_floor,
     _z_windows,
     populations_from_z,
 )
 from fieldtomo.spectral import (
     _CHUNK_ROWS,
     DEFAULT_HALF_WIDTH,
+    Spectrum,
     _grid_windows,
     _one_record,
     _window_bins,
     comb_frequencies,
-    dft,
     max_half_width,
     read_windows,
 )
@@ -347,12 +346,68 @@ def trig_row(kind: str, n: int, g: float, t: np.ndarray) -> np.ndarray:
     return np.sin(g * math.sqrt(n + 1) * t)
 
 
+def dft_values(signal, times) -> np.ndarray:
+    """`spectral.dft`'s values one record at a time, by its first code:
+    ``np.fft.fftshift`` of the record's FFT, divided by N and multiplied by
+    the phases ``exp(-i omega dt)`` in place."""
+    s, t = np.asarray(signal, dtype=float), np.asarray(times, dtype=float)
+    n, dt = t.size, float(np.diff(t)[0])
+    phase = np.exp(-1j * np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(n, d=dt)) * dt)
+    rows = []
+    for record in s.reshape(-1, n):
+        values = np.fft.fftshift(np.fft.fft(record))
+        values /= n
+        values *= phase
+        rows.append(values)
+    return np.reshape(rows, s.shape)
+
+
+def dft(signal, times) -> Spectrum:
+    """A `Spectrum` of `dft_values`, on the library's grid of ``times``."""
+    t = np.asarray(times, dtype=float)
+    grid = np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(t.size, d=float(np.diff(t)[0])))
+    return Spectrum(grid, dft_values(signal, t), float(np.diff(t)[0]))
+
+
+def noise_floor(spec, centers, half_width: int):
+    """`spectral.noise_floor` by its first code: a boolean mask of the free
+    bins, cleared window by window, and one record's RMS over it at a time."""
+    n = spec.n_t
+    free = np.ones(n, dtype=bool)
+    for c in np.ravel(np.asarray(centers, dtype=float)).tolist():
+        i = int(np.rint(c / spec.d_omega)) + n // 2
+        free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
+    if np.count_nonzero(free) < 0.25 * n:
+        raise ValidationError("exclusion windows cover more than 75% of the spectrum")
+    floors = [np.sqrt(np.mean(np.abs(v[free]) ** 2)) for v in spec.values.reshape(-1, n)]
+    if spec.values.ndim == 1:
+        return float(floors[0])
+    return np.reshape(floors, spec.values.shape[:-1])
+
+
+def residual_floor(spec, model_signal, centers, half_width: int):
+    """`reconstruct.residual_floor` by its first code: the full residual
+    against the model's `dft_values`, as a new `Spectrum`, then
+    `noise_floor` of it."""
+    model = dft_values(model_signal, time_grid(spec.delta_t, spec.n_t))
+    resid = Spectrum(spec.freqs, spec.values - model, spec.delta_t)
+    return noise_floor(resid, centers, half_width)
+
+
+def z_floor(spec, populations, g: float, half_width: int):
+    """`reconstruct._z_floor` from `residual_floor` and `bloch_components`
+    above."""
+    _, _, model = bloch_components(populations, None, g, time_grid(spec.delta_t, spec.n_t))
+    freqs = comb_frequencies(g, np.shape(populations)[-1] - 1)
+    return residual_floor(spec, model, [w.center for w in _z_windows(freqs)], half_width)
+
+
 def noise_sweep_rows(
     rho, cfg, n_t_list, n_m_list, n_seeds, seed, delta_t, t_total, half_width, gamma=0.0
 ) -> list[dict]:
     """`cli.cmd_noise_sweep`'s rows, one record at a time: a fresh plan,
-    trajectory, DFT, leakage solve and residual floor for every seed, and
-    the cell's xi and S/xi averaged over the per-seed values."""
+    trajectory, `dft`, leakage solve and `z_floor` for every seed, and the
+    cell's xi and S/xi averaged over the per-seed values."""
     freqs = comb_frequencies(cfg.g, 1)
     centers = [w.center for w in _z_windows(freqs)]
     rows = []
@@ -368,7 +423,7 @@ def noise_sweep_rows(
                 spec = dft(traj.z, traj.times)
                 hw = min(half_width, max_half_width(centers, spec))
                 ests = populations_from_z(spec, freqs, hw)
-                xi = _z_floor(spec, ests, cfg.g, hw)
+                xi = z_floor(spec, ests, cfg.g, hw)
                 if xi <= NOISELESS_FLOOR:
                     raise EstimationError(f"noise floor {xi:.3e} is rounding")
                 xis.append(xi)
@@ -434,6 +489,8 @@ def estimate_coupling(spec_z, search_range=(0.5, 2.0)) -> tuple[float, float]:
     prune any.  The library's pruned search must return these bits, or raise
     what this raises."""
     _one_record("estimate_coupling", spec_z)
+    if not np.all(np.isfinite(spec_z.values)):
+        raise ValidationError("the z spectrum has a NaN or infinite bin; cannot score a comb")
     lo, hi = search_range
     if not (0 < lo < hi):
         raise ValidationError(f"bad search range {search_range!r}")

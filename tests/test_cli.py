@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -747,6 +748,51 @@ def test_noise_sweep_without_shot_noise_exits_3(capsys, tmp_path):
         assert code == 3
         assert stderr_error(err)["type"] == "EstimationError"
         assert not (tmp_path / "noise_sweep_slopes.json").exists()
+
+
+@pytest.mark.parametrize(
+    "plan, key",
+    [
+        ("n_seeds = 100000000\nn_t_list = 128 1024\n", "plan.n_seeds"),
+        ("n_seeds = 20\nn_t_list = 128 100000000\n", "plan.n_t_list"),
+        ("n_seeds = 1024\nn_t_list = 16385\n", "plan.n_t_list"),
+    ],
+)
+def test_noise_sweep_refuses_a_stack_beyond_its_byte_budget(
+    capsys, tmp_path, monkeypatch, plan, key
+):
+    """A stack of ``n_seeds`` records of the longest ``n_t`` that would take
+    more than `cli.SWEEP_BYTES` exits 2, keyed to the larger factor, before
+    anything is sampled or allocated and with no directory left behind."""
+    monkeypatch.setattr(cli, "sample_records", lambda *args: pytest.fail("sampled"))
+    cfg = write_config(tmp_path, "[plan]\nn_m_list = 1000\n" + plan)
+    out_dir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "noise-sweep", "--config", cfg, "--out-dir", str(out_dir))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    body = stderr_error(err)
+    assert (body["type"], body["key"]) == ("ConfigError", key)
+    assert str(cli.SWEEP_BYTES) in body["message"]
+    assert peak < 2**20
+    assert not out_dir.exists()
+
+
+def test_noise_sweep_budget_admits_the_largest_stack_it_counts(capsys, tmp_path, monkeypatch):
+    """Exactly `cli.SWEEP_BYTES` at 128 bytes a point is still run."""
+    drawn = []
+
+    def sample(rho, cfg, plan, n_records):
+        drawn.append((n_records, plan.n_t))
+        raise EstimationError("stop before the draw")
+
+    monkeypatch.setattr(cli, "sample_records", sample)
+    cfg = write_config(tmp_path, "[plan]\nn_m_list = 1000\nn_seeds = 1024\nn_t_list = 16384\n")
+    code, _, _ = run(capsys, "noise-sweep", "--config", cfg, "--out-dir", str(tmp_path / "out"))
+    assert (code, drawn) == (3, [(1024, 16384)])
 
 
 def test_noise_sweep_with_a_non_positive_snr_exits_3(capsys, tmp_path):

@@ -525,17 +525,39 @@ def test_a_coarse_certificate_that_fails_reads_again_and_stays_exact(monkeypatch
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan)])
 @pytest.mark.parametrize("scored", [1, fieldtomo.reconstruct._COARSE_SCORED])
 def test_a_nan_bin_on_the_comb_is_scored(monkeypatch, scored, bad):
-    """A NaN bin on the n = 2 tone makes the bounds of the candidates near g
-    NaN.  They count as infinite, so they are scored even when one candidate
-    is scored first, and the result keeps the exhaustive bits."""
+    """A NaN bin on the n = 2 tone is refused with the exhaustive search's
+    `ValidationError`, however many candidates are scored first, and before
+    any window is read."""
     spec = paper_z_spectrum("coherent", 1000)
     values = spec.values.copy()
     values[round(2.2 * np.sqrt(2.0) / spec.d_omega) + TIMES.size // 2] = bad
     spec = Spectrum(spec.freqs, values, spec.delta_t)
     monkeypatch.setattr(fieldtomo.reconstruct, "_COARSE_SCORED", scored)
-    assert coupling_outcome(estimate_coupling, spec, (0.5, 2.0)) == coupling_outcome(
-        oracles.estimate_coupling, spec, (0.5, 2.0)
-    )
+    expected = coupling_outcome(oracles.estimate_coupling, spec, (0.5, 2.0))
+    assert expected[0] is ValidationError and "NaN or infinite bin" in expected[1]
+    monkeypatch.setattr(fieldtomo.reconstruct, "read_windows",
+                        lambda *args: pytest.fail("read a window"))
+    assert coupling_outcome(estimate_coupling, spec, (0.5, 2.0)) == expected
+
+
+@pytest.mark.parametrize("damage", ["all-nan", "inf-bin", "inf-bin-off-the-comb"])
+def test_estimate_coupling_refuses_a_non_finite_spectrum(monkeypatch, damage):
+    """An all-NaN spectrum, or one infinite bin, on the n = 2 tone or off the
+    comb, raises `ValidationError` before any window is read: a NaN score
+    drops out of the argmax, and an all-NaN spectrum used to return
+    ``(0.5, 0.0)``.  A single NaN bin is covered above."""
+    spec = paper_z_spectrum("coherent", 1000)
+    values = spec.values.copy()
+    tone = round(2.2 * np.sqrt(2.0) / spec.d_omega) + TIMES.size // 2
+    if damage == "all-nan":
+        values[:] = np.nan
+    else:
+        values[7 if damage.endswith("off-the-comb") else tone] = complex(np.inf, 0.0)
+    spec = Spectrum(spec.freqs, values, spec.delta_t)
+    monkeypatch.setattr(fieldtomo.reconstruct, "read_windows",
+                        lambda *args: pytest.fail("read a window"))
+    with pytest.raises(ValidationError, match="NaN or infinite bin"):
+        estimate_coupling(spec)
 
 def stacked_spectra(n_records=2):
     """`dft` spectra, by axis, of an ``(n_records, N)`` stack of finite-shot

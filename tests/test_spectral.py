@@ -32,7 +32,7 @@ from fieldtomo.spectral import (
     window_gains,
     write_spectrum_csv,
 )
-from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z
+from fieldtomo.reconstruct import _z_floor, _z_windows, populations_from_z, residual_floor
 
 # Grid that parks 2 Omega_1 = 2 exactly on a bin: total duration 20 pi.
 ONBIN_NT = 512
@@ -767,6 +767,54 @@ def test_spectrum_validation():
     for values in (np.zeros((2, 4)), np.zeros((0, 3)), np.zeros(())):  # not (..., 3)
         with pytest.raises(ValidationError):
             Spectrum(freqs=np.arange(3.0), values=values, delta_t=0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.one_of(st.integers(1, 25).map(lambda k: (k,)), st.just((2, 3))),
+    n_t=st.integers(16, 700),
+    n_m=st.integers(1, 1000),
+    delta_t=st.floats(0.05, 0.4),
+    half_width=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+)
+@example(shape=(20,), n_t=1024, n_m=1000, delta_t=0.075, half_width=4, seed=12345)
+@example(shape=(20,), n_t=1025, n_m=1000, delta_t=0.075, half_width=4, seed=12345)
+@example(shape=(3,), n_t=9001, n_m=100, delta_t=0.075, half_width=4, seed=7)  # > 8192 free
+def test_stacked_dft_and_floors_equal_the_per_record_oracle(
+    shape, n_t, n_m, delta_t, half_width, seed
+):
+    """A stack's `dft`, `noise_floor`, `residual_floor` and `_z_floor` are,
+    bit for bit, the first per-record code: `fftshift` of each record's FFT,
+    and each floor over a boolean mask of the free bins, one record at a
+    time (`oracles.dft_values`, `oracles.noise_floor`, `oracles.z_floor`)."""
+    plan = MeasurementPlan(delta_t=delta_t, n_t=n_t, n_m=n_m, axes=("z",), seed=seed)
+    rho = density_from_pure(fock_state(1, 8))
+    signal = sample_records(rho, ProbeConfig(g=1.0), plan, math.prod(shape))["z"]
+    signal = signal.reshape(shape + (n_t,))
+    spec = dft(signal, plan.times())
+    assert spec.values.tobytes() == oracles.dft_values(signal, plan.times()).tobytes()
+    freqs = comb_frequencies(1.0, 1)
+    centers = [w.center for w in _z_windows(freqs)]
+    hw = min(half_width, max_half_width(centers, spec))
+    try:
+        pops = populations_from_z(spec, freqs, hw)
+    except FieldTomoError:  # a comb the grid cannot resolve: any populations do
+        pops = np.full(shape + (2,), 0.5)
+
+    def outcome(floor, *args):
+        try:
+            return np.asarray(floor(spec, *args)).tobytes()
+        except ValidationError:
+            return ValidationError
+
+    for wide in (hw, 3 * hw + 1):
+        assert outcome(noise_floor, centers, wide) == outcome(oracles.noise_floor, centers, wide)
+        assert outcome(_z_floor, pops, 1.0, wide) == outcome(oracles.z_floor, pops, 1.0, wide)
+    model = np.full(n_t, 0.5)  # one model for every record
+    assert outcome(residual_floor, model, centers, hw) == outcome(
+        oracles.residual_floor, model, centers, hw
+    )
 
 
 @settings(max_examples=40, deadline=None)
