@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -54,9 +55,10 @@ __all__ = ["main"]
 #: A noise floor at or below this is rounding, not shot noise: a record
 #: without sampling noise leaves ~1e-18.
 NOISELESS_FLOOR = 1e-12
-#: Bytes a noise sweep's stack of ``plan.n_seeds`` records of the longest
-#: ``n_t`` may take, counted at 128 a point (its measured peak is 64-80).
-SWEEP_BYTES = 2**31
+#: Bytes one family of arrays a run holds at once may take, each estimated
+#: from the settings before it is allocated: a state's density matrix, a
+#: run's records, the DCE Hamiltonian or a noise sweep's record stack.
+BYTE_BUDGET = 2**31
 
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -309,6 +311,22 @@ def _check_step(g: float, delta_t: float, n_t: int, key: str) -> None:
         )
 
 
+def _within_budget(key: str, nbytes: int, what: str) -> None:
+    """Refuse ``what``, estimated at ``nbytes``, beyond `BYTE_BUDGET`: a
+    `ConfigError` keyed ``key``, the setting the estimate grows with."""
+    if nbytes > BYTE_BUDGET:
+        raise ConfigError(
+            f"{what} would take about {nbytes:.3g} bytes, beyond the budget of {BYTE_BUDGET}",
+            key=key,
+        )
+
+
+def _check_state(key: str, cutoff: int) -> None:
+    """A density matrix at ``cutoff`` and the copies its checks make: three
+    of ``(cutoff + 1)^2`` complex."""
+    _within_budget(key, 48 * (cutoff + 1) ** 2, f"a density matrix at cutoff {cutoff}")
+
+
 def _parse_terms(raw: str) -> list[tuple[int, complex]]:
     out = []
     for chunk in raw.split(";"):
@@ -332,6 +350,10 @@ def _parse_terms(raw: str) -> list[tuple[int, complex]]:
 def _build_state(cp) -> FieldState:
     kind = cp["state"]["kind"].strip().lower()
     cutoff = _get_int_at_least(cp, "state", "cutoff", 1)
+    if kind not in ("fock", "superposition", "coherent", "file"):
+        raise ConfigError(f"unknown state.kind {kind!r}", key="state.kind")
+    if kind != "file":
+        _check_state("state.cutoff", cutoff)
     if kind == "fock":
         n = _get_float(cp, "state", "n", int)
         _checked("state.n", n, 0 <= n <= cutoff, f"in 0..state.cutoff = {cutoff}")
@@ -355,14 +377,14 @@ def _build_state(cp) -> FieldState:
             raise ConfigError("state.kind = file but state.file is empty", key="state.file")
         if not Path(path).is_file():
             raise ConfigError(f"state file not found: {path}", key="state.file")
-        return load_amplitudes(path)
-    raise ConfigError(f"unknown state.kind {kind!r}", key="state.kind")
+        return load_amplitudes(path, admit=functools.partial(_check_state, "state.file"))
 
 
-def _get_plan(cp, g: float, axes: tuple[str, ...]) -> MeasurementPlan:
-    """The `MeasurementPlan` of ``cp`` on ``axes``.  Every value is checked
-    here, so a bad one is a `ConfigError` keyed by its INI key; ``n_t >= 2``,
-    since a spectrum needs two bins, and the grid passes `_check_step`."""
+def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPlan:
+    """The `MeasurementPlan` of ``cp`` on ``axes`` for a state of ``levels``
+    Fock levels.  Every value is checked here, so a bad one is a
+    `ConfigError` keyed by its INI key; ``n_t >= 2``, since a spectrum needs
+    two bins, the grid passes `_check_step`, and the records fit the budget."""
     n_t = _get_int_at_least(cp, "plan", "n_t", 2)
     gamma = _get_non_negative(cp, "plan", "gamma")
     delta_t, key = _get_delta_t(cp, g)
@@ -375,15 +397,19 @@ def _get_plan(cp, g: float, axes: tuple[str, ...]) -> MeasurementPlan:
         seed=_get_int_at_least(cp, "plan", "seed", 0),
     )
     _check_step(g, delta_t, n_t, key)
+    # Records, spectra and CSV slots at 128 bytes a point on each axis, and
+    # up to three trig rows a level in the simulator's memo.
+    bytes_per_point = 128 * len(axes) + 24 * levels
+    _within_budget("plan.n_t", n_t * bytes_per_point, f"records of {n_t} points")
     return plan
 
 
-def _tomography(cp) -> tuple[float, MeasurementPlan, dict]:
-    """The settings `reconstruct` and `dce` share: ``probe.g``, the plan on
-    the tomography axes, and the estimator keywords of
-    `reconstruct_from_spectra`."""
+def _tomography(cp, levels: int) -> tuple[float, MeasurementPlan, dict]:
+    """The settings `reconstruct` and `dce` share for states of ``levels``
+    Fock levels: ``probe.g``, the plan on the tomography axes, and the
+    estimator keywords of `reconstruct_from_spectra`."""
     g = _get_positive(cp, "probe", "g")
-    plan = _get_plan(cp, g, _get_tomography_axes(cp))
+    plan = _get_plan(cp, g, _get_tomography_axes(cp), levels)
     return g, plan, {
         "n_max": _get_int_at_least(cp, "spectral", "n_max", 1),
         "half_width": _get_int_at_least(cp, "spectral", "half_width", 0),
@@ -452,7 +478,7 @@ def _peaks_payload(peaks) -> list[dict]:
 
 def cmd_reconstruct(cp, out_dir: Path) -> int:
     state = _build_state(cp)
-    g, plan, estimator = _tomography(cp)
+    g, plan, estimator = _tomography(cp, state.cutoff + 1)
     traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
     spectra = {axis: dft(getattr(traj, axis), traj.times) for axis in traj.axes()}
     result = rec_mod.reconstruct_from_spectra(
@@ -508,7 +534,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     estimate and the floor excludes only the DC and +-2 Omega_1 windows.
     Each ``(n_t, n_m)`` cell is a stack of ``n_seeds`` z records, seeds
     ``plan.seed + k``, each bit for bit its record alone.  One stack, refused
-    beyond `SWEEP_BYTES`, is drawn per ``(delta_t, n_m)`` at its longest
+    beyond `BYTE_BUDGET`, is drawn per ``(delta_t, n_m)`` at its longest
     ``n_t`` (one ``delta_t`` without ``t_total``, one per ``n_t`` with it);
     shorter cells read its prefix, the sampler being prefix stable.  Rows
     are sorted by ``n_t``, then ``n_m``; xi and S/xi are means over records.
@@ -522,9 +548,8 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
     n_m_list, steps = _sweep_points(cp, g)
     n_t = max(max(n_ts) for n_ts in steps.values())
-    if 128 * n_seeds * n_t > SWEEP_BYTES:
-        key = "plan.n_seeds" if n_seeds >= n_t else "plan.n_t_list"
-        raise ConfigError(f"{n_seeds} records of {n_t} points exceed {SWEEP_BYTES} bytes", key=key)
+    key = "plan.n_seeds" if n_seeds >= n_t else "plan.n_t_list"
+    _within_budget(key, 128 * n_seeds * n_t, f"{n_seeds} records of {n_t} points")
     gamma = _get_non_negative(cp, "plan", "gamma")
     freqs = comb_frequencies(g, 1)
     centers = [w.center for w in rec_mod._z_windows(freqs)]
@@ -587,12 +612,16 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
 
 
 def cmd_dce(cp, out_dir: Path) -> int:
-    g_probe, plan, estimator = _tomography(cp)
+    cutoff = _get_int_at_least(cp, "dce", "cutoff", 2)
+    # The joint Hamiltonian, its eigenvectors and `eigh`'s workspace: four
+    # of ``(2 (cutoff + 1))^2`` complex.
+    dim = 2 * (cutoff + 1)
+    _within_budget("dce.cutoff", 64 * dim**2, f"a {dim} x {dim} Hamiltonian")
+    g_probe, plan, estimator = _tomography(cp, cutoff + 1)
     probe_cfg = ProbeConfig(g=g_probe)
 
     omega = _get_positive(cp, "dce", "omega")
     g_over_omega = _get_positive(cp, "dce", "g_over_omega")
-    cutoff = _get_int_at_least(cp, "dce", "cutoff", 2)
     raw_tau = cp["dce"]["tau"].strip().lower()
     if raw_tau == "auto":
         g_quench = g_over_omega * omega
@@ -656,7 +685,7 @@ def cmd_estimate_g(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g_true = _get_positive(cp, "probe", "g")
     cfg = ProbeConfig(g=g_true)
-    plan = _get_plan(cp, g_true, ("z",))
+    plan = _get_plan(cp, g_true, ("z",), state.cutoff + 1)
     lo = _get_positive(cp, "spectral", "g_min")
     hi = _get_float(cp, "spectral", "g_max")
     ok = hi > lo and math.isfinite(hi)

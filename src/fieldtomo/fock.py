@@ -124,10 +124,6 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
 
-    @property
-    def cutoff(self) -> int:
-        return self.elements.shape[0] - 1
-
     def diagonal(self) -> np.ndarray:
         return self.elements.diagonal().real.copy()
 
@@ -151,10 +147,6 @@ class JointState:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def cutoff(self) -> int:
-        return self.amplitudes.size // 2 - 1
 
 
 def fock_state(n: int, cutoff: int) -> FieldState:

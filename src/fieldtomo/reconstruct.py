@@ -232,8 +232,8 @@ def _diff_band_readable(
     and all other difference-band windows, whether or not those end up
     readable.  Entry n = 0 is False: it has no separate difference tone.
     """
-    _, sums, _, _ = _grid_windows(spec, freqs["sum"], half_width)
-    _, diffs, _, fits = _grid_windows(spec, freqs["diff"][1:], half_width)
+    _, sums, _, _ = _grid_windows(spec.n_t, spec.d_omega, freqs["sum"], half_width)
+    _, diffs, _, fits = _grid_windows(spec.n_t, spec.d_omega, freqs["diff"][1:], half_width)
     gaps = np.abs(diffs[:, None] - np.concatenate((sums, -sums, diffs, -diffs)))
     own = np.arange(diffs.size)
     gaps[own, 2 * sums.size + own] = np.inf  # a window does not clash with itself
@@ -582,7 +582,7 @@ def estimate_coupling(
         raise ValidationError(
             "search range exceeds the frequency grid; lower the range or raise n_t"
         )
-    if _grid_windows(spec_z, 2.0 * lo, 1)[1] <= 1:
+    if _grid_windows(n, dw, 2.0 * lo, 1)[1] <= 1:
         raise EstimationError(
             f"the lowest candidate tone 2 g = {2.0 * lo:.4g} falls in the DC window "
             f"(bin width {dw:.4g}); raise the search range or n_t delta_t"
@@ -594,7 +594,7 @@ def estimate_coupling(
         return np.sum(np.where(pairs > 0.0, pairs, 0.0) / roots, axis=1)
 
     grid = np.linspace(lo, hi, _COARSE_POINTS)
-    _, _, idx, _ = _grid_windows(spec_z, (2.0 * grid)[:, None] * roots, 1)
+    _, _, idx, _ = _grid_windows(n, dw, (2.0 * grid)[:, None] * roots, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         spread = abs_vals[:-2] + abs_vals[1:-1] + abs_vals[2:]  # S at bin i + 1
         bound = np.sum(spread[idx.astype(np.intp) - 1] / roots, axis=1) * (math.pi * (1 + 1e-9))
@@ -617,7 +617,7 @@ def estimate_coupling(
     robust = float(np.median(abs_vals)) / math.sqrt(math.log(2.0))
     c = 2.0 * g_hat * roots
     # The +-1 bins around each +-c; n_use keeps every such window on the grid.
-    _, _, idx, _ = _grid_windows(spec_z, np.concatenate((c, -c)), 1)
+    _, _, idx, _ = _grid_windows(n, dw, np.concatenate((c, -c)), 1)
     peak_amp = float(np.max(abs_vals[idx.astype(np.intp)[:, None] + [-1, 0, 1]]))
     if peak_amp <= 5.0 * robust:
         raise EstimationError(

@@ -27,7 +27,7 @@ as arrays.  Window geometry has one rule, `_grid_windows`: a centre
 ``omega`` sits at rounded bin ``m = rint(omega / d_omega)``, stored at
 index ``m + N // 2``, and the window ``m +- half_width`` fits the grid when
 ``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``.
-`_windows` keeps each window set placed on a spectrum, so it is placed once.
+`_window_bins` keeps the last `_WINDOW_SETS` window sets placed, by grid.
 
 Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -98,6 +98,8 @@ _SLOTS = 29
 _DECADES = 280
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 _SLOT_ROWS = np.arange(18, dtype=np.uint8)[:, None]
+#: Window sets `_window_bins` keeps: a reconstruction places 3, a fig. 6 sweep 4.
+_WINDOW_SETS = 8
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,6 @@ class Spectrum:
     freqs: np.ndarray
     values: np.ndarray
     delta_t: float
-    _geometry: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.freqs, dtype=float)
@@ -209,50 +210,43 @@ def _dirichlet_sum(u, half_width: int, n: int) -> np.ndarray:
     return np.sum(term, axis=-1)
 
 
-def _grid_windows(spec: Spectrum, centers, half_width):
-    """Window geometry of ``centers`` (any shape): bin positions
-    ``x = omega / d_omega``, rounded bins ``m = rint(x)``, their indices
-    ``m + N // 2`` into ``spec.values`` (as floats), and whether each window
-    ``m +- half_width`` fits the grid.  The only copy of the fit rule."""
-    n = spec.n_t
-    x = np.asarray(centers, dtype=float) / spec.d_omega
+def _grid_windows(n: int, d_omega: float, centers, half_width):
+    """Window geometry of ``centers`` (any shape) on an ``n``-bin grid of step
+    ``d_omega``: bin positions ``x = omega / d_omega``, rounded bins ``m =
+    rint(x)``, their indices ``m + n // 2`` into spectrum values (as floats),
+    and whether each window ``m +- half_width`` fits.  The only fit rule."""
+    x = np.asarray(centers, dtype=float) / d_omega
     m = np.rint(x)
     idx = m + n // 2
     # -(N // 2) <= m - half_width and m + half_width <= N - N // 2 - 1
     return x, m, idx, (idx >= half_width) & (idx <= n - 1 - half_width)
 
 
-def _windows(spec: Spectrum, centers, half_width: int, keep: bool = True) -> list:
-    """`_grid_windows` of ``centers`` and a slot for the window responses, kept
-    on ``spec`` per centre set and half-width, so its audit, floor, gains and
-    reads share them.  Reads pass ``keep=False``: on a spectrum that holds no
-    geometry yet they keep none, as the coupling search reads thousands of
-    windows once each."""
-    if not (keep or spec._geometry):
-        return [*_grid_windows(spec, centers, half_width), None]
-    c = np.asarray(centers, dtype=float)
-    key = (c.shape, c.tobytes(), half_width)
-    if key not in spec._geometry:
-        spec._geometry[key] = [*_grid_windows(spec, c, half_width), None]
-    return spec._geometry[key]
-
-
 def _window_bins(spec: Spectrum, centers, half_width: int):
     """Bin positions ``x``, rounded bins ``m_c``, their indices and the window
     responses of ``centers`` (at least ``2 / pi``: a window that fits has
-    ``|x - m_c| <= 1/2``); raises if a window runs off the grid."""
+    ``|x - m_c| <= 1/2``), read-only and memoized by grid; raises if a window
+    runs off the grid."""
     if half_width < 0:
         raise ValidationError("half_width must be >= 0")
-    geometry = _windows(spec, centers, half_width, keep=False)
-    x, m_c, idx, fits, resp = geometry
+    c = np.asarray(centers, dtype=float)
+    return _placed_windows(spec.n_t, spec.d_omega, c.shape, c.tobytes(), half_width)
+
+
+@functools.lru_cache(maxsize=_WINDOW_SETS)
+def _placed_windows(n: int, d_omega: float, shape: tuple, centers: bytes, half_width: int):
+    """`_window_bins` of the centres ``np.frombuffer(centers).reshape(shape)``."""
+    x, m_c, idx, fits = _grid_windows(n, d_omega, np.frombuffer(centers).reshape(shape),
+                                      half_width)
     if not np.all(fits):
         raise GridError(
             f"window at bin {m_c[~fits].flat[0]:.0f} +- {half_width} "
             "outside the frequency grid"
         )
-    if resp is None:
-        resp = geometry[4] = _dirichlet_sum(x - m_c, half_width, spec.n_t)
-    return x, m_c, idx, resp
+    placed = x, m_c, idx, _dirichlet_sum(x - m_c, half_width, n)
+    for a in placed:
+        a.setflags(write=False)
+    return placed
 
 
 def read_windows(
@@ -331,7 +325,8 @@ def _free_bins(spec: Spectrum, centers, half_width: int) -> np.ndarray:
     """Ascending indices of the free bins, refused below 25% of the grid."""
     n = spec.n_t
     free = np.ones(n, dtype=bool)
-    for i in _windows(spec, np.ravel(centers), half_width)[2].astype(int).tolist():
+    _, _, idx, _ = _grid_windows(n, spec.d_omega, np.ravel(centers), half_width)
+    for i in idx.astype(int).tolist():
         free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
     if np.count_nonzero(free) < 0.25 * n:
         raise ValidationError(
@@ -377,7 +372,7 @@ def validate_windows(
     naming every colliding pair, or `GridError` if a window runs off the
     grid (Nyquist).
     """
-    _, bins, _, fits, _ = _windows(spec, [c for _, c in centers], half_width)
+    _, bins, _, fits = _grid_windows(spec.n_t, spec.d_omega, [c for _, c in centers], half_width)
     for (label, _), m, ok in zip(centers, bins, fits):
         if not ok:
             raise GridError(
@@ -396,7 +391,7 @@ def validate_windows(
 
 def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
     """Largest half-width for which all listed windows stay disjoint."""
-    _, bins, _, _ = _grid_windows(spec, centers, 0)
+    _, bins, _, _ = _grid_windows(spec.n_t, spec.d_omega, centers, 0)
     if bins.size < 2:
         return DEFAULT_HALF_WIDTH
     return max(0, (int(np.diff(np.sort(bins, axis=None)).min()) - 1) // 2)

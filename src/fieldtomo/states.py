@@ -6,7 +6,7 @@ import cmath
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,13 +105,17 @@ def coherent_state(alpha: complex, cutoff: int) -> FieldState:
     return FieldState(amps).normalize()
 
 
-def load_amplitudes(path: str | Path) -> FieldState:
+def load_amplitudes(
+    path: str | Path, admit: Callable[[int], object] = lambda cutoff: None
+) -> FieldState:
     """Read a state from a text file of ``n  re  im`` lines.
 
     Blank lines and ``#`` comments are skipped.  The cutoff is the
-    largest ``n`` present (at least 1).  The loaded state is
-    normalized like any other generator output.  A file that does not
-    decode as text, or a malformed line, is a `ValidationError`.
+    largest ``n`` present (at least 1); ``admit`` sees it before any
+    amplitude array is built, so a caller can refuse a size by raising.
+    The loaded state is normalized like any other generator output.  A
+    file that does not decode as text, or a malformed line, is a
+    `ValidationError`.
     """
     path = Path(path)
     try:
@@ -136,5 +140,7 @@ def load_amplitudes(path: str | Path) -> FieldState:
         entries.append((n, complex(re, im)))
     if not entries:
         raise ValidationError(f"{path}: no amplitude entries found")
-    return superposition(entries, max(1, max(n for n, _ in entries)))
+    cutoff = max(1, max(n for n, _ in entries))
+    admit(cutoff)
+    return superposition(entries, cutoff)
 

@@ -283,7 +283,7 @@ def mean_photon_number(state) -> float:
 
 def parity_expectation(joint) -> float:
     """<(-1)^n sigma_z>, the joint parity the Rabi Hamiltonian conserves."""
-    signs = np.diag((-1.0) ** np.arange(joint.cutoff + 1)).astype(complex)
+    signs = np.diag((-1.0) ** np.arange(joint.amplitudes.size // 2)).astype(complex)
     psi = joint.amplitudes
     return float(np.real(np.vdot(psi, joint_op(signs, SIGMA_Z) @ psi)))
 
@@ -504,7 +504,7 @@ def estimate_coupling(spec_z, search_range=(0.5, 2.0)) -> tuple[float, float]:
         raise ValidationError(
             "search range exceeds the frequency grid; lower the range or raise n_t"
         )
-    if _grid_windows(spec_z, 2.0 * lo, 1)[1] <= 1:
+    if _grid_windows(n, dw, 2.0 * lo, 1)[1] <= 1:
         raise EstimationError(
             f"the lowest candidate tone 2 g = {2.0 * lo:.4g} falls in the DC window "
             f"(bin width {dw:.4g}); raise the search range or n_t delta_t"
@@ -528,7 +528,7 @@ def estimate_coupling(spec_z, search_range=(0.5, 2.0)) -> tuple[float, float]:
     robust = float(np.median(abs_vals)) / math.sqrt(math.log(2.0))
     c = 2.0 * g_hat * roots
     # The +-1 bins around each +-c; n_use keeps every such window on the grid.
-    _, _, idx, _ = _grid_windows(spec_z, np.concatenate((c, -c)), 1)
+    _, _, idx, _ = _grid_windows(n, dw, np.concatenate((c, -c)), 1)
     peak_amp = float(np.max(abs_vals[idx.astype(np.intp)[:, None] + [-1, 0, 1]]))
     if peak_amp <= 5.0 * robust:
         raise EstimationError(

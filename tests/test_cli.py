@@ -762,7 +762,7 @@ def test_noise_sweep_refuses_a_stack_beyond_its_byte_budget(
     capsys, tmp_path, monkeypatch, plan, key
 ):
     """A stack of ``n_seeds`` records of the longest ``n_t`` that would take
-    more than `cli.SWEEP_BYTES` exits 2, keyed to the larger factor, before
+    more than `cli.BYTE_BUDGET` exits 2, keyed to the larger factor, before
     anything is sampled or allocated and with no directory left behind."""
     monkeypatch.setattr(cli, "sample_records", lambda *args: pytest.fail("sampled"))
     cfg = write_config(tmp_path, "[plan]\nn_m_list = 1000\n" + plan)
@@ -776,13 +776,13 @@ def test_noise_sweep_refuses_a_stack_beyond_its_byte_budget(
     assert code == 2
     body = stderr_error(err)
     assert (body["type"], body["key"]) == ("ConfigError", key)
-    assert str(cli.SWEEP_BYTES) in body["message"]
+    assert str(cli.BYTE_BUDGET) in body["message"]
     assert peak < 2**20
     assert not out_dir.exists()
 
 
 def test_noise_sweep_budget_admits_the_largest_stack_it_counts(capsys, tmp_path, monkeypatch):
-    """Exactly `cli.SWEEP_BYTES` at 128 bytes a point is still run."""
+    """Exactly `cli.BYTE_BUDGET` at 128 bytes a point is still run."""
     drawn = []
 
     def sample(rho, cfg, plan, n_records):
@@ -793,6 +793,70 @@ def test_noise_sweep_budget_admits_the_largest_stack_it_counts(capsys, tmp_path,
     cfg = write_config(tmp_path, "[plan]\nn_m_list = 1000\nn_seeds = 1024\nn_t_list = 16384\n")
     code, _, _ = run(capsys, "noise-sweep", "--config", cfg, "--out-dir", str(tmp_path / "out"))
     assert (code, drawn) == (3, [(1024, 16384)])
+
+
+@pytest.mark.parametrize(
+    "command, overlay, amplitudes, key",
+    [
+        ("reconstruct", "[state]\ncutoff = 100000\n", None, "state.cutoff"),
+        ("noise-sweep", "[state]\nkind = coherent\ncutoff = 100000\n", None, "state.cutoff"),
+        ("dce", "[dce]\ncutoff = 4097\n", None, "dce.cutoff"),
+        ("estimate-g", "[plan]\nn_t = 100000000\n", None, "plan.n_t"),
+        ("reconstruct", "[plan]\nn_t = 30000000\n", None, "plan.n_t"),
+        ("reconstruct", "", "100000000 1 0\n", "state.file"),
+    ],
+)
+def test_sizes_beyond_the_byte_budget_are_refused_before_allocating(
+    capsys, tmp_path, command, overlay, amplitudes, key
+):
+    """A run whose density matrix, records or DCE Hamiltonian would take
+    more than `cli.BYTE_BUDGET` exits 2, keyed to the setting it grows with,
+    before anything large is allocated and with no directory left behind;
+    an amplitude file is refused before `superposition` builds its state."""
+    argv = [command, "--config", write_config(tmp_path, overlay)]
+    if amplitudes is not None:
+        (tmp_path / "amps.txt").write_text(amplitudes)
+        argv += ["--state-file", str(tmp_path / "amps.txt")]
+    out_dir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    body = stderr_error(err)
+    assert (body["type"], body["key"]) == ("ConfigError", key)
+    assert str(cli.BYTE_BUDGET) in body["message"]
+    assert peak < 2**20
+    assert not out_dir.exists()
+
+
+def clear_process_memos() -> None:
+    """Empty every memo the library keeps across calls."""
+    for memo in (spectral._dft_grid, spectral._lead_slots, spectral._placed_windows):
+        memo.cache_clear()
+    fieldtomo.probe._ROWS[:] = [None, {}]
+
+
+def test_warm_runs_write_the_bytes_of_cold_runs(capsys, tmp_path):
+    """Runs that find the process-wide memos filled by earlier runs, of
+    their own grids or of others, write what runs with the memos emptied
+    write."""
+    runs = [("reconstruct", "--preset", "paper-coherent"),
+            ("noise-sweep", "--preset", "paper-fig6-right")]
+    others = [("estimate-g", "--preset", "paper-state1"), ("dce", "--preset", "paper-dce")]
+    clear_process_memos()
+    for label, batch in (("cold", runs), ("warm", others + runs)):
+        for argv in batch:
+            out_dir = tmp_path / label / argv[0]
+            assert run(capsys, *argv, "--out-dir", str(out_dir))[0] == 0
+    for argv in runs:
+        cold, warm = (tmp_path / label / argv[0] for label in ("cold", "warm"))
+        names = sorted(p.name for p in cold.iterdir())
+        assert names == sorted(p.name for p in warm.iterdir())
+        for name in names:
+            assert (cold / name).read_bytes() == (warm / name).read_bytes(), (argv, name)
 
 
 def test_noise_sweep_with_a_non_positive_snr_exits_3(capsys, tmp_path):

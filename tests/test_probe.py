@@ -38,8 +38,8 @@ def propagator_oracle(rho: DensityMatrix, g: float, t: float) -> np.ndarray:
     space, evolves rho x |g><g|, and traces out the field.  Shares no
     code with the closed-form Bloch expressions.
     """
-    dim = rho.cutoff + 1
-    a = lowering_op(rho.cutoff)
+    dim = rho.elements.shape[0]
+    a = lowering_op(dim - 1)
     h = g * (joint_op(a, SIGMA_PLUS) + joint_op(a.conj().T, SIGMA_MINUS))
     u = expm(-1j * h * t)
     ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 from types import SimpleNamespace
@@ -530,6 +531,87 @@ def test_validate_windows_accepts_exactly_what_read_windows_reads(placed):
     except GridError:
         accepted = False
     assert accepted == readable
+
+
+def cold_window_bins(spec, centers, half_width):
+    """`_window_bins` without its memo: `_grid_windows`, then `_dirichlet_sum`."""
+    x, m_c, idx, _ = spectral._grid_windows(spec.n_t, spec.d_omega, centers, half_width)
+    return x, m_c, idx, spectral._dirichlet_sum(x - m_c, half_width, spec.n_t)
+
+
+@st.composite
+def fitting_centers(draw):
+    """A grid, a half-width and centres of shape ``()``, ``(k,)`` (``k`` may be
+    0) or ``(k, j)`` whose windows all fit it."""
+    n_t = draw(st.integers(16, 300))
+    half_width = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from([(), (0,), (1,), (5,), (3, 4), (2, 0)]))
+    low, high = half_width - n_t // 2, n_t - 1 - half_width - n_t // 2
+    size = math.prod(shape)
+    bins = draw(st.lists(st.floats(low - 0.45, high + 0.45), min_size=size, max_size=size))
+    t = time_grid(draw(st.sampled_from([0.075, 0.1, ONBIN_DT])), n_t)
+    spec = dft(np.cos(t), t)
+    return spec, np.reshape(bins, shape) * spec.d_omega, half_width
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=fitting_centers())
+def test_window_bins_memo_equals_a_cold_placement(drawn):
+    """`_window_bins` gives the bits of a cold `_grid_windows` and
+    `_dirichlet_sum`, on the first call and on a repeat served by the memo,
+    and nothing it returns can be written."""
+    spec, centers, half_width = drawn
+    cold = cold_window_bins(spec, centers, half_width)
+    spectral._placed_windows.cache_clear()
+    for call in range(2):
+        warm = spectral._window_bins(spec, centers, half_width)
+        assert spectral._placed_windows.cache_info().hits == call
+        for got, want in zip(warm, cold):
+            assert np.shape(got) == np.shape(want) == np.shape(centers)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            # Shape () gives numpy scalars, which cannot be written anyway.
+            assert isinstance(got, np.generic) or not got.flags.writeable
+
+
+def test_window_bins_memo_is_keyed_by_the_grid_not_the_spectrum():
+    """Two spectra on one grid share an entry; a ``delta_t`` one ulp away,
+    whose ``d_omega`` differs, misses it."""
+    centers, dt = np.array([0.5, 1.0, 2.0]), 0.075
+    t = time_grid(dt, 512)
+    x_spec, y_spec = dft(np.cos(t), t), dft(np.sin(t), t)
+    t_ulp = time_grid(np.nextafter(dt, 1.0), 512)
+    ulp_spec = dft(np.cos(t_ulp), t_ulp)
+    assert ulp_spec.d_omega != x_spec.d_omega
+    spectral._placed_windows.cache_clear()
+    for spec in (x_spec, y_spec, ulp_spec):
+        read_windows(spec, centers, 4)
+    info = spectral._placed_windows.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_off_grid_window_raises_the_same_grid_error_when_repeated():
+    spec = onbin_fock_spectrum()
+    far = [1.0, (spec.n_t // 2 - 1) * spec.d_omega]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GridError) as err:
+            spectral._window_bins(spec, far, 4)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "window at bin 255 +- 4 outside the frequency grid"
+
+
+def test_one_off_reads_leave_the_spectrum_its_data_and_the_memo_bounded():
+    """The coupling search reads thousands of window sets once each: after
+    an audit and 2,000 such reads the spectrum still holds only its data,
+    and the memo no more than `_WINDOW_SETS` entries."""
+    spec = onbin_fock_spectrum(n_m=100, seed=3)
+    populations_from_z(spec, comb_frequencies(1.0, 1), 4)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        read_windows(spec, rng.uniform(-20.0, 20.0, 640), 1)
+    assert [f.name for f in dataclasses.fields(Spectrum)] == ["freqs", "values", "delta_t"]
+    assert vars(spec).keys() == {"freqs", "values", "delta_t"}
+    assert spectral._placed_windows.cache_info().currsize <= spectral._WINDOW_SETS
 
 
 def test_noise_floor_ignores_windows_off_the_grid():
