@@ -41,6 +41,7 @@ from .exceptions import (
 )
 from .fock import FieldState, density_from_pure, fidelity, fock_state
 from .measurement import (
+    MAX_SHOTS,
     MeasurementPlan,
     sample_records,
     sample_trajectory,
@@ -271,7 +272,8 @@ def _get_n_m(cp) -> Optional[int]:
     raw = cp["plan"]["n_m"].strip().lower()
     if raw in ("inf", "infinite", "none", ""):
         return None
-    return _get_int_at_least(cp, "plan", "n_m", 1)
+    n_m = _get_int_at_least(cp, "plan", "n_m", 1)
+    return _checked("plan.n_m", n_m, n_m <= MAX_SHOTS, f"<= {MAX_SHOTS}")
 
 
 def _get_tomography_axes(cp) -> tuple[str, ...]:
@@ -410,9 +412,18 @@ def _tomography(cp, levels: int) -> tuple[float, MeasurementPlan, dict]:
     estimator keywords of `reconstruct_from_spectra`."""
     g = _get_positive(cp, "probe", "g")
     plan = _get_plan(cp, g, _get_tomography_axes(cp), levels)
+    n_max = _get_int_at_least(cp, "spectral", "n_max", 1)
+    half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
+    # The comb: the x/y gains' (~2 n_max, 4 n_max, 2 half_width + 1) Dirichlet
+    # terms, 64 bytes each with their temporaries, and up to three trig rows
+    # a level for the floors' models.
+    width = 2 * half_width + 1
+    comb = 512 * n_max**2 * width + 24 * (n_max + 1) * plan.n_t
+    key = "spectral.n_max" if n_max**2 >= width else "spectral.half_width"
+    _within_budget(key, comb, f"the comb of {n_max} levels at half_width {half_width}")
     return g, plan, {
-        "n_max": _get_int_at_least(cp, "spectral", "n_max", 1),
-        "half_width": _get_int_at_least(cp, "spectral", "half_width", 0),
+        "n_max": n_max,
+        "half_width": half_width,
         "population_floor": _get_non_negative(cp, "spectral", "population_floor"),
     }
 
@@ -516,6 +527,8 @@ def _sweep_points(cp, g: float) -> tuple[list[int], dict[float, list[int]]]:
     t_total = _get_positive(cp, "plan", "t_total") if has_t else None
     for key, values, low in (("n_m_list", n_m_list, 1), ("n_t_list", n_t_list, 2)):
         _checked(f"plan.{key}", min(values), min(values) >= low, f">= {low} in every entry")
+    most = max(n_m_list)
+    _checked("plan.n_m_list", most, most <= MAX_SHOTS, f"<= {MAX_SHOTS} in every entry")
     key = "plan.t_total"
     if t_total is None:
         delta_t, key = _get_delta_t(cp, g)

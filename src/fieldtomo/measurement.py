@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+#: Most shots a point can take: numpy's binomial draws int64 counts.
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ class MeasurementPlan:
             raise ValidationError(f"delta_t must be positive, got {self.delta_t!r}")
         if int(self.n_t) != self.n_t or self.n_t < 1:
             raise ValidationError(f"n_t must be a positive integer, got {self.n_t!r}")
-        if self.n_m is not None and (int(self.n_m) != self.n_m or self.n_m < 1):
-            raise ValidationError(f"n_m must be None or a positive integer, got {self.n_m!r}")
+        if self.n_m is not None and (int(self.n_m) != self.n_m or not 1 <= self.n_m <= MAX_SHOTS):
+            raise ValidationError(f"n_m must be None or in 1..{MAX_SHOTS}, got {self.n_m!r}")
         axes = tuple(self.axes)
         if not axes or any(a not in AXIS_INDEX for a in axes) or len(set(axes)) != len(axes):
             raise ValidationError(f"axes must be a subset of x, y, z; got {self.axes!r}")

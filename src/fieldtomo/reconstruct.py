@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import EstimationError, ValidationError
+from .exceptions import EstimationError, GridError, ValidationError
 from .fock import FieldState, fidelity
 from .probe import BlochTrajectory, bloch_components, time_grid
 from .spectral import (
@@ -258,7 +258,11 @@ def _solve_xy(
     spec_x: Spectrum, spec_y: Spectrum, freqs: dict[str, np.ndarray], half_width: int
 ) -> tuple[np.ndarray, dict, list[_Window], np.ndarray, np.ndarray]:
     """`coherences_from_xy`, then the windows it reads and their complex
-    areas on x and on y, in `_xy_windows` order."""
+    areas on x and on y, in `_xy_windows` order.  The windows and gains are
+    placed on x's grid, so y must share it."""
+    grids = [(sp.n_t, sp.delta_t) for sp in (spec_x, spec_y)]
+    if grids[0] != grids[1]:
+        raise GridError(f"x and y spectra on two grids (n_t, delta_t): {grids[0]} and {grids[1]}")
     n_max = freqs["sum"].size
     readable = _diff_band_readable(freqs, spec_x, half_width)
     windows = _xy_windows(freqs, readable)

@@ -31,7 +31,7 @@ index ``m + N // 2``, and the window ``m +- half_width`` fits the grid when
 
 Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
-``(..., N)`` over the one 1-D ``freqs``, `read_windows` returns
+``(..., N)`` on the one grid, `read_windows` returns
 ``(..., *centers.shape)`` and `noise_floor` one floor per record, each
 bit for bit the record's own: `read_windows` adds every record's bins one
 offset at a time, in one order, and `noise_floor` reduces one C-contiguous
@@ -106,33 +106,30 @@ _WINDOW_SETS = 8
 class Spectrum:
     """Spectrum of one Bloch component on the signed, ascending frequency grid.
 
-    ``values`` has shape ``(..., N)``: one record, or a stack of records
-    sharing ``freqs`` and ``delta_t``; read-only owned values are not copied."""
+    ``values`` has shape ``(..., N)``: one record, or a stack of records on
+    the grid of ``N`` and ``delta_t``; read-only owned values are not copied."""
 
-    freqs: np.ndarray
     values: np.ndarray
     delta_t: float
 
     def __post_init__(self):
-        f = np.asarray(self.freqs, dtype=float)
         v = np.asarray(self.values, dtype=complex)
-        if f.ndim != 1 or v.shape[-1:] != f.shape or f.size < 2 or v.size == 0:
-            raise ValidationError("values must be (..., N) over 1-D freqs of N >= 2 bins")
-        if not np.all(np.isfinite(f)):
-            raise ValidationError("freqs must be finite")
-        if np.any(np.diff(f) <= 0):
-            raise ValidationError("freqs must be strictly ascending")
-        f, v = f.copy(), v if v.flags.owndata and not v.flags.writeable else v.copy()
-        f.setflags(write=False)
+        if v.ndim == 0 or v.shape[-1] < 2 or v.size == 0:
+            raise ValidationError("values must be (..., N) with N >= 2 bins")
+        v = v if v.flags.owndata and not v.flags.writeable else v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "values", v)
         if not (self.delta_t > 0 and 0 < self.d_omega < math.inf):
             raise ValidationError("delta_t must be > 0 with a finite, nonzero d_omega")
 
     @property
     def n_t(self) -> int:
-        return self.freqs.size
+        return self.values.shape[-1]
+
+    @property
+    def freqs(self) -> np.ndarray:
+        """The grid's ``omega_m``, a view of its memo that cannot be made writable."""
+        return _dft_grid(self.n_t, self.delta_t)[0].view()
 
     @property
     def d_omega(self) -> float:
@@ -165,15 +162,14 @@ def dft(signal: np.ndarray, times: np.ndarray) -> Spectrum:
     dt = _check_uniform(t)
     if abs(t[0] - dt) > 1e-9 * dt:
         raise GridError("grid must start at t = delta_t (no t = 0 sample)")
-    om, phase = _dft_grid(n, dt)
     # fftshift(f) / n * phase: np.roll's copies, into the array `Spectrum` keeps
     f, k = np.fft.fft(s, axis=-1), n // 2
     vals = np.empty_like(f)
     vals[..., :k], vals[..., k:] = f[..., n - k :], f[..., : n - k]
     vals /= n
-    vals *= phase
+    vals *= _dft_grid(n, dt)[1]
     vals.setflags(write=False)  # owned and read-only: the `Spectrum` keeps it
-    return Spectrum(freqs=om, values=vals, delta_t=dt)
+    return Spectrum(vals, dt)
 
 
 @functools.lru_cache(maxsize=1)
@@ -604,6 +600,6 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     bins are left out: a real record has ``F(-omega) = conj F(omega)``.  One
     record per file."""
     _one_record("write_spectrum_csv", spec)
-    rows = _one_sided_rows(spec.freqs.size)
+    rows = _one_sided_rows(spec.values.size)
     values = spec.values[rows]
     _write_csv(path, "omega,re,im\r\n", spec.freqs[rows], [values.real, values.imag])

@@ -363,10 +363,14 @@ def dft_values(signal, times) -> np.ndarray:
 
 
 def dft(signal, times) -> Spectrum:
-    """A `Spectrum` of `dft_values`, on the library's grid of ``times``."""
+    """A `Spectrum` of `dft_values` on the step of ``times``, whose
+    frequencies are checked bit for bit against the grid built here."""
     t = np.asarray(times, dtype=float)
-    grid = np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(t.size, d=float(np.diff(t)[0])))
-    return Spectrum(grid, dft_values(signal, t), float(np.diff(t)[0]))
+    dt = float(np.diff(t)[0])
+    spec = Spectrum(dft_values(signal, t), dt)
+    grid = np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(t.size, d=dt))
+    assert spec.freqs.tobytes() == grid.tobytes()
+    return spec
 
 
 def noise_floor(spec, centers, half_width: int):
@@ -390,7 +394,7 @@ def residual_floor(spec, model_signal, centers, half_width: int):
     against the model's `dft_values`, as a new `Spectrum`, then
     `noise_floor` of it."""
     model = dft_values(model_signal, time_grid(spec.delta_t, spec.n_t))
-    resid = Spectrum(spec.freqs, spec.values - model, spec.delta_t)
+    resid = Spectrum(spec.values - model, spec.delta_t)
     return noise_floor(resid, centers, half_width)
 
 

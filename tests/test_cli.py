@@ -1,12 +1,16 @@
 import configparser
 import contextlib
+import functools
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -204,9 +208,10 @@ def test_one_sided_spectrum_files_reconstruct_the_state(capsys, tmp_path, preset
         # Each negative bin is the conjugate of its positive partner.
         omega, re, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         values, lead = re + 1j * im, 1 - n_t % 2
-        freqs = np.r_[omega[:lead], -omega[:lead:-1], omega[lead:]]
         values = np.r_[values[:lead], values[:lead:-1].conj(), values[lead:]]
-        return Spectrum(freqs=freqs, values=values, delta_t=delta_t)
+        spec = Spectrum(values, delta_t)
+        assert omega.tobytes() == np.r_[spec.freqs[:lead], spec.freqs[n_t // 2 :]].tobytes()
+        return spec
 
     cfg = write_config(tmp_path, overlay)
     code, _, _ = run(
@@ -665,6 +670,10 @@ def test_sampled_cauchy_schwarz_warnings_mark_excess_above_noise(capsys, tmp_pat
         ("reconstruct", "plan.n_t", "0"),
         ("reconstruct", "plan.n_t", "1"),
         ("reconstruct", "plan.n_m", "0"),
+        ("reconstruct", "plan.n_m", "9223372036854775808"),  # numpy draws int64 counts
+        ("estimate-g", "plan.n_m", "10000000000000000000000"),
+        ("dce", "plan.n_m", "9223372036854775808"),
+        ("noise-sweep", "plan.n_m_list", "10 9223372036854775808"),
         ("reconstruct", "plan.gamma", "-1"),
         ("reconstruct", "plan.gamma", "nan"),
         ("reconstruct", "plan.seed", "-1"),
@@ -804,13 +813,16 @@ def test_noise_sweep_budget_admits_the_largest_stack_it_counts(capsys, tmp_path,
         ("estimate-g", "[plan]\nn_t = 100000000\n", None, "plan.n_t"),
         ("reconstruct", "[plan]\nn_t = 30000000\n", None, "plan.n_t"),
         ("reconstruct", "", "100000000 1 0\n", "state.file"),
+        ("reconstruct", "[spectral]\nn_max = 100000000000\n", None, "spectral.n_max"),
+        ("reconstruct", "[spectral]\nn_max = 9223372036854775807\n", None, "spectral.n_max"),
+        ("dce", "[spectral]\nn_max = 9223372036854775808\n", None, "spectral.n_max"),
     ],
 )
 def test_sizes_beyond_the_byte_budget_are_refused_before_allocating(
     capsys, tmp_path, command, overlay, amplitudes, key
 ):
-    """A run whose density matrix, records or DCE Hamiltonian would take
-    more than `cli.BYTE_BUDGET` exits 2, keyed to the setting it grows with,
+    """A run whose density matrix, records, DCE Hamiltonian or comb would
+    take more than `cli.BYTE_BUDGET` exits 2, keyed to the setting it grows with,
     before anything large is allocated and with no directory left behind;
     an amplitude file is refused before `superposition` builds its state."""
     argv = [command, "--config", write_config(tmp_path, overlay)]
@@ -837,6 +849,25 @@ def clear_process_memos() -> None:
     for memo in (spectral._dft_grid, spectral._lead_slots, spectral._placed_windows):
         memo.cache_clear()
     fieldtomo.probe._ROWS[:] = [None, {}]
+
+
+def test_clear_process_memos_empties_every_library_memo(monkeypatch):
+    """Every `functools` cache of a library module is emptied by
+    `clear_process_memos`, but for the constant tables, which take no input,
+    so a new memo cannot escape the warm/cold byte test below.  `probe._ROWS`
+    is no `functools` cache; it is named there by hand."""
+    memos = {}
+    for info in pkgutil.iter_modules(fieldtomo.__path__):
+        module = importlib.import_module(f"fieldtomo.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__:
+                memos[f"{info.name}.{name}"] = obj
+    cleared = []
+    for name, memo in memos.items():
+        monkeypatch.setattr(memo, "cache_clear", functools.partial(cleared.append, name))
+    clear_process_memos()
+    assert "spectral._dft_grid" in cleared
+    assert sorted(memos.keys() - set(cleared)) == ["spectral._kernel_tables"]
 
 
 def test_warm_runs_write_the_bytes_of_cold_runs(capsys, tmp_path):
@@ -977,6 +1008,22 @@ FUZZ_BASE = {
     "dce": {"cutoff": "15"},
 }
 FUZZ_TOKENS = ("0", "-1", "nan", "inf", "-inf", "", "abc", "1e308", "1e-310")
+# Tiny grids on which every command runs to completion in milliseconds.
+HOSTILE_BASE = {
+    "plan": {"n_t": "64", "n_t_list": "32 64", "n_seeds": "2", "n_m_list": "10 100",
+             "delta_t": "0.3"},
+    "state": {"cutoff": "6"},
+    "spectral": {"n_max": "2", "half_width": "1"},
+    "dce": {"cutoff": "8", "tau": "1"},
+}
+HOSTILE_VALUES = (
+    "nan", "inf", "-inf", "-0", "-1", "1e308", "5e-324", "abc", "0x10", "1_000",
+    "9223372036854775808", "10000000000000000000000", "",
+    "1:1", "1:nan:0; 2:1:0", "7:1:0", "10 abc", "-1 10", "10, 9223372036854775808",
+)
+# ``1_000`` parses as 1000: a DCE cutoff, or a comb whose collision audit
+# names every pair, that size is admitted but takes seconds.
+SMALL_ONLY = {"dce.cutoff", "spectral.n_max"}
 COMMANDS = ("reconstruct", "noise-sweep", "dce", "estimate-g")
 # Only `dce` reads [dce], and it builds no [state].
 SECTION_COMMANDS = {"state": ("reconstruct", "noise-sweep", "estimate-g"), "dce": ("dce",)}
@@ -1004,7 +1051,8 @@ def run_overlay(overlay: dict, command: str, out_dir: Optional[str] = None) -> i
 
 
 def test_fuzz_base_runs_every_command():
-    assert [run_overlay(FUZZ_BASE, command) for command in COMMANDS] == [0] * 4
+    for base in (FUZZ_BASE, HOSTILE_BASE):
+        assert [run_overlay(base, command) for command in COMMANDS] == [0] * 4
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -1071,6 +1119,54 @@ def test_state_terms_fuzz_never_exits_1(terms, token, command):
     overlay = {name: dict(values) for name, values in FUZZ_BASE.items()}
     overlay["state"] = {"kind": "superposition", "terms": terms.format(token)}
     assert run_overlay(overlay, command) in (0, 2, 3, 4)
+
+
+ARTIFACTS = {
+    "reconstruct": ["peaks.json", "reconstruction.json", "spectrum_x.csv", "spectrum_y.csv",
+                    "spectrum_z.csv", "trajectory.csv"],
+    "noise-sweep": ["noise_sweep.csv", "noise_sweep_slopes.json"],
+    "dce": ["dce.json"],
+    "estimate-g": ["g_estimate.json"],
+}
+
+
+def hostile_values(key: str):
+    return st.sampled_from([v for v in HOSTILE_VALUES if key not in SMALL_ONLY or v != "1_000"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    drawn=st.lists(
+        st.sampled_from([f"{s}.{o}" for s, opts in DEFAULTS.items() for o in opts]),
+        min_size=1, max_size=3, unique=True,
+    ).flatmap(lambda keys: st.fixed_dictionaries({k: hostile_values(k) for k in keys})),
+)
+@example(command="reconstruct", drawn={"plan.n_m": "9223372036854775808"})
+@example(command="noise-sweep", drawn={"plan.n_m_list": "10000000000000000000000"})
+@example(command="reconstruct", drawn={"spectral.n_max": "9223372036854775808"})
+@example(command="dce", drawn={"spectral.n_max": "10000000000000000000000"})
+def test_hostile_configs_exit_typed_and_clean(command, drawn):
+    """One to three INI keys set to hostile values on tiny grids: every run
+    exits 0, 2, 3 or 4 without a warning; a refusal leaves no ``--out-dir``
+    and a success writes every artifact of its command."""
+    overlay = {name: dict(values) for name, values in HOSTILE_BASE.items()}
+    for key, value in drawn.items():
+        section, option = key.split(".")
+        overlay.setdefault(section, {})[option] = value
+        if section == "state" and option in READING_KIND and "state.kind" not in drawn:
+            overlay["state"]["kind"] = READING_KIND[option]
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp, "out")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_overlay(overlay, command, str(out_dir))
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert sorted(p.name for p in out_dir.iterdir()) == ARTIFACTS[command]
+        else:
+            assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("text", ["[state]\nn = 0\n", "[probe]\ng = 1e200\n"])

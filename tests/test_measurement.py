@@ -34,14 +34,22 @@ def test_plan_validation():
         MeasurementPlan(delta_t=0.0, n_t=10)
     with pytest.raises(ValidationError):
         MeasurementPlan(delta_t=0.1, n_t=0)
-    with pytest.raises(ValidationError):
-        MeasurementPlan(delta_t=0.1, n_t=10, n_m=0)
+    for n_m in (0, 2**63, 10**22):  # numpy draws int64 shot counts
+        with pytest.raises(ValidationError):
+            MeasurementPlan(delta_t=0.1, n_t=10, n_m=n_m)
     with pytest.raises(ValidationError):
         MeasurementPlan(delta_t=0.1, n_t=10, axes=("x", "q"))
     with pytest.raises(ValidationError):
         MeasurementPlan(delta_t=0.1, n_t=10, axes=())
     with pytest.raises(ValidationError):
         MeasurementPlan(delta_t=0.1, n_t=10, gamma=-0.1)
+
+
+def test_the_largest_shot_count_samples(rho_one, probe):
+    """numpy's binomial draws int64 counts: ``2**63 - 1`` shots still sample."""
+    plan = MeasurementPlan(delta_t=0.075, n_t=64, n_m=measurement.MAX_SHOTS)
+    traj = sample_trajectory(rho_one, probe, plan)
+    assert all(np.max(np.abs(getattr(traj, a))) <= 1.0 for a in "xyz")
 
 
 def test_infinite_shots_reproduces_ideal(rho_one, probe):

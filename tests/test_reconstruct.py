@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import fieldtomo.reconstruct
 import oracles
 from oracles import cosine_pair, coupling_scores, golden_section_coupling
-from fieldtomo.exceptions import EstimationError, FieldTomoError, ValidationError
+from fieldtomo.exceptions import EstimationError, FieldTomoError, GridError, ValidationError
 from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
 from fieldtomo.probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
@@ -210,7 +211,7 @@ def test_tone_in_a_difference_window_still_warns(probe, state_two):
     spec_z, spec_x, spec_y = spectra_for(density_from_pure(state_two), probe)
     w = comb_frequencies(probe.g, 2)["diff"][1]
     extra = dft(1e-3 * np.sin(w * TIMES), TIMES)
-    spec_x = Spectrum(spec_x.freqs, spec_x.values + extra.values, spec_x.delta_t)
+    spec_x = Spectrum(spec_x.values + extra.values, spec_x.delta_t)
     res = reconstruct_from_spectra(
         probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
     )
@@ -225,7 +226,7 @@ def finite_shot_bands(rho, probe, seed, tone=0.0):
     spec_z, spec_x, spec_y = (dft(getattr(traj, a), TIMES) for a in "zxy")
     w = comb_frequencies(probe.g, 2)["diff"][1]
     extra = dft(tone * np.sin(w * TIMES), TIMES)
-    spec_x = Spectrum(spec_x.freqs, spec_x.values + extra.values, spec_x.delta_t)
+    spec_x = Spectrum(spec_x.values + extra.values, spec_x.delta_t)
     res = reconstruct_from_spectra(probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2)
     assert res.diagnostics["diff_band_read"] == [False, True]
     return any("bands disagree for rho[1,2]" in msg for msg in res.warnings)
@@ -472,7 +473,7 @@ def coupling_inputs(draw):
             [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 1.0),
              complex(0.0, np.nan), complex(np.inf, np.nan)]
         ), label="bad bin")
-        spec = Spectrum(spec.freqs, values, spec.delta_t)
+        spec = Spectrum(values, spec.delta_t)
     return spec, search_range
 
 
@@ -531,7 +532,7 @@ def test_a_nan_bin_on_the_comb_is_scored(monkeypatch, scored, bad):
     spec = paper_z_spectrum("coherent", 1000)
     values = spec.values.copy()
     values[round(2.2 * np.sqrt(2.0) / spec.d_omega) + TIMES.size // 2] = bad
-    spec = Spectrum(spec.freqs, values, spec.delta_t)
+    spec = Spectrum(values, spec.delta_t)
     monkeypatch.setattr(fieldtomo.reconstruct, "_COARSE_SCORED", scored)
     expected = coupling_outcome(oracles.estimate_coupling, spec, (0.5, 2.0))
     assert expected[0] is ValidationError and "NaN or infinite bin" in expected[1]
@@ -553,7 +554,7 @@ def test_estimate_coupling_refuses_a_non_finite_spectrum(monkeypatch, damage):
         values[:] = np.nan
     else:
         values[7 if damage.endswith("off-the-comb") else tone] = complex(np.inf, 0.0)
-    spec = Spectrum(spec.freqs, values, spec.delta_t)
+    spec = Spectrum(values, spec.delta_t)
     monkeypatch.setattr(fieldtomo.reconstruct, "read_windows",
                         lambda *args: pytest.fail("read a window"))
     with pytest.raises(ValidationError, match="NaN or infinite bin"):
@@ -585,3 +586,32 @@ def test_coherences_from_xy_refuses_a_stack():
     stack = stacked_spectra()
     with pytest.raises(ValidationError, match="one record, not a stack"):
         coherences_from_xy(stack["x"], stack["y"], comb_frequencies(1.0, 8))
+
+
+def paper_state2_spectra(n_t: int, delta_t: float = 0.075):
+    """Ideal z, x and y spectra of `paper-state2` at g = 1 on ``n_t`` points."""
+    rho = density_from_pure(superposition([(1, 0.7071067811865476), (2, 0.5 + 0.5j)], 8))
+    t = time_grid(delta_t, n_t)
+    traj = ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), t)
+    return dft(traj.z, t), dft(traj.x, t), dft(traj.y, t)
+
+
+@pytest.mark.parametrize(
+    "n_t, delta_t", [(1024, 0.075), (256, 0.075), (4096, float(np.nextafter(0.075, 1.0)))]
+)
+def test_x_and_y_spectra_on_two_grids_are_refused(n_t, delta_t):
+    """The x/y windows and gains are placed on x's grid, so a y spectrum on
+    another grid, shorter or one ulp of delta_t away, is a `GridError`
+    naming both grids, from every entry point."""
+    spec_z, spec_x, _ = paper_state2_spectra(4096)
+    spec_y = paper_state2_spectra(n_t, delta_t)[2]
+    assert (spec_y.n_t, spec_y.delta_t) != (spec_x.n_t, spec_x.delta_t)
+    calls = [
+        lambda: coherences_from_xy(spec_x, spec_y, comb_frequencies(1.0, 8), 4),
+        lambda: reconstruct_from_spectra(1.0, spec_z, spec_x, spec_y, n_max=8, half_width=4),
+        lambda: peak_report(1.0, 8, spec_z, spec_x, spec_y, half_width=4),
+    ]
+    grids = re.escape(f"{(4096, spec_x.delta_t)} and {(n_t, spec_y.delta_t)}")
+    for call in calls:
+        with pytest.raises(GridError, match=grids):
+            call()
