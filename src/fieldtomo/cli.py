@@ -565,7 +565,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     _within_budget(key, 128 * n_seeds * n_t, f"{n_seeds} records of {n_t} points")
     gamma = _get_non_negative(cp, "plan", "gamma")
     freqs = comb_frequencies(g, 1)
-    centers = [w.center for w in rec_mod._z_windows(freqs)]
+    centers = rec_mod._z_tones(freqs["z"])
 
     rows = []
     for delta_t, n_ts in steps.items():

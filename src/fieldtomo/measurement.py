@@ -70,9 +70,10 @@ class MeasurementPlan:
     def __post_init__(self):
         if not (self.delta_t > 0 and math.isfinite(self.delta_t)):
             raise ValidationError(f"delta_t must be positive, got {self.delta_t!r}")
-        if int(self.n_t) != self.n_t or self.n_t < 1:
+        # Range first: int() of inf or nan raises.
+        if not 1 <= self.n_t < math.inf or int(self.n_t) != self.n_t:
             raise ValidationError(f"n_t must be a positive integer, got {self.n_t!r}")
-        if self.n_m is not None and (int(self.n_m) != self.n_m or not 1 <= self.n_m <= MAX_SHOTS):
+        if self.n_m is not None and (not 1 <= self.n_m <= MAX_SHOTS or int(self.n_m) != self.n_m):
             raise ValidationError(f"n_m must be None or in 1..{MAX_SHOTS}, got {self.n_m!r}")
         axes = tuple(self.axes)
         if not axes or any(a not in AXIS_INDEX for a in axes) or len(set(axes)) != len(axes):

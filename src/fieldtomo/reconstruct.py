@@ -18,7 +18,11 @@ Estimator conventions (all verified against closed-form trajectories):
 The comb is `spectral.comb_frequencies`: both estimators take its
 ``{"z", "sum", "diff"}`` arrays.  `_z_windows` and `_xy_windows` list the
 windows read on it, with the labels of `validate_windows` messages and
-``peaks.json``; the noise-floor exclusions are the same windows.
+``peaks.json``; the noise-floor exclusions are the same windows.  An
+estimator's plan, its windows and their validation, the readable
+difference bands and the leakage matrices, depends on the grid, the comb
+and the half-width alone: `_z_plan` and `_xy_plan` build each once and
+keep the last `_WINDOW_SETS`, read-only.  A refused comb is not cached.
 
 Every window is read by `spectral.read_windows`, one call per spectrum,
 and isolated tones are captured exactly.  The cross-tone leakage is a
@@ -44,6 +48,7 @@ for bit; a floor of exactly 0 gives a ``None`` SNR.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -54,12 +59,14 @@ from .exceptions import EstimationError, GridError, ValidationError
 from .fock import FieldState, fidelity
 from .probe import BlochTrajectory, bloch_components, time_grid
 from .spectral import (
+    _WINDOW_SETS,
     DEFAULT_HALF_WIDTH,
     PeakEstimate,
     Spectrum,
     _free_bins,
     _grid_windows,
     _one_record,
+    _read_only,
     _rms,
     comb_frequencies,
     dft,
@@ -201,25 +208,40 @@ def populations_from_z(
     return _solve_z(spec, freqs, half_width)[0]
 
 
-def _solve_z(
-    spec: Spectrum, freqs: dict[str, np.ndarray], half_width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`populations_from_z` and the complex areas it reads, ``(..., 2 n_max
-    + 1)`` in `_z_windows` order: DC, then ``+c_n, -c_n`` for each n."""
-    windows = _z_windows(freqs)
-    validate_windows([(w.name, w.center) for w in windows], half_width, spec)
+def _z_tones(c: np.ndarray) -> np.ndarray:
+    """DC, ``+c_n`` and ``-c_n``: the z model's tones for the z comb ``c``."""
+    return np.concatenate(([0.0], c, -c))
 
-    c = freqs["z"]
-    tones = np.concatenate(([0.0], c, -c))  # DC, +c_n, -c_n
+
+@functools.lru_cache(maxsize=_WINDOW_SETS)
+def _z_plan(n_t: int, delta_t: float, c: bytes, half_width: int):
+    """The validated `_z_windows` of the z comb ``np.frombuffer(c)`` on the
+    grid ``(n_t, delta_t)``, their centres and the leakage matrix, read-only.
+    A refused comb is not cached."""
+    grid = Spectrum(np.zeros(n_t, complex), delta_t)  # windows and gains read its grid alone
+    c = np.frombuffer(c)
+    windows = tuple(_z_windows({"z": c}))
+    validate_windows([(w.name, w.center) for w in windows], half_width, grid)
+    tones = _z_tones(c)
     fold = np.eye(c.size + 1)
     fold = np.concatenate((fold, fold[1:]))
-    leak = (fold.T @ window_gains(spec, tones, tones, half_width) @ fold).real
+    leak = (fold.T @ window_gains(grid, tones, tones, half_width) @ fold).real
     leak[:, 1:] *= 0.5  # p cos(ct) = (p/2)(e^{ict} + e^{-ict}); the DC window reads once
-    a = read_windows(spec, [w.center for w in windows], half_width)
+    return windows, *_read_only(np.array([w.center for w in windows]), leak)
+
+
+def _solve_z(
+    spec: Spectrum, freqs: dict[str, np.ndarray], half_width: int
+) -> tuple[np.ndarray, np.ndarray, tuple[_Window, ...]]:
+    """`populations_from_z`, the complex areas it reads, ``(..., 2 n_max
+    + 1)``, and their windows: DC, then ``+c_n, -c_n`` for each n."""
+    c = np.asarray(freqs["z"], dtype=float).tobytes()
+    windows, centers, leak = _z_plan(spec.n_t, spec.delta_t, c, half_width)
+    a = read_windows(spec, centers, half_width)
     # Cosine-pair amplitudes Re(a(+c) + a(-c)); the DC window counts once.
     reads = np.concatenate((a[..., :1].real, (a[..., 1::2] + a[..., 2::2]).real), axis=-1)
     # One right-hand side per solve: LAPACK with many would round differently.
-    return np.linalg.solve(leak, reads[..., None])[..., 0], a
+    return np.linalg.solve(leak, reads[..., None])[..., 0], a, windows
 
 
 def _diff_band_readable(
@@ -240,6 +262,38 @@ def _diff_band_readable(
     return np.concatenate(([False], fits & np.all(gaps > 2 * half_width, axis=1)))
 
 
+@functools.lru_cache(maxsize=_WINDOW_SETS)
+def _xy_plan(n_t: int, delta_t: float, band: bytes, half_width: int):
+    """As `_z_plan`, for the sum, then difference, tones ``np.frombuffer(band)``:
+    the validated `_xy_windows`, their centres, the readable difference bands,
+    each solve row's level, the leakage matrix, the band average ``avg``,
+    ``avg @ leak`` and every tone, read or not, which the floors leave out."""
+    grid = Spectrum(np.zeros(n_t, complex), delta_t)
+    band = np.frombuffer(band)
+    n_max = band.size // 2
+    freqs = {"sum": band[:n_max], "diff": band[n_max:]}
+    readable = _diff_band_readable(freqs, grid, half_width)
+    windows = tuple(_xy_windows(freqs, readable))
+    validate_windows([(w.name, w.center) for w in windows], half_width, grid)
+    centers = np.array([w.center for w in windows])
+    # Solve row r is the window pair (2r, 2r + 1), +c and -c, of level owner[r]:
+    # each n's sum band, then its difference band where read.
+    owner = np.repeat(np.arange(n_max), 1 + readable)
+
+    # A unit S_n drives -sin(sum_n t) - sin(diff_n t) on the axis it feeds,
+    # every tone included (the n = 0 pair doubles at Omega_1, and unread
+    # difference tones still leak into the read windows);
+    # -sin(wt) = (i/2)(e^{iwt} - e^{-iwt}) and a read is Im(a(+c) - a(-c)).
+    tones = np.concatenate((band, -band))
+    gains = window_gains(grid, centers, tones, half_width)
+    areas = gains @ (0.5j * np.concatenate((np.eye(n_max),) * 2 + (-np.eye(n_max),) * 2))
+    leak = (areas[0::2] - areas[1::2]).imag
+    # Each readable difference row is averaged with its sum row.
+    avg = (owner == np.arange(n_max)[:, None]).astype(float)
+    avg /= avg.sum(axis=1, keepdims=True)
+    return windows, *_read_only(centers, readable, owner, leak, avg, avg @ leak, tones)
+
+
 def coherences_from_xy(
     spec_x: Spectrum,
     spec_y: Spectrum,
@@ -256,50 +310,33 @@ def coherences_from_xy(
 
 def _solve_xy(
     spec_x: Spectrum, spec_y: Spectrum, freqs: dict[str, np.ndarray], half_width: int
-) -> tuple[np.ndarray, dict, list[_Window], np.ndarray, np.ndarray]:
-    """`coherences_from_xy`, then the windows it reads and their complex
-    areas on x and on y, in `_xy_windows` order.  The windows and gains are
-    placed on x's grid, so y must share it."""
+) -> tuple[np.ndarray, dict, tuple[_Window, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """`coherences_from_xy`, then the windows it reads, every xy tone and
+    the complex areas on x and on y, in `_xy_windows` order.  The windows
+    and gains are placed on x's grid, so y must share it."""
     grids = [(sp.n_t, sp.delta_t) for sp in (spec_x, spec_y)]
     if grids[0] != grids[1]:
         raise GridError(f"x and y spectra on two grids (n_t, delta_t): {grids[0]} and {grids[1]}")
-    n_max = freqs["sum"].size
-    readable = _diff_band_readable(freqs, spec_x, half_width)
-    windows = _xy_windows(freqs, readable)
-    validate_windows([(w.name, w.center) for w in windows], half_width, spec_x)
-    centers = [w.center for w in windows]
-    # Solve row r is the window pair (2r, 2r + 1), +c and -c, of level owner[r]:
-    # each n's sum band, then its difference band where read.
-    owner = np.repeat(np.arange(n_max), 1 + readable)
-
-    # A unit S_n drives -sin(sum_n t) - sin(diff_n t) on the axis it feeds,
-    # every tone included (the n = 0 pair doubles at Omega_1, and unread
-    # difference tones still leak into the read windows);
-    # -sin(wt) = (i/2)(e^{iwt} - e^{-iwt}) and a read is Im(a(+c) - a(-c)).
-    band = np.concatenate((freqs["sum"], freqs["diff"]))
-    gains = window_gains(spec_x, centers, np.concatenate((band, -band)), half_width)
-    areas = gains @ (0.5j * np.concatenate((np.eye(n_max),) * 2 + (-np.eye(n_max),) * 2))
-    leak = (areas[0::2] - areas[1::2]).imag
+    band = np.concatenate((freqs["sum"], freqs["diff"]), dtype=float).tobytes()
+    plan = _xy_plan(spec_x.n_t, spec_x.delta_t, band, half_width)
+    windows, centers, readable, owner, leak, avg, normal, tones = plan
     ax, ay = (read_windows(sp, centers, half_width) for sp in (spec_x, spec_y))
     # Sine-pair amplitudes Im(a(+c) - a(-c)): Re S_n from y, Im S_n from x,
     # set part by part (no arithmetic on them).
     reads = np.empty(owner.size, dtype=complex)
     reads.real, reads.imag = (ay[0::2] - ay[1::2]).imag, (ax[0::2] - ax[1::2]).imag
-    # Each readable difference row is averaged with its sum row.
-    avg = (owner == np.arange(n_max)[:, None]).astype(float)
-    avg /= avg.sum(axis=1, keepdims=True)
-    est = np.linalg.solve(avg @ leak, avg @ reads)
+    est = np.linalg.solve(normal, avg @ reads)
 
     # Band residuals once the modelled leakage of every tone is taken out.
     resid = reads - leak @ est
-    disagreement = [None] * n_max
+    disagreement = [None] * avg.shape[0]
     for r in np.flatnonzero(owner[1:] == owner[:-1]):
         disagreement[owner[r]] = float(abs(resid[r] - resid[r + 1]))
     diagnostics = {
         "diff_band_read": readable.tolist(),
         "band_disagreement": disagreement,
     }
-    return est, diagnostics, windows, ax, ay
+    return est, diagnostics, windows, tones, ax, ay
 
 
 def chain_phases(
@@ -353,8 +390,8 @@ def _z_floor(
     `bloch_components` gives ``populations`` at coupling ``g``
     (``(..., n_max + 1)`` for ``(..., N)`` spectrum values)."""
     _, _, model = bloch_components(populations, None, g, time_grid(spec.delta_t, spec.n_t))
-    freqs = comb_frequencies(g, populations.shape[-1] - 1)
-    return residual_floor(spec, model, [w.center for w in _z_windows(freqs)], half_width)
+    c = comb_frequencies(g, populations.shape[-1] - 1)["z"]
+    return residual_floor(spec, model, _z_tones(c), half_width)
 
 
 def _peaks(
@@ -399,7 +436,7 @@ def reconstruct_from_spectra(
     warnings_out: list[str] = []
     diagnostics: dict = {}
 
-    raw, z_areas = _solve_z(spec_z, freqs, half_width)
+    raw, z_areas, z_windows = _solve_z(spec_z, freqs, half_width)
     pops = np.clip(raw, 0.0, None)
     diagnostics["raw_populations"] = raw.tolist()
     if np.any(raw < -1e-6):
@@ -414,21 +451,19 @@ def reconstruct_from_spectra(
         )
 
     xi_z = diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, g, half_width)
-    peaks = _peaks(_z_windows(freqs), z_areas, xi_z, half_width)
+    peaks = _peaks(z_windows, z_areas, xi_z, half_width)
 
     coherences = s_upper = None
     links = np.zeros(0, dtype=complex)
     if spec_x is not None and spec_y is not None:
-        s_upper, coh_diag, xy_windows, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
+        s_upper, coh_diag, windows, excl, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
         diagnostics.update(coh_diag)
         models = bloch_components(None, s_upper, g, time_grid(spec_x.delta_t, spec_x.n_t))
-        # Every xy tone, read or not (the n = 0 difference tone is its sum tone).
-        excl = [w.center for w in _xy_windows(freqs, np.arange(n_max) > 0)]
         xi_x, xi_y = (_safe_floor(residual_floor, sp, model, excl, half_width)
                       for sp, model in zip((spec_x, spec_y), models))
         diagnostics.update(noise_floor_x=xi_x, noise_floor_y=xi_y)
         for areas, xi in zip(xy_areas, (xi_x, xi_y)):
-            peaks += _peaks(xy_windows, areas, xi, half_width)
+            peaks += _peaks(windows, areas, xi, half_width)
         xi_xy = None if xi_x is None or xi_y is None else math.hypot(xi_x, xi_y)
         # One tolerance for the checks on S itself.  Its 1e-6 floor matters
         # on ideal records, where xi_xy (~1e-16) is no larger than rounding.

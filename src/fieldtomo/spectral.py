@@ -27,7 +27,8 @@ as arrays.  Window geometry has one rule, `_grid_windows`: a centre
 ``omega`` sits at rounded bin ``m = rint(omega / d_omega)``, stored at
 index ``m + N // 2``, and the window ``m +- half_width`` fits the grid when
 ``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``.
-`_window_bins` keeps the last `_WINDOW_SETS` window sets placed, by grid.
+`_window_bins` keeps the last `_WINDOW_SETS` window sets placed, by grid,
+and `_free_bins` as many of the floors' free-bin sets.
 
 Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
@@ -51,10 +52,10 @@ through one writer, `_write_csv`.  CPython prints 17 digits in big-integer
 arithmetic, about a microsecond a float, so the writer builds the text of
 `_CHUNK_ROWS` rows at a time in numpy instead: `_fast_slots` scales each
 value to its 17 digits in double-double arithmetic and lays the bytes out
-in fixed slots, NUL where unused, and one compress drops the NULs.  The
-cells it cannot vouch for (non-finite, outside its decades, within 1e-6 of
-a rounding tie) take Python's ``%``, so the bytes are those of
-``"%.17g" % v`` for every cell.  A row's lead cell (``omega`` or ``t``)
+in fixed slots, NUL where unused, and one ``bytes.translate`` drops the
+NULs.  The cells it cannot vouch for (non-finite, outside its decades,
+within 1e-6 of a rounding tie) take Python's ``%``, so the bytes are those
+of ``"%.17g" % v`` for every cell.  A row's lead cell (``omega`` or ``t``)
 depends on the grid alone, so the lead column's slots are built once per
 grid.
 """
@@ -100,6 +101,8 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 _SLOT_ROWS = np.arange(18, dtype=np.uint8)[:, None]
 #: Window sets `_window_bins` keeps: a reconstruction places 3, a fig. 6 sweep 4.
 _WINDOW_SETS = 8
+#: Colliding pairs a `validate_windows` refusal names; it counts the rest.
+_NAMED_PAIRS = 10
 
 
 @dataclass(frozen=True)
@@ -180,10 +183,14 @@ def _dft_grid(n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     arrays read-only: the spectra of one run share a grid, so they are built
     once per run."""
     om = np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(n, d=dt))
-    phase = np.exp(-1j * om * dt)
-    om.setflags(write=False)
-    phase.setflags(write=False)
-    return om, phase
+    return _read_only(om, np.exp(-1j * om * dt))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only: what a memo returns is shared."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _one_record(what: str, *specs: Optional[Spectrum]) -> None:
@@ -239,10 +246,7 @@ def _placed_windows(n: int, d_omega: float, shape: tuple, centers: bytes, half_w
             f"window at bin {m_c[~fits].flat[0]:.0f} +- {half_width} "
             "outside the frequency grid"
         )
-    placed = x, m_c, idx, _dirichlet_sum(x - m_c, half_width, n)
-    for a in placed:
-        a.setflags(write=False)
-    return placed
+    return _read_only(x, m_c, idx, _dirichlet_sum(x - m_c, half_width, n))
 
 
 def read_windows(
@@ -318,10 +322,16 @@ def noise_floor(spec: Spectrum, centers, half_width: int) -> float | np.ndarray:
 
 
 def _free_bins(spec: Spectrum, centers, half_width: int) -> np.ndarray:
-    """Ascending indices of the free bins, refused below 25% of the grid."""
-    n = spec.n_t
+    """Ascending indices of the free bins, read-only and memoized by grid."""
+    c = np.asarray(centers, dtype=float).tobytes()
+    return _grid_free_bins(spec.n_t, spec.d_omega, c, half_width)
+
+
+@functools.lru_cache(maxsize=_WINDOW_SETS)
+def _grid_free_bins(n: int, d_omega: float, centers: bytes, half_width: int) -> np.ndarray:
+    """`_free_bins` of ``np.frombuffer(centers)``; refused below 25% of the grid."""
     free = np.ones(n, dtype=bool)
-    _, _, idx, _ = _grid_windows(n, spec.d_omega, np.ravel(centers), half_width)
+    _, _, idx, _ = _grid_windows(n, d_omega, np.frombuffer(centers), half_width)
     for i in idx.astype(int).tolist():
         free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
     if np.count_nonzero(free) < 0.25 * n:
@@ -329,7 +339,7 @@ def _free_bins(spec: Spectrum, centers, half_width: int) -> np.ndarray:
             "exclusion windows cover more than 75% of the spectrum; "
             "noise floor would be dominated by signal"
         )
-    return np.flatnonzero(free)
+    return _read_only(np.flatnonzero(free))[0]
 
 
 def _rms(values: np.ndarray) -> float | np.ndarray:
@@ -365,8 +375,9 @@ def validate_windows(
     Windows of ``2 half_width + 1`` bins are disjoint iff their rounded
     centers differ by more than ``2 half_width`` bins (i.e. spacing
     exceeds ``2 half_width d_omega``).  Raises `ResolvabilityError`
-    naming every colliding pair, or `GridError` if a window runs off the
-    grid (Nyquist).
+    naming every colliding pair, or, beyond `_NAMED_PAIRS` of them, their
+    count and the first `_NAMED_PAIRS` met adding the windows in order; or
+    `GridError` if a window runs off the grid (Nyquist).
     """
     _, bins, _, fits = _grid_windows(spec.n_t, spec.d_omega, [c for _, c in centers], half_width)
     for (label, _), m, ok in zip(centers, bins, fits):
@@ -375,14 +386,34 @@ def validate_windows(
                 f"window for {label} (bin {int(m)} +- {half_width}) exceeds the "
                 f"frequency grid; raise n_t or shrink delta_t"
             )
-    close = np.abs(np.subtract.outer(bins, bins)) <= 2 * half_width
-    pairs = [(i, k) for i, k in zip(*np.nonzero(close)) if i < k]
-    clashes = {f"{centers[i][0]} / {centers[k][0]}" for i, k in pairs}
-    if clashes:
-        raise ResolvabilityError(
-            "integration windows collide (need spacing > "
-            f"{2 * half_width} bins): " + "; ".join(sorted(clashes))
-        )
+    # In bin order, windows lo[p] .. hi[p] - 1 lie within 2 half_width of window p.
+    order = np.argsort(bins, kind="stable")
+    ranked = bins[order]
+    lo = np.searchsorted(ranked, ranked - 2 * half_width, side="left")
+    hi = np.searchsorted(ranked, ranked + 2 * half_width, side="right")
+    total = int(np.sum(np.maximum(hi - lo - 1, 0))) // 2
+    if not total:
+        return
+    # Name the first pairs (i, k), i < k, met adding the windows in order: by k,
+    # then i.  Window k meets one iff the first window of its range precedes it,
+    # found for every window from a sparse table of range minima.
+    table = [order]
+    while 2 ** len(table) <= order.size:
+        step = 2 ** (len(table) - 1)
+        table.append(np.minimum(table[-1][:-step], table[-1][step:]))
+    level, first = np.frexp(hi - lo)[1] - 1, np.empty_like(order)
+    for j, row in enumerate(table):
+        at = level == j
+        first[at] = np.minimum(row[lo[at]], row[hi[at] - 2**j])
+    meets = np.flatnonzero(first < order)
+    named = [(i, order[p]) for p in meets[np.argsort(order[meets])][:_NAMED_PAIRS].tolist()
+             for i in np.sort(order[lo[p] : hi[p]]).tolist() if i < order[p]]
+    clashes = {f"{centers[i][0]} / {centers[k][0]}" for i, k in named[:_NAMED_PAIRS]}
+    count = f"; {total} pairs, {len(clashes)} named" if total > _NAMED_PAIRS else ""
+    raise ResolvabilityError(
+        "integration windows collide (need spacing > "
+        f"{2 * half_width} bins{count}): " + "; ".join(sorted(clashes))
+    )
 
 
 def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
@@ -589,7 +620,7 @@ def _write_csv(
             rows[:, 0, :_SLOTS] = lead_slots[start:stop]
             cells = _cell_slots(values[start:stop].ravel())
             rows[:, measured, :_SLOTS] = cells.reshape(len(rows), len(measured), _SLOTS)
-            fh.write(rows[rows != 0].tobytes())
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:

@@ -36,6 +36,7 @@ from fieldtomo.reconstruct import (
 )
 from fieldtomo.spectral import (
     _CHUNK_ROWS,
+    _NAMED_PAIRS,
     DEFAULT_HALF_WIDTH,
     Spectrum,
     _grid_windows,
@@ -540,3 +541,19 @@ def estimate_coupling(spec_z, search_range=(0.5, 2.0)) -> tuple[float, float]:
             f"(g = {g_hat:.4f}); cannot estimate the coupling"
         )
     return g_hat, float(scores[best])
+
+
+def collision_message(centers, half_width: int, spec: Spectrum):
+    """`spectral.validate_windows`'s collision refusal from every pair's
+    distance at once (a ``W x W`` matrix): None without a collision, all
+    pairs named up to `_NAMED_PAIRS`, else their count and the first
+    `_NAMED_PAIRS` pairs ``(i, k)``, ``i < k``, by ``k``, then ``i``."""
+    _, bins, _, _ = _grid_windows(spec.n_t, spec.d_omega, [c for _, c in centers], half_width)
+    close = np.abs(np.subtract.outer(bins, bins)) <= 2 * half_width
+    pairs = sorted(((i, k) for i, k in zip(*np.nonzero(close)) if i < k), key=lambda p: p[::-1])
+    if not pairs:
+        return None
+    named = {f"{centers[i][0]} / {centers[k][0]}" for i, k in pairs[:_NAMED_PAIRS]}
+    count = f"; {len(pairs)} pairs, {len(named)} named" if len(pairs) > _NAMED_PAIRS else ""
+    return (f"integration windows collide (need spacing > {2 * half_width} bins{count}): "
+            + "; ".join(sorted(named)))

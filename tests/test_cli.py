@@ -846,7 +846,8 @@ def test_sizes_beyond_the_byte_budget_are_refused_before_allocating(
 
 def clear_process_memos() -> None:
     """Empty every memo the library keeps across calls."""
-    for memo in (spectral._dft_grid, spectral._lead_slots, spectral._placed_windows):
+    for memo in (spectral._dft_grid, spectral._lead_slots, spectral._placed_windows,
+                 spectral._grid_free_bins, rec_mod._z_plan, rec_mod._xy_plan):
         memo.cache_clear()
     fieldtomo.probe._ROWS[:] = [None, {}]
 
@@ -888,6 +889,46 @@ def test_warm_runs_write_the_bytes_of_cold_runs(capsys, tmp_path):
         assert names == sorted(p.name for p in warm.iterdir())
         for name in names:
             assert (cold / name).read_bytes() == (warm / name).read_bytes(), (argv, name)
+
+
+def test_a_second_paper_tomo_cycle_builds_no_estimator_plan(capsys, tmp_path):
+    """The ops of the benchmark's `paper-tomo` cycle, run again at another
+    coherent state and quench time, find every estimator plan and free-bin
+    set of their grids and combs built by the first cycle."""
+    memos = (rec_mod._z_plan, rec_mod._xy_plan, spectral._grid_free_bins)
+    for cycle, (alpha, tau) in enumerate([("0.3", "0.5"), ("-0.6", "1.5")]):
+        coherent, dce = tmp_path / f"coherent{cycle}.ini", tmp_path / f"dce{cycle}.ini"
+        coherent.write_text(f"[state]\nalpha_re = {alpha}\n")
+        dce.write_text(f"[dce]\ntau = {tau}\n")
+        misses = [memo.cache_info().misses for memo in memos]
+        for k, argv in enumerate([("reconstruct", "--preset", "paper-state1"),
+                                  ("reconstruct", "--preset", "paper-state2"),
+                                  ("reconstruct", "--preset", "paper-coherent",
+                                   "--config", str(coherent)),
+                                  ("dce", "--preset", "paper-dce", "--config", str(dce))]):
+            assert run(capsys, *argv, "--out-dir", str(tmp_path / f"{cycle}-{k}"))[0] == 0
+    assert [memo.cache_info().misses for memo in memos] == misses
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "dce"])
+def test_a_thousand_levels_on_one_bin_are_refused_in_milliseconds(capsys, tmp_path, command):
+    """At ``g = 5e-324`` the 2001 z windows of a 1000-level comb all sit on
+    bin 0: two million colliding pairs, counted and not built, so the
+    refusal (exit 4) is short and takes little memory."""
+    cfg = write_config(tmp_path, "[spectral]\nn_max = 1_000\nhalf_width = 1\n"
+                                 "[probe]\ng = 5e-324\n[plan]\nn_t = 64\ndelta_t = 0.3\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, command, "--config", cfg, "--out-dir", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    body = stderr_error(err)
+    assert body["type"] == "ResolvabilityError"
+    assert "; 2001000 pairs, 10 named): " in body["message"] and len(body["message"]) < 2000
+    assert peak < 2**25
+    assert not (tmp_path / "out").exists()
 
 
 def test_noise_sweep_with_a_non_positive_snr_exits_3(capsys, tmp_path):
@@ -1021,9 +1062,8 @@ HOSTILE_VALUES = (
     "9223372036854775808", "10000000000000000000000", "",
     "1:1", "1:nan:0; 2:1:0", "7:1:0", "10 abc", "-1 10", "10, 9223372036854775808",
 )
-# ``1_000`` parses as 1000: a DCE cutoff, or a comb whose collision audit
-# names every pair, that size is admitted but takes seconds.
-SMALL_ONLY = {"dce.cutoff", "spectral.n_max"}
+# ``1_000`` parses as 1000: a DCE cutoff that size is admitted but takes seconds.
+SMALL_ONLY = {"dce.cutoff"}
 COMMANDS = ("reconstruct", "noise-sweep", "dce", "estimate-g")
 # Only `dce` reads [dce], and it builds no [state].
 SECTION_COMMANDS = {"state": ("reconstruct", "noise-sweep", "estimate-g"), "dce": ("dce",)}

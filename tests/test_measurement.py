@@ -1,4 +1,5 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,9 +33,10 @@ AXIS_SUBSETS = [s for r in (1, 2, 3) for s in itertools.combinations("xyz", r)]
 def test_plan_validation():
     with pytest.raises(ValidationError):
         MeasurementPlan(delta_t=0.0, n_t=10)
-    with pytest.raises(ValidationError):
-        MeasurementPlan(delta_t=0.1, n_t=0)
-    for n_m in (0, 2**63, 10**22):  # numpy draws int64 shot counts
+    for n_t in (0, math.inf, math.nan):  # int() of inf or nan raises its own error
+        with pytest.raises(ValidationError):
+            MeasurementPlan(delta_t=0.1, n_t=n_t)
+    for n_m in (0, 2**63, 10**22, math.inf, math.nan):  # numpy draws int64 shot counts
         with pytest.raises(ValidationError):
             MeasurementPlan(delta_t=0.1, n_t=10, n_m=n_m)
     with pytest.raises(ValidationError):

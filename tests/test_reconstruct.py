@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import fieldtomo.reconstruct
 import oracles
 from oracles import cosine_pair, coupling_scores, golden_section_coupling
-from fieldtomo.exceptions import EstimationError, FieldTomoError, GridError, ValidationError
+from fieldtomo.exceptions import (
+    EstimationError,
+    FieldTomoError,
+    GridError,
+    ResolvabilityError,
+    ValidationError,
+)
 from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
 from fieldtomo.probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
@@ -19,6 +25,7 @@ from fieldtomo.reconstruct import (
     coherences_from_xy,
     estimate_coupling,
     peak_report,
+    populations_from_z,
     reconstruct_from_spectra,
     reconstruct_state,
 )
@@ -615,3 +622,44 @@ def test_x_and_y_spectra_on_two_grids_are_refused(n_t, delta_t):
     for call in calls:
         with pytest.raises(GridError, match=grids):
             call()
+
+
+def test_estimator_plans_are_built_once_per_grid_and_cannot_be_written():
+    """A reconstruction repeated on one grid and comb builds one z plan and
+    one x/y plan; their windows are tuples and their arrays read-only."""
+    spec_z, spec_x, spec_y = paper_state2_spectra(4096)
+    freqs = comb_frequencies(1.0, 8)
+    memos = (fieldtomo.reconstruct._z_plan, fieldtomo.reconstruct._xy_plan)
+    for memo in memos:
+        memo.cache_clear()
+    for _ in range(2):
+        reconstruct_from_spectra(1.0, spec_z, spec_x, spec_y, n_max=8, half_width=4)
+    assert [(m.cache_info().misses, m.cache_info().hits) for m in memos] == [(1, 1), (1, 1)]
+    band = np.concatenate((freqs["sum"], freqs["diff"]))
+    for windows, *arrays in (memos[0](4096, spec_z.delta_t, freqs["z"].tobytes(), 4),
+                             memos[1](4096, spec_x.delta_t, band.tobytes(), 4)):
+        assert isinstance(windows, tuple)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+
+
+@pytest.mark.parametrize("estimator", ["z", "xy"])
+def test_a_colliding_comb_is_refused_alike_twice_and_never_cached(estimator):
+    """A plan whose windows collide raises the same refusal on every call
+    and leaves no entry behind."""
+    spec_z, spec_x, spec_y = paper_state2_spectra(4096)
+    freqs = comb_frequencies(1.0, 8)
+    memo = getattr(fieldtomo.reconstruct, f"_{estimator}_plan")
+    memo.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ResolvabilityError) as err:
+            if estimator == "z":
+                populations_from_z(spec_z, freqs, 300)
+            else:
+                coherences_from_xy(spec_x, spec_y, freqs, 300)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "pairs, 10 named" in messages[0]
+    assert memo.cache_info().currsize == 0

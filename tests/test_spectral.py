@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -514,6 +515,46 @@ def test_validate_windows_reports_collisions():
     spec = dft(np.cos(2.0 * t), t)
     with pytest.raises(ResolvabilityError, match="dc"):
         validate_windows([("dc", 0.0), ("peak", 2.0)], 4, spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bins=st.lists(st.integers(-60, 60), max_size=30),
+    labels=st.lists(st.sampled_from(["a", "b", "c", "dc", "rho[1,1]+"]), min_size=30),
+    half_width=st.integers(-1, 6),
+)
+def test_validate_windows_names_the_pairs_of_the_all_pairs_oracle(bins, labels, half_width):
+    """The refusal is the all-pairs oracle's, bit for bit: every colliding
+    pair up to `_NAMED_PAIRS`, else their count and the first pairs met
+    adding the windows in order.  Repeated labels and bins included."""
+    t = time_grid(0.1, 256)
+    spec = dft(np.cos(t), t)
+    centers = [(label, b * spec.d_omega) for label, b in zip(labels, bins)]
+    want = oracles.collision_message(centers, half_width, spec)
+    try:
+        validate_windows(centers, half_width, spec)
+        got = None
+    except ResolvabilityError as err:
+        got = str(err)
+    assert got == want
+
+
+def test_a_collision_refusal_counts_millions_of_pairs_and_names_ten():
+    """2001 windows on one bin: 2,001,000 colliding pairs, counted, not built."""
+    t = time_grid(0.3, 64)
+    spec = dft(np.cos(t), t)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolvabilityError) as err:
+            validate_windows([(f"w{k}", 0.0) for k in range(2001)], 1, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "integration windows collide (need spacing > 2 bins; 2001000 pairs, 10 named): "
+        "w0 / w1; w0 / w2; w0 / w3; w0 / w4; w1 / w2; w1 / w3; w1 / w4; w2 / w3; w2 / w4; w3 / w4"
+    )
+    assert peak < 2**21
 
 
 def test_validate_windows_flags_nyquist_overflow():
