@@ -36,7 +36,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .fock import DensityMatrix
-from .probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
+from .probe import MAX_N_T, BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
 from .spectral import _write_csv
 
 __all__ = [
@@ -71,8 +71,8 @@ class MeasurementPlan:
         if not (self.delta_t > 0 and math.isfinite(self.delta_t)):
             raise ValidationError(f"delta_t must be positive, got {self.delta_t!r}")
         # Range first: int() of inf or nan raises.
-        if not 1 <= self.n_t < math.inf or int(self.n_t) != self.n_t:
-            raise ValidationError(f"n_t must be a positive integer, got {self.n_t!r}")
+        if not 1 <= self.n_t <= MAX_N_T or int(self.n_t) != self.n_t:
+            raise ValidationError(f"n_t must be an integer in 1..{MAX_N_T}, got {self.n_t!r}")
         if self.n_m is not None and (not 1 <= self.n_m <= MAX_SHOTS or int(self.n_m) != self.n_m):
             raise ValidationError(f"n_m must be None or in 1..{MAX_SHOTS}, got {self.n_m!r}")
         axes = tuple(self.axes)

@@ -41,6 +41,8 @@ __all__ = [
 
 #: terms with |rho element| below this are skipped when summing the comb
 _ELEMENT_FLOOR = 1e-14
+#: Largest n_t whose grid of 8-byte floats numpy can address.
+MAX_N_T = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ def time_grid(delta_t: float, n_t: int) -> np.ndarray:
         raise GridError(f"delta_t must be positive, got {delta_t!r}")
     if n_t < 1:
         raise GridError(f"n_t must be >= 1, got {n_t!r}")
+    if n_t > MAX_N_T:
+        raise GridError(f"n_t must be <= {MAX_N_T} for an addressable grid, got {n_t!r}")
     if not math.isfinite(delta_t * n_t):
         raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}")
     return delta_t * np.arange(1, n_t + 1, dtype=float)

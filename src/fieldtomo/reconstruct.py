@@ -19,13 +19,13 @@ The comb is `spectral.comb_frequencies`: both estimators take its
 ``{"z", "sum", "diff"}`` arrays.  `_z_windows` and `_xy_windows` list the
 windows read on it, with the labels of `validate_windows` messages and
 ``peaks.json``; the noise-floor exclusions are the same windows.  An
-estimator's plan, its windows and their validation, the readable
-difference bands and the leakage matrices, depends on the grid, the comb
-and the half-width alone: `_z_plan` and `_xy_plan` build each once and
-keep the last `_WINDOW_SETS`, read-only.  A refused comb is not cached.
-
-Every window is read by `spectral.read_windows`, one call per spectrum,
-and isolated tones are captured exactly.  The cross-tone leakage is a
+estimator's plan (its windows, their validation and placement, the
+readable difference bands, the leakage matrices and the floors' free bins)
+depends on the grid, the comb and the half-width alone: `_z_plan` and
+`_xy_plan` build each once and keep the last `_WINDOW_SETS`, read-only.  A
+refused comb is not cached.  Each spectrum's windows are read at the plan's
+placement by the kernel of `spectral.read_windows`, in one call, and
+isolated tones are captured exactly.  The cross-tone leakage is a
 small linear map from the unknowns (rho_nn, S_n) to the reads, built in
 closed form by `spectral.window_gains` from a model comb that contains
 every tone, unread difference-band ones included; one linear solve per
@@ -59,14 +59,16 @@ from .exceptions import EstimationError, GridError, ValidationError
 from .fock import FieldState, fidelity
 from .probe import BlochTrajectory, bloch_components, time_grid
 from .spectral import (
-    _WINDOW_SETS,
     DEFAULT_HALF_WIDTH,
     PeakEstimate,
     Spectrum,
     _free_bins,
+    _check_free,
     _grid_windows,
     _one_record,
+    _place,
     _read_only,
+    _read_placed,
     _rms,
     comb_frequencies,
     dft,
@@ -99,6 +101,8 @@ _COARSE_POINTS = 1000
 _COARSE_SCORED = 128
 _REFINE_POINTS = 64
 _G_TOLERANCE = 1e-7
+#: Plans `_z_plan` and `_xy_plan` each keep: a fig. 6 sweep builds 6 z plans.
+_WINDOW_SETS = 8
 
 
 @dataclass(frozen=True)
@@ -133,17 +137,17 @@ class ReconstructionResult:
 
 
 def residual_floor(
-    spec: Spectrum, model_signal: np.ndarray, centers, half_width: int
+    spec: Spectrum, model_signal: np.ndarray, free: np.ndarray
 ) -> float | np.ndarray:
     """Sampling noise floor: `noise_floor` of the spectrum after subtracting
-    the deterministic comb model; one floor per record.
+    the deterministic comb model, at a plan's free bins; one floor per record.
 
     An off-bin tone leaks a slowly decaying tail across the whole
     spectrum; on a raw spectrum that tail, not the finite-shot noise,
     can dominate the free-bin RMS.  The floor is therefore measured on
     the residual at the free bins, numerically zero for an ideal record.
     """
-    free = _free_bins(spec, centers, half_width)
+    _check_free(free, spec.n_t)
     resid = dft(model_signal, time_grid(spec.delta_t, spec.n_t)).values.take(free, axis=-1)
     # model - values has the moduli of values - model; it is made in place
     # for one model per record, as the estimators give.
@@ -209,25 +213,25 @@ def populations_from_z(
 
 
 def _z_tones(c: np.ndarray) -> np.ndarray:
-    """DC, ``+c_n`` and ``-c_n``: the z model's tones for the z comb ``c``."""
-    return np.concatenate(([0.0], c, -c))
+    """DC, then ``+c_n, -c_n`` for each n: the z tones of comb ``c``, in `_z_windows` order."""
+    return np.concatenate(([0.0], np.column_stack((c, -c)).ravel()))
 
 
 @functools.lru_cache(maxsize=_WINDOW_SETS)
 def _z_plan(n_t: int, delta_t: float, c: bytes, half_width: int):
     """The validated `_z_windows` of the z comb ``np.frombuffer(c)`` on the
-    grid ``(n_t, delta_t)``, their centres and the leakage matrix, read-only.
-    A refused comb is not cached."""
+    grid ``(n_t, delta_t)``, their placement, the leakage matrix and the z
+    floor's free bins, read-only.  A refused comb is not cached."""
     grid = Spectrum(np.zeros(n_t, complex), delta_t)  # windows and gains read its grid alone
     c = np.frombuffer(c)
     windows = tuple(_z_windows({"z": c}))
     validate_windows([(w.name, w.center) for w in windows], half_width, grid)
     tones = _z_tones(c)
-    fold = np.eye(c.size + 1)
-    fold = np.concatenate((fold, fold[1:]))
+    fold = np.eye(c.size + 1)[(np.arange(tones.size) + 1) // 2]  # tone k feeds level (k + 1) // 2
     leak = (fold.T @ window_gains(grid, tones, tones, half_width) @ fold).real
     leak[:, 1:] *= 0.5  # p cos(ct) = (p/2)(e^{ict} + e^{-ict}); the DC window reads once
-    return windows, *_read_only(np.array([w.center for w in windows]), leak)
+    placed = _place(n_t, grid.d_omega, tones, half_width)
+    return windows, placed, *_read_only(leak), _free_bins(n_t, grid.d_omega, tones, half_width)
 
 
 def _solve_z(
@@ -236,8 +240,8 @@ def _solve_z(
     """`populations_from_z`, the complex areas it reads, ``(..., 2 n_max
     + 1)``, and their windows: DC, then ``+c_n, -c_n`` for each n."""
     c = np.asarray(freqs["z"], dtype=float).tobytes()
-    windows, centers, leak = _z_plan(spec.n_t, spec.delta_t, c, half_width)
-    a = read_windows(spec, centers, half_width)
+    windows, placed, leak, _ = _z_plan(spec.n_t, spec.delta_t, c, half_width)
+    a = _read_placed(spec, placed, half_width)
     # Cosine-pair amplitudes Re(a(+c) + a(-c)); the DC window counts once.
     reads = np.concatenate((a[..., :1].real, (a[..., 1::2] + a[..., 2::2]).real), axis=-1)
     # One right-hand side per solve: LAPACK with many would round differently.
@@ -265,9 +269,9 @@ def _diff_band_readable(
 @functools.lru_cache(maxsize=_WINDOW_SETS)
 def _xy_plan(n_t: int, delta_t: float, band: bytes, half_width: int):
     """As `_z_plan`, for the sum, then difference, tones ``np.frombuffer(band)``:
-    the validated `_xy_windows`, their centres, the readable difference bands,
-    each solve row's level, the leakage matrix, the band average ``avg``,
-    ``avg @ leak`` and every tone, read or not, which the floors leave out."""
+    the validated `_xy_windows`, their placement, the readable difference
+    bands, each solve row's level, the leakage matrix, the band average
+    ``avg``, ``avg @ leak`` and the free bins of every tone, read or not."""
     grid = Spectrum(np.zeros(n_t, complex), delta_t)
     band = np.frombuffer(band)
     n_max = band.size // 2
@@ -291,7 +295,9 @@ def _xy_plan(n_t: int, delta_t: float, band: bytes, half_width: int):
     # Each readable difference row is averaged with its sum row.
     avg = (owner == np.arange(n_max)[:, None]).astype(float)
     avg /= avg.sum(axis=1, keepdims=True)
-    return windows, *_read_only(centers, readable, owner, leak, avg, avg @ leak, tones)
+    placed = _place(n_t, grid.d_omega, centers, half_width)
+    free = _free_bins(n_t, grid.d_omega, tones, half_width)
+    return windows, placed, *_read_only(readable, owner, leak, avg, avg @ leak), free
 
 
 def coherences_from_xy(
@@ -311,16 +317,16 @@ def coherences_from_xy(
 def _solve_xy(
     spec_x: Spectrum, spec_y: Spectrum, freqs: dict[str, np.ndarray], half_width: int
 ) -> tuple[np.ndarray, dict, tuple[_Window, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """`coherences_from_xy`, then the windows it reads, every xy tone and
-    the complex areas on x and on y, in `_xy_windows` order.  The windows
+    """`coherences_from_xy`, then the windows it reads, the floors' free bins
+    and the complex areas on x and on y, in `_xy_windows` order.  The windows
     and gains are placed on x's grid, so y must share it."""
     grids = [(sp.n_t, sp.delta_t) for sp in (spec_x, spec_y)]
     if grids[0] != grids[1]:
         raise GridError(f"x and y spectra on two grids (n_t, delta_t): {grids[0]} and {grids[1]}")
     band = np.concatenate((freqs["sum"], freqs["diff"]), dtype=float).tobytes()
     plan = _xy_plan(spec_x.n_t, spec_x.delta_t, band, half_width)
-    windows, centers, readable, owner, leak, avg, normal, tones = plan
-    ax, ay = (read_windows(sp, centers, half_width) for sp in (spec_x, spec_y))
+    windows, placed, readable, owner, leak, avg, normal, free = plan
+    ax, ay = (_read_placed(sp, placed, half_width) for sp in (spec_x, spec_y))
     # Sine-pair amplitudes Im(a(+c) - a(-c)): Re S_n from y, Im S_n from x,
     # set part by part (no arithmetic on them).
     reads = np.empty(owner.size, dtype=complex)
@@ -336,7 +342,7 @@ def _solve_xy(
         "diff_band_read": readable.tolist(),
         "band_disagreement": disagreement,
     }
-    return est, diagnostics, windows, tones, ax, ay
+    return est, diagnostics, windows, free, ax, ay
 
 
 def chain_phases(
@@ -388,10 +394,11 @@ def _z_floor(
 ) -> float | np.ndarray:
     """`residual_floor` of a z spectrum against the z record that
     `bloch_components` gives ``populations`` at coupling ``g``
-    (``(..., n_max + 1)`` for ``(..., N)`` spectrum values)."""
-    _, _, model = bloch_components(populations, None, g, time_grid(spec.delta_t, spec.n_t))
+    (``(..., n_max + 1)`` for ``(..., N)`` spectrum values), at its z plan's free bins."""
     c = comb_frequencies(g, populations.shape[-1] - 1)["z"]
-    return residual_floor(spec, model, _z_tones(c), half_width)
+    free = _z_plan(spec.n_t, spec.delta_t, c.tobytes(), half_width)[-1]
+    _, _, model = bloch_components(populations, None, g, time_grid(spec.delta_t, spec.n_t))
+    return residual_floor(spec, model, free)
 
 
 def _peaks(
@@ -456,10 +463,10 @@ def reconstruct_from_spectra(
     coherences = s_upper = None
     links = np.zeros(0, dtype=complex)
     if spec_x is not None and spec_y is not None:
-        s_upper, coh_diag, windows, excl, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
+        s_upper, coh_diag, windows, free, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
         diagnostics.update(coh_diag)
         models = bloch_components(None, s_upper, g, time_grid(spec_x.delta_t, spec_x.n_t))
-        xi_x, xi_y = (_safe_floor(residual_floor, sp, model, excl, half_width)
+        xi_x, xi_y = (_safe_floor(residual_floor, sp, model, free)
                       for sp, model in zip((spec_x, spec_y), models))
         diagnostics.update(noise_floor_x=xi_x, noise_floor_y=xi_y)
         for areas, xi in zip(xy_areas, (xi_x, xi_y)):

@@ -27,8 +27,8 @@ as arrays.  Window geometry has one rule, `_grid_windows`: a centre
 ``omega`` sits at rounded bin ``m = rint(omega / d_omega)``, stored at
 index ``m + N // 2``, and the window ``m +- half_width`` fits the grid when
 ``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``.
-`_window_bins` keeps the last `_WINDOW_SETS` window sets placed, by grid,
-and `_free_bins` as many of the floors' free-bin sets.
+`_place` and `_free_bins` place windows and find the floors' free bins
+cold; the estimator plans of `reconstruct` keep their own.
 
 Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
@@ -99,8 +99,6 @@ _SLOTS = 29
 _DECADES = 280
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 _SLOT_ROWS = np.arange(18, dtype=np.uint8)[:, None]
-#: Window sets `_window_bins` keeps: a reconstruction places 3, a fig. 6 sweep 4.
-_WINDOW_SETS = 8
 #: Colliding pairs a `validate_windows` refusal names; it counts the rest.
 _NAMED_PAIRS = 10
 
@@ -225,27 +223,17 @@ def _grid_windows(n: int, d_omega: float, centers, half_width):
     return x, m, idx, (idx >= half_width) & (idx <= n - 1 - half_width)
 
 
-def _window_bins(spec: Spectrum, centers, half_width: int):
+def _place(n: int, d_omega: float, centers, half_width: int):
     """Bin positions ``x``, rounded bins ``m_c``, their indices and the window
-    responses of ``centers`` (at least ``2 / pi``: a window that fits has
-    ``|x - m_c| <= 1/2``), read-only and memoized by grid; raises if a window
-    runs off the grid."""
+    responses (at least ``2 / pi``: a window that fits has ``|x - m_c| <= 1/2``)
+    of ``centers`` (any shape) on an ``n``-bin grid of step ``d_omega``,
+    read-only; raises if a window runs off the grid."""
     if half_width < 0:
         raise ValidationError("half_width must be >= 0")
-    c = np.asarray(centers, dtype=float)
-    return _placed_windows(spec.n_t, spec.d_omega, c.shape, c.tobytes(), half_width)
-
-
-@functools.lru_cache(maxsize=_WINDOW_SETS)
-def _placed_windows(n: int, d_omega: float, shape: tuple, centers: bytes, half_width: int):
-    """`_window_bins` of the centres ``np.frombuffer(centers).reshape(shape)``."""
-    x, m_c, idx, fits = _grid_windows(n, d_omega, np.frombuffer(centers).reshape(shape),
-                                      half_width)
+    x, m_c, idx, fits = _grid_windows(n, d_omega, centers, half_width)
     if not np.all(fits):
-        raise GridError(
-            f"window at bin {m_c[~fits].flat[0]:.0f} +- {half_width} "
-            "outside the frequency grid"
-        )
+        raise GridError(f"window at bin {np.extract(~fits, m_c)[0]:.0f} +- {half_width} "
+                        "outside the frequency grid")
     return _read_only(x, m_c, idx, _dirichlet_sum(x - m_c, half_width, n))
 
 
@@ -265,8 +253,13 @@ def read_windows(
     result has shape ``(..., *centers.shape)`` for ``(..., N)`` spectrum
     values.  Raises `GridError` if any window runs off the grid.
     """
+    return _read_placed(spec, _place(spec.n_t, spec.d_omega, centers, half_width), half_width)
+
+
+def _read_placed(spec: Spectrum, placed, half_width: int) -> np.ndarray:
+    """The read kernel: `read_windows` at the `_place` placement ``placed``."""
     n = spec.n_t
-    x, m_c, idx, resp = _window_bins(spec, np.ravel(centers), half_width)
+    x, m_c, idx, resp = (np.ravel(a) for a in placed)
     j = np.arange(-half_width, half_width + 1)
     taps = np.exp(1j * np.pi * j * (n + 1) / n)
     records = spec.values.reshape(-1, n)
@@ -280,7 +273,7 @@ def read_windows(
         total = total + block[:, k]
     rotation = np.exp(-1j * np.pi * (x - m_c) * (n + 1) / n) / resp
     total = total.ravel() * np.tile(rotation, len(records))
-    return total.reshape(spec.values.shape[:-1] + np.shape(centers))
+    return total.reshape(spec.values.shape[:-1] + np.shape(placed[0]))
 
 
 def window_gains(
@@ -296,7 +289,7 @@ def window_gains(
     otherwise, so reads of a comb are a linear map of its amplitudes.
     """
     n = spec.n_t
-    x, m_c, _, resp = _window_bins(spec, np.ravel(centers), half_width)
+    x, m_c, _, resp = _place(n, spec.d_omega, np.ravel(centers), half_width)
     x_tone = np.ravel(np.asarray(tones, dtype=float)) / spec.d_omega
     phase = np.exp(1j * np.pi * (x_tone - x[:, None]) * (n + 1) / n)
     return phase * _dirichlet_sum(x_tone - m_c[:, None], half_width, n) / resp[:, None]
@@ -318,28 +311,28 @@ def noise_floor(spec: Spectrum, centers, half_width: int) -> float | np.ndarray:
     meaningless.  Returns a float for one record and one floor per record,
     shape ``(...)``, for ``(..., N)`` values.
     """
-    return _rms(spec.values.take(_free_bins(spec, centers, half_width), axis=-1))
+    free = _free_bins(spec.n_t, spec.d_omega, centers, half_width)
+    _check_free(free, spec.n_t)
+    return _rms(spec.values.take(free, axis=-1))
 
 
-def _free_bins(spec: Spectrum, centers, half_width: int) -> np.ndarray:
-    """Ascending indices of the free bins, read-only and memoized by grid."""
-    c = np.asarray(centers, dtype=float).tobytes()
-    return _grid_free_bins(spec.n_t, spec.d_omega, c, half_width)
-
-
-@functools.lru_cache(maxsize=_WINDOW_SETS)
-def _grid_free_bins(n: int, d_omega: float, centers: bytes, half_width: int) -> np.ndarray:
-    """`_free_bins` of ``np.frombuffer(centers)``; refused below 25% of the grid."""
+def _free_bins(n: int, d_omega: float, centers, half_width: int) -> np.ndarray:
+    """Ascending indices of the bins of an ``n``-bin grid of step ``d_omega``
+    outside every ``half_width`` window around ``centers`` (any shape), read-only."""
+    if half_width < 0:
+        raise ValidationError("half_width must be >= 0")
     free = np.ones(n, dtype=bool)
-    _, _, idx, _ = _grid_windows(n, d_omega, np.frombuffer(centers), half_width)
+    _, _, idx, _ = _grid_windows(n, d_omega, np.ravel(centers), half_width)
     for i in idx.astype(int).tolist():
         free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
-    if np.count_nonzero(free) < 0.25 * n:
-        raise ValidationError(
-            "exclusion windows cover more than 75% of the spectrum; "
-            "noise floor would be dominated by signal"
-        )
     return _read_only(np.flatnonzero(free))[0]
+
+
+def _check_free(free: np.ndarray, n: int) -> None:
+    """Refuse a floor on ``free`` bins fewer than 25% of the grid's ``n``."""
+    if free.size < 0.25 * n:
+        raise ValidationError("exclusion windows cover more than 75% of the spectrum; "
+                              "noise floor would be dominated by signal")
 
 
 def _rms(values: np.ndarray) -> float | np.ndarray:

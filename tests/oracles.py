@@ -41,7 +41,7 @@ from fieldtomo.spectral import (
     Spectrum,
     _grid_windows,
     _one_record,
-    _window_bins,
+    _place,
     comb_frequencies,
     max_half_width,
     read_windows,
@@ -185,7 +185,7 @@ def read_windows_per_bin(spec, centers, half_width: int = DEFAULT_HALF_WIDTH):
     ``exp(i pi (j - delta) (N+1)/N)``, summed with `np.sum`, one record at
     a time, and divided by the window response."""
     n = spec.n_t
-    x, m_c, idx, resp = _window_bins(spec, centers, half_width)
+    x, m_c, idx, resp = _place(spec.n_t, spec.d_omega, centers, half_width)
     delta = (x - m_c)[..., None]
     j = np.arange(-half_width, half_width + 1)
     bins = idx[..., None].astype(np.intp) + j
@@ -374,14 +374,22 @@ def dft(signal, times) -> Spectrum:
     return spec
 
 
-def noise_floor(spec, centers, half_width: int):
-    """`spectral.noise_floor` by its first code: a boolean mask of the free
-    bins, cleared window by window, and one record's RMS over it at a time."""
+def free_mask(spec, centers, half_width: int) -> np.ndarray:
+    """The free bins of `spectral.noise_floor`'s first code: a boolean mask,
+    cleared window by window."""
     n = spec.n_t
     free = np.ones(n, dtype=bool)
     for c in np.ravel(np.asarray(centers, dtype=float)).tolist():
         i = int(np.rint(c / spec.d_omega)) + n // 2
         free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
+    return free
+
+
+def noise_floor(spec, centers, half_width: int):
+    """`spectral.noise_floor` by its first code: one record's RMS over the
+    `free_mask` at a time."""
+    n = spec.n_t
+    free = free_mask(spec, centers, half_width)
     if np.count_nonzero(free) < 0.25 * n:
         raise ValidationError("exclusion windows cover more than 75% of the spectrum")
     floors = [np.sqrt(np.mean(np.abs(v[free]) ** 2)) for v in spec.values.reshape(-1, n)]

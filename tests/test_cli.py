@@ -270,25 +270,26 @@ def test_sampled_runs_are_byte_deterministic(capsys, tmp_path):
 
 def test_reconstruct_makes_six_dfts_and_reads_each_window_once(capsys, tmp_path, monkeypatch):
     """Three record spectra and three residual-floor models; the peaks are
-    the estimator's own reads, one `read_windows` call per spectrum."""
-    calls = {"dft": 0, "read_windows": 0}
+    the estimator's own reads, one call of the read kernel per spectrum."""
+    calls = {"dft": 0, "read": 0}
     windows = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "read_windows":
-                windows.append(np.size(args[1]))
+            if name == "read":
+                windows.append(np.size(args[1][0]))
             return fn(*args, **kwargs)
         return wrapper
 
     for module in (cli, rec_mod):
         monkeypatch.setattr(module, "dft", counting("dft", module.dft))
+    kernel = counting("read", spectral._read_placed)
     for module in (spectral, rec_mod):
-        monkeypatch.setattr(module, "read_windows", counting("read_windows", read_windows))
+        monkeypatch.setattr(module, "_read_placed", kernel)
     code, _, _ = run(capsys, "reconstruct", "--out-dir", str(tmp_path))
     assert code == 0
-    assert calls == {"dft": 6, "read_windows": 3}
+    assert calls == {"dft": 6, "read": 3}
     assert sum(windows) == len(json.loads((tmp_path / "peaks.json").read_text()))
 
 
@@ -846,10 +847,20 @@ def test_sizes_beyond_the_byte_budget_are_refused_before_allocating(
 
 def clear_process_memos() -> None:
     """Empty every memo the library keeps across calls."""
-    for memo in (spectral._dft_grid, spectral._lead_slots, spectral._placed_windows,
-                 spectral._grid_free_bins, rec_mod._z_plan, rec_mod._xy_plan):
+    for memo in (spectral._dft_grid, spectral._lead_slots, rec_mod._z_plan, rec_mod._xy_plan):
         memo.cache_clear()
     fieldtomo.probe._ROWS[:] = [None, {}]
+
+
+def library_memos() -> dict:
+    """Every `functools` cache of a library module, by ``module.name``."""
+    memos = {}
+    for info in pkgutil.iter_modules(fieldtomo.__path__):
+        module = importlib.import_module(f"fieldtomo.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__:
+                memos[f"{info.name}.{name}"] = obj
+    return memos
 
 
 def test_clear_process_memos_empties_every_library_memo(monkeypatch):
@@ -857,18 +868,26 @@ def test_clear_process_memos_empties_every_library_memo(monkeypatch):
     `clear_process_memos`, but for the constant tables, which take no input,
     so a new memo cannot escape the warm/cold byte test below.  `probe._ROWS`
     is no `functools` cache; it is named there by hand."""
-    memos = {}
-    for info in pkgutil.iter_modules(fieldtomo.__path__):
-        module = importlib.import_module(f"fieldtomo.{info.name}")
-        for name, obj in vars(module).items():
-            if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__:
-                memos[f"{info.name}.{name}"] = obj
+    memos = library_memos()
     cleared = []
     for name, memo in memos.items():
         monkeypatch.setattr(memo, "cache_clear", functools.partial(cleared.append, name))
     clear_process_memos()
     assert "spectral._dft_grid" in cleared
     assert sorted(memos.keys() - set(cleared)) == ["spectral._kernel_tables"]
+
+
+def test_a_coupling_scan_op_leaves_only_the_dft_grid_memoized(capsys, tmp_path):
+    """The coupling search of one ``estimate-g`` op on a finite-shot z record
+    reads thousands of window sets once each, cold: after it every library
+    memo but the DFT grid's and the constant tables is empty."""
+    cfg = write_config(tmp_path, "[state]\nkind = fock\nn = 1\ncutoff = 8\n"
+                                 "[probe]\ng = 1.1\n[plan]\nn_m = 1000\n")
+    clear_process_memos()
+    assert run(capsys, "estimate-g", "--config", cfg, "--out-dir", str(tmp_path / "out"))[0] == 0
+    filled = {name for name, memo in library_memos().items() if memo.cache_info().currsize}
+    assert "spectral._dft_grid" in filled
+    assert filled <= {"spectral._dft_grid", "spectral._kernel_tables"}
 
 
 def test_warm_runs_write_the_bytes_of_cold_runs(capsys, tmp_path):
@@ -893,9 +912,9 @@ def test_warm_runs_write_the_bytes_of_cold_runs(capsys, tmp_path):
 
 def test_a_second_paper_tomo_cycle_builds_no_estimator_plan(capsys, tmp_path):
     """The ops of the benchmark's `paper-tomo` cycle, run again at another
-    coherent state and quench time, find every estimator plan and free-bin
-    set of their grids and combs built by the first cycle."""
-    memos = (rec_mod._z_plan, rec_mod._xy_plan, spectral._grid_free_bins)
+    coherent state and quench time, find every estimator plan of their
+    grids and combs built by the first cycle."""
+    memos = (rec_mod._z_plan, rec_mod._xy_plan)
     for cycle, (alpha, tau) in enumerate([("0.3", "0.5"), ("-0.6", "1.5")]):
         coherent, dce = tmp_path / f"coherent{cycle}.ini", tmp_path / f"dce{cycle}.ini"
         coherent.write_text(f"[state]\nalpha_re = {alpha}\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fieldtomo import measurement
-from fieldtomo.exceptions import ValidationError
+from fieldtomo.exceptions import GridError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import (
     MeasurementPlan,
@@ -19,7 +20,7 @@ from fieldtomo.measurement import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from fieldtomo.probe import ProbeConfig, ideal_bloch_trajectory
+from fieldtomo.probe import MAX_N_T, ProbeConfig, ideal_bloch_trajectory, time_grid
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,24 @@ def test_plan_validation():
         MeasurementPlan(delta_t=0.1, n_t=10, axes=())
     with pytest.raises(ValidationError):
         MeasurementPlan(delta_t=0.1, n_t=10, gamma=-0.1)
+
+
+def test_a_grid_numpy_cannot_address_is_refused_before_any_allocation():
+    """An ``n_t`` whose grid of 8-byte floats exceeds numpy's address space
+    (``8 n_t > intp max``) is refused, by the plan and by `time_grid`, and
+    not read as an empty grid or a raw numpy error; nothing is allocated."""
+    assert MeasurementPlan(delta_t=0.1, n_t=MAX_N_T).n_t == MAX_N_T  # not built
+    tracemalloc.start()
+    try:
+        for n_t in (MAX_N_T + 1, 2**60 + 1, 2**63 - 1, 2**63, 2**64 + 5, 10**400):
+            with pytest.raises(ValidationError, match="n_t must be an integer in 1.."):
+                MeasurementPlan(delta_t=0.1, n_t=n_t)
+            with pytest.raises(GridError, match="for an addressable grid"):
+                time_grid(0.1, n_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_the_largest_shot_count_samples(rho_one, probe):

@@ -29,6 +29,7 @@ from fieldtomo.reconstruct import (
     reconstruct_from_spectra,
     reconstruct_state,
 )
+from fieldtomo import spectral
 from fieldtomo.spectral import Spectrum, comb_frequencies, dft, read_windows
 from fieldtomo.states import coherent_state, superposition
 
@@ -626,7 +627,9 @@ def test_x_and_y_spectra_on_two_grids_are_refused(n_t, delta_t):
 
 def test_estimator_plans_are_built_once_per_grid_and_cannot_be_written():
     """A reconstruction repeated on one grid and comb builds one z plan and
-    one x/y plan; their windows are tuples and their arrays read-only."""
+    one x/y plan, and its z floor finds the z plan of its solve; a plan's
+    windows are a tuple, its placement and free bins those of its window
+    centres and tones, and its arrays read-only."""
     spec_z, spec_x, spec_y = paper_state2_spectra(4096)
     freqs = comb_frequencies(1.0, 8)
     memos = (fieldtomo.reconstruct._z_plan, fieldtomo.reconstruct._xy_plan)
@@ -634,12 +637,20 @@ def test_estimator_plans_are_built_once_per_grid_and_cannot_be_written():
         memo.cache_clear()
     for _ in range(2):
         reconstruct_from_spectra(1.0, spec_z, spec_x, spec_y, n_max=8, half_width=4)
-    assert [(m.cache_info().misses, m.cache_info().hits) for m in memos] == [(1, 1), (1, 1)]
+    assert [(m.cache_info().misses, m.cache_info().hits) for m in memos] == [(1, 3), (1, 1)]
     band = np.concatenate((freqs["sum"], freqs["diff"]))
-    for windows, *arrays in (memos[0](4096, spec_z.delta_t, freqs["z"].tobytes(), 4),
-                             memos[1](4096, spec_x.delta_t, band.tobytes(), 4)):
-        assert isinstance(windows, tuple)
-        for a in arrays:
+    # The floors leave out every tone of the model, read or not: DC and +-c
+    # on z, +-c of both bands on x and y.
+    plans = [(memos[0](4096, spec_z.delta_t, freqs["z"].tobytes(), 4),
+              np.r_[0.0, freqs["z"], -freqs["z"]]),
+             (memos[1](4096, spec_x.delta_t, band.tobytes(), 4), np.r_[band, -band])]
+    for (windows, placed, *arrays), tones in plans:
+        assert isinstance(windows, tuple) and isinstance(placed, tuple)
+        cold = spectral._place(4096, spec_z.d_omega, [w.center for w in windows], 4)
+        assert [a.tobytes() for a in placed] == [a.tobytes() for a in cold]
+        free = spectral._free_bins(4096, spec_z.d_omega, tones, 4)
+        assert arrays[-1].tobytes() == free.tobytes()
+        for a in (*placed, *arrays):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.flat[0] = 0

@@ -243,6 +243,11 @@ def test_noise_floor_requires_free_bins():
     spec = onbin_fock_spectrum()
     with pytest.raises(ValidationError):
         noise_floor(spec, [0.0], spec.n_t)
+    # A negative half-width is refused as `read_windows` refuses it, not
+    # read as windows that leave every bin free.
+    for half_width in (-1, -3):
+        with pytest.raises(ValidationError, match="half_width must be >= 0"):
+            noise_floor(spec, [0.0, 2.0, -2.0], half_width)
 
 
 def test_noise_floor_scales_inverse_sqrt_shots():
@@ -365,7 +370,7 @@ def test_half_width_1_area_is_bounded_by_its_bins(n_t, seed, decades, data):
                     2.0 * np.pi / n_t)
     low, high = 1 - n_t // 2, n_t - 2 - n_t // 2  # rounded bins whose window fits
     bins = np.array(data.draw(st.lists(st.floats(low, high), min_size=1, max_size=20)))
-    _, _, idx, resp = spectral._window_bins(spec, bins * spec.d_omega, 1)
+    _, _, idx, resp = spectral._place(spec.n_t, spec.d_omega, bins * spec.d_omega, 1)
     summed = np.abs(spec.values)[idx.astype(np.intp)[:, None] + [-1, 0, 1]].sum(axis=1)
     areas = read_windows(spec, bins * spec.d_omega, 1)
     assert np.all(np.abs(areas) <= summed / resp * (1.0 + 1e-12))
@@ -594,12 +599,6 @@ def test_validate_windows_accepts_exactly_what_read_windows_reads(placed):
     assert accepted == readable
 
 
-def cold_window_bins(spec, centers, half_width):
-    """`_window_bins` without its memo: `_grid_windows`, then `_dirichlet_sum`."""
-    x, m_c, idx, _ = spectral._grid_windows(spec.n_t, spec.d_omega, centers, half_width)
-    return x, m_c, idx, spectral._dirichlet_sum(x - m_c, half_width, spec.n_t)
-
-
 @st.composite
 def fitting_centers(draw):
     """A grid, a half-width and centres of shape ``()``, ``(k,)`` (``k`` may be
@@ -617,37 +616,26 @@ def fitting_centers(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(drawn=fitting_centers())
-def test_window_bins_memo_equals_a_cold_placement(drawn):
-    """`_window_bins` gives the bits of a cold `_grid_windows` and
-    `_dirichlet_sum`, on the first call and on a repeat served by the memo,
-    and nothing it returns can be written."""
+def test_plan_placement_and_free_bins_equal_a_cold_placement(drawn):
+    """What an estimator plan keeps of its centres, their `_place` placement
+    and their `_free_bins`, is bit for bit a cold `_grid_windows` and
+    `_dirichlet_sum` and the free bins of the first floor's boolean mask,
+    and none of it can be written."""
     spec, centers, half_width = drawn
-    cold = cold_window_bins(spec, centers, half_width)
-    spectral._placed_windows.cache_clear()
-    for call in range(2):
-        warm = spectral._window_bins(spec, centers, half_width)
-        assert spectral._placed_windows.cache_info().hits == call
-        for got, want in zip(warm, cold):
-            assert np.shape(got) == np.shape(want) == np.shape(centers)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            # Shape () gives numpy scalars, which cannot be written anyway.
-            assert isinstance(got, np.generic) or not got.flags.writeable
-
-
-def test_window_bins_memo_is_keyed_by_the_grid_not_the_spectrum():
-    """Two spectra on one grid share an entry; a ``delta_t`` one ulp away,
-    whose ``d_omega`` differs, misses it."""
-    centers, dt = np.array([0.5, 1.0, 2.0]), 0.075
-    t = time_grid(dt, 512)
-    x_spec, y_spec = dft(np.cos(t), t), dft(np.sin(t), t)
-    t_ulp = time_grid(np.nextafter(dt, 1.0), 512)
-    ulp_spec = dft(np.cos(t_ulp), t_ulp)
-    assert ulp_spec.d_omega != x_spec.d_omega
-    spectral._placed_windows.cache_clear()
-    for spec in (x_spec, y_spec, ulp_spec):
-        read_windows(spec, centers, 4)
-    info = spectral._placed_windows.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    x, m_c, idx, _ = spectral._grid_windows(spec.n_t, spec.d_omega, centers, half_width)
+    cold = x, m_c, idx, spectral._dirichlet_sum(x - m_c, half_width, spec.n_t)
+    placed = spectral._place(spec.n_t, spec.d_omega, centers, half_width)
+    for got, want in zip(placed, cold, strict=True):
+        assert np.shape(got) == np.shape(want) == np.shape(centers)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    free = spectral._free_bins(spec.n_t, spec.d_omega, centers, half_width)
+    mask = oracles.free_mask(spec, centers, half_width)
+    assert free.dtype == np.intp and free.tobytes() == np.flatnonzero(mask).tobytes()
+    for got in (*placed, free):
+        assert not got.flags.writeable
+        if isinstance(got, np.ndarray) and got.size:
+            with pytest.raises(ValueError):
+                got.flat[0] = 0
 
 
 def test_off_grid_window_raises_the_same_grid_error_when_repeated():
@@ -656,15 +644,14 @@ def test_off_grid_window_raises_the_same_grid_error_when_repeated():
     messages = []
     for _ in range(2):
         with pytest.raises(GridError) as err:
-            spectral._window_bins(spec, far, 4)
+            read_windows(spec, far, 4)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == "window at bin 255 +- 4 outside the frequency grid"
 
 
-def test_one_off_reads_leave_the_spectrum_its_data_and_the_memo_bounded():
+def test_one_off_reads_leave_the_spectrum_only_its_data():
     """The coupling search reads thousands of window sets once each: after
-    an audit and 2,000 such reads the spectrum still holds only its data,
-    and the memo no more than `_WINDOW_SETS` entries."""
+    an audit and 2,000 such reads the spectrum still holds only its data."""
     spec = onbin_fock_spectrum(n_m=100, seed=3)
     populations_from_z(spec, comb_frequencies(1.0, 1), 4)
     rng = np.random.default_rng(0)
@@ -672,7 +659,6 @@ def test_one_off_reads_leave_the_spectrum_its_data_and_the_memo_bounded():
         read_windows(spec, rng.uniform(-20.0, 20.0, 640), 1)
     assert [f.name for f in dataclasses.fields(Spectrum)] == ["values", "delta_t"]
     assert vars(spec).keys() == {"values", "delta_t"}
-    assert spectral._placed_windows.cache_info().currsize <= spectral._WINDOW_SETS
 
 
 def test_noise_floor_ignores_windows_off_the_grid():
@@ -918,7 +904,9 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
     """A stack's `dft`, `noise_floor`, `residual_floor` and `_z_floor` are,
     bit for bit, the first per-record code: `fftshift` of each record's FFT,
     and each floor over a boolean mask of the free bins, one record at a
-    time (`oracles.dft_values`, `oracles.noise_floor`, `oracles.z_floor`)."""
+    time (`oracles.dft_values`, `oracles.noise_floor`, `oracles.z_floor`).
+    `_z_floor` measures on the free bins of its z plan, so at a half-width
+    whose z windows the estimator refuses it raises that refusal."""
     plan = MeasurementPlan(delta_t=delta_t, n_t=n_t, n_m=n_m, axes=("z",), seed=seed)
     rho = density_from_pure(fock_state(1, 8))
     signal = sample_records(rho, ProbeConfig(g=1.0), plan, math.prod(shape))["z"]
@@ -939,11 +927,26 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
         except ValidationError:
             return ValidationError
 
+    def refusal(wide):
+        """The type and message of `populations_from_z`'s refusal at ``wide``."""
+        try:
+            populations_from_z(spec, freqs, wide)
+        except FieldTomoError as exc:
+            return type(exc), str(exc)
+        return None
+
     for wide in (hw, 3 * hw + 1):
         assert outcome(noise_floor, centers, wide) == outcome(oracles.noise_floor, centers, wide)
-        assert outcome(_z_floor, pops, 1.0, wide) == outcome(oracles.z_floor, pops, 1.0, wide)
+        refused = refusal(wide)
+        if refused is None:
+            assert outcome(_z_floor, pops, 1.0, wide) == outcome(oracles.z_floor, pops, 1.0, wide)
+        else:
+            with pytest.raises(refused[0]) as err:
+                _z_floor(spec, pops, 1.0, wide)
+            assert (type(err.value), str(err.value)) == refused
     model = np.full(n_t, 0.5)  # one model for every record
-    assert outcome(residual_floor, model, centers, hw) == outcome(
+    free = spectral._free_bins(spec.n_t, spec.d_omega, centers, hw)
+    assert outcome(residual_floor, model, free) == outcome(
         oracles.residual_floor, model, centers, hw
     )
 
