@@ -390,6 +390,7 @@ def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPl
     n_t = _get_int_at_least(cp, "plan", "n_t", 2)
     gamma = _get_non_negative(cp, "plan", "gamma")
     delta_t, key = _get_delta_t(cp, g)
+    _check_step(g, delta_t, n_t, key)
     plan = MeasurementPlan(
         delta_t=delta_t,
         n_t=n_t,
@@ -398,7 +399,6 @@ def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPl
         gamma=gamma,
         seed=_get_int_at_least(cp, "plan", "seed", 0),
     )
-    _check_step(g, delta_t, n_t, key)
     # Records, spectra and CSV slots at 128 bytes a point on each axis, and
     # up to three trig rows a level in the simulator's memo.
     bytes_per_point = 128 * len(axes) + 24 * levels
@@ -491,7 +491,7 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g, plan, estimator = _tomography(cp, state.cutoff + 1)
     traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
-    spectra = {axis: dft(getattr(traj, axis), traj.times) for axis in traj.axes()}
+    spectra = {axis: dft(getattr(traj, axis), traj.delta_t) for axis in traj.axes()}
     result = rec_mod.reconstruct_from_spectra(
         g,
         spectra["z"],
@@ -572,9 +572,9 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
         for n_m in sorted(set(n_m_list)):
             plan = MeasurementPlan(delta_t=delta_t, n_t=n_ts[-1], n_m=n_m, axes=("z",),
                                    gamma=gamma, seed=base_seed)
-            times, records = plan.times(), sample_records(rho, cfg, plan, n_seeds)["z"]
+            records = sample_records(rho, cfg, plan, n_seeds)["z"]
             for n_t in n_ts:
-                spec = dft(records[:, :n_t], times[:n_t])
+                spec = dft(records[:, :n_t], delta_t)
                 hw = min(half_width, max_half_width(centers, spec))
                 ests = rec_mod.populations_from_z(spec, freqs, hw)
                 xi = rec_mod._z_floor(spec, ests, g, hw)
@@ -704,7 +704,7 @@ def cmd_estimate_g(cp, out_dir: Path) -> int:
     ok = hi > lo and math.isfinite(hi)
     _checked("spectral.g_max", hi, ok, "finite and > spectral.g_min")
     traj = sample_trajectory(density_from_pure(state), cfg, plan)
-    spec = dft(traj.z, traj.times)
+    spec = dft(traj.z, traj.delta_t)
     g_hat, score = rec_mod.estimate_coupling(spec, (lo, hi))
     payload = {
         "g_estimate": g_hat,

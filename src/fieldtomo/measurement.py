@@ -20,7 +20,8 @@ own ``n_t``; ``test_sample_records_are_prefix_stable`` pins it bit for bit.
 `sample_records` draws many runs of one plan at once, as a leading
 record axis: record ``k`` uses seed ``plan.seed + k`` and is exactly the
 run `sample_trajectory` gives at that seed, while the ideal mean is
-computed once for all of them.
+computed once for all of them.  Records carry their step, not their times:
+a file is the one way times come in, so `read_trajectory_csv` checks them.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import GridError, ValidationError
 from .fock import DensityMatrix
-from .probe import MAX_N_T, BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
+from .probe import BlochTrajectory, ProbeConfig, _check_grid, ideal_bloch_trajectory, time_grid
 from .spectral import _write_csv
 
 __all__ = [
@@ -68,11 +69,7 @@ class MeasurementPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.delta_t > 0 and math.isfinite(self.delta_t)):
-            raise ValidationError(f"delta_t must be positive, got {self.delta_t!r}")
-        # Range first: int() of inf or nan raises.
-        if not 1 <= self.n_t <= MAX_N_T or int(self.n_t) != self.n_t:
-            raise ValidationError(f"n_t must be an integer in 1..{MAX_N_T}, got {self.n_t!r}")
+        _check_grid(self.delta_t, self.n_t)
         if self.n_m is not None and (not 1 <= self.n_m <= MAX_SHOTS or int(self.n_m) != self.n_m):
             raise ValidationError(f"n_m must be None or in 1..{MAX_SHOTS}, got {self.n_m!r}")
         axes = tuple(self.axes)
@@ -83,9 +80,6 @@ class MeasurementPlan:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-    def times(self) -> np.ndarray:
-        return time_grid(self.delta_t, int(self.n_t))
 
 
 def decohered_expectation(ideal: np.ndarray, gamma: float, times: np.ndarray) -> np.ndarray:
@@ -132,8 +126,8 @@ def sample_records(
     """
     if int(n_records) != n_records or n_records < 1:
         raise ValidationError(f"n_records must be a positive integer, got {n_records!r}")
-    times = plan.times()
-    ideal = ideal_bloch_trajectory(rho, cfg, times, axes=plan.axes)
+    ideal = ideal_bloch_trajectory(rho, cfg, plan.delta_t, plan.n_t, axes=plan.axes)
+    times = ideal.times
     seeds = range(plan.seed, plan.seed + int(n_records))
     comps: dict[str, np.ndarray] = {}
     for axis in plan.axes:
@@ -151,7 +145,7 @@ def sample_trajectory(
     """Simulate the full protocol run for one target state: the one-record
     view of `sample_records`."""
     comps = sample_records(rho, cfg, plan)
-    return BlochTrajectory(plan.times(), **{axis: rows[0] for axis, rows in comps.items()})
+    return BlochTrajectory(plan.delta_t, **{axis: rows[0] for axis, rows in comps.items()})
 
 
 def write_trajectory_csv(traj: BlochTrajectory, path: str | Path) -> None:
@@ -169,7 +163,7 @@ def read_trajectory_csv(path: str | Path) -> BlochTrajectory:
     """The trajectory of a ``t,x,y,z`` file; an axis left empty on every row
     stays ``None``.  A row that is not four fields, with ``t`` and each
     measured axis a number, is a `ValidationError` naming file and line;
-    a file that does not decode as text is one naming the file."""
+    undecodable text is one naming the file, times off their grid a `GridError`."""
     try:
         with open(path, newline="") as fh:
             lines = fh.readlines()
@@ -194,7 +188,7 @@ def read_trajectory_csv(path: str | Path) -> BlochTrajectory:
             ) from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    times = np.array([r[0] for r in rows])
+    delta_t = _grid_step(np.array([r[0] for r in rows]), path)
     comps: dict[str, Optional[np.ndarray]] = {}
     for i, axis in enumerate(("x", "y", "z"), start=1):
         cells = [r[i] for r in rows]
@@ -204,4 +198,21 @@ def read_trajectory_csv(path: str | Path) -> BlochTrajectory:
             raise ValidationError(f"{path}: axis {axis} is only partially present")
         else:
             comps[axis] = np.array(cells)
-    return BlochTrajectory(times=times, **comps)
+    return BlochTrajectory(delta_t, **comps)
+
+
+def _grid_step(times: np.ndarray, path) -> float:
+    """The step ``t[1] - t[0]`` (``t[0]`` for one row) of the times a file
+    brings in, which must be finite with ``t[0]`` the step and every time
+    within ``1e-9 max(delta_t, 1)`` of ``time_grid(delta_t, n)``: else a
+    `GridError` naming ``path``.  The writer's times are that grid exactly."""
+    delta_t = float(times[1]) - float(times[0]) if times.size > 1 else float(times[0])
+    try:
+        off = time_grid(delta_t, times.size)  # a NaN or inf t[0] or t[1] gives no step
+    except GridError as exc:
+        raise GridError(f"{path}: {exc}") from None
+    off -= times  # NaN or inf where a later time is; not <= below
+    if not (times[0] == delta_t and np.max(np.abs(off, out=off)) <= 1e-9 * max(delta_t, 1.0)):
+        raise GridError(f"{path}: times must be finite, t_k = k delta_t with delta_t = "
+                        f"t[1] - t[0] = {delta_t!r}")
+    return delta_t

@@ -16,12 +16,14 @@ expressions.  `bloch_components` is their one copy: `ideal_bloch_trajectory`
 simulates with it, and the estimators' residual floors subtract what it
 gives for their solved estimates.  Its trig rows, ``cos(2 Omega_n t)``,
 ``cos(Omega_n t)`` and ``sin(Omega_{n+1} t)``, live in a memo of one
-``(g, times)`` grid, so a run that simulates and then fits on that grid
-computes each row once; a new ``g`` or grid replaces the memo.
+``(g, delta_t, n_t)`` grid, so a run that simulates and then fits on that
+grid computes each row once; a new ``g`` or grid replaces the memo.  Every
+grid is ``t_k = k delta_t``, k = 1 .. n_t, and `time_grid` alone builds it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -59,70 +61,60 @@ class ProbeConfig:
 
 def time_grid(delta_t: float, n_t: int) -> np.ndarray:
     """Stroboscopic grid t_k = k delta_t, k = 1 .. n_t (t = 0 excluded)."""
+    _check_grid(delta_t, n_t)
+    return delta_t * np.arange(1, int(n_t) + 1, dtype=float)
+
+
+def _check_grid(delta_t: float, n_t: int) -> None:
+    """Refuse a step that is not ``> 0``, an ``n_t`` not an integer in ``1..MAX_N_T``
+    (``4096.0`` is one) or a last time ``n_t delta_t`` that overflows."""
     if not delta_t > 0:
         raise GridError(f"delta_t must be positive, got {delta_t!r}")
-    if n_t < 1:
-        raise GridError(f"n_t must be >= 1, got {n_t!r}")
-    if n_t > MAX_N_T:
-        raise GridError(f"n_t must be <= {MAX_N_T} for an addressable grid, got {n_t!r}")
+    # Range first: int() of inf or nan raises.
+    if not 1 <= n_t <= MAX_N_T or int(n_t) != n_t:
+        raise GridError(f"n_t must be an integer in 1..{MAX_N_T} for an addressable grid, "
+                        f"got {n_t!r}")
     if not math.isfinite(delta_t * n_t):
         raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}")
-    return delta_t * np.arange(1, n_t + 1, dtype=float)
-
-
-def _check_uniform(times: np.ndarray) -> float:
-    """Validate a strictly increasing uniform grid; return its spacing."""
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise GridError("times must be a non-empty 1-D array")
-    if not np.all(np.isfinite(t)):
-        raise GridError("times must be finite")
-    if t.size == 1:
-        return float(t[0]) if t[0] > 0 else 1.0
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise GridError("times must be strictly increasing")
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * max(dt[0], 1.0):
-        raise GridError("times must be uniformly spaced")
-    return float(dt[0])
 
 
 @dataclass(frozen=True)
 class BlochTrajectory:
-    """Bloch components, exact or finite-shot averages, on a uniform time grid.
+    """Bloch components, exact or finite-shot averages, on ``t_k = k delta_t``.
 
-    Axes that were never measured stay ``None``.  Every component is
-    bounded by 1 in magnitude (an empirical mean of +-1 values cannot
-    leave the interval).  The record holds only the data: grid spacing
-    and length follow from ``times``, and the probe, shot budget and
-    seed that made it stay with the caller.
+    Axes that were never measured stay ``None``; the others have one
+    length, ``n_t``.  Every component is bounded by 1 in magnitude (an
+    empirical mean of +-1 values cannot leave the interval).  The record
+    holds only the data and its step: ``times`` is built from them, and the
+    probe, shot budget and seed that made it stay with the caller.
     """
 
-    times: np.ndarray
+    delta_t: float
     x: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        _check_uniform(t)
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        if self.x is None and self.y is None and self.z is None:
+        comps = {a: np.asarray(c, dtype=float) for a in ("x", "y", "z")
+                 if (c := getattr(self, a)) is not None}
+        if not comps:
             raise ValidationError("trajectory must carry at least one axis")
-        for name in ("x", "y", "z"):
-            comp = getattr(self, name)
-            if comp is None:
-                continue
-            comp = np.asarray(comp, dtype=float)
-            if comp.shape != t.shape:
-                raise ValidationError(f"axis {name} has shape {comp.shape}, times {t.shape}")
+        shape, *others = {c.shape for c in comps.values()}
+        if others or len(shape) != 1:
+            shapes = {a: c.shape for a, c in comps.items()}
+            raise ValidationError(f"axes must be 1-D records of one length, got shapes {shapes}")
+        _check_grid(self.delta_t, shape[0])
+        for name, comp in comps.items():
             if not np.max(np.abs(comp)) <= 1.0 + 1e-9:  # NaN fails too
                 raise ValidationError(f"axis {name} leaves the Bloch ball")
             comp = comp.copy()
             comp.setflags(write=False)
             object.__setattr__(self, name, comp)
+
+    @property
+    def times(self) -> np.ndarray:
+        """``time_grid(delta_t, n_t)``, built on each access."""
+        return time_grid(self.delta_t, getattr(self, self.axes()[0]).size)
 
     def axes(self) -> tuple[str, ...]:
         return tuple(a for a in ("x", "y", "z") if getattr(self, a) is not None)
@@ -131,89 +123,86 @@ class BlochTrajectory:
 def ideal_bloch_trajectory(
     rho: DensityMatrix,
     cfg: ProbeConfig,
-    times: np.ndarray,
+    delta_t: float,
+    n_t: int,
     axes: tuple[str, ...] = ("x", "y", "z"),
 ) -> BlochTrajectory:
-    """Exact Bloch components in ``axes`` at ``times``, by `bloch_components`;
-    the others stay ``None``."""
-    t = np.asarray(times, dtype=float)
-    _check_uniform(t)
+    """Exact Bloch components in ``axes`` on the grid ``t_k = k delta_t``,
+    k = 1 .. n_t, by `bloch_components`; the others stay ``None``."""
+    _check_grid(delta_t, n_t)
+    n_t = int(n_t)
     if not set(axes) <= {"x", "y", "z"}:
         raise ValidationError(f"axes must be a subset of x, y, z; got {axes!r}")
     diag = rho.diagonal()
     sup = rho.superdiagonal()
     # The top level's phase at the last time bounds every phase below, and
     # cos of an overflowed phase is NaN.
-    if not math.isfinite(2.0 * cfg.g * math.sqrt(diag.size - 1) * float(t[-1])):
+    t_last = float(delta_t) * n_t
+    if not math.isfinite(2.0 * cfg.g * math.sqrt(diag.size - 1) * t_last):
         raise ValidationError(
-            f"the phase 2 g sqrt({diag.size - 1}) t overflows at g = {cfg.g!r}, t = {t[-1]!r}"
+            f"the phase 2 g sqrt({diag.size - 1}) t overflows at g = {cfg.g!r}, t = {t_last!r}"
         )
-    comps = bloch_components(
-        diag if "z" in axes else None, sup if {"x", "y"} & set(axes) else None, cfg.g, t
-    )
-    return BlochTrajectory(times=t, **{a: c for a, c in zip("xyz", comps) if a in axes})
+    comps = bloch_components(diag if "z" in axes else None,
+                             sup if {"x", "y"} & set(axes) else None, cfg.g, delta_t, n_t)
+    return BlochTrajectory(delta_t, **{a: c for a, c in zip("xyz", comps) if a in axes})
 
 
 def bloch_components(
-    populations: Optional[np.ndarray], superdiagonal: Optional[np.ndarray], g: float, times
+    populations: Optional[np.ndarray], superdiagonal: Optional[np.ndarray], g: float,
+    delta_t: float, n_t: int,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-    """The forward model: the module's closed forms at ``times`` as ``(x, y,
-    z)``, z in its unit-trace form ``p_0 + sum_n p_n cos(2 Omega_n t)``; a
-    component whose input is None comes back None.  A ``(..., L)`` population
-    stack gives ``(..., N)`` z records and skips a level only where every
-    record's element is below `_ELEMENT_FLOOR`: each row is bit for bit its
-    one-record result unless its own element alone is below it.
+    """The forward model: the module's closed forms on the grid ``t_k = k
+    delta_t``, k = 1 .. n_t, as ``(x, y, z)``, z in its unit-trace form ``p_0 +
+    sum_n p_n cos(2 Omega_n t)``; a component whose input is None comes back
+    None.  A ``(..., L)`` population stack gives ``(..., N)`` z records, each
+    row bit for bit its one-record result: each record skips the levels whose
+    own element is below `_ELEMENT_FLOOR`.
 
     The trig rows come from the one-grid memo `_trig_rows`, read-only and
     each computed on first use; the outputs are new arrays, bit for bit
     those of computing every row afresh."""
-    t = np.asarray(times, dtype=float)
-    rows = _trig_rows(g, t)
+    rows = _trig_rows(np.float64(g).tobytes(), np.float64(delta_t).tobytes(), n_t)
     x = y = z = None
     if populations is not None:
         p = np.asarray(populations)
         # Summed in place, so integer populations start out as floats.
-        z = np.repeat(p[..., :1], t.size, axis=-1).astype(np.result_type(p, t), copy=False)
+        z = np.repeat(p[..., :1], n_t, axis=-1).astype(np.result_type(p, np.float64), copy=False)
         for n in range(1, p.shape[-1]):
-            if not np.all(np.abs(p[..., n]) < _ELEMENT_FLOOR):
-                z += p[..., n, None] * _trig_row(rows, "cos", 2.0 * (g * math.sqrt(n)), t)
+            keep = ~(np.abs(p[..., n, None]) < _ELEMENT_FLOOR)  # each record's own skip
+            if np.any(keep):
+                row = _trig_row(rows, "cos", 2.0 * (g * math.sqrt(n)), delta_t, n_t)
+                np.add(z, p[..., n, None] * row, out=z, where=True if keep.all() else keep)
     if superdiagonal is not None:
-        ge = np.zeros(t.shape, dtype=complex)
+        ge = np.zeros(n_t, dtype=complex)
         for n, s in enumerate(np.asarray(superdiagonal)):
             if not abs(s) < _ELEMENT_FLOOR:
-                term = s * _trig_row(rows, "cos", g * math.sqrt(n), t)
-                term *= _trig_row(rows, "sin", g * math.sqrt(n + 1), t)
+                term = s * _trig_row(rows, "cos", g * math.sqrt(n), delta_t, n_t)
+                term *= _trig_row(rows, "sin", g * math.sqrt(n + 1), delta_t, n_t)
                 ge += term
         ge = 1j * ge
         x, y = 2.0 * ge.real, -2.0 * ge.imag
     return x, y, z
 
 
-#: `bloch_components`' trig rows on one grid: ``[key, {(fn, factor bits): row}]``,
-#: the key being the exact bits of ``g`` and of the times.  One entry: a new key
-#: replaces it, so the memo holds the rows of one ``(g, times)`` grid.
-_ROWS: list = [None, {}]
+@functools.lru_cache(maxsize=1)
+def _trig_rows(g_bits: bytes, delta_t_bits: bytes, n_t: int) -> dict:
+    """`bloch_components`' trig rows, ``{(fn, factor bits): row}``, filled by
+    `_trig_row`, for the exact bits of ``g`` and ``delta_t`` (``g = -0.0``
+    gives ``sin`` rows of the other sign than ``g = 0.0``) on ``n_t`` points.
+    One entry: a new coupling or grid replaces the memo."""
+    return {}
 
 
-def _trig_rows(g: float, t: np.ndarray) -> dict:
-    """The memo's rows for ``(g, t)``, emptied first if it holds another grid.
-    Bits, not values, are compared: ``g = -0.0`` gives ``sin`` rows of the
-    other sign than ``g = 0.0``."""
-    key = (np.float64(g).tobytes(), t.shape, t.tobytes())
-    if _ROWS[0] != key:
-        _ROWS[:] = [key, {}]
-    return _ROWS[1]
-
-
-def _trig_row(rows: dict, fn: str, factor: float, t: np.ndarray) -> np.ndarray:
-    """``np.<fn>(factor * t)``, read-only, computed on first use.  Rows are keyed
-    by ``fn`` and the exact bits of ``factor``, so equal evaluations share one:
-    the z row ``cos(2 Omega_n t)`` of level n is the x/y row ``cos(Omega_{4n} t)``,
+def _trig_row(rows: dict, fn: str, factor: float, delta_t: float, n_t: int) -> np.ndarray:
+    """``np.<fn>(factor * t)`` on the grid ``t = time_grid(delta_t, n_t)`` of
+    ``rows``, read-only, computed on first use.  Rows are keyed by ``fn`` and
+    the exact bits of ``factor``, so equal evaluations share one: the z row
+    ``cos(2 Omega_n t)`` of level n is the x/y row ``cos(Omega_{4n} t)``,
     ``2 (g sqrt(n))`` and ``g sqrt(4 n)`` being the same float."""
     key = (fn, np.float64(factor).tobytes())
     row = rows.get(key)
     if row is None:
-        row = getattr(np, fn)(factor * t)
+        row = getattr(np, fn)(factor * time_grid(delta_t, n_t))
         row.setflags(write=False)
         rows[key] = row
     return row

@@ -57,7 +57,7 @@ import numpy as np
 
 from .exceptions import EstimationError, GridError, ValidationError
 from .fock import FieldState, fidelity
-from .probe import BlochTrajectory, bloch_components, time_grid
+from .probe import BlochTrajectory, bloch_components
 from .spectral import (
     DEFAULT_HALF_WIDTH,
     PeakEstimate,
@@ -148,7 +148,7 @@ def residual_floor(
     the residual at the free bins, numerically zero for an ideal record.
     """
     _check_free(free, spec.n_t)
-    resid = dft(model_signal, time_grid(spec.delta_t, spec.n_t)).values.take(free, axis=-1)
+    resid = dft(model_signal, spec.delta_t).values.take(free, axis=-1)
     # model - values has the moduli of values - model; it is made in place
     # for one model per record, as the estimators give.
     per_record = resid.shape == spec.values.shape[:-1] + free.shape
@@ -397,7 +397,7 @@ def _z_floor(
     (``(..., n_max + 1)`` for ``(..., N)`` spectrum values), at its z plan's free bins."""
     c = comb_frequencies(g, populations.shape[-1] - 1)["z"]
     free = _z_plan(spec.n_t, spec.delta_t, c.tobytes(), half_width)[-1]
-    _, _, model = bloch_components(populations, None, g, time_grid(spec.delta_t, spec.n_t))
+    _, _, model = bloch_components(populations, None, g, spec.delta_t, spec.n_t)
     return residual_floor(spec, model, free)
 
 
@@ -465,7 +465,7 @@ def reconstruct_from_spectra(
     if spec_x is not None and spec_y is not None:
         s_upper, coh_diag, windows, free, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
         diagnostics.update(coh_diag)
-        models = bloch_components(None, s_upper, g, time_grid(spec_x.delta_t, spec_x.n_t))
+        models = bloch_components(None, s_upper, g, spec_x.delta_t, spec_x.n_t)
         xi_x, xi_y = (_safe_floor(residual_floor, sp, model, free)
                       for sp, model in zip((spec_x, spec_y), models))
         diagnostics.update(noise_floor_x=xi_x, noise_floor_y=xi_y)
@@ -545,9 +545,9 @@ def reconstruct_state(
     """Convenience wrapper: trajectory -> spectra -> estimates."""
     if traj.z is None:
         raise ValidationError("reconstruction requires the z axis")
-    spec_z = dft(traj.z, traj.times)
-    spec_x = dft(traj.x, traj.times) if traj.x is not None else None
-    spec_y = dft(traj.y, traj.times) if traj.y is not None else None
+    spec_z = dft(traj.z, traj.delta_t)
+    spec_x = dft(traj.x, traj.delta_t) if traj.x is not None else None
+    spec_y = dft(traj.y, traj.delta_t) if traj.y is not None else None
     return reconstruct_from_spectra(
         g,
         spec_z,

@@ -6,9 +6,9 @@ Transform convention (fixed; the peak normalization depends on it):
 
 with signed omega_m = 2 pi m / (N_t dt), stored in ascending order.  A
 unit tone ``exp(i omega_0 t)`` then carries area exactly 1 at omega_0.
-The grid's ``omega_m`` and phase factors ``exp(-i omega_m dt)`` depend on
-``(N_t, dt)`` alone; `dft` builds them once per grid and reuses them,
-read-only, while its calls stay on that grid.
+`dft` takes a record and its step ``dt``, the grid being implied; the
+grid's ``omega_m`` and phases ``exp(-i omega_m dt)`` depend on ``(N_t, dt)``
+alone, so it builds them once per grid and reuses them, read-only.
 
 Because the record starts at t = dt rather than spanning the tone
 symmetrically, a tone sitting between bins leaks with a large odd-phase
@@ -71,7 +71,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import GridError, ResolvabilityError, ValidationError
-from .probe import _check_uniform
 
 __all__ = [
     "Spectrum",
@@ -146,23 +145,21 @@ class PeakEstimate:
     family: Optional[str] = None
 
 
-def dft(signal: np.ndarray, times: np.ndarray) -> Spectrum:
-    """Spectrum of a trajectory component on the canonical t_k = k dt grid.
+def dft(signal: np.ndarray, delta_t: float) -> Spectrum:
+    """Spectrum of a trajectory component on the canonical grid ``t_k = k
+    delta_t``, k = 1 .. N.
 
     ``signal`` is one record, shape ``(N,)``, or a stack ``(..., N)`` of
-    records on the same ``times``, transformed in one FFT.  The spectrum
-    does not record which Bloch axis it came from; callers key spectra by
-    axis themselves."""
+    records on that grid, transformed in one FFT.  The spectrum does not
+    record which Bloch axis it came from; callers key spectra by axis
+    themselves."""
     s = np.asarray(signal, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or s.shape[-1:] != t.shape:
-        raise ValidationError("signal must be (..., N) over 1-D times of N samples")
-    n = t.size
+    n = s.shape[-1] if s.ndim else 0
     if n < 2:
         raise GridError("need at least 2 samples")
-    dt = _check_uniform(t)
-    if abs(t[0] - dt) > 1e-9 * dt:
-        raise GridError("grid must start at t = delta_t (no t = 0 sample)")
+    dt = float(delta_t)
+    if not (dt > 0 and 0 < 2.0 * math.pi / (n * dt) < math.inf):  # as `Spectrum` checks
+        raise GridError(f"delta_t must be > 0 with a finite, nonzero d_omega, got {dt!r}")
     # fftshift(f) / n * phase: np.roll's copies, into the array `Spectrum` keeps
     f, k = np.fft.fft(s, axis=-1), n // 2
     vals = np.empty_like(f)
@@ -372,6 +369,8 @@ def validate_windows(
     count and the first `_NAMED_PAIRS` met adding the windows in order; or
     `GridError` if a window runs off the grid (Nyquist).
     """
+    if half_width < 0:
+        raise ValidationError("half_width must be >= 0")
     _, bins, _, fits = _grid_windows(spec.n_t, spec.d_omega, [c for _, c in centers], half_width)
     for (label, _), m, ok in zip(centers, bins, fits):
         if not ok:

@@ -315,17 +315,22 @@ def evolve_joint(rho, cfg, t: float) -> np.ndarray:
 
 
 def bloch_components(populations, superdiagonal, g: float, times):
-    """`probe.bloch_components` with every trig row computed afresh on every
-    call and new arrays for every sum: the library's memo must give these
-    bits."""
+    """`probe.bloch_components` at ``times`` with every trig row computed
+    afresh on every call, new arrays for every sum and a population stack
+    modelled one record at a time: the library's memo and its stacks must
+    give these bits."""
     t = np.asarray(times, dtype=float)
     x = y = z = None
     if populations is not None:
         p = np.asarray(populations)
-        z = np.repeat(p[..., :1], t.size, axis=-1)
-        for n in range(1, p.shape[-1]):
-            if not np.all(np.abs(p[..., n]) < _ELEMENT_FLOOR):
-                z = z + p[..., n, None] * np.cos(2.0 * (g * math.sqrt(n)) * t)
+        records = []
+        for record in p.reshape(-1, p.shape[-1]):
+            z = np.repeat(record[:1], t.size)
+            for n in range(1, record.size):
+                if not abs(record[n]) < _ELEMENT_FLOOR:
+                    z = z + record[n] * np.cos(2.0 * (g * math.sqrt(n)) * t)
+            records.append(z)
+        z = np.reshape(records, p.shape[:-1] + t.shape)
     if superdiagonal is not None:
         ge = np.zeros(t.shape, dtype=complex)
         for n, s in enumerate(np.asarray(superdiagonal)):

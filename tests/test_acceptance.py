@@ -49,7 +49,8 @@ from fieldtomo.spectral import comb_frequencies, dft
 from fieldtomo.states import coherent_state, superposition
 
 PROBE = ProbeConfig(g=1.0)
-TIMES = time_grid(0.075, 4096)
+DT, N_T = 0.075, 4096
+TIMES = time_grid(DT, N_T)
 
 
 def report(capsys, num: int, ok: bool, detail: str) -> bool:
@@ -60,7 +61,7 @@ def report(capsys, num: int, ok: bool, detail: str) -> bool:
 
 
 def ideal_result(state, **kwargs):
-    traj = ideal_bloch_trajectory(density_from_pure(state), PROBE, TIMES)
+    traj = ideal_bloch_trajectory(density_from_pure(state), PROBE, DT, N_T)
     return reconstruct_state(traj, g=PROBE.g, **kwargs)
 
 
@@ -111,10 +112,10 @@ def test_criterion_3_fock_spectra(capsys):
     xy_centers = np.concatenate((freqs["sum"], freqs["diff"][1:]))
     for n in range(3):
         rho = density_from_pure(fock_state(n, 8))
-        traj = ideal_bloch_trajectory(rho, PROBE, TIMES)
-        spec_z = dft(traj.z, TIMES)
-        spec_x = dft(traj.x, TIMES)
-        spec_y = dft(traj.y, TIMES)
+        traj = ideal_bloch_trajectory(rho, PROBE, DT, N_T)
+        spec_z = dft(traj.z, DT)
+        spec_x = dft(traj.x, DT)
+        spec_y = dft(traj.y, DT)
         area = cosine_pair(spec_z, 2.0 * PROBE.g * np.sqrt(n), 4)
         worst_area = max(worst_area, abs(area - 1.0))
         for center in xy_centers:
@@ -177,7 +178,7 @@ def test_criterion_5_dce_pipeline(capsys):
     recon = []
     for phi in (pair.phi_plus, pair.phi_minus):
         res = reconstruct_state(
-            ideal_bloch_trajectory(density_from_pure(phi), PROBE, TIMES),
+            ideal_bloch_trajectory(density_from_pure(phi), PROBE, DT, N_T),
             g=PROBE.g,
             n_max=8,
             reference=phi,
@@ -242,7 +243,7 @@ def test_criterion_6_property_suites(capsys):
             for p in range(2):
                 qubit[q, p] = np.trace(evolved[q::2, p::2])
         oracle = np.array(bloch_from_qubit(qubit))
-        traj = ideal_bloch_trajectory(rho, PROBE, np.array([t]))
+        traj = ideal_bloch_trajectory(rho, PROBE, t, 1)  # the one time t_1 = t
         analytic = np.array([traj.x[0], traj.y[0], traj.z[0]])
         worst_bloch = max(worst_bloch, float(np.max(np.abs(analytic - oracle))))
 
@@ -253,12 +254,12 @@ def test_criterion_6_property_suites(capsys):
     rho_c = density_from_pure(state)
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=200, seed=3)
     for traj in (
-        ideal_bloch_trajectory(rho_c, PROBE, TIMES),
+        ideal_bloch_trajectory(rho_c, PROBE, DT, N_T),
         sample_trajectory(rho_c, PROBE, plan),
     ):
         for axis in ("x", "y", "z"):
             sig = getattr(traj, axis)
-            spec = dft(sig, traj.times)
+            spec = dft(sig, traj.delta_t)
             worst_parseval = max(worst_parseval, parseval_defect(spec, sig))
             worst_hermitian = max(worst_hermitian, hermitian_defect(spec))
 
@@ -293,8 +294,8 @@ def test_criterion_7_coupling_estimation(capsys):
             fock_state(1, 8),
             coherent_state(0.7 * np.exp(1j * np.pi / 3), 12),
         ):
-            traj = ideal_bloch_trajectory(density_from_pure(state), cfg, TIMES)
-            g_hat, _ = estimate_coupling(dft(traj.z, TIMES))
+            traj = ideal_bloch_trajectory(density_from_pure(state), cfg, DT, N_T)
+            g_hat, _ = estimate_coupling(dft(traj.z, DT))
             worst = max(worst, abs(g_hat - g))
     ok = worst < tol
     assert report(

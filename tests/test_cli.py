@@ -300,7 +300,7 @@ def test_peak_areas_are_the_raw_window_reads_of_the_trajectory(capsys, tmp_path,
     code, _, _ = run(capsys, "reconstruct", "--preset", preset, "--out-dir", str(tmp_path))
     assert code == 0
     traj = read_trajectory_csv(tmp_path / "trajectory.csv")
-    spectra = {a: dft(getattr(traj, a), traj.times) for a in "xyz"}
+    spectra = {a: dft(getattr(traj, a), traj.delta_t) for a in "xyz"}
     peaks = json.loads((tmp_path / "peaks.json").read_text())
     n_xy = sum(p["family"] != "z" for p in peaks) // 2
     axes = ["z"] * (len(peaks) - 2 * n_xy) + ["x"] * n_xy + ["y"] * n_xy
@@ -847,9 +847,9 @@ def test_sizes_beyond_the_byte_budget_are_refused_before_allocating(
 
 def clear_process_memos() -> None:
     """Empty every memo the library keeps across calls."""
-    for memo in (spectral._dft_grid, spectral._lead_slots, rec_mod._z_plan, rec_mod._xy_plan):
+    for memo in (spectral._dft_grid, spectral._lead_slots, rec_mod._z_plan, rec_mod._xy_plan,
+                 fieldtomo.probe._trig_rows):
         memo.cache_clear()
-    fieldtomo.probe._ROWS[:] = [None, {}]
 
 
 def library_memos() -> dict:
@@ -866,8 +866,7 @@ def library_memos() -> dict:
 def test_clear_process_memos_empties_every_library_memo(monkeypatch):
     """Every `functools` cache of a library module is emptied by
     `clear_process_memos`, but for the constant tables, which take no input,
-    so a new memo cannot escape the warm/cold byte test below.  `probe._ROWS`
-    is no `functools` cache; it is named there by hand."""
+    so a new memo cannot escape the warm/cold byte test below."""
     memos = library_memos()
     cleared = []
     for name, memo in memos.items():
@@ -880,14 +879,15 @@ def test_clear_process_memos_empties_every_library_memo(monkeypatch):
 def test_a_coupling_scan_op_leaves_only_the_dft_grid_memoized(capsys, tmp_path):
     """The coupling search of one ``estimate-g`` op on a finite-shot z record
     reads thousands of window sets once each, cold: after it every library
-    memo but the DFT grid's and the constant tables is empty."""
+    memo but the DFT grid's, the simulator's trig rows of the record's grid
+    and the constant tables is empty."""
     cfg = write_config(tmp_path, "[state]\nkind = fock\nn = 1\ncutoff = 8\n"
                                  "[probe]\ng = 1.1\n[plan]\nn_m = 1000\n")
     clear_process_memos()
     assert run(capsys, "estimate-g", "--config", cfg, "--out-dir", str(tmp_path / "out"))[0] == 0
     filled = {name for name, memo in library_memos().items() if memo.cache_info().currsize}
     assert "spectral._dft_grid" in filled
-    assert filled <= {"spectral._dft_grid", "spectral._kernel_tables"}
+    assert filled <= {"spectral._dft_grid", "probe._trig_rows", "spectral._kernel_tables"}
 
 
 def test_warm_runs_write_the_bytes_of_cold_runs(capsys, tmp_path):

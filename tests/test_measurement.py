@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fieldtomo import measurement
+from fieldtomo import probe as probe_mod
 from fieldtomo.exceptions import GridError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import (
@@ -76,7 +77,7 @@ def test_the_largest_shot_count_samples(rho_one, probe):
 def test_infinite_shots_reproduces_ideal(rho_one, probe):
     plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=None)
     traj = sample_trajectory(rho_one, probe, plan)
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan.times())
+    ideal = ideal_bloch_trajectory(rho_one, probe, plan.delta_t, plan.n_t)
     assert np.allclose(traj.z, ideal.z)
     assert np.allclose(traj.x, ideal.x)
 
@@ -174,7 +175,7 @@ def test_axis_stream_is_pinned(rho_one, probe):
     """Each axis is one binomial draw over the stream (seed, axis_index)."""
     seed, n_m = 23, 40
     plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=n_m, seed=seed)
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan.times())
+    ideal = ideal_bloch_trajectory(rho_one, probe, plan.delta_t, plan.n_t)
     traj = sample_trajectory(rho_one, probe, plan)
     for axis, index in (("x", 0), ("y", 1), ("z", 2)):
         p = np.clip(0.5 * (1.0 + getattr(ideal, axis)), 0.0, 1.0)
@@ -186,7 +187,7 @@ def test_sampling_is_unbiased(rho_one, probe):
     """Grand mean over 200 seeds stays within 4 sigma of the ideal value."""
     n_m, reps = 100, 200
     plan_times = MeasurementPlan(delta_t=0.075, n_t=32, n_m=n_m, axes=("z",))
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan_times.times()).z
+    ideal = ideal_bloch_trajectory(rho_one, probe, plan_times.delta_t, plan_times.n_t).z
     acc = np.zeros_like(ideal)
     for rep in range(reps):
         plan = MeasurementPlan(
@@ -201,7 +202,7 @@ def test_sampling_is_unbiased(rho_one, probe):
 def test_sampling_variance_follows_binomial_law(rho_one, probe):
     n_m, reps = 25, 300
     plan_times = MeasurementPlan(delta_t=0.075, n_t=16, n_m=n_m, axes=("z",))
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan_times.times()).z
+    ideal = ideal_bloch_trajectory(rho_one, probe, plan_times.delta_t, plan_times.n_t).z
     samples = np.empty((reps, ideal.size))
     for rep in range(reps):
         plan = MeasurementPlan(
@@ -236,6 +237,7 @@ def test_trajectory_csv_round_trip(tmp_path, rho_one, probe):
     header = path.read_text().splitlines()[0]
     assert header == "t,x,y,z"
     back = read_trajectory_csv(path)
+    assert back.delta_t == traj.delta_t == 0.075
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.x, traj.x)
     assert back.y is None
@@ -303,3 +305,63 @@ def test_read_trajectory_csv_names_a_file_that_does_not_decode(tmp_path):
     with pytest.raises(ValidationError, match=r"traj\.csv: ") as info:
         read_trajectory_csv(path)
     assert type(info.value) is ValidationError
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.1, 0.2, 0.4, 0.5],  # a gap
+        [0.0, 0.1, 0.2, 0.3],  # starts at t = 0
+        [0.1, 0.2, 0.3, 0.4 + 2e-9],  # off the grid by more than 1e-9
+        [0.2, 0.1],  # decreasing
+        [np.nan] * 4,
+        [0.1, 0.2, np.nan, 0.4],
+        [0.1, 0.2, 0.3, np.inf],
+        [np.inf] * 4,
+        [np.nan],  # one sample
+        [0.0],
+        [-0.5],
+    ],
+)
+def test_read_trajectory_csv_refuses_times_off_the_grid_naming_the_file(tmp_path, times):
+    """Times enter only from a file, so the reader alone checks them: they
+    must be finite and ``t_k = k delta_t`` with the step ``t[1] - t[0]`` (or
+    ``t[0]`` for one row), to within ``1e-9 max(delta_t, 1)``."""
+    path = tmp_path / "traj.csv"
+    path.write_text("t,x,y,z\r\n" + "".join(f"{t!r},,,0\r\n" for t in times))
+    with pytest.raises(GridError, match=r"traj\.csv: "):
+        read_trajectory_csv(path)
+
+
+def test_read_trajectory_csv_puts_near_grid_times_on_their_grid(tmp_path):
+    """Times within the tolerance of ``t_k = k delta_t`` read as that grid,
+    and one row as a grid of one step."""
+    path = tmp_path / "traj.csv"
+    path.write_text("t,x,y,z\r\n0.1,,,0\r\n0.2,,,0\r\n0.3000000005,,,0\r\n0.4,,,1\r\n")
+    traj = read_trajectory_csv(path)
+    assert traj.delta_t == 0.1 and traj.times.tobytes() == time_grid(0.1, 4).tobytes()
+    path.write_text("t,x,y,z\r\n0.5,,,0.25\r\n")
+    assert read_trajectory_csv(path).times.tolist() == [0.5]
+
+
+def test_a_long_grid_is_simulated_and_its_times_accepted():
+    """On ``n_t = 12_000_000`` points of ``delta_t = 1.39810125`` the spacings
+    of `time_grid` differ by more than ``1e-9`` (ulps of ``t ~ 1.7e7``), and a
+    spacing check with that fixed tolerance refused the library's own grid.
+    The Fock-1 z record is simulated, and the reader's check accepts the
+    grid, called on the array rather than on a 12-million-row file.  Cost:
+    about 1 s and a traced peak of about 275 MB (96 MB arrays, three at a
+    time)."""
+    rho = density_from_pure(fock_state(1, 1))
+    tracemalloc.start()
+    try:
+        traj = ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), 1.39810125, 12_000_000, ("z",))
+        assert (traj.z.size, traj.axes()) == (12_000_000, ("z",))
+        del traj
+        probe_mod._trig_rows.cache_clear()
+        assert measurement._grid_step(time_grid(1.39810125, 12_000_000), "long.csv") == 1.39810125
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        probe_mod._trig_rows.cache_clear()
+    assert peak < 2**29

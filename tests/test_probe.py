@@ -73,13 +73,24 @@ def test_time_grid_excludes_zero():
         time_grid(0.1, 0)
 
 
+def test_time_grid_refuses_a_non_integral_n_t():
+    """``n_t`` is a count: a fraction is refused, not rounded up by
+    ``np.arange``, and integral values of any type are taken, as
+    `MeasurementPlan` takes them."""
+    for n_t in (2.5, 1.0000001, np.float64(64.5)):
+        with pytest.raises(GridError, match="n_t must be an integer"):
+            time_grid(0.1, n_t)
+    for n_t in (4096, np.int64(4096), 4096.0):
+        assert time_grid(0.1, n_t).tobytes() == time_grid(0.1, 4096).tobytes()
+
+
 def test_time_grid_refuses_an_overflowing_last_time():
     """n_t delta_t is checked before the grid is multiplied out, so no numpy
     overflow warning (an error in this suite) is raised."""
     with pytest.raises(GridError, match="overflows"):
         time_grid(1e308, 4)
     with pytest.raises(GridError, match="overflows"):
-        MeasurementPlan(delta_t=1e308, n_t=4).times()
+        ideal_bloch_trajectory(density_from_pure(fock_state(1, 2)), ProbeConfig(g=1.0), 1e308, 4)
     assert time_grid(1e308, 1)[-1] == 1e308
 
 
@@ -91,11 +102,23 @@ def test_population_stack_rows_are_their_one_record_models(seed):
     k, levels = int(rng.integers(1, 6)), int(rng.integers(2, 10))
     pops = rng.uniform(-0.1, 1.0, size=(k, levels))
     pops[:, rng.integers(levels)] = 0.0
-    times, g = time_grid(0.075, 300), rng.uniform(0.6, 1.5)
-    x, y, z = bloch_components(pops, None, g, times)
-    assert x is None and y is None and z.shape == (k, times.size)
+    g = rng.uniform(0.6, 1.5)
+    x, y, z = bloch_components(pops, None, g, 0.075, 300)
+    assert x is None and y is None and z.shape == (k, 300)
     for row, p in zip(z, pops):
-        assert np.array_equal(row, bloch_components(p, None, g, times)[2])
+        assert np.array_equal(row, bloch_components(p, None, g, 0.075, 300)[2])
+
+def test_a_stacked_record_skips_the_levels_its_own_element_leaves_empty():
+    """A record of a stack skips a level whose own element is below
+    `_ELEMENT_FLOOR`, as it does alone, while the other records add that
+    level: a finite-shot record of all +1 solves to ``rho_11 ~ 1e-16``
+    beside records that solve to much more.  A ``-0.0`` record stays
+    ``-0.0``."""
+    pops = np.array([[-0.0, 8e-17, 0.0], [0.7, 0.3, 0.0], [1.0, -1e-15, 1e-16]])
+    z = bloch_components(pops, None, 1.0, 0.375, 16)[2]
+    for row, p in zip(z, pops):
+        assert row.tobytes() == bloch_components(p, None, 1.0, 0.375, 16)[2].tobytes()
+
 
 def assert_same_bits(got, want) -> None:
     """Each of two component tuples is None in the same places and otherwise
@@ -106,12 +129,22 @@ def assert_same_bits(got, want) -> None:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
-def assert_memo_holds_cold_rows(g: float, t: np.ndarray) -> None:
+def memo_rows(g: float, delta_t: float, n_t: int) -> dict:
+    """The rows the memo holds for the grid ``(g, delta_t, n_t)``, which
+    must be its entry: the lookup is a hit."""
+    misses = probe_mod._trig_rows.cache_info().misses
+    rows = probe_mod._trig_rows(np.float64(g).tobytes(), np.float64(delta_t).tobytes(), n_t)
+    assert probe_mod._trig_rows.cache_info().misses == misses
+    return rows
+
+
+def assert_memo_holds_cold_rows(g: float, delta_t: float, n_t: int) -> None:
     """Every row the memo holds is a closed-form row computed afresh at
-    ``(g, t)``, and the evaluation its key names: ``(fn, bits of factor)``
-    for ``fn(factor * t)``."""
+    ``(g, t)``, ``t = time_grid(delta_t, n_t)``, and the evaluation its key
+    names: ``(fn, bits of factor)`` for ``fn(factor * t)``."""
+    t = time_grid(delta_t, n_t)
     cold = {oracles.trig_row(kind, n, g, t).tobytes() for kind in "zcs" for n in range(10)}
-    for (fn, bits), row in probe_mod._ROWS[1].items():
+    for (fn, bits), row in memo_rows(g, delta_t, n_t).items():
         factor = np.frombuffer(bits)[0]
         assert row.tobytes() in cold, (fn, factor)
         assert row.tobytes() == getattr(np, fn)(factor * t).tobytes(), (fn, factor)
@@ -150,9 +183,9 @@ def test_bloch_components_match_the_unmemoised_loop(data, levels, stack, g, delt
     for g_k, dt_k in [(g, delta_t), (g_next, delta_t), (g, delta_t), (g, dt_next),
                       (g, delta_t), (-g, delta_t), (g, delta_t), (g, delta_t)]:
         t = time_grid(dt_k, n_t)
-        assert_same_bits(bloch_components(pops, sup, g_k, t),
+        assert_same_bits(bloch_components(pops, sup, g_k, dt_k, n_t),
                          oracles.bloch_components(pops, sup, g_k, t))
-        assert_memo_holds_cold_rows(g_k, t)
+        assert_memo_holds_cold_rows(g_k, dt_k, n_t)
 
 
 class _TrigLog:
@@ -177,7 +210,7 @@ class _TrigLog:
 def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, probe):
     """A reconstruction of the paper's coherent state simulates its record,
     then subtracts the z and x/y models of its estimates, all on one
-    ``(g, times)`` grid: each trig call fills one memo row and evaluates a
+    ``(g, delta_t, n_t)`` grid: each trig call fills one memo row and evaluates a
     new argument, so no row is computed twice, not even the z row of level n
     and the x/y cos row of level 4n, which are one evaluation (12 z rows and
     12 + 12 x/y rows, two of them shared); the floors compute none the
@@ -185,47 +218,50 @@ def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, pr
     floor), and a second run computes none at all."""
     log = _TrigLog()
     monkeypatch.setattr(probe_mod, "np", log)
-    monkeypatch.setattr(probe_mod, "_ROWS", [None, {}])
-    rho, times = density_from_pure(alpha_state), time_grid(0.075, 4096)
-    traj = ideal_bloch_trajectory(rho, probe, times)
+    probe_mod._trig_rows.cache_clear()
+    rho = density_from_pure(alpha_state)
+    traj = ideal_bloch_trajectory(rho, probe, 0.075, 4096)
     simulated = len(log.calls)
     first = reconstruct_state(traj, probe.g, reference=alpha_state)
-    assert len(log.calls) == simulated == len(probe_mod._ROWS[1]) == 12 + 2 * 12 - 2
+    rows = memo_rows(probe.g, 0.075, 4096)
+    assert len(log.calls) == simulated == len(rows) == 12 + 2 * 12 - 2
     assert len(set(log.calls)) == len(log.calls)
-    again = reconstruct_state(ideal_bloch_trajectory(rho, probe, times), probe.g)
+    again = reconstruct_state(ideal_bloch_trajectory(rho, probe, 0.075, 4096), probe.g)
     assert len(log.calls) == simulated
     assert again.diagnostics == first.diagnostics
 
 
-def test_memo_rows_are_read_only_and_no_component_shares_them(monkeypatch):
+def test_memo_rows_are_read_only_and_no_component_shares_them():
     """The memoised rows are read-only, every returned component is a new
     array, and writing to one leaves the next call's bits unchanged."""
-    monkeypatch.setattr(probe_mod, "_ROWS", [None, {}])
-    t = time_grid(0.075, 64)
-    args = ([[0.5, 0.3, 0.2], [0.0, 1.0, 0.0]], [0.1 + 0.2j, 0.05], 1.0, t)
-    comps = bloch_components(*args)
-    rows = list(probe_mod._ROWS[1].values())
+    probe_mod._trig_rows.cache_clear()
+    args = ([[0.5, 0.3, 0.2], [0.0, 1.0, 0.0]], [0.1 + 0.2j, 0.05], 1.0)
+    comps = bloch_components(*args, 0.075, 64)
+    rows = list(memo_rows(1.0, 0.075, 64).values())
     assert len(rows) == 6 and not any(row.flags.writeable for row in rows)
     for comp in comps:
         assert not any(np.shares_memory(comp, row) for row in rows)
         comp[...] = 7.0
-    assert_same_bits(bloch_components(*args), oracles.bloch_components(*args))
+    assert_same_bits(bloch_components(*args, 0.075, 64),
+                     oracles.bloch_components(*args, time_grid(0.075, 64)))
 
 
-def test_memo_holds_one_grid(monkeypatch):
-    """A new grid or a new ``g`` replaces the memo's entry: it then holds the
+def test_memo_holds_one_grid():
+    """A new grid, step or ``g`` replaces the memo's entry: it then holds the
     rows of that call alone."""
-    monkeypatch.setattr(probe_mod, "_ROWS", [None, {}])
-    t64, t65 = time_grid(0.075, 64), time_grid(0.075, 65)
-    for g, t in [(1.0, t64), (1.0, t65), (1.5, t65), (1.0, t65), (1.0, t64)]:
-        bloch_components([0.5, 0.5], [0.3], g, t)
+    probe_mod._trig_rows.cache_clear()
+    dt_next = float(np.nextafter(0.075, 1.0))
+    for g, dt, n_t in [(1.0, 0.075, 64), (1.0, 0.075, 65), (1.5, 0.075, 65), (1.0, 0.075, 65),
+                       (1.0, dt_next, 65), (1.0, 0.075, 64)]:
+        bloch_components([0.5, 0.5], [0.3], g, dt, n_t)
+        assert probe_mod._trig_rows.cache_info().currsize == 1
         # cos(2 Omega_1 t), cos(Omega_0 t) and sin(Omega_1 t)
-        assert set(probe_mod._ROWS[1]) == {
+        assert set(memo_rows(g, dt, n_t)) == {
             ("cos", np.float64(2.0 * g).tobytes()),
             ("cos", np.float64(0.0).tobytes()),
             ("sin", np.float64(g).tobytes()),
         }
-        assert_memo_holds_cold_rows(g, t)
+        assert_memo_holds_cold_rows(g, dt, n_t)
 
 
 def test_initial_condition_points_north(state_one, probe):
@@ -259,7 +295,7 @@ def test_evolve_joint_output_is_physical():
 
 def test_trajectory_consistent_with_pointwise_evolution(state_two, probe):
     times = time_grid(0.11, 64)
-    traj = ideal_bloch_trajectory(density_from_pure(state_two), probe, times)
+    traj = ideal_bloch_trajectory(density_from_pure(state_two), probe, 0.11, 64)
     for k in (0, 17, 63):
         expected = bloch_from_qubit(
             evolve_joint(density_from_pure(state_two), probe, times[k])
@@ -273,48 +309,50 @@ def test_fock_state_z_is_single_tone(probe):
 
     rho = density_from_pure(fock_state(1, 8))
     times = time_grid(0.075, 512)
-    traj = ideal_bloch_trajectory(rho, probe, times)
+    traj = ideal_bloch_trajectory(rho, probe, 0.075, 512)
     assert np.allclose(traj.z, np.cos(2.0 * times), atol=1e-12)
     assert np.allclose(traj.x, 0.0, atol=1e-14)
     assert np.allclose(traj.y, 0.0, atol=1e-14)
 
 
 def test_trajectory_validation():
-    times = time_grid(0.1, 8)
+    """A record is its components and its step: the grid ``t_k = k delta_t``
+    follows from them, and a bad step is refused.  Times off a grid can only
+    come from a file; the reader refuses them (`test_measurement`)."""
     with pytest.raises(ValidationError):
-        BlochTrajectory(times=times)  # no axes at all
+        BlochTrajectory(0.1)  # no axes at all
     with pytest.raises(ValidationError):
-        BlochTrajectory(times=times, z=np.full(8, 1.5))  # outside Bloch ball
-    with pytest.raises(GridError):
-        BlochTrajectory(times=np.array([0.1, 0.2, 0.5]), z=np.zeros(3))
-    with pytest.raises(ValidationError):
-        BlochTrajectory(times=times, z=np.zeros(4))  # length mismatch
-    for bad in ([np.nan] * 3, [0.1, np.nan, 0.3], [0.1, 0.2, np.inf], [np.nan]):
+        BlochTrajectory(0.1, z=np.full(8, 1.5))  # outside Bloch ball
+    with pytest.raises(ValidationError, match="one length"):
+        BlochTrajectory(0.1, x=np.zeros(8), z=np.zeros(4))  # length mismatch
+    with pytest.raises(ValidationError, match="1-D"):
+        BlochTrajectory(0.1, z=np.zeros((2, 4)))
+    for bad in (0.0, -0.1, np.nan, np.inf, 1e308):
         with pytest.raises(GridError):
-            BlochTrajectory(times=np.array(bad), z=np.zeros(len(bad)))
-    one = BlochTrajectory(times=np.array([0.5]), z=np.zeros(1))  # one-sample grid
-    assert one.times.tolist() == [0.5]
+            BlochTrajectory(bad, z=np.zeros(8))
+    with pytest.raises(GridError):
+        BlochTrajectory(0.1, z=np.zeros(0))
+    one = BlochTrajectory(0.5, z=np.zeros(1))  # one-sample grid
+    assert (one.delta_t, one.times.tolist()) == (0.5, [0.5])
+    assert BlochTrajectory(1, x=np.zeros(3), y=np.zeros(3)).times.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_trajectory_refuses_a_nan_component():
-    times = time_grid(0.1, 3)
     for axis in "xyz":
         with pytest.raises(ValidationError, match="Bloch ball"):
-            BlochTrajectory(times=times, **{axis: np.array([0.0, np.nan, 0.5])})
+            BlochTrajectory(0.1, **{axis: np.array([0.0, np.nan, 0.5])})
 
 
 def test_ideal_trajectory_refuses_an_overflowing_phase():
     """The top level's phase 2 g sqrt(n) t is checked before any cos: the
     first level's phase is finite here, level 15's is not."""
     rho = density_from_pure(fock_state(1, 15))
-    times = time_grid(1e305, 256)
     with pytest.raises(ValidationError, match="overflows"):
-        ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), times)
+        ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), 1e305, 256)
 
 
 def test_trajectory_metadata_and_axes(probe, state_one):
-    times = time_grid(0.2, 16)
-    traj = ideal_bloch_trajectory(density_from_pure(state_one), probe, times)
+    traj = ideal_bloch_trajectory(density_from_pure(state_one), probe, 0.2, 16)
     assert traj.axes() == ("x", "y", "z")
     assert traj.times[0] == pytest.approx(0.2)
     assert traj.times.size == 16

@@ -33,21 +33,22 @@ from fieldtomo import spectral
 from fieldtomo.spectral import Spectrum, comb_frequencies, dft, read_windows
 from fieldtomo.states import coherent_state, superposition
 
-TIMES = time_grid(0.075, 4096)
+DT, N_T = 0.075, 4096
+TIMES = time_grid(DT, N_T)
 
 
 def spectra_for(rho, probe):
-    traj = ideal_bloch_trajectory(rho, probe, TIMES)
+    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
     return (
-        dft(traj.z, TIMES),
-        dft(traj.x, TIMES),
-        dft(traj.y, TIMES),
+        dft(traj.z, DT),
+        dft(traj.x, DT),
+        dft(traj.y, DT),
     )
 
 
 def test_ideal_equal_superposition_with_phase(probe, state_two):
     rho = density_from_pure(state_two)
-    traj = ideal_bloch_trajectory(rho, probe, TIMES)
+    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
     res = reconstruct_state(traj, g=probe.g)
     assert res.populations[1] == pytest.approx(0.5, abs=1e-6)
     assert res.populations[2] == pytest.approx(0.5, abs=1e-6)
@@ -67,7 +68,7 @@ def test_ideal_equal_superposition_with_phase(probe, state_two):
 
 def test_fidelity_against_reference(probe, state_two):
     rho = density_from_pure(state_two)
-    traj = ideal_bloch_trajectory(rho, probe, TIMES)
+    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
     res = reconstruct_state(traj, g=probe.g, reference=state_two)
     assert res.fidelity_vs_reference == pytest.approx(1.0, abs=1e-6)
     assert res.state is not None
@@ -79,10 +80,10 @@ def test_global_phase_invariance(probe, state_two):
         state_two.cutoff,
     )
     r1 = reconstruct_state(
-        ideal_bloch_trajectory(density_from_pure(state_two), probe, TIMES), g=probe.g
+        ideal_bloch_trajectory(density_from_pure(state_two), probe, DT, N_T), g=probe.g
     )
     r2 = reconstruct_state(
-        ideal_bloch_trajectory(density_from_pure(rotated), probe, TIMES), g=probe.g
+        ideal_bloch_trajectory(density_from_pure(rotated), probe, DT, N_T), g=probe.g
     )
     assert np.allclose(r1.populations, r2.populations, atol=1e-12)
     assert np.allclose(r1.coherences, r2.coherences, atol=1e-12)
@@ -92,10 +93,10 @@ def test_global_phase_invariance(probe, state_two):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_fock_state_flat_xy_and_unit_z_area(probe, n):
     rho = density_from_pure(fock_state(n, 8))
-    traj = ideal_bloch_trajectory(rho, probe, TIMES)
+    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
     assert np.max(np.abs(traj.x)) < 1e-6
     assert np.max(np.abs(traj.y)) < 1e-6
-    spec_z = dft(traj.z, TIMES)
+    spec_z = dft(traj.z, DT)
     omega = 2.0 * probe.g * np.sqrt(n)
     # raw combined window area recovers the full population weight
     assert cosine_pair(spec_z, omega, 4) == pytest.approx(1.0, abs=2e-3)
@@ -107,7 +108,7 @@ def test_mixed_state_diagonal_and_superdiagonal(probe):
     mat = 0.5 * np.outer(a.amplitudes, a.amplitudes.conj())
     mat = mat + 0.5 * np.outer(b.amplitudes, b.amplitudes.conj())
     rho = DensityMatrix(mat)
-    traj = ideal_bloch_trajectory(rho, probe, TIMES)
+    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
     res = reconstruct_state(traj, g=probe.g)
     diag = rho.diagonal()
     assert np.max(np.abs(res.populations - diag)) < 2e-3
@@ -126,7 +127,7 @@ def test_round_trip_random_states(probe):
             [(n, m * np.exp(1j * p)) for n, (m, p) in enumerate(zip(moduli, phases))],
             8,
         )
-        traj = ideal_bloch_trajectory(density_from_pure(state), probe, TIMES)
+        traj = ideal_bloch_trajectory(density_from_pure(state), probe, DT, N_T)
         res = reconstruct_state(traj, g=probe.g, reference=state)
         worst = min(worst, res.fidelity_vs_reference)
     assert worst >= 1.0 - 1e-4
@@ -150,7 +151,7 @@ def test_cauchy_schwarz_consistency_warning(probe, alpha_state):
 
 def test_trace_deficit_reported_for_truncated_read(probe):
     rho = density_from_pure(coherent_state(2.0, 20))
-    traj = ideal_bloch_trajectory(rho, probe, TIMES)
+    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
     res = reconstruct_state(traj, g=probe.g, n_max=8)
     tail = 1.0 - np.sum(rho.diagonal()[:9])
     assert res.trace_deficit == pytest.approx(tail, abs=1e-3)
@@ -160,7 +161,7 @@ def test_trace_deficit_reported_for_truncated_read(probe):
 def test_truncation_above_n_max_is_partial(probe):
     # |alpha| = 2.5 puts 18 % of the weight above n_max = 8.
     state = coherent_state(2.5, 30)
-    traj = ideal_bloch_trajectory(density_from_pure(state), probe, TIMES)
+    traj = ideal_bloch_trajectory(density_from_pure(state), probe, DT, N_T)
     res = reconstruct_state(traj, g=probe.g, n_max=8, reference=state)
     assert res.trace_deficit > TRACE_TOLERANCE
     assert res.partial
@@ -168,7 +169,7 @@ def test_truncation_above_n_max_is_partial(probe):
 
 
 def test_nothing_above_the_population_floor_is_partial(probe, state_two):
-    traj = ideal_bloch_trajectory(density_from_pure(state_two), probe, TIMES)
+    traj = ideal_bloch_trajectory(density_from_pure(state_two), probe, DT, N_T)
     res = reconstruct_state(traj, g=probe.g, population_floor=2.0)
     assert res.state is None
     assert not res.phase_defined.any() and res.chain_breaks == []
@@ -177,7 +178,7 @@ def test_nothing_above_the_population_floor_is_partial(probe, state_two):
 
 def test_chain_break_detection(probe):
     state = superposition([(0, 1.0), (2, 1.0)], 8)
-    traj = ideal_bloch_trajectory(density_from_pure(state), probe, TIMES)
+    traj = ideal_bloch_trajectory(density_from_pure(state), probe, DT, N_T)
     res = reconstruct_state(traj, g=probe.g)
     assert res.chain_breaks == [1]
     assert res.partial
@@ -218,7 +219,7 @@ def test_ideal_difference_band_agrees_without_warning(probe, state_two):
 def test_tone_in_a_difference_window_still_warns(probe, state_two):
     spec_z, spec_x, spec_y = spectra_for(density_from_pure(state_two), probe)
     w = comb_frequencies(probe.g, 2)["diff"][1]
-    extra = dft(1e-3 * np.sin(w * TIMES), TIMES)
+    extra = dft(1e-3 * np.sin(w * TIMES), DT)
     spec_x = Spectrum(spec_x.values + extra.values, spec_x.delta_t)
     res = reconstruct_from_spectra(
         probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
@@ -231,9 +232,9 @@ def finite_shot_bands(rho, probe, seed, tone=0.0):
     ``tone sin(w t)`` added to x at the n = 1 difference-band frequency w."""
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=1000, seed=seed)
     traj = sample_trajectory(rho, probe, plan)
-    spec_z, spec_x, spec_y = (dft(getattr(traj, a), TIMES) for a in "zxy")
+    spec_z, spec_x, spec_y = (dft(getattr(traj, a), DT) for a in "zxy")
     w = comb_frequencies(probe.g, 2)["diff"][1]
-    extra = dft(tone * np.sin(w * TIMES), TIMES)
+    extra = dft(tone * np.sin(w * TIMES), DT)
     spec_x = Spectrum(spec_x.values + extra.values, spec_x.delta_t)
     res = reconstruct_from_spectra(probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2)
     assert res.diagnostics["diff_band_read"] == [False, True]
@@ -269,7 +270,7 @@ def test_ideal_pure_states_reconstruct_without_warnings(g, lowest, data):
         [(lowest + k, m * np.exp(1j * a)) for k, (m, a) in enumerate(zip(mags, args))],
         n_max + 1,
     )
-    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), TIMES)
+    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), DT, N_T)
     res = reconstruct_state(traj, g=g, n_max=n_max, reference=state)
     assert res.warnings == []
     assert res.fidelity_vs_reference >= 1.0 - 1e-9
@@ -292,7 +293,7 @@ def test_ideal_records_leave_no_residual_floor(g, data):
     state = superposition(
         [(n, m * np.exp(1j * a)) for n, m, a in zip(levels, mags, args)], n_max
     )
-    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), TIMES)
+    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), DT, N_T)
     res = reconstruct_state(traj, g=g, n_max=n_max)
     for axis in "xyz":
         assert res.diagnostics[f"noise_floor_{axis}"] <= 1e-12, axis
@@ -310,8 +311,8 @@ def test_z_only_reconstruction_is_partial(probe, state_two):
 
 def test_z_axis_required(probe):
     rho = density_from_pure(fock_state(1, 8))
-    traj = ideal_bloch_trajectory(rho, probe, TIMES)
-    x_only = BlochTrajectory(times=TIMES, x=traj.x, y=None, z=None)
+    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
+    x_only = BlochTrajectory(DT, x=traj.x, y=None, z=None)
     with pytest.raises(ValidationError, match="z axis"):
         reconstruct_state(x_only, g=probe.g)
 
@@ -342,19 +343,19 @@ def test_estimate_coupling_across_states_and_couplings(probe):
     tol = np.pi / TIMES[-1]
     rho_f = density_from_pure(fock_state(1, 8))
     for g in (0.8, 1.0, 1.3):
-        traj = ideal_bloch_trajectory(rho_f, ProbeConfig(g=g), TIMES)
-        g_hat, score = estimate_coupling(dft(traj.z, TIMES))
+        traj = ideal_bloch_trajectory(rho_f, ProbeConfig(g=g), DT, N_T)
+        g_hat, score = estimate_coupling(dft(traj.z, DT))
         assert abs(g_hat - g) < tol
         assert score > 0
     rho_c = density_from_pure(coherent_state(0.7 * np.exp(1j * np.pi / 3), 12))
-    traj = ideal_bloch_trajectory(rho_c, probe, TIMES)
-    g_hat, _ = estimate_coupling(dft(traj.z, TIMES))
+    traj = ideal_bloch_trajectory(rho_c, probe, DT, N_T)
+    g_hat, _ = estimate_coupling(dft(traj.z, DT))
     assert abs(g_hat - 1.0) < tol
 
 
 def test_estimate_coupling_refuses_pure_noise():
     rng = np.random.default_rng(7)
-    spec = dft(rng.normal(0.0, 0.02, TIMES.size), TIMES)
+    spec = dft(rng.normal(0.0, 0.02, TIMES.size), DT)
     with pytest.raises(EstimationError):
         estimate_coupling(spec)
 
@@ -362,8 +363,7 @@ def test_estimate_coupling_refuses_pure_noise():
 def test_estimate_coupling_on_a_fine_grid_does_not_overflow():
     """At a 1e-300 step every harmonic is on the grid; the harmonic count is
     bounded before it is squared, so noise is refused as on any grid."""
-    times = 1e-300 * np.arange(1, 65)
-    spec = dft(np.random.default_rng(7).normal(0.0, 0.02, times.size), times)
+    spec = dft(np.random.default_rng(7).normal(0.0, 0.02, 64), 1e-300)
     with pytest.raises(EstimationError):
         estimate_coupling(spec)
 
@@ -375,8 +375,8 @@ def test_estimate_coupling_matches_the_golden_section_oracle(kind, g):
         state = fock_state(1, 8)
     else:
         state = coherent_state(0.7 * np.exp(1j * np.pi / 3), 12)
-    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), TIMES)
-    spec = dft(traj.z, TIMES)
+    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), DT, N_T)
+    spec = dft(traj.z, DT)
     assert abs(estimate_coupling(spec)[0] - golden_section_coupling(spec)) <= 1e-7
 
 
@@ -392,7 +392,7 @@ def test_estimate_coupling_on_sampled_records():
             state = coherent_state(alpha, 12)
         plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=1000, axes=("z",), seed=seed)
         traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
-        spec = dft(traj.z, traj.times)
+        spec = dft(traj.z, traj.delta_t)
         g_hat, score = estimate_coupling(spec)
         assert abs(g_hat - g) < tol, seed
         # the one-sided batch score is the two-sided score at g_hat
@@ -408,7 +408,7 @@ def test_estimate_coupling_on_sampled_records():
 )
 def test_estimate_coupling_window_reads(monkeypatch, delta_t, g, search_range, max_reads):
     times = time_grid(delta_t, 4096)
-    spec = dft(np.cos(2.0 * g * times), times)  # a Fock |1> z record
+    spec = dft(np.cos(2.0 * g * times), delta_t)  # a Fock |1> z record
     calls = []
 
     def counting(*args, **kwargs):
@@ -471,7 +471,7 @@ def coupling_inputs(draw):
         record = rng.normal(0.0, 0.02, n_t)
     elif damage == "zero":
         record = np.zeros(n_t)
-    spec = dft(record, plan.times())
+    spec = dft(record, plan.delta_t)
     if damage == "bin":
         # Anywhere, or on a comb tone 2 g sqrt(k), where the best candidates read it.
         tone = round(2.0 * g * np.sqrt(rng.integers(1, 4)) / spec.d_omega) + n_t // 2
@@ -507,7 +507,7 @@ def paper_z_spectrum(kind: str, n_m) -> Spectrum:
     state = fock_state(1, 8) if kind == "fock" else coherent_state(0.7j, 12)
     plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=n_m, axes=("z",), seed=5)
     traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=1.1), plan)
-    return dft(traj.z, traj.times)
+    return dft(traj.z, traj.delta_t)
 
 
 @pytest.mark.parametrize("n_m", [None, 1000])
@@ -574,7 +574,7 @@ def stacked_spectra(n_records=2):
     plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=100, seed=3)
     rho = density_from_pure(coherent_state(0.6, 12))
     records = sample_records(rho, ProbeConfig(g=1.0), plan, n_records)
-    return {axis: dft(rec, TIMES) for axis, rec in records.items()}
+    return {axis: dft(rec, DT) for axis, rec in records.items()}
 
 
 def test_estimate_coupling_refuses_a_stack():
@@ -599,9 +599,8 @@ def test_coherences_from_xy_refuses_a_stack():
 def paper_state2_spectra(n_t: int, delta_t: float = 0.075):
     """Ideal z, x and y spectra of `paper-state2` at g = 1 on ``n_t`` points."""
     rho = density_from_pure(superposition([(1, 0.7071067811865476), (2, 0.5 + 0.5j)], 8))
-    t = time_grid(delta_t, n_t)
-    traj = ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), t)
-    return dft(traj.z, t), dft(traj.x, t), dft(traj.y, t)
+    traj = ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), delta_t, n_t)
+    return dft(traj.z, delta_t), dft(traj.x, delta_t), dft(traj.y, delta_t)
 
 
 @pytest.mark.parametrize(

@@ -49,12 +49,11 @@ def onbin_fock_spectrum(n_m=None, seed=0, probe=None):
         delta_t=ONBIN_DT, n_t=ONBIN_NT, n_m=n_m, axes=("z",), seed=seed
     )
     traj = sample_trajectory(density_from_pure(fock_state(1, 8)), probe, plan)
-    return dft(traj.z, traj.times)
+    return dft(traj.z, traj.delta_t)
 
 
 def test_dft_constant_is_pure_dc():
-    t = time_grid(0.1, 64)
-    spec = dft(np.ones(64), t)
+    spec = dft(np.ones(64), 0.1)
     dc = spec.values[spec.n_t // 2]
     assert dc == pytest.approx(1.0, abs=1e-14)
     others = np.delete(spec.values, spec.n_t // 2)
@@ -73,19 +72,19 @@ def test_dft_onbin_cosine_two_half_bins():
     assert np.max(np.abs(spec.values[mask])) < 1e-13
 
 
-def test_dft_rejects_bad_grids():
-    for times in (
-        [0.1, 0.2, 0.4, 0.5],
-        [0.0, 0.1, 0.2, 0.3],  # contains t = 0
-        [np.nan] * 4,
-        [0.1, 0.2, np.nan, 0.4],
-        [0.1, 0.2, 0.3, np.inf],
-        [np.inf] * 4,
-        [0.1],  # one sample: no spectrum
-        [np.nan],
-    ):
-        with pytest.raises(GridError):
-            dft(np.zeros(len(times)), np.array(times))
+def test_dft_rejects_bad_grids(monkeypatch):
+    """A step that is not > 0 or whose d_omega is not finite and nonzero, and
+    a record of one sample, are refused before any FFT and before the grid
+    memo makes an entry.  Times off the grid are the trajectory reader's to
+    refuse (`test_measurement`)."""
+    spectral._dft_grid.cache_clear()
+    monkeypatch.setattr(np.fft, "fft", None)  # any transform would raise TypeError
+    for delta_t in (0.0, -0.1, np.nan, np.inf, -np.inf, 5e-324):
+        with pytest.raises(GridError, match="delta_t must be > 0"):
+            dft(np.zeros(4), delta_t)
+    with pytest.raises(GridError, match="at least 2 samples"):
+        dft(np.zeros(1), 0.1)  # one sample: no spectrum
+    assert spectral._dft_grid.cache_info().currsize == 0
 
 
 def test_dft_on_alternating_grids_matches_a_cold_call():
@@ -93,12 +92,12 @@ def test_dft_on_alternating_grids_matches_a_cold_call():
     two grids in turn, one a single ulp of delta_t from the other, give each
     spectrum the bits of a call with the memo cleared, on a miss and a hit."""
     signal = np.random.default_rng(0).normal(size=64)
-    grids = [time_grid(dt, 64) for dt in (0.075, np.nextafter(0.075, 1.0))]
-    assert dft(signal, grids[0]).freqs.tobytes() != dft(signal, grids[1]).freqs.tobytes()
-    for k, t in enumerate(grids * 2):
-        warm = [dft(signal, t), dft(signal, t)]  # the other grid's entry, then this one's
+    steps = (0.075, float(np.nextafter(0.075, 1.0)))
+    assert dft(signal, steps[0]).freqs.tobytes() != dft(signal, steps[1]).freqs.tobytes()
+    for k, dt in enumerate(steps * 2):
+        warm = [dft(signal, dt), dft(signal, dt)]  # the other grid's entry, then this one's
         spectral._dft_grid.cache_clear()
-        cold = dft(signal, t)
+        cold = dft(signal, dt)
         for spec in warm:
             assert spec.freqs.tobytes() == cold.freqs.tobytes(), k
             assert spec.values.tobytes() == cold.values.tobytes(), k
@@ -112,7 +111,7 @@ def test_dft_grid_memo_cannot_be_written_through_a_spectrum():
     the next transform on the grid unchanged."""
     t = time_grid(0.075, 64)
     signal = np.cos(2.0 * t)
-    before = dft(signal, t)
+    before = dft(signal, 0.075)
     om, phase = spectral._dft_grid(64, 0.075)
     assert not om.flags.writeable and not phase.flags.writeable
     freqs = before.freqs
@@ -127,10 +126,10 @@ def test_dft_grid_memo_cannot_be_written_through_a_spectrum():
         arr[0] = 0.0
     arr.setflags(write=True)
     arr[:] = 0.0
-    after = dft(signal, t)
+    after = dft(signal, 0.075)
     assert after.freqs.tobytes() == om.tobytes()
     spectral._dft_grid.cache_clear()
-    cold = dft(signal, t)
+    cold = dft(signal, 0.075)
     assert after.freqs.tobytes() == cold.freqs.tobytes()
     assert after.values.tobytes() == cold.values.tobytes()
 
@@ -151,7 +150,7 @@ def test_parseval_and_hermitian_symmetry():
     t = time_grid(0.075, 1024)
     for _ in range(5):
         s = rng.uniform(-1.0, 1.0, size=t.size)
-        spec = dft(s, t)
+        spec = dft(s, 0.075)
         assert oracles.parseval_defect(spec, s) < 1e-10
         assert oracles.hermitian_defect(spec) < 1e-12
 
@@ -159,7 +158,7 @@ def test_parseval_and_hermitian_symmetry():
 def test_integrate_peak_exact_for_onbin_tone():
     t = time_grid(0.075, 512)
     omega = 20 * 2.0 * np.pi / (512 * 0.075)
-    spec = dft(0.8 * np.cos(omega * t + 0.3), t)
+    spec = dft(0.8 * np.cos(omega * t + 0.3), 0.075)
     est = integrate_peak(spec, omega, 4)
     assert est.area == pytest.approx(0.4 * np.exp(0.3j), abs=1e-13)
 
@@ -170,7 +169,7 @@ def test_integrate_peak_offbin_tone_within_raw_budget():
     t = time_grid(0.075, 4096)
     for omega, amp, phase in ((1.77, 0.43, 0.9), (2.0 * np.sqrt(2), 0.5, -1.2)):
         s = amp * np.cos(omega * t + phase)
-        spec = dft(s, t)
+        spec = dft(s, 0.075)
         est = integrate_peak(spec, omega, 4)
         expected = 0.5 * amp * np.exp(1j * phase)
         assert est.area == pytest.approx(expected, abs=1e-3)
@@ -186,7 +185,7 @@ def test_integrate_peak_offbin_tone_within_raw_budget():
 )
 def test_integrate_peak_subbin_offsets_stay_bounded(omega, amp, phase):
     t = time_grid(0.075, 2048)
-    spec = dft(amp * np.cos(omega * t + phase), t)
+    spec = dft(amp * np.cos(omega * t + phase), 0.075)
     est = integrate_peak(spec, omega, 4)
     # worst measured residual over this range is 3.3e-3 for amp = 1
     assert abs(est.area - 0.5 * amp * np.exp(1j * phase)) < 5e-3 * amp
@@ -195,9 +194,9 @@ def test_integrate_peak_subbin_offsets_stay_bounded(omega, amp, phase):
 def test_pair_helpers_read_cos_and_sin_amplitudes():
     t = time_grid(0.11, 2048)
     omega = 1.3003
-    spec_c = dft(0.62 * np.cos(omega * t), t)
+    spec_c = dft(0.62 * np.cos(omega * t), 0.11)
     assert cosine_pair(spec_c, omega, 4) == pytest.approx(0.62, abs=3e-3)
-    spec_s = dft(-0.37 * np.sin(omega * t), t)  # convention: -A sin -> A
+    spec_s = dft(-0.37 * np.sin(omega * t), 0.11)  # convention: -A sin -> A
     assert sine_pair(spec_s, omega, 4) == pytest.approx(0.37, abs=3e-3)
     # a pure cosine has little sine-quadrature content and vice versa
     assert abs(sine_pair(spec_c, omega, 4)) < 3e-3
@@ -206,13 +205,13 @@ def test_pair_helpers_read_cos_and_sin_amplitudes():
 
 def test_cosine_pair_dc_reads_constant_offset():
     t = time_grid(0.075, 1024)
-    spec = dft(0.25 + 0.5 * np.cos(2.0 * t), t)
+    spec = dft(0.25 + 0.5 * np.cos(2.0 * t), 0.075)
     assert cosine_pair(spec, 0.0, 4) == pytest.approx(0.25, abs=2e-3)
 
 
 def test_integrate_peak_off_grid_window():
     t = time_grid(0.1, 64)
-    spec = dft(np.cos(t), t)
+    spec = dft(np.cos(t), 0.1)
     nyquist = np.pi / 0.1
     with pytest.raises(GridError):
         integrate_peak(spec, nyquist * 0.99, 4)
@@ -222,7 +221,7 @@ def test_integrate_peak_refuses_a_stack():
     """Two stacked records are a `ValidationError`, as for every one-record
     function, not a `TypeError` from the scalar area."""
     t = time_grid(ONBIN_DT, ONBIN_NT)
-    spec = dft(np.stack([np.cos(2.0 * t)] * 2), t)
+    spec = dft(np.stack([np.cos(2.0 * t)] * 2), ONBIN_DT)
     with pytest.raises(ValidationError, match="integrate_peak takes one record, not a stack"):
         integrate_peak(spec, 2.0, 4)
 
@@ -230,7 +229,7 @@ def test_integrate_peak_refuses_a_stack():
 def test_raw_combined_area_at_default_grid():
     # off-bin generic case: raw windowed pair still lands within 1e-3
     t = time_grid(0.075, 4096)
-    spec = dft(np.cos(2.0 * t), t)
+    spec = dft(np.cos(2.0 * t), 0.075)
     assert cosine_pair(spec, 2.0, 4) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -284,7 +283,7 @@ def tone_spectrum(omega0: float, amp: complex, n_t: int = 256, delta_t: float = 
 
 KERNEL_SPEC = dft(
     np.random.default_rng(3).normal(size=512) + np.cos(1.7 * time_grid(0.1, 512)),
-    time_grid(0.1, 512),
+    0.1,
 )
 ON_GRID_BINS = KERNEL_SPEC.n_t // 2 - 7  # |bin| + half_width stays on the grid
 
@@ -399,8 +398,7 @@ def test_read_windows_matches_the_per_bin_phase_reference(
     """One tap per bin offset and one rotation per center read what a
     per-bin phase and a plain sum per record read, to rounding."""
     rng = np.random.default_rng(seed)
-    times = time_grid(0.1, n_t)
-    spec = dft(rng.normal(size=records + (n_t,)), times)
+    spec = dft(rng.normal(size=records + (n_t,)), 0.1)
     edge = n_t // 2 - half_width - 1  # every window stays on the grid
     centers = rng.uniform(-edge, edge, size=centers_shape) * spec.d_omega
     got = read_windows(spec, centers, half_width)
@@ -427,16 +425,15 @@ def test_candidate_grid_reads_of_a_stack_are_each_read_alone(
     on an ``(S,)`` stack: each element is, bit for bit, that center read
     alone on that record."""
     rng = np.random.default_rng(seed)
-    times = time_grid(0.075, n_t)
     signals = rng.normal(size=(n_records, n_t))
     d_omega = 2.0 * np.pi / (n_t * 0.075)
     top = (n_t // 2 - half_width - 1) * d_omega / np.sqrt(n_harmonics)
     g = rng.uniform(0.0, top, size=n_candidates)
     centers = g[:, None] * np.sqrt(np.arange(1, n_harmonics + 1))
-    got = read_windows(dft(signals, times), centers, half_width)
+    got = read_windows(dft(signals, 0.075), centers, half_width)
     assert got.shape == (n_records, n_candidates, n_harmonics)
     for s in range(n_records):
-        alone = dft(signals[s], times)
+        alone = dft(signals[s], 0.075)
         for (c, h), center in np.ndenumerate(centers):
             assert got[s, c, h] == read_windows(alone, center, half_width)
 
@@ -457,7 +454,7 @@ def test_window_gains_match_read_windows_of_a_real_tone(
     edge = (n_t // 2 - half_width - 1) * d_omega  # every window stays on the grid
     centers = np.array(center_fracs) * edge
     w = tone_frac * edge
-    spec = dft(np.cos(w * times) if kind == "cos" else np.sin(w * times), times)
+    spec = dft(np.cos(w * times) if kind == "cos" else np.sin(w * times), 0.075)
     # cos wt = (e^{iwt} + e^{-iwt}) / 2,  sin wt = (e^{iwt} - e^{-iwt}) / 2i
     weights = np.array([0.5, 0.5]) if kind == "cos" else np.array([-0.5j, 0.5j])
     predicted = window_gains(spec, centers, [w, -w], half_width) @ weights
@@ -483,7 +480,7 @@ def test_populations_from_z_recovers_an_overlapping_comb(g):
     signal = pops[0] + sum(
         pops[n] * np.cos(c * times) for n, c in enumerate(freqs["z"], start=1)
     )
-    got = populations_from_z(dft(signal, times), freqs, 2)
+    got = populations_from_z(dft(signal, 0.075), freqs, 2)
     assert np.max(np.abs(got - pops)) <= 1e-12
 
 
@@ -508,7 +505,7 @@ def test_comb_frequencies_families():
 
 def test_validate_windows_passes_on_default_grid():
     t = time_grid(0.075, 4096)
-    spec = dft(np.cos(2.0 * t), t)
+    spec = dft(np.cos(2.0 * t), 0.075)
     windows = [("dc", 0.0)]
     for n, c in enumerate(comb_frequencies(1.0, 8)["z"], start=1):
         windows += [(f"rho[{n},{n}]", c), (f"rho[{n},{n}]", -c)]
@@ -517,7 +514,7 @@ def test_validate_windows_passes_on_default_grid():
 
 def test_validate_windows_reports_collisions():
     t = time_grid(0.075, 128)
-    spec = dft(np.cos(2.0 * t), t)
+    spec = dft(np.cos(2.0 * t), 0.075)
     with pytest.raises(ResolvabilityError, match="dc"):
         validate_windows([("dc", 0.0), ("peak", 2.0)], 4, spec)
 
@@ -528,13 +525,19 @@ def test_validate_windows_reports_collisions():
     labels=st.lists(st.sampled_from(["a", "b", "c", "dc", "rho[1,1]+"]), min_size=30),
     half_width=st.integers(-1, 6),
 )
+@example(bins=[1, 1], labels=["a", "b"] * 15, half_width=-1)
 def test_validate_windows_names_the_pairs_of_the_all_pairs_oracle(bins, labels, half_width):
     """The refusal is the all-pairs oracle's, bit for bit: every colliding
     pair up to `_NAMED_PAIRS`, else their count and the first pairs met
-    adding the windows in order.  Repeated labels and bins included."""
+    adding the windows in order.  Repeated labels and bins included; a
+    negative half-width is refused, as `read_windows` refuses it."""
     t = time_grid(0.1, 256)
-    spec = dft(np.cos(t), t)
+    spec = dft(np.cos(t), 0.1)
     centers = [(label, b * spec.d_omega) for label, b in zip(labels, bins)]
+    if half_width < 0:
+        with pytest.raises(ValidationError, match="half_width must be >= 0"):
+            validate_windows(centers, half_width, spec)
+        return
     want = oracles.collision_message(centers, half_width, spec)
     try:
         validate_windows(centers, half_width, spec)
@@ -547,7 +550,7 @@ def test_validate_windows_names_the_pairs_of_the_all_pairs_oracle(bins, labels, 
 def test_a_collision_refusal_counts_millions_of_pairs_and_names_ten():
     """2001 windows on one bin: 2,001,000 colliding pairs, counted, not built."""
     t = time_grid(0.3, 64)
-    spec = dft(np.cos(t), t)
+    spec = dft(np.cos(t), 0.3)
     tracemalloc.start()
     try:
         with pytest.raises(ResolvabilityError) as err:
@@ -564,7 +567,7 @@ def test_a_collision_refusal_counts_millions_of_pairs_and_names_ten():
 
 def test_validate_windows_flags_nyquist_overflow():
     t = time_grid(0.075, 128)
-    spec = dft(np.cos(2.0 * t), t)
+    spec = dft(np.cos(2.0 * t), 0.075)
     with pytest.raises(GridError):
         validate_windows([("fast", 40.0)], 4, spec)
 
@@ -584,7 +587,7 @@ def placed_windows(draw):
 def test_validate_windows_accepts_exactly_what_read_windows_reads(placed):
     n_t, half_width, position = placed
     t = time_grid(0.1, n_t)
-    spec = dft(np.cos(t), t)
+    spec = dft(np.cos(t), 0.1)
     center = position * spec.d_omega
     try:
         read_windows(spec, center, half_width)
@@ -609,8 +612,8 @@ def fitting_centers(draw):
     low, high = half_width - n_t // 2, n_t - 1 - half_width - n_t // 2
     size = math.prod(shape)
     bins = draw(st.lists(st.floats(low - 0.45, high + 0.45), min_size=size, max_size=size))
-    t = time_grid(draw(st.sampled_from([0.075, 0.1, ONBIN_DT])), n_t)
-    spec = dft(np.cos(t), t)
+    dt = draw(st.sampled_from([0.075, 0.1, ONBIN_DT]))
+    spec = dft(np.cos(time_grid(dt, n_t)), dt)
     return spec, np.reshape(bins, shape) * spec.d_omega, half_width
 
 
@@ -669,7 +672,7 @@ def test_noise_floor_ignores_windows_off_the_grid():
 
 def test_max_half_width():
     t = time_grid(0.075, 128)
-    spec = dft(np.cos(2.0 * t), t)
+    spec = dft(np.cos(2.0 * t), 0.075)
     # 2 Omega_1 sits at bin ~3.06: only half-width 1 fits between DC and mirror
     assert max_half_width([0.0, 2.0, -2.0], spec) == 1
 
@@ -715,7 +718,7 @@ def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
     grids in turn, one a single ulp of delta_t from the other, give each
     file the bytes of a write with the memo cleared."""
     dts = [0.075, np.nextafter(0.075, 1.0)]
-    specs = [dft(np.random.default_rng(k).normal(size=64), time_grid(dt, 64))
+    specs = [dft(np.random.default_rng(k).normal(size=64), dt)
              for k, dt in enumerate(dts * 2)]
     assert specs[0].freqs.tobytes() != specs[1].freqs.tobytes()
     for k, spec in enumerate(specs):
@@ -728,7 +731,7 @@ def test_spectrum_csv_on_alternating_grids_matches_a_cold_write(tmp_path):
 
 def random_trajectory(dt, n, axes="xyz", seed=0):
     rng = np.random.default_rng(seed)
-    return BlochTrajectory(time_grid(dt, n), **{a: rng.uniform(-1, 1, n) for a in axes})
+    return BlochTrajectory(dt, **{a: rng.uniform(-1, 1, n) for a in axes})
 
 
 def test_trajectory_and_spectrum_csv_share_the_memo_and_match_a_cold_write(tmp_path):
@@ -742,7 +745,7 @@ def test_trajectory_and_spectrum_csv_share_the_memo_and_match_a_cold_write(tmp_p
         (write_trajectory_csv, xyz),
         (write_trajectory_csv, random_trajectory(dt, n, "z", seed=1)),
         (write_trajectory_csv, random_trajectory(np.nextafter(dt, 1.0), n, seed=2)),
-        (write_spectrum_csv, dft(xyz.x, xyz.times)),
+        (write_spectrum_csv, dft(xyz.x, xyz.delta_t)),
     ]
     for k, (write, obj) in enumerate(files):
         warm, cold = tmp_path / f"warm{k}.csv", tmp_path / f"cold{k}.csv"
@@ -756,7 +759,7 @@ def test_reconstruct_shaped_writes_hit_the_memo_on_a_repeat(tmp_path):
     """A ``reconstruct`` run writes one trajectory file, then three spectrum
     files, on one grid: a second run formats no lead column again."""
     traj = random_trajectory(0.075, 64)
-    specs = [dft(getattr(traj, a), traj.times) for a in "xyz"]
+    specs = [dft(getattr(traj, a), traj.delta_t) for a in "xyz"]
     spectral._lead_slots.cache_clear()
     misses = []
     for _ in range(2):
@@ -911,8 +914,9 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
     rho = density_from_pure(fock_state(1, 8))
     signal = sample_records(rho, ProbeConfig(g=1.0), plan, math.prod(shape))["z"]
     signal = signal.reshape(shape + (n_t,))
-    spec = dft(signal, plan.times())
-    assert spec.values.tobytes() == oracles.dft_values(signal, plan.times()).tobytes()
+    spec = dft(signal, plan.delta_t)
+    want = oracles.dft_values(signal, time_grid(plan.delta_t, n_t))
+    assert spec.values.tobytes() == want.tobytes()
     freqs = comb_frequencies(1.0, 1)
     centers = [w.center for w in _z_windows(freqs)]
     hw = min(half_width, max_half_width(centers, spec))
@@ -964,6 +968,10 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
 )
 @example(n_t=1024, shape=(20,), n_m=1000, delta_t=0.075, half_width=4, n_max=1,
          coherent=False, seed=12345)
+# Record 5 is all +1: its own rho_11 estimate (8e-17) is below the model's
+# element floor, while the other records' are not.
+@example(n_t=16, shape=(2, 3), n_m=1, delta_t=0.375, half_width=0, n_max=1,
+         coherent=True, seed=8)
 def test_batched_records_equal_one_record_results(
     n_t, shape, n_m, delta_t, half_width, n_max, coherent, seed
 ):
@@ -972,7 +980,7 @@ def test_batched_records_equal_one_record_results(
     state = coherent_state(0.7, 12) if coherent else fock_state(1, 8)
     plan = MeasurementPlan(delta_t=delta_t, n_t=n_t, n_m=n_m, axes=("z",), seed=seed)
     records = sample_records(density_from_pure(state), ProbeConfig(g=1.0), plan, np.prod(shape))
-    batch = dft(records["z"].reshape(shape + (n_t,)), plan.times())
+    batch = dft(records["z"].reshape(shape + (n_t,)), plan.delta_t)
     freqs = comb_frequencies(1.0, n_max)
     centers = [w.center for w in _z_windows(freqs)]
     hw = min(half_width, max_half_width(centers, batch))
@@ -989,7 +997,7 @@ def test_batched_records_equal_one_record_results(
     got = layers(batch)
     assert got[0].shape == shape + (n_t,) and got[1].shape == shape + (len(centers),)
     for k, index in enumerate(np.ndindex(shape)):
-        one = layers(dft(records["z"][k], plan.times()))
+        one = layers(dft(records["z"][k], plan.delta_t))
         assert len(got) == len(one)
         for batched, alone in zip(got, one):
             if isinstance(alone, type):
