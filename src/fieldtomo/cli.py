@@ -25,6 +25,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -178,7 +179,7 @@ def _merged_config(args) -> dict[str, dict[str, str]]:
             cp[section].update(options)
     if args.config:
         path = Path(args.config)
-        if not path.is_file():
+        if not os.path.isfile(path):  # False, not OSError, for a name too long
             raise ConfigError(f"config file not found: {path}")
         # No section header holds a newline, so [DEFAULT] is an ordinary
         # section here, refused as unknown, and nothing folds into the others.
@@ -315,11 +316,12 @@ def _check_step(g: float, delta_t: float, n_t: int, key: str) -> None:
 
 def _within_budget(key: str, nbytes: int, what: str) -> None:
     """Refuse ``what``, estimated at ``nbytes``, beyond `BYTE_BUDGET`: a
-    `ConfigError` keyed ``key``, the setting the estimate grows with."""
+    `ConfigError` keyed ``key``, the setting the estimate grows with.  A size
+    no float holds (from a 400-digit setting) reads as more than 1e308."""
     if nbytes > BYTE_BUDGET:
+        size = f"about {nbytes:.3g}" if nbytes <= sys.float_info.max else "more than 1e308"
         raise ConfigError(
-            f"{what} would take about {nbytes:.3g} bytes, beyond the budget of {BYTE_BUDGET}",
-            key=key,
+            f"{what} would take {size} bytes, beyond the budget of {BYTE_BUDGET}", key=key
         )
 
 
@@ -377,21 +379,25 @@ def _build_state(cp) -> FieldState:
         path = cp["state"]["file"].strip()
         if not path:
             raise ConfigError("state.kind = file but state.file is empty", key="state.file")
-        if not Path(path).is_file():
+        if not os.path.isfile(path):
             raise ConfigError(f"state file not found: {path}", key="state.file")
         return load_amplitudes(path, admit=functools.partial(_check_state, "state.file"))
 
 
 def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPlan:
     """The `MeasurementPlan` of ``cp`` on ``axes`` for a state of ``levels``
-    Fock levels.  Every value is checked here, so a bad one is a
-    `ConfigError` keyed by its INI key; ``n_t >= 2``, since a spectrum needs
-    two bins, the grid passes `_check_step`, and the records fit the budget."""
+    Fock levels.  Each value is checked, in order, so a bad one is a
+    `ConfigError` keyed by its INI key: ``n_t >= 2`` (a spectrum needs two
+    bins), the records within the budget, then the grid by `_check_step`."""
     n_t = _get_int_at_least(cp, "plan", "n_t", 2)
+    # Records, spectra and CSV slots at 128 bytes a point on each axis, and
+    # up to three trig rows a level in the simulator's memo.
+    bytes_per_point = 128 * len(axes) + 24 * levels
+    _within_budget("plan.n_t", n_t * bytes_per_point, f"records of {n_t} points")
     gamma = _get_non_negative(cp, "plan", "gamma")
     delta_t, key = _get_delta_t(cp, g)
     _check_step(g, delta_t, n_t, key)
-    plan = MeasurementPlan(
+    return MeasurementPlan(
         delta_t=delta_t,
         n_t=n_t,
         n_m=_get_n_m(cp),
@@ -399,11 +405,6 @@ def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPl
         gamma=gamma,
         seed=_get_int_at_least(cp, "plan", "seed", 0),
     )
-    # Records, spectra and CSV slots at 128 bytes a point on each axis, and
-    # up to three trig rows a level in the simulator's memo.
-    bytes_per_point = 128 * len(axes) + 24 * levels
-    _within_budget("plan.n_t", n_t * bytes_per_point, f"records of {n_t} points")
-    return plan
 
 
 def _tomography(cp, levels: int) -> tuple[float, MeasurementPlan, dict]:
@@ -514,10 +515,11 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_points(cp, g: float) -> tuple[list[int], dict[float, list[int]]]:
+def _sweep_points(cp, g: float, n_seeds: int) -> tuple[list[int], dict[float, list[int]]]:
     """The sweep grid, checked before any sampling: the ``n_m`` values, each
-    ``>= 1``, and each step ``delta_t`` with the ``n_t`` values it serves,
-    both ascending.  Every ``n_t >= 2`` (a spectrum needs two bins).  When
+    ``>= 1``, and each step ``delta_t`` with the ``n_t`` values it serves, both
+    ascending.  Every ``n_t >= 2`` (a spectrum needs two bins), and ``n_seeds``
+    records of the longest fit the budget before any step is derived.  When
     set, ``t_total`` is finite and ``> 0``, and each ``n_t`` takes the step
     ``t_total / n_t``; otherwise every ``n_t`` takes ``plan.delta_t``.  Each
     step passes `_check_step` at its longest ``n_t``."""
@@ -529,6 +531,9 @@ def _sweep_points(cp, g: float) -> tuple[list[int], dict[float, list[int]]]:
         _checked(f"plan.{key}", min(values), min(values) >= low, f">= {low} in every entry")
     most = max(n_m_list)
     _checked("plan.n_m_list", most, most <= MAX_SHOTS, f"<= {MAX_SHOTS} in every entry")
+    n_t = max(n_t_list)
+    key = "plan.n_seeds" if n_seeds >= n_t else "plan.n_t_list"
+    _within_budget(key, 128 * n_seeds * n_t, f"{n_seeds} records of {n_t} points")
     key = "plan.t_total"
     if t_total is None:
         delta_t, key = _get_delta_t(cp, g)
@@ -559,10 +564,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     base_seed = _get_int_at_least(cp, "plan", "seed", 0)
     n_seeds = _get_int_at_least(cp, "plan", "n_seeds", 1)
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
-    n_m_list, steps = _sweep_points(cp, g)
-    n_t = max(max(n_ts) for n_ts in steps.values())
-    key = "plan.n_seeds" if n_seeds >= n_t else "plan.n_t_list"
-    _within_budget(key, 128 * n_seeds * n_t, f"{n_seeds} records of {n_t} points")
+    n_m_list, steps = _sweep_points(cp, g, n_seeds)
     gamma = _get_non_negative(cp, "plan", "gamma")
     freqs = comb_frequencies(g, 1)
     centers = rec_mod._z_tones(freqs["z"])

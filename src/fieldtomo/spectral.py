@@ -8,7 +8,8 @@ with signed omega_m = 2 pi m / (N_t dt), stored in ascending order.  A
 unit tone ``exp(i omega_0 t)`` then carries area exactly 1 at omega_0.
 `dft` takes a record and its step ``dt``, the grid being implied; the
 grid's ``omega_m`` and phases ``exp(-i omega_m dt)`` depend on ``(N_t, dt)``
-alone, so it builds them once per grid and reuses them, read-only.
+alone, so it builds them once per grid and reuses them, read-only.  Both
+`dft` and `Spectrum` refuse a step by the one rule `_check_step`.
 
 Because the record starts at t = dt rather than spanning the tone
 symmetrically, a tone sitting between bins leaks with a large odd-phase
@@ -26,9 +27,10 @@ linear solve.  `integrate_peak` is a thin view of `read_windows`.
 as arrays.  Window geometry has one rule, `_grid_windows`: a centre
 ``omega`` sits at rounded bin ``m = rint(omega / d_omega)``, stored at
 index ``m + N // 2``, and the window ``m +- half_width`` fits the grid when
-``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``.
-`_place` and `_free_bins` place windows and find the floors' free bins
-cold; the estimator plans of `reconstruct` keep their own.
+``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``;
+it alone refuses ``half_width < 0``.  `_place` and `_free_bins` place
+windows and find the floors' free bins cold; the estimator plans of
+`reconstruct` keep their own.
 
 Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
@@ -119,8 +121,7 @@ class Spectrum:
         v = v if v.flags.owndata and not v.flags.writeable else v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if not (self.delta_t > 0 and 0 < self.d_omega < math.inf):
-            raise ValidationError("delta_t must be > 0 with a finite, nonzero d_omega")
+        _check_step(self.n_t, self.delta_t)
 
     @property
     def n_t(self) -> int:
@@ -158,8 +159,7 @@ def dft(signal: np.ndarray, delta_t: float) -> Spectrum:
     if n < 2:
         raise GridError("need at least 2 samples")
     dt = float(delta_t)
-    if not (dt > 0 and 0 < 2.0 * math.pi / (n * dt) < math.inf):  # as `Spectrum` checks
-        raise GridError(f"delta_t must be > 0 with a finite, nonzero d_omega, got {dt!r}")
+    _check_step(n, dt)
     # fftshift(f) / n * phase: np.roll's copies, into the array `Spectrum` keeps
     f, k = np.fft.fft(s, axis=-1), n // 2
     vals = np.empty_like(f)
@@ -168,6 +168,13 @@ def dft(signal: np.ndarray, delta_t: float) -> Spectrum:
     vals *= _dft_grid(n, dt)[1]
     vals.setflags(write=False)  # owned and read-only: the `Spectrum` keeps it
     return Spectrum(vals, dt)
+
+
+def _check_step(n: int, delta_t: float) -> None:
+    """The only step rule: ``delta_t > 0`` with a finite, nonzero ``d_omega =
+    2 pi / (n delta_t)`` on an ``n``-point grid, else `GridError`."""
+    if not (delta_t > 0 and 0 < 2.0 * math.pi / (n * delta_t) < math.inf):
+        raise GridError(f"delta_t must be > 0 with a finite, nonzero d_omega, got {delta_t!r}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -212,7 +219,10 @@ def _grid_windows(n: int, d_omega: float, centers, half_width):
     """Window geometry of ``centers`` (any shape) on an ``n``-bin grid of step
     ``d_omega``: bin positions ``x = omega / d_omega``, rounded bins ``m =
     rint(x)``, their indices ``m + n // 2`` into spectrum values (as floats),
-    and whether each window ``m +- half_width`` fits.  The only fit rule."""
+    and whether each window ``m +- half_width`` fits.  The only fit rule, and
+    the one refusal of ``half_width < 0``."""
+    if half_width < 0:
+        raise ValidationError("half_width must be >= 0")
     x = np.asarray(centers, dtype=float) / d_omega
     m = np.rint(x)
     idx = m + n // 2
@@ -224,9 +234,7 @@ def _place(n: int, d_omega: float, centers, half_width: int):
     """Bin positions ``x``, rounded bins ``m_c``, their indices and the window
     responses (at least ``2 / pi``: a window that fits has ``|x - m_c| <= 1/2``)
     of ``centers`` (any shape) on an ``n``-bin grid of step ``d_omega``,
-    read-only; raises if a window runs off the grid."""
-    if half_width < 0:
-        raise ValidationError("half_width must be >= 0")
+    read-only; raises if a window runs off the grid or ``half_width < 0``."""
     x, m_c, idx, fits = _grid_windows(n, d_omega, centers, half_width)
     if not np.all(fits):
         raise GridError(f"window at bin {np.extract(~fits, m_c)[0]:.0f} +- {half_width} "
@@ -315,9 +323,8 @@ def noise_floor(spec: Spectrum, centers, half_width: int) -> float | np.ndarray:
 
 def _free_bins(n: int, d_omega: float, centers, half_width: int) -> np.ndarray:
     """Ascending indices of the bins of an ``n``-bin grid of step ``d_omega``
-    outside every ``half_width`` window around ``centers`` (any shape), read-only."""
-    if half_width < 0:
-        raise ValidationError("half_width must be >= 0")
+    outside every ``half_width`` window around ``centers`` (any shape),
+    read-only; refuses ``half_width < 0``."""
     free = np.ones(n, dtype=bool)
     _, _, idx, _ = _grid_windows(n, d_omega, np.ravel(centers), half_width)
     for i in idx.astype(int).tolist():
@@ -356,9 +363,7 @@ def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
 
 
 def validate_windows(
-    centers: Sequence[tuple[str, float]],
-    half_width: int,
-    spec: Spectrum,
+    centers: Sequence[tuple[str, float]], half_width: int, spec: Spectrum
 ) -> None:
     """Audit that labeled windows fit the grid and do not collide.
 
@@ -366,18 +371,15 @@ def validate_windows(
     centers differ by more than ``2 half_width`` bins (i.e. spacing
     exceeds ``2 half_width d_omega``).  Raises `ResolvabilityError`
     naming every colliding pair, or, beyond `_NAMED_PAIRS` of them, their
-    count and the first `_NAMED_PAIRS` met adding the windows in order; or
-    `GridError` if a window runs off the grid (Nyquist).
+    count and the first `_NAMED_PAIRS` met adding the windows in order;
+    `GridError` if a window runs off the grid (Nyquist); `ValidationError`
+    if ``half_width < 0``.
     """
-    if half_width < 0:
-        raise ValidationError("half_width must be >= 0")
     _, bins, _, fits = _grid_windows(spec.n_t, spec.d_omega, [c for _, c in centers], half_width)
     for (label, _), m, ok in zip(centers, bins, fits):
         if not ok:
-            raise GridError(
-                f"window for {label} (bin {int(m)} +- {half_width}) exceeds the "
-                f"frequency grid; raise n_t or shrink delta_t"
-            )
+            raise GridError(f"window for {label} (bin {int(m)} +- {half_width}) exceeds the "
+                            "frequency grid; raise n_t or shrink delta_t")
     # In bin order, windows lo[p] .. hi[p] - 1 lie within 2 half_width of window p.
     order = np.argsort(bins, kind="stable")
     ranked = bins[order]
@@ -387,19 +389,13 @@ def validate_windows(
     if not total:
         return
     # Name the first pairs (i, k), i < k, met adding the windows in order: by k,
-    # then i.  Window k meets one iff the first window of its range precedes it,
-    # found for every window from a sparse table of range minima.
-    table = [order]
-    while 2 ** len(table) <= order.size:
-        step = 2 ** (len(table) - 1)
-        table.append(np.minimum(table[-1][:-step], table[-1][step:]))
-    level, first = np.frexp(hi - lo)[1] - 1, np.empty_like(order)
-    for j, row in enumerate(table):
-        at = level == j
-        first[at] = np.minimum(row[lo[at]], row[hi[at] - 2**j])
-    meets = np.flatnonzero(first < order)
-    named = [(i, order[p]) for p in meets[np.argsort(order[meets])][:_NAMED_PAIRS].tolist()
-             for i in np.sort(order[lo[p] : hi[p]]).tolist() if i < order[p]]
+    # then i.  Walk the windows that have a collider, in window order.
+    named, meets = [], np.flatnonzero(hi - lo > 1)
+    meets = meets[np.argsort(order[meets])]
+    for p, k in zip(meets.tolist(), order[meets].tolist()):
+        named += [(i, k) for i in np.sort(order[lo[p] : hi[p]]).tolist() if i < k]
+        if len(named) >= _NAMED_PAIRS:
+            break
     clashes = {f"{centers[i][0]} / {centers[k][0]}" for i, k in named[:_NAMED_PAIRS]}
     count = f"; {total} pairs, {len(clashes)} named" if total > _NAMED_PAIRS else ""
     raise ResolvabilityError(

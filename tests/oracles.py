@@ -425,7 +425,9 @@ def noise_sweep_rows(
 ) -> list[dict]:
     """`cli.cmd_noise_sweep`'s rows, one record at a time: a fresh plan,
     trajectory, `dft`, leakage solve and `z_floor` for every seed, and the
-    cell's xi and S/xi averaged over the per-seed values."""
+    cell's xi and S/xi averaged over the per-seed values.  Like the command,
+    it refuses a mean S/xi that is not > 0 where the ``snr_vs_n_t`` slope
+    fits its logarithm (an ``n_m`` with more than one ``n_t``)."""
     freqs = comb_frequencies(cfg.g, 1)
     centers = [w.center for w in _z_windows(freqs)]
     rows = []
@@ -449,6 +451,10 @@ def noise_sweep_rows(
             rows.append(
                 {"n_m": n_m, "n_t": n_t, "xi": float(np.mean(xis)), "snr": float(np.mean(snrs))}
             )
+    for n_m in set(n_m_list):
+        snrs = [row["snr"] for row in rows if row["n_m"] == n_m]
+        if len(snrs) > 1 and not all(snr > 0 for snr in snrs):
+            raise EstimationError(f"mean S/xi at n_m = {n_m} is not > 0")
     return rows
 
 

@@ -845,6 +845,26 @@ def test_sizes_beyond_the_byte_budget_are_refused_before_allocating(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("n_t", [2**62, 10**400], ids=["2**62", "10**400"])
+def test_a_record_length_beyond_the_budget_is_keyed_before_any_float_arithmetic(
+    capsys, tmp_path, n_t
+):
+    """An ``n_t`` past the byte budget, up to one no float can hold, exits 2
+    keyed by the setting that gave it, with no directory left behind: the
+    budget is checked before the step, the grid or the plan."""
+    runs = [(command, f"[plan]\nn_t = {n_t}\n", "plan.n_t")
+            for command in ("reconstruct", "dce", "estimate-g")]
+    runs.append(("noise-sweep", f"[plan]\nn_t_list = 64 {n_t}\n", "plan.n_t_list"))
+    for command, overlay, key in runs:
+        out_dir = tmp_path / command
+        code, _, err = run(capsys, command, "--config", write_config(tmp_path, overlay),
+                           "--out-dir", str(out_dir))
+        body = stderr_error(err)
+        assert (code, body["type"], body["key"]) == (2, "ConfigError", key), command
+        assert str(cli.BYTE_BUDGET) in body["message"]
+        assert not out_dir.exists()
+
+
 def clear_process_memos() -> None:
     """Empty every memo the library keeps across calls."""
     for memo in (spectral._dft_grid, spectral._lead_slots, rec_mod._z_plan, rec_mod._xy_plan,
@@ -987,6 +1007,10 @@ def test_noise_sweep_with_a_non_positive_snr_exits_3(capsys, tmp_path):
     n_t_list=[1024, 128, 512, 256, 128], n_m_list=[1000], n_seeds=3, t_total=None,
     half_width=4, gamma=0.02, seed=12345,
 )
+@example(  # one shot: the mean S/xi of the 16-point cell is negative
+    n_t_list=[16, 17], n_m_list=[1], n_seeds=1, t_total=10.0, half_width=1, gamma=0.02,
+    seed=9136,
+)
 def test_noise_sweep_rows_match_the_per_record_oracle(
     n_t_list, n_m_list, n_seeds, t_total, half_width, gamma, seed
 ):
@@ -1080,6 +1104,7 @@ HOSTILE_VALUES = (
     "nan", "inf", "-inf", "-0", "-1", "1e308", "5e-324", "abc", "0x10", "1_000",
     "9223372036854775808", "10000000000000000000000", "",
     "1:1", "1:nan:0; 2:1:0", "7:1:0", "10 abc", "-1 10", "10, 9223372036854775808",
+    "1" + "0" * 400,
 )
 # ``1_000`` parses as 1000: a DCE cutoff that size is admitted but takes seconds.
 SMALL_ONLY = {"dce.cutoff"}
@@ -1205,6 +1230,9 @@ def hostile_values(key: str):
 @example(command="noise-sweep", drawn={"plan.n_m_list": "10000000000000000000000"})
 @example(command="reconstruct", drawn={"spectral.n_max": "9223372036854775808"})
 @example(command="dce", drawn={"spectral.n_max": "10000000000000000000000"})
+@example(command="reconstruct", drawn={"plan.n_t": "1" + "0" * 400})
+@example(command="noise-sweep", drawn={"plan.n_t_list": "1" + "0" * 400})
+@example(command="reconstruct", drawn={"state.file": "1" + "0" * 400})  # a name too long
 def test_hostile_configs_exit_typed_and_clean(command, drawn):
     """One to three INI keys set to hostile values on tiny grids: every run
     exits 0, 2, 3 or 4 without a warning; a refusal leaves no ``--out-dir``

@@ -565,6 +565,40 @@ def test_a_collision_refusal_counts_millions_of_pairs_and_names_ten():
     assert peak < 2**21
 
 
+def two_pair_layouts():
+    """Two 8192-window combs at half-width 1 (the most windows `cli.BYTE_BUDGET`
+    admits, ``n_max = 2048``) with their colliding pairs known by construction:
+    windows 5 bins apart but for the last, on its neighbour's bin; and two
+    interleaved halves where window ``i`` meets only window ``i + 4096``."""
+    last = [5 * k for k in range(8191)] + [5 * 8190]
+    halves = [5 * k for k in range(4096)] + [5 * k + 1 for k in range(4096)]
+    return [(last, [(8190, 8191)]), (halves, [(k, k + 4096) for k in range(4096)])]
+
+
+@pytest.mark.parametrize("bins, pairs", two_pair_layouts(), ids=["last-pair", "halves"])
+def test_a_collision_walk_over_the_largest_comb_names_its_pairs(bins, pairs):
+    """Window ``k`` of the walk names its earlier colliders: for the
+    interleaved halves the first 10 pairs come after 4096 windows without
+    one.  The all-pairs oracle's ``W x W`` matrix is too big here, so the
+    message is built from the pairs themselves."""
+    n = 2**17
+    spec = Spectrum(np.zeros(n, dtype=complex), 2.0 * np.pi / n)  # d_omega = 1
+    centers = [(f"w{k}", float(b)) for k, b in enumerate(bins)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolvabilityError) as err:
+            validate_windows(centers, 1, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    named = sorted(f"w{i} / w{k}" for i, k in pairs[:10])
+    count = f"; {len(pairs)} pairs, 10 named" if len(pairs) > 10 else ""
+    assert str(err.value) == (
+        f"integration windows collide (need spacing > 2 bins{count}): " + "; ".join(named)
+    )
+    assert peak < 2**21
+
+
 def test_validate_windows_flags_nyquist_overflow():
     t = time_grid(0.075, 128)
     spec = dft(np.cos(2.0 * t), 0.075)
@@ -681,10 +715,15 @@ def test_max_half_width():
 def test_spectrum_refuses_a_bad_delta_t(delta_t):
     """A negative delta_t flips d_omega, so a read at +omega would return the
     conjugate area of the -omega window; NaN, inf and a delta_t so small
-    that d_omega overflows give no grid at all."""
+    that d_omega overflows give no grid at all.  The refusal is `dft`'s,
+    word for word, with the step in it."""
     spec = onbin_fock_spectrum()
-    with pytest.raises(ValidationError, match="delta_t"):
+    with pytest.raises(GridError) as built:
         Spectrum(spec.values, delta_t)
+    with pytest.raises(GridError) as transformed:
+        dft(np.ones(spec.n_t), delta_t)
+    assert str(built.value) == str(transformed.value)
+    assert repr(float(delta_t)) in str(built.value)
 
 
 @settings(deadline=None, max_examples=200)
