@@ -566,8 +566,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
     n_m_list, steps = _sweep_points(cp, g, n_seeds)
     gamma = _get_non_negative(cp, "plan", "gamma")
-    freqs = comb_frequencies(g, 1)
-    centers = rec_mod._z_tones(freqs["z"])
+    centers = [w.center for w in rec_mod._z_windows(comb_frequencies(g, 1))]
 
     rows = []
     for delta_t, n_ts in steps.items():
@@ -578,7 +577,7 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
             for n_t in n_ts:
                 spec = dft(records[:, :n_t], delta_t)
                 hw = min(half_width, max_half_width(centers, spec))
-                ests = rec_mod.populations_from_z(spec, freqs, hw)
+                ests = rec_mod.populations_from_z(spec, g, 1, hw)
                 xi = rec_mod._z_floor(spec, ests, g, hw)
                 noiseless = xi <= NOISELESS_FLOOR
                 if noiseless.any():

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,16 +68,21 @@ def time_grid(delta_t: float, n_t: int) -> np.ndarray:
 
 
 def _check_grid(delta_t: float, n_t: int) -> None:
-    """Refuse a step that is not ``> 0``, an ``n_t`` not an integer in ``1..MAX_N_T``
-    (``4096.0`` is one) or a last time ``n_t delta_t`` that overflows."""
-    if not delta_t > 0:
-        raise GridError(f"delta_t must be positive, got {delta_t!r}")
+    """The one grid rule: ``n_t`` an integer in ``1..MAX_N_T`` (``4096.0`` is
+    one) and a step ``delta_t``, a number ``> 0``, whose last time ``n_t
+    delta_t`` does not overflow and whose ``d_omega = 2 pi / (n_t delta_t)``
+    is finite; else `GridError`."""
     # Range first: int() of inf or nan raises.
-    if not 1 <= n_t <= MAX_N_T or int(n_t) != n_t:
+    if not (isinstance(n_t, numbers.Real) and 1 <= n_t <= MAX_N_T and int(n_t) == n_t):
         raise GridError(f"n_t must be an integer in 1..{MAX_N_T} for an addressable grid, "
                         f"got {n_t!r}")
-    if not math.isfinite(delta_t * n_t):
+    # A step up to the largest float, so float() cannot overflow; any other is refused below.
+    step = isinstance(delta_t, numbers.Real) and 0 < delta_t <= sys.float_info.max
+    t_last = float(delta_t) * int(n_t) if step else 0.0
+    if t_last == math.inf:
         raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}")
+    if not (t_last > 0 and 2.0 * math.pi / t_last < math.inf):
+        raise GridError(f"delta_t must be > 0 with a finite, nonzero d_omega, got {delta_t!r}")
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,21 @@ Estimator conventions (all verified against closed-form trajectories):
   ``rho_{n+1, n} = conj(S_n)``; phases chain through the upper one:
   ``phi_{n+1} = phi_n - arg S_n``.
 
-The comb is `spectral.comb_frequencies`: both estimators take its
-``{"z", "sum", "diff"}`` arrays.  `_z_windows` and `_xy_windows` list the
-windows read on it, with the labels of `validate_windows` messages and
-``peaks.json``; the noise-floor exclusions are the same windows.  An
-estimator's plan (its windows, their validation and placement, the
-readable difference bands, the leakage matrices and the floors' free bins)
-depends on the grid, the comb and the half-width alone: `_z_plan` and
-`_xy_plan` build each once and keep the last `_WINDOW_SETS`, read-only.  A
-refused comb is not cached.  Each spectrum's windows are read at the plan's
-placement by the kernel of `spectral.read_windows`, in one call, and
-isolated tones are captured exactly.  The cross-tone leakage is a
-small linear map from the unknowns (rho_nn, S_n) to the reads, built in
-closed form by `spectral.window_gains` from a model comb that contains
+Both estimators read the comb ``spectral.comb_frequencies(g, n_max)``.
+`_z_windows` and `_xy_windows` list the windows read on it, with the labels
+of `validate_windows` messages and ``peaks.json``; the noise-floor
+exclusions are the same windows.  An estimator's plan (its windows, their
+validation and placement, the readable difference bands, the leakage
+matrices and the floors' free bins) is fixed by the numbers ``(n_t,
+delta_t, g, n_max, half_width)``: `_z_plan` and `_xy_plan` build each once
+from them and keep the last `_WINDOW_SETS`, read-only.  Their memos are
+typed, so a key of another type (``2.0`` for ``2``) is never served a plan
+built for a valid one: the comb and half-width rules refuse it as the plan
+is built, and a refused plan is not cached.  Each spectrum's windows are
+read at the plan's placement by the kernel of `spectral.read_windows`, in
+one call, and isolated tones are captured exactly.  The cross-tone leakage
+is a small linear map from the unknowns (rho_nn, S_n) to the reads, built
+in closed form by `spectral.window_gains` from a model comb that contains
 every tone, unread difference-band ones included; one linear solve per
 spectrum family removes it.
 
@@ -195,13 +197,11 @@ def _xy_windows(freqs: dict[str, np.ndarray], diff_read: np.ndarray) -> list[_Wi
 
 
 def populations_from_z(
-    spec: Spectrum,
-    freqs: dict[str, np.ndarray],
-    half_width: int = DEFAULT_HALF_WIDTH,
+    spec: Spectrum, g: float, n_max: int, half_width: int = DEFAULT_HALF_WIDTH
 ) -> np.ndarray:
     """Raw diagonal estimates from the z spectrum (not clamped).
 
-    ``freqs`` is the `comb_frequencies` comb; its ``z`` tones are read.
+    The ``z`` tones of ``comb_frequencies(g, n_max)`` are read.
     Reads the DC window plus the +-2 Omega_n pairs and solves the leakage
     matrix of those reads: ``L[k, n]`` is read ``k`` of the model
     ``p_0 + sum p_n cos(2 Omega_n t)`` at unit ``p_n``, with
@@ -209,25 +209,19 @@ def populations_from_z(
     For ``(..., N)`` spectrum values the result is ``(..., n_max + 1)``: one
     matrix, solved against every record's reads.
     """
-    return _solve_z(spec, freqs, half_width)[0]
+    return _solve_z(spec, g, n_max, half_width)[0]
 
 
-def _z_tones(c: np.ndarray) -> np.ndarray:
-    """DC, then ``+c_n, -c_n`` for each n: the z tones of comb ``c``, in `_z_windows` order."""
-    return np.concatenate(([0.0], np.column_stack((c, -c)).ravel()))
-
-
-@functools.lru_cache(maxsize=_WINDOW_SETS)
-def _z_plan(n_t: int, delta_t: float, c: bytes, half_width: int):
-    """The validated `_z_windows` of the z comb ``np.frombuffer(c)`` on the
+@functools.lru_cache(maxsize=_WINDOW_SETS, typed=True)
+def _z_plan(n_t: int, delta_t: float, g: float, n_max: int, half_width: int):
+    """The validated `_z_windows` of ``comb_frequencies(g, n_max)`` on the
     grid ``(n_t, delta_t)``, their placement, the leakage matrix and the z
-    floor's free bins, read-only.  A refused comb is not cached."""
+    floor's free bins, read-only.  A refused plan is not cached."""
     grid = Spectrum(np.zeros(n_t, complex), delta_t)  # windows and gains read its grid alone
-    c = np.frombuffer(c)
-    windows = tuple(_z_windows({"z": c}))
+    windows = tuple(_z_windows(comb_frequencies(g, n_max)))
     validate_windows([(w.name, w.center) for w in windows], half_width, grid)
-    tones = _z_tones(c)
-    fold = np.eye(c.size + 1)[(np.arange(tones.size) + 1) // 2]  # tone k feeds level (k + 1) // 2
+    tones = np.array([w.center for w in windows])
+    fold = np.eye(n_max + 1)[(np.arange(tones.size) + 1) // 2]  # tone k feeds level (k + 1) // 2
     leak = (fold.T @ window_gains(grid, tones, tones, half_width) @ fold).real
     leak[:, 1:] *= 0.5  # p cos(ct) = (p/2)(e^{ict} + e^{-ict}); the DC window reads once
     placed = _place(n_t, grid.d_omega, tones, half_width)
@@ -235,12 +229,11 @@ def _z_plan(n_t: int, delta_t: float, c: bytes, half_width: int):
 
 
 def _solve_z(
-    spec: Spectrum, freqs: dict[str, np.ndarray], half_width: int
+    spec: Spectrum, g: float, n_max: int, half_width: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[_Window, ...]]:
     """`populations_from_z`, the complex areas it reads, ``(..., 2 n_max
     + 1)``, and their windows: DC, then ``+c_n, -c_n`` for each n."""
-    c = np.asarray(freqs["z"], dtype=float).tobytes()
-    windows, placed, leak, _ = _z_plan(spec.n_t, spec.delta_t, c, half_width)
+    windows, placed, leak, _ = _z_plan(spec.n_t, spec.delta_t, g, n_max, half_width)
     a = _read_placed(spec, placed, half_width)
     # Cosine-pair amplitudes Re(a(+c) + a(-c)); the DC window counts once.
     reads = np.concatenate((a[..., :1].real, (a[..., 1::2] + a[..., 2::2]).real), axis=-1)
@@ -260,22 +253,21 @@ def _diff_band_readable(
     """
     _, sums, _, _ = _grid_windows(spec.n_t, spec.d_omega, freqs["sum"], half_width)
     _, diffs, _, fits = _grid_windows(spec.n_t, spec.d_omega, freqs["diff"][1:], half_width)
-    gaps = np.abs(diffs[:, None] - np.concatenate((sums, -sums, diffs, -diffs)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a bin beyond any float is unreadable
+        gaps = np.abs(diffs[:, None] - np.concatenate((sums, -sums, diffs, -diffs)))
     own = np.arange(diffs.size)
     gaps[own, 2 * sums.size + own] = np.inf  # a window does not clash with itself
     return np.concatenate(([False], fits & np.all(gaps > 2 * half_width, axis=1)))
 
 
-@functools.lru_cache(maxsize=_WINDOW_SETS)
-def _xy_plan(n_t: int, delta_t: float, band: bytes, half_width: int):
-    """As `_z_plan`, for the sum, then difference, tones ``np.frombuffer(band)``:
-    the validated `_xy_windows`, their placement, the readable difference
-    bands, each solve row's level, the leakage matrix, the band average
-    ``avg``, ``avg @ leak`` and the free bins of every tone, read or not."""
+@functools.lru_cache(maxsize=_WINDOW_SETS, typed=True)
+def _xy_plan(n_t: int, delta_t: float, g: float, n_max: int, half_width: int):
+    """As `_z_plan`, for the sum and difference tones: the validated
+    `_xy_windows`, their placement, the readable difference bands, each
+    solve row's level, the leakage matrix, the band average ``avg``, ``avg @
+    leak`` and the free bins of every tone, read or not."""
     grid = Spectrum(np.zeros(n_t, complex), delta_t)
-    band = np.frombuffer(band)
-    n_max = band.size // 2
-    freqs = {"sum": band[:n_max], "diff": band[n_max:]}
+    freqs = comb_frequencies(g, n_max)
     readable = _diff_band_readable(freqs, grid, half_width)
     windows = tuple(_xy_windows(freqs, readable))
     validate_windows([(w.name, w.center) for w in windows], half_width, grid)
@@ -288,6 +280,7 @@ def _xy_plan(n_t: int, delta_t: float, band: bytes, half_width: int):
     # every tone included (the n = 0 pair doubles at Omega_1, and unread
     # difference tones still leak into the read windows);
     # -sin(wt) = (i/2)(e^{iwt} - e^{-iwt}) and a read is Im(a(+c) - a(-c)).
+    band = np.concatenate((freqs["sum"], freqs["diff"]))
     tones = np.concatenate((band, -band))
     gains = window_gains(grid, centers, tones, half_width)
     areas = gains @ (0.5j * np.concatenate((np.eye(n_max),) * 2 + (-np.eye(n_max),) * 2))
@@ -301,21 +294,17 @@ def _xy_plan(n_t: int, delta_t: float, band: bytes, half_width: int):
 
 
 def coherences_from_xy(
-    spec_x: Spectrum,
-    spec_y: Spectrum,
-    freqs: dict[str, np.ndarray],
-    half_width: int = DEFAULT_HALF_WIDTH,
+    spec_x: Spectrum, spec_y: Spectrum, g: float, n_max: int, half_width: int = DEFAULT_HALF_WIDTH
 ) -> tuple[np.ndarray, dict]:
     """Superdiagonal (upper convention S_n = rho_{n,n+1}) plus diagnostics.
 
-    ``freqs`` is the `comb_frequencies` comb; its ``sum`` and ``diff``
-    tones are read."""
+    The ``sum`` and ``diff`` tones of ``comb_frequencies(g, n_max)`` are read."""
     _one_record("coherences_from_xy", spec_x, spec_y)
-    return _solve_xy(spec_x, spec_y, freqs, half_width)[:2]
+    return _solve_xy(spec_x, spec_y, g, n_max, half_width)[:2]
 
 
 def _solve_xy(
-    spec_x: Spectrum, spec_y: Spectrum, freqs: dict[str, np.ndarray], half_width: int
+    spec_x: Spectrum, spec_y: Spectrum, g: float, n_max: int, half_width: int
 ) -> tuple[np.ndarray, dict, tuple[_Window, ...], np.ndarray, np.ndarray, np.ndarray]:
     """`coherences_from_xy`, then the windows it reads, the floors' free bins
     and the complex areas on x and on y, in `_xy_windows` order.  The windows
@@ -323,8 +312,7 @@ def _solve_xy(
     grids = [(sp.n_t, sp.delta_t) for sp in (spec_x, spec_y)]
     if grids[0] != grids[1]:
         raise GridError(f"x and y spectra on two grids (n_t, delta_t): {grids[0]} and {grids[1]}")
-    band = np.concatenate((freqs["sum"], freqs["diff"]), dtype=float).tobytes()
-    plan = _xy_plan(spec_x.n_t, spec_x.delta_t, band, half_width)
+    plan = _xy_plan(spec_x.n_t, spec_x.delta_t, g, n_max, half_width)
     windows, placed, readable, owner, leak, avg, normal, free = plan
     ax, ay = (_read_placed(sp, placed, half_width) for sp in (spec_x, spec_y))
     # Sine-pair amplitudes Im(a(+c) - a(-c)): Re S_n from y, Im S_n from x,
@@ -395,8 +383,7 @@ def _z_floor(
     """`residual_floor` of a z spectrum against the z record that
     `bloch_components` gives ``populations`` at coupling ``g``
     (``(..., n_max + 1)`` for ``(..., N)`` spectrum values), at its z plan's free bins."""
-    c = comb_frequencies(g, populations.shape[-1] - 1)["z"]
-    free = _z_plan(spec.n_t, spec.delta_t, c.tobytes(), half_width)[-1]
+    free = _z_plan(spec.n_t, spec.delta_t, g, populations.shape[-1] - 1, half_width)[-1]
     _, _, model = bloch_components(populations, None, g, spec.delta_t, spec.n_t)
     return residual_floor(spec, model, free)
 
@@ -439,11 +426,10 @@ def reconstruct_from_spectra(
     if (spec_x is None) != (spec_y is None):
         raise ValidationError("x and y spectra must be supplied together")
     _one_record("reconstruct_from_spectra", spec_z, spec_x, spec_y)
-    freqs = comb_frequencies(g, n_max)
     warnings_out: list[str] = []
     diagnostics: dict = {}
 
-    raw, z_areas, z_windows = _solve_z(spec_z, freqs, half_width)
+    raw, z_areas, z_windows = _solve_z(spec_z, g, n_max, half_width)
     pops = np.clip(raw, 0.0, None)
     diagnostics["raw_populations"] = raw.tolist()
     if np.any(raw < -1e-6):
@@ -463,7 +449,8 @@ def reconstruct_from_spectra(
     coherences = s_upper = None
     links = np.zeros(0, dtype=complex)
     if spec_x is not None and spec_y is not None:
-        s_upper, coh_diag, windows, free, *xy_areas = _solve_xy(spec_x, spec_y, freqs, half_width)
+        s_upper, coh_diag, windows, free, *xy_areas = _solve_xy(
+            spec_x, spec_y, g, n_max, half_width)
         diagnostics.update(coh_diag)
         models = bloch_components(None, s_upper, g, spec_x.delta_t, spec_x.n_t)
         xi_x, xi_y = (_safe_floor(residual_floor, sp, model, free)
@@ -545,19 +532,9 @@ def reconstruct_state(
     """Convenience wrapper: trajectory -> spectra -> estimates."""
     if traj.z is None:
         raise ValidationError("reconstruction requires the z axis")
-    spec_z = dft(traj.z, traj.delta_t)
-    spec_x = dft(traj.x, traj.delta_t) if traj.x is not None else None
-    spec_y = dft(traj.y, traj.delta_t) if traj.y is not None else None
-    return reconstruct_from_spectra(
-        g,
-        spec_z,
-        spec_x,
-        spec_y,
-        n_max=n_max,
-        half_width=half_width,
-        population_floor=population_floor,
-        reference=reference,
-    )
+    specs = [None if c is None else dft(c, traj.delta_t) for c in (traj.z, traj.x, traj.y)]
+    return reconstruct_from_spectra(g, *specs, n_max=n_max, half_width=half_width,
+                                    population_floor=population_floor, reference=reference)
 
 
 def peak_report(

@@ -9,7 +9,7 @@ unit tone ``exp(i omega_0 t)`` then carries area exactly 1 at omega_0.
 `dft` takes a record and its step ``dt``, the grid being implied; the
 grid's ``omega_m`` and phases ``exp(-i omega_m dt)`` depend on ``(N_t, dt)``
 alone, so it builds them once per grid and reuses them, read-only.  Both
-`dft` and `Spectrum` refuse a step by the one rule `_check_step`.
+`dft` and `Spectrum` refuse a grid by the one rule `probe._check_grid`.
 
 Because the record starts at t = dt rather than spanning the tone
 symmetrically, a tone sitting between bins leaks with a large odd-phase
@@ -28,9 +28,9 @@ as arrays.  Window geometry has one rule, `_grid_windows`: a centre
 ``omega`` sits at rounded bin ``m = rint(omega / d_omega)``, stored at
 index ``m + N // 2``, and the window ``m +- half_width`` fits the grid when
 ``-(N // 2) <= m - half_width`` and ``m + half_width <= N - N // 2 - 1``;
-it alone refuses ``half_width < 0``.  `_place` and `_free_bins` place
-windows and find the floors' free bins cold; the estimator plans of
-`reconstruct` keep their own.
+it alone refuses a ``half_width`` that is not an integer ``>= 0``.  `_place`
+and `_free_bins` place windows and find the floors' free bins cold; the
+estimator plans of `reconstruct` keep their own.
 
 Records of one grid can be stacked on leading axes: `dft` transforms
 ``(..., N)`` signals in one FFT, `Spectrum.values` then has shape
@@ -66,6 +66,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -73,6 +75,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import GridError, ResolvabilityError, ValidationError
+from .probe import _check_grid
 
 __all__ = [
     "Spectrum",
@@ -121,7 +124,7 @@ class Spectrum:
         v = v if v.flags.owndata and not v.flags.writeable else v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        _check_step(self.n_t, self.delta_t)
+        _check_grid(self.delta_t, self.n_t)
 
     @property
     def n_t(self) -> int:
@@ -158,8 +161,8 @@ def dft(signal: np.ndarray, delta_t: float) -> Spectrum:
     n = s.shape[-1] if s.ndim else 0
     if n < 2:
         raise GridError("need at least 2 samples")
+    _check_grid(delta_t, n)
     dt = float(delta_t)
-    _check_step(n, dt)
     # fftshift(f) / n * phase: np.roll's copies, into the array `Spectrum` keeps
     f, k = np.fft.fft(s, axis=-1), n // 2
     vals = np.empty_like(f)
@@ -168,13 +171,6 @@ def dft(signal: np.ndarray, delta_t: float) -> Spectrum:
     vals *= _dft_grid(n, dt)[1]
     vals.setflags(write=False)  # owned and read-only: the `Spectrum` keeps it
     return Spectrum(vals, dt)
-
-
-def _check_step(n: int, delta_t: float) -> None:
-    """The only step rule: ``delta_t > 0`` with a finite, nonzero ``d_omega =
-    2 pi / (n delta_t)`` on an ``n``-point grid, else `GridError`."""
-    if not (delta_t > 0 and 0 < 2.0 * math.pi / (n * delta_t) < math.inf):
-        raise GridError(f"delta_t must be > 0 with a finite, nonzero d_omega, got {delta_t!r}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -220,10 +216,12 @@ def _grid_windows(n: int, d_omega: float, centers, half_width):
     ``d_omega``: bin positions ``x = omega / d_omega``, rounded bins ``m =
     rint(x)``, their indices ``m + n // 2`` into spectrum values (as floats),
     and whether each window ``m +- half_width`` fits.  The only fit rule, and
-    the one refusal of ``half_width < 0``."""
-    if half_width < 0:
-        raise ValidationError("half_width must be >= 0")
-    x = np.asarray(centers, dtype=float) / d_omega
+    the one half-width rule: an integer ``>= 0``.  A centre beyond every
+    float bin has ``x = +-inf`` and fits nowhere."""
+    if not (isinstance(half_width, numbers.Integral) and half_width >= 0):
+        raise ValidationError(f"half_width must be >= 0 and an integer, got {half_width!r}")
+    with np.errstate(over="ignore"):
+        x = np.asarray(centers, dtype=float) / d_omega
     m = np.rint(x)
     idx = m + n // 2
     # -(N // 2) <= m - half_width and m + half_width <= N - N // 2 - 1
@@ -234,7 +232,8 @@ def _place(n: int, d_omega: float, centers, half_width: int):
     """Bin positions ``x``, rounded bins ``m_c``, their indices and the window
     responses (at least ``2 / pi``: a window that fits has ``|x - m_c| <= 1/2``)
     of ``centers`` (any shape) on an ``n``-bin grid of step ``d_omega``,
-    read-only; raises if a window runs off the grid or ``half_width < 0``."""
+    read-only; raises if a window runs off the grid or `_grid_windows` refuses
+    ``half_width``."""
     x, m_c, idx, fits = _grid_windows(n, d_omega, centers, half_width)
     if not np.all(fits):
         raise GridError(f"window at bin {np.extract(~fits, m_c)[0]:.0f} +- {half_width} "
@@ -314,8 +313,11 @@ def noise_floor(spec: Spectrum, centers, half_width: int) -> float | np.ndarray:
     ``centers`` (signed omega: list +center and -center; off-grid bins are
     skipped).  At least 25% of the bins must survive, otherwise the floor is
     meaningless.  Returns a float for one record and one floor per record,
-    shape ``(...)``, for ``(..., N)`` values.
+    shape ``(...)``, for ``(..., N)`` values.  A NaN or infinite centre is a
+    `GridError`, as it is where windows are read.
     """
+    if not np.all(np.isfinite(centers)):
+        raise GridError("noise-floor centres must be finite")
     free = _free_bins(spec.n_t, spec.d_omega, centers, half_width)
     _check_free(free, spec.n_t)
     return _rms(spec.values.take(free, axis=-1))
@@ -324,11 +326,12 @@ def noise_floor(spec: Spectrum, centers, half_width: int) -> float | np.ndarray:
 def _free_bins(n: int, d_omega: float, centers, half_width: int) -> np.ndarray:
     """Ascending indices of the bins of an ``n``-bin grid of step ``d_omega``
     outside every ``half_width`` window around ``centers`` (any shape),
-    read-only; refuses ``half_width < 0``."""
+    read-only; a window is cast to bins only if it touches the grid."""
     free = np.ones(n, dtype=bool)
     _, _, idx, _ = _grid_windows(n, d_omega, np.ravel(centers), half_width)
-    for i in idx.astype(int).tolist():
-        free[max(i - half_width, 0) : max(i + half_width + 1, 0)] = False
+    touch = idx[(idx >= -half_width) & (idx < n + half_width)]  # NaN and inf touch none
+    for i in touch.astype(int).tolist():
+        free[max(i - half_width, 0) : i + half_width + 1] = False
     return _read_only(np.flatnonzero(free))[0]
 
 
@@ -349,17 +352,23 @@ def _rms(values: np.ndarray) -> float | np.ndarray:
 def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
     """Rabi comb tone positions by family: ``z[n-1] = 2 Omega_n``,
     ``sum[n] = Omega_{n+1} + Omega_n`` and ``diff[n] = Omega_{n+1} - Omega_n``
-    (``diff[0] = sum[0] = Omega_1``: the n = 0 sidebands coincide)."""
-    if not g > 0:
-        raise ValidationError("coupling g must be positive")
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    (``diff[0] = sum[0] = Omega_1``: the n = 0 sidebands coincide).  The one
+    comb rule: ``g`` a finite number ``> 0``, ``n_max`` an integer ``>= 1`` and
+    the top tone ``z[-1]``, the largest, finite."""
+    if not (isinstance(g, numbers.Real) and 0 < g <= sys.float_info.max):
+        raise ValidationError(f"coupling g must be a finite number > 0, got {g!r}")
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
+        raise ValidationError(f"n_max must be an integer >= 1, got {n_max!r}")
     root = np.sqrt(np.arange(n_max + 1, dtype=float))
-    return {
-        "z": 2.0 * g * root[1:],
-        "sum": g * (root[1:] + root[:-1]),
-        "diff": g * (root[1:] - root[:-1]),
-    }
+    with np.errstate(over="ignore"):
+        comb = {
+            "z": 2.0 * g * root[1:],
+            "sum": g * (root[1:] + root[:-1]),
+            "diff": g * (root[1:] - root[:-1]),
+        }
+    if comb["z"][-1] == np.inf:
+        raise ValidationError(f"the comb's top tone 2 g sqrt(n_max) overflows at g = {g!r}")
+    return comb
 
 
 def validate_windows(
@@ -373,12 +382,12 @@ def validate_windows(
     naming every colliding pair, or, beyond `_NAMED_PAIRS` of them, their
     count and the first `_NAMED_PAIRS` met adding the windows in order;
     `GridError` if a window runs off the grid (Nyquist); `ValidationError`
-    if ``half_width < 0``.
+    for a ``half_width`` that is not an integer ``>= 0``.
     """
     _, bins, _, fits = _grid_windows(spec.n_t, spec.d_omega, [c for _, c in centers], half_width)
     for (label, _), m, ok in zip(centers, bins, fits):
         if not ok:
-            raise GridError(f"window for {label} (bin {int(m)} +- {half_width}) exceeds the "
+            raise GridError(f"window for {label} (bin {m:.0f} +- {half_width}) exceeds the "
                             "frequency grid; raise n_t or shrink delta_t")
     # In bin order, windows lo[p] .. hi[p] - 1 lie within 2 half_width of window p.
     order = np.argsort(bins, kind="stable")
@@ -407,6 +416,8 @@ def validate_windows(
 def max_half_width(centers: Sequence[float], spec: Spectrum) -> int:
     """Largest half-width for which all listed windows stay disjoint."""
     _, bins, _, _ = _grid_windows(spec.n_t, spec.d_omega, centers, 0)
+    if not np.all(np.isfinite(bins)):
+        raise GridError("window centres must have finite bins")
     if bins.size < 2:
         return DEFAULT_HALF_WIDTH
     return max(0, (int(np.diff(np.sort(bins, axis=None)).min()) - 1) // 2)

@@ -442,7 +442,7 @@ def noise_sweep_rows(
                 traj = sample_trajectory(rho, cfg, plan)
                 spec = dft(traj.z, traj.times)
                 hw = min(half_width, max_half_width(centers, spec))
-                ests = populations_from_z(spec, freqs, hw)
+                ests = populations_from_z(spec, cfg.g, 1, hw)
                 xi = z_floor(spec, ests, cfg.g, hw)
                 if xi <= NOISELESS_FLOOR:
                     raise EstimationError(f"noise floor {xi:.3e} is rounding")

@@ -30,7 +30,16 @@ from fieldtomo.reconstruct import (
     reconstruct_state,
 )
 from fieldtomo import spectral
-from fieldtomo.spectral import Spectrum, comb_frequencies, dft, read_windows
+from fieldtomo.spectral import (
+    Spectrum,
+    comb_frequencies,
+    dft,
+    max_half_width,
+    noise_floor,
+    read_windows,
+    validate_windows,
+    window_gains,
+)
 from fieldtomo.states import coherent_state, superposition
 
 DT, N_T = 0.075, 4096
@@ -593,7 +602,7 @@ def test_reconstruct_from_spectra_refuses_a_stack(axes):
 def test_coherences_from_xy_refuses_a_stack():
     stack = stacked_spectra()
     with pytest.raises(ValidationError, match="one record, not a stack"):
-        coherences_from_xy(stack["x"], stack["y"], comb_frequencies(1.0, 8))
+        coherences_from_xy(stack["x"], stack["y"], 1.0, 8)
 
 
 def paper_state2_spectra(n_t: int, delta_t: float = 0.075):
@@ -614,7 +623,7 @@ def test_x_and_y_spectra_on_two_grids_are_refused(n_t, delta_t):
     spec_y = paper_state2_spectra(n_t, delta_t)[2]
     assert (spec_y.n_t, spec_y.delta_t) != (spec_x.n_t, spec_x.delta_t)
     calls = [
-        lambda: coherences_from_xy(spec_x, spec_y, comb_frequencies(1.0, 8), 4),
+        lambda: coherences_from_xy(spec_x, spec_y, 1.0, 8, 4),
         lambda: reconstruct_from_spectra(1.0, spec_z, spec_x, spec_y, n_max=8, half_width=4),
         lambda: peak_report(1.0, 8, spec_z, spec_x, spec_y, half_width=4),
     ]
@@ -640,9 +649,8 @@ def test_estimator_plans_are_built_once_per_grid_and_cannot_be_written():
     band = np.concatenate((freqs["sum"], freqs["diff"]))
     # The floors leave out every tone of the model, read or not: DC and +-c
     # on z, +-c of both bands on x and y.
-    plans = [(memos[0](4096, spec_z.delta_t, freqs["z"].tobytes(), 4),
-              np.r_[0.0, freqs["z"], -freqs["z"]]),
-             (memos[1](4096, spec_x.delta_t, band.tobytes(), 4), np.r_[band, -band])]
+    plans = [(memos[0](4096, spec_z.delta_t, 1.0, 8, 4), np.r_[0.0, freqs["z"], -freqs["z"]]),
+             (memos[1](4096, spec_x.delta_t, 1.0, 8, 4), np.r_[band, -band])]
     for (windows, placed, *arrays), tones in plans:
         assert isinstance(windows, tuple) and isinstance(placed, tuple)
         cold = spectral._place(4096, spec_z.d_omega, [w.center for w in windows], 4)
@@ -660,16 +668,78 @@ def test_a_colliding_comb_is_refused_alike_twice_and_never_cached(estimator):
     """A plan whose windows collide raises the same refusal on every call
     and leaves no entry behind."""
     spec_z, spec_x, spec_y = paper_state2_spectra(4096)
-    freqs = comb_frequencies(1.0, 8)
     memo = getattr(fieldtomo.reconstruct, f"_{estimator}_plan")
     memo.cache_clear()
     messages = []
     for _ in range(2):
         with pytest.raises(ResolvabilityError) as err:
             if estimator == "z":
-                populations_from_z(spec_z, freqs, 300)
+                populations_from_z(spec_z, 1.0, 8, 300)
             else:
-                coherences_from_xy(spec_x, spec_y, freqs, 300)
+                coherences_from_xy(spec_x, spec_y, 1.0, 8, 300)
         messages.append(str(err.value))
     assert messages[0] == messages[1] and "pairs, 10 named" in messages[0]
     assert memo.cache_info().currsize == 0
+
+
+FOCK1, G1 = density_from_pure(fock_state(1, 8)), ProbeConfig(g=1.0)
+
+
+def fock1_record() -> BlochTrajectory:
+    """The ideal x, y and z record of |1> at g = 1 on the paper grid."""
+    return ideal_bloch_trajectory(FOCK1, G1, DT, N_T)
+
+
+SHORT = dft(np.cos(np.arange(1, 257)), 0.1)
+# (call, bad value, valid value): the valid value hashes equal to the bad
+# one where one does (2 for 2.0), so a warm memo would serve its entry.
+HOSTILE_LIBRARY_INPUTS = {
+    "reconstruct_state-g-inf": (lambda g: reconstruct_state(fock1_record(), g), np.inf, 1.0),
+    "reconstruct_state-g-1e306": (lambda g: reconstruct_state(fock1_record(), g), 1e306, 1.0),
+    "reconstruct_state-g-1e308": (lambda g: reconstruct_state(fock1_record(), g), 1e308, 1.0),
+    "coherences_from_xy-g-1e307": (
+        lambda g: coherences_from_xy(*spectra_for(FOCK1, G1)[1:], g, 8, 4), 1e307, 1.0),
+    "reconstruct_state-n_max-2.5": (
+        lambda n: reconstruct_state(fock1_record(), 1.0, n_max=n), 2.5, 2),
+    "reconstruct_state-n_max-8.0": (
+        lambda n: reconstruct_state(fock1_record(), 1.0, n_max=n), 8.0, 8),
+    "populations_from_z-half_width-2.0": (
+        lambda hw: populations_from_z(spectra_for(FOCK1, G1)[0], 1.0, 8, hw), 2.0, 2),
+    "coherences_from_xy-half_width-2.0": (
+        lambda hw: coherences_from_xy(*spectra_for(FOCK1, G1)[1:], 1.0, 8, hw), 2.0, 2),
+    "validate_windows-centre-nan": (
+        lambda c: validate_windows([("a", c)], 1, SHORT), np.nan, 0.0),
+    "validate_windows-centre-inf": (
+        lambda c: validate_windows([("a", c)], 1, SHORT), np.inf, 0.0),
+    "noise_floor-centre-nan": (lambda c: noise_floor(SHORT, [c], 1), np.nan, 0.0),
+    "noise_floor-half_width-1.5": (lambda hw: noise_floor(SHORT, [0.0], hw), 1.5, 1),
+    "max_half_width-centre-inf": (lambda c: max_half_width([0.0, c], SHORT), np.inf, 1.0),
+    "read_windows-half_width-1.0": (lambda hw: read_windows(SHORT, [0.0], hw), 1.0, 1),
+    "window_gains-half_width-1.0": (
+        lambda hw: window_gains(SHORT, [0.0], [0.0], hw), 1.0, 1),
+    "dft-step-None": (lambda dt: dft(np.ones(4), dt), None, 0.1),
+    "dft-step-str-abc": (lambda dt: dft(np.ones(4), dt), "abc", 0.1),
+    "dft-step-str-0.1": (lambda dt: dft(np.ones(4), dt), "0.1", 0.1),
+    "Spectrum-step-str-0.1": (lambda dt: Spectrum(np.ones(4), dt), "0.1", 0.1),
+    "time_grid-step-None": (lambda dt: time_grid(dt, 4), None, 0.1),
+    "BlochTrajectory-step-None": (lambda dt: BlochTrajectory(dt, z=np.zeros(4)), None, 0.1),
+    "MeasurementPlan-n_t-str-4": (lambda n: MeasurementPlan(delta_t=0.1, n_t=n), "4", 4),
+}
+
+
+@pytest.mark.parametrize("call, bad, valid", HOSTILE_LIBRARY_INPUTS.values(),
+                         ids=list(HOSTILE_LIBRARY_INPUTS))
+def test_hostile_library_inputs_are_typed_refusals_cold_and_warm(call, bad, valid):
+    """Each bad input raises a `FieldTomoError` and no warning, with the
+    estimator plan memos empty and again, of the same type, after a valid
+    call has filled them: a refusal does not depend on what a memo holds."""
+    for memo in (fieldtomo.reconstruct._z_plan, fieldtomo.reconstruct._xy_plan):
+        memo.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldTomoError) as cold:
+            call(bad)
+        call(valid)
+        with pytest.raises(FieldTomoError) as warm:
+            call(bad)
+    assert type(warm.value) is type(cold.value)

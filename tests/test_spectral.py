@@ -480,7 +480,7 @@ def test_populations_from_z_recovers_an_overlapping_comb(g):
     signal = pops[0] + sum(
         pops[n] * np.cos(c * times) for n, c in enumerate(freqs["z"], start=1)
     )
-    got = populations_from_z(dft(signal, 0.075), freqs, 2)
+    got = populations_from_z(dft(signal, 0.075), g, 6, 2)
     assert np.max(np.abs(got - pops)) <= 1e-12
 
 
@@ -690,7 +690,7 @@ def test_one_off_reads_leave_the_spectrum_only_its_data():
     """The coupling search reads thousands of window sets once each: after
     an audit and 2,000 such reads the spectrum still holds only its data."""
     spec = onbin_fock_spectrum(n_m=100, seed=3)
-    populations_from_z(spec, comb_frequencies(1.0, 1), 4)
+    populations_from_z(spec, 1.0, 1, 4)
     rng = np.random.default_rng(0)
     for _ in range(2000):
         read_windows(spec, rng.uniform(-20.0, 20.0, 640), 1)
@@ -960,7 +960,7 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
     centers = [w.center for w in _z_windows(freqs)]
     hw = min(half_width, max_half_width(centers, spec))
     try:
-        pops = populations_from_z(spec, freqs, hw)
+        pops = populations_from_z(spec, 1.0, 1, hw)
     except FieldTomoError:  # a comb the grid cannot resolve: any populations do
         pops = np.full(shape + (2,), 0.5)
 
@@ -973,7 +973,7 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
     def refusal(wide):
         """The type and message of `populations_from_z`'s refusal at ``wide``."""
         try:
-            populations_from_z(spec, freqs, wide)
+            populations_from_z(spec, 1.0, 1, wide)
         except FieldTomoError as exc:
             return type(exc), str(exc)
         return None
@@ -1028,7 +1028,7 @@ def test_batched_records_equal_one_record_results(
         """Each layer's output, or the type of the error it raises."""
         out = [spec.values, read_windows(spec, centers, hw)]
         try:
-            pops = populations_from_z(spec, freqs, hw)
+            pops = populations_from_z(spec, 1.0, n_max, hw)
             return out + [pops, _z_floor(spec, pops, 1.0, hw)]
         except FieldTomoError as exc:
             return out + [type(exc)]
