@@ -31,7 +31,6 @@ from .fock import (
 from .states import coherent_state, load_amplitudes, superposition
 from .probe import (
     BlochTrajectory,
-    ProbeConfig,
     ideal_bloch_trajectory,
     time_grid,
 )

@@ -48,7 +48,7 @@ from .measurement import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from .probe import ProbeConfig
+from .probe import _check_grid, _check_phase
 from .spectral import comb_frequencies, dft, max_half_width, write_spectrum_csv
 from .states import coherent_state, load_amplitudes, superposition
 
@@ -298,20 +298,19 @@ def _get_delta_t(cp, g: float) -> tuple[float, str]:
     return _get_positive(cp, "plan", "delta_t"), "plan.delta_t"
 
 
-def _check_step(g: float, delta_t: float, n_t: int, key: str) -> None:
-    """Refuse, keyed by ``key`` (the key that set it), a step of ``n_t``
-    points that is not ``> 0`` (``t_total / n_t`` can underflow) or whose
-    Nyquist frequency ``pi / delta_t`` or last time ``t = n_t delta_t`` is
-    not finite.  A grid whose phase ``2 g t`` overflows at that time is
-    refused too, keyed by the larger factor: ``probe.g`` if ``g >= t``."""
-    t_last = n_t * delta_t
-    grid_ok = delta_t > 0.0 and math.isfinite(math.pi / delta_t) and math.isfinite(t_last)
-    if not (grid_ok and math.isfinite(2.0 * g * t_last)):
-        raise ConfigError(
-            f"{key} gives delta_t = {delta_t!r} at n_t = {n_t} and probe.g = {g!r}; "
-            "delta_t must be > 0 with pi / delta_t, t = n_t delta_t and 2 probe.g t finite",
-            key="probe.g" if grid_ok and g >= t_last else key,
-        )
+def _check_step(g: float, delta_t: float, n_t: int, levels: int, key: str) -> None:
+    """`probe._check_grid`'s refusal of a step of ``n_t`` points (``t_total /
+    n_t`` can underflow), keyed ``key``, the key that set it, and
+    `probe._check_phase`'s of the top phase of ``levels`` Fock levels, keyed by
+    its larger factor: ``probe.g`` if ``g >= t = n_t delta_t``."""
+    blame = key
+    try:
+        _check_grid(delta_t, n_t)
+        blame = "probe.g" if g >= n_t * delta_t else key
+        _check_phase(g, levels - 1, delta_t, n_t)
+    except FieldTomoError as exc:
+        raise ConfigError(f"{key} gives delta_t = {delta_t!r} at n_t = {n_t} and probe.g = "
+                          f"{g!r}: {exc}", key=blame) from None
 
 
 def _within_budget(key: str, nbytes: int, what: str) -> None:
@@ -388,7 +387,7 @@ def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPl
     """The `MeasurementPlan` of ``cp`` on ``axes`` for a state of ``levels``
     Fock levels.  Each value is checked, in order, so a bad one is a
     `ConfigError` keyed by its INI key: ``n_t >= 2`` (a spectrum needs two
-    bins), the records within the budget, then the grid by `_check_step`."""
+    bins), the records within the budget, then the step by `_check_step`."""
     n_t = _get_int_at_least(cp, "plan", "n_t", 2)
     # Records, spectra and CSV slots at 128 bytes a point on each axis, and
     # up to three trig rows a level in the simulator's memo.
@@ -396,7 +395,7 @@ def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPl
     _within_budget("plan.n_t", n_t * bytes_per_point, f"records of {n_t} points")
     gamma = _get_non_negative(cp, "plan", "gamma")
     delta_t, key = _get_delta_t(cp, g)
-    _check_step(g, delta_t, n_t, key)
+    _check_step(g, delta_t, n_t, levels, key)
     return MeasurementPlan(
         delta_t=delta_t,
         n_t=n_t,
@@ -491,7 +490,7 @@ def _peaks_payload(peaks) -> list[dict]:
 def cmd_reconstruct(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g, plan, estimator = _tomography(cp, state.cutoff + 1)
-    traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
+    traj = sample_trajectory(density_from_pure(state), g, plan)
     spectra = {axis: dft(getattr(traj, axis), traj.delta_t) for axis in traj.axes()}
     result = rec_mod.reconstruct_from_spectra(
         g,
@@ -515,14 +514,14 @@ def cmd_reconstruct(cp, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_points(cp, g: float, n_seeds: int) -> tuple[list[int], dict[float, list[int]]]:
+def _sweep_points(cp, g: float, n_seeds: int, levels: int) -> tuple[list[int], dict]:
     """The sweep grid, checked before any sampling: the ``n_m`` values, each
     ``>= 1``, and each step ``delta_t`` with the ``n_t`` values it serves, both
     ascending.  Every ``n_t >= 2`` (a spectrum needs two bins), and ``n_seeds``
     records of the longest fit the budget before any step is derived.  When
     set, ``t_total`` is finite and ``> 0``, and each ``n_t`` takes the step
     ``t_total / n_t``; otherwise every ``n_t`` takes ``plan.delta_t``.  Each
-    step passes `_check_step` at its longest ``n_t``."""
+    step passes `_check_step` at its longest ``n_t`` and ``levels``."""
     n_m_list = _get_int_list(cp, "plan", "n_m_list")
     n_t_list = _get_int_list(cp, "plan", "n_t_list")
     has_t = bool(cp["plan"]["t_total"].strip())
@@ -541,7 +540,7 @@ def _sweep_points(cp, g: float, n_seeds: int) -> tuple[list[int], dict[float, li
     for n_t in sorted(set(n_t_list)):
         steps.setdefault(delta_t if t_total is None else t_total / n_t, []).append(n_t)
     for step, n_ts in steps.items():
-        _check_step(g, step, n_ts[-1], key)
+        _check_step(g, step, n_ts[-1], levels, key)
     return n_m_list, steps
 
 
@@ -559,12 +558,11 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     """
     state = _build_state(cp)
     g = _get_positive(cp, "probe", "g")
-    cfg = ProbeConfig(g=g)
     rho = density_from_pure(state)
     base_seed = _get_int_at_least(cp, "plan", "seed", 0)
     n_seeds = _get_int_at_least(cp, "plan", "n_seeds", 1)
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
-    n_m_list, steps = _sweep_points(cp, g, n_seeds)
+    n_m_list, steps = _sweep_points(cp, g, n_seeds, state.cutoff + 1)
     gamma = _get_non_negative(cp, "plan", "gamma")
     centers = [w.center for w in rec_mod._z_windows(comb_frequencies(g, 1))]
 
@@ -573,12 +571,12 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
         for n_m in sorted(set(n_m_list)):
             plan = MeasurementPlan(delta_t=delta_t, n_t=n_ts[-1], n_m=n_m, axes=("z",),
                                    gamma=gamma, seed=base_seed)
-            records = sample_records(rho, cfg, plan, n_seeds)["z"]
+            records = sample_records(rho, g, plan, n_seeds)["z"]
             for n_t in n_ts:
                 spec = dft(records[:, :n_t], delta_t)
                 hw = min(half_width, max_half_width(centers, spec))
                 ests = rec_mod.populations_from_z(spec, g, 1, hw)
-                xi = rec_mod._z_floor(spec, ests, g, hw)
+                xi = rec_mod._z_floor(spec, ests, g, 1, hw)
                 noiseless = xi <= NOISELESS_FLOOR
                 if noiseless.any():
                     raise EstimationError(
@@ -632,7 +630,6 @@ def cmd_dce(cp, out_dir: Path) -> int:
     dim = 2 * (cutoff + 1)
     _within_budget("dce.cutoff", 64 * dim**2, f"a {dim} x {dim} Hamiltonian")
     g_probe, plan, estimator = _tomography(cp, cutoff + 1)
-    probe_cfg = ProbeConfig(g=g_probe)
 
     omega = _get_positive(cp, "dce", "omega")
     g_over_omega = _get_positive(cp, "dce", "g_over_omega")
@@ -669,7 +666,7 @@ def cmd_dce(cp, out_dir: Path) -> int:
 
     rec_states = {}
     for label, phi in (("plus", pair.phi_plus), ("minus", pair.phi_minus)):
-        traj = sample_trajectory(density_from_pure(phi), probe_cfg, plan)
+        traj = sample_trajectory(density_from_pure(phi), g_probe, plan)
         result = rec_mod.reconstruct_state(traj, g_probe, reference=phi, **estimator)
         rec_states[label] = result.state
         tomo[f"fidelity_phi_{label}"] = result.fidelity_vs_reference
@@ -698,13 +695,12 @@ def cmd_dce(cp, out_dir: Path) -> int:
 def cmd_estimate_g(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g_true = _get_positive(cp, "probe", "g")
-    cfg = ProbeConfig(g=g_true)
     plan = _get_plan(cp, g_true, ("z",), state.cutoff + 1)
     lo = _get_positive(cp, "spectral", "g_min")
     hi = _get_float(cp, "spectral", "g_max")
     ok = hi > lo and math.isfinite(hi)
     _checked("spectral.g_max", hi, ok, "finite and > spectral.g_min")
-    traj = sample_trajectory(density_from_pure(state), cfg, plan)
+    traj = sample_trajectory(density_from_pure(state), g_true, plan)
     spec = dft(traj.z, traj.delta_t)
     g_hat, score = rec_mod.estimate_coupling(spec, (lo, hi))
     payload = {

@@ -37,7 +37,7 @@ import numpy as np
 
 from .exceptions import GridError, ValidationError
 from .fock import DensityMatrix
-from .probe import BlochTrajectory, ProbeConfig, _check_grid, ideal_bloch_trajectory, time_grid
+from .probe import BlochTrajectory, _check_grid, ideal_bloch_trajectory, time_grid
 from .spectral import _write_csv
 
 __all__ = [
@@ -114,10 +114,10 @@ def _sample_axis(mean: np.ndarray, n_m: int, seeds: range, axis: str) -> np.ndar
 
 
 def sample_records(
-    rho: DensityMatrix, cfg: ProbeConfig, plan: MeasurementPlan, n_records: int = 1
+    rho: DensityMatrix, g: float, plan: MeasurementPlan, n_records: int = 1
 ) -> dict[str, np.ndarray]:
-    """``n_records`` protocol runs for one target state, as ``{axis: (n_records,
-    n_t) array}`` for each axis of ``plan``.
+    """``n_records`` protocol runs for one target state at coupling ``g``, as
+    ``{axis: (n_records, n_t) array}`` for each axis of ``plan``.
 
     Record ``k`` is the run `sample_trajectory` gives at seed
     ``plan.seed + k``: the ideal mean is computed once, for the plan's axes
@@ -126,7 +126,7 @@ def sample_records(
     """
     if int(n_records) != n_records or n_records < 1:
         raise ValidationError(f"n_records must be a positive integer, got {n_records!r}")
-    ideal = ideal_bloch_trajectory(rho, cfg, plan.delta_t, plan.n_t, axes=plan.axes)
+    ideal = ideal_bloch_trajectory(rho, g, plan.delta_t, plan.n_t, axes=plan.axes)
     times = ideal.times
     seeds = range(plan.seed, plan.seed + int(n_records))
     comps: dict[str, np.ndarray] = {}
@@ -139,12 +139,10 @@ def sample_records(
     return comps
 
 
-def sample_trajectory(
-    rho: DensityMatrix, cfg: ProbeConfig, plan: MeasurementPlan
-) -> BlochTrajectory:
+def sample_trajectory(rho: DensityMatrix, g: float, plan: MeasurementPlan) -> BlochTrajectory:
     """Simulate the full protocol run for one target state: the one-record
     view of `sample_records`."""
-    comps = sample_records(rho, cfg, plan)
+    comps = sample_records(rho, g, plan)
     return BlochTrajectory(plan.delta_t, **{axis: rows[0] for axis, rows in comps.items()})
 
 

@@ -19,6 +19,9 @@ gives for their solved estimates.  Its trig rows, ``cos(2 Omega_n t)``,
 ``(g, delta_t, n_t)`` grid, so a run that simulates and then fits on that
 grid computes each row once; a new ``g`` or grid replaces the memo.  Every
 grid is ``t_k = k delta_t``, k = 1 .. n_t, and `time_grid` alone builds it.
+Each input rule is stated once, here, and `spectral` and the CLI call it:
+`_check_grid` for grids, `_check_coupling` for the simulator's and the
+comb's ``g > 0``, and `_check_phase`, in `bloch_components`, for the phase.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .exceptions import GridError, ValidationError
 from .fock import DensityMatrix
 
 __all__ = [
-    "ProbeConfig",
     "BlochTrajectory",
     "time_grid",
     "ideal_bloch_trajectory",
@@ -49,18 +51,6 @@ _ELEMENT_FLOOR = 1e-14
 MAX_N_T = np.iinfo(np.intp).max // 8
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Probe coupling ``g``: the dynamics are evaluated on resonance in
-    the interaction picture, so it is the only parameter."""
-
-    g: float
-
-    def __post_init__(self):
-        if not (self.g > 0 and math.isfinite(self.g)):
-            raise ValidationError(f"coupling g must be positive, got {self.g!r}")
-
-
 def time_grid(delta_t: float, n_t: int) -> np.ndarray:
     """Stroboscopic grid t_k = k delta_t, k = 1 .. n_t (t = 0 excluded)."""
     _check_grid(delta_t, n_t)
@@ -70,19 +60,41 @@ def time_grid(delta_t: float, n_t: int) -> np.ndarray:
 def _check_grid(delta_t: float, n_t: int) -> None:
     """The one grid rule: ``n_t`` an integer in ``1..MAX_N_T`` (``4096.0`` is
     one) and a step ``delta_t``, a number ``> 0``, whose last time ``n_t
-    delta_t`` does not overflow and whose ``d_omega = 2 pi / (n_t delta_t)``
-    is finite; else `GridError`."""
+    delta_t`` does not overflow and whose Nyquist frequency ``pi / delta_t``
+    and ``d_omega = 2 pi / (n_t delta_t)`` are finite; else `GridError`."""
     # Range first: int() of inf or nan raises.
     if not (isinstance(n_t, numbers.Real) and 1 <= n_t <= MAX_N_T and int(n_t) == n_t):
         raise GridError(f"n_t must be an integer in 1..{MAX_N_T} for an addressable grid, "
                         f"got {n_t!r}")
     # A step up to the largest float, so float() cannot overflow; any other is refused below.
-    step = isinstance(delta_t, numbers.Real) and 0 < delta_t <= sys.float_info.max
-    t_last = float(delta_t) * int(n_t) if step else 0.0
+    real = isinstance(delta_t, numbers.Real) and 0 < delta_t <= sys.float_info.max
+    step = float(delta_t) if real else 0.0
+    t_last = step * int(n_t)
     if t_last == math.inf:
         raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}")
-    if not (t_last > 0 and 2.0 * math.pi / t_last < math.inf):
-        raise GridError(f"delta_t must be > 0 with a finite, nonzero d_omega, got {delta_t!r}")
+    # At n_t = 1, d_omega = 2 pi / delta_t can overflow where pi / delta_t does not.
+    if not (t_last > 0 and math.pi / step < math.inf and 2.0 * math.pi / t_last < math.inf):
+        raise GridError(f"delta_t must be > 0 with a finite Nyquist frequency pi / delta_t and "
+                        f"a finite d_omega, got {delta_t!r}")
+
+
+def _check_coupling(g: float) -> None:
+    """The one coupling rule of the simulator and the comb: ``g`` a finite
+    number ``> 0``; else `ValidationError`."""
+    if not (isinstance(g, numbers.Real) and 0 < g <= sys.float_info.max):
+        raise ValidationError(f"coupling g must be a finite number > 0, got {g!r}")
+
+
+def _check_phase(g: float, top: int, delta_t: float, n_t: int) -> None:
+    """The one phase rule, on a grid `_check_grid` passed: ``g`` a finite real
+    number whose phase ``2 |g| sqrt(top) t`` at ``t = n_t delta_t``, which bounds
+    every phase of levels up to ``top``, is finite (cos of inf is NaN); else
+    `ValidationError`.  Any sign of ``g`` is evaluated."""
+    if not (isinstance(g, numbers.Real) and abs(g) <= sys.float_info.max):
+        raise ValidationError(f"g must be a real number and finite, got {g!r}")
+    t_last = float(delta_t) * int(n_t)
+    if not math.isfinite(2.0 * abs(float(g)) * math.sqrt(top) * t_last):
+        raise ValidationError(f"the phase 2 g sqrt({top}) t overflows at g = {g!r}, t = {t_last}")
 
 
 @dataclass(frozen=True)
@@ -129,28 +141,19 @@ class BlochTrajectory:
 
 def ideal_bloch_trajectory(
     rho: DensityMatrix,
-    cfg: ProbeConfig,
+    g: float,
     delta_t: float,
     n_t: int,
     axes: tuple[str, ...] = ("x", "y", "z"),
 ) -> BlochTrajectory:
-    """Exact Bloch components in ``axes`` on the grid ``t_k = k delta_t``,
-    k = 1 .. n_t, by `bloch_components`; the others stay ``None``."""
-    _check_grid(delta_t, n_t)
-    n_t = int(n_t)
+    """Exact Bloch components in ``axes`` at coupling ``g`` on ``t_k = k
+    delta_t``, k = 1 .. n_t, by `bloch_components`; the others stay ``None``."""
+    _check_coupling(g)
     if not set(axes) <= {"x", "y", "z"}:
         raise ValidationError(f"axes must be a subset of x, y, z; got {axes!r}")
-    diag = rho.diagonal()
-    sup = rho.superdiagonal()
-    # The top level's phase at the last time bounds every phase below, and
-    # cos of an overflowed phase is NaN.
-    t_last = float(delta_t) * n_t
-    if not math.isfinite(2.0 * cfg.g * math.sqrt(diag.size - 1) * t_last):
-        raise ValidationError(
-            f"the phase 2 g sqrt({diag.size - 1}) t overflows at g = {cfg.g!r}, t = {t_last!r}"
-        )
-    comps = bloch_components(diag if "z" in axes else None,
-                             sup if {"x", "y"} & set(axes) else None, cfg.g, delta_t, n_t)
+    comps = bloch_components(rho.diagonal() if "z" in axes else None,
+                             rho.superdiagonal() if {"x", "y"} & set(axes) else None,
+                             g, delta_t, n_t)
     return BlochTrajectory(delta_t, **{a: c for a, c in zip("xyz", comps) if a in axes})
 
 
@@ -168,10 +171,14 @@ def bloch_components(
     The trig rows come from the one-grid memo `_trig_rows`, read-only and
     each computed on first use; the outputs are new arrays, bit for bit
     those of computing every row afresh."""
+    _check_grid(delta_t, n_t)
+    n_t = int(n_t)
+    p, sup = (None if a is None else np.asarray(a) for a in (populations, superdiagonal))
+    top = max(0 if p is None else p.shape[-1] - 1, 0 if sup is None else sup.size)
+    _check_phase(g, top, delta_t, n_t)
     rows = _trig_rows(np.float64(g).tobytes(), np.float64(delta_t).tobytes(), n_t)
     x = y = z = None
-    if populations is not None:
-        p = np.asarray(populations)
+    if p is not None:
         # Summed in place, so integer populations start out as floats.
         z = np.repeat(p[..., :1], n_t, axis=-1).astype(np.result_type(p, np.float64), copy=False)
         for n in range(1, p.shape[-1]):
@@ -179,9 +186,9 @@ def bloch_components(
             if np.any(keep):
                 row = _trig_row(rows, "cos", 2.0 * (g * math.sqrt(n)), delta_t, n_t)
                 np.add(z, p[..., n, None] * row, out=z, where=True if keep.all() else keep)
-    if superdiagonal is not None:
+    if sup is not None:
         ge = np.zeros(n_t, dtype=complex)
-        for n, s in enumerate(np.asarray(superdiagonal)):
+        for n, s in enumerate(sup):
             if not abs(s) < _ELEMENT_FLOOR:
                 term = s * _trig_row(rows, "cos", g * math.sqrt(n), delta_t, n_t)
                 term *= _trig_row(rows, "sin", g * math.sqrt(n + 1), delta_t, n_t)

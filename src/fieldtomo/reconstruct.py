@@ -378,12 +378,12 @@ def assemble_pure_state(populations: np.ndarray, phases: np.ndarray) -> FieldSta
 
 
 def _z_floor(
-    spec: Spectrum, populations: np.ndarray, g: float, half_width: int
+    spec: Spectrum, populations: np.ndarray, g: float, n_max: int, half_width: int
 ) -> float | np.ndarray:
     """`residual_floor` of a z spectrum against the z record that
-    `bloch_components` gives ``populations`` at coupling ``g``
-    (``(..., n_max + 1)`` for ``(..., N)`` spectrum values), at its z plan's free bins."""
-    free = _z_plan(spec.n_t, spec.delta_t, g, populations.shape[-1] - 1, half_width)[-1]
+    `bloch_components` gives ``populations`` at coupling ``g`` (``(..., n_max +
+    1)`` for ``(..., N)`` spectrum values), at the free bins of the solve's z plan."""
+    free = _z_plan(spec.n_t, spec.delta_t, g, n_max, half_width)[-1]
     _, _, model = bloch_components(populations, None, g, spec.delta_t, spec.n_t)
     return residual_floor(spec, model, free)
 
@@ -443,7 +443,7 @@ def reconstruct_from_spectra(
             "suspect cutoff or window trouble"
         )
 
-    xi_z = diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, g, half_width)
+    xi_z = diagnostics["noise_floor_z"] = _safe_floor(_z_floor, spec_z, raw, g, n_max, half_width)
     peaks = _peaks(z_windows, z_areas, xi_z, half_width)
 
     coherences = s_upper = None

@@ -67,7 +67,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -75,7 +74,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import GridError, ResolvabilityError, ValidationError
-from .probe import _check_grid
+from .probe import _check_coupling, _check_grid
 
 __all__ = [
     "Spectrum",
@@ -353,10 +352,9 @@ def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
     """Rabi comb tone positions by family: ``z[n-1] = 2 Omega_n``,
     ``sum[n] = Omega_{n+1} + Omega_n`` and ``diff[n] = Omega_{n+1} - Omega_n``
     (``diff[0] = sum[0] = Omega_1``: the n = 0 sidebands coincide).  The one
-    comb rule: ``g`` a finite number ``> 0``, ``n_max`` an integer ``>= 1`` and
-    the top tone ``z[-1]``, the largest, finite."""
-    if not (isinstance(g, numbers.Real) and 0 < g <= sys.float_info.max):
-        raise ValidationError(f"coupling g must be a finite number > 0, got {g!r}")
+    comb rule: ``g`` by `probe._check_coupling`, ``n_max`` an integer ``>= 1``
+    and the top tone ``z[-1]``, the largest, finite."""
+    _check_coupling(g)
     if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
         raise ValidationError(f"n_max must be an integer >= 1, got {n_max!r}")
     root = np.sqrt(np.arange(n_max + 1, dtype=float))

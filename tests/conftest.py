@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from fieldtomo.probe import ProbeConfig
 from fieldtomo.states import coherent_state, superposition
 
 
 @pytest.fixture(scope="session")
-def probe():
-    return ProbeConfig(g=1.0)
+def g():
+    """The probe's coupling."""
+    return 1.0
 
 
 @pytest.fixture(scope="session")

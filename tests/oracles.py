@@ -303,12 +303,12 @@ def qubit_reduced(joint) -> np.ndarray:
     return np.einsum("nq,np->qp", psi, psi.conj())
 
 
-def evolve_joint(rho, cfg, t: float) -> np.ndarray:
+def evolve_joint(rho, g: float, t: float) -> np.ndarray:
     """Reduced 2 x 2 qubit state after coupling |g><g| x rho for time t,
     from the closed forms of the resonant sectors, one time at a time."""
     diag = rho.diagonal()
     sup = rho.superdiagonal()
-    omega = cfg.g * np.sqrt(np.arange(diag.size, dtype=float))
+    omega = g * np.sqrt(np.arange(diag.size, dtype=float))
     gg = diag[0] + float(np.sum(diag[1:] * np.cos(omega[1:] * t) ** 2))
     ge = 1j * complex(np.sum(sup * np.cos(omega[:-1] * t) * np.sin(omega[1:] * t)))
     return np.array([[gg, ge], [np.conj(ge), 1.0 - gg]], dtype=complex)
@@ -421,14 +421,14 @@ def z_floor(spec, populations, g: float, half_width: int):
 
 
 def noise_sweep_rows(
-    rho, cfg, n_t_list, n_m_list, n_seeds, seed, delta_t, t_total, half_width, gamma=0.0
+    rho, g, n_t_list, n_m_list, n_seeds, seed, delta_t, t_total, half_width, gamma=0.0
 ) -> list[dict]:
     """`cli.cmd_noise_sweep`'s rows, one record at a time: a fresh plan,
     trajectory, `dft`, leakage solve and `z_floor` for every seed, and the
     cell's xi and S/xi averaged over the per-seed values.  Like the command,
     it refuses a mean S/xi that is not > 0 where the ``snr_vs_n_t`` slope
     fits its logarithm (an ``n_m`` with more than one ``n_t``)."""
-    freqs = comb_frequencies(cfg.g, 1)
+    freqs = comb_frequencies(g, 1)
     centers = [w.center for w in _z_windows(freqs)]
     rows = []
     for n_t in sorted(set(n_t_list)):
@@ -439,11 +439,11 @@ def noise_sweep_rows(
                 plan = MeasurementPlan(
                     delta_t=dt, n_t=n_t, n_m=n_m, axes=("z",), gamma=gamma, seed=seed + rep
                 )
-                traj = sample_trajectory(rho, cfg, plan)
+                traj = sample_trajectory(rho, g, plan)
                 spec = dft(traj.z, traj.times)
                 hw = min(half_width, max_half_width(centers, spec))
-                ests = populations_from_z(spec, cfg.g, 1, hw)
-                xi = z_floor(spec, ests, cfg.g, hw)
+                ests = populations_from_z(spec, g, 1, hw)
+                xi = z_floor(spec, ests, g, hw)
                 if xi <= NOISELESS_FLOOR:
                     raise EstimationError(f"noise floor {xi:.3e} is rounding")
                 xis.append(xi)

@@ -40,7 +40,6 @@ from fieldtomo.fock import (
 )
 from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.probe import (
-    ProbeConfig,
     ideal_bloch_trajectory,
     time_grid,
 )
@@ -48,7 +47,7 @@ from fieldtomo.reconstruct import estimate_coupling, reconstruct_state
 from fieldtomo.spectral import comb_frequencies, dft
 from fieldtomo.states import coherent_state, superposition
 
-PROBE = ProbeConfig(g=1.0)
+G = 1.0
 DT, N_T = 0.075, 4096
 TIMES = time_grid(DT, N_T)
 
@@ -61,8 +60,8 @@ def report(capsys, num: int, ok: bool, detail: str) -> bool:
 
 
 def ideal_result(state, **kwargs):
-    traj = ideal_bloch_trajectory(density_from_pure(state), PROBE, DT, N_T)
-    return reconstruct_state(traj, g=PROBE.g, **kwargs)
+    traj = ideal_bloch_trajectory(density_from_pure(state), G, DT, N_T)
+    return reconstruct_state(traj, g=G, **kwargs)
 
 
 def test_criterion_1_reference_table(capsys):
@@ -108,15 +107,15 @@ def test_criterion_2_coherent_state(capsys):
 def test_criterion_3_fock_spectra(capsys):
     worst_area = 0.0
     worst_xy = 0.0
-    freqs = comb_frequencies(PROBE.g, 8)
+    freqs = comb_frequencies(G, 8)
     xy_centers = np.concatenate((freqs["sum"], freqs["diff"][1:]))
     for n in range(3):
         rho = density_from_pure(fock_state(n, 8))
-        traj = ideal_bloch_trajectory(rho, PROBE, DT, N_T)
+        traj = ideal_bloch_trajectory(rho, G, DT, N_T)
         spec_z = dft(traj.z, DT)
         spec_x = dft(traj.x, DT)
         spec_y = dft(traj.y, DT)
-        area = cosine_pair(spec_z, 2.0 * PROBE.g * np.sqrt(n), 4)
+        area = cosine_pair(spec_z, 2.0 * G * np.sqrt(n), 4)
         worst_area = max(worst_area, abs(area - 1.0))
         for center in xy_centers:
             for spec in (spec_x, spec_y):
@@ -178,8 +177,8 @@ def test_criterion_5_dce_pipeline(capsys):
     recon = []
     for phi in (pair.phi_plus, pair.phi_minus):
         res = reconstruct_state(
-            ideal_bloch_trajectory(density_from_pure(phi), PROBE, DT, N_T),
-            g=PROBE.g,
+            ideal_bloch_trajectory(density_from_pure(phi), G, DT, N_T),
+            g=G,
             n_max=8,
             reference=phi,
         )
@@ -231,7 +230,7 @@ def test_criterion_6_property_suites(capsys):
         rho = DensityMatrix(mat / np.trace(mat).real)
         t = float(rng.uniform(0.05, 25.0))
         a = lowering_op(dim - 1)
-        h = PROBE.g * (
+        h = G * (
             joint_op(a, SIGMA_PLUS) + joint_op(a.conj().T, SIGMA_MINUS)
         )
         u = scipy.linalg.expm(-1j * h * t)
@@ -243,7 +242,7 @@ def test_criterion_6_property_suites(capsys):
             for p in range(2):
                 qubit[q, p] = np.trace(evolved[q::2, p::2])
         oracle = np.array(bloch_from_qubit(qubit))
-        traj = ideal_bloch_trajectory(rho, PROBE, t, 1)  # the one time t_1 = t
+        traj = ideal_bloch_trajectory(rho, G, t, 1)  # the one time t_1 = t
         analytic = np.array([traj.x[0], traj.y[0], traj.z[0]])
         worst_bloch = max(worst_bloch, float(np.max(np.abs(analytic - oracle))))
 
@@ -254,8 +253,8 @@ def test_criterion_6_property_suites(capsys):
     rho_c = density_from_pure(state)
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=200, seed=3)
     for traj in (
-        ideal_bloch_trajectory(rho_c, PROBE, DT, N_T),
-        sample_trajectory(rho_c, PROBE, plan),
+        ideal_bloch_trajectory(rho_c, G, DT, N_T),
+        sample_trajectory(rho_c, G, plan),
     ):
         for axis in ("x", "y", "z"):
             sig = getattr(traj, axis)
@@ -289,12 +288,11 @@ def test_criterion_7_coupling_estimation(capsys):
     tol = np.pi / TIMES[-1]
     worst = 0.0
     for g in (0.8, 1.0, 1.3):
-        cfg = ProbeConfig(g=g)
         for state in (
             fock_state(1, 8),
             coherent_state(0.7 * np.exp(1j * np.pi / 3), 12),
         ):
-            traj = ideal_bloch_trajectory(density_from_pure(state), cfg, DT, N_T)
+            traj = ideal_bloch_trajectory(density_from_pure(state), g, DT, N_T)
             g_hat, _ = estimate_coupling(dft(traj.z, DT))
             worst = max(worst, abs(g_hat - g))
     ok = worst < tol

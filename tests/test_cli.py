@@ -28,7 +28,6 @@ from fieldtomo.cli import DEFAULTS, PRESETS, main
 from fieldtomo.exceptions import ConfigError, EstimationError, FieldTomoError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import read_trajectory_csv, sample_records
-from fieldtomo.probe import ProbeConfig
 from fieldtomo.reconstruct import reconstruct_from_spectra, reconstruct_state
 from fieldtomo.spectral import Spectrum, dft, read_windows
 
@@ -731,12 +730,18 @@ def test_superposition_index_outside_cutoff_exits_2(capsys, tmp_path, command, t
     assert not out_dir.exists()  # refused before any artifact
 
 
-@pytest.mark.parametrize("preset", ["paper-state1", "paper-fig6-left"])
-def test_phase_overflow_at_a_set_step_is_keyed_probe_g(capsys, tmp_path, preset):
-    """With the step set by the preset, a huge coupling overflows the phase
-    2 g t, and ``probe.g``, the larger factor, takes the blame."""
+@pytest.mark.parametrize("preset, g", [
+    pytest.param("paper-state1", "1e308", id="paper-state1"),
+    pytest.param("paper-fig6-left", "1e308", id="paper-fig6-left"),
+    pytest.param("paper-coherent", "1e305", id="paper-coherent-1e305"),
+])
+def test_phase_overflow_at_a_set_step_is_keyed_probe_g(capsys, tmp_path, preset, g):
+    """With the step set by the preset, a huge coupling overflows the top
+    phase 2 g sqrt(cutoff) t the simulator would compute, and ``probe.g``, the
+    larger factor, takes the blame.  At 1e305 on the paper's coherent state,
+    2 g t is finite but 2 g sqrt(12) t is not."""
     command = "noise-sweep" if "fig6" in preset else "reconstruct"
-    cfg = write_config(tmp_path, "[probe]\ng = 1e308\n")
+    cfg = write_config(tmp_path, f"[probe]\ng = {g}\n")
     out_dir = tmp_path / "out"
     code, _, err = run(
         capsys, command, "--preset", preset, "--config", cfg, "--out-dir", str(out_dir)
@@ -1029,7 +1034,7 @@ def test_noise_sweep_rows_match_the_per_record_oracle(
     rho = density_from_pure(fock_state(1, 12))
     try:
         want = oracles.noise_sweep_rows(
-            rho, ProbeConfig(g=1.0), n_t_list, n_m_list, n_seeds, seed, 0.075, t_total,
+            rho, 1.0, n_t_list, n_m_list, n_seeds, seed, 0.075, t_total,
             half_width, gamma,
         )
     except FieldTomoError as exc:

@@ -21,7 +21,7 @@ from fieldtomo.measurement import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from fieldtomo.probe import MAX_N_T, ProbeConfig, ideal_bloch_trajectory, time_grid
+from fieldtomo.probe import MAX_N_T, ideal_bloch_trajectory, time_grid
 
 
 @pytest.fixture(scope="module")
@@ -67,34 +67,34 @@ def test_a_grid_numpy_cannot_address_is_refused_before_any_allocation():
     assert peak < 2**16
 
 
-def test_the_largest_shot_count_samples(rho_one, probe):
+def test_the_largest_shot_count_samples(rho_one, g):
     """numpy's binomial draws int64 counts: ``2**63 - 1`` shots still sample."""
     plan = MeasurementPlan(delta_t=0.075, n_t=64, n_m=measurement.MAX_SHOTS)
-    traj = sample_trajectory(rho_one, probe, plan)
+    traj = sample_trajectory(rho_one, g, plan)
     assert all(np.max(np.abs(getattr(traj, a))) <= 1.0 for a in "xyz")
 
 
-def test_infinite_shots_reproduces_ideal(rho_one, probe):
+def test_infinite_shots_reproduces_ideal(rho_one, g):
     plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=None)
-    traj = sample_trajectory(rho_one, probe, plan)
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan.delta_t, plan.n_t)
+    traj = sample_trajectory(rho_one, g, plan)
+    ideal = ideal_bloch_trajectory(rho_one, g, plan.delta_t, plan.n_t)
     assert np.allclose(traj.z, ideal.z)
     assert np.allclose(traj.x, ideal.x)
 
 
-def test_finite_shots_are_empirical_means(rho_one, probe):
+def test_finite_shots_are_empirical_means(rho_one, g):
     plan = MeasurementPlan(delta_t=0.075, n_t=64, n_m=1, axes=("z",), seed=5)
-    traj = sample_trajectory(rho_one, probe, plan)
+    traj = sample_trajectory(rho_one, g, plan)
     assert set(np.unique(traj.z)).issubset({-1.0, 1.0})
     plan7 = MeasurementPlan(delta_t=0.075, n_t=64, n_m=7, axes=("z",), seed=5)
-    z7 = sample_trajectory(rho_one, probe, plan7).z
+    z7 = sample_trajectory(rho_one, g, plan7).z
     # empirical means of 7 shots live on the odd-sevenths lattice
     assert np.allclose(np.round((z7 + 1.0) * 3.5), (z7 + 1.0) * 3.5)
 
 
-def test_same_seed_reproduces_and_seeds_differ(rho_one, probe):
+def test_same_seed_reproduces_and_seeds_differ(rho_one, g):
     mk = lambda seed: sample_trajectory(
-        rho_one, probe, MeasurementPlan(delta_t=0.075, n_t=64, n_m=50, seed=seed)
+        rho_one, g, MeasurementPlan(delta_t=0.075, n_t=64, n_m=50, seed=seed)
     )
     a, b, c = mk(11), mk(11), mk(12)
     assert np.array_equal(a.z, b.z)
@@ -102,14 +102,14 @@ def test_same_seed_reproduces_and_seeds_differ(rho_one, probe):
     assert not np.array_equal(a.z, c.z)
 
 
-def test_axis_streams_independent_of_subset(rho_one, probe):
+def test_axis_streams_independent_of_subset(rho_one, g):
     """Removing axes from the plan must not shift the other axes' shots."""
     full = sample_trajectory(
-        rho_one, probe, MeasurementPlan(delta_t=0.075, n_t=64, n_m=20, seed=3)
+        rho_one, g, MeasurementPlan(delta_t=0.075, n_t=64, n_m=20, seed=3)
     )
     z_only = sample_trajectory(
         rho_one,
-        probe,
+        g,
         MeasurementPlan(delta_t=0.075, n_t=64, n_m=20, axes=("z",), seed=3),
     )
     assert np.array_equal(full.z, z_only.z)
@@ -128,11 +128,11 @@ def test_plan_rejects_bad_seed():
     assert MeasurementPlan(delta_t=0.1, n_t=10, seed=np.int64(4)).seed == 4
 
 
-def test_samples_are_prefix_stable(rho_one, probe):
+def test_samples_are_prefix_stable(rho_one, g):
     """The first k points of every axis do not depend on n_t."""
     short, long = (
         sample_trajectory(
-            rho_one, probe, MeasurementPlan(delta_t=0.075, n_t=n_t, n_m=30, seed=17)
+            rho_one, g, MeasurementPlan(delta_t=0.075, n_t=n_t, n_m=30, seed=17)
         )
         for n_t in (64, 256)
     )
@@ -150,7 +150,7 @@ def test_samples_are_prefix_stable(rho_one, probe):
     seed=st.integers(0, 2**32),
 )
 def test_sample_records_are_prefix_stable(
-    alpha_state, probe, n_records, n_m, gamma, axes, sizes, seed
+    alpha_state, g, n_records, n_m, gamma, axes, sizes, seed
 ):
     """A stack at n_t = k is, bit for bit, the first k columns of the stack
     at any n_t = K > k: `noise-sweep` reads its shorter cells that way."""
@@ -159,7 +159,7 @@ def test_sample_records_are_prefix_stable(
     short, long = (
         sample_records(
             rho,
-            probe,
+            g,
             MeasurementPlan(delta_t=0.075, n_t=n_t, n_m=n_m, axes=axes, gamma=gamma, seed=seed),
             n_records,
         )
@@ -171,55 +171,55 @@ def test_sample_records_are_prefix_stable(
         assert short[axis].tobytes() == np.ascontiguousarray(long[axis][:, :k]).tobytes(), axis
 
 
-def test_axis_stream_is_pinned(rho_one, probe):
+def test_axis_stream_is_pinned(rho_one, g):
     """Each axis is one binomial draw over the stream (seed, axis_index)."""
     seed, n_m = 23, 40
     plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=n_m, seed=seed)
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan.delta_t, plan.n_t)
-    traj = sample_trajectory(rho_one, probe, plan)
+    ideal = ideal_bloch_trajectory(rho_one, g, plan.delta_t, plan.n_t)
+    traj = sample_trajectory(rho_one, g, plan)
     for axis, index in (("x", 0), ("y", 1), ("z", 2)):
         p = np.clip(0.5 * (1.0 + getattr(ideal, axis)), 0.0, 1.0)
         counts = np.random.default_rng((seed, index)).binomial(n_m, p)
         assert np.array_equal(getattr(traj, axis), 2 * counts / n_m - 1), axis
 
 
-def test_sampling_is_unbiased(rho_one, probe):
+def test_sampling_is_unbiased(rho_one, g):
     """Grand mean over 200 seeds stays within 4 sigma of the ideal value."""
     n_m, reps = 100, 200
     plan_times = MeasurementPlan(delta_t=0.075, n_t=32, n_m=n_m, axes=("z",))
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan_times.delta_t, plan_times.n_t).z
+    ideal = ideal_bloch_trajectory(rho_one, g, plan_times.delta_t, plan_times.n_t).z
     acc = np.zeros_like(ideal)
     for rep in range(reps):
         plan = MeasurementPlan(
             delta_t=0.075, n_t=32, n_m=n_m, axes=("z",), seed=1000 + rep
         )
-        acc += sample_trajectory(rho_one, probe, plan).z
+        acc += sample_trajectory(rho_one, g, plan).z
     mean = acc / reps
     # worst-case sigma of the grand mean is 1/sqrt(n_m reps)
     assert np.max(np.abs(mean - ideal)) < 4.0 / np.sqrt(n_m * reps)
 
 
-def test_sampling_variance_follows_binomial_law(rho_one, probe):
+def test_sampling_variance_follows_binomial_law(rho_one, g):
     n_m, reps = 25, 300
     plan_times = MeasurementPlan(delta_t=0.075, n_t=16, n_m=n_m, axes=("z",))
-    ideal = ideal_bloch_trajectory(rho_one, probe, plan_times.delta_t, plan_times.n_t).z
+    ideal = ideal_bloch_trajectory(rho_one, g, plan_times.delta_t, plan_times.n_t).z
     samples = np.empty((reps, ideal.size))
     for rep in range(reps):
         plan = MeasurementPlan(
             delta_t=0.075, n_t=16, n_m=n_m, axes=("z",), seed=2000 + rep
         )
-        samples[rep] = sample_trajectory(rho_one, probe, plan).z
+        samples[rep] = sample_trajectory(rho_one, g, plan).z
     empirical = samples.var(axis=0).mean()
     predicted = ((1.0 - ideal**2) / n_m).mean()
     assert empirical == pytest.approx(predicted, rel=0.2)
 
 
-def test_decoherence_damps_token_exponentially(rho_one, probe):
+def test_decoherence_damps_token_exponentially(rho_one, g):
     gamma = 0.05
     plan = MeasurementPlan(delta_t=0.075, n_t=64, n_m=None, gamma=gamma)
-    traj = sample_trajectory(rho_one, probe, plan)
+    traj = sample_trajectory(rho_one, g, plan)
     bare = sample_trajectory(
-        rho_one, probe, MeasurementPlan(delta_t=0.075, n_t=64, n_m=None)
+        rho_one, g, MeasurementPlan(delta_t=0.075, n_t=64, n_m=None)
     )
     assert np.allclose(traj.z, bare.z * np.exp(-gamma * traj.times))
 
@@ -229,9 +229,9 @@ def test_decohered_expectation_validates():
         decohered_expectation(np.zeros(3), -1.0, np.arange(1.0, 4.0))
 
 
-def test_trajectory_csv_round_trip(tmp_path, rho_one, probe):
+def test_trajectory_csv_round_trip(tmp_path, rho_one, g):
     plan = MeasurementPlan(delta_t=0.075, n_t=32, n_m=40, axes=("x", "z"), seed=9)
-    traj = sample_trajectory(rho_one, probe, plan)
+    traj = sample_trajectory(rho_one, g, plan)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     header = path.read_text().splitlines()[0]
@@ -280,11 +280,11 @@ def test_trajectory_csv_bytes_match_the_oracle_across_block_edges(n_t, data):
         assert_trajectory_csv_bytes(data.draw(trajectory_columns(n_t, axes)))
 
 
-def test_sampled_trajectory_csv_bytes_match_the_oracle(rho_one, probe):
+def test_sampled_trajectory_csv_bytes_match_the_oracle(rho_one, g):
     axis_sets = (("x", "y", "z"), ("z",), ("x", "z"))
     for axes, n_m in itertools.product(axis_sets, (None, 1000)):
         plan = MeasurementPlan(delta_t=0.075, n_t=128, n_m=n_m, axes=axes, seed=4)
-        assert_trajectory_csv_bytes(sample_trajectory(rho_one, probe, plan))
+        assert_trajectory_csv_bytes(sample_trajectory(rho_one, g, plan))
 
 
 @pytest.mark.parametrize(
@@ -355,7 +355,7 @@ def test_a_long_grid_is_simulated_and_its_times_accepted():
     rho = density_from_pure(fock_state(1, 1))
     tracemalloc.start()
     try:
-        traj = ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), 1.39810125, 12_000_000, ("z",))
+        traj = ideal_bloch_trajectory(rho, 1.0, 1.39810125, 12_000_000, ("z",))
         assert (traj.z.size, traj.axes()) == (12_000_000, ("z",))
         del traj
         probe_mod._trig_rows.cache_clear()

@@ -19,11 +19,10 @@ from fieldtomo.fock import (
     joint_op,
     lowering_op,
 )
-from fieldtomo.measurement import MeasurementPlan
+from fieldtomo.measurement import MeasurementPlan, sample_trajectory
 from fieldtomo.probe import (
     _ELEMENT_FLOOR,
     BlochTrajectory,
-    ProbeConfig,
     bloch_components,
     ideal_bloch_trajectory,
     time_grid,
@@ -59,9 +58,15 @@ def random_density(rng, cutoff: int) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def test_probe_config_needs_a_positive_coupling():
-    with pytest.raises(ValidationError):
-        ProbeConfig(g=0.0)
+def test_the_simulator_refuses_a_zero_coupling():
+    """The simulator takes the comb's coupling rule: ``g = 0`` leaves the
+    probe idle and is refused, with the message `comb_frequencies` gives."""
+    rho = density_from_pure(fock_state(1, 2))
+    with pytest.raises(ValidationError, match="coupling g must be a finite number > 0"):
+        ideal_bloch_trajectory(rho, 0.0, 0.075, 64)
+    plan = MeasurementPlan(delta_t=0.075, n_t=64)
+    with pytest.raises(ValidationError, match="coupling g must be a finite number > 0"):
+        sample_trajectory(rho, 0.0, plan)
 
 
 def test_time_grid_excludes_zero():
@@ -71,6 +76,8 @@ def test_time_grid_excludes_zero():
         time_grid(-0.1, 4)
     with pytest.raises(GridError):
         time_grid(0.1, 0)
+    with pytest.raises(GridError):
+        time_grid(2e-308, 1)  # pi / delta_t is finite, d_omega = 2 pi / delta_t is not
 
 
 def test_time_grid_refuses_a_non_integral_n_t():
@@ -90,7 +97,7 @@ def test_time_grid_refuses_an_overflowing_last_time():
     with pytest.raises(GridError, match="overflows"):
         time_grid(1e308, 4)
     with pytest.raises(GridError, match="overflows"):
-        ideal_bloch_trajectory(density_from_pure(fock_state(1, 2)), ProbeConfig(g=1.0), 1e308, 4)
+        ideal_bloch_trajectory(density_from_pure(fock_state(1, 2)), 1.0, 1e308, 4)
     assert time_grid(1e308, 1)[-1] == 1e308
 
 
@@ -207,7 +214,7 @@ class _TrigLog:
         return np.sin(x)
 
 
-def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, probe):
+def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, g):
     """A reconstruction of the paper's coherent state simulates its record,
     then subtracts the z and x/y models of its estimates, all on one
     ``(g, delta_t, n_t)`` grid: each trig call fills one memo row and evaluates a
@@ -220,13 +227,13 @@ def test_reconstruction_computes_each_trig_row_once(monkeypatch, alpha_state, pr
     monkeypatch.setattr(probe_mod, "np", log)
     probe_mod._trig_rows.cache_clear()
     rho = density_from_pure(alpha_state)
-    traj = ideal_bloch_trajectory(rho, probe, 0.075, 4096)
+    traj = ideal_bloch_trajectory(rho, g, 0.075, 4096)
     simulated = len(log.calls)
-    first = reconstruct_state(traj, probe.g, reference=alpha_state)
-    rows = memo_rows(probe.g, 0.075, 4096)
+    first = reconstruct_state(traj, g, reference=alpha_state)
+    rows = memo_rows(g, 0.075, 4096)
     assert len(log.calls) == simulated == len(rows) == 12 + 2 * 12 - 2
     assert len(set(log.calls)) == len(log.calls)
-    again = reconstruct_state(ideal_bloch_trajectory(rho, probe, 0.075, 4096), probe.g)
+    again = reconstruct_state(ideal_bloch_trajectory(rho, g, 0.075, 4096), g)
     assert len(log.calls) == simulated
     assert again.diagnostics == first.diagnostics
 
@@ -264,52 +271,50 @@ def test_memo_holds_one_grid():
         assert_memo_holds_cold_rows(g, dt, n_t)
 
 
-def test_initial_condition_points_north(state_one, probe):
+def test_initial_condition_points_north(state_one, g):
     # Before any interaction the probe is untouched: (x, y, z) = (0, 0, 1).
-    rho_q = evolve_joint(density_from_pure(state_one), probe, 0.0)
+    rho_q = evolve_joint(density_from_pure(state_one), g, 0.0)
     assert bloch_from_qubit(rho_q) == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_evolve_joint_matches_propagator_oracle():
     rng = np.random.default_rng(42)
-    cfg = ProbeConfig(g=1.0)
     worst = 0.0
     for _ in range(100):
         rho = random_density(rng, 6)
         t = rng.uniform(0.0, 30.0)
-        direct = evolve_joint(rho, cfg, t)
-        oracle = propagator_oracle(rho, cfg.g, t)
+        direct = evolve_joint(rho, 1.0, t)
+        oracle = propagator_oracle(rho, 1.0, t)
         worst = max(worst, float(np.max(np.abs(direct - oracle))))
     assert worst < 1e-10
 
 
 def test_evolve_joint_output_is_physical():
     rng = np.random.default_rng(3)
-    cfg = ProbeConfig(g=0.8)
     for _ in range(20):
-        rho_q = evolve_joint(random_density(rng, 5), cfg, rng.uniform(0, 10))
+        rho_q = evolve_joint(random_density(rng, 5), 0.8, rng.uniform(0, 10))
         assert np.trace(rho_q).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho_q - rho_q.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho_q)) > -1e-12
 
 
-def test_trajectory_consistent_with_pointwise_evolution(state_two, probe):
+def test_trajectory_consistent_with_pointwise_evolution(state_two, g):
     times = time_grid(0.11, 64)
-    traj = ideal_bloch_trajectory(density_from_pure(state_two), probe, 0.11, 64)
+    traj = ideal_bloch_trajectory(density_from_pure(state_two), g, 0.11, 64)
     for k in (0, 17, 63):
         expected = bloch_from_qubit(
-            evolve_joint(density_from_pure(state_two), probe, times[k])
+            evolve_joint(density_from_pure(state_two), g, times[k])
         )
         got = (traj.x[k], traj.y[k], traj.z[k])
         assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_fock_state_z_is_single_tone(probe):
+def test_fock_state_z_is_single_tone(g):
     from fieldtomo.fock import fock_state
 
     rho = density_from_pure(fock_state(1, 8))
     times = time_grid(0.075, 512)
-    traj = ideal_bloch_trajectory(rho, probe, 0.075, 512)
+    traj = ideal_bloch_trajectory(rho, g, 0.075, 512)
     assert np.allclose(traj.z, np.cos(2.0 * times), atol=1e-12)
     assert np.allclose(traj.x, 0.0, atol=1e-14)
     assert np.allclose(traj.y, 0.0, atol=1e-14)
@@ -348,11 +353,11 @@ def test_ideal_trajectory_refuses_an_overflowing_phase():
     first level's phase is finite here, level 15's is not."""
     rho = density_from_pure(fock_state(1, 15))
     with pytest.raises(ValidationError, match="overflows"):
-        ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), 1e305, 256)
+        ideal_bloch_trajectory(rho, 1.0, 1e305, 256)
 
 
-def test_trajectory_metadata_and_axes(probe, state_one):
-    traj = ideal_bloch_trajectory(density_from_pure(state_one), probe, 0.2, 16)
+def test_trajectory_metadata_and_axes(g, state_one):
+    traj = ideal_bloch_trajectory(density_from_pure(state_one), g, 0.2, 16)
     assert traj.axes() == ("x", "y", "z")
     assert traj.times[0] == pytest.approx(0.2)
     assert traj.times.size == 16

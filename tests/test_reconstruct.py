@@ -19,7 +19,8 @@ from fieldtomo.exceptions import (
 )
 from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
 from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
-from fieldtomo.probe import BlochTrajectory, ProbeConfig, ideal_bloch_trajectory, time_grid
+from fieldtomo import probe as probe_mod
+from fieldtomo.probe import BlochTrajectory, bloch_components, ideal_bloch_trajectory, time_grid
 from fieldtomo.reconstruct import (
     TRACE_TOLERANCE,
     coherences_from_xy,
@@ -46,8 +47,8 @@ DT, N_T = 0.075, 4096
 TIMES = time_grid(DT, N_T)
 
 
-def spectra_for(rho, probe):
-    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
+def spectra_for(rho, g):
+    traj = ideal_bloch_trajectory(rho, g, DT, N_T)
     return (
         dft(traj.z, DT),
         dft(traj.x, DT),
@@ -55,10 +56,10 @@ def spectra_for(rho, probe):
     )
 
 
-def test_ideal_equal_superposition_with_phase(probe, state_two):
+def test_ideal_equal_superposition_with_phase(g, state_two):
     rho = density_from_pure(state_two)
-    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
-    res = reconstruct_state(traj, g=probe.g)
+    traj = ideal_bloch_trajectory(rho, g, DT, N_T)
+    res = reconstruct_state(traj, g=g)
     assert res.populations[1] == pytest.approx(0.5, abs=1e-6)
     assert res.populations[2] == pytest.approx(0.5, abs=1e-6)
     assert res.populations[0] == pytest.approx(0.0, abs=1e-6)
@@ -75,24 +76,24 @@ def test_ideal_equal_superposition_with_phase(probe, state_two):
     assert res.trace_deficit == pytest.approx(0.0, abs=1e-6)
 
 
-def test_fidelity_against_reference(probe, state_two):
+def test_fidelity_against_reference(g, state_two):
     rho = density_from_pure(state_two)
-    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
-    res = reconstruct_state(traj, g=probe.g, reference=state_two)
+    traj = ideal_bloch_trajectory(rho, g, DT, N_T)
+    res = reconstruct_state(traj, g=g, reference=state_two)
     assert res.fidelity_vs_reference == pytest.approx(1.0, abs=1e-6)
     assert res.state is not None
 
 
-def test_global_phase_invariance(probe, state_two):
+def test_global_phase_invariance(g, state_two):
     rotated = superposition(
         [(n, a * np.exp(0.7j)) for n, a in enumerate(state_two.amplitudes) if a != 0],
         state_two.cutoff,
     )
     r1 = reconstruct_state(
-        ideal_bloch_trajectory(density_from_pure(state_two), probe, DT, N_T), g=probe.g
+        ideal_bloch_trajectory(density_from_pure(state_two), g, DT, N_T), g=g
     )
     r2 = reconstruct_state(
-        ideal_bloch_trajectory(density_from_pure(rotated), probe, DT, N_T), g=probe.g
+        ideal_bloch_trajectory(density_from_pure(rotated), g, DT, N_T), g=g
     )
     assert np.allclose(r1.populations, r2.populations, atol=1e-12)
     assert np.allclose(r1.coherences, r2.coherences, atol=1e-12)
@@ -100,32 +101,32 @@ def test_global_phase_invariance(probe, state_two):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_fock_state_flat_xy_and_unit_z_area(probe, n):
+def test_fock_state_flat_xy_and_unit_z_area(g, n):
     rho = density_from_pure(fock_state(n, 8))
-    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
+    traj = ideal_bloch_trajectory(rho, g, DT, N_T)
     assert np.max(np.abs(traj.x)) < 1e-6
     assert np.max(np.abs(traj.y)) < 1e-6
     spec_z = dft(traj.z, DT)
-    omega = 2.0 * probe.g * np.sqrt(n)
+    omega = 2.0 * g * np.sqrt(n)
     # raw combined window area recovers the full population weight
     assert cosine_pair(spec_z, omega, 4) == pytest.approx(1.0, abs=2e-3)
 
 
-def test_mixed_state_diagonal_and_superdiagonal(probe):
+def test_mixed_state_diagonal_and_superdiagonal(g):
     a = superposition([(0, 0.6), (1, 0.8)], 8)
     b = superposition([(1, 0.8j), (2, 0.6)], 8)
     mat = 0.5 * np.outer(a.amplitudes, a.amplitudes.conj())
     mat = mat + 0.5 * np.outer(b.amplitudes, b.amplitudes.conj())
     rho = DensityMatrix(mat)
-    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
-    res = reconstruct_state(traj, g=probe.g)
+    traj = ideal_bloch_trajectory(rho, g, DT, N_T)
+    res = reconstruct_state(traj, g=g)
     diag = rho.diagonal()
     assert np.max(np.abs(res.populations - diag)) < 2e-3
     reported = np.asarray(res.coherences)[: diag.size - 1]
     assert np.max(np.abs(reported - np.conj(rho.superdiagonal()))) < 2e-3
 
 
-def test_round_trip_random_states(probe):
+def test_round_trip_random_states(g):
     rng = np.random.default_rng(2026)
     worst = 1.0
     for _ in range(25):
@@ -136,59 +137,59 @@ def test_round_trip_random_states(probe):
             [(n, m * np.exp(1j * p)) for n, (m, p) in enumerate(zip(moduli, phases))],
             8,
         )
-        traj = ideal_bloch_trajectory(density_from_pure(state), probe, DT, N_T)
-        res = reconstruct_state(traj, g=probe.g, reference=state)
+        traj = ideal_bloch_trajectory(density_from_pure(state), g, DT, N_T)
+        res = reconstruct_state(traj, g=g, reference=state)
         worst = min(worst, res.fidelity_vs_reference)
     assert worst >= 1.0 - 1e-4
 
 
-def test_negative_population_clamp(probe):
+def test_negative_population_clamp(g):
     rho = density_from_pure(fock_state(1, 8))
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=30, axes=("z",), seed=0)
-    res = reconstruct_state(sample_trajectory(rho, probe, plan), g=probe.g)
+    res = reconstruct_state(sample_trajectory(rho, g, plan), g=g)
     assert min(res.diagnostics["raw_populations"]) < 0
     assert np.min(res.populations) >= 0.0
     assert any("clamped" in w for w in res.warnings)
 
 
-def test_cauchy_schwarz_consistency_warning(probe, alpha_state):
+def test_cauchy_schwarz_consistency_warning(g, alpha_state):
     rho = density_from_pure(alpha_state)
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=100, seed=0)
-    res = reconstruct_state(sample_trajectory(rho, probe, plan), g=probe.g)
+    res = reconstruct_state(sample_trajectory(rho, g, plan), g=g)
     assert any("exceeds" in w for w in res.warnings)
 
 
-def test_trace_deficit_reported_for_truncated_read(probe):
+def test_trace_deficit_reported_for_truncated_read(g):
     rho = density_from_pure(coherent_state(2.0, 20))
-    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
-    res = reconstruct_state(traj, g=probe.g, n_max=8)
+    traj = ideal_bloch_trajectory(rho, g, DT, N_T)
+    res = reconstruct_state(traj, g=g, n_max=8)
     tail = 1.0 - np.sum(rho.diagonal()[:9])
     assert res.trace_deficit == pytest.approx(tail, abs=1e-3)
     assert any("trace" in w for w in res.warnings)
 
 
-def test_truncation_above_n_max_is_partial(probe):
+def test_truncation_above_n_max_is_partial(g):
     # |alpha| = 2.5 puts 18 % of the weight above n_max = 8.
     state = coherent_state(2.5, 30)
-    traj = ideal_bloch_trajectory(density_from_pure(state), probe, DT, N_T)
-    res = reconstruct_state(traj, g=probe.g, n_max=8, reference=state)
+    traj = ideal_bloch_trajectory(density_from_pure(state), g, DT, N_T)
+    res = reconstruct_state(traj, g=g, n_max=8, reference=state)
     assert res.trace_deficit > TRACE_TOLERANCE
     assert res.partial
     assert res.chain_breaks == [] and res.phase_defined.all()
 
 
-def test_nothing_above_the_population_floor_is_partial(probe, state_two):
-    traj = ideal_bloch_trajectory(density_from_pure(state_two), probe, DT, N_T)
-    res = reconstruct_state(traj, g=probe.g, population_floor=2.0)
+def test_nothing_above_the_population_floor_is_partial(g, state_two):
+    traj = ideal_bloch_trajectory(density_from_pure(state_two), g, DT, N_T)
+    res = reconstruct_state(traj, g=g, population_floor=2.0)
     assert res.state is None
     assert not res.phase_defined.any() and res.chain_breaks == []
     assert res.partial
 
 
-def test_chain_break_detection(probe):
+def test_chain_break_detection(g):
     state = superposition([(0, 1.0), (2, 1.0)], 8)
-    traj = ideal_bloch_trajectory(density_from_pure(state), probe, DT, N_T)
-    res = reconstruct_state(traj, g=probe.g)
+    traj = ideal_bloch_trajectory(density_from_pure(state), g, DT, N_T)
+    res = reconstruct_state(traj, g=g)
     assert res.chain_breaks == [1]
     assert res.partial
     assert res.phase_defined[0]
@@ -199,13 +200,13 @@ def test_chain_break_detection(probe):
     assert res.populations[2] == pytest.approx(0.5, abs=1e-6)
 
 
-def test_difference_band_read_and_averaged(probe, state_two):
+def test_difference_band_read_and_averaged(g, state_two):
     # with only two coherence tones the difference band fits on the grid,
     # so rho[2,1] comes from averaging both bands
     rho = density_from_pure(state_two)
-    spec_z, spec_x, spec_y = spectra_for(rho, probe)
+    spec_z, spec_x, spec_y = spectra_for(rho, g)
     res = reconstruct_from_spectra(
-        probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
+        g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
     )
     assert res.diagnostics["diff_band_read"] == [False, True]
     assert res.diagnostics["band_disagreement"][0] is None
@@ -214,53 +215,53 @@ def test_difference_band_read_and_averaged(probe, state_two):
     assert res.coherences[1] == pytest.approx(expected, abs=1e-4)
 
 
-def test_ideal_difference_band_agrees_without_warning(probe, state_two):
+def test_ideal_difference_band_agrees_without_warning(g, state_two):
     # Raw sum and difference reads differ by ~1.7e-3 of cross-tone
     # leakage here; once the modelled leakage is out, the bands agree.
-    spec_z, spec_x, spec_y = spectra_for(density_from_pure(state_two), probe)
+    spec_z, spec_x, spec_y = spectra_for(density_from_pure(state_two), g)
     res = reconstruct_from_spectra(
-        probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
+        g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
     )
     assert res.diagnostics["band_disagreement"][1] < 1e-12
     assert res.warnings == []
 
 
-def test_tone_in_a_difference_window_still_warns(probe, state_two):
-    spec_z, spec_x, spec_y = spectra_for(density_from_pure(state_two), probe)
-    w = comb_frequencies(probe.g, 2)["diff"][1]
+def test_tone_in_a_difference_window_still_warns(g, state_two):
+    spec_z, spec_x, spec_y = spectra_for(density_from_pure(state_two), g)
+    w = comb_frequencies(g, 2)["diff"][1]
     extra = dft(1e-3 * np.sin(w * TIMES), DT)
     spec_x = Spectrum(spec_x.values + extra.values, spec_x.delta_t)
     res = reconstruct_from_spectra(
-        probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
+        g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2
     )
     assert any("bands disagree for rho[1,2]" in msg for msg in res.warnings)
 
 
-def finite_shot_bands(rho, probe, seed, tone=0.0):
+def finite_shot_bands(rho, g, seed, tone=0.0):
     """Whether the rho[1,2] band check warns on a n_m = 1000 record, with
     ``tone sin(w t)`` added to x at the n = 1 difference-band frequency w."""
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, n_m=1000, seed=seed)
-    traj = sample_trajectory(rho, probe, plan)
+    traj = sample_trajectory(rho, g, plan)
     spec_z, spec_x, spec_y = (dft(getattr(traj, a), DT) for a in "zxy")
-    w = comb_frequencies(probe.g, 2)["diff"][1]
+    w = comb_frequencies(g, 2)["diff"][1]
     extra = dft(tone * np.sin(w * TIMES), DT)
     spec_x = Spectrum(spec_x.values + extra.values, spec_x.delta_t)
-    res = reconstruct_from_spectra(probe.g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2)
+    res = reconstruct_from_spectra(g, spec_z, spec_x=spec_x, spec_y=spec_y, n_max=2)
     assert res.diagnostics["diff_band_read"] == [False, True]
     return any("bands disagree for rho[1,2]" in msg for msg in res.warnings)
 
 
-def test_band_check_is_calibrated_to_finite_shot_noise(probe, state_two):
+def test_band_check_is_calibrated_to_finite_shot_noise(g, state_two):
     """Shot noise alone: the 3 sigma_d threshold flags a band with
     probability e^-9, so at most one of 40 seeds may warn."""
     rho = density_from_pure(state_two)
-    assert sum(finite_shot_bands(rho, probe, seed) for seed in range(40)) <= 1
+    assert sum(finite_shot_bands(rho, g, seed) for seed in range(40)) <= 1
 
 
-def test_band_check_flags_a_tone_above_shot_noise(probe, state_two):
+def test_band_check_flags_a_tone_above_shot_noise(g, state_two):
     # A 0.03 tone is 5.6-9.5 sigma_d here (xi_xy = 6.6e-4, sigma_d = 6 xi_xy).
     rho = density_from_pure(state_two)
-    assert all(finite_shot_bands(rho, probe, seed, tone=0.03) for seed in range(10))
+    assert all(finite_shot_bands(rho, g, seed, tone=0.03) for seed in range(10))
 
 
 @settings(deadline=None, max_examples=40)
@@ -279,7 +280,7 @@ def test_ideal_pure_states_reconstruct_without_warnings(g, lowest, data):
         [(lowest + k, m * np.exp(1j * a)) for k, (m, a) in enumerate(zip(mags, args))],
         n_max + 1,
     )
-    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), DT, N_T)
+    traj = ideal_bloch_trajectory(density_from_pure(state), g, DT, N_T)
     res = reconstruct_state(traj, g=g, n_max=n_max, reference=state)
     assert res.warnings == []
     assert res.fidelity_vs_reference >= 1.0 - 1e-9
@@ -302,40 +303,40 @@ def test_ideal_records_leave_no_residual_floor(g, data):
     state = superposition(
         [(n, m * np.exp(1j * a)) for n, m, a in zip(levels, mags, args)], n_max
     )
-    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), DT, N_T)
+    traj = ideal_bloch_trajectory(density_from_pure(state), g, DT, N_T)
     res = reconstruct_state(traj, g=g, n_max=n_max)
     for axis in "xyz":
         assert res.diagnostics[f"noise_floor_{axis}"] <= 1e-12, axis
 
 
-def test_z_only_reconstruction_is_partial(probe, state_two):
+def test_z_only_reconstruction_is_partial(g, state_two):
     rho = density_from_pure(state_two)
     plan = MeasurementPlan(delta_t=0.075, n_t=4096, axes=("z",))
-    res = reconstruct_state(sample_trajectory(rho, probe, plan), g=probe.g)
+    res = reconstruct_state(sample_trajectory(rho, g, plan), g=g)
     assert res.coherences is None
     assert res.state is None
     assert res.partial
     assert res.populations[1] == pytest.approx(0.5, abs=1e-6)
 
 
-def test_z_axis_required(probe):
+def test_z_axis_required(g):
     rho = density_from_pure(fock_state(1, 8))
-    traj = ideal_bloch_trajectory(rho, probe, DT, N_T)
+    traj = ideal_bloch_trajectory(rho, g, DT, N_T)
     x_only = BlochTrajectory(DT, x=traj.x, y=None, z=None)
     with pytest.raises(ValidationError, match="z axis"):
-        reconstruct_state(x_only, g=probe.g)
+        reconstruct_state(x_only, g=g)
 
 
-def test_x_and_y_must_come_together(probe, state_two):
-    spec_z, spec_x, _ = spectra_for(density_from_pure(state_two), probe)
+def test_x_and_y_must_come_together(g, state_two):
+    spec_z, spec_x, _ = spectra_for(density_from_pure(state_two), g)
     with pytest.raises(ValidationError):
-        reconstruct_from_spectra(probe.g, spec_z, spec_x=spec_x, spec_y=None)
+        reconstruct_from_spectra(g, spec_z, spec_x=spec_x, spec_y=None)
 
 
-def test_peak_report_raw_window_areas(probe):
+def test_peak_report_raw_window_areas(g):
     rho = density_from_pure(fock_state(1, 8))
-    spec_z, spec_x, spec_y = spectra_for(rho, probe)
-    report = peak_report(probe.g, 3, spec_z, spec_x, spec_y)
+    spec_z, spec_x, spec_y = spectra_for(rho, g)
+    report = peak_report(g, 3, spec_z, spec_x, spec_y)
     by_label = {}
     for p in report:
         by_label.setdefault((p.label, p.family), []).append(p)
@@ -348,16 +349,16 @@ def test_peak_report_raw_window_areas(probe):
     assert ("rho[0,1]", "xy_sum") in by_label
 
 
-def test_estimate_coupling_across_states_and_couplings(probe):
+def test_estimate_coupling_across_states_and_couplings():
     tol = np.pi / TIMES[-1]
     rho_f = density_from_pure(fock_state(1, 8))
     for g in (0.8, 1.0, 1.3):
-        traj = ideal_bloch_trajectory(rho_f, ProbeConfig(g=g), DT, N_T)
+        traj = ideal_bloch_trajectory(rho_f, g, DT, N_T)
         g_hat, score = estimate_coupling(dft(traj.z, DT))
         assert abs(g_hat - g) < tol
         assert score > 0
     rho_c = density_from_pure(coherent_state(0.7 * np.exp(1j * np.pi / 3), 12))
-    traj = ideal_bloch_trajectory(rho_c, probe, DT, N_T)
+    traj = ideal_bloch_trajectory(rho_c, 1.0, DT, N_T)
     g_hat, _ = estimate_coupling(dft(traj.z, DT))
     assert abs(g_hat - 1.0) < tol
 
@@ -384,7 +385,7 @@ def test_estimate_coupling_matches_the_golden_section_oracle(kind, g):
         state = fock_state(1, 8)
     else:
         state = coherent_state(0.7 * np.exp(1j * np.pi / 3), 12)
-    traj = ideal_bloch_trajectory(density_from_pure(state), ProbeConfig(g=g), DT, N_T)
+    traj = ideal_bloch_trajectory(density_from_pure(state), g, DT, N_T)
     spec = dft(traj.z, DT)
     assert abs(estimate_coupling(spec)[0] - golden_section_coupling(spec)) <= 1e-7
 
@@ -400,7 +401,7 @@ def test_estimate_coupling_on_sampled_records():
             alpha = rng.uniform(0.3, 0.9) * np.exp(1j * rng.uniform(-np.pi, np.pi))
             state = coherent_state(alpha, 12)
         plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=1000, axes=("z",), seed=seed)
-        traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan)
+        traj = sample_trajectory(density_from_pure(state), g, plan)
         spec = dft(traj.z, traj.delta_t)
         g_hat, score = estimate_coupling(spec)
         assert abs(g_hat - g) < tol, seed
@@ -474,7 +475,7 @@ def coupling_inputs(draw):
         levels = rng.choice(5, size=2, replace=False)
         state = superposition([(int(k), rng.normal() + 1j * rng.normal()) for k in levels], 8)
     g = lo + edge * (hi - lo)
-    record = sample_trajectory(density_from_pure(state), ProbeConfig(g=g), plan).z
+    record = sample_trajectory(density_from_pure(state), g, plan).z
     damage = draw(st.sampled_from(["none", "noise", "zero", "bin"]), label="damage")
     if damage == "noise":
         record = rng.normal(0.0, 0.02, n_t)
@@ -515,7 +516,7 @@ def paper_z_spectrum(kind: str, n_m) -> Spectrum:
     paper's grid."""
     state = fock_state(1, 8) if kind == "fock" else coherent_state(0.7j, 12)
     plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=n_m, axes=("z",), seed=5)
-    traj = sample_trajectory(density_from_pure(state), ProbeConfig(g=1.1), plan)
+    traj = sample_trajectory(density_from_pure(state), 1.1, plan)
     return dft(traj.z, traj.delta_t)
 
 
@@ -582,7 +583,7 @@ def stacked_spectra(n_records=2):
     coherent-state records."""
     plan = MeasurementPlan(delta_t=0.075, n_t=TIMES.size, n_m=100, seed=3)
     rho = density_from_pure(coherent_state(0.6, 12))
-    records = sample_records(rho, ProbeConfig(g=1.0), plan, n_records)
+    records = sample_records(rho, 1.0, plan, n_records)
     return {axis: dft(rec, DT) for axis, rec in records.items()}
 
 
@@ -608,7 +609,7 @@ def test_coherences_from_xy_refuses_a_stack():
 def paper_state2_spectra(n_t: int, delta_t: float = 0.075):
     """Ideal z, x and y spectra of `paper-state2` at g = 1 on ``n_t`` points."""
     rho = density_from_pure(superposition([(1, 0.7071067811865476), (2, 0.5 + 0.5j)], 8))
-    traj = ideal_bloch_trajectory(rho, ProbeConfig(g=1.0), delta_t, n_t)
+    traj = ideal_bloch_trajectory(rho, 1.0, delta_t, n_t)
     return dft(traj.z, delta_t), dft(traj.x, delta_t), dft(traj.y, delta_t)
 
 
@@ -682,7 +683,7 @@ def test_a_colliding_comb_is_refused_alike_twice_and_never_cached(estimator):
     assert memo.cache_info().currsize == 0
 
 
-FOCK1, G1 = density_from_pure(fock_state(1, 8)), ProbeConfig(g=1.0)
+FOCK1, G1 = density_from_pure(fock_state(1, 8)), 1.0
 
 
 def fock1_record() -> BlochTrajectory:
@@ -691,9 +692,20 @@ def fock1_record() -> BlochTrajectory:
 
 
 SHORT = dft(np.cos(np.arange(1, 257)), 0.1)
+SIMULATORS = {
+    "ideal_bloch_trajectory": lambda g: ideal_bloch_trajectory(FOCK1, g, DT, N_T),
+    "sample_records": lambda g: sample_records(FOCK1, g, MeasurementPlan(DT, N_T, n_m=10)),
+    "bloch_components": lambda g: bloch_components([0.5, 0.5], [0.1], g, DT, N_T),
+}
 # (call, bad value, valid value): the valid value hashes equal to the bad
 # one where one does (2 for 2.0), so a warm memo would serve its entry.
 HOSTILE_LIBRARY_INPUTS = {
+    **{f"{name}-g-{bad}": (call, bad, 1.0)
+       for name, call in SIMULATORS.items()
+       for bad in ("1", None, np.nan, np.inf, 0.0, -1.0, 1e308)
+       # the forward model is defined for any real g: 0 and -1 are valid there
+       if name != "bloch_components" or bad not in (0.0, -1.0)},
+    "dft-step-1e-308": (lambda dt: dft(np.zeros(4), dt), 1e-308, 0.1),
     "reconstruct_state-g-inf": (lambda g: reconstruct_state(fock1_record(), g), np.inf, 1.0),
     "reconstruct_state-g-1e306": (lambda g: reconstruct_state(fock1_record(), g), 1e306, 1.0),
     "reconstruct_state-g-1e308": (lambda g: reconstruct_state(fock1_record(), g), 1e308, 1.0),
@@ -731,9 +743,11 @@ HOSTILE_LIBRARY_INPUTS = {
                          ids=list(HOSTILE_LIBRARY_INPUTS))
 def test_hostile_library_inputs_are_typed_refusals_cold_and_warm(call, bad, valid):
     """Each bad input raises a `FieldTomoError` and no warning, with the
-    estimator plan memos empty and again, of the same type, after a valid
-    call has filled them: a refusal does not depend on what a memo holds."""
-    for memo in (fieldtomo.reconstruct._z_plan, fieldtomo.reconstruct._xy_plan):
+    estimator plan and trig row memos empty and again, of the same type, after
+    a valid call has filled them: a refusal does not depend on what a memo
+    holds."""
+    for memo in (fieldtomo.reconstruct._z_plan, fieldtomo.reconstruct._xy_plan,
+                 probe_mod._trig_rows):
         memo.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -743,3 +757,15 @@ def test_hostile_library_inputs_are_typed_refusals_cold_and_warm(call, bad, vali
         with pytest.raises(FieldTomoError) as warm:
             call(bad)
     assert type(warm.value) is type(cold.value)
+
+
+def test_a_numpy_integer_n_max_builds_the_z_plan_once():
+    """The solve and the z floor key the z plan memo by the one ``n_max`` the
+    caller gave, so a numpy-integer ``n_max`` builds the plan once per
+    reconstruction, as a Python int does."""
+    memo = fieldtomo.reconstruct._z_plan
+    for n_max in (8, np.int64(8)):
+        memo.cache_clear()
+        reconstruct_state(fock1_record(), 1.0, n_max=n_max)
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 1), type(n_max)

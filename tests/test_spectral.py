@@ -20,7 +20,7 @@ from fieldtomo.measurement import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from fieldtomo.probe import BlochTrajectory, ProbeConfig, time_grid
+from fieldtomo.probe import BlochTrajectory, time_grid
 from fieldtomo.states import coherent_state
 from fieldtomo.spectral import (
     Spectrum,
@@ -41,14 +41,11 @@ ONBIN_NT = 512
 ONBIN_DT = 20.0 * np.pi / ONBIN_NT
 
 
-def onbin_fock_spectrum(n_m=None, seed=0, probe=None):
-    from fieldtomo.probe import ProbeConfig
-
-    probe = probe or ProbeConfig(g=1.0)
+def onbin_fock_spectrum(n_m=None, seed=0):
     plan = MeasurementPlan(
         delta_t=ONBIN_DT, n_t=ONBIN_NT, n_m=n_m, axes=("z",), seed=seed
     )
-    traj = sample_trajectory(density_from_pure(fock_state(1, 8)), probe, plan)
+    traj = sample_trajectory(density_from_pure(fock_state(1, 8)), 1.0, plan)
     return dft(traj.z, traj.delta_t)
 
 
@@ -73,13 +70,14 @@ def test_dft_onbin_cosine_two_half_bins():
 
 
 def test_dft_rejects_bad_grids(monkeypatch):
-    """A step that is not > 0 or whose d_omega is not finite and nonzero, and
+    """A step that is not > 0 or whose Nyquist frequency or d_omega is not
+    finite (at 1e-308 on 4 points only pi / delta_t overflows), and
     a record of one sample, are refused before any FFT and before the grid
     memo makes an entry.  Times off the grid are the trajectory reader's to
     refuse (`test_measurement`)."""
     spectral._dft_grid.cache_clear()
     monkeypatch.setattr(np.fft, "fft", None)  # any transform would raise TypeError
-    for delta_t in (0.0, -0.1, np.nan, np.inf, -np.inf, 5e-324):
+    for delta_t in (0.0, -0.1, np.nan, np.inf, -np.inf, 5e-324, 1e-308):
         with pytest.raises(GridError, match="delta_t must be > 0"):
             dft(np.zeros(4), delta_t)
     with pytest.raises(GridError, match="at least 2 samples"):
@@ -711,11 +709,11 @@ def test_max_half_width():
     assert max_half_width([0.0, 2.0, -2.0], spec) == 1
 
 
-@pytest.mark.parametrize("delta_t", [0.0, -ONBIN_DT, np.nan, np.inf, 1e-320])
+@pytest.mark.parametrize("delta_t", [0.0, -ONBIN_DT, np.nan, np.inf, 1e-320, 1e-308])
 def test_spectrum_refuses_a_bad_delta_t(delta_t):
     """A negative delta_t flips d_omega, so a read at +omega would return the
     conjugate area of the -omega window; NaN, inf and a delta_t so small
-    that d_omega overflows give no grid at all.  The refusal is `dft`'s,
+    that d_omega or the Nyquist frequency overflows give no grid at all.  The refusal is `dft`'s,
     word for word, with the step in it."""
     spec = onbin_fock_spectrum()
     with pytest.raises(GridError) as built:
@@ -951,7 +949,7 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
     whose z windows the estimator refuses it raises that refusal."""
     plan = MeasurementPlan(delta_t=delta_t, n_t=n_t, n_m=n_m, axes=("z",), seed=seed)
     rho = density_from_pure(fock_state(1, 8))
-    signal = sample_records(rho, ProbeConfig(g=1.0), plan, math.prod(shape))["z"]
+    signal = sample_records(rho, 1.0, plan, math.prod(shape))["z"]
     signal = signal.reshape(shape + (n_t,))
     spec = dft(signal, plan.delta_t)
     want = oracles.dft_values(signal, time_grid(plan.delta_t, n_t))
@@ -982,10 +980,10 @@ def test_stacked_dft_and_floors_equal_the_per_record_oracle(
         assert outcome(noise_floor, centers, wide) == outcome(oracles.noise_floor, centers, wide)
         refused = refusal(wide)
         if refused is None:
-            assert outcome(_z_floor, pops, 1.0, wide) == outcome(oracles.z_floor, pops, 1.0, wide)
+            assert outcome(_z_floor, pops, 1.0, 1, wide) == outcome(oracles.z_floor, pops, 1.0, wide)
         else:
             with pytest.raises(refused[0]) as err:
-                _z_floor(spec, pops, 1.0, wide)
+                _z_floor(spec, pops, 1.0, 1, wide)
             assert (type(err.value), str(err.value)) == refused
     model = np.full(n_t, 0.5)  # one model for every record
     free = spectral._free_bins(spec.n_t, spec.d_omega, centers, hw)
@@ -1018,7 +1016,7 @@ def test_batched_records_equal_one_record_results(
     reads, populations and z residual floor."""
     state = coherent_state(0.7, 12) if coherent else fock_state(1, 8)
     plan = MeasurementPlan(delta_t=delta_t, n_t=n_t, n_m=n_m, axes=("z",), seed=seed)
-    records = sample_records(density_from_pure(state), ProbeConfig(g=1.0), plan, np.prod(shape))
+    records = sample_records(density_from_pure(state), 1.0, plan, np.prod(shape))
     batch = dft(records["z"].reshape(shape + (n_t,)), plan.delta_t)
     freqs = comb_frequencies(1.0, n_max)
     centers = [w.center for w in _z_windows(freqs)]
@@ -1029,7 +1027,7 @@ def test_batched_records_equal_one_record_results(
         out = [spec.values, read_windows(spec, centers, hw)]
         try:
             pops = populations_from_z(spec, 1.0, n_max, hw)
-            return out + [pops, _z_floor(spec, pops, 1.0, hw)]
+            return out + [pops, _z_floor(spec, pops, 1.0, n_max, hw)]
         except FieldTomoError as exc:
             return out + [type(exc)]
 
