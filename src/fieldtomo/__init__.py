@@ -36,7 +36,6 @@ from .probe import (
 )
 from .measurement import (
     MeasurementPlan,
-    decohered_expectation,
     sample_records,
     sample_trajectory,
 )

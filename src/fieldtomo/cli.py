@@ -39,6 +39,7 @@ from .exceptions import (
     DegenerateBranchError,
     EstimationError,
     FieldTomoError,
+    ValidationError,
 )
 from .fock import FieldState, density_from_pure, fidelity, fock_state
 from .measurement import (
@@ -217,6 +218,19 @@ def _get_float(cp, section: str, option: str, cast=float):
         ) from None
 
 
+@contextlib.contextmanager
+def _keyed(section: str, **renames: str):
+    """A library refusal keyed by a field becomes a `ConfigError` keyed
+    ``section.<renames.get(field, field)>``, message ``<key>: <library text>``."""
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.key is None:
+            raise
+        key = f"{section}.{renames.get(exc.key, exc.key)}"
+        raise ConfigError(f"{key}: {exc}", key=key) from None
+
+
 def _checked(key: str, value, ok: bool, rule: str):
     """``value`` if ``ok``, else a `ConfigError` keyed ``key`` saying that
     it must be ``rule``."""
@@ -234,13 +248,6 @@ def _get_positive(cp, section: str, option: str) -> float:
     value = _get_float(cp, section, option)
     return _checked(
         f"{section}.{option}", value, value > 0 and math.isfinite(value), "finite and > 0"
-    )
-
-
-def _get_non_negative(cp, section: str, option: str) -> float:
-    value = _get_float(cp, section, option)
-    return _checked(
-        f"{section}.{option}", value, value >= 0 and math.isfinite(value), "finite and >= 0"
     )
 
 
@@ -269,19 +276,9 @@ def _get_int_list(cp, section: str, option: str) -> list[int]:
     return values
 
 
-def _get_n_m(cp) -> Optional[int]:
-    raw = cp["plan"]["n_m"].strip().lower()
-    if raw in ("inf", "infinite", "none", ""):
-        return None
-    n_m = _get_int_at_least(cp, "plan", "n_m", 1)
-    return _checked("plan.n_m", n_m, n_m <= MAX_SHOTS, f"<= {MAX_SHOTS}")
-
-
 def _get_tomography_axes(cp) -> tuple[str, ...]:
     raw = cp["plan"]["axes"].replace(",", " ").replace(" ", "")
     axes = tuple(dict.fromkeys(raw))  # dedupe, keep order
-    if not axes or any(a not in "xyz" for a in axes):
-        raise ConfigError(f"plan.axes must combine x, y, z; got {raw!r}", key="plan.axes")
     if "z" not in axes:
         raise ConfigError("plan.axes must include z for reconstruction", key="plan.axes")
     if ("x" in axes) != ("y" in axes):
@@ -387,23 +384,24 @@ def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPl
     """The `MeasurementPlan` of ``cp`` on ``axes`` for a state of ``levels``
     Fock levels.  Each value is checked, in order, so a bad one is a
     `ConfigError` keyed by its INI key: ``n_t >= 2`` (a spectrum needs two
-    bins), the records within the budget, then the step by `_check_step`."""
+    bins), the records within the budget, the step, then the plan's rules."""
     n_t = _get_int_at_least(cp, "plan", "n_t", 2)
     # Records, spectra and CSV slots at 128 bytes a point on each axis, and
     # up to three trig rows a level in the simulator's memo.
     bytes_per_point = 128 * len(axes) + 24 * levels
     _within_budget("plan.n_t", n_t * bytes_per_point, f"records of {n_t} points")
-    gamma = _get_non_negative(cp, "plan", "gamma")
     delta_t, key = _get_delta_t(cp, g)
     _check_step(g, delta_t, n_t, levels, key)
-    return MeasurementPlan(
-        delta_t=delta_t,
-        n_t=n_t,
-        n_m=_get_n_m(cp),
-        axes=axes,
-        gamma=gamma,
-        seed=_get_int_at_least(cp, "plan", "seed", 0),
-    )
+    infinite = cp["plan"]["n_m"].strip().lower() in ("inf", "infinite", "none", "")
+    with _keyed("plan"):
+        return MeasurementPlan(
+            delta_t=delta_t,
+            n_t=n_t,
+            n_m=None if infinite else _get_float(cp, "plan", "n_m", int),
+            axes=axes,
+            gamma=_get_float(cp, "plan", "gamma"),
+            seed=_get_float(cp, "plan", "seed", int),
+        )
 
 
 def _tomography(cp, levels: int) -> tuple[float, MeasurementPlan, dict]:
@@ -421,11 +419,9 @@ def _tomography(cp, levels: int) -> tuple[float, MeasurementPlan, dict]:
     comb = 512 * n_max**2 * width + 24 * (n_max + 1) * plan.n_t
     key = "spectral.n_max" if n_max**2 >= width else "spectral.half_width"
     _within_budget(key, comb, f"the comb of {n_max} levels at half_width {half_width}")
-    return g, plan, {
-        "n_max": n_max,
-        "half_width": half_width,
-        "population_floor": _get_non_negative(cp, "spectral", "population_floor"),
-    }
+    floor = _get_float(cp, "spectral", "population_floor")
+    _checked("spectral.population_floor", floor, 0 <= floor < math.inf, "finite and >= 0")
+    return g, plan, {"n_max": n_max, "half_width": half_width, "population_floor": floor}
 
 
 # ---------------------------------------------------------------- output
@@ -559,18 +555,20 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
     state = _build_state(cp)
     g = _get_positive(cp, "probe", "g")
     rho = density_from_pure(state)
-    base_seed = _get_int_at_least(cp, "plan", "seed", 0)
+    base_seed = _get_float(cp, "plan", "seed", int)
     n_seeds = _get_int_at_least(cp, "plan", "n_seeds", 1)
     half_width = _get_int_at_least(cp, "spectral", "half_width", 0)
     n_m_list, steps = _sweep_points(cp, g, n_seeds, state.cutoff + 1)
-    gamma = _get_non_negative(cp, "plan", "gamma")
+    gamma = _get_float(cp, "plan", "gamma")
     centers = [w.center for w in rec_mod._z_windows(comb_frequencies(g, 1))]
 
     rows = []
     for delta_t, n_ts in steps.items():
         for n_m in sorted(set(n_m_list)):
-            plan = MeasurementPlan(delta_t=delta_t, n_t=n_ts[-1], n_m=n_m, axes=("z",),
-                                   gamma=gamma, seed=base_seed)
+            # `_sweep_points` passed the rest: only gamma or the seed fail, at the first plan.
+            with _keyed("plan"):
+                plan = MeasurementPlan(delta_t=delta_t, n_t=n_ts[-1], n_m=n_m, axes=("z",),
+                                       gamma=gamma, seed=base_seed)
             records = sample_records(rho, g, plan, n_seeds)["z"]
             for n_t in n_ts:
                 spec = dft(records[:, :n_t], delta_t)
@@ -624,38 +622,29 @@ def cmd_noise_sweep(cp, out_dir: Path) -> int:
 
 
 def cmd_dce(cp, out_dir: Path) -> int:
-    cutoff = _get_int_at_least(cp, "dce", "cutoff", 2)
+    cutoff = _get_float(cp, "dce", "cutoff", int)
     # The joint Hamiltonian, its eigenvectors and `eigh`'s workspace: four
     # of ``(2 (cutoff + 1))^2`` complex.
     dim = 2 * (cutoff + 1)
     _within_budget("dce.cutoff", 64 * dim**2, f"a {dim} x {dim} Hamiltonian")
-    g_probe, plan, estimator = _tomography(cp, cutoff + 1)
-
-    omega = _get_positive(cp, "dce", "omega")
-    g_over_omega = _get_positive(cp, "dce", "g_over_omega")
-    raw_tau = cp["dce"]["tau"].strip().lower()
-    if raw_tau == "auto":
-        g_quench = g_over_omega * omega
-        # Both factors are finite and > 0, but their product can underflow
-        # to 0 or overflow to inf, and a tiny one gives an infinite tau.
-        tau_main = math.pi / (2.0 * g_quench) if g_quench > 0.0 else math.inf
-        if not 0.0 < tau_main < math.inf:
-            raise ConfigError(
-                f"dce.tau = auto gives tau = pi / (2 dce.g_over_omega dce.omega) = "
-                f"{tau_main!r}, not finite and > 0",
-                key="dce.g_over_omega",
-            )
+    quench = {"cutoff": cutoff, "omega": _get_float(cp, "dce", "omega"),
+              "g_over_omega": _get_float(cp, "dce", "g_over_omega")}
+    if cp["dce"]["tau"].strip().lower() == "auto":
+        # pi / (2 g), refused as g_over_omega's fault: `DceConfig` checks each factor first.
+        g_quench = quench["g_over_omega"] * quench["omega"]
+        tau_main, tau_key = math.pi / (2.0 * g_quench) if g_quench else math.inf, "g_over_omega"
     else:
-        tau_main = _get_positive(cp, "dce", "tau")
-    tau_list = _get_list(cp, "dce", "tau_list")
-    for tau in tau_list:
-        ok = tau > 0 and math.isfinite(tau)
-        _checked("dce.tau_list", tau, ok, "finite and > 0 in every entry")
-    points = []
+        tau_main, tau_key = _get_float(cp, "dce", "tau"), "tau"
     # The tomography point comes last, after the tau_list entries, so the
     # loop leaves its conditional branches in `pair`.
-    for tau in tau_list + [tau_main]:
-        cfg = dce_mod.DceConfig(g_over_omega=g_over_omega, tau=tau, omega=omega, cutoff=cutoff)
+    with _keyed("dce", tau="tau_list"):
+        cfgs = [dce_mod.DceConfig(tau=tau, **quench) for tau in _get_list(cp, "dce", "tau_list")]
+    with _keyed("dce", tau=tau_key):
+        cfgs.append(dce_mod.DceConfig(tau=tau_main, **quench))
+    g_probe, plan, estimator = _tomography(cp, cutoff + 1)
+
+    points = []
+    for cfg in cfgs:
         joint = dce_mod.evolve_rabi(cfg)
         pair = dce_mod.condition_on_qubit(joint)
         points.append(dce_mod.dce_record(cfg, joint, pair))
@@ -724,9 +713,8 @@ def _error_payload(exc: FieldTomoError) -> dict:
         "module": type(exc).__module__,
         "message": str(exc),
     }
-    key = getattr(exc, "key", None)
-    if key is not None:
-        body["key"] = key
+    if exc.key is not None:
+        body["key"] = exc.key
     return {"error": body}
 
 

@@ -23,11 +23,15 @@ H is Hermitian, so one eigendecomposition H = V diag(E) V^H propagates
 the quench exactly: psi(tau) = V exp(-i E tau) V^H psi(0).  Two guards
 check the result: the norm must stay within rounding of 1, and the top
 Fock level must stay empty, or the cutoff is too small.
+`DceConfig` states the quench's rules once, each keyed by the field, which
+is named as its ``[dce]`` INI option.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +68,8 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 31
+#: Largest cutoff whose joint Hamiltonian of complex128 numpy can address.
+MAX_CUTOFF = math.isqrt(np.iinfo(np.intp).max // 16) // 2 - 1
 LEAK_THRESHOLD = 1e-8
 NORM_DRIFT_TOLERANCE = 1e-9
 
@@ -72,7 +78,8 @@ NORM_DRIFT_TOLERANCE = 1e-9
 class DceConfig:
     """Quench parameters: coupling ``g_over_omega`` in units of the mode
     frequency ``omega``, quench duration ``tau`` and the Fock cutoff of
-    the propagated mode."""
+    the propagated mode.  ``omega`` and ``g_over_omega`` are checked before
+    ``tau``, and the joint bound on the quench phases, unkeyed, last."""
 
     g_over_omega: float
     tau: float
@@ -80,24 +87,20 @@ class DceConfig:
     cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise ValidationError(f"omega must be positive, got {self.omega!r}")
-        if not (self.g_over_omega > 0 and math.isfinite(self.g_over_omega)):
-            raise ValidationError(
-                f"g_over_omega must be positive, got {self.g_over_omega!r}"
-            )
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValidationError(f"tau must be positive, got {self.tau!r}")
-        if self.cutoff < 2:
-            raise ValidationError("cutoff must be >= 2")
+        for name in ("omega", "g_over_omega", "tau"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max):
+                raise ValidationError(f"{name} must be a finite number > 0, got {value!r}",
+                                      key=name)
+        if not (isinstance(self.cutoff, numbers.Integral) and 2 <= self.cutoff <= MAX_CUTOFF):
+            raise ValidationError(f"cutoff must be an integer in 2..{MAX_CUTOFF}, "
+                                  f"got {self.cutoff!r}", key="cutoff")
         # Gershgorin bound on the Hamiltonian's entries and energies |E|: with
         # it times tau finite, neither H nor the phases E tau overflow.
         bound = self.omega * (self.cutoff + 1) + 2.0 * self.g * math.sqrt(self.cutoff + 1)
         if not math.isfinite(bound * self.tau):
-            raise ValidationError(
-                f"quench phases overflow: omega = {self.omega!r}, g = {self.g!r}, "
-                f"tau = {self.tau!r} at cutoff {self.cutoff}"
-            )
+            raise ValidationError(f"quench phases overflow: omega = {self.omega!r}, g = "
+                                  f"{self.g!r}, tau = {self.tau!r} at cutoff {self.cutoff}")
 
     @property
     def g(self) -> float:

@@ -15,22 +15,20 @@ from __future__ import annotations
 
 
 class FieldTomoError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  ``key`` names the bad
+    input when known: a ``section.option`` for a `ConfigError`, else a field."""
 
     exit_code: int
-
-
-class ConfigError(FieldTomoError):
-    """Unusable configuration: unknown key, unparsable value, missing file.
-
-    ``key`` names the offending ``section.option`` when known.
-    """
-
-    exit_code = 2
 
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+
+class ConfigError(FieldTomoError):
+    """Unusable configuration: unknown key, unparsable value, missing file."""
+
+    exit_code = 2
 
 
 class ValidationError(FieldTomoError):

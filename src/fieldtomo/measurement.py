@@ -22,13 +22,15 @@ record axis: record ``k`` uses seed ``plan.seed + k`` and is exactly the
 run `sample_trajectory` gives at that seed, while the ideal mean is
 computed once for all of them.  Records carry their step, not their times:
 a file is the one way times come in, so `read_trajectory_csv` checks them.
+`MeasurementPlan` states its fields' rules once, each refusal keyed by the
+field, which is named as its ``[plan]`` INI option.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -37,12 +39,12 @@ import numpy as np
 
 from .exceptions import GridError, ValidationError
 from .fock import DensityMatrix
-from .probe import BlochTrajectory, _check_grid, ideal_bloch_trajectory, time_grid
+from .probe import (MAX_N_T, BlochTrajectory, _check_axes, _check_grid, ideal_bloch_trajectory,
+                    time_grid)
 from .spectral import _write_csv
 
 __all__ = [
     "MeasurementPlan",
-    "decohered_expectation",
     "sample_records",
     "sample_trajectory",
     "write_trajectory_csv",
@@ -58,7 +60,8 @@ MAX_SHOTS = 2**63 - 1
 class MeasurementPlan:
     """What to measure: grid, shot budget, axes, damping, seed.
 
-    ``n_m = None`` means the infinite-shot (ideal) limit.
+    ``n_m = None`` means the infinite-shot (ideal) limit; ``gamma`` is the
+    rate of the damping ``exp(-gamma t)``.
     """
 
     delta_t: float
@@ -70,28 +73,17 @@ class MeasurementPlan:
 
     def __post_init__(self):
         _check_grid(self.delta_t, self.n_t)
-        if self.n_m is not None and (not 1 <= self.n_m <= MAX_SHOTS or int(self.n_m) != self.n_m):
-            raise ValidationError(f"n_m must be None or in 1..{MAX_SHOTS}, got {self.n_m!r}")
-        axes = tuple(self.axes)
-        if not axes or any(a not in AXIS_INDEX for a in axes) or len(set(axes)) != len(axes):
-            raise ValidationError(f"axes must be a subset of x, y, z; got {self.axes!r}")
-        object.__setattr__(self, "axes", axes)
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def decohered_expectation(ideal: np.ndarray, gamma: float, times: np.ndarray) -> np.ndarray:
-    """Exponential envelope exp(-gamma t) applied to an ideal component."""
-    if gamma < 0:
-        raise ValidationError("gamma must be >= 0")
-    if gamma == 0.0:
-        return np.asarray(ideal, dtype=float)
-    # A huge gamma t overflows to -inf, whose exp is the exact limit 0.
-    with np.errstate(over="ignore"):
-        envelope = np.exp(-gamma * np.asarray(times, dtype=float))
-    return np.asarray(ideal, dtype=float) * envelope
+        n_m = self.n_m  # range first, as in the grid rule: int() of inf or nan raises
+        if n_m is not None and not (isinstance(n_m, numbers.Real) and 1 <= n_m <= MAX_SHOTS
+                                    and int(n_m) == n_m):
+            raise ValidationError(f"n_m must be None or an integer in 1..{MAX_SHOTS}, "
+                                  f"got {n_m!r}", key="n_m")
+        object.__setattr__(self, "axes", _check_axes(self.axes))
+        if not (isinstance(self.gamma, numbers.Real) and 0 <= self.gamma <= sys.float_info.max):
+            raise ValidationError(f"gamma must be a finite number >= 0, got {self.gamma!r}",
+                                  key="gamma")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}", key="seed")
 
 
 def _sample_axis(mean: np.ndarray, n_m: int, seeds: range, axis: str) -> np.ndarray:
@@ -124,18 +116,23 @@ def sample_records(
     only, and each record draws on it from its own streams.  At
     ``n_m = None`` every record is the damped ideal mean.
     """
-    if int(n_records) != n_records or n_records < 1:
-        raise ValidationError(f"n_records must be a positive integer, got {n_records!r}")
-    ideal = ideal_bloch_trajectory(rho, g, plan.delta_t, plan.n_t, axes=plan.axes)
-    times = ideal.times
+    n_t = int(plan.n_t)
+    if not (isinstance(n_records, numbers.Real) and 1 <= n_records <= MAX_N_T // n_t
+            and int(n_records) == n_records):
+        raise ValidationError(f"n_records must be an integer in 1..{MAX_N_T // n_t} for "
+                              f"addressable records, got {n_records!r}", key="n_records")
+    ideal = ideal_bloch_trajectory(rho, g, plan.delta_t, n_t, axes=plan.axes)
+    # A huge gamma t overflows to -inf, whose exp is the exact limit 0.
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-plan.gamma * ideal.times) if plan.gamma else None
     seeds = range(plan.seed, plan.seed + int(n_records))
     comps: dict[str, np.ndarray] = {}
     for axis in plan.axes:
-        damped = decohered_expectation(getattr(ideal, axis), plan.gamma, times)
+        mean = getattr(ideal, axis) if envelope is None else getattr(ideal, axis) * envelope
         if plan.n_m is None:
-            comps[axis] = np.broadcast_to(damped, (len(seeds), times.size))
+            comps[axis] = np.broadcast_to(mean, (len(seeds), n_t))
         else:
-            comps[axis] = _sample_axis(damped, int(plan.n_m), seeds, axis)
+            comps[axis] = _sample_axis(mean, int(plan.n_m), seeds, axis)
     return comps
 
 

@@ -19,9 +19,10 @@ gives for their solved estimates.  Its trig rows, ``cos(2 Omega_n t)``,
 ``(g, delta_t, n_t)`` grid, so a run that simulates and then fits on that
 grid computes each row once; a new ``g`` or grid replaces the memo.  Every
 grid is ``t_k = k delta_t``, k = 1 .. n_t, and `time_grid` alone builds it.
-Each input rule is stated once, here, and `spectral` and the CLI call it:
-`_check_grid` for grids, `_check_coupling` for the simulator's and the
-comb's ``g > 0``, and `_check_phase`, in `bloch_components`, for the phase.
+Each input rule is stated once, here, and the other modules call it:
+`_check_grid` for grids, `_check_axes` for axes (both keyed by argument),
+`_check_coupling` for the simulator's and the comb's ``g > 0``, and
+`_check_phase`, in `bloch_components`, for the phase.
 """
 
 from __future__ import annotations
@@ -65,17 +66,27 @@ def _check_grid(delta_t: float, n_t: int) -> None:
     # Range first: int() of inf or nan raises.
     if not (isinstance(n_t, numbers.Real) and 1 <= n_t <= MAX_N_T and int(n_t) == n_t):
         raise GridError(f"n_t must be an integer in 1..{MAX_N_T} for an addressable grid, "
-                        f"got {n_t!r}")
+                        f"got {n_t!r}", key="n_t")
     # A step up to the largest float, so float() cannot overflow; any other is refused below.
     real = isinstance(delta_t, numbers.Real) and 0 < delta_t <= sys.float_info.max
     step = float(delta_t) if real else 0.0
     t_last = step * int(n_t)
     if t_last == math.inf:
-        raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}")
+        raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}",
+                        key="delta_t")
     # At n_t = 1, d_omega = 2 pi / delta_t can overflow where pi / delta_t does not.
     if not (t_last > 0 and math.pi / step < math.inf and 2.0 * math.pi / t_last < math.inf):
         raise GridError(f"delta_t must be > 0 with a finite Nyquist frequency pi / delta_t and "
-                        f"a finite d_omega, got {delta_t!r}")
+                        f"a finite d_omega, got {delta_t!r}", key="delta_t")
+
+
+def _check_axes(axes) -> tuple[str, ...]:
+    """The one axes rule, for the simulator and the plan: distinct names among
+    x, y, z, at least one, returned as a tuple; else `ValidationError`."""
+    names = tuple(axes) if hasattr(axes, "__iter__") else ()
+    if not names or any(a not in ("x", "y", "z") for a in names) or len(set(names)) != len(names):
+        raise ValidationError(f"axes must be distinct names of x, y, z; got {axes!r}", key="axes")
+    return names
 
 
 def _check_coupling(g: float) -> None:
@@ -149,8 +160,7 @@ def ideal_bloch_trajectory(
     """Exact Bloch components in ``axes`` at coupling ``g`` on ``t_k = k
     delta_t``, k = 1 .. n_t, by `bloch_components`; the others stay ``None``."""
     _check_coupling(g)
-    if not set(axes) <= {"x", "y", "z"}:
-        raise ValidationError(f"axes must be a subset of x, y, z; got {axes!r}")
+    axes = _check_axes(axes)
     comps = bloch_components(rho.diagonal() if "z" in axes else None,
                              rho.superdiagonal() if {"x", "y"} & set(axes) else None,
                              g, delta_t, n_t)

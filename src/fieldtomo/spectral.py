@@ -74,7 +74,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import GridError, ResolvabilityError, ValidationError
-from .probe import _check_coupling, _check_grid
+from .probe import MAX_N_T, _check_coupling, _check_grid
 
 __all__ = [
     "Spectrum",
@@ -289,13 +289,18 @@ def window_gains(
     d_omega`` and ``m_c = rint(x)``, the gain is
     ``exp(i pi (x' - x) (N+1) / N) sum_j D(x' - m_c - j) / sum_j D(x - m_c - j)``.
     It is 1 for a tone on its own center and the cross-tone leakage
-    otherwise, so reads of a comb are a linear map of its amplitudes.
+    otherwise, so reads of a comb are a linear map of its amplitudes.  A
+    gain that is not finite (NaN tone, or its bin or phase overflows) is a `GridError`.
     """
     n = spec.n_t
     x, m_c, _, resp = _place(n, spec.d_omega, np.ravel(centers), half_width)
-    x_tone = np.ravel(np.asarray(tones, dtype=float)) / spec.d_omega
-    phase = np.exp(1j * np.pi * (x_tone - x[:, None]) * (n + 1) / n)
-    return phase * _dirichlet_sum(x_tone - m_c[:, None], half_width, n) / resp[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_tone = np.ravel(np.asarray(tones, dtype=float)) / spec.d_omega
+        phase = np.exp(1j * np.pi * (x_tone - x[:, None]) * (n + 1) / n)
+        gains = phase * _dirichlet_sum(x_tone - m_c[:, None], half_width, n) / resp[:, None]
+    if not np.all(np.isfinite(gains)):
+        raise GridError("window gains must be finite: a tone is NaN or its bin or phase overflows")
+    return gains
 
 
 def integrate_peak(
@@ -353,10 +358,10 @@ def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
     ``sum[n] = Omega_{n+1} + Omega_n`` and ``diff[n] = Omega_{n+1} - Omega_n``
     (``diff[0] = sum[0] = Omega_1``: the n = 0 sidebands coincide).  The one
     comb rule: ``g`` by `probe._check_coupling`, ``n_max`` an integer ``>= 1``
-    and the top tone ``z[-1]``, the largest, finite."""
+    that numpy can address and the top tone ``z[-1]``, the largest, finite."""
     _check_coupling(g)
-    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
-        raise ValidationError(f"n_max must be an integer >= 1, got {n_max!r}")
+    if not (isinstance(n_max, numbers.Integral) and 1 <= n_max < MAX_N_T):
+        raise ValidationError(f"n_max must be an integer in 1..{MAX_N_T - 1}, got {n_max!r}")
     root = np.sqrt(np.arange(n_max + 1, dtype=float))
     with np.errstate(over="ignore"):
         comb = {

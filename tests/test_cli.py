@@ -717,6 +717,37 @@ def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
     assert not out_dir.exists()  # refused before any artifact
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("reconstruct", "[plan]\nn_m = 0\n", "plan.n_m"),
+    ("noise-sweep", "[plan]\ngamma = -1\n", "plan.gamma"),
+    ("dce", "[dce]\ntau_list = 1 -1\n", "dce.tau_list"),
+    ("dce", "[dce]\ng_over_omega = 1e-310\n", "dce.g_over_omega"),
+])
+def test_a_keyed_library_refusal_reads_its_key_then_the_library_text(
+    capsys, tmp_path, command, text, key
+):
+    """The plan and the quench state their rules; the CLI keys a refusal by
+    the INI option that set the field and prefixes the library's message."""
+    code, _, err = run(capsys, command, "--config", write_config(tmp_path, text),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    body = stderr_error(err)
+    assert body["key"] == key
+    assert body["message"].startswith(f"{key}: ") and "must be" in body["message"]
+
+
+def test_a_quench_phase_overflow_exits_3_without_a_key(capsys, tmp_path):
+    """A ``dce.tau_list`` entry that passes its own rule but overflows the
+    joint bound on the quench phases is the library's unkeyed refusal."""
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, "[dce]\ntau_list = 1e308\n")
+    code, _, err = run(capsys, "dce", "--config", cfg, "--out-dir", str(out_dir))
+    assert code == 3
+    body = stderr_error(err)
+    assert body["type"] == "ValidationError" and "key" not in body
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "noise-sweep", "estimate-g"])
 @pytest.mark.parametrize("terms", ["20:1:0", "-1:1:0", "1:1:0; 13:1:0"])
 def test_superposition_index_outside_cutoff_exits_2(capsys, tmp_path, command, terms):

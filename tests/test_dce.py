@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,22 @@ def test_config_validation():
 def test_config_refuses_overflowing_quench_phases(kwargs):
     """Refused before any Hamiltonian is built: the suite turns the numpy
     overflow warnings of a quench past the float range into errors."""
-    with pytest.raises(ValidationError, match="overflow"):
+    with pytest.raises(ValidationError, match="overflow") as err:
         DceConfig(**{"g_over_omega": 0.5, "tau": 1.0, **kwargs})
+    assert err.value.key is None  # a joint bound names no one field
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("omega", 0.0), ("g_over_omega", math.nan), ("tau", math.inf), ("cutoff", 1),
+])
+def test_a_quench_refusal_names_its_field(field, bad):
+    """Each field rule is a `ValidationError` keyed by the field, the name of
+    its ``[dce]`` INI option; a bad ``omega`` or ``g_over_omega`` is refused
+    before ``tau``, which the CLI's ``tau = auto`` derives from both."""
+    for tau in (1.0, math.inf) if field in ("omega", "g_over_omega") else (1.0,):
+        with pytest.raises(ValidationError) as err:
+            DceConfig(**{"g_over_omega": 0.5, "tau": tau, field: bad})
+        assert err.value.key == field
 
 
 def test_parity_is_conserved(evolved):

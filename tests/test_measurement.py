@@ -15,7 +15,6 @@ from fieldtomo.exceptions import GridError, ValidationError
 from fieldtomo.fock import density_from_pure, fock_state
 from fieldtomo.measurement import (
     MeasurementPlan,
-    decohered_expectation,
     read_trajectory_csv,
     sample_records,
     sample_trajectory,
@@ -38,7 +37,7 @@ def test_plan_validation():
     for n_t in (0, math.inf, math.nan):  # int() of inf or nan raises its own error
         with pytest.raises(ValidationError):
             MeasurementPlan(delta_t=0.1, n_t=n_t)
-    for n_m in (0, 2**63, 10**22, math.inf, math.nan):  # numpy draws int64 shot counts
+    for n_m in (0, 2**63, 10**22, 10**400, math.inf, math.nan):  # numpy draws int64 counts
         with pytest.raises(ValidationError):
             MeasurementPlan(delta_t=0.1, n_t=10, n_m=n_m)
     with pytest.raises(ValidationError):
@@ -47,6 +46,18 @@ def test_plan_validation():
         MeasurementPlan(delta_t=0.1, n_t=10, axes=())
     with pytest.raises(ValidationError):
         MeasurementPlan(delta_t=0.1, n_t=10, gamma=-0.1)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("delta_t", 0.0), ("n_t", 2.5), ("n_m", 0), ("axes", ("x", "x")), ("gamma", -0.1),
+    ("seed", -1),
+])
+def test_a_plan_refusal_names_its_field(field, bad):
+    """Each rule of the plan is a `ValidationError` keyed by its field, the
+    name of its ``[plan]`` INI option, by which the CLI keys it."""
+    with pytest.raises(ValidationError) as err:
+        MeasurementPlan(**{"delta_t": 0.1, "n_t": 10, field: bad})
+    assert err.value.key == field
 
 
 def test_a_grid_numpy_cannot_address_is_refused_before_any_allocation():
@@ -222,11 +233,6 @@ def test_decoherence_damps_token_exponentially(rho_one, g):
         rho_one, g, MeasurementPlan(delta_t=0.075, n_t=64, n_m=None)
     )
     assert np.allclose(traj.z, bare.z * np.exp(-gamma * traj.times))
-
-
-def test_decohered_expectation_validates():
-    with pytest.raises(ValidationError):
-        decohered_expectation(np.zeros(3), -1.0, np.arange(1.0, 4.0))
 
 
 def test_trajectory_csv_round_trip(tmp_path, rho_one, g):

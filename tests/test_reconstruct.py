@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import fieldtomo.reconstruct
 import oracles
 from oracles import cosine_pair, coupling_scores, golden_section_coupling
+from fieldtomo.dce import DceConfig
 from fieldtomo.exceptions import (
     EstimationError,
     FieldTomoError,
@@ -736,6 +737,29 @@ HOSTILE_LIBRARY_INPUTS = {
     "time_grid-step-None": (lambda dt: time_grid(dt, 4), None, 0.1),
     "BlochTrajectory-step-None": (lambda dt: BlochTrajectory(dt, z=np.zeros(4)), None, 0.1),
     "MeasurementPlan-n_t-str-4": (lambda n: MeasurementPlan(delta_t=0.1, n_t=n), "4", 4),
+    **{f"sample_records-n_records-{name}": (
+        lambda n: sample_records(FOCK1, G1, MeasurementPlan(DT, 64, n_m=10), n), bad, 1)
+       for name, bad in (("str-abc", "abc"), ("None", None), ("1e20", 10**20))},
+    **{f"MeasurementPlan-{field}-{name}": (
+        lambda v, field=field: MeasurementPlan(DT, 64, **{field: v}), bad, valid)
+       for field, name, bad, valid in (
+           ("gamma", "str-abc", "abc", 0.0), ("gamma", "None", None, 0.0),
+           ("n_m", "str-abc", "abc", 10), ("n_m", "1e400", 10**400, 10),
+           ("axes", "None", None, ("z",)))},
+    **{f"ideal_bloch_trajectory-axes-{name}": (
+        lambda a: ideal_bloch_trajectory(FOCK1, G1, DT, 64, a), bad, ("z",))
+       for name, bad in (("None", None), ("x-x", ("x", "x")))},
+    **{f"DceConfig-{field}-{name}": (
+        lambda v, field=field: DceConfig(**{"g_over_omega": 0.5, "tau": 1.0, field: v}),
+        bad, valid)
+       for field, name, bad, valid in (
+           ("cutoff", "2.5", 2.5, 3), ("cutoff", "str-3", "3", 3),
+           ("cutoff", "1e400", 10**400, 3), ("omega", "str-1", "1", 1.0),
+           ("tau", "None", None, 1.0), ("g_over_omega", "1e400", 10**400, 0.5))},
+    "comb_frequencies-n_max-1e400": (lambda n: comb_frequencies(G1, n), 10**400, 8),
+    **{f"window_gains-tone-{bad}": (
+        lambda t: window_gains(spectra_for(FOCK1, G1)[0], [0.0], [t], 1), bad, 0.0)
+       for bad in (1e308, 1e306, np.nan)},
 }
 
 
