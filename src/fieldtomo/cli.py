@@ -329,48 +329,22 @@ def _check_state(key: str, cutoff: int) -> None:
 
 def _parse_terms(raw: str) -> list[tuple[int, complex]]:
     out = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(
-                f"state.terms entries must be n:re:im, got {chunk!r}", key="state.terms"
-            )
+    for chunk in filter(None, (c.strip() for c in raw.split(";"))):
         try:
-            out.append((int(parts[0]), complex(float(parts[1]), float(parts[2]))))
+            n, re, im = chunk.split(":")
+            out.append((int(n), complex(float(re), float(im))))
         except ValueError:
-            raise ConfigError(
-                f"cannot parse state.terms entry {chunk!r}", key="state.terms"
-            ) from None
+            raise ConfigError(f"state.terms entries must be n:re:im numbers, got {chunk!r}",
+                              key="state.terms") from None
     return out
 
 
 def _build_state(cp) -> FieldState:
+    """The ``[state]`` of ``cp``, its size budgeted before the generator
+    allocates; a generator's keyed refusal is keyed by its ``state.`` option."""
     kind = cp["state"]["kind"].strip().lower()
-    cutoff = _get_int_at_least(cp, "state", "cutoff", 1)
     if kind not in ("fock", "superposition", "coherent", "file"):
         raise ConfigError(f"unknown state.kind {kind!r}", key="state.kind")
-    if kind != "file":
-        _check_state("state.cutoff", cutoff)
-    if kind == "fock":
-        n = _get_float(cp, "state", "n", int)
-        _checked("state.n", n, 0 <= n <= cutoff, f"in 0..state.cutoff = {cutoff}")
-        return fock_state(n, cutoff)
-    if kind == "superposition":
-        terms = _parse_terms(cp["state"]["terms"])
-        if not terms:
-            raise ConfigError("state.terms is empty", key="state.terms")
-        rule = f"Fock indices in 0..state.cutoff = {cutoff}"
-        for n, _ in terms:
-            _checked("state.terms", n, 0 <= n <= cutoff, rule)
-        return superposition(terms, cutoff)
-    if kind == "coherent":
-        alpha = complex(
-            _get_finite(cp, "state", "alpha_re"), _get_finite(cp, "state", "alpha_im")
-        )
-        return coherent_state(alpha, cutoff)
     if kind == "file":
         path = cp["state"]["file"].strip()
         if not path:
@@ -378,6 +352,15 @@ def _build_state(cp) -> FieldState:
         if not os.path.isfile(path):
             raise ConfigError(f"state file not found: {path}", key="state.file")
         return load_amplitudes(path, admit=functools.partial(_check_state, "state.file"))
+    cutoff = _get_float(cp, "state", "cutoff", int)
+    _check_state("state.cutoff", cutoff)
+    with _keyed("state"):
+        if kind == "fock":
+            return fock_state(_get_float(cp, "state", "n", int), cutoff)
+        if kind == "superposition":
+            return superposition(_parse_terms(cp["state"]["terms"]), cutoff)
+        alpha = complex(_get_finite(cp, "state", "alpha_re"), _get_finite(cp, "state", "alpha_im"))
+        return coherent_state(alpha, cutoff)
 
 
 def _get_plan(cp, g: float, axes: tuple[str, ...], levels: int) -> MeasurementPlan:
@@ -419,8 +402,8 @@ def _tomography(cp, levels: int) -> tuple[float, MeasurementPlan, dict]:
     comb = 512 * n_max**2 * width + 24 * (n_max + 1) * plan.n_t
     key = "spectral.n_max" if n_max**2 >= width else "spectral.half_width"
     _within_budget(key, comb, f"the comb of {n_max} levels at half_width {half_width}")
-    floor = _get_float(cp, "spectral", "population_floor")
-    _checked("spectral.population_floor", floor, 0 <= floor < math.inf, "finite and >= 0")
+    with _keyed("spectral"):
+        floor = rec_mod._check_floor(_get_float(cp, "spectral", "population_floor"))
     return g, plan, {"n_max": n_max, "half_width": half_width, "population_floor": floor}
 
 

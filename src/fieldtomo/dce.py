@@ -42,6 +42,7 @@ from .exceptions import (
     DegenerateBranchError,
     IntegrationError,
     ValidationError,
+    _shown,
 )
 from .fock import (
     SIGMA_MINUS,
@@ -90,17 +91,18 @@ class DceConfig:
         for name in ("omega", "g_over_omega", "tau"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max):
-                raise ValidationError(f"{name} must be a finite number > 0, got {value!r}",
+                raise ValidationError(f"{name} must be a finite number > 0, got {_shown(value)}",
                                       key=name)
         if not (isinstance(self.cutoff, numbers.Integral) and 2 <= self.cutoff <= MAX_CUTOFF):
             raise ValidationError(f"cutoff must be an integer in 2..{MAX_CUTOFF}, "
-                                  f"got {self.cutoff!r}", key="cutoff")
+                                  f"got {_shown(self.cutoff)}", key="cutoff")
         # Gershgorin bound on the Hamiltonian's entries and energies |E|: with
         # it times tau finite, neither H nor the phases E tau overflow.
         bound = self.omega * (self.cutoff + 1) + 2.0 * self.g * math.sqrt(self.cutoff + 1)
         if not math.isfinite(bound * self.tau):
-            raise ValidationError(f"quench phases overflow: omega = {self.omega!r}, g = "
-                                  f"{self.g!r}, tau = {self.tau!r} at cutoff {self.cutoff}")
+            raise ValidationError(f"quench phases overflow: omega = {_shown(self.omega)}, g = "
+                                  f"{_shown(self.g)}, tau = {_shown(self.tau)} "
+                                  f"at cutoff {self.cutoff}")
 
     @property
     def g(self) -> float:

@@ -62,3 +62,13 @@ class ResolvabilityError(FieldTomoError):
 
     exit_code = 4
 
+
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal's message.  A value holding an integer
+    longer than Python prints (``sys.get_int_max_str_digits()``, 4300 digits
+    by default) is shown by its type, so the refusal is not lost to a
+    ``ValueError`` from its own message."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

@@ -10,15 +10,22 @@ reconstruction sign conventions, so they are pinned here once):
 * ``sigma_plus = |e><g|`` is the lower-left matrix in this basis.
 * Joint kets are ordered ``|q, n> -> index 2 n + q`` with ``q = 0`` for
   ``|g>``; this is exactly ``numpy.kron(field, qubit)`` ordering.
+
+The field state's input rules are stated once, here, and the generators
+call them: `_check_cutoff` is the one cutoff rule and `_check_index` the
+one Fock-index rule, each keyed by the argument it refuses.  The three
+containers read their elements through `_as_complex`, which refuses what
+numpy cannot read as finite complex numbers.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CutoffError, ValidationError
+from .exceptions import CutoffError, ValidationError, _shown
 
 __all__ = [
     "FieldState",
@@ -43,12 +50,43 @@ SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
 
 
-def _as_complex_vector(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{what} must be a non-empty 1-D amplitude array")
+#: Largest cutoff whose ``cutoff + 1`` complex128 amplitudes numpy can address.
+MAX_CUTOFF = np.iinfo(np.intp).max // 16 - 1
+
+
+def _check_cutoff(cutoff) -> int:
+    """The one cutoff rule: an integer in ``1..MAX_CUTOFF`` (``n = 0, 1`` at
+    least, and an addressable array), returned as an ``int``; else
+    `ValidationError` keyed ``cutoff``."""
+    if not (isinstance(cutoff, numbers.Integral) and 1 <= cutoff <= MAX_CUTOFF):
+        raise ValidationError(f"cutoff must be an integer in 1..{MAX_CUTOFF}, "
+                              f"got {_shown(cutoff)}", key="cutoff")
+    return int(cutoff)
+
+
+def _check_index(n, cutoff: int, key: str) -> int:
+    """The one Fock-index rule: ``n`` an integer in ``0..cutoff``, returned as
+    an ``int``; else, keyed ``key``, `CutoffError` for an integer above the
+    cutoff and `ValidationError` for anything else."""
+    integral = isinstance(n, numbers.Integral)
+    if not (integral and 0 <= n <= cutoff):
+        error = CutoffError if integral and n > cutoff else ValidationError
+        raise error(f"a Fock index must be an integer in 0..{cutoff}, got {_shown(n)}", key=key)
+    return int(n)
+
+
+def _as_complex(values, what: str, ndim: int) -> np.ndarray:
+    """``values`` as a non-empty complex array of ``ndim`` dimensions with
+    finite elements; else `ValidationError`, also for elements numpy cannot
+    read as complex numbers (``"x"``, an integer beyond the float range)."""
+    try:
+        arr = np.asarray(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must hold numbers") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValidationError(f"{what} must be a non-empty {ndim}-D array")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite amplitudes")
+        raise ValidationError(f"{what} contains non-finite entries")
     return arr
 
 
@@ -63,7 +101,7 @@ class FieldState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.amplitudes, "FieldState.amplitudes")
+        arr = _as_complex(self.amplitudes, "FieldState.amplitudes", 1)
         if arr.size < 2:
             raise ValidationError("cutoff must be >= 1 (need at least n = 0, 1)")
         arr = arr.copy()
@@ -108,11 +146,9 @@ class DensityMatrix:
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.elements, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+        arr = _as_complex(self.elements, "DensityMatrix.elements", 2)
+        if arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ValidationError("DensityMatrix.elements must be square, dim >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("DensityMatrix.elements contains non-finite entries")
         if np.max(np.abs(arr - arr.conj().T)) > 1e-10:
             raise ValidationError("density matrix is not Hermitian")
         tr = np.trace(arr).real
@@ -139,7 +175,7 @@ class JointState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.amplitudes, "JointState.amplitudes")
+        arr = _as_complex(self.amplitudes, "JointState.amplitudes", 1)
         if arr.size % 2 != 0 or arr.size < 4:
             raise ValidationError("JointState needs 2 (cutoff + 1) amplitudes")
         if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
@@ -150,10 +186,9 @@ class JointState:
 
 
 def fock_state(n: int, cutoff: int) -> FieldState:
-    if cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
-    if not 0 <= n <= cutoff:
-        raise CutoffError(f"|{n}> does not fit below cutoff {cutoff}")
+    """|n> on ``0 .. cutoff``; refusals keyed ``cutoff`` or ``n``."""
+    cutoff = _check_cutoff(cutoff)
+    n = _check_index(n, cutoff, "n")
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[n] = 1.0
     return FieldState(amps)
@@ -178,6 +213,7 @@ def fidelity(a: FieldState, b: FieldState) -> float:
 def embed(state: FieldState, cutoff: int) -> FieldState:
     """The state zero-padded to ``cutoff``; a lower cutoff raises `CutoffError`."""
     c = state.amplitudes
+    cutoff = _check_cutoff(cutoff)
     if cutoff < state.cutoff:
         raise CutoffError(f"cannot embed a cutoff-{state.cutoff} state at cutoff {cutoff}")
     out = np.zeros(cutoff + 1, dtype=complex)

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import GridError, ValidationError
+from .exceptions import GridError, ValidationError, _shown
 from .fock import DensityMatrix
 from .probe import (MAX_N_T, BlochTrajectory, _check_axes, _check_grid, ideal_bloch_trajectory,
                     time_grid)
@@ -77,13 +77,14 @@ class MeasurementPlan:
         if n_m is not None and not (isinstance(n_m, numbers.Real) and 1 <= n_m <= MAX_SHOTS
                                     and int(n_m) == n_m):
             raise ValidationError(f"n_m must be None or an integer in 1..{MAX_SHOTS}, "
-                                  f"got {n_m!r}", key="n_m")
+                                  f"got {_shown(n_m)}", key="n_m")
         object.__setattr__(self, "axes", _check_axes(self.axes))
         if not (isinstance(self.gamma, numbers.Real) and 0 <= self.gamma <= sys.float_info.max):
-            raise ValidationError(f"gamma must be a finite number >= 0, got {self.gamma!r}",
+            raise ValidationError(f"gamma must be a finite number >= 0, got {_shown(self.gamma)}",
                                   key="gamma")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}", key="seed")
+            raise ValidationError(f"seed must be an integer >= 0, got {_shown(self.seed)}",
+                                  key="seed")
 
 
 def _sample_axis(mean: np.ndarray, n_m: int, seeds: range, axis: str) -> np.ndarray:
@@ -120,7 +121,7 @@ def sample_records(
     if not (isinstance(n_records, numbers.Real) and 1 <= n_records <= MAX_N_T // n_t
             and int(n_records) == n_records):
         raise ValidationError(f"n_records must be an integer in 1..{MAX_N_T // n_t} for "
-                              f"addressable records, got {n_records!r}", key="n_records")
+                              f"addressable records, got {_shown(n_records)}", key="n_records")
     ideal = ideal_bloch_trajectory(rho, g, plan.delta_t, n_t, axes=plan.axes)
     # A huge gamma t overflows to -inf, whose exp is the exact limit 0.
     with np.errstate(over="ignore"):

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import GridError, ValidationError
+from .exceptions import GridError, ValidationError, _shown
 from .fock import DensityMatrix
 
 __all__ = [
@@ -66,18 +66,18 @@ def _check_grid(delta_t: float, n_t: int) -> None:
     # Range first: int() of inf or nan raises.
     if not (isinstance(n_t, numbers.Real) and 1 <= n_t <= MAX_N_T and int(n_t) == n_t):
         raise GridError(f"n_t must be an integer in 1..{MAX_N_T} for an addressable grid, "
-                        f"got {n_t!r}", key="n_t")
+                        f"got {_shown(n_t)}", key="n_t")
     # A step up to the largest float, so float() cannot overflow; any other is refused below.
     real = isinstance(delta_t, numbers.Real) and 0 < delta_t <= sys.float_info.max
     step = float(delta_t) if real else 0.0
     t_last = step * int(n_t)
     if t_last == math.inf:
-        raise GridError(f"the last time n_t delta_t overflows at delta_t = {delta_t!r}",
+        raise GridError(f"the last time n_t delta_t overflows at delta_t = {_shown(delta_t)}",
                         key="delta_t")
     # At n_t = 1, d_omega = 2 pi / delta_t can overflow where pi / delta_t does not.
     if not (t_last > 0 and math.pi / step < math.inf and 2.0 * math.pi / t_last < math.inf):
         raise GridError(f"delta_t must be > 0 with a finite Nyquist frequency pi / delta_t and "
-                        f"a finite d_omega, got {delta_t!r}", key="delta_t")
+                        f"a finite d_omega, got {_shown(delta_t)}", key="delta_t")
 
 
 def _check_axes(axes) -> tuple[str, ...]:
@@ -85,7 +85,8 @@ def _check_axes(axes) -> tuple[str, ...]:
     x, y, z, at least one, returned as a tuple; else `ValidationError`."""
     names = tuple(axes) if hasattr(axes, "__iter__") else ()
     if not names or any(a not in ("x", "y", "z") for a in names) or len(set(names)) != len(names):
-        raise ValidationError(f"axes must be distinct names of x, y, z; got {axes!r}", key="axes")
+        raise ValidationError(f"axes must be distinct names of x, y, z; got {_shown(axes)}",
+                              key="axes")
     return names
 
 
@@ -93,7 +94,7 @@ def _check_coupling(g: float) -> None:
     """The one coupling rule of the simulator and the comb: ``g`` a finite
     number ``> 0``; else `ValidationError`."""
     if not (isinstance(g, numbers.Real) and 0 < g <= sys.float_info.max):
-        raise ValidationError(f"coupling g must be a finite number > 0, got {g!r}")
+        raise ValidationError(f"coupling g must be a finite number > 0, got {_shown(g)}")
 
 
 def _check_phase(g: float, top: int, delta_t: float, n_t: int) -> None:
@@ -102,10 +103,11 @@ def _check_phase(g: float, top: int, delta_t: float, n_t: int) -> None:
     every phase of levels up to ``top``, is finite (cos of inf is NaN); else
     `ValidationError`.  Any sign of ``g`` is evaluated."""
     if not (isinstance(g, numbers.Real) and abs(g) <= sys.float_info.max):
-        raise ValidationError(f"g must be a real number and finite, got {g!r}")
+        raise ValidationError(f"g must be a real number and finite, got {_shown(g)}")
     t_last = float(delta_t) * int(n_t)
     if not math.isfinite(2.0 * abs(float(g)) * math.sqrt(top) * t_last):
-        raise ValidationError(f"the phase 2 g sqrt({top}) t overflows at g = {g!r}, t = {t_last}")
+        raise ValidationError(f"the phase 2 g sqrt({top}) t overflows at g = {_shown(g)}, "
+                              f"t = {t_last}")
 
 
 @dataclass(frozen=True)

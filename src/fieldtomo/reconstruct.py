@@ -52,12 +52,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import EstimationError, GridError, ValidationError
+from .exceptions import EstimationError, GridError, ValidationError, _shown
 from .fock import FieldState, fidelity
 from .probe import BlochTrajectory, bloch_components
 from .spectral import (
@@ -333,6 +335,16 @@ def _solve_xy(
     return est, diagnostics, windows, free, ax, ay
 
 
+def _check_floor(population_floor: float) -> float:
+    """The one population-floor rule: a finite number ``>= 0``, returned as
+    given; else `ValidationError` keyed ``population_floor``."""
+    if not (isinstance(population_floor, numbers.Real)
+            and 0 <= population_floor <= sys.float_info.max):
+        raise ValidationError(f"population_floor must be a finite number >= 0, got "
+                              f"{_shown(population_floor)}", key="population_floor")
+    return population_floor
+
+
 def chain_phases(
     populations: np.ndarray,
     coherences: np.ndarray,
@@ -349,7 +361,7 @@ def chain_phases(
     both sides — a diagnostic, not an error.
     """
     pops = np.asarray(populations, dtype=float)
-    populated = pops >= population_floor
+    populated = pops >= _check_floor(population_floor)
     n_levels = pops.size
     phases = np.zeros(n_levels)
     defined = np.zeros(n_levels, dtype=bool)
@@ -426,6 +438,7 @@ def reconstruct_from_spectra(
     if (spec_x is None) != (spec_y is None):
         raise ValidationError("x and y spectra must be supplied together")
     _one_record("reconstruct_from_spectra", spec_z, spec_x, spec_y)
+    _check_floor(population_floor)
     warnings_out: list[str] = []
     diagnostics: dict = {}
 
@@ -594,7 +607,7 @@ def estimate_coupling(
         raise ValidationError("the z spectrum has a NaN or infinite bin; cannot score a comb")
     lo, hi = search_range
     if not (0 < lo < hi):
-        raise ValidationError(f"bad search range {search_range!r}")
+        raise ValidationError(f"bad search range {_shown(search_range)}")
     n = spec_z.n_t
     dw = spec_z.d_omega
     omega_edge = (n // 2 - 2) * dw

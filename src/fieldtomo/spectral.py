@@ -73,7 +73,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import GridError, ResolvabilityError, ValidationError
+from .exceptions import GridError, ResolvabilityError, ValidationError, _shown
 from .probe import MAX_N_T, _check_coupling, _check_grid
 
 __all__ = [
@@ -218,7 +218,7 @@ def _grid_windows(n: int, d_omega: float, centers, half_width):
     the one half-width rule: an integer ``>= 0``.  A centre beyond every
     float bin has ``x = +-inf`` and fits nowhere."""
     if not (isinstance(half_width, numbers.Integral) and half_width >= 0):
-        raise ValidationError(f"half_width must be >= 0 and an integer, got {half_width!r}")
+        raise ValidationError(f"half_width must be >= 0 and an integer, got {_shown(half_width)}")
     with np.errstate(over="ignore"):
         x = np.asarray(centers, dtype=float) / d_omega
     m = np.rint(x)
@@ -361,7 +361,7 @@ def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
     that numpy can address and the top tone ``z[-1]``, the largest, finite."""
     _check_coupling(g)
     if not (isinstance(n_max, numbers.Integral) and 1 <= n_max < MAX_N_T):
-        raise ValidationError(f"n_max must be an integer in 1..{MAX_N_T - 1}, got {n_max!r}")
+        raise ValidationError(f"n_max must be an integer in 1..{MAX_N_T - 1}, got {_shown(n_max)}")
     root = np.sqrt(np.arange(n_max + 1, dtype=float))
     with np.errstate(over="ignore"):
         comb = {
@@ -370,7 +370,7 @@ def comb_frequencies(g: float, n_max: int) -> dict[str, np.ndarray]:
             "diff": g * (root[1:] - root[:-1]),
         }
     if comb["z"][-1] == np.inf:
-        raise ValidationError(f"the comb's top tone 2 g sqrt(n_max) overflows at g = {g!r}")
+        raise ValidationError(f"the comb's top tone 2 g sqrt(n_max) overflows at g = {_shown(g)}")
     return comb
 
 

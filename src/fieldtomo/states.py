@@ -1,17 +1,27 @@
-"""Target-state generators: Fock superpositions, coherent states, file I/O."""
+"""Target-state generators: Fock superpositions, coherent states, file I/O.
+
+The cutoff and Fock-index rules live in `fock` (`fock._check_cutoff`,
+`fock._check_index`); the generators call them and key their own
+refusals by argument: `superposition` a bad term, or all-zero terms,
+``terms``, and `coherent_state` a non-numeric or non-finite ``alpha``.
+`load_amplitudes` names the file in every refusal of its contents and
+keys none of them.
+"""
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+import numbers
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import CutoffError, ValidationError
-from .fock import FieldState
+from .exceptions import CutoffError, ValidationError, _shown
+from .fock import FieldState, _check_cutoff, _check_index
 
 __all__ = [
     "superposition",
@@ -23,26 +33,33 @@ __all__ = [
 _COHERENT_TAIL = 1e-8
 
 
+def _finite(value, what: str, key: str) -> complex:
+    """``value``, a finite number (not a string), as a complex; else
+    `ValidationError` keyed ``key``."""
+    if isinstance(value, numbers.Complex):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            if cmath.isfinite(z := complex(value)):
+                return z
+    raise ValidationError(f"{what} must be a finite number, got {_shown(value)}", key=key)
+
+
 def superposition(terms: Sequence[tuple[int, complex]], cutoff: int) -> FieldState:
     """Normalized superposition from ``(n, amplitude)`` pairs.
 
     Repeated ``n`` entries accumulate.  Any ``n > cutoff`` is an error,
-    not a silent truncation.
+    not a silent truncation.  A bad index (`fock._check_index`), an
+    amplitude that is not a finite number, or no nonzero amplitude is a
+    refusal keyed ``terms``.
     """
-    if cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
+    cutoff = _check_cutoff(cutoff)
     # Python complex sums: an overflow is inf, refused as non-finite, not warned.
     amps = [0j] * (cutoff + 1)
     for n, amp in terms:
-        n = int(n)
-        if n < 0:
-            raise ValidationError(f"negative Fock index {n}")
-        if n > cutoff:
-            raise CutoffError(f"term |{n}> exceeds cutoff {cutoff}")
-        amps[n] += complex(amp)
+        amps[_check_index(n, cutoff, "terms")] += _finite(amp, "a term's amplitude", "terms")
     state = FieldState(amps)
     if state.norm() < 1e-300:
-        raise ValidationError("superposition needs at least one nonzero term")
+        raise ValidationError("terms must be a superposition with a nonzero amplitude",
+                              key="terms")
     return state.normalize()
 
 
@@ -75,28 +92,29 @@ def coherent_state(alpha: complex, cutoff: int) -> FieldState:
 
     The cutoff must capture all but `_COHERENT_TAIL` of the Poisson weight;
     otherwise a `CutoffError` names the required cutoff instead of
-    returning a bad state.  A non-finite ``alpha``, or one so large that
-    the vacuum amplitude ``exp(-|alpha|^2 / 2)`` underflows to 0
-    (``|alpha|`` above about 38.6), is a `ValidationError`.
+    returning a bad state.  An ``alpha`` that is not a finite number is a
+    `ValidationError` keyed ``alpha``; one so large that the vacuum
+    amplitude ``exp(-|alpha|^2 / 2)`` underflows to 0 (``|alpha|`` above
+    about 38.6) is an unkeyed one, as is the `CutoffError`.
     """
-    if cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValidationError(f"coherent state needs a finite alpha, got {alpha!r}")
+    cutoff = _check_cutoff(cutoff)
+    alpha = _finite(alpha, "alpha", "alpha")
+    try:
+        r = abs(alpha)
+    except OverflowError:  # |alpha| beyond the largest float
+        r = math.inf
     # From 40 on the vacuum amplitude is 0 anyway, and from about 1.3e154
-    # on ``abs(alpha) ** 2`` raises OverflowError.
-    vacuum = math.exp(-0.5 * abs(alpha) ** 2) if abs(alpha) < 40.0 else 0.0
+    # on ``r ** 2`` raises OverflowError.
+    vacuum = math.exp(-0.5 * r**2) if r < 40.0 else 0.0
     if vacuum == 0.0:
         raise ValidationError(
-            f"coherent state |alpha| = {abs(alpha):.4g} is too large: "
+            f"coherent state |alpha| = {r:.4g} is too large: "
             "its vacuum amplitude exp(-|alpha|^2 / 2) underflows to 0"
         )
-    required = _coherent_required_cutoff(abs(alpha))
+    required = _coherent_required_cutoff(r)
     if cutoff < required:
         raise CutoffError(
-            f"coherent state |alpha| = {abs(alpha):.4g} needs cutoff >= {required}, "
-            f"got {cutoff}"
+            f"coherent state |alpha| = {r:.4g} needs cutoff >= {required}, got {cutoff}"
         )
     amps = np.empty(cutoff + 1, dtype=complex)
     amps[0] = vacuum
@@ -114,8 +132,8 @@ def load_amplitudes(
     largest ``n`` present (at least 1); ``admit`` sees it before any
     amplitude array is built, so a caller can refuse a size by raising.
     The loaded state is normalized like any other generator output.  A
-    file that does not decode as text, or a malformed line, is a
-    `ValidationError`.
+    file that does not decode as text, a malformed line, or contents
+    `superposition` refuses, is a `ValidationError` naming the file.
     """
     path = Path(path)
     try:
@@ -127,20 +145,19 @@ def load_amplitudes(
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValidationError(
-                f"{path.name}:{lineno}: expected 'n re im', got {raw!r}"
-            )
         try:
-            n = int(parts[0])
-            re, im = float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ValidationError(f"{path.name}:{lineno}: {exc}") from exc
-        entries.append((n, complex(re, im)))
+            n, re, im = line.split()
+            entries.append((int(n), complex(float(re), float(im))))
+        except ValueError:
+            raise ValidationError(
+                f"{path.name}:{lineno}: expected 'n re im' numbers, got {raw!r}"
+            ) from None
     if not entries:
         raise ValidationError(f"{path}: no amplitude entries found")
     cutoff = max(1, max(n for n, _ in entries))
     admit(cutoff)
-    return superposition(entries, cutoff)
+    try:
+        return superposition(entries, cutoff)
+    except ValidationError as exc:  # named by the file, not keyed by an argument
+        raise type(exc)(f"{path}: {exc}") from None
 

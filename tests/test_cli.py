@@ -384,6 +384,49 @@ def test_state_file_that_does_not_decode_exits_3(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text", ["0 1 0\n-1 1 0\n", "0 0 0\n2 0 0\n"])
+def test_an_amplitude_file_the_generator_refuses_exits_3_naming_the_file(
+    capsys, tmp_path, text
+):
+    """A negative Fock index or all-zero amplitudes in a ``--state-file`` is
+    a fault of the file: exit 3, the file named, no key, no --out-dir."""
+    amp_path = tmp_path / "state.txt"
+    amp_path.write_text(text)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, "reconstruct", "--state-file", str(amp_path), "--out-dir", str(out_dir)
+    )
+    assert code == 3
+    body = stderr_error(err)
+    assert body["type"] == "ValidationError" and "key" not in body
+    assert body["message"].startswith(f"{amp_path}: ")
+    assert not out_dir.exists()
+
+
+def test_a_state_file_reads_no_state_cutoff(capsys, tmp_path):
+    """The cutoff of an amplitude file is its largest index, so a bad
+    ``state.cutoff``, which only the generated kinds read, is not refused."""
+    amp_path = tmp_path / "state.txt"
+    amp_path.write_text("0 1 0\n1 1 0\n")
+    cfg = write_config(tmp_path, "[state]\ncutoff = -1\n")
+    code, _, _ = run(capsys, "reconstruct", "--config", cfg, "--state-file", str(amp_path),
+                     "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+
+
+def test_a_coherent_amplitude_beyond_the_float_range_exits_3(capsys, tmp_path):
+    """Finite parts whose modulus overflows: the vacuum-underflow refusal
+    (exit 3, no key), not an OverflowError traceback."""
+    cfg = write_config(
+        tmp_path, "[state]\nkind = coherent\nalpha_re = 1.7e308\nalpha_im = 1.7e308\n"
+    )
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "reconstruct", "--config", cfg, "--out-dir", str(out_dir))
+    assert code == 3
+    assert "key" not in stderr_error(err)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("state_file", ["missing.txt", "a_dir"])
 def test_refused_state_file_leaves_no_new_out_dir(capsys, tmp_path, state_file):
     """A refusal raised by the command removes the --out-dir levels this
@@ -722,12 +765,19 @@ def test_bad_values_exit_2_with_key(capsys, tmp_path, command, key, value):
     ("noise-sweep", "[plan]\ngamma = -1\n", "plan.gamma"),
     ("dce", "[dce]\ntau_list = 1 -1\n", "dce.tau_list"),
     ("dce", "[dce]\ng_over_omega = 1e-310\n", "dce.g_over_omega"),
+    ("reconstruct", "[state]\nn = 13\n", "state.n"),
+    ("estimate-g", "[state]\nn = -1\n", "state.n"),
+    ("reconstruct", "[state]\nkind = superposition\nterms = 1:1:0; 13:1:0\n", "state.terms"),
+    ("noise-sweep", "[state]\nkind = superposition\nterms = 1:0:0\n", "state.terms"),
+    ("reconstruct", "[state]\nkind = coherent\ncutoff = 0\n", "state.cutoff"),
+    ("dce", "[spectral]\npopulation_floor = nan\n", "spectral.population_floor"),
 ])
 def test_a_keyed_library_refusal_reads_its_key_then_the_library_text(
     capsys, tmp_path, command, text, key
 ):
-    """The plan and the quench state their rules; the CLI keys a refusal by
-    the INI option that set the field and prefixes the library's message."""
+    """The plan, the quench, the state generators and the population floor
+    state their rules; the CLI keys a refusal by the INI option that set the
+    argument and prefixes the library's message."""
     code, _, err = run(capsys, command, "--config", write_config(tmp_path, text),
                        "--out-dir", str(tmp_path / "out"))
     assert code == 2

@@ -18,12 +18,20 @@ from fieldtomo.exceptions import (
     ResolvabilityError,
     ValidationError,
 )
-from fieldtomo.fock import DensityMatrix, density_from_pure, fock_state
+from fieldtomo.fock import (
+    DensityMatrix,
+    FieldState,
+    JointState,
+    density_from_pure,
+    embed,
+    fock_state,
+)
 from fieldtomo.measurement import MeasurementPlan, sample_records, sample_trajectory
 from fieldtomo import probe as probe_mod
 from fieldtomo.probe import BlochTrajectory, bloch_components, ideal_bloch_trajectory, time_grid
 from fieldtomo.reconstruct import (
     TRACE_TOLERANCE,
+    chain_phases,
     coherences_from_xy,
     estimate_coupling,
     peak_report,
@@ -760,6 +768,46 @@ HOSTILE_LIBRARY_INPUTS = {
     **{f"window_gains-tone-{bad}": (
         lambda t: window_gains(spectra_for(FOCK1, G1)[0], [0.0], [t], 1), bad, 0.0)
        for bad in (1e308, 1e306, np.nan)},
+    # The state generators: the cutoff and Fock-index rules, and each argument.
+    **{f"fock_state-{field}-{name}": (
+        lambda v, field=field: fock_state(**{"n": 1, "cutoff": 3, field: v}), bad, valid)
+       for field, name, bad, valid in (
+           ("cutoff", "2.5", 2.5, 3), ("n", "1.5", 1.5, 1), ("n", "str-1", "1", 1),
+           ("cutoff", "None", None, 3), ("cutoff", "1e400", 10**400, 3),
+           ("n", "1.0", 1.0, 1), ("n", "1e5000", 10**5000, 1))},
+    **{f"superposition-terms-{name}": (lambda t: superposition(t, 3), bad, [(1, 1.0)])
+       for name, bad in (("amplitude-str-x", [(1, "x")]), ("index-str-a", [("a", 1)]),
+                         ("index-1.5", [(1.5, 1.0)]), ("index-1e5000", [(10**5000, 1)]),
+                         ("amplitude-1e400", [(1, 10**400)]))},
+    **{f"superposition-cutoff-{name}": (
+        lambda c: superposition([(1, 1.0)], c), bad, 3)
+       for name, bad in (("2.5", 2.5), ("1e400", 10**400))},
+    **{f"coherent_state-{field}-{name}": (
+        lambda v, field=field: coherent_state(**{"alpha": 0.5, "cutoff": 8, field: v}),
+        bad, valid)
+       for field, name, bad, valid in (
+           ("alpha", "str-abc", "abc", 0.5), ("alpha", "None", None, 0.5),
+           ("alpha", "str-0.5", "0.5", 0.5), ("cutoff", "None", None, 8),
+           ("cutoff", "1e400", 10**400, 8),
+           ("alpha", "parts-1.7e308", complex(1.7e308, 1.7e308), 0.5))},
+    **{f"embed-cutoff-{bad}": (lambda c: embed(fock_state(1, 3), c), bad, 5)
+       for bad in (3.5, None)},
+    "FieldState-str-abc": (FieldState, "abc", [1.0, 0.0]),
+    "FieldState-str-1-x": (FieldState, ["1", "x"], [1.0, 0.0]),
+    "DensityMatrix-str-abc": (DensityMatrix, "abc", np.diag([1.0, 0.0])),
+    "JointState-str-abcd": (JointState, "abcd", [1.0, 0.0, 0.0, 0.0]),
+    # An integer too long to print is refused, not lost to its own message.
+    "MeasurementPlan-n_m-1e5000": (lambda n: MeasurementPlan(DT, 64, n_m=n), 10**5000, 10),
+    "time_grid-n_t-1e5000": (lambda n: time_grid(0.1, n), 10**5000, 4),
+    "DceConfig-g_over_omega-1e5000": (lambda g: DceConfig(g, 1.0), 10**5000, 0.5),
+    "comb_frequencies-n_max-1e5000": (lambda n: comb_frequencies(G1, n), 10**5000, 8),
+    # The population-floor rule.
+    **{f"reconstruct_state-population_floor-{name}": (
+        lambda f: reconstruct_state(fock1_record(), 1.0, population_floor=f), bad, 1e-3)
+       for name, bad in (("nan", np.nan), ("inf", np.inf), ("-1.0", -1.0),
+                         ("str-abc", "abc"), ("None", None))},
+    "chain_phases-population_floor-nan": (
+        lambda f: chain_phases(np.ones(2), np.ones(1), f), np.nan, 1e-3),
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fieldtomo.exceptions import CutoffError, ValidationError
-from fieldtomo.fock import FieldState
+from fieldtomo.fock import FieldState, embed, fock_state
 from fieldtomo.states import (
     _coherent_required_cutoff,
     coherent_state,
@@ -63,6 +63,25 @@ def test_normalize_keeps_the_bits_of_a_finite_norm():
 def test_superposition_refuses_an_overflowing_repeated_term():
     with pytest.raises(ValidationError, match="non-finite"):
         superposition([(1, 1e308), (1, 1e308)], 4)
+
+
+@pytest.mark.parametrize("call, key", [
+    pytest.param(lambda: fock_state(-1, 3), "n", id="fock_state-n-negative"),
+    pytest.param(lambda: fock_state(4, 3), "n", id="fock_state-n-above"),
+    pytest.param(lambda: fock_state(1, 0), "cutoff", id="fock_state-cutoff"),
+    pytest.param(lambda: superposition([(-1, 1.0)], 3), "terms", id="superposition-n-negative"),
+    pytest.param(lambda: superposition([(4, 1.0)], 3), "terms", id="superposition-n-above"),
+    pytest.param(lambda: superposition([(1, 0.0)], 3), "terms", id="superposition-all-zero"),
+    pytest.param(lambda: superposition([(1, 1.0)], 0), "cutoff", id="superposition-cutoff"),
+    pytest.param(lambda: coherent_state("abc", 8), "alpha", id="coherent_state-alpha"),
+    pytest.param(lambda: coherent_state(0.5, 0), "cutoff", id="coherent_state-cutoff"),
+    pytest.param(lambda: embed(fock_state(1, 3), 0), "cutoff", id="embed-cutoff"),
+])
+def test_a_state_refusal_names_its_argument(call, key):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert info.value.key == key
+
 
 def test_coherent_state_poisson_populations():
     alpha = 0.7 * np.exp(1j * np.pi / 3)
